@@ -104,16 +104,4 @@ core::RunResult inexact_dane(comm::SimCluster& cluster,
   return result;
 }
 
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-core::RunResult inexact_dane(comm::SimCluster& cluster,
-                             const data::Dataset& train,
-                             const data::Dataset* test,
-                             const DaneOptions& options) {
-  data::ShardPlan plan;
-  plan.parts = cluster.size();
-  return inexact_dane(cluster, data::make_sharded(train, test, plan), options);
-}
-#pragma GCC diagnostic pop
-
 }  // namespace nadmm::baselines

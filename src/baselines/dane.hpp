@@ -43,13 +43,4 @@ core::RunResult inexact_dane(comm::SimCluster& cluster,
                              const data::ShardedDataset& data,
                              const DaneOptions& options);
 
-/// Convenience overload: contiguous zero-copy view shards.
-[[deprecated(
-    "shard explicitly: pass a data::ShardedDataset (see "
-    "runner::shard_for_solver) — this overload re-shards per call")]]
-core::RunResult inexact_dane(comm::SimCluster& cluster,
-                             const data::Dataset& train,
-                             const data::Dataset* test,
-                             const DaneOptions& options);
-
 }  // namespace nadmm::baselines

@@ -73,14 +73,4 @@ core::RunResult disco(comm::SimCluster& cluster,
   return result;
 }
 
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-core::RunResult disco(comm::SimCluster& cluster, const data::Dataset& train,
-                      const data::Dataset* test, const DiscoOptions& options) {
-  data::ShardPlan plan;
-  plan.parts = cluster.size();
-  return disco(cluster, data::make_sharded(train, test, plan), options);
-}
-#pragma GCC diagnostic pop
-
 }  // namespace nadmm::baselines

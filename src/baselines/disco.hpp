@@ -29,11 +29,4 @@ core::RunResult disco(comm::SimCluster& cluster,
                       const data::ShardedDataset& data,
                       const DiscoOptions& options);
 
-/// Convenience overload: contiguous zero-copy view shards.
-[[deprecated(
-    "shard explicitly: pass a data::ShardedDataset (see "
-    "runner::shard_for_solver) — this overload re-shards per call")]]
-core::RunResult disco(comm::SimCluster& cluster, const data::Dataset& train,
-                      const data::Dataset* test, const DiscoOptions& options);
-
 }  // namespace nadmm::baselines

@@ -124,14 +124,4 @@ core::RunResult giant(comm::SimCluster& cluster,
   return result;
 }
 
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-core::RunResult giant(comm::SimCluster& cluster, const data::Dataset& train,
-                      const data::Dataset* test, const GiantOptions& options) {
-  data::ShardPlan plan;
-  plan.parts = cluster.size();
-  return giant(cluster, data::make_sharded(train, test, plan), options);
-}
-#pragma GCC diagnostic pop
-
 }  // namespace nadmm::baselines

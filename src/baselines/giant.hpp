@@ -38,11 +38,4 @@ core::RunResult giant(comm::SimCluster& cluster,
                       const data::ShardedDataset& data,
                       const GiantOptions& options);
 
-/// Convenience overload: contiguous zero-copy view shards.
-[[deprecated(
-    "shard explicitly: pass a data::ShardedDataset (see "
-    "runner::shard_for_solver) — this overload re-shards per call")]]
-core::RunResult giant(comm::SimCluster& cluster, const data::Dataset& train,
-                      const data::Dataset* test, const GiantOptions& options);
-
 }  // namespace nadmm::baselines

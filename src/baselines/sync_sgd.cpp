@@ -82,15 +82,4 @@ core::RunResult sync_sgd(comm::SimCluster& cluster,
   return result;
 }
 
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-core::RunResult sync_sgd(comm::SimCluster& cluster, const data::Dataset& train,
-                         const data::Dataset* test,
-                         const SyncSgdOptions& options) {
-  data::ShardPlan plan;
-  plan.parts = cluster.size();
-  return sync_sgd(cluster, data::make_sharded(train, test, plan), options);
-}
-#pragma GCC diagnostic pop
-
 }  // namespace nadmm::baselines

@@ -33,12 +33,4 @@ core::RunResult sync_sgd(comm::SimCluster& cluster,
                          const data::ShardedDataset& data,
                          const SyncSgdOptions& options);
 
-/// Convenience overload: contiguous zero-copy view shards.
-[[deprecated(
-    "shard explicitly: pass a data::ShardedDataset (see "
-    "runner::shard_for_solver) — this overload re-shards per call")]]
-core::RunResult sync_sgd(comm::SimCluster& cluster, const data::Dataset& train,
-                         const data::Dataset* test,
-                         const SyncSgdOptions& options);
-
 }  // namespace nadmm::baselines

@@ -153,15 +153,4 @@ RunResult newton_admm(comm::SimCluster& cluster,
   return result;
 }
 
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-RunResult newton_admm(comm::SimCluster& cluster, const data::Dataset& train,
-                      const data::Dataset* test,
-                      const NewtonAdmmOptions& options) {
-  data::ShardPlan plan;
-  plan.parts = cluster.size();
-  return newton_admm(cluster, data::make_sharded(train, test, plan), options);
-}
-#pragma GCC diagnostic pop
-
 }  // namespace nadmm::core

@@ -50,13 +50,4 @@ RunResult newton_admm(comm::SimCluster& cluster,
                       const data::ShardedDataset& data,
                       const NewtonAdmmOptions& options);
 
-/// Convenience overload: shard `train` / `test` as contiguous zero-copy
-/// views across the cluster's ranks, then run.
-[[deprecated(
-    "shard explicitly: pass a data::ShardedDataset (see "
-    "runner::shard_for_solver) — this overload re-shards per call")]]
-RunResult newton_admm(comm::SimCluster& cluster, const data::Dataset& train,
-                      const data::Dataset* test,
-                      const NewtonAdmmOptions& options);
-
 }  // namespace nadmm::core

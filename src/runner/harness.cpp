@@ -211,18 +211,6 @@ data::ShardedDataset shard_for_solver(const std::string& solver,
   return data::make_sharded(train, test, plan);
 }
 
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-core::RunResult run_solver(const std::string& solver,
-                           comm::SimCluster& cluster,
-                           const data::Dataset& train,
-                           const data::Dataset* test,
-                           const ExperimentConfig& config) {
-  return run_solver(solver, cluster,
-                    shard_for_solver(solver, train, test, config), config);
-}
-#pragma GCC diagnostic pop
-
 core::RunResult run_solver(const std::string& solver,
                            comm::SimCluster& cluster,
                            const data::ShardedDataset& data,

@@ -113,29 +113,15 @@ baselines::DiscoOptions disco_options(const ExperimentConfig& config);
 
 /// Shard `train`/`test` the way `solver` expects: the config's partition
 /// plan for distributed solvers, a one-part plan (materialized full
-/// splits) for single-node solvers. This is the explicit form of what
-/// the deprecated (train, test) entry points did implicitly.
+/// splits) for single-node solvers.
 data::ShardedDataset shard_for_solver(const std::string& solver,
                                       const data::Dataset& train,
                                       const data::Dataset* test,
                                       const ExperimentConfig& config);
 
-/// Dispatch by solver name through the SolverRegistry (see
-/// runner/registry.hpp for the full name list, including the
-/// single-node solvers). Shards `train`/`test` under the config's
-/// partition plan first.
-[[deprecated(
-    "shard explicitly: run_solver(solver, cluster, shard_for_solver(solver, "
-    "train, test, config), config) — this overload re-plans shards per call "
-    "and hides the data layout")]]
-core::RunResult run_solver(const std::string& solver,
-                           comm::SimCluster& cluster,
-                           const data::Dataset& train,
-                           const data::Dataset* test,
-                           const ExperimentConfig& config);
-
-/// Pre-sharded dispatch: run on data the caller already planned (e.g.
-/// streamed per-rank libsvm shards from DatasetProvider::get_sharded).
+/// Dispatch by solver name through the SolverRegistry on data the caller
+/// already sharded (shard_for_solver, or e.g. streamed per-rank libsvm
+/// shards from DatasetProvider::get_sharded).
 core::RunResult run_solver(const std::string& solver,
                            comm::SimCluster& cluster,
                            const data::ShardedDataset& data,

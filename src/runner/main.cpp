@@ -300,82 +300,13 @@ int cmd_serve(int argc, const char* const* argv) {
 int cmd_sweep(int argc, const char* const* argv) {
   CliParser cli(
       "nadmm sweep — expand a scenario grid and run it on a worker pool.\n"
-      "Grid axes take comma-separated lists; --spec FILE loads `key = value`\n"
-      "lines first and inline flags override it. `--mode serving` swaps the\n"
-      "train axes for arrival × batch-policy serving scenarios.");
+      "Every spec key is also a flag (n_train -> --n-train); grid axes take\n"
+      "comma-separated lists. --spec FILE loads `key = value` lines first,\n"
+      "non-empty flags override it. `--mode serving` swaps the train axes\n"
+      "for arrival × batch-policy serving scenarios.");
   runner::OptionSet opts;
   opts.add_string("spec", "", "sweep spec file (key = value lines)");
-  opts.add_string("mode", "", "grid mode: train|serving (default: train)",
-                  [](const std::string& flag, const std::string& value) {
-                    if (!value.empty() && value != "train" &&
-                        value != "serving") {
-                      throw InvalidArgument("--" + flag +
-                                            ": invalid value '" + value +
-                                            "' (expected train|serving)");
-                    }
-                  });
-  opts.add_string("solvers", "", "e.g. newton-admm,giant,sync-sgd",
-                  runner::v_each(',', runner::v_solver()));
-  opts.add_string("datasets", "", "e.g. blobs,higgs",
-                  runner::v_each(',', runner::v_dataset()));
-  opts.add_string("workers", "", "e.g. 4,8,16",
-                  runner::v_each(',', runner::v_int_min(1)));
-  opts.add_string("devices", "", "e.g. p100,cpu", runner::v_device_list());
-  opts.add_string("networks", "", "e.g. ib100,eth10",
-                  runner::v_each(',', runner::v_network()));
-  opts.add_string("penalties", "", "e.g. sps,fixed",
-                  runner::v_each(',', runner::v_one_of({"fixed", "rb",
-                                                        "sps"})));
-  opts.add_string("lambdas", "", "e.g. 1e-5,1e-4");
-  opts.add_string("stragglers", "", "e.g. none,1:4",
-                  runner::v_each(',', runner::v_straggler()));
-  opts.add_string("partitions", "", "e.g. contiguous,strided,weighted",
-                  runner::v_each(',', runner::v_partition()));
-  opts.add_string("faults", "",
-                  "e.g. none,drop:0.05,drop:0.1+dup:0.02 ('+' joins "
-                  "clauses within one entry)",
-                  runner::v_each(',', runner::v_fault()));
-  opts.add_string("kill", "",
-                  "kill/rejoin spec applied to every scenario: <rank>:<epoch> "
-                  "(empty: keep spec/default)",
-                  [](const std::string& flag, const std::string& value) {
-                    if (!value.empty()) runner::v_kill()(flag, value);
-                  });
-  opts.add_int("checkpoint-every", -1,
-               "coordinator checkpoint period in applied updates (-1: keep)");
-  opts.add_string("arrivals", "",
-                  "serving-mode arrival axis, e.g. poisson:1000,bursty",
-                  runner::v_each(',', runner::v_arrival()));
-  opts.add_string("batch-policies", "",
-                  "serving-mode batch axis, e.g. immediate,deadline:16:0.005",
-                  runner::v_each(',', runner::v_batch_policy()));
-  opts.add_int("serve-requests", -1, "serving requests per scenario (-1: keep)");
-  opts.add_string("serve-model", "",
-                  "serve a pre-trained model file instead of training");
-  opts.add_double("dispatch-overhead", -1.0,
-                  "serving per-dispatch cost in seconds (-1: keep)");
-  opts.add_double("scale", -1.0,
-                  "paper-scale multiplier for n-train/n-test (-1: keep; "
-                  "each scale keeps its own resume journal)");
-  opts.add_string("weak-scaling", "",
-                  "true|false: n-train is the per-worker shard (empty: keep)",
-                  [](const std::string& flag, const std::string& value) {
-                    if (!value.empty() && value != "true" &&
-                        value != "false") {
-                      throw InvalidArgument("--" + flag +
-                                            ": invalid value '" + value +
-                                            "' (expected true|false)");
-                    }
-                  });
-  opts.add_int("n-train", -1, "training samples (-1: keep spec/default)");
-  opts.add_int("n-test", -1, "test samples (-1: keep spec/default)");
-  opts.add_int("e18-features", -1, "e18/blobs feature dim (-1: keep)");
-  opts.add_int("seed", -1, "generator seed (-1: keep)");
-  opts.add_int("iterations", -1, "outer iterations (-1: keep)");
-  opts.add_int("staleness", -1, "async-admm staleness bound (-1: keep)");
-  opts.add_int("sync-every", -1, "stale-sync barrier period (-1: keep)");
-  opts.add_double("objective-target", -1.0,
-                  "early-stop objective target (-1: keep)");
+  opts.extend(runner::sweep_key_options());
   opts.add_int("jobs", 1, "concurrent scenarios", runner::v_int_min(1));
   opts.add_string("out", "sweep.csv", "aggregated CSV report path");
   opts.add_string("json", "", "if set, also write a JSON report here");
@@ -396,73 +327,11 @@ int cmd_sweep(int argc, const char* const* argv) {
   if (!cli.parse(argc, argv)) return 0;
   opts.validate(cli);
 
-  runner::SweepSpec spec;
   const std::string spec_path = cli.get_string("spec");
-  if (!spec_path.empty()) spec = runner::parse_sweep_file(spec_path);
-
-  if (!cli.get_string("mode").empty()) {
-    runner::apply_sweep_assignment(spec, "mode", cli.get_string("mode"));
-  }
-  struct AxisFlag {
-    const char* flag;
-    const char* key;
-  };
-  for (const auto& [flag, key] :
-       {AxisFlag{"solvers", "solvers"}, AxisFlag{"datasets", "datasets"},
-        AxisFlag{"workers", "workers"}, AxisFlag{"devices", "devices"},
-        AxisFlag{"networks", "networks"},
-        AxisFlag{"penalties", "penalties"}, AxisFlag{"lambdas", "lambdas"},
-        AxisFlag{"stragglers", "stragglers"},
-        AxisFlag{"partitions", "partitions"},
-        AxisFlag{"arrivals", "arrivals"},
-        AxisFlag{"batch-policies", "batch_policies"},
-        AxisFlag{"serve-model", "serve_model"},
-        AxisFlag{"faults", "faults"}}) {
-    const std::string value = cli.get_string(flag);
-    if (!value.empty()) runner::apply_sweep_assignment(spec, key, value);
-  }
-  struct ScalarFlag {
-    const char* flag;
-    const char* key;
-  };
-  for (const auto& [flag, key] :
-       {ScalarFlag{"n-train", "n_train"}, ScalarFlag{"n-test", "n_test"},
-        ScalarFlag{"e18-features", "e18_features"}, ScalarFlag{"seed", "seed"},
-        ScalarFlag{"iterations", "iterations"},
-        ScalarFlag{"staleness", "staleness"},
-        ScalarFlag{"sync-every", "sync_every"},
-        ScalarFlag{"serve-requests", "serve_requests"}}) {
-    const std::int64_t value = cli.get_int(flag);
-    if (value >= 0) {
-      runner::apply_sweep_assignment(spec, key, std::to_string(value));
-    }
-  }
-  if (!cli.get_string("kill").empty()) {
-    runner::apply_sweep_assignment(spec, "kill", cli.get_string("kill"));
-  }
-  if (cli.get_int("checkpoint-every") >= 0) {
-    runner::apply_sweep_assignment(
-        spec, "checkpoint_every",
-        std::to_string(cli.get_int("checkpoint-every")));
-  }
-  if (cli.get_double("scale") > 0.0) {
-    runner::apply_sweep_assignment(spec, "scale",
-                                   std::to_string(cli.get_double("scale")));
-  }
-  if (!cli.get_string("weak-scaling").empty()) {
-    runner::apply_sweep_assignment(spec, "weak_scaling",
-                                   cli.get_string("weak-scaling"));
-  }
-  if (cli.get_double("objective-target") >= 0.0) {
-    runner::apply_sweep_assignment(
-        spec, "objective_target",
-        std::to_string(cli.get_double("objective-target")));
-  }
-  if (cli.get_double("dispatch-overhead") >= 0.0) {
-    runner::apply_sweep_assignment(
-        spec, "dispatch_overhead",
-        std::to_string(cli.get_double("dispatch-overhead")));
-  }
+  runner::SweepSpec spec = spec_path.empty()
+                               ? runner::SweepSpec{}
+                               : runner::parse_sweep_file(spec_path);
+  runner::apply_sweep_flags(spec, cli);
 
   const std::string out = cli.get_string("out");
   runner::SweepOptions options;

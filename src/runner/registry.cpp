@@ -208,21 +208,6 @@ core::RunResult SolverRegistry::run(const std::string& name,
   return solvers_.at(name).second(cluster, data, config);
 }
 
-// The overload itself is deprecated; its definition (and the migration
-// helper it delegates to) must still compile warning-free under
-// NADMM_WERROR.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-core::RunResult SolverRegistry::run(const std::string& name,
-                                    comm::SimCluster& cluster,
-                                    const data::Dataset& train,
-                                    const data::Dataset* test,
-                                    const ExperimentConfig& config) const {
-  return run(name, cluster, shard_for_solver(name, train, test, config),
-             config);
-}
-#pragma GCC diagnostic pop
-
 std::string registry_json() {
   const auto escape = [](const std::string& s) {
     std::string out;

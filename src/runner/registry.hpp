@@ -84,16 +84,6 @@ class SolverRegistry {
                       const data::ShardedDataset& data,
                       const ExperimentConfig& config) const;
 
-  /// Convenience overload: shards `train` / `test` under the config's
-  /// partition plan (runner::shard_plan) before running.
-  [[deprecated(
-      "shard explicitly: run(name, cluster, shard_for_solver(name, train, "
-      "test, config), config) — the (train, test) overload re-plans shards "
-      "per call and hides the data layout")]]
-  core::RunResult run(const std::string& name, comm::SimCluster& cluster,
-                      const data::Dataset& train, const data::Dataset* test,
-                      const ExperimentConfig& config) const;
-
  private:
   SolverRegistry();
   void register_builtins();

@@ -1,22 +1,22 @@
 #include "runner/sweep.hpp"
 
+#include <algorithm>
 #include <atomic>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <map>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <sstream>
 #include <thread>
+#include <type_traits>
 
-#include "comm/fault.hpp"
 #include "runner/registry.hpp"
-#include "serve/arrival.hpp"
-#include "serve/batching.hpp"
 #include "serve/server.hpp"
 #include "support/check.hpp"
 #include "support/telemetry.hpp"
@@ -43,40 +43,10 @@ std::vector<std::string> split_list(const std::string& value) {
   return out;
 }
 
-std::int64_t parse_int(const std::string& key, const std::string& value) {
-  try {
-    std::size_t pos = 0;
-    const std::int64_t v = std::stoll(value, &pos);
-    NADMM_CHECK(pos == value.size(), "trailing characters");
-    return v;
-  } catch (const std::exception&) {
-    throw InvalidArgument("sweep key '" + key + "': malformed integer '" +
-                          value + "'");
-  }
-}
-
-double parse_double(const std::string& key, const std::string& value) {
-  try {
-    std::size_t pos = 0;
-    const double v = std::stod(value, &pos);
-    NADMM_CHECK(pos == value.size(), "trailing characters");
-    return v;
-  } catch (const std::exception&) {
-    throw InvalidArgument("sweep key '" + key + "': malformed number '" +
-                          value + "'");
-  }
-}
-
 std::string fmt_double(double v) {
   char buf[64];
   std::snprintf(buf, sizeof buf, "%.17g", v);
   return buf;
-}
-
-/// JSON has no inf/nan literals; report them as null.
-std::string fmt_json_number(double v) {
-  if (!std::isfinite(v)) return "null";
-  return fmt_double(v);
 }
 
 std::string fmt_compact(double v) {
@@ -106,111 +76,6 @@ std::string fmt_staleness_hist(const std::vector<std::uint64_t>& hist) {
   }
   return out;
 }
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 8);
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
-// --------------------------------------------------------------- journal
-//
-// One JSON object per line; the writer is this file, so the reader is a
-// targeted field extractor rather than a general JSON parser. Numbers are
-// written with %.17g (round-trips doubles exactly; `inf`/`nan` appear as
-// bare tokens, which strtod reads back) — that is what makes a resumed
-// report byte-identical to an uninterrupted one.
-
-/// Locate the value of `"key": ` in a journal line; npos when absent.
-std::size_t find_json_value(const std::string& line, const std::string& key) {
-  const std::string needle = "\"" + key + "\":";
-  const auto at = line.find(needle);
-  if (at == std::string::npos) return std::string::npos;
-  auto pos = at + needle.size();
-  while (pos < line.size() && line[pos] == ' ') ++pos;
-  return pos < line.size() ? pos : std::string::npos;
-}
-
-bool json_get_string(const std::string& line, const std::string& key,
-                     std::string& out) {
-  auto pos = find_json_value(line, key);
-  if (pos == std::string::npos || line[pos] != '"') return false;
-  ++pos;
-  out.clear();
-  while (pos < line.size() && line[pos] != '"') {
-    char c = line[pos];
-    if (c == '\\' && pos + 1 < line.size()) {
-      const char e = line[++pos];
-      switch (e) {
-        case 'n': c = '\n'; break;
-        case 't': c = '\t'; break;
-        case 'r': c = '\r'; break;
-        case 'u': {
-          // Only \u00XX is ever emitted (see json_escape).
-          if (pos + 4 >= line.size()) return false;
-          c = static_cast<char>(
-              std::strtol(line.substr(pos + 1, 4).c_str(), nullptr, 16));
-          pos += 4;
-          break;
-        }
-        default: c = e; break;
-      }
-    }
-    out += c;
-    ++pos;
-  }
-  return pos < line.size();
-}
-
-bool json_get_double(const std::string& line, const std::string& key,
-                     double& out) {
-  const auto pos = find_json_value(line, key);
-  if (pos == std::string::npos) return false;
-  char* end = nullptr;
-  out = std::strtod(line.c_str() + pos, &end);
-  return end != line.c_str() + pos;
-}
-
-bool json_get_int(const std::string& line, const std::string& key,
-                  std::int64_t& out) {
-  const auto pos = find_json_value(line, key);
-  if (pos == std::string::npos) return false;
-  char* end = nullptr;
-  out = std::strtoll(line.c_str() + pos, &end, 10);
-  return end != line.c_str() + pos;
-}
-
-constexpr const char* kJournalKind = "nadmm-sweep-journal";
-// v2: partition axis in the expansion/tag and the peak_dataset_bytes
-// column. v3: serving-mode columns (requests/batches/throughput/latency
-// percentiles). v4: the scale/weak_scaling spec knobs entered the
-// fingerprint serialization (the reproduction pipeline keys one journal
-// per scale). v5: the faults axis plus kill/checkpoint_every base knobs
-// entered the fingerprint, and the wire counters (retransmits /
-// gaps_detected / messages_dropped / checkpoints / restores) entered
-// the outcome records. v6: the five fixed wire-counter fields were
-// replaced by the generic sparse "metrics" map ("name:value;…", sorted,
-// non-zero entries only) mirroring core::RunResult::metrics. Older
-// journals are rejected on --resume — their fingerprints no longer
-// match either.
-constexpr std::int64_t kJournalVersion = 6;
 
 /// RunResult::metrics as the journal/JSON wire form: "name:value;…" in
 /// key order. The map never stores zero values (add_metric skips them),
@@ -246,6 +111,522 @@ bool parse_metrics(const std::string& text,
   return true;
 }
 
+// ------------------------------------------------------------ typed text
+//
+// One spelling per C++ type, shared by the key table (spec values and the
+// fingerprint) and the column table (report cells and journal restores):
+// strings verbatim, integers in decimal, bools as 1/0, doubles at %.17g —
+// exact round trips, non-finite values included (from_chars reads
+// inf/nan back).
+
+std::string to_text(const std::string& v) { return v; }
+std::string to_text(double v) { return fmt_double(v); }
+std::string to_text(bool v) { return v ? "1" : "0"; }
+template <class T>
+  requires std::is_integral_v<T>
+std::string to_text(T v) {
+  return std::to_string(v);
+}
+
+bool from_text(const std::string& text, std::string& out) {
+  out = text;
+  return true;
+}
+
+bool from_text(const std::string& text, bool& out) {
+  out = text == "true" || text == "1";
+  return out || text == "false" || text == "0";
+}
+
+template <class T>
+  requires std::is_arithmetic_v<T>
+bool from_text(const std::string& text, T& out) {
+  const char* end = text.data() + text.size();
+  const auto [stop, error] = std::from_chars(text.data(), end, out);
+  return error == std::errc() && stop == end;
+}
+
+/// from_text, throwing InvalidArgument naming `flag` on malformed text.
+template <class T>
+T parse_as(const std::string& flag, const std::string& text) {
+  T value{};
+  if (!from_text(text, value)) {
+    throw InvalidArgument("--" + flag + ": invalid value '" + text +
+                          "' (expected " +
+                          (std::is_same_v<T, bool>        ? "true|false"
+                           : std::is_floating_point_v<T> ? "a number"
+                                                         : "an integer") +
+                          ")");
+  }
+  return value;
+}
+
+/// Owner class and value type of a data-member pointer.
+template <class>
+struct Member;
+template <class C, class T>
+struct Member<T C::*> {
+  using Owner = C;
+  using Type = T;
+};
+template <auto F>
+using OwnerOf = typename Member<decltype(F)>::Owner;
+template <auto F>
+using TypeOf = typename Member<decltype(F)>::Type;
+
+// ------------------------------------------------------------ flat JSON
+
+std::string json_escape(const std::string& s) {
+  std::string out;
+  out.reserve(s.size() + 8);
+  for (const char c : s) {
+    switch (c) {
+      case '"': out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      case '\n': out += "\\n"; break;
+      case '\t': out += "\\t"; break;
+      case '\r': out += "\\r"; break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          char buf[8];
+          std::snprintf(buf, sizeof buf, "\\u%04x", c);
+          out += buf;
+        } else {
+          out += c;
+        }
+    }
+  }
+  return out;
+}
+
+struct JsonField {
+  std::string text;     ///< the unescaped string, or the bare token
+  bool quoted = false;  ///< a JSON string (vs a number or inf/nan token)
+};
+using JsonObject = std::map<std::string, JsonField>;
+
+/// Parse one object in exactly the shape this file writes: `{"key":
+/// value, …}` with string or bare-token values. Nullopt on anything else,
+/// in particular on a line torn mid-write (it never reaches its '}').
+std::optional<JsonObject> parse_flat_json(const std::string& line) {
+  std::size_t pos = 0;
+  const auto eat = [&](const char* token) {
+    const std::size_t n = std::strlen(token);
+    if (line.compare(pos, n, token) != 0) return false;
+    pos += n;
+    return true;
+  };
+  const auto read_string = [&](std::string& out) {
+    if (!eat("\"")) return false;
+    for (out.clear(); pos < line.size() && line[pos] != '"'; ++pos) {
+      char c = line[pos];
+      if (c == '\\') {
+        if (++pos == line.size()) return false;
+        switch (c = line[pos]) {
+          case 'n': c = '\n'; break;
+          case 't': c = '\t'; break;
+          case 'r': c = '\r'; break;
+          case 'u': {  // json_escape writes only \u00XX
+            unsigned code = 0;
+            const char* hex = line.data() + pos + 1;
+            if (pos + 4 >= line.size() ||
+                std::from_chars(hex, hex + 4, code, 16).ptr != hex + 4) {
+              return false;
+            }
+            c = static_cast<char>(code);
+            pos += 4;
+            break;
+          }
+          default: break;  // '"' and '\\' stand for themselves
+        }
+      }
+      out += c;
+    }
+    return eat("\"");
+  };
+
+  JsonObject fields;
+  if (!eat("{")) return std::nullopt;
+  do {
+    std::string key;
+    JsonField field;
+    if (!read_string(key) || !eat(": ")) return std::nullopt;
+    field.quoted = pos < line.size() && line[pos] == '"';
+    if (field.quoted) {
+      if (!read_string(field.text)) return std::nullopt;
+    } else {
+      const auto end = std::min(line.find(',', pos), line.find('}', pos));
+      if (end == std::string::npos || end == pos) return std::nullopt;
+      field.text = line.substr(pos, end - pos);
+      pos = end;
+    }
+    if (!fields.emplace(std::move(key), std::move(field)).second) {
+      return std::nullopt;  // duplicate key
+    }
+  } while (eat(", "));
+  if (!eat("}") || pos != line.size()) return std::nullopt;
+  return fields;
+}
+
+// ------------------------------------------------------------ key table
+//
+// The single list of `.sweep` keys. Spec parsing, the "unknown key"
+// message, the `nadmm sweep` flags, the fingerprint and the grid
+// expansion all walk it: adding an axis or a knob is one entry.
+
+enum Mode { kTrain, kServing, kBoth };  ///< grid mode a key applies to
+
+struct SweepKey {
+  enum Kind {
+    kAxis,    ///< comma-separated list; axes expand in table order
+    kScalar,  ///< one spec or base-config knob
+    kFixed,   ///< base knob no key sets: fingerprinted only
+  };
+  const char* name;
+  Kind kind;
+  const char* help;
+  OptionValidator validate;  ///< per entry for axes; may be empty for scalars
+  Mode mode;                 ///< axes outside the grid's mode stay at base
+  /// Parse raw text into the bound field; throws naming `flag`.
+  std::function<void(SweepSpec&, const std::string& flag,
+                     const std::string& text)>
+      assign;
+  std::function<std::string(const SweepSpec&)> canonical;  ///< fingerprint
+  std::function<std::size_t(const SweepSpec&)> size;  ///< axis length
+  /// Bind axis entry `i` into a scenario.
+  std::function<void(const SweepSpec&, std::size_t i, Scenario&)> pick;
+};
+
+/// The spec-side field F names: a SweepSpec member or a base-config one.
+template <auto F, class Spec>
+auto& spec_field(Spec& spec) {
+  if constexpr (std::is_same_v<OwnerOf<F>, SweepSpec>) {
+    return spec.*F;
+  } else {
+    return spec.base.*F;
+  }
+}
+
+template <class T>
+constexpr bool kIsList = false;
+template <class T>
+constexpr bool kIsList<std::vector<T>> = true;
+
+template <auto F>
+std::string canonical_text(const SweepSpec& spec) {
+  if constexpr (kIsList<TypeOf<F>>) {
+    std::string out;
+    const auto& entries = spec_field<F>(spec);
+    for (std::size_t i = 0; i < entries.size(); ++i) {
+      if (i > 0) out += ',';
+      out += to_text(entries[i]);
+    }
+    return out;
+  } else {
+    return to_text(spec_field<F>(spec));
+  }
+}
+
+/// Axis key: the spec list F; scenario field Target (a Scenario member
+/// or a config one) takes one entry per scenario.
+template <auto F, auto Target>
+SweepKey axis(const char* name, const char* help, OptionValidator validate,
+              Mode mode = kBoth) {
+  using T = typename TypeOf<F>::value_type;
+  return {name, SweepKey::kAxis, help, std::move(validate), mode,
+          [](SweepSpec& spec, const std::string& flag,
+             const std::string& text) {
+            std::vector<T> entries;
+            for (const auto& item : split_list(text)) {
+              entries.push_back(parse_as<T>(flag, item));
+            }
+            spec_field<F>(spec) = std::move(entries);
+          },
+          canonical_text<F>,
+          [](const SweepSpec& spec) { return spec_field<F>(spec).size(); },
+          [](const SweepSpec& spec, std::size_t i, Scenario& scenario) {
+            if constexpr (std::is_same_v<OwnerOf<Target>, Scenario>) {
+              scenario.*Target = spec_field<F>(spec)[i];
+            } else {
+              scenario.config.*Target = spec_field<F>(spec)[i];
+            }
+          }};
+}
+
+template <auto F>
+SweepKey scalar(const char* name, const char* help,
+                OptionValidator validate = {}, Mode mode = kBoth) {
+  return {name, SweepKey::kScalar, help, std::move(validate), mode,
+          [](SweepSpec& spec, const std::string& flag,
+             const std::string& text) {
+            spec_field<F>(spec) = parse_as<TypeOf<F>>(flag, text);
+          },
+          canonical_text<F>, {}, {}};
+}
+
+template <auto F>
+SweepKey fixed(const char* name) {
+  return {name, SweepKey::kFixed, "", {}, kBoth, {}, canonical_text<F>, {},
+          {}};
+}
+
+/// Table order is the fingerprint's serialization order and, for axes,
+/// the expansion order (rightmost fastest), so reordering entries
+/// changes every journal fingerprint and scenario number.
+const std::vector<SweepKey>& sweep_keys() {
+  using C = ExperimentConfig;
+  using S = SweepSpec;
+  static const std::vector<SweepKey> keys = {
+      axis<&S::solvers, &Scenario::solver>(
+          "solvers", "solver axis, e.g. newton-admm,giant", v_solver()),
+      axis<&S::datasets, &C::dataset>(
+          "datasets", "dataset axis, e.g. blobs,higgs", v_dataset()),
+      axis<&S::workers, &C::workers>(
+          "workers", "rank-count axis, e.g. 4,8,16", v_int_min(1), kTrain),
+      axis<&S::devices, &C::device>(
+          "devices", "device axis, e.g. p100,cpu,p100+cpu", v_device_list()),
+      axis<&S::networks, &C::network>(
+          "networks", "network axis, e.g. ib100,eth10", v_network()),
+      axis<&S::penalties, &C::penalty>("penalties",
+                                       "ADMM penalty axis, e.g. sps,fixed",
+                                       v_one_of({"fixed", "rb", "sps"}),
+                                       kTrain),
+      axis<&S::lambdas, &C::lambda>(
+          "lambdas", "l2 axis, e.g. 1e-5,1e-4", v_double_min(0.0), kTrain),
+      axis<&S::stragglers, &C::straggler>(
+          "stragglers", "straggler axis, e.g. none,1:4", v_straggler(),
+          kTrain),
+      axis<&S::partitions, &C::partition>(
+          "partitions", "shard-plan axis, e.g. contiguous,strided,weighted",
+          v_partition(), kTrain),
+      axis<&S::faults, &C::fault>(
+          "faults", "link-fault axis, e.g. none,drop:0.05,drop:0.1+dup:0.02",
+          v_fault(), kTrain),
+      scalar<&C::n_train>("n_train", "training samples", v_int_min(1)),
+      scalar<&C::n_test>("n_test", "test samples", v_int_min(0)),
+      scalar<&C::e18_features>("e18_features", "e18/blobs feature dim",
+                               v_int_min(1)),
+      scalar<&C::seed>("seed", "generator seed", v_int_min(0)),
+      fixed<&C::rho0>("rho0"),
+      scalar<&C::iterations>("iterations", "outer iterations", v_int_min(1)),
+      scalar<&C::cg_iterations>("cg_iterations", "CG budget per Newton step",
+                                v_int_min(1)),
+      scalar<&C::cg_tol>("cg_tol", "CG relative tolerance",
+                         v_double_min(0.0, /*inclusive=*/false)),
+      scalar<&C::line_search_iterations>(
+          "line_search_iterations", "line-search budget", v_int_min(1)),
+      fixed<&C::local_newton_steps>("local_newton_steps"),
+      scalar<&C::objective_target>("objective_target",
+                                   "early-stop objective (<= 0 disables)"),
+      fixed<&C::evaluate_accuracy>("evaluate_accuracy"),
+      fixed<&C::sgd_batch>("sgd_batch"),
+      fixed<&C::sgd_step>("sgd_step"),
+      fixed<&C::dane_epochs>("dane_epochs"),
+      fixed<&C::svrg_outer>("svrg_outer"),
+      fixed<&C::fo_step>("fo_step"),
+      fixed<&C::gradient_tol>("gradient_tol"),
+      fixed<&C::omp_threads>("omp_threads"),
+      scalar<&C::staleness>("staleness", "async-admm staleness bound",
+                            v_int_min(1)),
+      scalar<&C::sync_every>("sync_every", "stale-sync barrier period",
+                             v_int_min(1)),
+      scalar<&C::kill>("kill", "kill/rejoin spec: none or <rank>:<epoch>",
+                       v_kill()),
+      scalar<&C::checkpoint_every>("checkpoint_every",
+                                   "coordinator checkpoint period (0 = off)",
+                                   v_int_min(0)),
+      scalar<&S::scale>("scale", "paper-scale multiplier for n_train/n_test",
+                        v_double_min(0.0, /*inclusive=*/false)),
+      scalar<&S::weak_scaling>(
+          "weak_scaling", "true|false: n_train is the per-worker shard", {},
+          kTrain),
+      scalar<&S::mode>("mode", "grid mode: train|serving",
+                       v_one_of({"train", "serving"})),
+      axis<&S::arrivals, &Scenario::arrival>(
+          "arrivals", "arrival axis, e.g. poisson:1000,bursty", v_arrival(),
+          kServing),
+      axis<&S::batch_policies, &Scenario::batch>(
+          "batch_policies", "batch axis, e.g. immediate,deadline:16:0.005",
+          v_batch_policy(), kServing),
+      scalar<&S::serve_requests>("serve_requests", "requests per scenario",
+                                 v_int_min(0), kServing),
+      scalar<&S::serve_model>("serve_model",
+                              "pre-trained model file to serve", {},
+                              kServing),
+      scalar<&S::dispatch_overhead_s>("dispatch_overhead",
+                                      "per-dispatch cost in seconds",
+                                      v_double_min(0.0), kServing),
+  };
+  return keys;
+}
+
+/// `n_train` -> `n-train`.
+std::string flag_name(const SweepKey& key) {
+  std::string flag = key.name;
+  std::replace(flag.begin(), flag.end(), '_', '-');
+  return flag;
+}
+
+void apply_key(const SweepKey& key, SweepSpec& spec, const std::string& flag,
+               const std::string& value) {
+  if (key.kind == SweepKey::kAxis) {
+    v_each(',', key.validate)(flag, value);
+  } else if (key.validate) {
+    key.validate(flag, value);
+  }
+  key.assign(spec, flag, value);
+}
+
+// ------------------------------------------------------------ column table
+//
+// The single list of report columns, in CSV order. The CSV header and
+// rows, the JSON rows, the journal records and the journal restore all
+// walk it: adding a column is one entry.
+
+enum Sink : unsigned {
+  kCsv = 1u,
+  kJson = 2u,  ///< the JSON report row and the journal record (one writer)
+};
+
+enum Scope {
+  kScenario,  ///< the grid point: every row; restored from the expansion
+  kResult,    ///< ok rows only (CSV prints zero values for failed rows)
+  kError,     ///< failed rows only
+};
+
+/// JSON spelling: quoted; bare; bare number the report (not the
+/// journal) writes as null when non-finite.
+enum class Cell { kText, kInteger, kReal };
+
+struct Column {
+  const char* name;
+  Scope scope;
+  unsigned sinks;
+  Cell cell;
+  std::function<std::string(const ScenarioOutcome&)> format;
+  /// Restore a journaled value; empty for derived columns.
+  std::function<bool(ScenarioOutcome&, const std::string&)> parse;
+};
+
+/// The outcome field F names, wherever in the outcome it lives.
+template <auto F, class Outcome>
+auto& outcome_field(Outcome& o) {
+  using Owner = OwnerOf<F>;
+  if constexpr (std::is_same_v<Owner, ExperimentConfig>) {
+    return o.scenario.config.*F;
+  } else if constexpr (std::is_same_v<Owner, Scenario>) {
+    return o.scenario.*F;
+  } else if constexpr (std::is_same_v<Owner, core::RunResult>) {
+    return o.result.*F;
+  } else {
+    return o.*F;
+  }
+}
+
+template <auto F>
+Column column(const char* name, Scope scope, unsigned sinks = kCsv | kJson) {
+  using T = TypeOf<F>;
+  return {name, scope, sinks,
+          std::is_same_v<T, std::string> ? Cell::kText
+          : std::is_floating_point_v<T>  ? Cell::kReal
+                                         : Cell::kInteger,
+          [](const ScenarioOutcome& o) { return to_text(outcome_field<F>(o)); },
+          [](ScenarioOutcome& o, const std::string& text) {
+            return from_text(text, outcome_field<F>(o));
+          }};
+}
+
+/// CSV projection of one RunResult::metrics counter; the JSON row and
+/// the journal carry the whole map.
+Column metric_column(const char* name) {
+  return {name, kResult, kCsv, Cell::kInteger,
+          [name](const ScenarioOutcome& o) {
+            return to_text(o.result.metric(name));
+          },
+          {}};
+}
+
+constexpr const char* kStatus[] = {"error", "ok"};  // by ScenarioOutcome::ok
+
+const std::vector<Column>& columns() {
+  using C = ExperimentConfig;
+  using O = ScenarioOutcome;
+  using R = core::RunResult;
+  static const std::vector<Column> table = {
+      column<&Scenario::index>("scenario", kScenario),
+      {"tag", kScenario, kJson, Cell::kText,
+       [](const O& o) { return o.scenario.tag(); }, {}},
+      column<&Scenario::solver>("solver", kScenario),
+      column<&C::dataset>("dataset", kScenario),
+      column<&C::n_train>("n_train", kScenario),
+      column<&C::n_test>("n_test", kScenario),
+      column<&C::workers>("workers", kScenario),
+      column<&C::device>("device", kScenario),
+      column<&C::network>("network", kScenario),
+      column<&C::penalty>("penalty", kScenario),
+      column<&C::lambda>("lambda", kScenario),
+      column<&C::straggler>("straggler", kScenario),
+      column<&C::partition>("partition", kScenario),
+      {"status", kScenario, kCsv | kJson, Cell::kText,
+       [](const O& o) { return std::string(kStatus[o.ok]); },
+       [](O& o, const std::string& text) {
+         o.ok = text == kStatus[1];
+         return o.ok || text == kStatus[0];
+       }},
+      column<&R::iterations>("iterations", kResult),
+      column<&R::final_objective>("final_objective", kResult),
+      column<&R::final_test_accuracy>("final_test_accuracy", kResult),
+      column<&R::total_sim_seconds>("total_sim_seconds", kResult),
+      column<&R::avg_epoch_sim_seconds>("avg_epoch_sim_seconds", kResult),
+      column<&O::comm_sim_seconds>("total_comm_sim_seconds", kResult),
+      column<&O::max_wait_seconds>("max_wait_seconds", kResult),
+      column<&O::rank_waits>("rank_wait_seconds", kResult),
+      column<&O::staleness_hist>("staleness_hist", kResult),
+      column<&O::peak_dataset_bytes>("peak_dataset_bytes", kResult),
+      column<&Scenario::arrival>("arrival", kScenario),
+      column<&Scenario::batch>("batch_policy", kScenario),
+      column<&O::serve_requests>("requests", kResult),
+      column<&O::serve_batches>("batches", kResult),
+      column<&O::throughput_rps>("throughput_rps", kResult),
+      column<&O::mean_batch>("mean_batch", kResult),
+      column<&O::p50_latency_s>("p50_latency_s", kResult),
+      column<&O::p99_latency_s>("p99_latency_s", kResult),
+      column<&O::p999_latency_s>("p999_latency_s", kResult),
+      column<&C::fault>("fault", kScenario),
+      column<&C::kill>("kill", kScenario),
+      column<&C::checkpoint_every>("checkpoint_every", kScenario),
+      metric_column("retransmits"),
+      metric_column("gaps_detected"),
+      metric_column("messages_dropped"),
+      metric_column("checkpoints"),
+      metric_column("restores"),
+      {"metrics", kResult, kJson, Cell::kText,
+       [](const O& o) { return fmt_metrics(o.result.metrics); },
+       [](O& o, const std::string& text) {
+         return parse_metrics(text, o.result.metrics);
+       }},
+      column<&O::error>("error", kError, kJson),
+  };
+  return table;
+}
+
+/// Whether the JSON row / journal record of `o` carries column `c`:
+/// scenario columns always, result columns for ok rows, error columns
+/// for failed ones.
+bool in_json_row(const Column& c, const ScenarioOutcome& o) {
+  return (c.sinks & kJson) &&
+         (c.scope == kScenario || (c.scope == kResult) == o.ok);
+}
+
+// --------------------------------------------------------------- journal
+//
+// A header line, then one outcome_json(o, true) record per finished
+// scenario, flushed per line. Version history: docs/SWEEP_FORMAT.md
+// (v7: records became the JSON report rows, written and restored through
+// the column table). Older journals are rejected on --resume.
+constexpr const char* kJournalKind = "nadmm-sweep-journal";
+constexpr std::int64_t kJournalVersion = 7;
+
 std::string journal_header_line(const std::string& fingerprint,
                                 std::size_t scenarios) {
   std::ostringstream os;
@@ -255,123 +636,22 @@ std::string journal_header_line(const std::string& fingerprint,
   return os.str();
 }
 
-std::string journal_outcome_line(const ScenarioOutcome& o) {
-  std::ostringstream os;
-  os << "{\"index\": " << o.scenario.index            //
-     << ", \"tag\": \"" << json_escape(o.scenario.tag()) << "\""
-     << ", \"status\": \"" << (o.ok ? "ok" : "error") << "\"";
-  if (o.ok) {
-    os << ", \"iterations\": " << o.result.iterations  //
-       << ", \"final_objective\": " << fmt_double(o.result.final_objective)
-       << ", \"final_test_accuracy\": "
-       << fmt_double(o.result.final_test_accuracy)
-       << ", \"total_sim_seconds\": " << fmt_double(o.result.total_sim_seconds)
-       << ", \"avg_epoch_sim_seconds\": "
-       << fmt_double(o.result.avg_epoch_sim_seconds)
-       << ", \"total_comm_sim_seconds\": " << fmt_double(o.comm_sim_seconds)
-       << ", \"max_wait_seconds\": " << fmt_double(o.max_wait_seconds)  //
-       << ", \"rank_wait_seconds\": \"" << json_escape(o.rank_waits) << "\""
-       << ", \"staleness_hist\": \"" << json_escape(o.staleness_hist) << "\""
-       << ", \"peak_dataset_bytes\": " << o.peak_dataset_bytes
-       << ", \"requests\": " << o.serve_requests                //
-       << ", \"batches\": " << o.serve_batches                  //
-       << ", \"throughput_rps\": " << fmt_double(o.throughput_rps)
-       << ", \"mean_batch\": " << fmt_double(o.mean_batch)      //
-       << ", \"p50_latency_s\": " << fmt_double(o.p50_latency_s)
-       << ", \"p99_latency_s\": " << fmt_double(o.p99_latency_s)
-       << ", \"p999_latency_s\": " << fmt_double(o.p999_latency_s)
-       << ", \"metrics\": \"" << json_escape(fmt_metrics(o.result.metrics))
-       << "\"";
-  } else {
-    os << ", \"error\": \"" << json_escape(o.error) << "\"";
+/// Map file-system-unsafe characters (e.g. from "libsvm:/path" dataset
+/// sources, "p100+cpu" device lists, "1:4" straggler specs) to '-'.
+std::string fs_safe(std::string s) {
+  for (char& c : s) {
+    const bool safe = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
+                      (c >= '0' && c <= '9') || c == '.' || c == '_' ||
+                      c == '-';
+    if (!safe) c = '-';
   }
-  os << '}';
-  return os.str();
+  return s;
 }
 
-/// Parse one journal data line back into the outcome for its scenario.
-/// Returns false (leaving `completed` untouched) on lines that do not
-/// parse — only the final line of a killed run can be torn, because the
-/// writer flushes per line.
-bool restore_outcome_line(const std::string& line,
-                          const std::vector<Scenario>& scenarios,
-                          std::vector<ScenarioOutcome>& outcomes,
-                          std::vector<char>& completed) {
-  // A line torn inside its final numeric field would still satisfy every
-  // field extractor below (strtod parses the truncated prefix); only a
-  // closing brace proves the record was written out completely.
-  const auto last = line.find_last_not_of(" \t\r");
-  if (last == std::string::npos || line[last] != '}') return false;
-  std::int64_t index = -1;
-  std::string tag, status;
-  if (!json_get_int(line, "index", index) ||
-      !json_get_string(line, "tag", tag) ||
-      !json_get_string(line, "status", status)) {
-    return false;
-  }
-  if (index < 0 || static_cast<std::size_t>(index) >= scenarios.size()) {
-    return false;
-  }
-  const auto i = static_cast<std::size_t>(index);
-  NADMM_CHECK(scenarios[i].tag() == tag,
-              "sweep journal: scenario " + std::to_string(index) +
-                  " is tagged '" + tag + "' but the grid expands to '" +
-                  scenarios[i].tag() + "' — journal is from a different spec");
-  ScenarioOutcome o;
-  o.scenario = scenarios[i];
-  o.from_journal = true;
-  if (status == "ok") {
-    std::int64_t iterations = 0;
-    if (!json_get_int(line, "iterations", iterations) ||
-        !json_get_double(line, "final_objective", o.result.final_objective) ||
-        !json_get_double(line, "final_test_accuracy",
-                         o.result.final_test_accuracy) ||
-        !json_get_double(line, "total_sim_seconds",
-                         o.result.total_sim_seconds) ||
-        !json_get_double(line, "avg_epoch_sim_seconds",
-                         o.result.avg_epoch_sim_seconds) ||
-        !json_get_double(line, "total_comm_sim_seconds",
-                         o.comm_sim_seconds)) {
-      return false;
-    }
-    // The async and data-plane columns entered the journal in later
-    // versions; their absence is impossible in practice because the
-    // version and fingerprint serialization changed at the same time
-    // (older journals are rejected up front).
-    std::int64_t peak_bytes = 0, requests = 0, batches = 0;
-    if (!json_get_double(line, "max_wait_seconds", o.max_wait_seconds) ||
-        !json_get_string(line, "rank_wait_seconds", o.rank_waits) ||
-        !json_get_string(line, "staleness_hist", o.staleness_hist) ||
-        !json_get_int(line, "peak_dataset_bytes", peak_bytes) ||
-        !json_get_int(line, "requests", requests) ||
-        !json_get_int(line, "batches", batches) ||
-        !json_get_double(line, "throughput_rps", o.throughput_rps) ||
-        !json_get_double(line, "mean_batch", o.mean_batch) ||
-        !json_get_double(line, "p50_latency_s", o.p50_latency_s) ||
-        !json_get_double(line, "p99_latency_s", o.p99_latency_s) ||
-        !json_get_double(line, "p999_latency_s", o.p999_latency_s)) {
-      return false;
-    }
-    std::string metrics_text;
-    if (!json_get_string(line, "metrics", metrics_text) ||
-        !parse_metrics(metrics_text, o.result.metrics)) {
-      return false;
-    }
-    o.peak_dataset_bytes = static_cast<std::uint64_t>(peak_bytes);
-    o.serve_requests = static_cast<std::uint64_t>(requests);
-    o.serve_batches = static_cast<std::uint64_t>(batches);
-    o.ok = true;
-    o.result.solver = scenarios[i].solver;
-    o.result.iterations = static_cast<int>(iterations);
-  } else if (status == "error") {
-    if (!json_get_string(line, "error", o.error)) return false;
-    o.ok = false;
-  } else {
-    return false;
-  }
-  outcomes[i] = std::move(o);
-  completed[i] = 1;
-  return true;
+/// Sample count after the spec's paper-scale multiplier.
+std::size_t scaled_count(std::size_t base, double scale) {
+  return static_cast<std::size_t>(
+      std::llround(static_cast<double>(base) * scale));
 }
 
 }  // namespace
@@ -382,114 +662,18 @@ void apply_sweep_assignment(SweepSpec& spec, const std::string& raw_key,
   const std::string value = trim(raw_value);
   NADMM_CHECK(!key.empty(), "sweep key must not be empty");
   NADMM_CHECK(!value.empty(), "sweep key '" + key + "' has an empty value");
-
-  const auto list = [&] { return split_list(value); };
-
-  if (key == "solvers") {
-    spec.solvers = list();
-  } else if (key == "datasets") {
-    spec.datasets = list();
-  } else if (key == "workers") {
-    spec.workers.clear();
-    for (const auto& item : list()) {
-      spec.workers.push_back(static_cast<int>(parse_int(key, item)));
+  std::string axes, scalars;
+  for (const auto& entry : sweep_keys()) {
+    if (entry.kind == SweepKey::kFixed) continue;
+    if (key == entry.name) {
+      return apply_key(entry, spec, flag_name(entry), value);
     }
-  } else if (key == "devices") {
-    spec.devices = list();
-  } else if (key == "networks") {
-    spec.networks = list();
-  } else if (key == "penalties") {
-    spec.penalties = list();
-  } else if (key == "lambdas") {
-    spec.lambdas.clear();
-    for (const auto& item : list()) {
-      spec.lambdas.push_back(parse_double(key, item));
-    }
-  } else if (key == "stragglers") {
-    spec.stragglers = list();
-  } else if (key == "partitions") {
-    spec.partitions = list();
-    for (const auto& item : spec.partitions) {
-      static_cast<void>(data::partition_mode_from_string(item));  // validate
-    }
-  } else if (key == "faults") {
-    spec.faults = list();
-    for (const auto& item : spec.faults) {
-      static_cast<void>(comm::FaultSpec::parse(item));  // validate
-    }
-  } else if (key == "kill") {
-    spec.base.kill = value;
-  } else if (key == "checkpoint_every") {
-    spec.base.checkpoint_every = static_cast<int>(parse_int(key, value));
-    NADMM_CHECK(spec.base.checkpoint_every >= 0,
-                "sweep key 'checkpoint_every': must be >= 0");
-  } else if (key == "n_train") {
-    spec.base.n_train = static_cast<std::size_t>(parse_int(key, value));
-  } else if (key == "n_test") {
-    spec.base.n_test = static_cast<std::size_t>(parse_int(key, value));
-  } else if (key == "e18_features") {
-    spec.base.e18_features = static_cast<std::size_t>(parse_int(key, value));
-  } else if (key == "seed") {
-    spec.base.seed = static_cast<std::uint64_t>(parse_int(key, value));
-  } else if (key == "iterations") {
-    spec.base.iterations = static_cast<int>(parse_int(key, value));
-  } else if (key == "cg_iterations") {
-    spec.base.cg_iterations = static_cast<int>(parse_int(key, value));
-  } else if (key == "cg_tol") {
-    spec.base.cg_tol = parse_double(key, value);
-  } else if (key == "line_search_iterations") {
-    spec.base.line_search_iterations = static_cast<int>(parse_int(key, value));
-  } else if (key == "staleness") {
-    spec.base.staleness = static_cast<int>(parse_int(key, value));
-  } else if (key == "sync_every") {
-    spec.base.sync_every = static_cast<int>(parse_int(key, value));
-  } else if (key == "objective_target") {
-    spec.base.objective_target = parse_double(key, value);
-  } else if (key == "mode") {
-    NADMM_CHECK(value == "train" || value == "serving",
-                "sweep key 'mode': expected train|serving, got '" + value +
-                    "'");
-    spec.mode = value;
-  } else if (key == "arrivals") {
-    spec.arrivals = list();
-    for (const auto& item : spec.arrivals) {
-      static_cast<void>(serve::make_arrival(item));  // validate
-    }
-  } else if (key == "batch_policies") {
-    spec.batch_policies = list();
-    for (const auto& item : spec.batch_policies) {
-      static_cast<void>(serve::make_batch_policy(item));  // validate
-    }
-  } else if (key == "scale") {
-    spec.scale = parse_double(key, value);
-    NADMM_CHECK(spec.scale > 0.0, "sweep key 'scale': must be > 0");
-  } else if (key == "weak_scaling") {
-    if (value == "true" || value == "1") {
-      spec.weak_scaling = true;
-    } else if (value == "false" || value == "0") {
-      spec.weak_scaling = false;
-    } else {
-      throw InvalidArgument("sweep key 'weak_scaling': expected true|false, "
-                            "got '" + value + "'");
-    }
-  } else if (key == "serve_requests") {
-    spec.serve_requests = static_cast<std::size_t>(parse_int(key, value));
-  } else if (key == "serve_model") {
-    spec.serve_model = value;
-  } else if (key == "dispatch_overhead") {
-    spec.dispatch_overhead_s = parse_double(key, value);
-    NADMM_CHECK(spec.dispatch_overhead_s >= 0.0,
-                "sweep key 'dispatch_overhead': must be >= 0 seconds");
-  } else {
-    throw InvalidArgument(
-        "unknown sweep key '" + key +
-        "' (grid axes: solvers|datasets|workers|devices|networks|penalties|"
-        "lambdas|stragglers|partitions|faults|arrivals|batch_policies; "
-        "scalars: n_train|n_test|e18_features|seed|iterations|cg_iterations|"
-        "cg_tol|line_search_iterations|staleness|sync_every|kill|"
-        "checkpoint_every|objective_target|mode|scale|weak_scaling|"
-        "serve_requests|serve_model|dispatch_overhead)");
+    std::string& list = entry.kind == SweepKey::kAxis ? axes : scalars;
+    if (!list.empty()) list += '|';
+    list += entry.name;
   }
+  throw InvalidArgument("unknown sweep key '" + key + "' (grid axes: " +
+                        axes + "; scalars: " + scalars + ")");
 }
 
 SweepSpec parse_sweep_file(const std::string& path) {
@@ -515,21 +699,29 @@ SweepSpec parse_sweep_file(const std::string& path) {
   return spec;
 }
 
-namespace {
-
-/// Map file-system-unsafe characters (e.g. from "libsvm:/path" dataset
-/// sources, "p100+cpu" device lists, "1:4" straggler specs) to '-'.
-std::string fs_safe(std::string s) {
-  for (char& c : s) {
-    const bool safe = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
-                      (c >= '0' && c <= '9') || c == '.' || c == '_' ||
-                      c == '-';
-    if (!safe) c = '-';
-  }
-  return s;
+const OptionSet& sweep_key_options() {
+  static const OptionSet options = [] {
+    OptionSet set;
+    for (const auto& key : sweep_keys()) {
+      if (key.kind == SweepKey::kFixed) continue;
+      const char* mode = key.mode == kTrain     ? " [train mode]"
+                         : key.mode == kServing ? " [serving mode]"
+                                                : "";
+      set.add_string(flag_name(key), "", std::string(key.help) + mode);
+    }
+    return set;
+  }();
+  return options;
 }
 
-}  // namespace
+void apply_sweep_flags(SweepSpec& spec, const CliParser& cli) {
+  for (const auto& key : sweep_keys()) {
+    if (key.kind == SweepKey::kFixed) continue;
+    const std::string flag = flag_name(key);
+    const std::string value = trim(cli.get_string(flag));
+    if (!value.empty()) apply_key(key, spec, flag, value);
+  }
+}
 
 std::string Scenario::tag() const {
   // The index prefix keeps tags unique even after sanitization.
@@ -557,171 +749,56 @@ std::string Scenario::tag() const {
   return tag;
 }
 
-namespace {
-
-/// Sample count after the spec's paper-scale multiplier.
-std::size_t scaled_count(std::size_t base, double scale) {
-  return static_cast<std::size_t>(
-      std::llround(static_cast<double>(base) * scale));
-}
-
-}  // namespace
-
 std::vector<Scenario> expand_scenarios(const SweepSpec& spec) {
-  NADMM_CHECK(!spec.solvers.empty(), "sweep needs at least one solver");
-  NADMM_CHECK(!spec.datasets.empty(), "sweep needs at least one dataset");
+  const bool serving = spec.mode == "serving";
+  std::vector<const SweepKey*> axes;
+  for (const auto& key : sweep_keys()) {
+    if (key.kind != SweepKey::kAxis ||
+        key.mode == (serving ? kTrain : kServing)) {
+      continue;
+    }
+    NADMM_CHECK(key.size(spec) > 0, std::string("sweep axis '") + key.name +
+                                        "' needs at least one entry");
+    axes.push_back(&key);
+  }
   const std::size_t scaled_train =
       std::max<std::size_t>(1, scaled_count(spec.base.n_train, spec.scale));
-  const std::size_t scaled_test = scaled_count(spec.base.n_test, spec.scale);
-  if (spec.mode == "serving") {
-    NADMM_CHECK(!spec.devices.empty(), "sweep needs at least one device");
-    NADMM_CHECK(!spec.networks.empty(), "sweep needs at least one network");
-    NADMM_CHECK(!spec.arrivals.empty(),
-                "serving sweep needs at least one arrival model");
-    NADMM_CHECK(!spec.batch_policies.empty(),
-                "serving sweep needs at least one batch policy");
-    // Fixed axis order (solver, dataset, device, network, arrival,
-    // batch — rightmost fastest); the train-only axes stay at base.
-    std::vector<Scenario> scenarios;
-    int index = 0;
-    for (const auto& solver : spec.solvers) {
-      for (const auto& dataset : spec.datasets) {
-        for (const auto& device : spec.devices) {
-          for (const auto& network : spec.networks) {
-            for (const auto& arrival : spec.arrivals) {
-              for (const auto& batch : spec.batch_policies) {
-                Scenario s;
-                s.index = index++;
-                s.solver = solver;
-                s.config = spec.base;
-                s.config.n_train = scaled_train;
-                s.config.n_test = scaled_test;
-                s.config.dataset = dataset;
-                s.config.device = device;
-                s.config.network = network;
-                s.serving = true;
-                s.arrival = arrival;
-                s.batch = batch;
-                scenarios.push_back(std::move(s));
-              }
-            }
-          }
-        }
-      }
-    }
-    return scenarios;
-  }
-  NADMM_CHECK(!spec.workers.empty(), "sweep needs at least one worker count");
-  NADMM_CHECK(!spec.devices.empty(), "sweep needs at least one device");
-  NADMM_CHECK(!spec.networks.empty(), "sweep needs at least one network");
-  NADMM_CHECK(!spec.penalties.empty(), "sweep needs at least one penalty");
-  NADMM_CHECK(!spec.lambdas.empty(), "sweep needs at least one lambda");
-  NADMM_CHECK(!spec.stragglers.empty(),
-              "sweep needs at least one straggler entry ('none' disables)");
-  NADMM_CHECK(!spec.partitions.empty(),
-              "sweep needs at least one partition mode");
-  NADMM_CHECK(!spec.faults.empty(),
-              "sweep needs at least one fault entry ('none' disables)");
+  Scenario base;
+  base.serving = serving;
+  base.config = spec.base;
+  base.config.n_train = scaled_train;
+  base.config.n_test = scaled_count(spec.base.n_test, spec.scale);
 
+  // Odometer over the active axes, rightmost fastest.
+  std::vector<std::size_t> digit(axes.size(), 0);
   std::vector<Scenario> scenarios;
-  int index = 0;
-  for (const auto& solver : spec.solvers) {
-    for (const auto& dataset : spec.datasets) {
-      for (const int workers : spec.workers) {
-        for (const auto& device : spec.devices) {
-          for (const auto& network : spec.networks) {
-            for (const auto& penalty : spec.penalties) {
-              for (const double lambda : spec.lambdas) {
-                for (const auto& straggler : spec.stragglers) {
-                  for (const auto& partition : spec.partitions) {
-                    for (const auto& fault : spec.faults) {
-                      Scenario s;
-                      s.index = index++;
-                      s.solver = solver;
-                      s.config = spec.base;
-                      // Weak scaling: base.n_train is the per-worker
-                      // shard.
-                      s.config.n_train =
-                          spec.weak_scaling
-                              ? scaled_train *
-                                    static_cast<std::size_t>(workers)
-                              : scaled_train;
-                      s.config.n_test = scaled_test;
-                      s.config.dataset = dataset;
-                      s.config.workers = workers;
-                      s.config.device = device;
-                      s.config.network = network;
-                      s.config.penalty = penalty;
-                      s.config.lambda = lambda;
-                      s.config.straggler = straggler;
-                      s.config.partition = partition;
-                      s.config.fault = fault;
-                      scenarios.push_back(std::move(s));
-                    }
-                  }
-                }
-              }
-            }
-          }
-        }
-      }
+  for (std::size_t a = axes.size(); a > 0;) {
+    Scenario& s = scenarios.emplace_back(base);
+    s.index = static_cast<int>(scenarios.size() - 1);
+    for (std::size_t i = 0; i < axes.size(); ++i) {
+      axes[i]->pick(spec, digit[i], s);
+    }
+    // Weak scaling: base.n_train is the per-worker shard.
+    if (spec.weak_scaling && !serving) {
+      s.config.n_train =
+          scaled_train * static_cast<std::size_t>(s.config.workers);
+    }
+    for (a = axes.size(); a > 0 && ++digit[a - 1] == axes[a - 1]->size(spec);) {
+      digit[--a] = 0;
     }
   }
   return scenarios;
 }
 
 std::string spec_fingerprint(const SweepSpec& spec) {
-  std::ostringstream os;
-  const auto join = [&os](const char* name, const auto& items,
-                          auto&& format) {
-    os << name << '=';
-    for (std::size_t i = 0; i < items.size(); ++i) {
-      if (i > 0) os << ',';
-      os << format(items[i]);
-    }
-    os << ';';
-  };
-  const auto str = [](const std::string& s) { return s; };
-  const auto integer = [](int v) { return std::to_string(v); };
-  join("solvers", spec.solvers, str);
-  join("datasets", spec.datasets, str);
-  join("workers", spec.workers, integer);
-  join("devices", spec.devices, str);
-  join("networks", spec.networks, str);
-  join("penalties", spec.penalties, str);
-  join("lambdas", spec.lambdas, fmt_double);
-  join("stragglers", spec.stragglers, str);
-  join("partitions", spec.partitions, str);
-  join("faults", spec.faults, str);
-  // Every base knob that survives scenario expansion (the per-axis fields
-  // are overwritten per scenario and already covered above).
-  const auto& b = spec.base;
-  os << "n_train=" << b.n_train << ";n_test=" << b.n_test
-     << ";e18_features=" << b.e18_features << ";seed=" << b.seed
-     << ";rho0=" << fmt_double(b.rho0) << ";iterations=" << b.iterations
-     << ";cg_iterations=" << b.cg_iterations
-     << ";cg_tol=" << fmt_double(b.cg_tol)
-     << ";line_search_iterations=" << b.line_search_iterations
-     << ";local_newton_steps=" << b.local_newton_steps
-     << ";objective_target=" << fmt_double(b.objective_target)
-     << ";evaluate_accuracy=" << b.evaluate_accuracy
-     << ";sgd_batch=" << b.sgd_batch << ";sgd_step=" << fmt_double(b.sgd_step)
-     << ";dane_epochs=" << b.dane_epochs << ";svrg_outer=" << b.svrg_outer
-     << ";fo_step=" << fmt_double(b.fo_step)
-     << ";gradient_tol=" << fmt_double(b.gradient_tol)
-     << ";omp_threads=" << b.omp_threads
-     << ";staleness=" << b.staleness << ";sync_every=" << b.sync_every
-     << ";kill=" << b.kill << ";checkpoint_every=" << b.checkpoint_every
-     << ';';
-  os << "scale=" << fmt_double(spec.scale)
-     << ";weak_scaling=" << spec.weak_scaling << ';';
-  os << "mode=" << spec.mode << ';';
-  join("arrivals", spec.arrivals, str);
-  join("batch_policies", spec.batch_policies, str);
-  os << "serve_requests=" << spec.serve_requests
-     << ";serve_model=" << spec.serve_model
-     << ";dispatch_overhead=" << fmt_double(spec.dispatch_overhead_s) << ';';
-  const std::string canonical = os.str();
+  // Canonical form: "name=value;" for every key-table entry, in order.
+  std::string canonical;
+  for (const auto& key : sweep_keys()) {
+    canonical += key.name;
+    canonical += '=';
+    canonical += key.canonical(spec);
+    canonical += ';';
+  }
   std::uint64_t h = 14695981039346656037ull;  // FNV-1a 64
   for (const char c : canonical) {
     h ^= static_cast<unsigned char>(c);
@@ -740,48 +817,17 @@ std::size_t SweepReport::failures() const {
 }
 
 std::vector<std::string> SweepReport::csv_rows() const {
-  std::vector<std::string> rows;
-  rows.reserve(outcomes.size() + 1);
-  rows.emplace_back(
-      "scenario,solver,dataset,n_train,n_test,workers,device,network,penalty,"
-      "lambda,straggler,partition,status,iterations,final_objective,"
-      "final_test_accuracy,total_sim_seconds,avg_epoch_sim_seconds,"
-      "total_comm_sim_seconds,max_wait_seconds,rank_wait_seconds,"
-      "staleness_hist,"
-      "peak_dataset_bytes,arrival,batch_policy,requests,batches,"
-      "throughput_rps,mean_batch,p50_latency_s,p99_latency_s,p999_latency_s,"
-      "fault,kill,checkpoint_every,retransmits,gaps_detected,"
-      "messages_dropped,checkpoints,restores");
-  for (const auto& o : outcomes) {
-    const auto& c = o.scenario.config;
-    const auto& r = o.result;
-    const double comm = o.comm_sim_seconds;
-    std::ostringstream row;
-    row << o.scenario.index << ',' << o.scenario.solver << ',' << c.dataset
-        << ',' << c.n_train << ',' << c.n_test << ',' << c.workers << ','
-        << c.device << ',' << c.network << ',' << c.penalty << ','
-        << fmt_double(c.lambda) << ',' << c.straggler << ',' << c.partition
-        << ',' << (o.ok ? "ok" : "error") << ','
-        << (o.ok ? r.iterations : 0) << ','
-        << fmt_double(o.ok ? r.final_objective : 0.0) << ','
-        << fmt_double(o.ok ? r.final_test_accuracy : 0.0) << ','
-        << fmt_double(o.ok ? r.total_sim_seconds : 0.0) << ','
-        << fmt_double(o.ok ? r.avg_epoch_sim_seconds : 0.0) << ','
-        << fmt_double(comm) << ',' << fmt_double(o.max_wait_seconds) << ','
-        << o.rank_waits << ',' << o.staleness_hist << ','
-        << o.peak_dataset_bytes << ','
-        << o.scenario.arrival << ',' << o.scenario.batch << ','
-        << o.serve_requests << ',' << o.serve_batches << ','
-        << fmt_double(o.throughput_rps) << ',' << fmt_double(o.mean_batch)
-        << ',' << fmt_double(o.p50_latency_s) << ','
-        << fmt_double(o.p99_latency_s) << ',' << fmt_double(o.p999_latency_s)
-        << ',' << c.fault << ',' << c.kill << ',' << c.checkpoint_every << ','
-        << (o.ok ? r.metric("retransmits") : 0) << ','
-        << (o.ok ? r.metric("gaps_detected") : 0) << ','
-        << (o.ok ? r.metric("messages_dropped") : 0) << ','
-        << (o.ok ? r.metric("checkpoints") : 0) << ','
-        << (o.ok ? r.metric("restores") : 0);
-    rows.push_back(row.str());
+  static const ScenarioOutcome kFailedResult;
+  std::vector<std::string> rows(outcomes.size() + 1);
+  for (const auto& c : columns()) {
+    if (!(c.sinks & kCsv)) continue;
+    const std::string sep = rows[0].empty() ? "" : ",";
+    rows[0] += sep + c.name;
+    for (std::size_t i = 0; i < outcomes.size(); ++i) {
+      const ScenarioOutcome& o = outcomes[i];
+      rows[i + 1] +=
+          sep + c.format(c.scope == kResult && !o.ok ? kFailedResult : o);
+    }
   }
   return rows;
 }
@@ -797,58 +843,73 @@ void SweepReport::write_json(const std::string& path) const {
   if (!out) throw RuntimeError("cannot open sweep report for writing: " + path);
   out << "[\n";
   for (std::size_t i = 0; i < outcomes.size(); ++i) {
-    const auto& o = outcomes[i];
-    const auto& c = o.scenario.config;
-    const auto& r = o.result;
-    const double comm = o.comm_sim_seconds;
-    out << "  {\"scenario\": " << o.scenario.index                      //
-        << ", \"tag\": \"" << json_escape(o.scenario.tag()) << "\""     //
-        << ", \"solver\": \"" << json_escape(o.scenario.solver) << "\"" //
-        << ", \"dataset\": \"" << json_escape(c.dataset) << "\""        //
-        << ", \"n_train\": " << c.n_train                               //
-        << ", \"n_test\": " << c.n_test                                 //
-        << ", \"workers\": " << c.workers                               //
-        << ", \"device\": \"" << json_escape(c.device) << "\""          //
-        << ", \"network\": \"" << json_escape(c.network) << "\""        //
-        << ", \"penalty\": \"" << json_escape(c.penalty) << "\""        //
-        << ", \"lambda\": " << fmt_json_number(c.lambda)                //
-        << ", \"straggler\": \"" << json_escape(c.straggler) << "\""    //
-        << ", \"partition\": \"" << json_escape(c.partition) << "\""    //
-        << ", \"fault\": \"" << json_escape(c.fault) << "\""            //
-        << ", \"kill\": \"" << json_escape(c.kill) << "\""              //
-        << ", \"checkpoint_every\": " << c.checkpoint_every             //
-        << ", \"arrival\": \"" << json_escape(o.scenario.arrival) << "\""
-        << ", \"batch_policy\": \"" << json_escape(o.scenario.batch) << "\""
-        << ", \"status\": \"" << (o.ok ? "ok" : "error") << "\"";
-    if (o.ok) {
-      out << ", \"iterations\": " << r.iterations                        //
-          << ", \"final_objective\": " << fmt_json_number(r.final_objective)
-          << ", \"final_test_accuracy\": "
-          << fmt_json_number(r.final_test_accuracy)                      //
-          << ", \"total_sim_seconds\": "
-          << fmt_json_number(r.total_sim_seconds)                        //
-          << ", \"avg_epoch_sim_seconds\": "
-          << fmt_json_number(r.avg_epoch_sim_seconds)                    //
-          << ", \"total_comm_sim_seconds\": " << fmt_json_number(comm)   //
-          << ", \"max_wait_seconds\": " << fmt_json_number(o.max_wait_seconds)
-          << ", \"rank_wait_seconds\": \"" << json_escape(o.rank_waits) << "\""
-          << ", \"staleness_hist\": \"" << json_escape(o.staleness_hist)
-          << "\", \"peak_dataset_bytes\": " << o.peak_dataset_bytes
-          << ", \"requests\": " << o.serve_requests                      //
-          << ", \"batches\": " << o.serve_batches                        //
-          << ", \"throughput_rps\": " << fmt_json_number(o.throughput_rps)
-          << ", \"mean_batch\": " << fmt_json_number(o.mean_batch)       //
-          << ", \"p50_latency_s\": " << fmt_json_number(o.p50_latency_s)
-          << ", \"p99_latency_s\": " << fmt_json_number(o.p99_latency_s)
-          << ", \"p999_latency_s\": " << fmt_json_number(o.p999_latency_s)
-          << ", \"metrics\": \"" << json_escape(fmt_metrics(r.metrics))
-          << "\"";
-    } else {
-      out << ", \"error\": \"" << json_escape(o.error) << "\"";
-    }
-    out << '}' << (i + 1 < outcomes.size() ? "," : "") << '\n';
+    out << "  " << outcome_json(outcomes[i])
+        << (i + 1 < outcomes.size() ? "," : "") << '\n';
   }
   out << "]\n";
+}
+
+std::string outcome_json(const ScenarioOutcome& o, bool journal) {
+  std::string out = "{";
+  for (const auto& c : columns()) {
+    if (!in_json_row(c, o)) continue;
+    const std::string text = c.format(o);
+    out += out.size() > 1 ? ", \"" : "\"";
+    out += c.name;
+    out += "\": ";
+    if (c.cell == Cell::kText) {
+      out += '"';
+      out += json_escape(text);
+      out += '"';
+    } else if (c.cell == Cell::kReal && !journal &&
+               !std::isfinite(std::strtod(text.c_str(), nullptr))) {
+      out += "null";  // JSON has no inf/nan literals
+    } else {
+      out += text;
+    }
+  }
+  return out + '}';
+}
+
+std::optional<ScenarioOutcome> restore_outcome(
+    const std::string& record, const std::vector<Scenario>& scenarios) {
+  const auto fields = parse_flat_json(record);
+  if (!fields) return std::nullopt;
+  // The recorded value of `c`; nullptr when absent or mistyped.
+  const auto field = [&](const Column& c) -> const JsonField* {
+    const auto it = fields->find(c.name);
+    return it != fields->end() && it->second.quoted == (c.cell == Cell::kText)
+               ? &it->second
+               : nullptr;
+  };
+  // The grid point first: it yields the index and the status; the rest
+  // of it must agree with what the grid expands to at that index.
+  ScenarioOutcome o;
+  for (const auto& c : columns()) {
+    if (!in_json_row(c, o) || c.scope != kScenario) continue;
+    const JsonField* f = field(c);
+    if (f == nullptr || (c.parse && !c.parse(o, f->text))) return std::nullopt;
+  }
+  const auto index = static_cast<std::size_t>(o.scenario.index);
+  if (o.scenario.index < 0 || index >= scenarios.size()) return std::nullopt;
+  o.scenario = scenarios[index];
+  for (const auto& c : columns()) {
+    if (!in_json_row(c, o) || c.scope != kScenario) continue;
+    const std::string& recorded = field(c)->text;
+    NADMM_CHECK(recorded == c.format(o),
+                "sweep journal: scenario " + std::to_string(index) +
+                    " records " + c.name + " '" + recorded +
+                    "' but the grid expands to '" + c.format(o) +
+                    "' — journal is from a different spec");
+  }
+  for (const auto& c : columns()) {
+    if (!in_json_row(c, o) || c.scope == kScenario) continue;
+    const JsonField* f = field(c);
+    if (f == nullptr || !c.parse(o, f->text)) return std::nullopt;
+  }
+  o.from_journal = true;
+  o.result.solver = o.scenario.solver;
+  return o;
 }
 
 SweepReport run_sweep(const SweepSpec& spec, const SweepOptions& options) {
@@ -874,6 +935,11 @@ SweepReport run_sweep(const SweepSpec& spec, const SweepOptions& options) {
   data::DatasetProvider* provider =
       options.provider ? options.provider : &local_provider;
   const bool use_cache = options.provider != nullptr || options.cache_budget > 0;
+  const auto full_data = [&](const data::DatasetKey& key) {
+    return use_cache ? provider->get(key)
+                     : std::make_shared<const data::TrainTest>(
+                           data::generate_dataset(key));
+  };
 
   bool journal_needs_newline = false;
   if (options.resume && !options.journal_path.empty() &&
@@ -886,19 +952,20 @@ SweepReport run_sweep(const SweepSpec& spec, const SweepOptions& options) {
     // A kill inside the truncate-then-write-header window leaves an
     // empty or torn header; nothing restorable was lost, so treat that
     // as a fresh start rather than dead-ending --resume.
-    const bool has_header =
-        static_cast<bool>(std::getline(in, line)) &&
-        line.find_last_not_of(" \t\r") != std::string::npos &&
-        line[line.find_last_not_of(" \t\r")] == '}';
-    if (has_header) {
-      std::string kind, journal_fp;
-      std::int64_t journal_fp_scenarios = -1, journal_version = -1;
-      NADMM_CHECK(json_get_string(line, "kind", kind) && kind == kJournalKind,
+    const auto header = std::getline(in, line) ? parse_flat_json(line)
+                                               : std::nullopt;
+    if (header) {
+      const auto get = [&](const char* name) {
+        const auto it = header->find(name);
+        return it == header->end() ? std::string() : it->second.text;
+      };
+      std::int64_t journal_version = -1;
+      std::size_t journal_scenarios = 0;
+      NADMM_CHECK(get("kind") == kJournalKind,
                   "sweep journal " + options.journal_path +
                       " has an unrecognized header");
-      NADMM_CHECK(json_get_string(line, "fingerprint", journal_fp) &&
-                      json_get_int(line, "scenarios", journal_fp_scenarios) &&
-                      json_get_int(line, "version", journal_version),
+      NADMM_CHECK(from_text(get("version"), journal_version) &&
+                      from_text(get("scenarios"), journal_scenarios),
                   "sweep journal " + options.journal_path +
                       " has a malformed header");
       NADMM_CHECK(journal_version == kJournalVersion,
@@ -907,17 +974,22 @@ SweepReport run_sweep(const SweepSpec& spec, const SweepOptions& options) {
                       std::to_string(journal_version) +
                       " (expected " + std::to_string(kJournalVersion) +
                       ") — rerun without --resume to start fresh");
-      NADMM_CHECK(journal_fp == fingerprint &&
-                      journal_fp_scenarios ==
-                          static_cast<std::int64_t>(scenarios.size()),
+      NADMM_CHECK(get("fingerprint") == fingerprint &&
+                      journal_scenarios == scenarios.size(),
                   "sweep journal " + options.journal_path +
                       " was written for a different grid spec (fingerprint " +
-                      journal_fp + ", expected " + fingerprint +
+                      get("fingerprint") + ", expected " + fingerprint +
                       ") — rerun without --resume to start fresh");
       bool ends_with_newline = true;
       while (std::getline(in, line)) {
         ends_with_newline = !in.eof() || line.empty();
-        restore_outcome_line(line, scenarios, report.outcomes, completed);
+        // Only the final line of a killed run can be torn (the writer
+        // flushes per line); restore_outcome skips it.
+        if (auto restored = restore_outcome(line, scenarios)) {
+          const auto i = static_cast<std::size_t>(restored->scenario.index);
+          report.outcomes[i] = std::move(*restored);
+          completed[i] = 1;
+        }
       }
       for (const char c : completed) report.resumed += c ? 1 : 0;
       journal_needs_newline = !ends_with_newline;
@@ -972,15 +1044,8 @@ SweepReport run_sweep(const SweepSpec& spec, const SweepOptions& options) {
       ExperimentConfig train_config = config;
       train_config.device = spec.base.device;
       train_config.network = spec.base.network;
-      const data::DatasetKey dkey = dataset_key(train_config);
-      std::shared_ptr<const data::TrainTest> full;
-      data::TrainTest full_owned;
-      if (use_cache) {
-        full = provider->get(dkey);
-      } else {
-        full_owned = data::generate_dataset(dkey);
-      }
-      const data::TrainTest& tt = use_cache ? *full : full_owned;
+      const auto full = full_data(dataset_key(train_config));
+      const data::TrainTest& tt = *full;
       comm::SimCluster cluster = make_cluster(train_config);
       const core::RunResult trained = SolverRegistry::instance().run(
           scenario.solver, cluster,
@@ -1021,19 +1086,12 @@ SweepReport run_sweep(const SweepSpec& spec, const SweepOptions& options) {
     };
     try {
       ExperimentConfig config = scenario.config;
-      if (options.deterministic) config.omp_threads = 1;
+      config.omp_threads = 1;
       if (scenario.serving) {
         const auto model = serve_model_for(scenario, config);
         // The request pool is the test split of the scenario's dataset.
-        const data::DatasetKey dkey = dataset_key(config);
-        std::shared_ptr<const data::TrainTest> full;
-        data::TrainTest full_owned;
-        if (use_cache) {
-          full = provider->get(dkey);
-        } else {
-          full_owned = data::generate_dataset(dkey);
-        }
-        const data::TrainTest& tt = use_cache ? *full : full_owned;
+        const auto full = full_data(dataset_key(config));
+        const data::TrainTest& tt = *full;
         NADMM_CHECK(!tt.test.empty(),
                     "serving needs a non-empty test split (n_test > 0)");
         serve::ServeConfig sc;
@@ -1073,15 +1131,8 @@ SweepReport run_sweep(const SweepSpec& spec, const SweepOptions& options) {
       if (info.kind == SolverKind::kSingleNode) {
         // Materialize (streamed shards carry no full matrix) and wrap in
         // a one-part plan to keep the uniform registry signature.
-        std::shared_ptr<const data::TrainTest> full;
-        data::TrainTest full_owned;
-        if (use_cache) {
-          full = provider->get(key);
-        } else {
-          full_owned = data::generate_dataset(key);
-        }
-        const data::TrainTest& tt = use_cache ? *full : full_owned;
-        owned = data::make_sharded(tt.train, &tt.test, data::ShardPlan{});
+        const auto full = full_data(key);
+        owned = data::make_sharded(full->train, &full->test, data::ShardPlan{});
       } else if (use_cache) {
         shared = provider->get_sharded(key, shard_plan(config));
       } else {
@@ -1128,7 +1179,7 @@ SweepReport run_sweep(const SweepSpec& spec, const SweepOptions& options) {
         report.outcomes[i] = std::move(outcome);
         ++report.executed;
         if (journal.is_open()) {
-          journal << journal_outcome_line(report.outcomes[i]) << '\n';
+          journal << outcome_json(report.outcomes[i], /*journal=*/true) << '\n';
           journal.flush();
         }
         const std::size_t finished = done.fetch_add(1) + 1;

@@ -1,5 +1,5 @@
 // Scenario sweep scheduler: expands a declarative grid spec
-// (solver × dataset × workers × device × network × penalty × λ) into
+// (solver × dataset × workers × device × network × penalty × λ × …) into
 // ExperimentConfig instances, executes them concurrently on a worker
 // pool, and aggregates the per-scenario results into one combined
 // CSV / JSON report with deterministic ordering.
@@ -7,9 +7,9 @@
 // Determinism: scenarios are expanded in a fixed axis order and results
 // are stored by scenario index, so the report is byte-identical no
 // matter how many scheduler threads run it (`--jobs=1` vs `--jobs=4`).
-// Each scenario's cluster is pinned to one OpenMP thread per rank by
-// default, which removes run-to-run float reassociation and keeps
-// `jobs × workers` from oversubscribing the host.
+// Each scenario's cluster is pinned to one OpenMP thread per rank, which
+// removes run-to-run float reassociation and keeps `jobs × workers` from
+// oversubscribing the host.
 //
 // Datasets are fetched through a DatasetProvider (src/data/provider.hpp),
 // so scenarios that differ only in solver/workers/device/network/penalty/λ
@@ -25,12 +25,15 @@
 
 #include <cstdint>
 #include <functional>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "core/trace.hpp"
 #include "data/provider.hpp"
 #include "runner/harness.hpp"
+#include "runner/options.hpp"
+#include "support/cli.hpp"
 
 namespace nadmm::runner {
 
@@ -95,7 +98,8 @@ struct SweepSpec {
 
 /// Apply one `key = value` assignment to the spec. Grid axes take
 /// comma-separated lists ("solvers = newton-admm, giant"); scalar keys
-/// ("n_train", "iterations", ...) set the shared base config. Throws
+/// ("n_train", "iterations", ...) set one spec or base-config knob. The
+/// key table in sweep.cpp is the single list of keys. Throws
 /// InvalidArgument on unknown keys or malformed values.
 void apply_sweep_assignment(SweepSpec& spec, const std::string& key,
                             const std::string& value);
@@ -103,6 +107,16 @@ void apply_sweep_assignment(SweepSpec& spec, const std::string& key,
 /// Parse a sweep spec file: one `key = value` per line, `#` comments and
 /// blank lines ignored. Starts from the default-constructed spec.
 SweepSpec parse_sweep_file(const std::string& path);
+
+/// Every sweep key as a string CLI flag (`n_train` -> `--n-train`,
+/// default empty), in key-table order.
+const OptionSet& sweep_key_options();
+
+/// Apply every non-empty sweep-key flag `cli` parsed (registered from
+/// sweep_key_options()) on top of `spec`. The raw flag text goes through
+/// the same parser as a spec-file line; an empty flag keeps the spec or
+/// default value.
+void apply_sweep_flags(SweepSpec& spec, const CliParser& cli);
 
 /// One expanded grid point.
 struct Scenario {
@@ -120,14 +134,15 @@ struct Scenario {
   [[nodiscard]] std::string tag() const;
 };
 
-/// Expand the grid in fixed axis order (solver, dataset, workers,
-/// device, network, penalty, lambda, straggler, partition — rightmost
-/// fastest).
+/// Expand the grid in fixed axis order, rightmost fastest: solver,
+/// dataset, workers, device, network, penalty, lambda, straggler,
+/// partition, fault in train mode; solver, dataset, device, network,
+/// arrival, batch policy in serving mode.
 std::vector<Scenario> expand_scenarios(const SweepSpec& spec);
 
 /// 64-bit FNV-1a hash (hex) over the canonical serialization of every
-/// spec field; journals are bound to it so a resume against a different
-/// grid is detected.
+/// spec field (each key plus the base knobs no key sets); journals are
+/// bound to it so a resume against a different grid is detected.
 std::string spec_fingerprint(const SweepSpec& spec);
 
 struct ScenarioOutcome {
@@ -188,6 +203,19 @@ struct SweepReport {
   [[nodiscard]] std::vector<std::string> csv_rows() const;
 };
 
+/// One outcome as a flat JSON object: the JSON report row or, with
+/// `journal`, the journal record. The two differ only in non-finite
+/// numbers, which the report writes as null and the journal keeps as
+/// bare inf/nan tokens so a restore is exact.
+std::string outcome_json(const ScenarioOutcome& outcome, bool journal = false);
+
+/// Inverse of outcome_json(o, true): the outcome of the scenario the
+/// record names, or nullopt when the record is torn or malformed. Throws
+/// InvalidArgument when the record describes a different scenario than
+/// `scenarios` holds at its index (a journal from another grid).
+std::optional<ScenarioOutcome> restore_outcome(
+    const std::string& record, const std::vector<Scenario>& scenarios);
+
 struct SweepOptions {
   int jobs = 1;            ///< scheduler threads (clamped to #scenarios)
   std::string trace_dir;   ///< if set, write one trace CSV per scenario
@@ -198,9 +226,6 @@ struct SweepOptions {
   /// spec fingerprint: tracing an existing journal's grid on resume is
   /// allowed (only freshly executed scenarios get trace files).
   std::string trace_event_dir;
-  /// Pin each rank to one OpenMP thread (see header comment). Disabling
-  /// re-enables intra-rank parallelism but forfeits byte-stable reports.
-  bool deterministic = true;
 
   /// If set, append each finished scenario to this JSONL journal
   /// (flushed per line, so a killed run loses at most the in-flight

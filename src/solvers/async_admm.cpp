@@ -516,16 +516,4 @@ core::RunResult async_admm(comm::SimCluster& cluster,
   return result;
 }
 
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-core::RunResult async_admm(comm::SimCluster& cluster,
-                           const data::Dataset& train,
-                           const data::Dataset* test,
-                           const AsyncAdmmOptions& options) {
-  data::ShardPlan plan;
-  plan.parts = cluster.size();
-  return async_admm(cluster, data::make_sharded(train, test, plan), options);
-}
-#pragma GCC diagnostic pop
-
 }  // namespace nadmm::solvers

@@ -66,14 +66,4 @@ core::RunResult async_admm(comm::SimCluster& cluster,
                            const data::ShardedDataset& data,
                            const AsyncAdmmOptions& options);
 
-/// Convenience overload: shard `train` / `test` as contiguous zero-copy
-/// views across the cluster's ranks, then run.
-[[deprecated(
-    "shard explicitly: pass a data::ShardedDataset (see "
-    "runner::shard_for_solver) — this overload re-shards per call")]]
-core::RunResult async_admm(comm::SimCluster& cluster,
-                           const data::Dataset& train,
-                           const data::Dataset* test,
-                           const AsyncAdmmOptions& options);
-
 }  // namespace nadmm::solvers

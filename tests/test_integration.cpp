@@ -16,8 +16,8 @@
 namespace nadmm::runner {
 namespace {
 
-/// Contiguous zero-copy shards sized to the cluster — the explicit form
-/// of what the deprecated (train, test) solver overloads did implicitly.
+/// Contiguous zero-copy shards sized to the cluster (the paper's data
+/// layout: one contiguous row block per rank).
 nadmm::data::ShardedDataset shards(const nadmm::comm::SimCluster& cluster,
                                    const nadmm::data::Dataset& train,
                                    const nadmm::data::Dataset* test) {

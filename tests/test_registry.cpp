@@ -186,31 +186,12 @@ TEST(SolverRegistry, RunThrowsOnUnknownName) {
   EXPECT_THROW(static_cast<void>(SolverRegistry::instance().run("no-such-solver", cluster,
       shard_for_solver("no-such-solver", tt.train, &tt.test, c), c)),
                InvalidArgument);
-  // The legacy harness entry point routes through the registry too.
+  // The harness entry point routes through the registry too.
   EXPECT_THROW(static_cast<void>(
                    run_solver("no-such-solver", cluster,
       shard_for_solver("no-such-solver", tt.train, &tt.test, c), c)),
                InvalidArgument);
 }
-
-// The deprecated (train, test) compat overload keeps working while
-// out-of-tree callers migrate; it must match the explicit sharded path
-// bit-for-bit (it is documented as sugar for shard_for_solver).
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-TEST(SolverRegistry, DeprecatedTrainTestOverloadMatchesShardedPath) {
-  const auto c = tiny_config();
-  const auto tt = make_data(c);
-  auto c1 = make_cluster(c);
-  auto c2 = make_cluster(c);
-  const auto legacy = run_solver("newton-admm", c1, tt.train, &tt.test, c);
-  const auto explicit_path = run_solver(
-      "newton-admm", c2,
-      shard_for_solver("newton-admm", tt.train, &tt.test, c), c);
-  EXPECT_EQ(legacy.final_objective, explicit_path.final_objective);
-  EXPECT_EQ(legacy.total_sim_seconds, explicit_path.total_sim_seconds);
-}
-#pragma GCC diagnostic pop
 
 }  // namespace
 }  // namespace nadmm::runner

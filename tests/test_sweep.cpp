@@ -5,13 +5,18 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
+#include <limits>
 #include <set>
 #include <sstream>
 
 #include "runner/sweep.hpp"
 #include "support/check.hpp"
+#include "support/cli.hpp"
+#include "support/rng.hpp"
 
 namespace nadmm::runner {
 namespace {
@@ -55,6 +60,56 @@ TEST(SweepSpecParsing, RejectsUnknownKeysAndMalformedValues) {
   EXPECT_THROW(apply_sweep_assignment(spec, "lambdas", "1e-5x"),
                InvalidArgument);
   EXPECT_THROW(apply_sweep_assignment(spec, "n_train", ""), InvalidArgument);
+}
+
+TEST(SweepSpecParsing, NumericFlagsKeepEveryDigit) {
+  // Flags pass their raw text to the spec parser: 1e-7 and 5e-7 must not
+  // be truncated on the way (a fixed 6-decimal rendering turns both into
+  // 0, silently disabling the target and the dispatch cost).
+  CliParser cli("nadmm sweep");
+  sweep_key_options().register_into(cli);
+  const char* argv[] = {"sweep", "--objective-target=1e-7",
+                        "--dispatch-overhead=5e-7"};
+  ASSERT_TRUE(cli.parse(3, argv));
+  SweepSpec from_flags;
+  apply_sweep_flags(from_flags, cli);
+  EXPECT_EQ(from_flags.base.objective_target, 1e-7);
+  EXPECT_EQ(from_flags.dispatch_overhead_s, 5e-7);
+
+  const std::string path = testing::TempDir() + "/nadmm_sweep_flags.sweep";
+  {
+    std::ofstream out(path);
+    out << "objective_target = 1e-7\ndispatch_overhead = 5e-7\n";
+  }
+  EXPECT_EQ(spec_fingerprint(from_flags),
+            spec_fingerprint(parse_sweep_file(path)));
+  EXPECT_NE(spec_fingerprint(from_flags), spec_fingerprint(SweepSpec{}));
+  std::filesystem::remove(path);
+}
+
+TEST(SweepSpecParsing, EveryKeyIsAFlagAndEmptyKeepsTheSpecValue) {
+  CliParser cli("nadmm sweep");
+  sweep_key_options().register_into(cli);
+  const char* argv[] = {"sweep", "--cg-iterations=7", "--cg-tol=1e-9",
+                        "--line-search-iterations=3", "--workers=2,4",
+                        "--batch-policies=size:8"};
+  ASSERT_TRUE(cli.parse(6, argv));
+  SweepSpec spec = tiny_spec();
+  apply_sweep_flags(spec, cli);
+  EXPECT_EQ(spec.base.cg_iterations, 7);
+  EXPECT_EQ(spec.base.cg_tol, 1e-9);
+  EXPECT_EQ(spec.base.line_search_iterations, 3);
+  EXPECT_EQ(spec.workers, (std::vector<int>{2, 4}));
+  EXPECT_EQ(spec.batch_policies, (std::vector<std::string>{"size:8"}));
+  // Unset flags keep what the spec said.
+  EXPECT_EQ(spec.solvers, tiny_spec().solvers);
+  EXPECT_EQ(spec.base.n_train, tiny_spec().base.n_train);
+  // Flag values go through the same validators as spec-file values.
+  const char* bad[] = {"sweep", "--workers=0"};
+  CliParser bad_cli("nadmm sweep");
+  sweep_key_options().register_into(bad_cli);
+  ASSERT_TRUE(bad_cli.parse(2, bad));
+  EXPECT_THROW(apply_sweep_flags(spec, bad_cli), InvalidArgument);
 }
 
 TEST(SweepSpecParsing, ParsesSpecFileWithComments) {
@@ -524,13 +579,12 @@ TEST(SweepJournal, OldJournalVersionIsRejectedOnResume) {
   std::filesystem::remove_all(dir);
 }
 
-TEST(SweepJournal, V5JournalIsRejectedWithBothVersionsNamed) {
-  // v5 journals carry five fixed wire-counter fields; v6 replaced them
-  // with the generic sparse metrics map, so restoring a v5 record would
-  // silently drop its counters. The rejection must name both the found
-  // and the expected version so the fix (rerun without --resume) is
-  // obvious from the message alone.
-  const std::string dir = testing::TempDir() + "/nadmm_journal_v5";
+TEST(SweepJournal, V6JournalIsRejectedWithBothVersionsNamed) {
+  // v6 records carried only the result fields under an "index" key; v7
+  // records are the JSON report rows, so a v6 record cannot be restored.
+  // The rejection must name both the found and the expected version so
+  // the fix (rerun without --resume) is obvious from the message alone.
+  const std::string dir = testing::TempDir() + "/nadmm_journal_v6";
   std::filesystem::remove_all(dir);
   std::filesystem::create_directories(dir);
   const std::string journal = dir + "/report.csv.journal.jsonl";
@@ -539,7 +593,7 @@ TEST(SweepJournal, V5JournalIsRejectedWithBothVersionsNamed) {
   const auto scenarios = expand_scenarios(spec);
   {
     std::ofstream out(journal);
-    out << "{\"kind\": \"nadmm-sweep-journal\", \"version\": 5, "
+    out << "{\"kind\": \"nadmm-sweep-journal\", \"version\": 6, "
         << "\"fingerprint\": \"" << spec_fingerprint(spec)
         << "\", \"scenarios\": " << scenarios.size() << "}\n";
   }
@@ -548,11 +602,11 @@ TEST(SweepJournal, V5JournalIsRejectedWithBothVersionsNamed) {
   resume.resume = true;
   try {
     static_cast<void>(run_sweep(spec, resume));
-    FAIL() << "v5 journal accepted on --resume";
+    FAIL() << "v6 journal accepted on --resume";
   } catch (const InvalidArgument& e) {
     const std::string what = e.what();
-    EXPECT_NE(what.find("unsupported version 5"), std::string::npos) << what;
-    EXPECT_NE(what.find("expected 6"), std::string::npos) << what;
+    EXPECT_NE(what.find("unsupported version 6"), std::string::npos) << what;
+    EXPECT_NE(what.find("expected 7"), std::string::npos) << what;
   }
   std::filesystem::remove_all(dir);
 }
@@ -635,37 +689,135 @@ TEST(SweepJournal, EmptyOrTornHeaderJournalResumesAsFreshStart) {
 }
 
 TEST(SweepJournal, LineTornInsideItsFinalNumberIsIgnoredOnResume) {
-  // Every field extractor would succeed on this line — strtod happily
-  // parses the truncated "1.2" — so only the missing closing brace marks
-  // it as torn. Restoring it would silently corrupt the resumed report.
+  // A torn record can still hold a complete-looking prefix — a number
+  // truncated to "1.2" parses fine — so only the missing closing brace
+  // marks it as torn. Restoring it would silently corrupt the resumed
+  // report.
   const std::string dir = testing::TempDir() + "/nadmm_journal_torn_num";
-  std::filesystem::remove_all(dir);
-  std::filesystem::create_directories(dir);
   const std::string journal = dir + "/report.csv.journal.jsonl";
   const SweepSpec spec = tiny_spec();
   const auto full = run_sweep(spec, SweepOptions{});
-
-  SweepOptions options;
-  options.journal_path = journal;
-  options.max_scenarios = 2;
-  static_cast<void>(run_sweep(spec, options));
-  {
-    std::ofstream out(journal, std::ios::app);
-    out << "{\"index\": 2, \"tag\": \""
-        << expand_scenarios(spec)[2].tag()
-        << "\", \"status\": \"ok\", \"iterations\": 3"
-        << ", \"final_objective\": 1, \"final_test_accuracy\": 0.5"
-        << ", \"total_sim_seconds\": 2, \"avg_epoch_sim_seconds\": 0.1"
-        << ", \"total_comm_sim_seconds\": 1.2";  // torn before '}'
+  const std::string record = outcome_json(full.outcomes[2], /*journal=*/true);
+  const auto number = record.find("\"total_sim_seconds\": ") + 22;
+  for (const std::string& torn :
+       {record.substr(0, record.size() - 1), record.substr(0, number)}) {
+    std::filesystem::remove_all(dir);
+    std::filesystem::create_directories(dir);
+    SweepOptions options;
+    options.journal_path = journal;
+    options.max_scenarios = 2;
+    static_cast<void>(run_sweep(spec, options));
+    {
+      std::ofstream out(journal, std::ios::app);
+      out << torn;
+    }
+    SweepOptions resumed;
+    resumed.journal_path = journal;
+    resumed.resume = true;
+    const auto report = run_sweep(spec, resumed);
+    EXPECT_TRUE(report.complete());
+    EXPECT_EQ(report.resumed, 2u) << torn;  // scenario 2 re-ran instead
+    EXPECT_EQ(full.csv_rows(), report.csv_rows());
   }
-  SweepOptions resumed;
-  resumed.journal_path = journal;
-  resumed.resume = true;
-  const auto report = run_sweep(spec, resumed);
-  EXPECT_TRUE(report.complete());
-  EXPECT_EQ(report.resumed, 2u);  // scenario 2 re-ran instead
-  EXPECT_EQ(full.csv_rows(), report.csv_rows());
   std::filesystem::remove_all(dir);
+}
+
+// Seeded property test: random outcomes over train, serving and failed
+// scenarios, with extreme numbers (±inf, nan, -0, denormals, 1e308) and
+// escape-heavy strings, must survive journal write -> restore with every
+// column intact. A failure prints its seed; setting
+// NADMM_SWEEP_PROPERTY_SEED to it replays exactly that case.
+TEST(SweepJournal, EveryColumnSurvivesJournalRoundTrip) {
+  SweepSpec train = tiny_spec();
+  train.faults = {"none", "drop:0.05+dup:0.01"};
+  train.stragglers = {"none", "1:4"};
+  SweepSpec serving = tiny_spec();
+  serving.mode = "serving";
+  serving.arrivals = {"poisson:1000", "bursty"};
+  serving.batch_policies = {"immediate", "deadline:16:0.005"};
+  const std::vector<Scenario> grids[] = {expand_scenarios(train),
+                                         expand_scenarios(serving)};
+
+  std::vector<std::uint64_t> seeds;
+  if (const char* replay = std::getenv("NADMM_SWEEP_PROPERTY_SEED")) {
+    seeds.push_back(std::strtoull(replay, nullptr, 10));
+  } else {
+    for (std::uint64_t s = 1; s <= 400; ++s) seeds.push_back(s);
+  }
+  for (const std::uint64_t seed : seeds) {
+    SCOPED_TRACE("NADMM_SWEEP_PROPERTY_SEED=" + std::to_string(seed));
+    Rng rng(seed);
+    const auto pick = [&](const auto& items) {
+      return items[rng.uniform_index(std::size(items))];
+    };
+    const auto number = [&] {
+      const double extremes[] = {
+          std::numeric_limits<double>::infinity(),
+          -std::numeric_limits<double>::infinity(),
+          std::numeric_limits<double>::quiet_NaN(),
+          -std::numeric_limits<double>::quiet_NaN(),
+          -0.0,
+          0.0,
+          std::numeric_limits<double>::denorm_min(),
+          std::numeric_limits<double>::min() / 3.0,
+          1e308,
+          -1e308};
+      return rng.uniform() < 0.4 ? pick(extremes)
+                                 : rng.uniform(-1e6, 1e6) * rng.uniform();
+    };
+    const auto text = [&] {
+      const std::string alphabet[] = {"a", "Z", "0", ";", ":", ",", " ",
+                                      "\"", "\\", "\n", "\t", "\r",
+                                      "\x01", "\x1f", "\x7f", "\xc3\xa9",
+                                      "\xe2\x80\x94", "{", "}"};
+      std::string out;
+      for (auto n = rng.uniform_index(12); n > 0; --n) out += pick(alphabet);
+      return out;
+    };
+    const auto count = [&] {
+      return rng.uniform() < 0.3 ? std::numeric_limits<std::uint64_t>::max()
+                                 : rng.next_u64() >> rng.uniform_index(64);
+    };
+
+    const auto& grid = pick(grids);
+    ScenarioOutcome o;
+    o.scenario = pick(grid);
+    o.ok = rng.uniform() < 0.7;
+    o.error = text();
+    o.result.iterations = static_cast<int>(rng.next_u64());
+    o.result.final_objective = number();
+    o.result.final_test_accuracy = number();
+    o.result.total_sim_seconds = number();
+    o.result.avg_epoch_sim_seconds = number();
+    o.comm_sim_seconds = number();
+    o.max_wait_seconds = number();
+    o.rank_waits = text();
+    o.staleness_hist = text();
+    o.peak_dataset_bytes = count();
+    o.serve_requests = count();
+    o.serve_batches = count();
+    o.throughput_rps = number();
+    o.mean_batch = number();
+    o.p50_latency_s = number();
+    o.p99_latency_s = number();
+    o.p999_latency_s = number();
+    const char* metric_names[] = {"retransmits", "gaps_detected",
+                                  "messages_dropped", "checkpoints",
+                                  "restores", "custom_counter"};
+    for (const char* name : metric_names) {
+      if (rng.uniform() < 0.5) o.result.add_metric(name, count());
+    }
+
+    const std::string record = outcome_json(o, /*journal=*/true);
+    const auto restored = restore_outcome(record, grid);
+    ASSERT_TRUE(restored.has_value()) << record;
+    EXPECT_EQ(outcome_json(*restored, /*journal=*/true), record);
+    EXPECT_EQ(outcome_json(*restored), outcome_json(o));
+    SweepReport fresh, resumed;
+    fresh.outcomes = {o};
+    resumed.outcomes = {*restored};
+    EXPECT_EQ(resumed.csv_rows(), fresh.csv_rows());
+  }
 }
 
 }  // namespace
