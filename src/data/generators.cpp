@@ -26,15 +26,6 @@ constexpr std::uint64_t kModelStream = 3;
 
 }  // namespace
 
-std::vector<PaperDatasetInfo> paper_table1() {
-  return {
-      {"HIGGS", 2, 11'000'000, 1'000'000, 28},
-      {"MNIST", 10, 70'000, 10'000, 784},
-      {"CIFAR-10", 10, 60'000, 10'000, 3'072},
-      {"E18", 20, 1'306'128, 6'000, 27'998},
-  };
-}
-
 // ---------------------------------------------------------------------------
 // blobs
 // ---------------------------------------------------------------------------

@@ -17,19 +17,6 @@ namespace nadmm::data {
 // TrainTest lives in data/dataset.hpp (shared with the file loaders and
 // the DatasetProvider).
 
-/// Paper Table 1 metadata, used by the Table-1 bench to print the
-/// paper-scale numbers next to the generated ones.
-struct PaperDatasetInfo {
-  std::string name;
-  int classes;
-  std::size_t samples;
-  std::size_t test_size;
-  std::size_t features;
-};
-
-/// The four rows of the paper's Table 1.
-std::vector<PaperDatasetInfo> paper_table1();
-
 /// Generic Gaussian-blob multiclass problem (workhorse for unit tests):
 /// class prototypes ~ N(0, (sep²/p)·I), samples = prototype + noise·N(0,I).
 TrainTest make_blobs(std::size_t n_train, std::size_t n_test, std::size_t p,

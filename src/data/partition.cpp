@@ -6,7 +6,6 @@
 
 #include "la/sparse_matrix.hpp"
 #include "support/check.hpp"
-#include "support/topology.hpp"
 
 namespace nadmm::data {
 
@@ -115,35 +114,6 @@ std::string ShardPlan::cache_tag() const {
   return tag;
 }
 
-std::vector<int> ShardPlan::placement(int node_count) const {
-  NADMM_CHECK(parts >= 1, "ShardPlan::placement: parts must be >= 1");
-  std::vector<int> node(static_cast<std::size_t>(parts), 0);
-  if (node_count <= 1) return node;
-  // Cumulative-weight cuts: rank r goes to the node whose share of the
-  // total weight its running sum falls into. Contiguous rank blocks keep
-  // a weighted plan's row ranges contiguous per node, and a heavy rank
-  // advances the cursor further — so device-heavy shards spread across
-  // sockets the same way their rows spread across ranks.
-  const bool weighted = mode == PartitionMode::kWeighted &&
-                        static_cast<int>(weights.size()) == parts;
-  double total = 0.0;
-  for (int r = 0; r < parts; ++r) {
-    total += weighted ? weights[static_cast<std::size_t>(r)] : 1.0;
-  }
-  double acc = 0.0;
-  int cur = 0;
-  for (int r = 0; r < parts; ++r) {
-    node[static_cast<std::size_t>(r)] = cur;
-    acc += weighted ? weights[static_cast<std::size_t>(r)] : 1.0;
-    while (cur + 1 < node_count &&
-           acc * static_cast<double>(node_count) >=
-               total * static_cast<double>(cur + 1)) {
-      ++cur;
-    }
-  }
-  return node;
-}
-
 Dataset shard_dataset(const Dataset& full, const ShardPlan& plan, int rank) {
   NADMM_CHECK(rank >= 0 && rank < plan.parts, "shard_dataset: bad rank");
   if (plan.mode == PartitionMode::kStrided) {
@@ -239,7 +209,6 @@ ShardedDataset make_sharded(const Dataset& train, const Dataset* test,
       out.resident_bytes += rd.train.approx_bytes() + rd.test.approx_bytes();
     }
   }
-  out.numa_node = plan.placement(support::Topology::system().node_count());
   return out;
 }
 

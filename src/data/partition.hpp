@@ -62,15 +62,6 @@ struct ShardPlan {
   /// Stable identifier ("contiguous4", "weighted4:0.6;0.2;…") used by
   /// the sharded dataset cache key.
   [[nodiscard]] std::string cache_tag() const;
-
-  /// NUMA placement hint: the node each rank's shard (and its worker
-  /// thread) should land on, given `node_count` nodes. Ranks stay in
-  /// contiguous blocks and the cut points balance cumulative rank
-  /// weight (uniform when `weights` is empty), so under a weighted plan
-  /// the device-heavy shards spread across sockets instead of piling
-  /// onto node 0. Deterministic in (parts, weights, node_count); all
-  /// zeros when node_count <= 1 — the single-node fallback.
-  [[nodiscard]] std::vector<int> placement(int node_count) const;
 };
 
 /// The shard of `full` that `rank` owns under `plan`: an O(1) zero-copy
@@ -116,12 +107,6 @@ struct ShardedDataset {
   /// the shards own (0 for views, their buffers for strided copies and
   /// streamed shards). The sweep reports this as peak_dataset_bytes.
   std::size_t resident_bytes = 0;
-
-  /// Per-rank NUMA node hints from plan.placement() against the host
-  /// topology (support::Topology::system()). All zeros on single-node
-  /// hosts; advisory — the simulated cluster runs ranks as threads and
-  /// uses this to co-locate a shard's pages with its worker.
-  std::vector<int> numa_node;
 
   [[nodiscard]] int parts() const { return static_cast<int>(ranks.size()); }
   [[nodiscard]] bool has_full() const { return !full_train.empty(); }

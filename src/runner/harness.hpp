@@ -1,6 +1,6 @@
 // Experiment harness: wires dataset → simulated cluster → solver and
-// emits traces. All bench binaries (one per paper table/figure) and the
-// examples are thin drivers over this header.
+// emits traces. The nadmm CLI (run/sweep), bench/e2e and the examples
+// are thin drivers over this header.
 #pragma once
 
 #include <cstdint>

@@ -14,7 +14,6 @@
 // grid — training or serving — and executes it on a worker pool (see
 // runner/sweep.hpp — the aggregated report is deterministic across
 // --jobs settings).
-#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <exception>
@@ -91,42 +90,6 @@ int cmd_list(int argc, const char* const* argv) {
   return 0;
 }
 
-runner::ExperimentConfig config_from_cli(const CliParser& cli) {
-  runner::ExperimentConfig c;
-  c.dataset = cli.get_string("dataset");
-  c.n_train = static_cast<std::size_t>(cli.get_int("n-train"));
-  c.n_test = static_cast<std::size_t>(cli.get_int("n-test"));
-  c.e18_features = static_cast<std::size_t>(cli.get_int("e18-features"));
-  c.seed = static_cast<std::uint64_t>(cli.get_int("seed"));
-  c.workers = static_cast<int>(cli.get_int("workers"));
-  c.device = cli.get_string("devices").empty() ? cli.get_string("device")
-                                               : cli.get_string("devices");
-  c.network = cli.get_string("network");
-  c.penalty = cli.get_string("penalty");
-  c.lambda = cli.get_double("lambda");
-  c.rho0 = cli.get_double("rho0");
-  c.straggler = cli.get_string("straggler");
-  c.partition = cli.get_string("partition");
-  c.iterations = static_cast<int>(cli.get_int("iterations"));
-  c.cg_iterations = static_cast<int>(cli.get_int("cg-iterations"));
-  c.cg_tol = cli.get_double("cg-tol");
-  c.line_search_iterations = static_cast<int>(cli.get_int("line-search"));
-  c.objective_target = cli.get_double("objective-target");
-  c.staleness = static_cast<int>(cli.get_int("staleness"));
-  c.sync_every = static_cast<int>(cli.get_int("sync-every"));
-  c.fault = cli.get_string("fault");
-  c.kill = cli.get_string("kill");
-  c.checkpoint_every = static_cast<int>(cli.get_int("checkpoint-every"));
-  c.sgd_batch = static_cast<std::size_t>(cli.get_int("sgd-batch"));
-  c.sgd_step = cli.get_double("sgd-step");
-  c.dane_epochs = static_cast<int>(cli.get_int("dane-epochs"));
-  c.svrg_outer = static_cast<int>(cli.get_int("svrg-outer"));
-  c.fo_step = cli.get_double("fo-step");
-  c.gradient_tol = cli.get_double("gradient-tol");
-  c.omp_threads = static_cast<int>(cli.get_int("omp-threads"));
-  return c;
-}
-
 int cmd_run(int argc, const char* const* argv) {
   CliParser cli("nadmm run — execute one scenario and print its trace");
   runner::OptionSet opts;
@@ -146,7 +109,7 @@ int cmd_run(int argc, const char* const* argv) {
   opts.validate(cli);
 
   const std::string solver = cli.get_string("solver");
-  const auto config = config_from_cli(cli);
+  const auto config = runner::config_from_cli(cli);
   const auto& info = runner::SolverRegistry::instance().info(solver);
 
   const auto tt = runner::make_data(config);
@@ -236,11 +199,10 @@ int cmd_serve(int argc, const char* const* argv) {
   const auto model = serve::load_model(cli.get_string("model"));
   runner::ExperimentConfig data_config;
   data_config.dataset = cli.get_string("dataset");
-  data_config.n_train = static_cast<std::size_t>(cli.get_int("n-train"));
-  data_config.n_test = static_cast<std::size_t>(cli.get_int("n-test"));
-  data_config.e18_features =
-      static_cast<std::size_t>(cli.get_int("e18-features"));
-  data_config.seed = static_cast<std::uint64_t>(cli.get_int("seed"));
+  data_config.n_train = cli.get_int_as<std::size_t>("n-train");
+  data_config.n_test = cli.get_int_as<std::size_t>("n-test");
+  data_config.e18_features = cli.get_int_as<std::size_t>("e18-features");
+  data_config.seed = cli.get_int_as<std::uint64_t>("seed");
   const auto tt = runner::make_data(data_config);
   NADMM_CHECK(!tt.test.empty(),
               "serving needs a non-empty test split (--n-test > 0)");
@@ -248,12 +210,12 @@ int cmd_serve(int argc, const char* const* argv) {
   serve::ServeConfig config;
   config.arrival = cli.get_string("arrival");
   config.batch = cli.get_string("batch");
-  config.requests = static_cast<std::size_t>(cli.get_int("requests"));
-  config.seed = static_cast<std::uint64_t>(cli.get_int("seed"));
+  config.requests = cli.get_int_as<std::size_t>("requests");
+  config.seed = cli.get_int_as<std::uint64_t>("seed");
   config.device = cli.get_string("device");
   config.network = cli.get_string("network");
   config.dispatch_overhead_s = cli.get_double("dispatch-overhead");
-  config.omp_threads = static_cast<int>(cli.get_int("omp-threads"));
+  config.omp_threads = cli.get_int_as<int>("omp-threads");
 
   std::printf("serving: model=%s (%s via %s) pool=%s rows=%zu p=%zu "
               "device=%s network=%s\n",
@@ -335,15 +297,14 @@ int cmd_sweep(int argc, const char* const* argv) {
 
   const std::string out = cli.get_string("out");
   runner::SweepOptions options;
-  options.jobs = static_cast<int>(cli.get_int("jobs"));
+  options.jobs = cli.get_int_as<int>("jobs");
   options.trace_dir = cli.get_string("trace-dir");
   options.trace_event_dir = cli.get_string("trace-out");
   options.journal_path = out + ".journal.jsonl";
   options.resume = cli.get_flag("resume");
   options.cache_budget =
       runner::parse_byte_size("cache-budget", cli.get_string("cache-budget"));
-  options.max_scenarios =
-      static_cast<std::size_t>(std::max<std::int64_t>(0, cli.get_int("limit")));
+  options.max_scenarios = cli.get_int_as<std::size_t>("limit");
   const bool quiet = cli.get_flag("quiet");
   if (!quiet) {
     options.on_scenario_done = [](const runner::ScenarioOutcome& o,

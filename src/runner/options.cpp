@@ -8,6 +8,7 @@
 #include "comm/fault.hpp"
 #include "comm/network_model.hpp"
 #include "la/device.hpp"
+#include "runner/harness.hpp"
 #include "runner/registry.hpp"
 #include "serve/arrival.hpp"
 #include "serve/batching.hpp"
@@ -443,6 +444,42 @@ const OptionSet& scenario_options() {
     return s;
   }();
   return specs;
+}
+
+ExperimentConfig config_from_cli(const CliParser& cli) {
+  ExperimentConfig c;
+  c.dataset = cli.get_string("dataset");
+  c.n_train = cli.get_int_as<std::size_t>("n-train");
+  c.n_test = cli.get_int_as<std::size_t>("n-test");
+  c.e18_features = cli.get_int_as<std::size_t>("e18-features");
+  c.seed = cli.get_int_as<std::uint64_t>("seed");
+  c.workers = cli.get_int_as<int>("workers");
+  c.device = cli.get_string("devices").empty() ? cli.get_string("device")
+                                               : cli.get_string("devices");
+  c.network = cli.get_string("network");
+  c.penalty = cli.get_string("penalty");
+  c.lambda = cli.get_double("lambda");
+  c.rho0 = cli.get_double("rho0");
+  c.straggler = cli.get_string("straggler");
+  c.partition = cli.get_string("partition");
+  c.iterations = cli.get_int_as<int>("iterations");
+  c.cg_iterations = cli.get_int_as<int>("cg-iterations");
+  c.cg_tol = cli.get_double("cg-tol");
+  c.line_search_iterations = cli.get_int_as<int>("line-search");
+  c.objective_target = cli.get_double("objective-target");
+  c.staleness = cli.get_int_as<int>("staleness");
+  c.sync_every = cli.get_int_as<int>("sync-every");
+  c.fault = cli.get_string("fault");
+  c.kill = cli.get_string("kill");
+  c.checkpoint_every = cli.get_int_as<int>("checkpoint-every");
+  c.sgd_batch = cli.get_int_as<std::size_t>("sgd-batch");
+  c.sgd_step = cli.get_double("sgd-step");
+  c.dane_epochs = cli.get_int_as<int>("dane-epochs");
+  c.svrg_outer = cli.get_int_as<int>("svrg-outer");
+  c.fo_step = cli.get_double("fo-step");
+  c.gradient_tol = cli.get_double("gradient-tol");
+  c.omp_threads = cli.get_int_as<int>("omp-threads");
+  return c;
 }
 
 const OptionSet& serving_options() {

@@ -25,6 +25,8 @@
 
 namespace nadmm::runner {
 
+struct ExperimentConfig;  // runner/harness.hpp
+
 enum class OptType { kInt, kDouble, kString, kFlag };
 std::string to_string(OptType type);
 
@@ -110,6 +112,11 @@ std::size_t parse_byte_size(const std::string& flag, const std::string& value);
 /// The scenario surface shared by `nadmm run` and (as scalar overrides)
 /// `nadmm sweep`: dataset shape, cluster, solver knobs.
 const OptionSet& scenario_options();
+
+/// The ExperimentConfig that `cli`'s scenario_options() flags describe.
+/// Integer flags outside their field's range throw InvalidArgument
+/// naming the flag, never narrow.
+ExperimentConfig config_from_cli(const CliParser& cli);
 
 /// The serving-scenario surface shared by `nadmm serve` and the sweep's
 /// serving mode: arrival/batch specs, request count, dispatch overhead.

@@ -1,5 +1,6 @@
 #include "support/cli.hpp"
 
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 
@@ -128,21 +129,33 @@ const CliParser::Option& CliParser::find(const std::string& name,
   return it->second;
 }
 
+void CliParser::reject_int(const std::string& name, const std::string& lo,
+                           const std::string& hi) const {
+  throw InvalidArgument("option --" + name + " expects an integer in [" + lo +
+                        ", " + hi + "], got '" + options_.at(name).value +
+                        "'");
+}
+
 std::int64_t CliParser::get_int(const std::string& name) const {
   const Option& opt = find(name, Kind::kInt);
   char* end = nullptr;
+  errno = 0;
   const std::int64_t v = std::strtoll(opt.value.c_str(), &end, 10);
-  NADMM_CHECK(end != nullptr && *end == '\0',
-              "option --" + name + " expects an integer, got '" + opt.value + "'");
+  if (opt.value.empty() || *end != '\0' || errno == ERANGE) {
+    reject_int(name, std::to_string(std::numeric_limits<std::int64_t>::min()),
+               std::to_string(std::numeric_limits<std::int64_t>::max()));
+  }
   return v;
 }
 
 double CliParser::get_double(const std::string& name) const {
   const Option& opt = find(name, Kind::kDouble);
   char* end = nullptr;
+  errno = 0;
   const double v = std::strtod(opt.value.c_str(), &end);
-  NADMM_CHECK(end != nullptr && *end == '\0',
-              "option --" + name + " expects a number, got '" + opt.value + "'");
+  NADMM_CHECK(!opt.value.empty() && *end == '\0' && errno != ERANGE,
+              "option --" + name + " expects a number in double range, got '" +
+                  opt.value + "'");
   return v;
 }
 

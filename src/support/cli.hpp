@@ -1,4 +1,4 @@
-// Tiny command-line option parser used by the benches and examples.
+// Tiny command-line option parser used by the nadmm CLI, benches and examples.
 //
 // Supports `--name value`, `--name=value`, and boolean flags `--name`.
 // Every option must be registered with a default and a help string;
@@ -6,8 +6,10 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace nadmm {
@@ -31,8 +33,21 @@ class CliParser {
   /// false (caller should exit 0).
   bool parse(int argc, const char* const* argv);
 
+  /// Typed accessors. Empty or out-of-range text throws
+  /// nadmm::InvalidArgument naming the option and echoing its text.
   [[nodiscard]] std::int64_t get_int(const std::string& name) const;
   [[nodiscard]] double get_double(const std::string& name) const;
+  /// get_int narrowed to the field type T: a value T cannot hold throws
+  /// like get_int does instead of wrapping.
+  template <class T>
+  [[nodiscard]] T get_int_as(const std::string& name) const {
+    const std::int64_t v = get_int(name);
+    if (!std::in_range<T>(v)) {
+      reject_int(name, std::to_string(std::numeric_limits<T>::min()),
+                 std::to_string(std::numeric_limits<T>::max()));
+    }
+    return static_cast<T>(v);
+  }
   [[nodiscard]] const std::string& get_string(const std::string& name) const;
   [[nodiscard]] bool get_flag(const std::string& name) const;
 
@@ -52,6 +67,8 @@ class CliParser {
   };
 
   void print_help(const std::string& program) const;
+  [[noreturn]] void reject_int(const std::string& name, const std::string& lo,
+                               const std::string& hi) const;
   void insert(const std::string& name, Option opt);
   Option& find(const std::string& name, Kind kind);
   const Option& find(const std::string& name, Kind kind) const;

@@ -86,14 +86,6 @@ TEST(Dataset, ClassHistogramAndDensity) {
 
 // ------------------------------------------------------------ generators
 
-TEST(Generators, PaperTable1HasFourDatasets) {
-  const auto info = paper_table1();
-  ASSERT_EQ(info.size(), 4u);
-  EXPECT_EQ(info[0].name, "HIGGS");
-  EXPECT_EQ(info[0].classes, 2);
-  EXPECT_EQ(info[3].features, 27'998u);
-}
-
 TEST(Generators, BlobsShapeAndDeterminism) {
   auto a = make_blobs(200, 50, 10, 4, 3.0, 1.0, 99);
   auto b = make_blobs(200, 50, 10, 4, 3.0, 1.0, 99);
@@ -389,57 +381,6 @@ TEST(Partition, MakeShardedAccountsResidentBytes) {
   strided.mode = PartitionMode::kStrided;
   const auto sharded_strided = make_sharded(tt.train, &tt.test, strided);
   EXPECT_GT(sharded_strided.resident_bytes, tt.approx_bytes());
-}
-
-TEST(Partition, PlacementSingleNodeIsAllZeros) {
-  ShardPlan plan;
-  plan.parts = 6;
-  EXPECT_EQ(plan.placement(1), (std::vector<int>(6, 0)));
-  EXPECT_EQ(plan.placement(0), (std::vector<int>(6, 0)));
-  EXPECT_EQ(plan.placement(-3), (std::vector<int>(6, 0)));
-}
-
-TEST(Partition, PlacementSplitsUniformRanksEvenly) {
-  ShardPlan plan;
-  plan.parts = 4;
-  EXPECT_EQ(plan.placement(2), (std::vector<int>{0, 0, 1, 1}));
-  EXPECT_EQ(plan.placement(4), (std::vector<int>{0, 1, 2, 3}));
-  plan.parts = 5;
-  // 5 ranks over 2 nodes: the cursor only advances once the cumulative
-  // share reaches 1/2, which happens at rank 2 — node 0 takes the extra.
-  EXPECT_EQ(plan.placement(2), (std::vector<int>{0, 0, 0, 1, 1}));
-}
-
-TEST(Partition, PlacementFollowsWeightsAndStaysMonotonic) {
-  ShardPlan plan;
-  plan.parts = 4;
-  plan.mode = PartitionMode::kWeighted;
-  plan.weights = {0.7, 0.1, 0.1, 0.1};
-  // Rank 0 alone covers 70% of the weight — past node 0's half — so the
-  // remaining light ranks all land on node 1.
-  EXPECT_EQ(plan.placement(2), (std::vector<int>{0, 1, 1, 1}));
-  // Determinism: repeated calls agree.
-  EXPECT_EQ(plan.placement(2), plan.placement(2));
-  // More nodes than ranks: assignments stay monotonic and in range.
-  const auto spread = plan.placement(8);
-  ASSERT_EQ(spread.size(), 4u);
-  for (std::size_t r = 1; r < spread.size(); ++r) {
-    EXPECT_GE(spread[r], spread[r - 1]);
-    EXPECT_LT(spread[r], 8);
-  }
-}
-
-TEST(Partition, MakeShardedFillsNumaPlacementHint) {
-  auto tt = make_blobs(40, 0, 4, 3, 3.0, 1.0, 9);
-  ShardPlan plan;
-  plan.parts = 4;
-  const auto sharded = make_sharded(tt.train, nullptr, plan);
-  ASSERT_EQ(sharded.numa_node.size(), 4u);
-  // Whatever the host topology, hints are valid node indices and monotone.
-  for (std::size_t r = 0; r < sharded.numa_node.size(); ++r) {
-    EXPECT_GE(sharded.numa_node[r], 0);
-    if (r > 0) EXPECT_GE(sharded.numa_node[r], sharded.numa_node[r - 1]);
-  }
 }
 
 TEST(Dataset, ViewsComposeAndShareStorage) {

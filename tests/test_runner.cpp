@@ -257,5 +257,53 @@ TEST(OptionSpecs, SharedTablesStayConsistent) {
   EXPECT_FALSE(knob.description.empty());
 }
 
+/// Parse one `nadmm run` flag the way cmd_run does (validate, then
+/// build the config) and expect a rejection naming the flag and echoing
+/// the text the user gave.
+void expect_run_flag_rejected(const std::string& flag,
+                              const std::string& text) {
+  CliParser cli("test");
+  scenario_options().register_into(cli);
+  const std::string arg = "--" + flag + "=" + text;
+  const char* argv[] = {"prog", arg.c_str()};
+  ASSERT_TRUE(cli.parse(2, argv));
+  try {
+    scenario_options().validate(cli);
+    static_cast<void>(config_from_cli(cli));
+    FAIL() << arg << " was accepted";
+  } catch (const InvalidArgument& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("--" + flag), std::string::npos) << what;
+    EXPECT_NE(what.find("'" + text + "'"), std::string::npos) << what;
+  }
+}
+
+TEST(RunFlags, IterationsBeyondIntAreRejectedNotWrapped) {
+  expect_run_flag_rejected("iterations", "4294967297");
+}
+
+TEST(RunFlags, WorkersBeyondIntAreRejectedNotWrapped) {
+  expect_run_flag_rejected("workers", "4294967298");
+}
+
+TEST(RunFlags, EmptySeedIsRejected) { expect_run_flag_rejected("seed", ""); }
+
+TEST(RunFlags, SeedBeyondInt64IsRejectedNotClamped) {
+  expect_run_flag_rejected("seed", "99999999999999999999");
+}
+
+TEST(RunFlags, InRangeValuesReachTheConfig) {
+  CliParser cli("test");
+  scenario_options().register_into(cli);
+  const char* argv[] = {"prog", "--iterations=2147483647", "--workers=3",
+                        "--seed=9223372036854775807"};
+  ASSERT_TRUE(cli.parse(4, argv));
+  scenario_options().validate(cli);
+  const auto c = config_from_cli(cli);
+  EXPECT_EQ(c.iterations, 2147483647);
+  EXPECT_EQ(c.workers, 3);
+  EXPECT_EQ(c.seed, 9223372036854775807ull);
+}
+
 }  // namespace
 }  // namespace nadmm::runner

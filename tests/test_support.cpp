@@ -11,7 +11,6 @@
 #include "support/rng.hpp"
 #include "support/table.hpp"
 #include "support/timer.hpp"
-#include "support/topology.hpp"
 
 namespace nadmm {
 namespace {
@@ -162,6 +161,35 @@ TEST(Cli, MalformedIntThrowsOnAccess) {
   EXPECT_THROW(static_cast<void>(cli.get_int("count")), InvalidArgument);
 }
 
+TEST(Cli, EmptyAndOutOfRangeNumbersThrowOnAccess) {
+  CliParser cli("test");
+  cli.add_int("count", 5, "a count").add_int("big", 0, "b");
+  cli.add_double("rate", 0.5, "a rate");
+  const char* argv[] = {"prog", "--count=", "--big=99999999999999999999",
+                        "--rate=1e999"};
+  ASSERT_TRUE(cli.parse(4, argv));
+  EXPECT_THROW(static_cast<void>(cli.get_int("count")), InvalidArgument);
+  EXPECT_THROW(static_cast<void>(cli.get_int("big")), InvalidArgument);
+  EXPECT_THROW(static_cast<void>(cli.get_double("rate")), InvalidArgument);
+}
+
+TEST(Cli, GetIntAsRejectsValuesTheFieldCannotHold) {
+  CliParser cli("test");
+  cli.add_int("n", 0, "n").add_int("neg", 0, "neg");
+  const char* argv[] = {"prog", "--n=4294967297", "--neg=-1"};
+  ASSERT_TRUE(cli.parse(3, argv));
+  EXPECT_EQ(cli.get_int_as<std::int64_t>("n"), 4294967297);
+  EXPECT_THROW(static_cast<void>(cli.get_int_as<int>("n")), InvalidArgument);
+  EXPECT_EQ(cli.get_int_as<int>("neg"), -1);
+  try {
+    static_cast<void>(cli.get_int_as<std::uint64_t>("neg"));
+    FAIL() << "a negative value must not wrap into an unsigned field";
+  } catch (const InvalidArgument& e) {
+    EXPECT_NE(std::string(e.what()).find("--neg"), std::string::npos);
+    EXPECT_NE(std::string(e.what()).find("'-1'"), std::string::npos);
+  }
+}
+
 TEST(Cli, MissingValueThrows) {
   CliParser cli("test");
   cli.add_int("count", 5, "a count");
@@ -235,53 +263,6 @@ TEST(Csv, ArityMismatchThrows) {
 
 TEST(Csv, UnwritablePathThrows) {
   EXPECT_THROW(CsvWriter("/nonexistent-dir/x.csv", {"a"}), RuntimeError);
-}
-
-// ------------------------------------------------------------- topology
-
-using support::NumaNode;
-using support::Topology;
-using support::current_node;
-using support::parse_cpulist;
-
-TEST(Topology, ParseCpulistHandlesSysfsShapes) {
-  using V = std::vector<int>;
-  EXPECT_EQ(parse_cpulist("0-3,8,10-11\n"), (V{0, 1, 2, 3, 8, 10, 11}));
-  EXPECT_EQ(parse_cpulist("5"), (V{5}));
-  EXPECT_EQ(parse_cpulist("0-0"), (V{0}));
-  EXPECT_EQ(parse_cpulist(""), V{});
-  EXPECT_EQ(parse_cpulist("\n"), V{});
-  // Malformed pieces are skipped, valid ones kept — a probe never throws.
-  EXPECT_EQ(parse_cpulist("junk,2,x-y,4-6"), (V{2, 4, 5, 6}));
-  // Duplicates collapse.
-  EXPECT_EQ(parse_cpulist("1,1,0-2"), (V{0, 1, 2}));
-}
-
-TEST(Topology, DefaultAndProbeAlwaysYieldAtLeastOneNode) {
-  const Topology fallback;
-  EXPECT_EQ(fallback.node_count(), 1);
-  EXPECT_TRUE(fallback.single_node());
-  EXPECT_EQ(fallback.node_of_cpu(0), 0);
-  EXPECT_EQ(fallback.node_of_cpu(9999), 0);
-
-  const Topology probed = Topology::probe();
-  EXPECT_GE(probed.node_count(), 1);
-  EXPECT_EQ(Topology::system().node_count(), probed.node_count());
-  // current_node always lands on a real node id (0 on fallback).
-  const int node = current_node();
-  bool known = node == 0;
-  for (const NumaNode& n : probed.nodes()) known = known || n.id == node;
-  EXPECT_TRUE(known);
-}
-
-TEST(Topology, ExplicitNodesMapCpusToOwners) {
-  const Topology topo({NumaNode{0, {0, 1, 2, 3}}, NumaNode{1, {4, 5, 6, 7}}});
-  EXPECT_EQ(topo.node_count(), 2);
-  EXPECT_FALSE(topo.single_node());
-  EXPECT_EQ(topo.node_of_cpu(2), 0);
-  EXPECT_EQ(topo.node_of_cpu(6), 1);
-  EXPECT_EQ(topo.node_of_cpu(42), 0);  // unknown cpu → node 0
-  EXPECT_THROW(Topology(std::vector<NumaNode>{}), InvalidArgument);
 }
 
 // ---------------------------------------------------------------- timer

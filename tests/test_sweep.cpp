@@ -10,6 +10,7 @@
 #include <fstream>
 #include <iterator>
 #include <limits>
+#include <map>
 #include <set>
 #include <sstream>
 
@@ -141,6 +142,34 @@ TEST(SweepSpecParsing, BadSpecLineAndMissingFileThrow) {
   EXPECT_THROW(static_cast<void>(parse_sweep_file(path)), InvalidArgument);
   std::filesystem::remove(path);
   EXPECT_THROW(static_cast<void>(parse_sweep_file(path)), RuntimeError);
+}
+
+TEST(SweepSpecParsing, EveryCommittedSpecParsesAndExpands) {
+  // Scenario counts the specs' header comments state.
+  const std::map<std::string, std::size_t> stated = {
+      {"ablation_cg_budget", 1}, {"ablation_interconnect", 16},
+      {"async_grid", 18},        {"fig2_epoch_time", 32},
+      {"fig4_sgd", 8},           {"quick", 12},
+      {"serving_grid", 18},      {"solver_grid", 80},
+      {"trace_example", 2},
+  };
+  std::set<std::string> seen;
+  for (const auto& entry :
+       std::filesystem::directory_iterator(NADMM_SWEEPS_DIR)) {
+    if (entry.path().extension() != ".sweep") continue;
+    const std::string name = entry.path().stem().string();
+    SCOPED_TRACE(name);
+    const auto scenarios =
+        expand_scenarios(parse_sweep_file(entry.path().string()));
+    EXPECT_FALSE(scenarios.empty());
+    if (const auto it = stated.find(name); it != stated.end()) {
+      EXPECT_EQ(scenarios.size(), it->second);
+    }
+    seen.insert(name);
+  }
+  for (const auto& [name, count] : stated) {
+    EXPECT_EQ(seen.count(name), 1u) << name << ".sweep is missing";
+  }
 }
 
 // ------------------------------------------------------------ expansion

@@ -606,7 +606,8 @@ def build_report(figures, metadata, claims, results, artifacts):
         "- **Figure 2 network.** Strong scaling runs on ib100: at the "
         "committed sample counts the eth10/wan problems are latency-bound "
         "and epoch time *grows* with worker count (see "
-        "bench/bench_util.hpp), which would invert the paper's figure. "
+        "sweeps/fig2_epoch_time.sweep), which would invert the paper's "
+        "figure. "
         "Raising --scale moves the crossover back toward slower networks.")
     md.append(
         "- **Figure 1 budget.** InexactDANE/AIDE epochs are ~16× costlier "
