@@ -28,7 +28,6 @@
 #include "data/generators.hpp"
 #include "la/dense_matrix.hpp"
 #include "la/kernels.hpp"
-#include "la/simd.hpp"
 #include "la/sparse_matrix.hpp"
 #include "model/softmax.hpp"
 #include "support/rng.hpp"
@@ -308,34 +307,23 @@ void BM_HostPeak_Triad(benchmark::State& state) {
                           static_cast<std::int64_t>(2 * n));
 }
 
-// Unfused mul+add chains on the active SIMD backend: the compute peak an
-// engine kernel could reach under the bit-identity contract (the engine
+// Unfused mul+add chains on the dispatched engine rung: the compute peak
+// an engine kernel could reach under the bit-identity contract (the engine
 // never emits FMA, so neither does the probe — -ffp-contract=off keeps
 // the compiler from fusing these).
 void BM_HostPeak_Fma(benchmark::State& state) {
-  using V = la::simd::Active;
-  constexpr std::size_t kChains = 8;
+  const la::kernels::Rung& rung = la::kernels::active_rung();
   constexpr std::size_t kSteps = 4096;
-  V acc[kChains];
-  double seed_vals[V::width];
-  for (std::size_t l = 0; l < V::width; ++l) {
-    seed_vals[l] = 1.0 + 1e-9 * static_cast<double>(l);
-  }
-  const V m = V::broadcast(1.0 + 1e-12);
-  const V add = V::broadcast(1e-12);
-  for (auto& v : acc) v = V::load(seed_vals);
+  // The probe sits behind a function pointer in another object, so its
+  // seed cannot be folded into the chains.
   for (auto _ : state) {
-    for (std::size_t s = 0; s < kSteps; ++s) {
-      for (auto& v : acc) v = v * m + add;
-    }
-    double sink[V::width];
-    acc[0].store(sink);
-    benchmark::DoNotOptimize(sink[0]);
+    benchmark::DoNotOptimize(rung.peak_probe(1.0, kSteps));
   }
   // 2 flops (mul + add) per lane per chain step.
   state.SetItemsProcessed(
       static_cast<std::int64_t>(state.iterations()) *
-      static_cast<std::int64_t>(2 * V::width * kChains * kSteps));
+      static_cast<std::int64_t>(2 * rung.lanes * la::kernels::kProbeChains *
+                                kSteps));
 }
 
 // clang-format off
@@ -363,7 +351,7 @@ BENCHMARK(BM_HostPeak_Fma)->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 
-// Custom main so every bench JSON records which dispatch rung it ran on —
+// Custom main so every bench JSON records which engine rung it ran on —
 // perf_smoke baselines from different ISAs should not be compared blindly.
 int main(int argc, char** argv) {
   benchmark::AddCustomContext("nadmm_isa", nadmm::la::kernels::active_isa());

@@ -1,0 +1,125 @@
+// The kernel engine's rung interface.
+//
+// la/engine.cpp is compiled once per SIMD rung, each time with its own ISA
+// flags and into its own namespace (CMakeLists.txt, nadmm_add_rung):
+//
+//   kernels::scalar   1 lane      every target; the parity oracle
+//   kernels::sse2     2 lanes     x86-64 baseline
+//   kernels::avx2     4 lanes     -mavx2
+//   kernels::avx512   8 lanes     -mavx512f -mavx512dq -mavx512vl -mavx512bw
+//
+// Each compilation exports exactly one function, <rung>::rung(), returning
+// its table. la/kernels.cpp validates shapes, handles empty operands and
+// picks the strategy, then calls through the widest table the CPU can run.
+//
+// Only plain data crosses this boundary — raw pointers and sizes, no class
+// members and no std templates. An inline function a rung object emitted
+// out of line would be a weak symbol the linker may keep for every caller,
+// so a copy compiled for AVX-512 could run on a CPU without it;
+// tests/test_rung_symbols.py checks that no rung object defines a global
+// or weak symbol outside its own namespace.
+#pragma once
+
+#include <cstddef>
+#include <cstdint>
+
+namespace nadmm::la::kernels {
+
+/// Shared parallelism threshold: below this many flops an OpenMP region
+/// costs more than it saves (SGD minibatches, SVRG inner steps stay
+/// serial). Every la kernel — engine, gemv, spmm — gates on this one
+/// constant.
+inline constexpr std::size_t kParallelFlops = 1 << 17;
+
+/// Row-count analogue of kParallelFlops for cheap per-sample panel
+/// sweeps (softmax forward/gradient/Hessian loops).
+inline constexpr std::size_t kParallelRows = 1 << 14;
+
+/// Row-major dense operand: rows × cols at p, leading dimension cols.
+struct DenseArg {
+  const double* p;
+  std::size_t rows;
+  std::size_t cols;
+};
+
+/// Row-major dense output.
+struct DenseOut {
+  double* p;
+  std::size_t rows;
+  std::size_t cols;
+};
+
+/// CSR rows of a (shard) view: row_ptr holds rows + 1 absolute offsets
+/// into the parent's col_idx / values arrays.
+struct CsrArg {
+  const std::int64_t* row_ptr;
+  const std::int64_t* col_idx;
+  const double* values;
+  std::size_t rows;
+  std::size_t nnz;
+};
+
+/// The parent matrix's cached CSC (cols + 1 column pointers over `entries`
+/// entries) and the view's window [row_lo, row_hi) of parent rows, which
+/// holds `nnz` of them. covers_parent: the window is every parent row.
+struct CscArg {
+  const std::int64_t* col_ptr;
+  const std::int32_t* row_idx;
+  const double* values;
+  std::size_t cols;
+  std::size_t entries;
+  std::size_t nnz;
+  std::int32_t row_lo;
+  std::int32_t row_hi;
+  bool covers_parent;
+};
+
+/// Independent mul+add chains the host-peak probe keeps in flight.
+inline constexpr std::size_t kProbeChains = 8;
+
+/// One compilation of the engine. Operands are non-empty: la/kernels.cpp
+/// returns early (or only scales the output) when any extent is zero.
+struct Rung {
+  const char* name;
+  std::size_t lanes;
+  /// C = alpha·A·B + beta·C.
+  void (*gemm_nn)(double alpha, DenseArg a, DenseArg b, double beta,
+                  DenseOut c);
+  /// C = alpha·Aᵀ·B + beta·C, two-phase reduction.
+  void (*gemm_tn)(double alpha, DenseArg a, DenseArg b, double beta,
+                  DenseOut c);
+  /// y = alpha·Aᵀ·x + beta·y, two-phase reduction.
+  void (*gemv_t)(double alpha, DenseArg a, const double* x, double beta,
+                 double* y);
+  /// C = alpha·A·B + beta·C over CSR rows (m = a.rows).
+  void (*spmm_nn)(double alpha, CsrArg a, DenseArg b, double beta,
+                  DenseOut c);
+  /// C = alpha·Aᵀ·B + beta·C, two-phase dense reduction (narrow outputs).
+  void (*spmm_tn)(double alpha, CsrArg a, DenseArg b, double beta,
+                  DenseOut c);
+  /// C = alpha·Aᵀ·B + beta·C, gather over the parent's CSC (wide outputs).
+  void (*spmm_tn_gather)(double alpha, CscArg a, DenseArg b, double beta,
+                         DenseOut c);
+  /// Fused softmax forward; returns the summed cross-entropy loss.
+  double (*softmax_forward)(DenseArg scores, const std::int32_t* labels,
+                            DenseOut probs, double* lse);
+  /// Host-peak probe: kProbeChains chains of `steps` unfused mul+add
+  /// steps on this rung's vectors (2·lanes·kProbeChains flops per step),
+  /// seeded from `x` so nothing folds at compile time.
+  double (*peak_probe)(double x, std::size_t steps);
+};
+
+namespace scalar {
+const Rung& rung();
+}
+namespace sse2 {
+const Rung& rung();
+}
+namespace avx2 {
+const Rung& rung();
+}
+namespace avx512 {
+const Rung& rung();
+}
+
+}  // namespace nadmm::la::kernels

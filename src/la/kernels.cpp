@@ -6,10 +6,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <new>
 #include <vector>
 
-#include "la/simd.hpp"
 #include "la/vector_ops.hpp"
 #include "support/check.hpp"
 
@@ -17,70 +15,13 @@ namespace nadmm::la::kernels {
 
 namespace {
 
-// Microkernel tile: MR rows of A against an NR-wide packed strip of B.
-constexpr std::size_t kMR = 4;
-constexpr std::size_t kNR = 8;
+DenseArg arg(DenseView v) { return {v.data().data(), v.rows(), v.cols()}; }
 
-// How many CSC entries ahead of the gather cursor to prefetch the B row
-// for. The gather's access pattern (row_idx-indexed rows of B) is the one
-// the hardware prefetcher cannot predict; 8 entries ≈ one column's worth
-// on the E18 shapes, far enough to cover a memory latency at the gather's
-// per-entry cost.
-constexpr std::int64_t kPrefetchAhead = 8;
+DenseOut out(DenseMatrix& m) { return {m.data().data(), m.rows(), m.cols()}; }
 
-int max_team(bool parallel) {
-#ifdef _OPENMP
-  return parallel ? std::max(1, omp_get_max_threads()) : 1;
-#else
-  static_cast<void>(parallel);
-  return 1;
-#endif
-}
-
-int team_size() {
-#ifdef _OPENMP
-  return omp_get_num_threads();
-#else
-  return 1;
-#endif
-}
-
-int thread_id() {
-#ifdef _OPENMP
-  return omp_get_thread_num();
-#else
-  return 0;
-#endif
-}
-
-struct Range {
-  std::size_t lo;
-  std::size_t hi;
-};
-
-/// Static slice t of `count` elements among `team` threads. Depends only
-/// on (count, t, team) — this is what makes both reduction phases
-/// deterministic for a fixed thread count.
-Range slice(std::size_t count, int t, int team) {
-  const auto tt = static_cast<std::size_t>(t);
-  const auto tm = static_cast<std::size_t>(team);
-  return {count * tt / tm, count * (tt + 1) / tm};
-}
-
-/// Fold phase 2 of a two-phase reduction: partials 1..team−1 are added
-/// into partial 0 (fixed thread order), then the slice [lo, hi) of the
-/// output is combined as C = beta·C + alpha·acc. Every element of the
-/// output is written by exactly one thread.
-template <class V>
-void fold_partials(double alpha, double beta, double* out, double* ws,
-                   std::size_t stride, int team, std::size_t lo,
-                   std::size_t hi) {
-  double* acc = ws;
-  for (int r = 1; r < team; ++r) {
-    const double* src = ws + static_cast<std::size_t>(r) * stride;
-    simd::add_inplace<V>(acc + lo, src + lo, hi - lo);
-  }
-  simd::combine<V>(alpha, beta, out + lo, acc + lo, hi - lo);
+CsrArg arg(const CsrView& a) {
+  return {a.row_ptr().data(), a.col_idx().data(), a.values().data(), a.rows(),
+          a.nnz()};
 }
 
 /// In-place C = beta·C for the degenerate k = 0 case.
@@ -92,710 +33,135 @@ void scale_output(double beta, std::span<double> c) {
   }
 }
 
-/// Grow-only, 64-byte-aligned, *uninitialized* per-thread buffer backing
-/// the packed panels and reduction workspaces. The kernels run every CG
-/// iteration, so steady-state calls must never touch the allocator; the
-/// allocation deliberately leaves pages untouched, which is the NUMA
-/// first-touch half of the contract: each team thread zero-fills only
-/// its own partial slice inside the parallel region, so on multi-socket
-/// hosts a partial's pages land on the node of the thread that folds
-/// them rather than wherever the calling thread happened to run.
-class AlignedBuffer {
- public:
-  AlignedBuffer() = default;
-  AlignedBuffer(const AlignedBuffer&) = delete;
-  AlignedBuffer& operator=(const AlignedBuffer&) = delete;
-  ~AlignedBuffer() { release(); }
-
-  double* ensure(std::size_t elems) {
-    if (cap_ < elems) {
-      release();
-      data_ = static_cast<double*>(
-          ::operator new(elems * sizeof(double), std::align_val_t{64}));
-      cap_ = elems;
-    }
-    return data_;
-  }
-
- private:
-  void release() {
-    if (data_ != nullptr) ::operator delete(data_, std::align_val_t{64});
-    data_ = nullptr;
-    cap_ = 0;
-  }
-
-  double* data_ = nullptr;
-  std::size_t cap_ = 0;
-};
-
-// ------------------------------------------------------------- gemm_nn
-
-/// Pack B (k×n row-major) into zero-padded kNR-wide strips: the
-/// microkernel then reads one contiguous cache line per k step regardless
-/// of n, and never needs a column-tail branch in its inner loop. The
-/// panel lives in a grow-only per-thread buffer (this runs every CG
-/// iteration — see reduction_workspace below for the rationale); only
-/// the tail strip's padding columns are zeroed, full strips are fully
-/// overwritten. Strips start 64-byte aligned (k·kNR doubles apart from
-/// an aligned base).
-double* pack_b(const double* pb, std::size_t k, std::size_t n,
-               std::size_t nstrips) {
-  static thread_local AlignedBuffer panel;
-  double* bp = panel.ensure(nstrips * k * kNR);
-  for (std::size_t s = 0; s < nstrips; ++s) {
-    const std::size_t j0 = s * kNR;
-    const std::size_t w = std::min(kNR, n - j0);
-    double* dst = bp + s * k * kNR;
-    for (std::size_t kk = 0; kk < k; ++kk) {
-      const double* src = pb + kk * n + j0;
-      for (std::size_t jj = 0; jj < w; ++jj) dst[kk * kNR + jj] = src[jj];
-      for (std::size_t jj = w; jj < kNR; ++jj) dst[kk * kNR + jj] = 0.0;
-    }
-  }
-  return bp;
+/// Threads a parallel region of the engine would use (1 when serial).
+int max_team(bool parallel) {
+#ifdef _OPENMP
+  return parallel ? std::max(1, omp_get_max_threads()) : 1;
+#else
+  static_cast<void>(parallel);
+  return 1;
+#endif
 }
 
-/// MR×W register tile against a packed strip: MR·W accumulators live in
-/// registers across the whole k loop (compile-time bounds, __restrict so
-/// nothing is spilled for aliasing), C is touched exactly once per tile,
-/// and tail strips instantiate their true width — no padded flops and no
-/// per-element zero branch. This scalar form handles tail strips on every
-/// backend (same per-element accumulation order as the vector form).
-template <std::size_t MR, std::size_t W>
-inline void micro_nn(const double* __restrict pa, std::size_t lda,
-                     const double* __restrict bp, std::size_t k, double alpha,
-                     double beta, double* __restrict pc, std::size_t ldc) {
-  double acc[MR][W] = {};
-  for (std::size_t kk = 0; kk < k; ++kk) {
-    const double* __restrict b = bp + kk * kNR;
-    for (std::size_t r = 0; r < MR; ++r) {
-      const double v = pa[r * lda + kk];
-      for (std::size_t j = 0; j < W; ++j) acc[r][j] += v * b[j];
-    }
+/// Every compiled rung this CPU can run, narrowest first. The x86 rungs
+/// are compiled with the -m flags named in CMakeLists.txt (nadmm_add_rung);
+/// the CPU must report each of those features for the rung to qualify.
+std::vector<const Rung*> probe_ladder() {
+  std::vector<const Rung*> rungs{&scalar::rung()};
+#ifdef NADMM_X86_RUNGS
+  __builtin_cpu_init();
+  rungs.push_back(&sse2::rung());
+  if (__builtin_cpu_supports("avx2")) rungs.push_back(&avx2::rung());
+  if (__builtin_cpu_supports("avx512f") && __builtin_cpu_supports("avx512dq") &&
+      __builtin_cpu_supports("avx512vl") && __builtin_cpu_supports("avx512bw")) {
+    rungs.push_back(&avx512::rung());
   }
-  for (std::size_t r = 0; r < MR; ++r) {
-    double* __restrict crow = pc + r * ldc;
-    if (beta == 0.0) {
-      for (std::size_t j = 0; j < W; ++j) crow[j] = alpha * acc[r][j];
-    } else if (beta == 1.0) {
-      for (std::size_t j = 0; j < W; ++j) crow[j] += alpha * acc[r][j];
-    } else {
-      for (std::size_t j = 0; j < W; ++j) {
-        crow[j] = beta * crow[j] + alpha * acc[r][j];
-      }
-    }
-  }
-}
-
-template <std::size_t MR>
-inline void micro_nn_w(std::size_t w, const double* pa, std::size_t lda,
-                       const double* bp, std::size_t k, double alpha,
-                       double beta, double* pc, std::size_t ldc) {
-  switch (w) {
-    case 1: micro_nn<MR, 1>(pa, lda, bp, k, alpha, beta, pc, ldc); break;
-    case 2: micro_nn<MR, 2>(pa, lda, bp, k, alpha, beta, pc, ldc); break;
-    case 3: micro_nn<MR, 3>(pa, lda, bp, k, alpha, beta, pc, ldc); break;
-    case 4: micro_nn<MR, 4>(pa, lda, bp, k, alpha, beta, pc, ldc); break;
-    case 5: micro_nn<MR, 5>(pa, lda, bp, k, alpha, beta, pc, ldc); break;
-    case 6: micro_nn<MR, 6>(pa, lda, bp, k, alpha, beta, pc, ldc); break;
-    case 7: micro_nn<MR, 7>(pa, lda, bp, k, alpha, beta, pc, ldc); break;
-    default: micro_nn<MR, 8>(pa, lda, bp, k, alpha, beta, pc, ldc); break;
-  }
-}
-
-inline void micro_nn_dispatch(std::size_t mr, std::size_t w, const double* pa,
-                              std::size_t lda, const double* bp, std::size_t k,
-                              double alpha, double beta, double* pc,
-                              std::size_t ldc) {
-  switch (mr) {
-    case 1: micro_nn_w<1>(w, pa, lda, bp, k, alpha, beta, pc, ldc); break;
-    case 2: micro_nn_w<2>(w, pa, lda, bp, k, alpha, beta, pc, ldc); break;
-    case 3: micro_nn_w<3>(w, pa, lda, bp, k, alpha, beta, pc, ldc); break;
-    default: micro_nn_w<4>(w, pa, lda, bp, k, alpha, beta, pc, ldc); break;
-  }
-}
-
-/// Full-width strip microkernel on the SIMD backend: the kNR columns are
-/// kNR / V::width vector accumulators of independent chains per row, so
-/// each C element accumulates in exactly the same order as the scalar
-/// micro_nn<MR, kNR> — the backends differ only in how many independent
-/// chains advance per instruction. Epilogue uses the same beta 0/1/other
-/// expression trees. Register budget at kMR = 4: AVX-512 holds 4 acc +
-/// B + broadcast in 6 of 32 zmm; AVX2 8 + 2 + 1 of 16 ymm.
-template <class V, std::size_t MR>
-inline void micro_nn_full(const double* __restrict pa, std::size_t lda,
-                          const double* __restrict bp, std::size_t k,
-                          double alpha, double beta, double* __restrict pc,
-                          std::size_t ldc) {
-  static_assert(kNR % V::width == 0, "strip width must be a lane multiple");
-  constexpr std::size_t NV = kNR / V::width;
-  V acc[MR][NV];
-  for (std::size_t r = 0; r < MR; ++r) {
-    for (std::size_t j = 0; j < NV; ++j) acc[r][j] = V::zero();
-  }
-  for (std::size_t kk = 0; kk < k; ++kk) {
-    const double* __restrict b = bp + kk * kNR;
-    V bv[NV];
-    for (std::size_t j = 0; j < NV; ++j) bv[j] = V::load(b + j * V::width);
-    for (std::size_t r = 0; r < MR; ++r) {
-      const V av = V::broadcast(pa[r * lda + kk]);
-      for (std::size_t j = 0; j < NV; ++j) {
-        acc[r][j] = acc[r][j] + av * bv[j];
-      }
-    }
-  }
-  const V alphav = V::broadcast(alpha);
-  for (std::size_t r = 0; r < MR; ++r) {
-    double* __restrict crow = pc + r * ldc;
-    if (beta == 0.0) {
-      for (std::size_t j = 0; j < NV; ++j) {
-        (alphav * acc[r][j]).store(crow + j * V::width);
-      }
-    } else if (beta == 1.0) {
-      for (std::size_t j = 0; j < NV; ++j) {
-        (V::load(crow + j * V::width) + alphav * acc[r][j])
-            .store(crow + j * V::width);
-      }
-    } else {
-      const V betav = V::broadcast(beta);
-      for (std::size_t j = 0; j < NV; ++j) {
-        (betav * V::load(crow + j * V::width) + alphav * acc[r][j])
-            .store(crow + j * V::width);
-      }
-    }
-  }
-}
-
-template <class V>
-inline void micro_nn_full_mr(std::size_t mr, const double* pa, std::size_t lda,
-                             const double* bp, std::size_t k, double alpha,
-                             double beta, double* pc, std::size_t ldc) {
-  switch (mr) {
-    case 1: micro_nn_full<V, 1>(pa, lda, bp, k, alpha, beta, pc, ldc); break;
-    case 2: micro_nn_full<V, 2>(pa, lda, bp, k, alpha, beta, pc, ldc); break;
-    case 3: micro_nn_full<V, 3>(pa, lda, bp, k, alpha, beta, pc, ldc); break;
-    default: micro_nn_full<V, 4>(pa, lda, bp, k, alpha, beta, pc, ldc); break;
-  }
-}
-
-// ------------------------------------------------------------- gemm_tn
-
-/// Reusable per-calling-thread reduction workspace: the two-phase
-/// kernels run every CG iteration, and a fresh large allocation per call
-/// means fresh page faults per call. Grow-only and uninitialized — each
-/// team thread first-touches its own partial slice (see AlignedBuffer).
-double* reduction_workspace(std::size_t elems) {
-  static thread_local AlignedBuffer ws;
-  return ws.ensure(elems);
-}
-
-/// Phase-1 block: fold U samples starting at row `i` into the local m×n
-/// partial in one pass over the panel — U× less accumulator traffic than
-/// the seed's one-sample loop, contiguous streaming loads of A and B,
-/// and no per-element zero branch. U is a compile-time constant so the
-/// inner sums fully unroll; the class dimension advances V::width
-/// independent output elements per step (the per-element sum over u is
-/// the same tree on every backend).
-template <class V, std::size_t U>
-inline void tn_block(const double* __restrict pa, const double* __restrict pb,
-                     std::size_t m, std::size_t n, std::size_t i,
-                     double* __restrict local) {
-  const double* a[U];
-  const double* b[U];
-  for (std::size_t u = 0; u < U; ++u) {
-    a[u] = pa + (i + u) * m;
-    b[u] = pb + (i + u) * n;
-  }
-  for (std::size_t j = 0; j < m; ++j) {
-    double x[U];
-    for (std::size_t u = 0; u < U; ++u) x[u] = a[u][j];
-    V xv[U];
-    for (std::size_t u = 0; u < U; ++u) xv[u] = V::broadcast(x[u]);
-    double* __restrict lrow = local + j * n;
-    std::size_t t = 0;
-    for (; t + V::width <= n; t += V::width) {
-      V s = V::zero();
-      for (std::size_t u = 0; u < U; ++u) s = s + xv[u] * V::load(b[u] + t);
-      (V::load(lrow + t) + s).store(lrow + t);
-    }
-    for (; t < n; ++t) {
-      double s = 0.0;
-      for (std::size_t u = 0; u < U; ++u) s += x[u] * b[u][t];
-      lrow[t] += s;
-    }
-  }
-}
-
-/// Phase-1 core: accumulate Aᵀ·B for the sample range [i0, i1) into
-/// `local` (m×n, pre-zeroed), 8 samples per pass with 4/2/1 tails.
-template <class V>
-void accumulate_tn(const double* pa, const double* pb, std::size_t m,
-                   std::size_t n, std::size_t i0, std::size_t i1,
-                   double* local) {
-  std::size_t i = i0;
-  for (; i + 8 <= i1; i += 8) tn_block<V, 8>(pa, pb, m, n, i, local);
-  for (; i + 4 <= i1; i += 4) tn_block<V, 4>(pa, pb, m, n, i, local);
-  for (; i + 2 <= i1; i += 2) tn_block<V, 2>(pa, pb, m, n, i, local);
-  for (; i < i1; ++i) tn_block<V, 1>(pa, pb, m, n, i, local);
-}
-
-/// Phase-1 core for gemv_t: y-panel is a single column.
-template <class V>
-void accumulate_tv(const double* __restrict pa, const double* __restrict x,
-                   std::size_t m, std::size_t i0, std::size_t i1,
-                   double* __restrict local) {
-  std::size_t i = i0;
-  for (; i + 4 <= i1; i += 4) {
-    const double* a0 = pa + i * m;
-    const double* a1 = a0 + m;
-    const double* a2 = a1 + m;
-    const double* a3 = a2 + m;
-    const double x0 = x[i];
-    const double x1 = x[i + 1];
-    const double x2 = x[i + 2];
-    const double x3 = x[i + 3];
-    const V x0v = V::broadcast(x0);
-    const V x1v = V::broadcast(x1);
-    const V x2v = V::broadcast(x2);
-    const V x3v = V::broadcast(x3);
-    std::size_t j = 0;
-    for (; j + V::width <= m; j += V::width) {
-      V s = x0v * V::load(a0 + j) + x1v * V::load(a1 + j);
-      s = s + x2v * V::load(a2 + j);
-      s = s + x3v * V::load(a3 + j);
-      (V::load(local + j) + s).store(local + j);
-    }
-    for (; j < m; ++j) {
-      local[j] += x0 * a0[j] + x1 * a1[j] + x2 * a2[j] + x3 * a3[j];
-    }
-  }
-  for (; i < i1; ++i) {
-    simd::axpy<V>(x[i], pa + i * m, local, m);
-  }
-}
-
-/// Row boundary for thread t when partitioning CSR rows by nonzero count:
-/// the first row whose prefix nnz reaches t/team of the total. Depends
-/// only on (row_ptr, t, team) — deterministic and balanced for skewed
-/// shards where equal row counts would not be. `rp` may carry a shard
-/// view's absolute offsets (rp.front() != 0); the target is relative to
-/// that base, so a view and a copied shard partition identically.
-std::size_t nnz_boundary(std::span<const std::int64_t> rp, std::int64_t nnz,
-                         int t, int team) {
-  const std::int64_t target =
-      rp.front() +
-      nnz * static_cast<std::int64_t>(t) / static_cast<std::int64_t>(team);
-  const auto it = std::lower_bound(rp.begin(), rp.end(), target);
-  return static_cast<std::size_t>(it - rp.begin());
-}
-
-/// Wide-output spmm_tn: gather over the parent matrix's cached transposed
-/// (CSC) view — every output row is computed independently from its
-/// column's entries in ascending sample order. No per-thread dense
-/// partials at all, so reduction work scales with nnz instead of
-/// team × cols × n, and the summation order per output element is fixed —
-/// the result is bit-identical for ANY thread count. The CSC view is
-/// built once per parent matrix (CsrMatrix::transposed()) and is shared
-/// by every shard view of it, so the build amortizes across all ranks'
-/// CG iterations. The entry loop software-prefetches the B row
-/// kPrefetchAhead entries ahead: row_idx-indexed loads are the one
-/// pattern the hardware prefetcher cannot cover, and the cursor runs
-/// contiguously through the entry arrays so the lookahead index is
-/// always in cache already.
-template <class V>
-void spmm_tn_transpose(double alpha, const CsrView& a, const DenseMatrix& b,
-                       double beta, DenseMatrix& c,
-                       [[maybe_unused]] bool parallel) {
-  const std::size_t m = a.cols(), n = b.cols();
-  const CsrTransposed& tv = a.parent()->transposed();
-  const std::int64_t* colptr = tv.col_ptr.data();
-  const std::int32_t* trows = tv.row_idx.data();
-  const double* tvals = tv.values.data();
-  const double* pb = b.data().data();
-  double* pc = c.data().data();
-  const auto elim = static_cast<std::int64_t>(tv.values.size());
-
-  if (a.covers_parent()) {
-    const auto nnz = static_cast<std::int64_t>(a.nnz());
-#pragma omp parallel if (parallel)
-    {
-      const int team = team_size();
-      const int t = thread_id();
-      // Independent per-output-row gathers, balanced by entry count; the
-      // boundaries depend only on (col_ptr, team), so the tiling is
-      // deterministic and covers exactly [0, jstar).
-      const std::span<const std::int64_t> cp(colptr, m + 1);
-      const std::size_t j0 = nnz_boundary(cp, nnz, t, team);
-      const std::size_t j1 = nnz_boundary(cp, nnz, t + 1, team);
-      for (std::size_t j = j0; j < j1; ++j) {
-        double* crow = pc + j * n;
-        if (beta == 0.0) {
-          std::fill(crow, crow + n, 0.0);
-        } else if (beta != 1.0) {
-          simd::scale<V>(beta, crow, n);
-        }
-        for (std::int64_t e = colptr[j]; e < colptr[j + 1]; ++e) {
-          if (e + kPrefetchAhead < elim) {
-            simd::prefetch(
-                pb + static_cast<std::size_t>(trows[e + kPrefetchAhead]) * n);
-          }
-          const double v = alpha * tvals[e];
-          const double* brow = pb + static_cast<std::size_t>(trows[e]) * n;
-          simd::axpy<V>(v, brow, crow, n);
-        }
-      }
-      // jstar is the first column at which the prefix reaches nnz;
-      // trailing empty columns still need their beta scaling.
-      const std::size_t jstar = nnz_boundary(cp, nnz, team, team);
-      const Range jz = slice(m - jstar, t, team);
-      for (std::size_t j = jstar + jz.lo; j < jstar + jz.hi; ++j) {
-        double* crow = pc + j * n;
-        if (beta == 0.0) {
-          std::fill(crow, crow + n, 0.0);
-        } else if (beta != 1.0) {
-          simd::scale<V>(beta, crow, n);
-        }
-      }
-    }
-    return;
-  }
-
-  // Shard view: restrict every column of the shared CSC to the view's
-  // parent-row range. Rows ascend within a column, so the range is one
-  // binary-searched subrange per column — the gather then visits exactly
-  // the shard's entries in the same ascending order a copied shard's own
-  // CSC would, so the result is bit-identical to the copy (and to any
-  // thread count; columns are statically sliced, every output row is
-  // written by exactly one thread).
-  const auto lo_row = static_cast<std::int32_t>(a.row_begin());
-  const auto hi_row = static_cast<std::int32_t>(a.row_begin() + a.rows());
-#pragma omp parallel if (parallel)
-  {
-    const int team = team_size();
-    const int t = thread_id();
-    const Range jr = slice(m, t, team);
-    for (std::size_t j = jr.lo; j < jr.hi; ++j) {
-      double* crow = pc + j * n;
-      if (beta == 0.0) {
-        std::fill(crow, crow + n, 0.0);
-      } else if (beta != 1.0) {
-        simd::scale<V>(beta, crow, n);
-      }
-      const std::int32_t* cb = trows + colptr[j];
-      const std::int32_t* ce = trows + colptr[j + 1];
-      const auto e0 = colptr[j] + (std::lower_bound(cb, ce, lo_row) - cb);
-      const auto e1 = colptr[j] + (std::lower_bound(cb, ce, hi_row) - cb);
-      for (std::int64_t e = e0; e < e1; ++e) {
-        if (e + kPrefetchAhead < elim) {
-          simd::prefetch(
-              pb + static_cast<std::size_t>(trows[e + kPrefetchAhead]) * n);
-        }
-        const double v = alpha * tvals[e];
-        const double* brow =
-            pb + static_cast<std::size_t>(trows[e] - lo_row) * n;
-        simd::axpy<V>(v, brow, crow, n);
-      }
-    }
-  }
-}
-
-// ------------------------------------------------------------- softmax
-
-/// One fused sweep over a score row: running max and running exp-sum are
-/// maintained together (stored exponentials are rescaled on the rare max
-/// update), so each score is exponentiated exactly once; a second short
-/// sweep normalizes. The implicit class contributes score 0 (m starts at
-/// 0, alpha at e⁰ = 1), matching the paper's eq. (9)-(10) stabilization.
-/// The running sweep is a true recurrence and stays scalar; the rescale
-/// and normalize sweeps scale independent elements and use the backend.
-template <class V>
-double softmax_row(const double* s, double* p, std::size_t c,
-                   std::int32_t label, double& lse_out) {
-  double m = 0.0;
-  double alpha = 1.0;
-  for (std::size_t j = 0; j < c; ++j) {
-    const double v = s[j];
-    if (v <= m) {
-      const double e = std::exp(v - m);
-      p[j] = e;
-      alpha += e;
-    } else {
-      const double rescale = std::exp(m - v);
-      simd::scale<V>(rescale, p, j);
-      alpha = alpha * rescale + 1.0;
-      p[j] = 1.0;
-      m = v;
-    }
-  }
-  const double inv_alpha = 1.0 / alpha;
-  simd::scale<V>(inv_alpha, p, c);
-  lse_out = m + std::log(alpha);
-  const auto y = static_cast<std::size_t>(label);
-  return lse_out - (y < c ? s[y] : 0.0);
-}
-
-// ===========================================================================
-// Engine kernels, templated on the SIMD backend. The public kernels
-// instantiate simd::Active; kernels::scalar instantiates simd::Scalar as
-// the parity oracle. Identical blocking, partitioning and fold order —
-// only the number of independent chains per instruction differs.
-// ===========================================================================
-
-template <class V>
-void engine_gemm_nn(double alpha, DenseView a, const DenseMatrix& b,
-                    double beta, DenseMatrix& c) {
-  NADMM_CHECK(a.cols() == b.rows(), "gemm_nn: inner dimension mismatch");
-  NADMM_CHECK(c.rows() == a.rows() && c.cols() == b.cols(),
-              "gemm_nn: output shape mismatch");
-  const std::size_t m = a.rows(), k = a.cols(), n = b.cols();
-  if (m == 0 || n == 0) return;
-  const double* pa = a.data().data();
-  double* pc = c.data().data();
-
-  const std::size_t nstrips = (n + kNR - 1) / kNR;
-  const double* bp = pack_b(b.data().data(), k, n, nstrips);
-
-  const std::size_t ntiles = (m + kMR - 1) / kMR;
-  [[maybe_unused]] const bool parallel = 2 * m * k * n >= kParallelFlops;
-#pragma omp parallel for schedule(static) if (parallel)
-  for (std::ptrdiff_t it = 0; it < static_cast<std::ptrdiff_t>(ntiles); ++it) {
-    const std::size_t i = static_cast<std::size_t>(it) * kMR;
-    const std::size_t mr = std::min(kMR, m - i);
-    for (std::size_t s = 0; s < nstrips; ++s) {
-      const std::size_t j0 = s * kNR;
-      const std::size_t w = std::min(kNR, n - j0);
-      if (w == kNR) {
-        micro_nn_full_mr<V>(mr, pa + i * k, k, bp + s * k * kNR, k,
-                            alpha, beta, pc + i * n + j0, n);
-      } else {
-        micro_nn_dispatch(mr, w, pa + i * k, k, bp + s * k * kNR, k,
-                          alpha, beta, pc + i * n + j0, n);
-      }
-    }
-  }
-}
-
-template <class V>
-void engine_gemm_tn(double alpha, DenseView a, const DenseMatrix& b,
-                    double beta, DenseMatrix& c) {
-  NADMM_CHECK(a.rows() == b.rows(), "gemm_tn: inner dimension mismatch");
-  NADMM_CHECK(c.rows() == a.cols() && c.cols() == b.cols(),
-              "gemm_tn: output shape mismatch");
-  const std::size_t k = a.rows();  // samples
-  const std::size_t m = a.cols();  // features
-  const std::size_t n = b.cols();  // classes
-  const std::size_t mn = m * n;
-  if (mn == 0) return;
-  if (k == 0) {
-    scale_output(beta, c.data());
-    return;
-  }
-  const double* pa = a.data().data();
-  const double* pb = b.data().data();
-  double* pc = c.data().data();
-
-  const bool parallel = 2 * k * m * n >= kParallelFlops;
-  const int tmax = max_team(parallel);
-  // Per-thread k-block partials; phase 2 folds them in thread order.
-  double* ws = reduction_workspace(static_cast<std::size_t>(tmax) * mn);
-#pragma omp parallel if (parallel)
-  {
-    const int team = team_size();
-    const int t = thread_id();
-    double* local = ws + static_cast<std::size_t>(t) * mn;
-    std::fill(local, local + mn, 0.0);
-    const Range kr = slice(k, t, team);
-    accumulate_tn<V>(pa, pb, m, n, kr.lo, kr.hi, local);
-#pragma omp barrier
-    const Range er = slice(mn, t, team);
-    fold_partials<V>(alpha, beta, pc, ws, mn, team, er.lo, er.hi);
-  }
-}
-
-template <class V>
-void engine_gemv_t(double alpha, DenseView a, std::span<const double> x,
-                   double beta, std::span<double> y) {
-  NADMM_CHECK(a.rows() == x.size(), "gemv_t: x size mismatch");
-  NADMM_CHECK(a.cols() == y.size(), "gemv_t: y size mismatch");
-  const std::size_t k = a.rows(), m = a.cols();
-  if (m == 0) return;
-  if (k == 0) {
-    scale_output(beta, y);
-    return;
-  }
-  const double* pa = a.data().data();
-
-  const bool parallel = 2 * m * k >= kParallelFlops;
-  const int tmax = max_team(parallel);
-  double* ws = reduction_workspace(static_cast<std::size_t>(tmax) * m);
-#pragma omp parallel if (parallel)
-  {
-    const int team = team_size();
-    const int t = thread_id();
-    double* local = ws + static_cast<std::size_t>(t) * m;
-    std::fill(local, local + m, 0.0);
-    const Range kr = slice(k, t, team);
-    accumulate_tv<V>(pa, x.data(), m, kr.lo, kr.hi, local);
-#pragma omp barrier
-    const Range er = slice(m, t, team);
-    fold_partials<V>(alpha, beta, y.data(), ws, m, team, er.lo, er.hi);
-  }
-}
-
-template <class V>
-void engine_spmm_tn(double alpha, const CsrView& a, const DenseMatrix& b,
-                    double beta, DenseMatrix& c) {
-  NADMM_CHECK(a.rows() == b.rows(), "spmm_tn: inner dimension mismatch");
-  NADMM_CHECK(c.rows() == a.cols() && c.cols() == b.cols(),
-              "spmm_tn: output shape mismatch");
-  const std::size_t n = b.cols();
-  const std::size_t mn = c.size();
-  if (mn == 0) return;
-  if (a.nnz() == 0) {
-    scale_output(beta, c.data());
-    return;
-  }
-  const bool parallel = 2 * a.nnz() * n >= kParallelFlops;
-  const int tmax = max_team(parallel);
-
-  // Wide outputs (team × output panel larger than the nonzero count):
-  // dense per-thread partials would cost more traffic than the matrix
-  // itself — build the transposed view and gather instead. Narrow
-  // outputs keep the two-phase dense reduction below.
-  if (static_cast<std::size_t>(tmax) * mn > a.nnz()) {
-    spmm_tn_transpose<V>(alpha, a, b, beta, c, parallel);
-    return;
-  }
-
-  const auto rp = a.row_ptr();
-  const auto ci = a.col_idx();
-  const auto va = a.values();
-  const double* pb = b.data().data();
-  double* pc = c.data().data();
-
-  double* ws = reduction_workspace(static_cast<std::size_t>(tmax) * mn);
-  const auto nnz = static_cast<std::int64_t>(a.nnz());
-#pragma omp parallel if (parallel)
-  {
-    const int team = team_size();
-    const int t = thread_id();
-    double* local = ws + static_cast<std::size_t>(t) * mn;
-    std::fill(local, local + mn, 0.0);
-    const std::size_t r0 = nnz_boundary(rp, nnz, t, team);
-    const std::size_t r1 = nnz_boundary(rp, nnz, t + 1, team);
-    for (std::size_t i = r0; i < r1; ++i) {
-      const double* brow = pb + i * n;
-      for (std::int64_t e = rp[i]; e < rp[i + 1]; ++e) {
-        double* lrow = local + static_cast<std::size_t>(ci[e]) * n;
-        simd::axpy<V>(va[e], brow, lrow, n);
-      }
-    }
-#pragma omp barrier
-    const Range er = slice(mn, t, team);
-    fold_partials<V>(alpha, beta, pc, ws, mn, team, er.lo, er.hi);
-  }
-}
-
-template <class V>
-double engine_softmax_forward(const DenseMatrix& scores,
-                              std::span<const std::int32_t> labels,
-                              DenseMatrix& probs, std::span<double> lse) {
-  const std::size_t n = scores.rows();
-  const std::size_t c = scores.cols();
-  NADMM_CHECK(probs.rows() == n && probs.cols() == c,
-              "softmax_forward: probs shape mismatch");
-  NADMM_CHECK(labels.size() == n && lse.size() == n,
-              "softmax_forward: labels/lse size mismatch");
-  if (n == 0) return 0.0;
-  const double* ps = scores.data().data();
-  double* pp = probs.data().data();
-
-  const bool parallel = n * c >= kParallelRows;
-  const int tmax = max_team(parallel);
-  std::vector<double> partial(static_cast<std::size_t>(tmax), 0.0);
-#pragma omp parallel if (parallel)
-  {
-    const int team = team_size();
-    const int t = thread_id();
-    const Range rr = slice(n, t, team);
-    double loss = 0.0;
-    for (std::size_t i = rr.lo; i < rr.hi; ++i) {
-      loss += softmax_row<V>(ps + i * c, pp + i * c, c, labels[i], lse[i]);
-    }
-    partial[static_cast<std::size_t>(t)] = loss;
-  }
-  // Fold loss partials in fixed thread order (deterministic for a given
-  // thread count; unused slots stay exactly 0.0).
-  double total = 0.0;
-  for (double v : partial) total += v;
-  return total;
+#endif
+  return rungs;
 }
 
 }  // namespace
 
-// ===========================================================================
-// Public engine: the active backend.
-// ===========================================================================
+std::span<const Rung* const> host_rungs() {
+  static const std::vector<const Rung*> rungs = probe_ladder();
+  return rungs;
+}
 
-const char* active_isa() { return simd::kIsaName; }
+const Rung& active_rung() {
+  static const Rung& rung = *host_rungs().back();
+  return rung;
+}
+
+const char* active_isa() { return active_rung().name; }
 
 void gemm_nn(double alpha, DenseView a, const DenseMatrix& b,
-             double beta, DenseMatrix& c) {
-  engine_gemm_nn<simd::Active>(alpha, a, b, beta, c);
+             double beta, DenseMatrix& c, const Rung& rung) {
+  NADMM_CHECK(a.cols() == b.rows(), "gemm_nn: inner dimension mismatch");
+  NADMM_CHECK(c.rows() == a.rows() && c.cols() == b.cols(),
+              "gemm_nn: output shape mismatch");
+  if (c.size() == 0) return;
+  rung.gemm_nn(alpha, arg(a), arg(b), beta, out(c));
 }
 
 void gemm_tn(double alpha, DenseView a, const DenseMatrix& b,
-             double beta, DenseMatrix& c) {
-  engine_gemm_tn<simd::Active>(alpha, a, b, beta, c);
+             double beta, DenseMatrix& c, const Rung& rung) {
+  NADMM_CHECK(a.rows() == b.rows(), "gemm_tn: inner dimension mismatch");
+  NADMM_CHECK(c.rows() == a.cols() && c.cols() == b.cols(),
+              "gemm_tn: output shape mismatch");
+  if (c.size() == 0) return;
+  if (a.rows() == 0) {
+    scale_output(beta, c.data());
+    return;
+  }
+  rung.gemm_tn(alpha, arg(a), arg(b), beta, out(c));
 }
 
 void gemv_t(double alpha, DenseView a, std::span<const double> x,
-            double beta, std::span<double> y) {
-  engine_gemv_t<simd::Active>(alpha, a, x, beta, y);
+            double beta, std::span<double> y, const Rung& rung) {
+  NADMM_CHECK(a.rows() == x.size(), "gemv_t: x size mismatch");
+  NADMM_CHECK(a.cols() == y.size(), "gemv_t: y size mismatch");
+  if (y.empty()) return;
+  if (a.rows() == 0) {
+    scale_output(beta, y);
+    return;
+  }
+  rung.gemv_t(alpha, arg(a), x.data(), beta, y.data());
+}
+
+void spmm_nn(double alpha, const CsrView& a, const DenseMatrix& b,
+             double beta, DenseMatrix& c, const Rung& rung) {
+  NADMM_CHECK(a.cols() == b.rows(), "spmm_nn: inner dimension mismatch");
+  NADMM_CHECK(c.rows() == a.rows() && c.cols() == b.cols(),
+              "spmm_nn: output shape mismatch");
+  if (c.size() == 0) return;
+  rung.spmm_nn(alpha, arg(a), arg(b), beta, out(c));
 }
 
 void spmm_tn(double alpha, const CsrView& a, const DenseMatrix& b,
-             double beta, DenseMatrix& c) {
-  engine_spmm_tn<simd::Active>(alpha, a, b, beta, c);
+             double beta, DenseMatrix& c, const Rung& rung) {
+  NADMM_CHECK(a.rows() == b.rows(), "spmm_tn: inner dimension mismatch");
+  NADMM_CHECK(c.rows() == a.cols() && c.cols() == b.cols(),
+              "spmm_tn: output shape mismatch");
+  if (c.size() == 0) return;
+  if (a.nnz() == 0) {
+    scale_output(beta, c.data());
+    return;
+  }
+  // Wide outputs (team × output panel larger than the nonzero count):
+  // dense per-thread partials would cost more traffic than the matrix
+  // itself — gather over the transposed view instead. Narrow outputs
+  // keep the two-phase dense reduction.
+  const bool parallel = 2 * a.nnz() * b.cols() >= kParallelFlops;
+  if (static_cast<std::size_t>(max_team(parallel)) * c.size() <= a.nnz()) {
+    rung.spmm_tn(alpha, arg(a), arg(b), beta, out(c));
+    return;
+  }
+  const CsrTransposed& tv = a.parent()->transposed();
+  const CscArg csc{tv.col_ptr.data(),
+                   tv.row_idx.data(),
+                   tv.values.data(),
+                   a.cols(),
+                   tv.values.size(),
+                   a.nnz(),
+                   static_cast<std::int32_t>(a.row_begin()),
+                   static_cast<std::int32_t>(a.row_begin() + a.rows()),
+                   a.covers_parent()};
+  rung.spmm_tn_gather(alpha, csc, arg(b), beta, out(c));
 }
 
 double softmax_forward(const DenseMatrix& scores,
                        std::span<const std::int32_t> labels,
-                       DenseMatrix& probs, std::span<double> lse) {
-  return engine_softmax_forward<simd::Active>(scores, labels, probs, lse);
+                       DenseMatrix& probs, std::span<double> lse,
+                       const Rung& rung) {
+  const std::size_t n = scores.rows();
+  NADMM_CHECK(probs.rows() == n && probs.cols() == scores.cols(),
+              "softmax_forward: probs shape mismatch");
+  NADMM_CHECK(labels.size() == n && lse.size() == n,
+              "softmax_forward: labels/lse size mismatch");
+  if (n == 0) return 0.0;
+  return rung.softmax_forward(arg(scores), labels.data(), out(probs),
+                              lse.data());
 }
-
-// Forced-scalar instantiation: the ISA parity oracle.
-
-namespace scalar {
-
-void gemm_nn(double alpha, DenseView a, const DenseMatrix& b,
-             double beta, DenseMatrix& c) {
-  engine_gemm_nn<simd::Scalar>(alpha, a, b, beta, c);
-}
-
-void gemm_tn(double alpha, DenseView a, const DenseMatrix& b,
-             double beta, DenseMatrix& c) {
-  engine_gemm_tn<simd::Scalar>(alpha, a, b, beta, c);
-}
-
-void gemv_t(double alpha, DenseView a, std::span<const double> x,
-            double beta, std::span<double> y) {
-  engine_gemv_t<simd::Scalar>(alpha, a, x, beta, y);
-}
-
-void spmm_tn(double alpha, const CsrView& a, const DenseMatrix& b,
-             double beta, DenseMatrix& c) {
-  engine_spmm_tn<simd::Scalar>(alpha, a, b, beta, c);
-}
-
-double softmax_forward(const DenseMatrix& scores,
-                       std::span<const std::int32_t> labels,
-                       DenseMatrix& probs, std::span<double> lse) {
-  return engine_softmax_forward<simd::Scalar>(scores, labels, probs, lse);
-}
-
-}  // namespace scalar
 
 // ===========================================================================
 // Seed reference kernels (verbatim pre-engine implementations, minus the

@@ -24,31 +24,35 @@
 // bench_kernels, which is what BENCH_kernels.json and the CI perf-smoke
 // gate measure against.
 //
-// The inner loops are written against the compile-time SIMD backend in
-// la/simd.hpp (AVX-512 / AVX2 / std::experimental::simd / scalar).
-// Vector lanes only ever span independent output elements and no path
-// fuses a multiply-add, so every backend is bit-identical to the scalar
-// engine — kernels::scalar exports the forced-scalar instantiation as
-// the oracle the ISA parity tests compare against.
+// The loops themselves live in la/engine.cpp, compiled once per SIMD rung
+// (scalar, sse2, avx2, avx512; la/engine.hpp). The functions below check
+// shapes, handle empty operands and pick the strategy, then run the rung
+// they are given — by default the widest one this CPU supports, chosen
+// once at start-up. Vector lanes only ever span independent output
+// elements and no path fuses a multiply-add, so every rung is
+// bit-identical to kernels::scalar::rung(), the parity oracle.
 #pragma once
 
 #include <cstdint>
 #include <span>
 
 #include "la/dense_matrix.hpp"
+#include "la/engine.hpp"
 #include "la/sparse_matrix.hpp"
 
 namespace nadmm::la::kernels {
 
-/// Shared parallelism threshold: below this many flops an OpenMP region
-/// costs more than it saves (SGD minibatches, SVRG inner steps stay
-/// serial). Every la kernel — engine, gemv, spmm — gates on this one
-/// constant.
-inline constexpr std::size_t kParallelFlops = 1 << 17;
+/// The engine rungs this CPU can run, narrowest first: scalar::rung()
+/// first, active_rung() last. Fixed at the first call.
+std::span<const Rung* const> host_rungs();
 
-/// Row-count analogue of kParallelFlops for cheap per-sample panel
-/// sweeps (softmax forward/gradient/Hessian loops).
-inline constexpr std::size_t kParallelRows = 1 << 14;
+/// The widest rung this CPU supports (host_rungs().back()); every kernel
+/// below runs on it unless given another.
+const Rung& active_rung();
+
+/// Name of the active rung: "avx512" | "avx2" | "sse2" | "scalar".
+/// Recorded into bench JSON context and into parity-test failures.
+const char* active_isa();
 
 /// The A operand of every engine product is a non-owning row-range view
 /// (la::DenseView / la::CsrView); whole matrices convert implicitly, and
@@ -62,16 +66,23 @@ inline constexpr std::size_t kParallelRows = 1 << 14;
 /// microkernel over a packed B panel; deterministic for any thread count
 /// (each C row is produced by exactly one thread in fixed k order).
 void gemm_nn(double alpha, DenseView a, const DenseMatrix& b,
-             double beta, DenseMatrix& c);
+             double beta, DenseMatrix& c, const Rung& rung = active_rung());
 
 /// C = alpha·Aᵀ·B + beta·C (A: k×m, B: k×n, C: m×n). Two-phase lock-free
 /// reduction; deterministic for a fixed thread count.
 void gemm_tn(double alpha, DenseView a, const DenseMatrix& b,
-             double beta, DenseMatrix& c);
+             double beta, DenseMatrix& c, const Rung& rung = active_rung());
 
 /// y = alpha·Aᵀ·x + beta·y (A: k×m). Two-phase lock-free reduction.
 void gemv_t(double alpha, DenseView a, std::span<const double> x,
-            double beta, std::span<double> y);
+            double beta, std::span<double> y,
+            const Rung& rung = active_rung());
+
+/// C = alpha·A·B + beta·C (A: m×k CSR). Each output row accumulates its
+/// row's entries in order, so the result is bit-identical for any
+/// thread count.
+void spmm_nn(double alpha, const CsrView& a, const DenseMatrix& b,
+             double beta, DenseMatrix& c, const Rung& rung = active_rung());
 
 /// C = alpha·Aᵀ·B + beta·C (A: k×m CSR). Hybrid lock-free strategy:
 /// narrow outputs use the two-phase reduction with CSR rows partitioned
@@ -82,7 +93,7 @@ void gemv_t(double alpha, DenseView a, std::span<const double> x,
 /// which has no dense partials at all and is bit-identical for any
 /// thread count.
 void spmm_tn(double alpha, const CsrView& a, const DenseMatrix& b,
-             double beta, DenseMatrix& c);
+             double beta, DenseMatrix& c, const Rung& rung = active_rung());
 
 /// Fused softmax forward over a score panel (n × (C−1), class C implicit
 /// with score 0): one online sweep per row computes the stabilizing max,
@@ -92,33 +103,8 @@ void spmm_tn(double alpha, const CsrView& a, const DenseMatrix& b,
 /// class). Loss partials are folded in fixed thread order.
 double softmax_forward(const DenseMatrix& scores,
                        std::span<const std::int32_t> labels,
-                       DenseMatrix& probs, std::span<double> lse);
-
-/// Name of the SIMD backend the engine was compiled against:
-/// "avx512" | "avx2" | "stdsimd" | "scalar". Recorded into bench JSON
-/// context and useful when reading parity-test failures from CI legs.
-const char* active_isa();
-
-/// Forced-scalar instantiation of the engine (same blocking, same
-/// two-phase reductions, 1-lane backend). This is the parity oracle for
-/// the ISA dispatch ladder: every vector backend must produce output
-/// bit-identical to these at every thread count. Not a seed copy — for
-/// that, see kernels::reference below.
-namespace scalar {
-
-void gemm_nn(double alpha, DenseView a, const DenseMatrix& b,
-             double beta, DenseMatrix& c);
-void gemm_tn(double alpha, DenseView a, const DenseMatrix& b,
-             double beta, DenseMatrix& c);
-void gemv_t(double alpha, DenseView a, std::span<const double> x,
-            double beta, std::span<double> y);
-void spmm_tn(double alpha, const CsrView& a, const DenseMatrix& b,
-             double beta, DenseMatrix& c);
-double softmax_forward(const DenseMatrix& scores,
-                       std::span<const std::int32_t> labels,
-                       DenseMatrix& probs, std::span<double> lse);
-
-}  // namespace scalar
+                       DenseMatrix& probs, std::span<double> lse,
+                       const Rung& rung = active_rung());
 
 /// Seed (pre-engine) kernels, kept verbatim as the parity oracle and the
 /// baseline side of bench_kernels. Not used on any hot path.

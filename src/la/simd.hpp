@@ -1,14 +1,12 @@
 #pragma once
 
-/// Compile-time SIMD dispatch for the kernel engine.
+/// SIMD backends for the kernel engine. la/engine.cpp is compiled once per
+/// rung (la/engine.hpp) and names its backend with NADMM_RUNG_VECTOR:
 ///
-/// One abstraction, four backends, selected once at compile time:
-///
-///   NADMM_FORCE_SCALAR   -> Scalar       (1 lane, plain double)
-///   __AVX512F__          -> Avx512       (8 lanes, __m512d)
-///   __AVX2__             -> Avx2         (4 lanes, __m256d)
-///   <experimental/simd>  -> StdSimd      (native_simd<double>)
-///   otherwise            -> Scalar
+///   Scalar   1 lane, plain double      every target
+///   Sse2     2 lanes, __m128d          x86-64 baseline
+///   Avx2     4 lanes, __m256d          needs __AVX2__
+///   Avx512   8 lanes, __m512d          needs __AVX512F__
 ///
 /// The contract every backend obeys: a lane is an *independent output
 /// element*. Kernels vectorize only across independent outputs (the
@@ -20,27 +18,23 @@
 /// the instruction mix underneath changes. (The build also pins
 /// `-ffp-contract=off` so the compiler cannot re-fuse what we split.)
 ///
+/// Everything here has internal linkage: each rung object gets its own
+/// copy, compiled for its own ISA, that no other object can link to.
+///
 /// Helpers at the bottom (`scale`, `add_inplace`, `combine`, `axpy`)
 /// are the shared elementwise loops: vector body plus a scalar tail
 /// whose per-element expression trees match the vector lanes exactly.
 
 #include <cstddef>
 
-#if !defined(NADMM_FORCE_SCALAR)
-#if defined(__AVX512F__) || defined(__AVX2__)
+#if defined(__SSE2__)
 #include <immintrin.h>
-#define NADMM_SIMD_X86 1
-#elif defined(__has_include)
-#if __has_include(<experimental/simd>)
-#include <experimental/simd>
-#define NADMM_SIMD_STD 1
-#endif
-#endif
 #endif
 
 namespace nadmm::la::simd {
+namespace {
 
-/// 1-lane fallback; also the reference semantics every other backend
+/// 1-lane backend; also the reference semantics every other backend
 /// must reproduce bitwise.
 struct Scalar {
   static constexpr std::size_t width = 1;
@@ -53,7 +47,20 @@ struct Scalar {
   friend Scalar operator*(Scalar a, Scalar b) { return {a.v * b.v}; }
 };
 
-#if defined(NADMM_SIMD_X86) && defined(__AVX2__) && !defined(__AVX512F__)
+#if defined(__SSE2__)
+struct Sse2 {
+  static constexpr std::size_t width = 2;
+  __m128d v;
+  static Sse2 load(const double* p) { return {_mm_loadu_pd(p)}; }
+  void store(double* p) const { _mm_storeu_pd(p, v); }
+  static Sse2 broadcast(double x) { return {_mm_set1_pd(x)}; }
+  static Sse2 zero() { return {_mm_setzero_pd()}; }
+  friend Sse2 operator+(Sse2 a, Sse2 b) { return {_mm_add_pd(a.v, b.v)}; }
+  friend Sse2 operator*(Sse2 a, Sse2 b) { return {_mm_mul_pd(a.v, b.v)}; }
+};
+#endif
+
+#if defined(__AVX2__)
 struct Avx2 {
   static constexpr std::size_t width = 4;
   __m256d v;
@@ -64,9 +71,9 @@ struct Avx2 {
   friend Avx2 operator+(Avx2 a, Avx2 b) { return {_mm256_add_pd(a.v, b.v)}; }
   friend Avx2 operator*(Avx2 a, Avx2 b) { return {_mm256_mul_pd(a.v, b.v)}; }
 };
-using Active = Avx2;
-inline constexpr const char* kIsaName = "avx2";
-#elif defined(NADMM_SIMD_X86) && defined(__AVX512F__)
+#endif
+
+#if defined(__AVX512F__)
 struct Avx512 {
   static constexpr std::size_t width = 8;
   __m512d v;
@@ -81,32 +88,6 @@ struct Avx512 {
     return {_mm512_mul_pd(a.v, b.v)};
   }
 };
-using Active = Avx512;
-inline constexpr const char* kIsaName = "avx512";
-#elif defined(NADMM_SIMD_STD)
-/// Portable lane-parallel backend on std::experimental::simd. On a
-/// baseline x86-64 build this is 2 SSE2 lanes; on AArch64 it picks up
-/// NEON without any code here changing.
-struct StdSimd {
-  using vec = std::experimental::native_simd<double>;
-  static constexpr std::size_t width = vec::size();
-  vec v;
-  static StdSimd load(const double* p) {
-    return {vec(p, std::experimental::element_aligned)};
-  }
-  void store(double* p) const {
-    v.copy_to(p, std::experimental::element_aligned);
-  }
-  static StdSimd broadcast(double x) { return {vec(x)}; }
-  static StdSimd zero() { return {vec(0.0)}; }
-  friend StdSimd operator+(StdSimd a, StdSimd b) { return {a.v + b.v}; }
-  friend StdSimd operator*(StdSimd a, StdSimd b) { return {a.v * b.v}; }
-};
-using Active = StdSimd;
-inline constexpr const char* kIsaName = "stdsimd";
-#else
-using Active = Scalar;
-inline constexpr const char* kIsaName = "scalar";
 #endif
 
 /// Hint the cache that `p` will be read soon (read, low temporal
@@ -184,4 +165,5 @@ inline void combine(double alpha, double beta, double* out, const double* acc,
   }
 }
 
+}  // namespace
 }  // namespace nadmm::la::simd

@@ -28,6 +28,7 @@ SoftmaxObjective::SoftmaxObjective(const data::Dataset& shard, double l2_lambda)
       lse_(shard.num_samples()),
       panel_(shard.num_samples(), cm1_),
       xm_(p_, cm1_),
+      vm_(p_, cm1_),
       gm_(p_, cm1_) {
   NADMM_CHECK(l2_lambda >= 0.0, "l2 lambda must be nonnegative");
   NADMM_CHECK(shard.num_classes() >= 2, "softmax needs >= 2 classes");
@@ -101,9 +102,8 @@ void SoftmaxObjective::hessian_vec(std::span<const double> x,
               "softmax: hessian_vec size mismatch");
   ensure_forward(x);
   // U = A · V  (per-sample directional scores).
-  la::DenseMatrix vm(p_, cm1_);
-  std::copy(v.begin(), v.end(), vm.data().begin());
-  shard_->scores(vm, panel_);  // panel_ = U
+  std::copy(v.begin(), v.end(), vm_.data().begin());
+  shard_->scores(vm_, panel_);  // panel_ = U
   // W_ic = P_ic (U_ic − ⟨P_i, U_i⟩): the softmax Hessian acting on the
   // score perturbation (the implicit class has U = 0 and drops out).
   const std::size_t n = shard_->num_samples();

@@ -69,6 +69,7 @@ class SoftmaxObjective final : public Objective {
   // Scratch reused across calls.
   la::DenseMatrix panel_;   // n × (C−1) residual / W panel
   la::DenseMatrix xm_;      // p × (C−1) parameter matrix view
+  la::DenseMatrix vm_;      // p × (C−1) Hessian-vector direction
   la::DenseMatrix gm_;      // p × (C−1) gradient accumulator
 };
 

@@ -104,13 +104,15 @@ class ByteReader {
   /// ByteWriter::put_f64_array: one memcpy on little-endian hosts.
   void get_f64_array(std::vector<double>& out, std::uint64_t n) {
     // Bound by the remaining bytes before allocating, so a corrupt
-    // length cannot drive a multi-GB reserve.
-    if (n * sizeof(double) > remaining()) {
+    // length cannot drive a multi-GB reserve. Divide rather than multiply:
+    // n * 8 wraps for n >= 2^61 and would slip past the check.
+    if (n > remaining() / sizeof(double)) {
       throw RuntimeError(context_ + ": truncated — f64 vector of length " +
                          std::to_string(n) + " but only " +
                          std::to_string(remaining()) + " bytes remain");
     }
     out.resize(static_cast<std::size_t>(n));
+    if (n == 0) return;  // memcpy from a null out.data() is undefined
     if constexpr (std::endian::native == std::endian::little) {
       std::memcpy(out.data(), bytes_.data() + pos_,
                   static_cast<std::size_t>(n) * sizeof(double));

@@ -5,14 +5,19 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <string>
+#include <vector>
 
 #include "comm/cluster.hpp"
+#include "core/admm_worker.hpp"
 #include "core/newton_admm.hpp"
 #include "core/penalty.hpp"
 #include "core/reference.hpp"
 #include "data/generators.hpp"
 #include "la/vector_ops.hpp"
 #include "model/softmax.hpp"
+#include "support/binio.hpp"
 #include "support/check.hpp"
 #include "support/rng.hpp"
 
@@ -196,6 +201,30 @@ INSTANTIATE_TEST_SUITE_P(
                     AdmmCase{8, PenaltyRule::kSpectral},
                     AdmmCase{4, PenaltyRule::kFixed},
                     AdmmCase{4, PenaltyRule::kResidualBalancing}));
+
+TEST(AdmmWorker, SnapshotLengthWhoseByteCountWrapsIsTruncated) {
+  // A vector length of 2^61 makes length · 8 wrap to 0 in 64 bits; the
+  // reader must still report the missing bytes instead of allocating.
+  auto tt = data::make_blobs(40, 10, 4, 3, 3.0, 1.0, 11);
+  const std::size_t dim = 4 * 2;
+  AdmmWorker worker(tt.train, NewtonAdmmOptions{}, dim);
+  binio::ByteWriter w;
+  worker.save_checkpoint(w);
+  std::vector<std::uint8_t> bytes = w.take();
+  // Layout: u16 version, u64 dim, then x's u64 length (little-endian).
+  const std::uint64_t huge = std::uint64_t{1} << 61;
+  for (std::size_t i = 0; i < 8; ++i) {
+    bytes[10 + i] = static_cast<std::uint8_t>(huge >> (8 * i));
+  }
+  binio::ByteReader r(bytes, "worker snapshot");
+  try {
+    worker.restore_checkpoint(r);
+    FAIL() << "a 2^61-element vector was accepted";
+  } catch (const RuntimeError& e) {
+    EXPECT_NE(std::string(e.what()).find("truncated"), std::string::npos)
+        << e.what();
+  }
+}
 
 TEST(NewtonAdmm, PrimalResidualShrinks) {
   auto tt = data::make_blobs(400, 100, 8, 3, 3.0, 1.0, 9);

@@ -12,6 +12,7 @@
 
 #include <cmath>
 #include <cstring>
+#include <string>
 #include <vector>
 
 #include "data/dataset.hpp"
@@ -558,45 +559,69 @@ TEST(ShardViews, EmptyAndFullRangeViewsBehave) {
 // ------------------------------------------------------ ISA dispatch parity
 //
 // The engine's SIMD contract (la/simd.hpp): lanes only span independent
-// output elements and nothing fuses a multiply-add, so whatever backend
-// the build selected — avx512, avx2, stdsimd or scalar — must be
-// BIT-identical to the forced-scalar instantiation kernels::scalar at
-// every thread count. CI compiles these same tests with -mavx2 and with
-// -DNADMM_FORCE_SCALAR, so the ladder's rungs are each exercised
-// somewhere even when the default runner has no wide vectors.
+// output elements and nothing fuses a multiply-add, so every rung this
+// CPU can run — avx512, avx2, sse2 — must be BIT-identical to the scalar
+// rung at every thread count. Every build compiles all rungs of its
+// target, so one run covers each rung the host supports.
+
+/// The host's rungs above the scalar oracle.
+std::vector<const kernels::Rung*> vector_rungs() {
+  const auto all = kernels::host_rungs();
+  return {all.begin() + 1, all.end()};
+}
+
+const kernels::Rung& oracle() { return kernels::scalar::rung(); }
 
 TEST(IsaDispatch, ActiveIsaNameIsOnTheLadder) {
   const std::string isa = kernels::active_isa();
-  EXPECT_TRUE(isa == "avx512" || isa == "avx2" || isa == "stdsimd" ||
+  EXPECT_TRUE(isa == "avx512" || isa == "avx2" || isa == "sse2" ||
               isa == "scalar")
       << isa;
-#ifdef NADMM_FORCE_SCALAR
-  EXPECT_EQ(isa, "scalar");
+  const auto rungs = kernels::host_rungs();
+  ASSERT_FALSE(rungs.empty());
+  EXPECT_EQ(rungs.front(), &kernels::scalar::rung());
+  EXPECT_EQ(rungs.back(), &kernels::active_rung());
+  for (std::size_t r = 1; r < rungs.size(); ++r) {
+    EXPECT_LT(rungs[r - 1]->lanes, rungs[r]->lanes) << rungs[r]->name;
+  }
+  // The chosen rung is the widest the CPU reports, asked here directly.
+  std::string widest = "scalar";
+#if defined(__x86_64__)
+  __builtin_cpu_init();
+  widest = "sse2";
+  if (__builtin_cpu_supports("avx2")) widest = "avx2";
+  if (__builtin_cpu_supports("avx512f") && __builtin_cpu_supports("avx512dq") &&
+      __builtin_cpu_supports("avx512vl") && __builtin_cpu_supports("avx512bw")) {
+    widest = "avx512";
+  }
 #endif
+  EXPECT_EQ(isa, widest);
 }
 
-TEST(IsaDispatch, GemmNnActiveBackendMatchesScalarBitwise) {
-  Rng rng(61);
+TEST(IsaDispatch, GemmNnEveryRungMatchesScalarBitwise) {
   const std::size_t shapes[][3] = {{1, 1, 1},   {5, 7, 3},   {64, 129, 9},
                                    {1, 300, 1}, {257, 2, 8}, {4, 8, 8},
                                    {6, 5, 16},  {7, 3, 17},  {3, 200, 23},
                                    {100, 1, 9}};
-  for (const int threads : {1, 2, 3, 8}) {
-    ThreadGuard guard(threads);
-    for (const auto& sh : shapes) {
-      const std::size_t m = sh[0], k = sh[1], n = sh[2];
-      const auto a = random_matrix(m, k, rng);
-      const auto b = random_matrix(k, n, rng);
-      const auto c0 = random_matrix(m, n, rng);
-      for (double alpha : kAlphas) {
-        for (double beta : kBetas) {
-          DenseMatrix c = c0, c_sc = c0;
-          gemm_nn(alpha, a, b, beta, c);
-          kernels::scalar::gemm_nn(alpha, a, b, beta, c_sc);
-          for (std::size_t e = 0; e < c.size(); ++e) {
-            ASSERT_EQ(c.data()[e], c_sc.data()[e])
-                << kernels::active_isa() << " m=" << m << " k=" << k
-                << " n=" << n << " t=" << threads;
+  for (const kernels::Rung* rung : vector_rungs()) {
+    Rng rng(61);
+    for (const int threads : {1, 2, 3, 8}) {
+      ThreadGuard guard(threads);
+      for (const auto& sh : shapes) {
+        const std::size_t m = sh[0], k = sh[1], n = sh[2];
+        const auto a = random_matrix(m, k, rng);
+        const auto b = random_matrix(k, n, rng);
+        const auto c0 = random_matrix(m, n, rng);
+        for (double alpha : kAlphas) {
+          for (double beta : kBetas) {
+            DenseMatrix c = c0, c_sc = c0;
+            kernels::gemm_nn(alpha, a, b, beta, c, *rung);
+            kernels::gemm_nn(alpha, a, b, beta, c_sc, oracle());
+            for (std::size_t e = 0; e < c.size(); ++e) {
+              ASSERT_EQ(c.data()[e], c_sc.data()[e])
+                  << rung->name << " m=" << m << " k=" << k << " n=" << n
+                  << " t=" << threads;
+            }
           }
         }
       }
@@ -604,33 +629,36 @@ TEST(IsaDispatch, GemmNnActiveBackendMatchesScalarBitwise) {
   }
 }
 
-TEST(IsaDispatch, GemmTnAndGemvTActiveBackendMatchScalarBitwise) {
-  Rng rng(62);
+TEST(IsaDispatch, GemmTnAndGemvTEveryRungMatchesScalarBitwise) {
   const std::size_t shapes[][3] = {{1, 1, 1},  {6, 4, 3},   {200, 33, 9},
                                    {1, 5, 2},  {513, 7, 1}, {3, 1, 19},
                                    {50, 64, 8}};
-  for (const int threads : {1, 2, 3, 8}) {
-    ThreadGuard guard(threads);
-    for (const auto& sh : shapes) {
-      const std::size_t k = sh[0], m = sh[1], n = sh[2];
-      const auto a = random_matrix(k, m, rng);
-      const auto b = random_matrix(k, n, rng);
-      const auto c0 = random_matrix(m, n, rng);
-      const auto x = random_vec(k, rng);
-      const auto y0 = random_vec(m, rng);
-      for (double alpha : kAlphas) {
-        for (double beta : kBetas) {
-          DenseMatrix c = c0, c_sc = c0;
-          gemm_tn(alpha, a, b, beta, c);
-          kernels::scalar::gemm_tn(alpha, a, b, beta, c_sc);
-          for (std::size_t e = 0; e < c.size(); ++e) {
-            ASSERT_EQ(c.data()[e], c_sc.data()[e]) << "gemm_tn t=" << threads;
-          }
-          auto y = y0, y_sc = y0;
-          gemv_t(alpha, a, x, beta, y);
-          kernels::scalar::gemv_t(alpha, a, x, beta, y_sc);
-          for (std::size_t j = 0; j < m; ++j) {
-            ASSERT_EQ(y[j], y_sc[j]) << "gemv_t t=" << threads;
+  for (const kernels::Rung* rung : vector_rungs()) {
+    Rng rng(62);
+    for (const int threads : {1, 2, 3, 8}) {
+      ThreadGuard guard(threads);
+      for (const auto& sh : shapes) {
+        const std::size_t k = sh[0], m = sh[1], n = sh[2];
+        const auto a = random_matrix(k, m, rng);
+        const auto b = random_matrix(k, n, rng);
+        const auto c0 = random_matrix(m, n, rng);
+        const auto x = random_vec(k, rng);
+        const auto y0 = random_vec(m, rng);
+        for (double alpha : kAlphas) {
+          for (double beta : kBetas) {
+            DenseMatrix c = c0, c_sc = c0;
+            kernels::gemm_tn(alpha, a, b, beta, c, *rung);
+            kernels::gemm_tn(alpha, a, b, beta, c_sc, oracle());
+            for (std::size_t e = 0; e < c.size(); ++e) {
+              ASSERT_EQ(c.data()[e], c_sc.data()[e])
+                  << rung->name << " gemm_tn t=" << threads;
+            }
+            auto y = y0, y_sc = y0;
+            kernels::gemv_t(alpha, a, x, beta, y, *rung);
+            kernels::gemv_t(alpha, a, x, beta, y_sc, oracle());
+            for (std::size_t j = 0; j < m; ++j) {
+              ASSERT_EQ(y[j], y_sc[j]) << rung->name << " gemv_t t=" << threads;
+            }
           }
         }
       }
@@ -638,28 +666,53 @@ TEST(IsaDispatch, GemmTnAndGemvTActiveBackendMatchScalarBitwise) {
   }
 }
 
-TEST(IsaDispatch, SpmmTnActiveBackendMatchesScalarBitwiseBothStrategies) {
+TEST(IsaDispatch, SparseProductsEveryRungMatchScalarBitwise) {
   Rng rng(63);
-  // Narrow output (two-phase dense reduction) and wide output (CSC
-  // gather with software prefetch) — both strategies must be clean.
+  // spmm_tn: narrow output (two-phase dense reduction) and wide output
+  // (CSC gather with software prefetch) — both strategies must be clean;
+  // spmm_nn runs on the same matrices, on the whole matrix and on a
+  // shard view.
   std::vector<CsrMatrix> mats;
   mats.push_back(random_csr(50, 20, 0.15, rng));
   mats.push_back(random_csr(500, 300, 0.05, rng));
   mats.push_back(random_csr(60, 800, 0.01, rng));   // wide, gather path
   mats.push_back(random_csr(300, 2000, 0.01, rng)); // wide, many columns
-  for (const int threads : {1, 2, 3, 8}) {
-    ThreadGuard guard(threads);
-    for (const auto& sp : mats) {
-      const auto b = random_matrix(sp.rows(), 5, rng);
-      const auto c0 = random_matrix(sp.cols(), 5, rng);
-      for (double alpha : kAlphas) {
-        for (double beta : kBetas) {
-          DenseMatrix c = c0, c_sc = c0;
-          kernels::spmm_tn(alpha, sp, b, beta, c);
-          kernels::scalar::spmm_tn(alpha, sp, b, beta, c_sc);
-          for (std::size_t e = 0; e < c.size(); ++e) {
-            ASSERT_EQ(c.data()[e], c_sc.data()[e])
-                << sp.rows() << "x" << sp.cols() << " t=" << threads;
+  for (const kernels::Rung* rung : vector_rungs()) {
+    for (const int threads : {1, 2, 3, 8}) {
+      ThreadGuard guard(threads);
+      for (const auto& sp : mats) {
+        for (const std::size_t n : {std::size_t{5}, std::size_t{19}}) {
+          const auto b = random_matrix(sp.rows(), n, rng);
+          const auto c0 = random_matrix(sp.cols(), n, rng);
+          const auto x = random_matrix(sp.cols(), n, rng);
+          const auto s0 = random_matrix(sp.rows(), n, rng);
+          const std::size_t lo = sp.rows() / 4, hi = sp.rows() - 3;
+          for (double alpha : kAlphas) {
+            for (double beta : kBetas) {
+              DenseMatrix c = c0, c_sc = c0;
+              kernels::spmm_tn(alpha, sp, b, beta, c, *rung);
+              kernels::spmm_tn(alpha, sp, b, beta, c_sc, oracle());
+              for (std::size_t e = 0; e < c.size(); ++e) {
+                ASSERT_EQ(c.data()[e], c_sc.data()[e])
+                    << rung->name << " spmm_tn " << sp.rows() << "x"
+                    << sp.cols() << " n=" << n << " t=" << threads;
+              }
+              DenseMatrix s = s0, s_sc = s0;
+              kernels::spmm_nn(alpha, sp, x, beta, s, *rung);
+              kernels::spmm_nn(alpha, sp, x, beta, s_sc, oracle());
+              for (std::size_t e = 0; e < s.size(); ++e) {
+                ASSERT_EQ(s.data()[e], s_sc.data()[e])
+                    << rung->name << " spmm_nn " << sp.rows() << "x"
+                    << sp.cols() << " n=" << n << " t=" << threads;
+              }
+              DenseMatrix v(hi - lo, n), v_sc(hi - lo, n);
+              kernels::spmm_nn(alpha, sp.view(lo, hi), x, 0.0, v, *rung);
+              kernels::spmm_nn(alpha, sp.view(lo, hi), x, 0.0, v_sc, oracle());
+              for (std::size_t e = 0; e < v.size(); ++e) {
+                ASSERT_EQ(v.data()[e], v_sc.data()[e])
+                    << rung->name << " spmm_nn view t=" << threads;
+              }
+            }
           }
         }
       }
@@ -667,28 +720,33 @@ TEST(IsaDispatch, SpmmTnActiveBackendMatchesScalarBitwiseBothStrategies) {
   }
 }
 
-TEST(IsaDispatch, SoftmaxForwardActiveBackendMatchesScalarBitwise) {
-  Rng rng(64);
-  for (const int threads : {1, 2, 3, 8}) {
-    ThreadGuard guard(threads);
-    for (const std::size_t n : {std::size_t{1}, std::size_t{37},
-                                std::size_t{4000}}) {
-      const std::size_t c = 9;
-      auto scores = random_matrix(n, c, rng);
-      // Large spread exercises the rescale branch (running max updates).
-      for (double& v : scores.data()) v *= 30.0;
-      std::vector<std::int32_t> labels(n);
-      for (auto& l : labels) l = static_cast<std::int32_t>(rng.uniform_index(c + 1));
-      DenseMatrix p1(n, c), p2(n, c);
-      std::vector<double> l1(n), l2(n);
-      const double loss1 = kernels::softmax_forward(scores, labels, p1, l1);
-      const double loss2 = kernels::scalar::softmax_forward(scores, labels,
-                                                            p2, l2);
-      ASSERT_EQ(loss1, loss2) << "t=" << threads;
-      for (std::size_t e = 0; e < p1.size(); ++e) {
-        ASSERT_EQ(p1.data()[e], p2.data()[e]);
+TEST(IsaDispatch, SoftmaxForwardEveryRungMatchesScalarBitwise) {
+  for (const kernels::Rung* rung : vector_rungs()) {
+    Rng rng(64);
+    for (const int threads : {1, 2, 3, 8}) {
+      ThreadGuard guard(threads);
+      for (const std::size_t n : {std::size_t{1}, std::size_t{37},
+                                  std::size_t{4000}}) {
+        const std::size_t c = 9;
+        auto scores = random_matrix(n, c, rng);
+        // Large spread exercises the rescale branch (running max updates).
+        for (double& v : scores.data()) v *= 30.0;
+        std::vector<std::int32_t> labels(n);
+        for (auto& l : labels) {
+          l = static_cast<std::int32_t>(rng.uniform_index(c + 1));
+        }
+        DenseMatrix p1(n, c), p2(n, c);
+        std::vector<double> l1(n), l2(n);
+        const double loss1 =
+            kernels::softmax_forward(scores, labels, p1, l1, *rung);
+        const double loss2 =
+            kernels::softmax_forward(scores, labels, p2, l2, oracle());
+        ASSERT_EQ(loss1, loss2) << rung->name << " t=" << threads;
+        for (std::size_t e = 0; e < p1.size(); ++e) {
+          ASSERT_EQ(p1.data()[e], p2.data()[e]) << rung->name;
+        }
+        for (std::size_t i = 0; i < n; ++i) ASSERT_EQ(l1[i], l2[i]) << rung->name;
       }
-      for (std::size_t i = 0; i < n; ++i) ASSERT_EQ(l1[i], l2[i]);
     }
   }
 }
