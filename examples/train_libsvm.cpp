@@ -2,7 +2,7 @@
 // HIGGS / MNIST / E18 distributions ship in). Demonstrates the loader,
 // feature scaling, train/test splitting and any of the library's solvers.
 //
-//   ./examples/train_libsvm path/to/data.libsvm --solver newton-admm
+//   ./examples/train_libsvm --data=path/to/data.libsvm --solver newton-admm
 #include <cstdio>
 
 #include "data/io.hpp"
@@ -13,6 +13,7 @@
 int main(int argc, char** argv) {
   using namespace nadmm;
   CliParser cli("Train a softmax classifier on a LIBSVM file");
+  cli.add_string("data", "", "LIBSVM file to train on (required)");
   cli.add_string("solver", "newton-admm",
                  "any registered solver (see `nadmm list`)");
   cli.add_int("workers", 4, "simulated workers");
@@ -21,12 +22,13 @@ int main(int argc, char** argv) {
   cli.add_double("test-fraction", 0.2, "held-out fraction");
   cli.add_flag("scale-features", "standardize features before training");
   if (!cli.parse(argc, argv)) return 0;
-  if (cli.positional().empty()) {
-    std::fprintf(stderr, "usage: train_libsvm <file.libsvm> [options]\n");
+  if (cli.get_string("data").empty()) {
+    std::fprintf(stderr,
+                 "usage: train_libsvm --data=<file.libsvm> [options]\n");
     return 1;
   }
 
-  auto full = data::load_libsvm(cli.positional().front());
+  auto full = data::load_libsvm(cli.get_string("data"));
   std::printf("loaded %zu samples, %zu features, %d classes (density %.3f)\n",
               full.num_samples(), full.num_features(), full.num_classes(),
               full.feature_density());

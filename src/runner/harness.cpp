@@ -218,6 +218,20 @@ core::RunResult run_solver(const std::string& solver,
   return SolverRegistry::instance().run(solver, cluster, data, config);
 }
 
+serve::ServeConfig serve_config(const ExperimentConfig& config,
+                                std::string arrival, std::string batch,
+                                std::size_t requests,
+                                double dispatch_overhead_s) {
+  return {.arrival = std::move(arrival),
+          .batch = std::move(batch),
+          .requests = requests,
+          .seed = config.seed,
+          .device = config.device,
+          .network = config.network,
+          .dispatch_overhead_s = dispatch_overhead_s,
+          .omp_threads = config.omp_threads};
+}
+
 void write_trace_csv(const core::RunResult& result, const std::string& path) {
   CsvWriter csv(path, {"iteration", "objective", "test_accuracy",
                        "sim_seconds", "wall_seconds", "epoch_sim_seconds",

@@ -17,13 +17,15 @@
 #include "core/trace.hpp"
 #include "data/generators.hpp"
 #include "data/provider.hpp"
+#include "serve/server.hpp"
 #include "solvers/async_admm.hpp"
 
 namespace nadmm::runner {
 
-/// Shared experiment knobs (paper defaults).
+/// Shared experiment knobs (paper defaults). runner::config_fields()
+/// (runner/options.hpp) names every field for the CLI and sweep specs.
 struct ExperimentConfig {
-  std::string dataset = "mnist";  ///< higgs|mnist|cifar|e18|blobs|libsvm:<path>
+  std::string dataset = "blobs";  ///< higgs|mnist|cifar|e18|blobs|libsvm:<path>
   std::size_t n_train = 8'000;
   std::size_t n_test = 2'000;
   std::size_t e18_features = 1'400;  ///< scaled-down E18 dimension
@@ -126,6 +128,14 @@ core::RunResult run_solver(const std::string& solver,
                            comm::SimCluster& cluster,
                            const data::ShardedDataset& data,
                            const ExperimentConfig& config);
+
+/// The serving plane of a serving scenario: `arrival`/`batch` specs,
+/// `requests` and the per-dispatch cost, with the request-stream seed,
+/// server device, network and threads from `config`.
+serve::ServeConfig serve_config(const ExperimentConfig& config,
+                                std::string arrival, std::string batch,
+                                std::size_t requests,
+                                double dispatch_overhead_s);
 
 /// Write the full per-iteration trace as CSV (columns match
 /// core::IterationStats).

@@ -6,14 +6,14 @@
 //   nadmm sweep --spec=FILE | [grid flags] --jobs=N --out=report.csv
 //
 // Every subcommand builds its flag surface from the shared declarative
-// option specs in runner/options.hpp: the spec registers the flags,
-// generates `--help` in declaration order, and validates parsed values
-// up front (rejections name the offending flag). `run` executes a single
-// scenario and prints its trace summary; `serve` replays a synthetic
-// request stream against a saved model; `sweep` expands a declarative
-// grid — training or serving — and executes it on a worker pool (see
-// runner/sweep.hpp — the aggregated report is deterministic across
-// --jobs settings).
+// option specs in runner/options.hpp (ExperimentConfig flags from its
+// field table): the spec registers the flags, generates `--help` in
+// declaration order, and validates parsed values up front (rejections
+// name the offending flag). `run` executes a single scenario and prints
+// its trace summary; `serve` replays a synthetic request stream against
+// a saved model; `sweep` expands a declarative grid — training or
+// serving — and executes it on a worker pool (see runner/sweep.hpp —
+// the aggregated report is deterministic across --jobs settings).
 #include <cstdint>
 #include <cstdio>
 #include <exception>
@@ -95,7 +95,7 @@ int cmd_run(int argc, const char* const* argv) {
   runner::OptionSet opts;
   opts.add_string("solver", "newton-admm", "solver name (see `nadmm list`)",
                   runner::v_solver());
-  opts.extend(runner::scenario_options());
+  opts.extend(runner::config_options(runner::kRun));
   opts.add_string("trace-csv", "", "if set, write the full trace CSV here");
   opts.add_string("trace-out", "",
                   "if set, write a Chrome trace_event JSON of the run's "
@@ -109,8 +109,9 @@ int cmd_run(int argc, const char* const* argv) {
   opts.validate(cli);
 
   const std::string solver = cli.get_string("solver");
-  const auto config = runner::config_from_cli(cli);
+  const auto config = runner::config_from_flags(cli);
   const auto& info = runner::SolverRegistry::instance().info(solver);
+  runner::reject_unread_knobs(solver, config);
 
   const auto tt = runner::make_data(config);
   std::printf("scenario: solver=%s (%s) dataset=%s n=%zu p=%zu C=%d "
@@ -180,11 +181,7 @@ int cmd_serve(int argc, const char* const* argv) {
   runner::OptionSet opts;
   opts.add_string("model", "",
                   "trained model file (from `nadmm run --save-model`)");
-  for (const char* shared :
-       {"dataset", "n-train", "n-test", "e18-features", "seed", "device",
-        "network", "omp-threads"}) {
-    opts.add(*runner::scenario_options().find(shared));
-  }
+  opts.extend(runner::config_options(runner::kServe));
   opts.extend(runner::serving_options());
   opts.add_string("trace-out", "",
                   "if set, write a Chrome trace_event JSON of the serving "
@@ -197,25 +194,14 @@ int cmd_serve(int argc, const char* const* argv) {
               "--save-model=model.txt`)");
 
   const auto model = serve::load_model(cli.get_string("model"));
-  runner::ExperimentConfig data_config;
-  data_config.dataset = cli.get_string("dataset");
-  data_config.n_train = cli.get_int_as<std::size_t>("n-train");
-  data_config.n_test = cli.get_int_as<std::size_t>("n-test");
-  data_config.e18_features = cli.get_int_as<std::size_t>("e18-features");
-  data_config.seed = cli.get_int_as<std::uint64_t>("seed");
+  const auto data_config = runner::config_from_flags(cli);
   const auto tt = runner::make_data(data_config);
   NADMM_CHECK(!tt.test.empty(),
               "serving needs a non-empty test split (--n-test > 0)");
-
-  serve::ServeConfig config;
-  config.arrival = cli.get_string("arrival");
-  config.batch = cli.get_string("batch");
-  config.requests = cli.get_int_as<std::size_t>("requests");
-  config.seed = cli.get_int_as<std::uint64_t>("seed");
-  config.device = cli.get_string("device");
-  config.network = cli.get_string("network");
-  config.dispatch_overhead_s = cli.get_double("dispatch-overhead");
-  config.omp_threads = cli.get_int_as<int>("omp-threads");
+  const serve::ServeConfig config = runner::serve_config(
+      data_config, cli.get_string("arrival"), cli.get_string("batch"),
+      cli.get_int_as<std::size_t>("requests"),
+      cli.get_double("dispatch-overhead"));
 
   std::printf("serving: model=%s (%s via %s) pool=%s rows=%zu p=%zu "
               "device=%s network=%s\n",

@@ -24,46 +24,14 @@ std::string fmt_double(double v) {
   return buf;
 }
 
-[[noreturn]] void reject(const std::string& flag, const std::string& value,
-                         const std::string& why) {
-  throw InvalidArgument("--" + flag + ": invalid value '" + value + "' (" +
-                        why + ")");
-}
-
-std::int64_t parse_int(const std::string& flag, const std::string& value) {
-  try {
-    std::size_t pos = 0;
-    const std::int64_t v = std::stoll(value, &pos);
-    if (pos != value.size()) reject(flag, value, "expected an integer");
-    return v;
-  } catch (const InvalidArgument&) {
-    throw;
-  } catch (const std::exception&) {
-    reject(flag, value, "expected an integer");
-  }
-}
-
-double parse_double(const std::string& flag, const std::string& value) {
-  try {
-    std::size_t pos = 0;
-    const double v = std::stod(value, &pos);
-    if (pos != value.size()) reject(flag, value, "expected a number");
-    return v;
-  } catch (const InvalidArgument&) {
-    throw;
-  } catch (const std::exception&) {
-    reject(flag, value, "expected a number");
-  }
-}
+}  // namespace
 
 std::string trim(const std::string& s) {
-  const auto b = s.find_first_not_of(" \t");
-  if (b == std::string::npos) return "";
-  const auto e = s.find_last_not_of(" \t");
-  return s.substr(b, e - b + 1);
+  const auto begin = s.find_first_not_of(" \t\r\n");
+  if (begin == std::string::npos) return "";
+  const auto end = s.find_last_not_of(" \t\r\n");
+  return s.substr(begin, end - begin + 1);
 }
-
-}  // namespace
 
 std::string to_string(OptType type) {
   switch (type) {
@@ -120,11 +88,13 @@ void OptionSet::register_into(CliParser& cli) const {
   for (const auto& spec : specs_) {
     switch (spec.type) {
       case OptType::kInt:
-        cli.add_int(spec.name, parse_int(spec.name, spec.default_value),
+        cli.add_int(spec.name,
+                    parse_number<std::int64_t>(spec.name, spec.default_value),
                     spec.help);
         break;
       case OptType::kDouble:
-        cli.add_double(spec.name, parse_double(spec.name, spec.default_value),
+        cli.add_double(spec.name,
+                       parse_number<double>(spec.name, spec.default_value),
                        spec.help);
         break;
       case OptType::kString:
@@ -139,23 +109,7 @@ void OptionSet::register_into(CliParser& cli) const {
 
 void OptionSet::validate(const CliParser& cli) const {
   for (const auto& spec : specs_) {
-    if (!spec.validator) continue;
-    std::string value;
-    switch (spec.type) {
-      case OptType::kInt:
-        value = std::to_string(cli.get_int(spec.name));
-        break;
-      case OptType::kDouble:
-        value = fmt_double(cli.get_double(spec.name));
-        break;
-      case OptType::kString:
-        value = cli.get_string(spec.name);
-        break;
-      case OptType::kFlag:
-        value = cli.get_flag(spec.name) ? "true" : "false";
-        break;
-    }
-    spec.validator(spec.name, value);
+    if (spec.validator) spec.validator(spec.name, cli.text(spec.name));
   }
 }
 
@@ -172,19 +126,19 @@ const OptionSpec* OptionSet::find(const std::string& name) const {
 
 OptionValidator v_int_min(std::int64_t min) {
   return [min](const std::string& flag, const std::string& value) {
-    if (parse_int(flag, value) < min) {
-      reject(flag, value, "must be >= " + std::to_string(min));
+    if (parse_number<std::int64_t>(flag, value) < min) {
+      reject_value(flag, value, "must be >= " + std::to_string(min));
     }
   };
 }
 
 OptionValidator v_double_min(double min, bool inclusive) {
   return [min, inclusive](const std::string& flag, const std::string& value) {
-    const double v = parse_double(flag, value);
+    const double v = parse_number<double>(flag, value);
     if (inclusive ? v < min : v <= min) {
-      reject(flag, value,
-             std::string("must be ") + (inclusive ? ">= " : "> ") +
-                 fmt_double(min));
+      reject_value(flag, value,
+                   std::string("must be ") + (inclusive ? ">= " : "> ") +
+                       fmt_double(min));
     }
   };
 }
@@ -198,7 +152,7 @@ OptionValidator v_one_of(std::vector<std::string> allowed) {
   return [allowed = std::move(allowed), expected = std::move(expected)](
              const std::string& flag, const std::string& value) {
     if (std::find(allowed.begin(), allowed.end(), value) == allowed.end()) {
-      reject(flag, value, "expected " + expected);
+      reject_value(flag, value, "expected " + expected);
     }
   };
 }
@@ -213,7 +167,7 @@ OptionValidator v_each(char sep, OptionValidator inner) {
       const std::string token =
           trim(value.substr(begin, end == std::string::npos ? std::string::npos
                                                             : end - begin));
-      if (token.empty()) reject(flag, value, "empty list element");
+      if (token.empty()) reject_value(flag, value, "empty list element");
       inner(flag, token);
       if (end == std::string::npos) break;
       begin = end + 1;
@@ -226,44 +180,41 @@ OptionValidator v_dataset() {
     static const std::vector<std::string> kNamed = {"higgs", "mnist", "cifar",
                                                     "e18", "blobs"};
     if (value.rfind("libsvm:", 0) == 0) {
-      if (value.size() == 7) reject(flag, value, "libsvm: needs a path");
+      if (value.size() == 7) reject_value(flag, value, "libsvm: needs a path");
       return;
     }
     if (std::find(kNamed.begin(), kNamed.end(), value) == kNamed.end()) {
-      reject(flag, value, "expected higgs|mnist|cifar|e18|blobs|libsvm:<path>");
+      reject_value(flag, value,
+                   "expected higgs|mnist|cifar|e18|blobs|libsvm:<path>");
     }
   };
 }
 
-OptionValidator v_device_list() {
-  return [](const std::string& flag, const std::string& value) {
-    if (value.empty()) return;  // unset alias
-    std::size_t begin = 0;
-    while (begin <= value.size()) {
-      const auto end = value.find_first_of(",+", begin);
-      const std::string token =
-          trim(value.substr(begin, end == std::string::npos ? std::string::npos
-                                                            : end - begin));
-      if (token.empty()) reject(flag, value, "empty device entry");
-      try {
-        static_cast<void>(la::device_from_string(token));
-      } catch (const std::exception& e) {
-        reject(flag, value, e.what());
-      }
-      if (end == std::string::npos) break;
-      begin = end + 1;
+namespace {
+
+/// Accepts whatever `parse` accepts; its exception text is the reason.
+template <class Parse>
+OptionValidator v_parses(Parse parse) {
+  return [parse](const std::string& flag, const std::string& value) {
+    try {
+      static_cast<void>(parse(value));
+    } catch (const std::exception& e) {
+      reject_value(flag, value, e.what());
     }
   };
+}
+
+}  // namespace
+
+OptionValidator v_device_list() {
+  return v_each(',', v_each('+', v_parses([](const std::string& v) {
+                  return la::device_from_string(v);
+                })));
 }
 
 OptionValidator v_network() {
-  return [](const std::string& flag, const std::string& value) {
-    try {
-      static_cast<void>(comm::network_from_string(value));
-    } catch (const std::exception& e) {
-      reject(flag, value, e.what());
-    }
-  };
+  return v_parses(
+      [](const std::string& v) { return comm::network_from_string(v); });
 }
 
 OptionValidator v_straggler() {
@@ -271,12 +222,13 @@ OptionValidator v_straggler() {
     if (value == "none") return;
     const auto colon = value.find(':');
     if (colon == std::string::npos) {
-      reject(flag, value, "expected none or <rank>:<slowdown>");
+      reject_value(flag, value, "expected none or <rank>:<slowdown>");
     }
-    const std::int64_t rank = parse_int(flag, value.substr(0, colon));
-    const double slowdown = parse_double(flag, value.substr(colon + 1));
-    if (rank < 0) reject(flag, value, "rank must be >= 0");
-    if (slowdown < 1.0) reject(flag, value, "slowdown must be >= 1");
+    const auto rank =
+        parse_number<std::int64_t>(flag, value.substr(0, colon));
+    const double slowdown = parse_number<double>(flag, value.substr(colon + 1));
+    if (rank < 0) reject_value(flag, value, "rank must be >= 0");
+    if (slowdown < 1.0) reject_value(flag, value, "slowdown must be >= 1");
   };
 }
 
@@ -285,13 +237,8 @@ OptionValidator v_partition() {
 }
 
 OptionValidator v_fault() {
-  return [](const std::string& flag, const std::string& value) {
-    try {
-      static_cast<void>(comm::FaultSpec::parse(value));
-    } catch (const std::exception& e) {
-      reject(flag, value, e.what());
-    }
-  };
+  return v_parses(
+      [](const std::string& v) { return comm::FaultSpec::parse(v); });
 }
 
 OptionValidator v_kill() {
@@ -299,43 +246,30 @@ OptionValidator v_kill() {
     if (value == "none") return;
     const auto colon = value.find(':');
     if (colon == std::string::npos) {
-      reject(flag, value, "expected none or <rank>:<epoch>");
+      reject_value(flag, value, "expected none or <rank>:<epoch>");
     }
-    const std::int64_t rank = parse_int(flag, value.substr(0, colon));
-    const std::int64_t epoch = parse_int(flag, value.substr(colon + 1));
-    if (rank < 0) reject(flag, value, "rank must be >= 0");
-    if (epoch < 1) reject(flag, value, "epoch must be >= 1");
+    const auto rank =
+        parse_number<std::int64_t>(flag, value.substr(0, colon));
+    const auto epoch =
+        parse_number<std::int64_t>(flag, value.substr(colon + 1));
+    if (rank < 0) reject_value(flag, value, "rank must be >= 0");
+    if (epoch < 1) reject_value(flag, value, "epoch must be >= 1");
   };
 }
 
 OptionValidator v_solver() {
-  return [](const std::string& flag, const std::string& value) {
-    try {
-      static_cast<void>(SolverRegistry::instance().info(value));
-    } catch (const std::exception& e) {
-      reject(flag, value, e.what());
-    }
-  };
+  return v_parses([](const std::string& v) {
+    static_cast<void>(SolverRegistry::instance().info(v));
+  });
 }
 
 OptionValidator v_arrival() {
-  return [](const std::string& flag, const std::string& value) {
-    try {
-      static_cast<void>(serve::make_arrival(value));
-    } catch (const std::exception& e) {
-      reject(flag, value, e.what());
-    }
-  };
+  return v_parses([](const std::string& v) { return serve::make_arrival(v); });
 }
 
 OptionValidator v_batch_policy() {
-  return [](const std::string& flag, const std::string& value) {
-    try {
-      static_cast<void>(serve::make_batch_policy(value));
-    } catch (const std::exception& e) {
-      reject(flag, value, e.what());
-    }
-  };
+  return v_parses(
+      [](const std::string& v) { return serve::make_batch_policy(v); });
 }
 
 OptionValidator v_byte_size() {
@@ -346,140 +280,207 @@ OptionValidator v_byte_size() {
 
 std::size_t parse_byte_size(const std::string& flag,
                             const std::string& value) {
-  if (value.empty()) reject(flag, value, "must not be empty");
-  // stoull would silently wrap "-1" to 2^64−1.
-  if (value.find('-') != std::string::npos) {
-    reject(flag, value, "must be non-negative");
-  }
   std::size_t multiplier = 1;
   std::string digits = value;
-  switch (digits.back()) {
+  switch (digits.empty() ? '\0' : digits.back()) {
     case 'k': case 'K': multiplier = 1ull << 10; digits.pop_back(); break;
     case 'm': case 'M': multiplier = 1ull << 20; digits.pop_back(); break;
     case 'g': case 'G': multiplier = 1ull << 30; digits.pop_back(); break;
     default: break;
   }
-  try {
-    std::size_t pos = 0;
-    const auto v = std::stoull(digits, &pos);
-    NADMM_CHECK(pos == digits.size(), "trailing characters");
-    NADMM_CHECK(v <= SIZE_MAX / multiplier, "size overflows");
-    return v * multiplier;
-  } catch (const std::exception&) {
-    reject(flag, value, "expected bytes with optional k/m/g suffix");
+  std::size_t v = 0;
+  if (!parse_number(digits, v) || v > SIZE_MAX / multiplier) {
+    reject_value(flag, value, "expected bytes with optional k/m/g suffix");
   }
+  return v * multiplier;
 }
 
 // ---------------------------------------------------------------------------
-// Shared option tables.
+// Typed text.
 // ---------------------------------------------------------------------------
 
-const OptionSet& scenario_options() {
-  static const OptionSet specs = [] {
-    OptionSet s;
-    s.add_string("dataset", "blobs",
-                 "higgs|mnist|cifar|e18|blobs|libsvm:<path>", v_dataset());
-    s.add_int("n-train", 8000, "training samples", v_int_min(1));
-    s.add_int("n-test", 2000, "test samples", v_int_min(0));
-    s.add_int("e18-features", 1400, "feature dim for e18/blobs", v_int_min(1));
-    s.add_int("seed", 42, "dataset generator seed", v_int_min(0));
-    s.add_int("workers", 8, "simulated cluster size", v_int_min(1));
-    s.add_string("device", "p100",
-                 "device model (p100|cpu|<gflops>[:<gbytes_per_s>]); a "
-                 "','/'+'-separated list rates ranks individually",
-                 v_device_list());
-    s.add_string("devices", "",
-                 "per-rank device list (alias for --device, matching the "
-                 "sweep axis name)",
-                 v_device_list());
-    s.add_string("network", "ib100",
-                 "network model (ib100|eth10|eth1|wan|ideal)", v_network());
-    s.add_string("penalty", "sps", "ADMM penalty rule (fixed|rb|sps)",
-                 v_one_of({"fixed", "rb", "sps"}));
-    s.add_double("lambda", 1e-5, "l2 regularization", v_double_min(0.0));
-    s.add_double("rho0", 1.0, "initial ADMM penalty rho_0",
-                 v_double_min(0.0, /*inclusive=*/false));
-    s.add_string("straggler", "none",
-                 "inject a straggler: <rank>:<slowdown> (none disables)",
-                 v_straggler());
-    s.add_string("partition", "contiguous",
-                 "shard plan across ranks: contiguous|strided|weighted "
-                 "(weighted sizes shards by per-rank device gflops)",
-                 v_partition());
-    s.add_int("iterations", 100, "outer iterations (epochs)", v_int_min(1));
-    s.add_int("cg-iterations", 10, "CG budget per Newton step", v_int_min(1));
-    s.add_double("cg-tol", 1e-4, "CG relative tolerance",
-                 v_double_min(0.0, /*inclusive=*/false));
-    s.add_int("line-search", 10, "line-search iteration budget", v_int_min(1));
-    s.add_double("objective-target", 0.0,
-                 "stop once F(z) <= target (<= 0 disables)");
-    s.add_int("staleness", 4, "async-admm bounded-staleness (rounds)",
-              v_int_min(1));
-    s.add_int("sync-every", 4, "stale-sync-admm barrier period (rounds)",
-              v_int_min(1));
-    s.add_string("fault", "none",
-                 "async-engine link faults: none or "
-                 "drop:<p>[,dup:<p>][,reorder:<p>][,corrupt:<p>]",
-                 v_fault());
-    s.add_string("kill", "none",
-                 "kill a rank after an epoch and rejoin it from the last "
-                 "checkpoint: <rank>:<epoch> (none disables; needs "
-                 "--checkpoint-every > 0)",
-                 v_kill());
-    s.add_int("checkpoint-every", 0,
-              "coordinator checkpoint period in applied updates (0 = off)",
-              v_int_min(0));
-    s.add_int("sgd-batch", 128, "sync-sgd minibatch size", v_int_min(1));
-    s.add_double("sgd-step", 0.1, "sync-sgd step size",
-                 v_double_min(0.0, /*inclusive=*/false));
-    s.add_int("dane-epochs", 10, "InexactDANE/AIDE epoch cap", v_int_min(1));
-    s.add_int("svrg-outer", 10, "DANE inner SVRG budget", v_int_min(1));
-    s.add_double("fo-step", 0.0,
-                 "single-node first-order step size (0 = rule default)",
-                 v_double_min(0.0));
-    s.add_double("gradient-tol", -1.0,
-                 "single-node gradient-norm stop (< 0 = solver default)");
-    s.add_int("omp-threads", 0, "OpenMP threads per rank (0 = auto)",
-              v_int_min(0));
-    return s;
-  }();
-  return specs;
+std::string to_text(double v) {
+  char buf[64];
+  std::snprintf(buf, sizeof buf, "%.17g", v);
+  return buf;
 }
 
-ExperimentConfig config_from_cli(const CliParser& cli) {
-  ExperimentConfig c;
-  c.dataset = cli.get_string("dataset");
-  c.n_train = cli.get_int_as<std::size_t>("n-train");
-  c.n_test = cli.get_int_as<std::size_t>("n-test");
-  c.e18_features = cli.get_int_as<std::size_t>("e18-features");
-  c.seed = cli.get_int_as<std::uint64_t>("seed");
-  c.workers = cli.get_int_as<int>("workers");
-  c.device = cli.get_string("devices").empty() ? cli.get_string("device")
-                                               : cli.get_string("devices");
-  c.network = cli.get_string("network");
-  c.penalty = cli.get_string("penalty");
-  c.lambda = cli.get_double("lambda");
-  c.rho0 = cli.get_double("rho0");
-  c.straggler = cli.get_string("straggler");
-  c.partition = cli.get_string("partition");
-  c.iterations = cli.get_int_as<int>("iterations");
-  c.cg_iterations = cli.get_int_as<int>("cg-iterations");
-  c.cg_tol = cli.get_double("cg-tol");
-  c.line_search_iterations = cli.get_int_as<int>("line-search");
-  c.objective_target = cli.get_double("objective-target");
-  c.staleness = cli.get_int_as<int>("staleness");
-  c.sync_every = cli.get_int_as<int>("sync-every");
-  c.fault = cli.get_string("fault");
-  c.kill = cli.get_string("kill");
-  c.checkpoint_every = cli.get_int_as<int>("checkpoint-every");
-  c.sgd_batch = cli.get_int_as<std::size_t>("sgd-batch");
-  c.sgd_step = cli.get_double("sgd-step");
-  c.dane_epochs = cli.get_int_as<int>("dane-epochs");
-  c.svrg_outer = cli.get_int_as<int>("svrg-outer");
-  c.fo_step = cli.get_double("fo-step");
-  c.gradient_tol = cli.get_double("gradient-tol");
-  c.omp_threads = cli.get_int_as<int>("omp-threads");
-  return c;
+std::string json_escape(const std::string& s) {
+  std::string out;
+  out.reserve(s.size() + 8);
+  for (const char c : s) {
+    switch (c) {
+      case '"': out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      case '\n': out += "\\n"; break;
+      case '\t': out += "\\t"; break;
+      case '\r': out += "\\r"; break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          char buf[8];
+          std::snprintf(buf, sizeof buf, "\\u%04x", c);
+          out += buf;
+        } else {
+          out += c;
+        }
+    }
+  }
+  return out;
+}
+
+bool from_text(const std::string& text, bool& out) {
+  out = text == "true" || text == "1";
+  return out || text == "false" || text == "0";
+}
+
+// ---------------------------------------------------------------------------
+// The ExperimentConfig field table.
+// ---------------------------------------------------------------------------
+
+namespace {
+
+/// Table entry for member F: its flag `name`, `help` line and
+/// `validator`, taken as a flag by the `flag_on` commands.
+template <auto F>
+ConfigField field(std::string name, std::string help,
+                  OptionValidator validator = {}, unsigned flag_on = kRun) {
+  using T = TypeOf<F>;
+  const T value = ExperimentConfig{}.*F;
+  OptionSpec spec{std::move(name), OptType::kString, to_text(value),
+                  std::move(help), std::move(validator)};
+  if constexpr (std::is_same_v<T, bool>) {
+    spec.type = OptType::kFlag;
+  } else if constexpr (std::is_integral_v<T>) {
+    spec.type = OptType::kInt;
+  } else if constexpr (std::is_floating_point_v<T>) {
+    spec.type = OptType::kDouble;
+    spec.default_value = fmt_double(value);  // as CliParser prints it
+  }
+  return {std::move(spec), flag_on,
+          [](ExperimentConfig& c, const std::string& flag,
+             const std::string& text) { c.*F = parse_as<T>(flag, text); },
+          [](const ExperimentConfig& c) { return to_text(c.*F); },
+          [](const ExperimentConfig& c) -> const void* { return &(c.*F); }};
+}
+
+/// A field no command takes as a flag (the sweep fingerprints it).
+template <auto F>
+ConfigField unflagged(std::string name) {
+  return field<F>(std::move(name), "", {}, kNoFlag);
+}
+
+}  // namespace
+
+std::string ConfigField::key() const {
+  std::string key = spec.name;
+  std::replace(key.begin(), key.end(), '-', '_');
+  return key;
+}
+
+const std::vector<ConfigField>& config_fields() {
+  using C = ExperimentConfig;
+  static const std::vector<ConfigField> fields = {
+      field<&C::dataset>("dataset",
+                         "higgs|mnist|cifar|e18|blobs|libsvm:<path>",
+                         v_dataset(), kRun | kServe),
+      field<&C::n_train>("n-train", "training samples", v_int_min(1),
+                         kRun | kServe),
+      field<&C::n_test>("n-test", "test samples", v_int_min(0),
+                        kRun | kServe),
+      field<&C::e18_features>("e18-features", "feature dim for e18/blobs",
+                              v_int_min(1), kRun | kServe),
+      field<&C::seed>("seed", "dataset generator seed", v_int_min(0),
+                      kRun | kServe),
+      field<&C::workers>("workers", "simulated cluster size", v_int_min(1)),
+      field<&C::device>("device",
+                        "device model (p100|cpu|<gflops>[:<gbytes_per_s>]); "
+                        "a ','/'+'-separated list rates ranks individually",
+                        v_device_list(), kRun | kServe),
+      field<&C::network>("network",
+                         "network model (ib100|eth10|eth1|wan|ideal)",
+                         v_network(), kRun | kServe),
+      field<&C::penalty>("penalty", "ADMM penalty rule (fixed|rb|sps)",
+                         v_one_of({"fixed", "rb", "sps"})),
+      field<&C::lambda>("lambda", "l2 regularization", v_double_min(0.0)),
+      field<&C::rho0>("rho0", "initial ADMM penalty rho_0",
+                      v_double_min(0.0, /*inclusive=*/false)),
+      field<&C::straggler>(
+          "straggler", "inject a straggler: <rank>:<slowdown> (none disables)",
+          v_straggler()),
+      field<&C::partition>("partition",
+                           "shard plan across ranks: contiguous|strided|"
+                           "weighted (weighted sizes shards by per-rank "
+                           "device gflops)",
+                           v_partition()),
+      field<&C::iterations>("iterations", "outer iterations (epochs)",
+                            v_int_min(1)),
+      field<&C::cg_iterations>("cg-iterations", "CG budget per Newton step",
+                               v_int_min(1)),
+      field<&C::cg_tol>("cg-tol", "CG relative tolerance",
+                        v_double_min(0.0, /*inclusive=*/false)),
+      field<&C::line_search_iterations>("line-search-iterations",
+                                        "line-search iteration budget",
+                                        v_int_min(1)),
+      unflagged<&C::local_newton_steps>("local-newton-steps"),
+      field<&C::objective_target>(
+          "objective-target", "stop once F(z) <= target (<= 0 disables)"),
+      unflagged<&C::evaluate_accuracy>("evaluate-accuracy"),
+      field<&C::staleness>("staleness",
+                           "async-admm bounded-staleness (rounds)",
+                           v_int_min(1)),
+      field<&C::sync_every>("sync-every",
+                            "stale-sync-admm barrier period (rounds)",
+                            v_int_min(1)),
+      field<&C::fault>("fault",
+                       "async-engine link faults: none or "
+                       "drop:<p>[,dup:<p>][,reorder:<p>][,corrupt:<p>]",
+                       v_fault()),
+      field<&C::kill>("kill",
+                      "kill a rank after an epoch and rejoin it from the "
+                      "last checkpoint: <rank>:<epoch> (none disables; "
+                      "needs --checkpoint-every > 0)",
+                      v_kill()),
+      field<&C::checkpoint_every>(
+          "checkpoint-every",
+          "coordinator checkpoint period in applied updates (0 = off)",
+          v_int_min(0)),
+      field<&C::sgd_batch>("sgd-batch", "sync-sgd minibatch size",
+                           v_int_min(1)),
+      field<&C::sgd_step>("sgd-step", "sync-sgd step size",
+                          v_double_min(0.0, /*inclusive=*/false)),
+      field<&C::dane_epochs>("dane-epochs", "InexactDANE/AIDE epoch cap",
+                             v_int_min(1)),
+      field<&C::svrg_outer>("svrg-outer", "DANE inner SVRG budget",
+                            v_int_min(1)),
+      field<&C::fo_step>("fo-step",
+                         "single-node first-order step size (0 = rule "
+                         "default)",
+                         v_double_min(0.0)),
+      field<&C::gradient_tol>(
+          "gradient-tol",
+          "single-node gradient-norm stop (< 0 = solver default)"),
+      field<&C::omp_threads>("omp-threads",
+                             "OpenMP threads per rank (0 = auto)",
+                             v_int_min(0), kRun | kServe),
+  };
+  return fields;
+}
+
+OptionSet config_options(FlagOn command) {
+  OptionSet set;
+  for (const auto& f : config_fields()) {
+    if ((f.flag_on & command) != 0) set.add(f.spec);
+  }
+  return set;
+}
+
+ExperimentConfig config_from_flags(const CliParser& cli) {
+  ExperimentConfig config;
+  for (const auto& f : config_fields()) {
+    const std::string& name = f.spec.name;
+    if (cli.has(name)) f.assign(config, name, cli.text(name));
+  }
+  return config;
 }
 
 const OptionSet& serving_options() {
@@ -507,14 +508,13 @@ const OptionSet& serving_options() {
 // Solver-knob catalog.
 // ---------------------------------------------------------------------------
 
-KnobInfo describe_knob(const std::string& name) {
-  const OptionSpec* spec = scenario_options().find(name);
-  if (spec == nullptr) spec = serving_options().find(name);
-  NADMM_CHECK(spec != nullptr,
-              "solver knob '" + name +
-                  "' is not a registered CLI option — add it to "
-                  "runner::scenario_options()");
-  return {spec->name, to_string(spec->type), spec->default_value, spec->help};
+const OptionSpec& describe_knob(const std::string& name) {
+  for (const auto& f : config_fields()) {
+    if (f.spec.name == name && (f.flag_on & kRun) != 0) return f.spec;
+  }
+  throw InvalidArgument("solver knob '" + name +
+                        "' is not a `nadmm run` config flag — declare it in "
+                        "runner::config_fields()");
 }
 
 }  // namespace nadmm::runner

@@ -1,37 +1,39 @@
 // Declarative CLI option specs shared by every `nadmm` subcommand.
 //
-// Before this header, each subcommand hand-registered its flags against
-// CliParser and validated values ad hoc (or not at all), so run/sweep
-// drifted apart and a malformed `--device` surfaced deep inside the
-// harness with no flag name attached. An OptionSpec carries the flag's
-// name, type, default, help line, and a validator closure; an OptionSet
-// is an ordered collection of specs that registers itself into a
-// CliParser (which generates `--help` from it, in declaration order) and
-// validates the parsed values up front — every rejection names the
-// offending flag and echoes the bad value.
+// An OptionSpec carries a flag's name, type, default, help line and a
+// validator closure; an OptionSet is an ordered collection of specs that
+// registers itself into a CliParser (which generates `--help` from it,
+// in declaration order) and validates the parsed values up front — every
+// rejection names the offending flag and echoes the bad value.
 //
-// The same spec table doubles as the solver-knob catalog: the registry's
-// per-solver knob names resolve to typed KnobInfo entries here, so
-// `nadmm list --json` and the generated README solver table cannot
-// drift from what the flags actually accept.
+// ExperimentConfig's fields are declared once, in config_fields(): each
+// entry binds a member pointer to the field's name, help line and
+// validator, and says which commands take it as a flag. `nadmm run` and
+// `nadmm serve` flags (config_options, config_from_flags), the sweep's
+// scalar and fixed keys and the validators of its config axes
+// (runner/sweep.cpp), and the solver-knob catalog (describe_knob, behind
+// `nadmm list --json` and the README solver table) are all built from
+// that table, so none of them can drift from the others.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <string>
+#include <type_traits>
 #include <vector>
 
+#include "runner/harness.hpp"
+#include "support/check.hpp"
 #include "support/cli.hpp"
 
 namespace nadmm::runner {
-
-struct ExperimentConfig;  // runner/harness.hpp
 
 enum class OptType { kInt, kDouble, kString, kFlag };
 std::string to_string(OptType type);
 
 /// Checks a parsed textual value; throws InvalidArgument naming `flag`
-/// (already "--"-prefixed) when the value is out of domain.
+/// (without the leading "--") when the value is out of domain.
 using OptionValidator =
     std::function<void(const std::string& flag, const std::string& value)>;
 
@@ -66,11 +68,10 @@ class OptionSet {
   /// --help prints).
   void register_into(CliParser& cli) const;
 
-  /// Run every validator against the values `cli` parsed. Throws
+  /// Run every validator against the text `cli` parsed. Throws
   /// InvalidArgument naming the first offending flag.
   void validate(const CliParser& cli) const;
 
-  [[nodiscard]] const std::vector<OptionSpec>& specs() const { return specs_; }
   /// Spec by name, or nullptr when absent.
   [[nodiscard]] const OptionSpec* find(const std::string& name) const;
 
@@ -101,22 +102,130 @@ OptionValidator v_arrival();      ///< serve/arrival.hpp spec
 OptionValidator v_batch_policy(); ///< serve/batching.hpp spec
 OptionValidator v_byte_size();    ///< bytes with optional k/m/g suffix
 
+/// `s` without leading and trailing spaces, tabs, CRs and LFs.
+std::string trim(const std::string& s);
+/// `s` escaped for the inside of a JSON string (control bytes as \u00XX).
+std::string json_escape(const std::string& s);
+
 /// Parse "0", "1500000", "512m", "2g" (case-insensitive k/m/g suffix).
 /// Throws InvalidArgument naming `flag` on malformed input.
 std::size_t parse_byte_size(const std::string& flag, const std::string& value);
 
 // ---------------------------------------------------------------------------
-// Shared option tables.
+// Typed text: one spelling per C++ type, shared by the config field table,
+// the sweep key table (spec values and the fingerprint) and the sweep
+// column table (report cells and journal restores): strings verbatim,
+// integers in decimal, bools as 1/0, doubles at %.17g — exact round
+// trips, non-finite values included (from_chars reads inf/nan back).
 // ---------------------------------------------------------------------------
 
-/// The scenario surface shared by `nadmm run` and (as scalar overrides)
-/// `nadmm sweep`: dataset shape, cluster, solver knobs.
-const OptionSet& scenario_options();
+inline std::string to_text(const std::string& v) { return v; }
+std::string to_text(double v);
+inline std::string to_text(bool v) { return v ? "1" : "0"; }
+template <class T>
+  requires std::is_integral_v<T>
+std::string to_text(T v) {
+  return std::to_string(v);
+}
 
-/// The ExperimentConfig that `cli`'s scenario_options() flags describe.
-/// Integer flags outside their field's range throw InvalidArgument
-/// naming the flag, never narrow.
-ExperimentConfig config_from_cli(const CliParser& cli);
+inline bool from_text(const std::string& text, std::string& out) {
+  out = text;
+  return true;
+}
+bool from_text(const std::string& text, bool& out);
+template <class T>
+  requires(std::is_arithmetic_v<T> && !std::is_same_v<T, bool>)
+bool from_text(const std::string& text, T& out) {
+  return parse_number(text, out);
+}
+
+/// The T that `text` spells; malformed or out-of-range text is rejected
+/// through reject_value, naming `flag`.
+template <class T>
+T parse_as(const std::string& flag, const std::string& text) {
+  if constexpr (std::is_same_v<T, std::string>) {
+    return text;
+  } else if constexpr (std::is_same_v<T, bool>) {
+    bool value = false;
+    if (!from_text(text, value)) {
+      reject_value(flag, text, "expected true|false");
+    }
+    return value;
+  } else {
+    return parse_number<T>(flag, text);
+  }
+}
+
+/// Owner class and value type of a data-member pointer.
+template <class>
+struct Member;
+template <class C, class T>
+struct Member<T C::*> {
+  using Owner = C;
+  using Type = T;
+};
+template <auto F>
+using OwnerOf = typename Member<decltype(F)>::Owner;
+template <auto F>
+using TypeOf = typename Member<decltype(F)>::Type;
+
+// ---------------------------------------------------------------------------
+// The ExperimentConfig field table.
+// ---------------------------------------------------------------------------
+
+/// The commands that take a config field as a flag (a bit set). Every
+/// field is part of the sweep fingerprint; which fields are sweep keys is
+/// chosen in sweep.cpp's key table.
+enum FlagOn : unsigned { kNoFlag = 0, kRun = 1u, kServe = 2u };
+
+/// One ExperimentConfig field. `spec.name` is the flag spelling
+/// ("n-train"); the sweep key swaps '-' for '_'. The type comes from the
+/// member pointer, the default from ExperimentConfig{}.
+struct ConfigField {
+  OptionSpec spec;
+  unsigned flag_on = kNoFlag;  ///< FlagOn bits
+  /// Parse `text` into the field (numbers through parse_number: a value
+  /// the member's type cannot hold is rejected, never wrapped); throws
+  /// naming `flag`.
+  void (*assign)(ExperimentConfig& config, const std::string& flag,
+                 const std::string& text);
+  /// The field's value in to_text spelling (the sweep fingerprint's).
+  std::string (*text)(const ExperimentConfig& config);
+  /// The member's address inside `config`: identifies the field.
+  const void* (*address)(const ExperimentConfig& config);
+
+  /// `n-train` -> `n_train`.
+  [[nodiscard]] std::string key() const;
+};
+
+/// Every ExperimentConfig field, once, in `nadmm run --help` order.
+const std::vector<ConfigField>& config_fields();
+
+/// The table entry of member F.
+template <auto F>
+  requires std::is_same_v<OwnerOf<F>, ExperimentConfig>
+const ConfigField& config_field() {
+  static const ConfigField& field = []() -> const ConfigField& {
+    static const ExperimentConfig probe{};
+    const auto& fields = config_fields();
+    const auto it = std::find_if(
+        fields.begin(), fields.end(),
+        [](const ConfigField& f) { return f.address(probe) == &(probe.*F); });
+    NADMM_ASSERT(it != fields.end());
+    return *it;
+  }();
+  return field;
+}
+
+/// The config fields `command` (kRun or kServe) takes as flags, in table
+/// order.
+OptionSet config_options(FlagOn command);
+
+/// The ExperimentConfig that `cli`'s config flags describe: each table
+/// field `cli` registered is parsed from its text, the rest keep
+/// ExperimentConfig{}. Malformed or out-of-range text throws
+/// InvalidArgument naming the flag.
+ExperimentConfig config_from_flags(const CliParser& cli);
 
 /// The serving-scenario surface shared by `nadmm serve` and the sweep's
 /// serving mode: arrival/batch specs, request count, dispatch overhead.
@@ -126,17 +235,9 @@ const OptionSet& serving_options();
 // Solver-knob catalog (registry introspection).
 // ---------------------------------------------------------------------------
 
-/// One solver knob with its CLI type/default/description — resolved from
-/// the shared option tables so `nadmm list` cannot drift from the flags.
-struct KnobInfo {
-  std::string name;
-  std::string type;  ///< "int" | "double" | "string" | "flag"
-  std::string default_value;
-  std::string description;
-};
-
-/// KnobInfo for a knob name the registry declares; throws
-/// InvalidArgument on names no option table defines.
-KnobInfo describe_knob(const std::string& name);
+/// The spec of a knob name the registry declares, from the config field
+/// table so `nadmm list` cannot drift from the flags; throws
+/// InvalidArgument on names that are not `nadmm run` config flags.
+const OptionSpec& describe_knob(const std::string& name);
 
 }  // namespace nadmm::runner

@@ -113,8 +113,8 @@ SolverFactory single_node_factory(std::string name) {
 
 }  // namespace
 
-std::vector<KnobInfo> SolverInfo::knobs() const {
-  std::vector<KnobInfo> out;
+std::vector<OptionSpec> SolverInfo::knobs() const {
+  std::vector<OptionSpec> out;
   out.reserve(knob_names.size());
   for (const auto& knob : knob_names) out.push_back(describe_knob(knob));
   return out;
@@ -208,35 +208,36 @@ core::RunResult SolverRegistry::run(const std::string& name,
   return solvers_.at(name).second(cluster, data, config);
 }
 
+void reject_unread_knobs(const std::string& solver,
+                         const ExperimentConfig& config) {
+  const auto& registry = SolverRegistry::instance();
+  const bool fault = !config.fault.empty() && config.fault != "none";
+  if (!fault || !registry.contains(solver)) return;
+  const auto& knobs = registry.info(solver).knob_names;
+  if (std::find(knobs.begin(), knobs.end(), "fault") == knobs.end()) {
+    throw InvalidArgument("solver '" + solver + "' does not read fault ('" +
+                          config.fault +
+                          "' would run fault-free under a fault label); "
+                          "use fault=none or a solver with a fault knob");
+  }
+}
+
 std::string registry_json() {
-  const auto escape = [](const std::string& s) {
-    std::string out;
-    out.reserve(s.size());
-    for (const char ch : s) {
-      switch (ch) {
-        case '"': out += "\\\""; break;
-        case '\\': out += "\\\\"; break;
-        case '\n': out += "\\n"; break;
-        case '\t': out += "\\t"; break;
-        default: out += ch; break;
-      }
-    }
-    return out;
-  };
   std::string json = "{\n  \"solvers\": [\n";
   const auto solvers = SolverRegistry::instance().list();
   for (std::size_t i = 0; i < solvers.size(); ++i) {
     const auto& s = solvers[i];
-    json += "    {\"name\": \"" + escape(s.name) + "\", \"kind\": \"" +
+    json += "    {\"name\": \"" + json_escape(s.name) + "\", \"kind\": \"" +
             to_string(s.kind) + "\", \"class\": \"" +
             to_string(s.comm_class) + "\", \"description\": \"" +
-            escape(s.description) + "\", \"knobs\": [";
+            json_escape(s.description) + "\", \"knobs\": [";
     const auto knobs = s.knobs();
     for (std::size_t k = 0; k < knobs.size(); ++k) {
       json += std::string(k == 0 ? "" : ", ") + "{\"name\": \"" +
-              escape(knobs[k].name) + "\", \"type\": \"" + knobs[k].type +
-              "\", \"default\": \"" + escape(knobs[k].default_value) +
-              "\", \"description\": \"" + escape(knobs[k].description) +
+              json_escape(knobs[k].name) + "\", \"type\": \"" +
+              to_string(knobs[k].type) +
+              "\", \"default\": \"" + json_escape(knobs[k].default_value) +
+              "\", \"description\": \"" + json_escape(knobs[k].help) +
               "\"}";
     }
     json += std::string("]}") + (i + 1 < solvers.size() ? "," : "") + "\n";
@@ -253,10 +254,10 @@ void SolverRegistry::register_builtins() {
   };
   // Every distributed solver runs on a cluster built by make_cluster, so
   // the heterogeneity knobs apply to all of them.
-  const Knobs cluster_knobs = {"devices", "straggler", "partition"};
+  const Knobs cluster_knobs = {"device", "straggler", "partition"};
   const Knobs newton_knobs =
-      with({"penalty", "rho0", "cg-iterations", "cg-tol", "line-search",
-            "objective-target"},
+      with({"penalty", "rho0", "cg-iterations", "cg-tol",
+            "line-search-iterations", "objective-target"},
            cluster_knobs);
   add({"newton-admm", SolverKind::kDistributed,
        "distributed Newton-CG with ADMM consensus (the paper's method)",
@@ -288,7 +289,7 @@ void SolverRegistry::register_builtins() {
   add({"giant", SolverKind::kDistributed,
        "globally improved approximate Newton (Wang et al.)",
        CommClass::kSynchronous,
-       with({"cg-iterations", "cg-tol", "line-search",
+       with({"cg-iterations", "cg-tol", "line-search-iterations",
              "objective-target"},
             cluster_knobs)},
       [](comm::SimCluster& cluster, const data::ShardedDataset& data,
@@ -332,7 +333,8 @@ void SolverRegistry::register_builtins() {
 
   add({"newton-cg", SolverKind::kSingleNode,
        "single-node inexact Newton-CG (paper Algorithm 1)", CommClass::kNone,
-       {"cg-iterations", "cg-tol", "line-search", "gradient-tol"}},
+       {"cg-iterations", "cg-tol", "line-search-iterations",
+        "gradient-tol"}},
       single_node_factory("newton-cg"));
   add({"gd", SolverKind::kSingleNode, "single-node full-batch gradient descent",
        CommClass::kNone, {"fo-step", "gradient-tol"}},

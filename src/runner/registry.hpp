@@ -40,14 +40,14 @@ struct SolverInfo {
   CommClass comm_class = CommClass::kNone;
   /// CLI knobs this solver actually reads (beyond the shared
   /// dataset/cluster flags). Names, not copies of the metadata: each
-  /// must resolve through runner::describe_knob against the shared
-  /// option tables, so the registry cannot drift from the flags.
+  /// must resolve through runner::describe_knob against the config field
+  /// table, so the registry cannot drift from the flags.
   std::vector<std::string> knob_names;
 
   /// The knobs resolved to typed entries (type/default/description from
-  /// the option specs). Throws InvalidArgument when a knob name is not
-  /// a registered CLI option.
-  [[nodiscard]] std::vector<KnobInfo> knobs() const;
+  /// the config field table). Throws InvalidArgument when a knob name is
+  /// not a `nadmm run` config flag.
+  [[nodiscard]] std::vector<OptionSpec> knobs() const;
   /// Comma-joined knob names, for compact table display.
   [[nodiscard]] std::string knobs_csv() const;
 };
@@ -90,6 +90,13 @@ class SolverRegistry {
 
   std::map<std::string, std::pair<SolverInfo, SolverFactory>> solvers_;
 };
+
+/// Throws InvalidArgument, naming the solver and the knob, when `config`
+/// sets a knob `solver` never reads: a link fault other than "none" on a
+/// solver without the `fault` knob. Unregistered names pass (running
+/// them reports the unknown solver).
+void reject_unread_knobs(const std::string& solver,
+                         const ExperimentConfig& config);
 
 /// Machine-readable registry dump (`nadmm list --json`): every solver
 /// with kind/class/description and its fully resolved knob entries.

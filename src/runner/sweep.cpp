@@ -25,13 +25,6 @@ namespace nadmm::runner {
 
 namespace {
 
-std::string trim(const std::string& s) {
-  const auto begin = s.find_first_not_of(" \t\r\n");
-  if (begin == std::string::npos) return "";
-  const auto end = s.find_last_not_of(" \t\r\n");
-  return s.substr(begin, end - begin + 1);
-}
-
 std::vector<std::string> split_list(const std::string& value) {
   std::vector<std::string> out;
   std::stringstream ss(value);
@@ -41,12 +34,6 @@ std::vector<std::string> split_list(const std::string& value) {
     if (!item.empty()) out.push_back(item);
   }
   return out;
-}
-
-std::string fmt_double(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%.17g", v);
-  return buf;
 }
 
 std::string fmt_compact(double v) {
@@ -61,7 +48,7 @@ std::string fmt_rank_waits(const std::vector<double>& waits) {
   std::string out;
   for (std::size_t r = 0; r < waits.size(); ++r) {
     if (r > 0) out += ';';
-    out += fmt_double(waits[r]);
+    out += to_text(waits[r]);
   }
   return out;
 }
@@ -101,103 +88,17 @@ bool parse_metrics(const std::string& text,
     const std::string item = text.substr(pos, end - pos);
     const auto colon = item.rfind(':');
     if (colon == std::string::npos || colon == 0) return false;
-    char* num_end = nullptr;
-    const std::uint64_t value =
-        std::strtoull(item.c_str() + colon + 1, &num_end, 10);
-    if (num_end != item.c_str() + item.size()) return false;
+    std::uint64_t value = 0;
+    if (!parse_number(std::string_view(item).substr(colon + 1), value)) {
+      return false;
+    }
     if (value != 0) out[item.substr(0, colon)] = value;
     pos = end + 1;
   }
   return true;
 }
 
-// ------------------------------------------------------------ typed text
-//
-// One spelling per C++ type, shared by the key table (spec values and the
-// fingerprint) and the column table (report cells and journal restores):
-// strings verbatim, integers in decimal, bools as 1/0, doubles at %.17g —
-// exact round trips, non-finite values included (from_chars reads
-// inf/nan back).
-
-std::string to_text(const std::string& v) { return v; }
-std::string to_text(double v) { return fmt_double(v); }
-std::string to_text(bool v) { return v ? "1" : "0"; }
-template <class T>
-  requires std::is_integral_v<T>
-std::string to_text(T v) {
-  return std::to_string(v);
-}
-
-bool from_text(const std::string& text, std::string& out) {
-  out = text;
-  return true;
-}
-
-bool from_text(const std::string& text, bool& out) {
-  out = text == "true" || text == "1";
-  return out || text == "false" || text == "0";
-}
-
-template <class T>
-  requires std::is_arithmetic_v<T>
-bool from_text(const std::string& text, T& out) {
-  const char* end = text.data() + text.size();
-  const auto [stop, error] = std::from_chars(text.data(), end, out);
-  return error == std::errc() && stop == end;
-}
-
-/// from_text, throwing InvalidArgument naming `flag` on malformed text.
-template <class T>
-T parse_as(const std::string& flag, const std::string& text) {
-  T value{};
-  if (!from_text(text, value)) {
-    throw InvalidArgument("--" + flag + ": invalid value '" + text +
-                          "' (expected " +
-                          (std::is_same_v<T, bool>        ? "true|false"
-                           : std::is_floating_point_v<T> ? "a number"
-                                                         : "an integer") +
-                          ")");
-  }
-  return value;
-}
-
-/// Owner class and value type of a data-member pointer.
-template <class>
-struct Member;
-template <class C, class T>
-struct Member<T C::*> {
-  using Owner = C;
-  using Type = T;
-};
-template <auto F>
-using OwnerOf = typename Member<decltype(F)>::Owner;
-template <auto F>
-using TypeOf = typename Member<decltype(F)>::Type;
-
 // ------------------------------------------------------------ flat JSON
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 8);
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
 
 struct JsonField {
   std::string text;     ///< the unescaped string, or the bare token
@@ -282,10 +183,10 @@ struct SweepKey {
     kScalar,  ///< one spec or base-config knob
     kFixed,   ///< base knob no key sets: fingerprinted only
   };
-  const char* name;
+  std::string name;
   Kind kind;
-  const char* help;
-  OptionValidator validate;  ///< per entry for axes; may be empty for scalars
+  std::string help;
+  OptionValidator validate;  ///< the whole value; may be empty for scalars
   Mode mode;                 ///< axes outside the grid's mode stay at base
   /// Parse raw text into the bound field; throws naming `flag`.
   std::function<void(SweepSpec&, const std::string& flag,
@@ -297,77 +198,69 @@ struct SweepKey {
   std::function<void(const SweepSpec&, std::size_t i, Scenario&)> pick;
 };
 
-/// The spec-side field F names: a SweepSpec member or a base-config one.
-template <auto F, class Spec>
-auto& spec_field(Spec& spec) {
-  if constexpr (std::is_same_v<OwnerOf<F>, SweepSpec>) {
-    return spec.*F;
-  } else {
-    return spec.base.*F;
-  }
-}
-
-template <class T>
-constexpr bool kIsList = false;
-template <class T>
-constexpr bool kIsList<std::vector<T>> = true;
-
-template <auto F>
-std::string canonical_text(const SweepSpec& spec) {
-  if constexpr (kIsList<TypeOf<F>>) {
-    std::string out;
-    const auto& entries = spec_field<F>(spec);
-    for (std::size_t i = 0; i < entries.size(); ++i) {
-      if (i > 0) out += ',';
-      out += to_text(entries[i]);
-    }
-    return out;
-  } else {
-    return to_text(spec_field<F>(spec));
-  }
-}
-
 /// Axis key: the spec list F; scenario field Target (a Scenario member
-/// or a config one) takes one entry per scenario.
+/// or a config one) takes one entry per scenario. A config Target's
+/// entries are checked by its field's validator.
 template <auto F, auto Target>
-SweepKey axis(const char* name, const char* help, OptionValidator validate,
-              Mode mode = kBoth) {
+SweepKey axis(std::string name, std::string help, Mode mode = kBoth,
+              OptionValidator validate = {}) {
   using T = typename TypeOf<F>::value_type;
-  return {name, SweepKey::kAxis, help, std::move(validate), mode,
+  if constexpr (std::is_same_v<OwnerOf<Target>, ExperimentConfig>) {
+    validate = config_field<Target>().spec.validator;
+  }
+  return {std::move(name), SweepKey::kAxis, std::move(help),
+          v_each(',', std::move(validate)), mode,
           [](SweepSpec& spec, const std::string& flag,
              const std::string& text) {
             std::vector<T> entries;
             for (const auto& item : split_list(text)) {
               entries.push_back(parse_as<T>(flag, item));
             }
-            spec_field<F>(spec) = std::move(entries);
+            spec.*F = std::move(entries);
           },
-          canonical_text<F>,
-          [](const SweepSpec& spec) { return spec_field<F>(spec).size(); },
+          [](const SweepSpec& spec) {
+            std::string out;
+            for (std::size_t i = 0; i < (spec.*F).size(); ++i) {
+              if (i > 0) out += ',';
+              out += to_text((spec.*F)[i]);
+            }
+            return out;
+          },
+          [](const SweepSpec& spec) { return (spec.*F).size(); },
           [](const SweepSpec& spec, std::size_t i, Scenario& scenario) {
             if constexpr (std::is_same_v<OwnerOf<Target>, Scenario>) {
-              scenario.*Target = spec_field<F>(spec)[i];
+              scenario.*Target = (spec.*F)[i];
             } else {
-              scenario.config.*Target = spec_field<F>(spec)[i];
+              scenario.config.*Target = (spec.*F)[i];
             }
           }};
 }
 
+/// Scalar key for SweepSpec member F.
 template <auto F>
-SweepKey scalar(const char* name, const char* help,
+SweepKey scalar(std::string name, std::string help,
                 OptionValidator validate = {}, Mode mode = kBoth) {
-  return {name, SweepKey::kScalar, help, std::move(validate), mode,
+  return {std::move(name), SweepKey::kScalar, std::move(help),
+          std::move(validate), mode,
           [](SweepSpec& spec, const std::string& flag,
              const std::string& text) {
-            spec_field<F>(spec) = parse_as<TypeOf<F>>(flag, text);
+            spec.*F = parse_as<TypeOf<F>>(flag, text);
           },
-          canonical_text<F>, {}, {}};
+          [](const SweepSpec& spec) { return to_text(spec.*F); }, {}, {}};
 }
 
+/// Scalar or fixed key for config field F: name, help and validator come
+/// from its config_fields() entry.
 template <auto F>
-SweepKey fixed(const char* name) {
-  return {name, SweepKey::kFixed, "", {}, kBoth, {}, canonical_text<F>, {},
-          {}};
+SweepKey config_key(SweepKey::Kind kind) {
+  const ConfigField& field = config_field<F>();
+  return {field.key(), kind, field.spec.help, field.spec.validator, kBoth,
+          [&field](SweepSpec& spec, const std::string& flag,
+                   const std::string& text) {
+            field.assign(spec.base, flag, text);
+          },
+          [&field](const SweepSpec& spec) { return field.text(spec.base); },
+          {}, {}};
 }
 
 /// Table order is the fingerprint's serialization order and, for axes,
@@ -376,65 +269,55 @@ SweepKey fixed(const char* name) {
 const std::vector<SweepKey>& sweep_keys() {
   using C = ExperimentConfig;
   using S = SweepSpec;
+  constexpr auto kScalar = SweepKey::kScalar;
+  constexpr auto kFixed = SweepKey::kFixed;
   static const std::vector<SweepKey> keys = {
       axis<&S::solvers, &Scenario::solver>(
-          "solvers", "solver axis, e.g. newton-admm,giant", v_solver()),
-      axis<&S::datasets, &C::dataset>(
-          "datasets", "dataset axis, e.g. blobs,higgs", v_dataset()),
+          "solvers", "solver axis, e.g. newton-admm,giant", kBoth,
+          v_solver()),
+      axis<&S::datasets, &C::dataset>("datasets",
+                                      "dataset axis, e.g. blobs,higgs"),
       axis<&S::workers, &C::workers>(
-          "workers", "rank-count axis, e.g. 4,8,16", v_int_min(1), kTrain),
-      axis<&S::devices, &C::device>(
-          "devices", "device axis, e.g. p100,cpu,p100+cpu", v_device_list()),
-      axis<&S::networks, &C::network>(
-          "networks", "network axis, e.g. ib100,eth10", v_network()),
-      axis<&S::penalties, &C::penalty>("penalties",
-                                       "ADMM penalty axis, e.g. sps,fixed",
-                                       v_one_of({"fixed", "rb", "sps"}),
-                                       kTrain),
-      axis<&S::lambdas, &C::lambda>(
-          "lambdas", "l2 axis, e.g. 1e-5,1e-4", v_double_min(0.0), kTrain),
+          "workers", "rank-count axis, e.g. 4,8,16", kTrain),
+      axis<&S::devices, &C::device>("devices",
+                                    "device axis, e.g. p100,cpu,p100+cpu"),
+      axis<&S::networks, &C::network>("networks",
+                                      "network axis, e.g. ib100,eth10"),
+      axis<&S::penalties, &C::penalty>(
+          "penalties", "ADMM penalty axis, e.g. sps,fixed", kTrain),
+      axis<&S::lambdas, &C::lambda>("lambdas", "l2 axis, e.g. 1e-5,1e-4",
+                                    kTrain),
       axis<&S::stragglers, &C::straggler>(
-          "stragglers", "straggler axis, e.g. none,1:4", v_straggler(),
-          kTrain),
+          "stragglers", "straggler axis, e.g. none,1:4", kTrain),
       axis<&S::partitions, &C::partition>(
           "partitions", "shard-plan axis, e.g. contiguous,strided,weighted",
-          v_partition(), kTrain),
+          kTrain),
       axis<&S::faults, &C::fault>(
           "faults", "link-fault axis, e.g. none,drop:0.05,drop:0.1+dup:0.02",
-          v_fault(), kTrain),
-      scalar<&C::n_train>("n_train", "training samples", v_int_min(1)),
-      scalar<&C::n_test>("n_test", "test samples", v_int_min(0)),
-      scalar<&C::e18_features>("e18_features", "e18/blobs feature dim",
-                               v_int_min(1)),
-      scalar<&C::seed>("seed", "generator seed", v_int_min(0)),
-      fixed<&C::rho0>("rho0"),
-      scalar<&C::iterations>("iterations", "outer iterations", v_int_min(1)),
-      scalar<&C::cg_iterations>("cg_iterations", "CG budget per Newton step",
-                                v_int_min(1)),
-      scalar<&C::cg_tol>("cg_tol", "CG relative tolerance",
-                         v_double_min(0.0, /*inclusive=*/false)),
-      scalar<&C::line_search_iterations>(
-          "line_search_iterations", "line-search budget", v_int_min(1)),
-      fixed<&C::local_newton_steps>("local_newton_steps"),
-      scalar<&C::objective_target>("objective_target",
-                                   "early-stop objective (<= 0 disables)"),
-      fixed<&C::evaluate_accuracy>("evaluate_accuracy"),
-      fixed<&C::sgd_batch>("sgd_batch"),
-      fixed<&C::sgd_step>("sgd_step"),
-      fixed<&C::dane_epochs>("dane_epochs"),
-      fixed<&C::svrg_outer>("svrg_outer"),
-      fixed<&C::fo_step>("fo_step"),
-      fixed<&C::gradient_tol>("gradient_tol"),
-      fixed<&C::omp_threads>("omp_threads"),
-      scalar<&C::staleness>("staleness", "async-admm staleness bound",
-                            v_int_min(1)),
-      scalar<&C::sync_every>("sync_every", "stale-sync barrier period",
-                             v_int_min(1)),
-      scalar<&C::kill>("kill", "kill/rejoin spec: none or <rank>:<epoch>",
-                       v_kill()),
-      scalar<&C::checkpoint_every>("checkpoint_every",
-                                   "coordinator checkpoint period (0 = off)",
-                                   v_int_min(0)),
+          kTrain),
+      config_key<&C::n_train>(kScalar),
+      config_key<&C::n_test>(kScalar),
+      config_key<&C::e18_features>(kScalar),
+      config_key<&C::seed>(kScalar),
+      config_key<&C::rho0>(kFixed),
+      config_key<&C::iterations>(kScalar),
+      config_key<&C::cg_iterations>(kScalar),
+      config_key<&C::cg_tol>(kScalar),
+      config_key<&C::line_search_iterations>(kScalar),
+      config_key<&C::local_newton_steps>(kFixed),
+      config_key<&C::objective_target>(kScalar),
+      config_key<&C::evaluate_accuracy>(kFixed),
+      config_key<&C::sgd_batch>(kFixed),
+      config_key<&C::sgd_step>(kFixed),
+      config_key<&C::dane_epochs>(kFixed),
+      config_key<&C::svrg_outer>(kFixed),
+      config_key<&C::fo_step>(kFixed),
+      config_key<&C::gradient_tol>(kFixed),
+      config_key<&C::omp_threads>(kFixed),
+      config_key<&C::staleness>(kScalar),
+      config_key<&C::sync_every>(kScalar),
+      config_key<&C::kill>(kScalar),
+      config_key<&C::checkpoint_every>(kScalar),
       scalar<&S::scale>("scale", "paper-scale multiplier for n_train/n_test",
                         v_double_min(0.0, /*inclusive=*/false)),
       scalar<&S::weak_scaling>(
@@ -443,11 +326,11 @@ const std::vector<SweepKey>& sweep_keys() {
       scalar<&S::mode>("mode", "grid mode: train|serving",
                        v_one_of({"train", "serving"})),
       axis<&S::arrivals, &Scenario::arrival>(
-          "arrivals", "arrival axis, e.g. poisson:1000,bursty", v_arrival(),
-          kServing),
+          "arrivals", "arrival axis, e.g. poisson:1000,bursty", kServing,
+          v_arrival()),
       axis<&S::batch_policies, &Scenario::batch>(
           "batch_policies", "batch axis, e.g. immediate,deadline:16:0.005",
-          v_batch_policy(), kServing),
+          kServing, v_batch_policy()),
       scalar<&S::serve_requests>("serve_requests", "requests per scenario",
                                  v_int_min(0), kServing),
       scalar<&S::serve_model>("serve_model",
@@ -469,11 +352,7 @@ std::string flag_name(const SweepKey& key) {
 
 void apply_key(const SweepKey& key, SweepSpec& spec, const std::string& flag,
                const std::string& value) {
-  if (key.kind == SweepKey::kAxis) {
-    v_each(',', key.validate)(flag, value);
-  } else if (key.validate) {
-    key.validate(flag, value);
-  }
+  if (key.validate) key.validate(flag, value);
   key.assign(spec, flag, value);
 }
 
@@ -707,7 +586,7 @@ const OptionSet& sweep_key_options() {
       const char* mode = key.mode == kTrain     ? " [train mode]"
                          : key.mode == kServing ? " [serving mode]"
                                                 : "";
-      set.add_string(flag_name(key), "", std::string(key.help) + mode);
+      set.add_string(flag_name(key), "", key.help + mode);
     }
     return set;
   }();
@@ -757,8 +636,8 @@ std::vector<Scenario> expand_scenarios(const SweepSpec& spec) {
         key.mode == (serving ? kTrain : kServing)) {
       continue;
     }
-    NADMM_CHECK(key.size(spec) > 0, std::string("sweep axis '") + key.name +
-                                        "' needs at least one entry");
+    NADMM_CHECK(key.size(spec) > 0,
+                "sweep axis '" + key.name + "' needs at least one entry");
     axes.push_back(&key);
   }
   const std::size_t scaled_train =
@@ -778,6 +657,7 @@ std::vector<Scenario> expand_scenarios(const SweepSpec& spec) {
     for (std::size_t i = 0; i < axes.size(); ++i) {
       axes[i]->pick(spec, digit[i], s);
     }
+    reject_unread_knobs(s.solver, s.config);
     // Weak scaling: base.n_train is the per-worker shard.
     if (spec.weak_scaling && !serving) {
       s.config.n_train =
@@ -1094,16 +974,10 @@ SweepReport run_sweep(const SweepSpec& spec, const SweepOptions& options) {
         const data::TrainTest& tt = *full;
         NADMM_CHECK(!tt.test.empty(),
                     "serving needs a non-empty test split (n_test > 0)");
-        serve::ServeConfig sc;
-        sc.arrival = scenario.arrival;
-        sc.batch = scenario.batch;
-        sc.requests = spec.serve_requests;
-        sc.seed = config.seed;
-        sc.device = config.device;
-        sc.network = config.network;
-        sc.dispatch_overhead_s = spec.dispatch_overhead_s;
-        sc.omp_threads = config.omp_threads;
-        const serve::ServeResult sr = serve::simulate(*model, tt.test, sc);
+        const serve::ServeResult sr = serve::simulate(
+            *model, tt.test,
+            serve_config(config, scenario.arrival, scenario.batch,
+                         spec.serve_requests, spec.dispatch_overhead_s));
         outcome.serve_requests = sr.requests;
         outcome.serve_batches = sr.batches;
         outcome.throughput_rps = sr.throughput_rps;

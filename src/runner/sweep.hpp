@@ -56,8 +56,8 @@ struct SweepSpec {
   std::vector<std::string> partitions{"contiguous"};
   /// Link-fault axis: "none" or comm::FaultSpec::parse specs
   /// ("drop:0.05,dup:0.02"). Only the async-engine solvers inject
-  /// faults; synchronous solvers ignore the value (their SimCluster has
-  /// no wire), so pair this axis with async-admm/stale-sync-admm rows.
+  /// faults; expansion rejects a non-"none" fault for a solver whose
+  /// registry entry has no `fault` knob (reject_unread_knobs).
   std::vector<std::string> faults{"none"};
 
   /// Paper-scale multiplier applied at expansion time: every scenario's
@@ -138,6 +138,8 @@ struct Scenario {
 /// dataset, workers, device, network, penalty, lambda, straggler,
 /// partition, fault in train mode; solver, dataset, device, network,
 /// arrival, batch policy in serving mode.
+/// Throws InvalidArgument when a scenario sets a knob its solver never
+/// reads (reject_unread_knobs), before anything runs.
 std::vector<Scenario> expand_scenarios(const SweepSpec& spec);
 
 /// 64-bit FNV-1a hash (hex) over the canonical serialization of every

@@ -3,9 +3,11 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <sstream>
 
 #include "support/check.hpp"
+#include "support/cli.hpp"
 
 namespace nadmm::serve {
 
@@ -95,27 +97,30 @@ SavedModel load_model(const std::string& path) {
   if (m.solver == "-") m.solver.clear();
   m.dataset = field("dataset");
   if (m.dataset == "-") m.dataset.clear();
-  try {
-    m.num_features = std::stoull(field("features"));
-    m.num_classes = std::stoi(field("classes"));
-    m.lambda = std::stod(field("lambda"));
-  } catch (const std::exception&) {
-    fail(path, line_no, "malformed numeric field");
-  }
+  // Every count is outside input: parse it exactly (no sign, no wrap)
+  // and check the product before it sizes anything.
+  const auto number = [&](const std::string& key, auto& out) {
+    const std::string text = field(key);
+    if (!parse_number(text, out)) {
+      fail(path, line_no, "malformed " + key + " '" + text + "'");
+    }
+  };
+  number("features", m.num_features);
+  number("classes", m.num_classes);
+  number("lambda", m.lambda);
   if (m.num_features == 0) fail(path, line_no, "features must be positive");
   if (m.num_classes < 2) fail(path, line_no, "classes must be >= 2");
 
   std::size_t count = 0;
-  try {
-    count = std::stoull(field("coefficients"));
-  } catch (const std::exception&) {
-    fail(path, line_no, "malformed coefficient count");
-  }
-  if (count != m.num_features * m.coef_cols()) {
+  number("coefficients", count);
+  const std::size_t cols = m.coef_cols();
+  if (m.num_features > std::numeric_limits<std::size_t>::max() / cols ||
+      count != m.num_features * cols) {
     fail(path, line_no,
          "coefficient count does not match features × classes");
   }
-  m.x.reserve(count);
+  // Grown as coefficients are read: a header cannot reserve memory the
+  // file does not back.
   while (m.x.size() < count) {
     std::istringstream row(next_line());
     std::string token;

@@ -1,75 +1,59 @@
 #include "support/cli.hpp"
 
-#include <cerrno>
 #include <cstdio>
-#include <cstdlib>
 
 #include "support/check.hpp"
 
 namespace nadmm {
+
+void reject_value(const std::string& flag, const std::string& text,
+                  const std::string& why) {
+  throw InvalidArgument("--" + flag + ": invalid value '" + text + "' (" +
+                        why + ")");
+}
 
 CliParser::CliParser(std::string program_summary)
     : summary_(std::move(program_summary)) {
   add_flag("help", "print this help message and exit");
 }
 
-void CliParser::insert(const std::string& name, Option opt) {
+void CliParser::insert(const std::string& name, Kind kind,
+                       std::string default_value, const std::string& help) {
   if (options_.find(name) == options_.end()) order_.push_back(name);
-  options_[name] = std::move(opt);
+  options_[name] = {kind, default_value, default_value, help};
 }
 
 CliParser& CliParser::add_int(const std::string& name, std::int64_t default_value,
                               const std::string& help) {
-  Option opt;
-  opt.kind = Kind::kInt;
-  opt.default_value = std::to_string(default_value);
-  opt.value = opt.default_value;
-  opt.help = help;
-  insert(name, std::move(opt));
+  insert(name, Kind::kInt, std::to_string(default_value), help);
   return *this;
 }
 
 CliParser& CliParser::add_double(const std::string& name, double default_value,
                                  const std::string& help) {
-  Option opt;
-  opt.kind = Kind::kDouble;
   char buf[64];
   std::snprintf(buf, sizeof buf, "%g", default_value);
-  opt.default_value = buf;
-  opt.value = opt.default_value;
-  opt.help = help;
-  insert(name, std::move(opt));
+  insert(name, Kind::kDouble, buf, help);
   return *this;
 }
 
 CliParser& CliParser::add_string(const std::string& name,
                                  const std::string& default_value,
                                  const std::string& help) {
-  Option opt;
-  opt.kind = Kind::kString;
-  opt.default_value = default_value;
-  opt.value = default_value;
-  opt.help = help;
-  insert(name, std::move(opt));
+  insert(name, Kind::kString, default_value, help);
   return *this;
 }
 
 CliParser& CliParser::add_flag(const std::string& name, const std::string& help) {
-  Option opt;
-  opt.kind = Kind::kFlag;
-  opt.default_value = "false";
-  opt.value = "false";
-  opt.help = help;
-  insert(name, std::move(opt));
+  insert(name, Kind::kFlag, "false", help);
   return *this;
 }
 
 bool CliParser::parse(int argc, const char* const* argv) {
   for (int i = 1; i < argc; ++i) {
-    std::string arg = argv[i];
+    const std::string arg = argv[i];
     if (arg.rfind("--", 0) != 0) {
-      positional_.push_back(std::move(arg));
-      continue;
+      throw InvalidArgument("unexpected argument '" + arg + "'");
     }
     std::string name = arg.substr(2);
     std::string value;
@@ -93,7 +77,6 @@ bool CliParser::parse(int argc, const char* const* argv) {
       }
       opt.value = value;
     }
-    opt.seen = true;
   }
   if (get_flag("help")) {
     print_help(argc > 0 ? argv[0] : "program");
@@ -114,49 +97,21 @@ void CliParser::print_help(const std::string& program) const {
   }
 }
 
-CliParser::Option& CliParser::find(const std::string& name, Kind kind) {
+const CliParser::Option& CliParser::find(const std::string& name) const {
   auto it = options_.find(name);
   NADMM_CHECK(it != options_.end(), "option --" + name + " was never registered");
-  NADMM_CHECK(it->second.kind == kind, "option --" + name + " accessed as wrong type");
   return it->second;
 }
 
 const CliParser::Option& CliParser::find(const std::string& name,
                                          Kind kind) const {
-  auto it = options_.find(name);
-  NADMM_CHECK(it != options_.end(), "option --" + name + " was never registered");
-  NADMM_CHECK(it->second.kind == kind, "option --" + name + " accessed as wrong type");
-  return it->second;
-}
-
-void CliParser::reject_int(const std::string& name, const std::string& lo,
-                           const std::string& hi) const {
-  throw InvalidArgument("option --" + name + " expects an integer in [" + lo +
-                        ", " + hi + "], got '" + options_.at(name).value +
-                        "'");
-}
-
-std::int64_t CliParser::get_int(const std::string& name) const {
-  const Option& opt = find(name, Kind::kInt);
-  char* end = nullptr;
-  errno = 0;
-  const std::int64_t v = std::strtoll(opt.value.c_str(), &end, 10);
-  if (opt.value.empty() || *end != '\0' || errno == ERANGE) {
-    reject_int(name, std::to_string(std::numeric_limits<std::int64_t>::min()),
-               std::to_string(std::numeric_limits<std::int64_t>::max()));
-  }
-  return v;
+  const Option& opt = find(name);
+  NADMM_CHECK(opt.kind == kind, "option --" + name + " accessed as wrong type");
+  return opt;
 }
 
 double CliParser::get_double(const std::string& name) const {
-  const Option& opt = find(name, Kind::kDouble);
-  char* end = nullptr;
-  errno = 0;
-  const double v = std::strtod(opt.value.c_str(), &end);
-  NADMM_CHECK(!opt.value.empty() && *end == '\0' && errno != ERANGE,
-              "option --" + name + " expects a number in double range, got '" +
-                  opt.value + "'");
-  return v;
+  return parse_number<double>(name, find(name, Kind::kDouble).value);
 }
 
 const std::string& CliParser::get_string(const std::string& name) const {
@@ -165,6 +120,10 @@ const std::string& CliParser::get_string(const std::string& name) const {
 
 bool CliParser::get_flag(const std::string& name) const {
   return find(name, Kind::kFlag).value == "true";
+}
+
+const std::string& CliParser::text(const std::string& name) const {
+  return find(name).value;
 }
 
 }  // namespace nadmm

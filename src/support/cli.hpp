@@ -2,17 +2,55 @@
 //
 // Supports `--name value`, `--name=value`, and boolean flags `--name`.
 // Every option must be registered with a default and a help string;
-// `--help` prints the registry and exits.
+// `--help` prints the registry and exits. Any other argument is an error:
+// no command reads positional arguments.
 #pragma once
 
+#include <charconv>
 #include <cstdint>
 #include <limits>
 #include <map>
 #include <string>
+#include <string_view>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
 namespace nadmm {
+
+/// Throw InvalidArgument "--<flag>: invalid value '<text>' (<why>)" — the
+/// one rejection format of every flag and spec key.
+[[noreturn]] void reject_value(const std::string& flag, const std::string& text,
+                               const std::string& why);
+
+/// Parse all of `text` as a T with std::from_chars — the one number parser
+/// behind flags, spec keys and journals. False on empty text, a leading
+/// '+' or whitespace, trailing characters, or a value T cannot hold.
+template <class T>
+  requires(std::is_arithmetic_v<T> && !std::is_same_v<T, bool>)
+bool parse_number(std::string_view text, T& out) {
+  const char* end = text.data() + text.size();
+  const auto [stop, error] = std::from_chars(text.data(), end, out);
+  return error == std::errc() && stop == end;
+}
+
+/// parse_number, rejecting malformed or out-of-range text through
+/// reject_value (integer rejections state the type's range).
+template <class T>
+T parse_number(const std::string& flag, const std::string& text) {
+  T value{};
+  if (!parse_number(text, value)) {
+    if constexpr (std::is_integral_v<T>) {
+      reject_value(flag, text,
+                   "expected an integer in [" +
+                       std::to_string(std::numeric_limits<T>::min()) + ", " +
+                       std::to_string(std::numeric_limits<T>::max()) + "]");
+    } else {
+      reject_value(flag, text, "expected a number in double range");
+    }
+  }
+  return value;
+}
 
 class CliParser {
  public:
@@ -28,33 +66,33 @@ class CliParser {
                         const std::string& help);
   CliParser& add_flag(const std::string& name, const std::string& help);
 
-  /// Parse argv. Throws nadmm::InvalidArgument on unknown options or
-  /// malformed values. If `--help` is present, prints usage and returns
-  /// false (caller should exit 0).
+  /// Parse argv. Throws nadmm::InvalidArgument on unknown options,
+  /// malformed values or any argument not starting with "--". If
+  /// `--help` is present, prints usage and returns false (caller should
+  /// exit 0).
   bool parse(int argc, const char* const* argv);
 
   /// Typed accessors. Empty or out-of-range text throws
   /// nadmm::InvalidArgument naming the option and echoing its text.
-  [[nodiscard]] std::int64_t get_int(const std::string& name) const;
+  [[nodiscard]] std::int64_t get_int(const std::string& name) const {
+    return get_int_as<std::int64_t>(name);
+  }
   [[nodiscard]] double get_double(const std::string& name) const;
-  /// get_int narrowed to the field type T: a value T cannot hold throws
-  /// like get_int does instead of wrapping.
+  /// get_int parsed straight into the field type T: a value T cannot
+  /// hold throws like get_int does instead of wrapping.
   template <class T>
   [[nodiscard]] T get_int_as(const std::string& name) const {
-    const std::int64_t v = get_int(name);
-    if (!std::in_range<T>(v)) {
-      reject_int(name, std::to_string(std::numeric_limits<T>::min()),
-                 std::to_string(std::numeric_limits<T>::max()));
-    }
-    return static_cast<T>(v);
+    return parse_number<T>(name, find(name, Kind::kInt).value);
   }
   [[nodiscard]] const std::string& get_string(const std::string& name) const;
   [[nodiscard]] bool get_flag(const std::string& name) const;
 
-  /// Positional arguments (anything not starting with --).
-  [[nodiscard]] const std::vector<std::string>& positional() const {
-    return positional_;
+  /// Whether an option `name` was registered.
+  [[nodiscard]] bool has(const std::string& name) const {
+    return options_.count(name) != 0;
   }
+  /// The option's text as given (or its default), whatever its kind.
+  [[nodiscard]] const std::string& text(const std::string& name) const;
 
  private:
   enum class Kind { kInt, kDouble, kString, kFlag };
@@ -63,20 +101,17 @@ class CliParser {
     std::string value;  // textual; parsed on demand
     std::string default_value;
     std::string help;
-    bool seen = false;
   };
 
   void print_help(const std::string& program) const;
-  [[noreturn]] void reject_int(const std::string& name, const std::string& lo,
-                               const std::string& hi) const;
-  void insert(const std::string& name, Option opt);
-  Option& find(const std::string& name, Kind kind);
+  void insert(const std::string& name, Kind kind, std::string default_value,
+              const std::string& help);
+  const Option& find(const std::string& name) const;
   const Option& find(const std::string& name, Kind kind) const;
 
   std::string summary_;
   std::map<std::string, Option> options_;
   std::vector<std::string> order_;  // registration order, for --help
-  std::vector<std::string> positional_;
 };
 
 }  // namespace nadmm

@@ -83,17 +83,17 @@ TEST(SolverRegistry, KnobNamesResolveToTypedMetadata) {
     const auto knobs = info.knobs();
     ASSERT_EQ(knobs.size(), info.knob_names.size()) << info.name;
     for (const auto& k : knobs) {
-      EXPECT_FALSE(k.type.empty()) << info.name << " --" << k.name;
-      EXPECT_FALSE(k.description.empty()) << info.name << " --" << k.name;
+      EXPECT_FALSE(k.default_value.empty()) << info.name << " --" << k.name;
+      EXPECT_FALSE(k.help.empty()) << info.name << " --" << k.name;
     }
   }
   const auto staleness = describe_knob("staleness");
-  EXPECT_EQ(staleness.type, "int");
+  EXPECT_EQ(to_string(staleness.type), "int");
   EXPECT_EQ(staleness.default_value, "4");
   EXPECT_THROW(static_cast<void>(describe_knob("no-such-knob")),
                InvalidArgument);
   EXPECT_EQ(registry.info("sync-sgd").knobs_csv(),
-            "sgd-batch,sgd-step,devices,straggler,partition");
+            "sgd-batch,sgd-step,device,straggler,partition");
 }
 
 TEST(SolverRegistry, RegistryJsonListsEverySolverWithKnobs) {

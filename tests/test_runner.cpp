@@ -2,11 +2,15 @@
 // plumbing the benches rely on.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <optional>
+#include <set>
 
 #include "runner/harness.hpp"
 #include "runner/options.hpp"
+#include "runner/sweep.hpp"
 #include "support/check.hpp"
 
 namespace nadmm::runner {
@@ -242,19 +246,46 @@ TEST(OptionSpecs, DomainValidatorsCoverTheSharedAxes) {
   EXPECT_EQ(parse_byte_size("--b", "2G"), std::size_t{2} << 30);
   EXPECT_EQ(parse_byte_size("--b", "0"), 0u);
   EXPECT_THROW(parse_byte_size("--b", "12q"), InvalidArgument);
+  EXPECT_THROW(parse_byte_size("--b", "-1"), InvalidArgument);
 }
 
 TEST(OptionSpecs, SharedTablesStayConsistent) {
-  // run/sweep/serve all build on these tables; the names the registry's
-  // knob catalog uses must keep resolving here.
-  EXPECT_NE(scenario_options().find("penalty"), nullptr);
-  EXPECT_NE(scenario_options().find("sgd-batch"), nullptr);
+  // run/serve/sweep all build on the config field table; the names the
+  // registry's knob catalog uses must keep resolving there.
+  const OptionSet run = config_options(kRun);
+  const OptionSet serve = config_options(kServe);
+  EXPECT_NE(run.find("penalty"), nullptr);
+  EXPECT_NE(run.find("sgd-batch"), nullptr);
+  EXPECT_EQ(run.find("local-newton-steps"), nullptr);  // fingerprint only
+  EXPECT_NE(serve.find("device"), nullptr);
+  EXPECT_EQ(serve.find("penalty"), nullptr);
   EXPECT_NE(serving_options().find("arrival"), nullptr);
-  EXPECT_EQ(serving_options().find("penalty"), nullptr);
   const auto knob = describe_knob("cg-iterations");
-  EXPECT_EQ(knob.type, "int");
+  EXPECT_EQ(to_string(knob.type), "int");
   EXPECT_EQ(knob.default_value, "10");
-  EXPECT_FALSE(knob.description.empty());
+  EXPECT_FALSE(knob.help.empty());
+  EXPECT_THROW(static_cast<void>(describe_knob("local-newton-steps")),
+               InvalidArgument);
+}
+
+TEST(ConfigFields, EachMemberOnceAndItsDefaultRoundTrips) {
+  const ExperimentConfig defaults;
+  std::set<const void*> members;
+  std::set<std::string> names;
+  for (const auto& f : config_fields()) {
+    SCOPED_TRACE(f.spec.name);
+    EXPECT_TRUE(members.insert(f.address(defaults)).second);
+    EXPECT_TRUE(names.insert(f.spec.name).second);
+    EXPECT_EQ(f.key().find('-'), std::string::npos);
+    ExperimentConfig c;
+    f.assign(c, f.spec.name, f.text(defaults));
+    EXPECT_EQ(f.text(c), f.text(defaults));
+  }
+  EXPECT_EQ(&config_field<&ExperimentConfig::cg_tol>(),
+            &*std::find_if(config_fields().begin(), config_fields().end(),
+                           [](const ConfigField& f) {
+                             return f.spec.name == "cg-tol";
+                           }));
 }
 
 /// Parse one `nadmm run` flag the way cmd_run does (validate, then
@@ -262,14 +293,15 @@ TEST(OptionSpecs, SharedTablesStayConsistent) {
 /// the text the user gave.
 void expect_run_flag_rejected(const std::string& flag,
                               const std::string& text) {
+  const OptionSet run = config_options(kRun);
   CliParser cli("test");
-  scenario_options().register_into(cli);
+  run.register_into(cli);
   const std::string arg = "--" + flag + "=" + text;
   const char* argv[] = {"prog", arg.c_str()};
   ASSERT_TRUE(cli.parse(2, argv));
   try {
-    scenario_options().validate(cli);
-    static_cast<void>(config_from_cli(cli));
+    run.validate(cli);
+    static_cast<void>(config_from_flags(cli));
     FAIL() << arg << " was accepted";
   } catch (const InvalidArgument& e) {
     const std::string what = e.what();
@@ -293,16 +325,92 @@ TEST(RunFlags, SeedBeyondInt64IsRejectedNotClamped) {
 }
 
 TEST(RunFlags, InRangeValuesReachTheConfig) {
+  const OptionSet run = config_options(kRun);
   CliParser cli("test");
-  scenario_options().register_into(cli);
+  run.register_into(cli);
   const char* argv[] = {"prog", "--iterations=2147483647", "--workers=3",
-                        "--seed=9223372036854775807"};
-  ASSERT_TRUE(cli.parse(4, argv));
-  scenario_options().validate(cli);
-  const auto c = config_from_cli(cli);
+                        "--seed=9223372036854775807",
+                        "--line-search-iterations=7"};
+  ASSERT_TRUE(cli.parse(5, argv));
+  run.validate(cli);
+  const auto c = config_from_flags(cli);
   EXPECT_EQ(c.iterations, 2147483647);
   EXPECT_EQ(c.workers, 3);
   EXPECT_EQ(c.seed, 9223372036854775807ull);
+  EXPECT_EQ(c.line_search_iterations, 7);
+  EXPECT_EQ(c.dataset, ExperimentConfig{}.dataset);
+}
+
+/// The field's text after `apply` when it accepts `text`; nullopt when
+/// it rejects it, which must name `--flag` and echo `text`.
+template <class Apply>
+std::optional<std::string> accepted(const std::string& flag,
+                                    const std::string& text, Apply apply) {
+  try {
+    return apply();
+  } catch (const InvalidArgument& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("--" + flag), std::string::npos) << what;
+    EXPECT_NE(what.find("'" + text + "'"), std::string::npos) << what;
+    return std::nullopt;
+  }
+}
+
+TEST(RunFlags, IntegerFieldsHoldOrRejectEveryBoundaryThroughRunAndSweep) {
+  // Around the int / int64 / uint64 limits, every integer field either
+  // holds the value exactly or rejects the text — on `nadmm run` and,
+  // for sweep keys, as a spec assignment. Nothing wraps or clamps.
+  const std::vector<std::string> texts = {
+      "2147483647",          "2147483648",          "-2147483649",
+      "-1",                  "9223372036854775807", "9223372036854775808",
+      "18446744073709551616", "+5"};
+  const OptionSet run = config_options(kRun);
+  std::size_t checked = 0;
+  for (const auto& f : config_fields()) {
+    if (f.spec.type != OptType::kInt || run.find(f.spec.name) == nullptr) {
+      continue;
+    }
+    ++checked;
+    const std::string& flag = f.spec.name;
+    const bool sweep_key = sweep_key_options().find(flag) != nullptr;
+    for (const auto& text : texts) {
+      SCOPED_TRACE(flag + "=" + text);
+      const auto by_run = accepted(flag, text, [&] {
+        CliParser cli("test");
+        run.register_into(cli);
+        const std::string arg = "--" + flag + "=" + text;
+        const char* argv[] = {"prog", arg.c_str()};
+        EXPECT_TRUE(cli.parse(2, argv));
+        run.validate(cli);
+        return f.text(config_from_flags(cli));
+      });
+      if (by_run) {
+        EXPECT_EQ(*by_run, text);
+      }
+      if (!sweep_key) continue;
+      const auto by_sweep = accepted(flag, text, [&] {
+        SweepSpec spec;
+        apply_sweep_assignment(spec, f.key(), text);
+        // An axis key fills its spec list, a scalar key the base config.
+        return spec.workers != SweepSpec{}.workers
+                   ? to_text(spec.workers.front())
+                   : f.text(spec.base);
+      });
+      if (by_sweep) {
+        EXPECT_EQ(*by_sweep, text);
+      }
+      EXPECT_EQ(by_run.has_value(), by_sweep.has_value());
+    }
+    // INT_MAX fits every integer field.
+    EXPECT_EQ(accepted(flag, "2147483647",
+                       [&] {
+                         ExperimentConfig c;
+                         f.assign(c, flag, "2147483647");
+                         return f.text(c);
+                       }),
+              "2147483647");
+  }
+  EXPECT_GE(checked, 15u);
 }
 
 }  // namespace

@@ -380,6 +380,38 @@ TEST(ModelIo, RejectsMissingAndCorruptFiles) {
   std::filesystem::remove(path);
 }
 
+TEST(ModelIo, HeaderCountsAreBoundedBeforeAnythingIsAllocated) {
+  // Each header names the file and the line of the bad count; none may
+  // reach an allocation sized by the header alone.
+  const std::string path = "test_model_header.txt";
+  const auto expect_rejected = [&](const std::string& counts) {
+    {
+      std::ofstream out(path);
+      out << "nadmm-model v1\nobjective softmax\nsolver -\ndataset -\n"
+          << counts << "1.0 2.0\nend\n";
+    }
+    try {
+      static_cast<void>(load_model(path));
+      ADD_FAILURE() << "accepted: " << counts;
+    } catch (const InvalidArgument& e) {
+      EXPECT_NE(std::string(e.what()).find(path + ":"), std::string::npos)
+          << e.what();
+    }
+  };
+  // Consistent but unbacked: 2^41 coefficients promised, two present.
+  expect_rejected(
+      "features 1099511627776\nclasses 3\nlambda 0\n"
+      "coefficients 2199023255552\n");
+  // features × (classes − 1) wraps to 2 in 64 bits.
+  expect_rejected(
+      "features 9223372036854775809\nclasses 3\nlambda 0\n"
+      "coefficients 2\n");
+  // Negative text must not wrap to 2^64 − 1.
+  expect_rejected("features -1\nclasses 3\nlambda 0\ncoefficients 2\n");
+  expect_rejected("features 1\nclasses 3\nlambda 0\ncoefficients -1\n");
+  std::filesystem::remove(path);
+}
+
 // ----------------------------------------------------- serving sweeps
 
 TEST(ServingSweep, ReportIsByteIdenticalAcrossJobs) {

@@ -128,14 +128,24 @@ TEST(Cli, ParsesIntsDoublesStringsFlags) {
       .add_string("name", "default", "a name")
       .add_flag("verbose", "verbosity");
   const char* argv[] = {"prog", "--count", "10", "--rate=2.25",
-                        "--name", "hello", "--verbose", "positional"};
-  ASSERT_TRUE(cli.parse(8, argv));
+                        "--name", "hello", "--verbose"};
+  ASSERT_TRUE(cli.parse(7, argv));
   EXPECT_EQ(cli.get_int("count"), 10);
   EXPECT_DOUBLE_EQ(cli.get_double("rate"), 2.25);
   EXPECT_EQ(cli.get_string("name"), "hello");
   EXPECT_TRUE(cli.get_flag("verbose"));
-  ASSERT_EQ(cli.positional().size(), 1u);
-  EXPECT_EQ(cli.positional()[0], "positional");
+  // No command reads positional arguments, so none is silently dropped.
+  CliParser strict("test");
+  strict.add_flag("verbose", "verbosity");
+  const char* stray[] = {"prog", "--verbose", "positional"};
+  try {
+    static_cast<void>(strict.parse(3, stray));
+    FAIL() << "a positional argument was accepted";
+  } catch (const InvalidArgument& e) {
+    EXPECT_NE(std::string(e.what()).find("unexpected argument 'positional'"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(Cli, DefaultsApplyWhenUnset) {
@@ -171,6 +181,23 @@ TEST(Cli, EmptyAndOutOfRangeNumbersThrowOnAccess) {
   EXPECT_THROW(static_cast<void>(cli.get_int("count")), InvalidArgument);
   EXPECT_THROW(static_cast<void>(cli.get_int("big")), InvalidArgument);
   EXPECT_THROW(static_cast<void>(cli.get_double("rate")), InvalidArgument);
+}
+
+TEST(Cli, ParseNumberTakesTheWholeTextOrNothing) {
+  std::int64_t i = 0;
+  EXPECT_TRUE(parse_number("-42", i));
+  EXPECT_EQ(i, -42);
+  for (const char* bad :
+       {"", "+5", " 5", "5 ", "0x10", "9223372036854775808"}) {
+    EXPECT_FALSE(parse_number(bad, i)) << bad;
+  }
+  std::uint64_t u = 0;
+  EXPECT_FALSE(parse_number("-1", u));
+  double d = 0.0;
+  EXPECT_TRUE(parse_number("1e-05", d));
+  EXPECT_EQ(d, 1e-5);
+  EXPECT_FALSE(parse_number("+1e-05", d));
+  EXPECT_FALSE(parse_number("1e999", d));
 }
 
 TEST(Cli, GetIntAsRejectsValuesTheFieldCannotHold) {

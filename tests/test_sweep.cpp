@@ -14,6 +14,7 @@
 #include <set>
 #include <sstream>
 
+#include "runner/registry.hpp"
 #include "runner/sweep.hpp"
 #include "support/check.hpp"
 #include "support/cli.hpp"
@@ -172,7 +173,63 @@ TEST(SweepSpecParsing, EveryCommittedSpecParsesAndExpands) {
   }
 }
 
+TEST(SweepSpecParsing, CommittedSpecFingerprintsArePinned) {
+  // Resume journals and docs/figures/metadata.json record these: a key
+  // renamed or reordered, or a base default changed, moves them.
+  const std::map<std::string, std::string> pinned = {
+      {"ablation_cg_budget", "16b3ebcd301f7d45"},
+      {"ablation_interconnect", "2d36767efc23ddd5"},
+      {"async_grid", "24952a59b793d0db"},
+      {"fault_grid", "1f5044a1122b54bc"},
+      {"fig1_solvers", "22f95bb558c1ee92"},
+      {"fig2_epoch_time", "5ea1c5eeba4270d3"},
+      {"fig3_speedup", "2f50c0d8858d9794"},
+      {"fig4_sgd", "2d03643c939e3899"},
+      {"fig5_weak_scaling", "cddd03e70378fecc"},
+      {"quick", "faeb33e2a9c8a21c"},
+      {"serving_grid", "69343ca217092852"},
+      {"solver_grid", "741984199b1f8a86"},
+      {"trace_example", "2bc9c46a18e9e00c"},
+  };
+  std::set<std::string> seen;
+  for (const auto& entry :
+       std::filesystem::directory_iterator(NADMM_SWEEPS_DIR)) {
+    if (entry.path().extension() != ".sweep") continue;
+    const std::string name = entry.path().stem().string();
+    ASSERT_EQ(pinned.count(name), 1u) << name << ".sweep has no pinned value";
+    EXPECT_EQ(spec_fingerprint(parse_sweep_file(entry.path().string())),
+              pinned.at(name))
+        << name;
+    seen.insert(name);
+  }
+  EXPECT_EQ(seen.size(), pinned.size());
+}
+
 // ------------------------------------------------------------ expansion
+
+TEST(SweepExpansion, RejectsAFaultTheSolverDoesNotRead) {
+  // A synchronous solver has no wire to drop frames on: its fault rows
+  // would repeat the fault-free run under another label.
+  SweepSpec spec = tiny_spec();  // newton-admm, giant
+  spec.faults = {"none", "drop:0.1"};
+  try {
+    static_cast<void>(expand_scenarios(spec));
+    FAIL() << "a fault on newton-admm was expanded";
+  } catch (const InvalidArgument& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("newton-admm"), std::string::npos) << what;
+    EXPECT_NE(what.find("fault"), std::string::npos) << what;
+  }
+  spec.solvers = {"async-admm", "stale-sync-admm"};
+  EXPECT_EQ(expand_scenarios(spec).size(), 2u * 2u * 2u);
+  // `nadmm run` applies the same check to its one config.
+  ExperimentConfig config;
+  config.fault = "drop:0.1";
+  EXPECT_THROW(reject_unread_knobs("giant", config), InvalidArgument);
+  reject_unread_knobs("async-admm", config);
+  config.fault = "none";
+  reject_unread_knobs("giant", config);
+}
 
 TEST(SweepExpansion, ProducesFullGridInDeterministicOrder) {
   SweepSpec spec = tiny_spec();
@@ -758,6 +815,7 @@ TEST(SweepJournal, LineTornInsideItsFinalNumberIsIgnoredOnResume) {
 // NADMM_SWEEP_PROPERTY_SEED to it replays exactly that case.
 TEST(SweepJournal, EveryColumnSurvivesJournalRoundTrip) {
   SweepSpec train = tiny_spec();
+  train.solvers = {"async-admm", "stale-sync-admm"};  // the fault readers
   train.faults = {"none", "drop:0.05+dup:0.01"};
   train.stragglers = {"none", "1:4"};
   SweepSpec serving = tiny_spec();
