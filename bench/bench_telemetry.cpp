@@ -1,7 +1,7 @@
 // Telemetry disabled-mode overhead gate.
 //
-// Every instrumented hot-path wrapper (la::gemm_nn / la::gemv_t / the
-// softmax forward) carries a TELEM_SPAN guard whose disabled path is a
+// Every instrumented hot-path wrapper (la::gemm_nn / the softmax
+// forward) carries a TELEM_SPAN guard whose disabled path is a
 // single relaxed atomic load. This bench runs each wrapper with NO
 // tracer installed (`_Engine`) against a local untraced copy of the
 // identical body (`_Seed` — same kernel call, same flop credits, no
@@ -64,15 +64,6 @@ void untraced_gemm_nn(double alpha, la::DenseView a, const la::DenseMatrix& b,
   flops::add_bytes(8 * (m * k + k * n + flops::output_passes(beta) * m * n));
 }
 
-__attribute__((noinline))
-void untraced_gemv_t(double alpha, la::DenseView a, std::span<const double> x,
-                     double beta, std::span<double> y) {
-  la::kernels::gemv_t(alpha, a, x, beta, y);
-  const std::size_t k = a.rows(), m = a.cols();
-  flops::add(2 * m * k);
-  flops::add_bytes(8 * (k * m + k + flops::output_passes(beta) * m));
-}
-
 // ------------------------------------------------ small gemm_nn wrapper
 
 template <bool kEngine>
@@ -92,26 +83,6 @@ void BM_TelemGemmNN(benchmark::State& state) {
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(2 * n * p * c));
-}
-
-// -------------------------------------------------- gemv_t wrapper
-
-template <bool kEngine>
-void BM_TelemGemvT(benchmark::State& state) {
-  set_threads(state.range(0));
-  const std::size_t n = 512, p = 128;
-  const auto a = random_matrix(n, p, 3);
-  std::vector<double> x(n, 1.0), y(p, 0.0);
-  for (auto _ : state) {
-    if constexpr (kEngine) {
-      la::gemv_t(1.0, a, x, 0.0, y);
-    } else {
-      untraced_gemv_t(1.0, a, x, 0.0, y);
-    }
-    benchmark::DoNotOptimize(y.data());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(2 * n * p));
 }
 
 // ------------------------------------- raw guard cost at max frequency
@@ -145,8 +116,6 @@ void BM_TelemSpanChurn(benchmark::State& state) {
 // clang-format off
 BENCHMARK_TEMPLATE(BM_TelemGemmNN, true)->Name("BM_TelemGemmNN_Engine")->Arg(1)->Arg(4)->Unit(benchmark::kMicrosecond);
 BENCHMARK_TEMPLATE(BM_TelemGemmNN, false)->Name("BM_TelemGemmNN_Seed")->Arg(1)->Arg(4)->Unit(benchmark::kMicrosecond);
-BENCHMARK_TEMPLATE(BM_TelemGemvT, true)->Name("BM_TelemGemvT_Engine")->Arg(1)->Arg(4)->Unit(benchmark::kMicrosecond);
-BENCHMARK_TEMPLATE(BM_TelemGemvT, false)->Name("BM_TelemGemvT_Seed")->Arg(1)->Arg(4)->Unit(benchmark::kMicrosecond);
 BENCHMARK_TEMPLATE(BM_TelemSpanChurn, true)->Name("BM_TelemSpanChurn_Engine")->Arg(1)->Unit(benchmark::kMicrosecond);
 BENCHMARK_TEMPLATE(BM_TelemSpanChurn, false)->Name("BM_TelemSpanChurn_Seed")->Arg(1)->Unit(benchmark::kMicrosecond);
 // clang-format on

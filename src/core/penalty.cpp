@@ -10,9 +10,8 @@ namespace nadmm::core {
 
 PenaltyRule penalty_rule_from_string(const std::string& name) {
   if (name == "fixed") return PenaltyRule::kFixed;
-  if (name == "rb" || name == "residual-balancing")
-    return PenaltyRule::kResidualBalancing;
-  if (name == "sps" || name == "spectral") return PenaltyRule::kSpectral;
+  if (name == "rb") return PenaltyRule::kResidualBalancing;
+  if (name == "sps") return PenaltyRule::kSpectral;
   throw InvalidArgument("unknown penalty rule '" + name +
                         "' (expected fixed|rb|sps)");
 }

@@ -21,6 +21,9 @@ namespace nadmm::core {
 
 enum class PenaltyRule { kFixed, kResidualBalancing, kSpectral };
 
+/// "fixed" | "rb" | "sps"; throws InvalidArgument otherwise. The one
+/// parser of the penalty rule: --penalty, the penalties axis and
+/// runner::admm_options all call it.
 PenaltyRule penalty_rule_from_string(const std::string& name);
 std::string to_string(PenaltyRule rule);
 

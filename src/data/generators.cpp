@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string_view>
+#include <utility>
 
 #include "support/check.hpp"
 #include "support/rng.hpp"
@@ -394,15 +396,31 @@ TrainTest make_e18_like(std::size_t n_train, std::size_t n_test, std::size_t p,
   return tt;
 }
 
-TrainTest make_by_name(const std::string& name, std::size_t n_train,
-                       std::size_t n_test, std::size_t p, std::uint64_t seed) {
-  if (name == "higgs") return make_higgs_like(n_train, n_test, seed);
-  if (name == "mnist") return make_mnist_like(n_train, n_test, seed);
-  if (name == "cifar") return make_cifar_like(n_train, n_test, seed);
-  if (name == "e18") return make_e18_like(n_train, n_test, p, seed);
-  if (name == "blobs") return make_blobs(n_train, n_test, p, 10, 3.0, 1.0, seed);
-  throw InvalidArgument("unknown dataset '" + name +
-                        "' (expected higgs|mnist|cifar|e18|blobs)");
+DatasetSource parse_dataset_source(const std::string& spec) {
+  using N = std::size_t;
+  using S = std::uint64_t;
+  static constexpr std::pair<const char*, Generator> kGenerators[] = {
+      {"higgs", [](N n, N t, N, S s) { return make_higgs_like(n, t, s); }},
+      {"mnist", [](N n, N t, N, S s) { return make_mnist_like(n, t, s); }},
+      {"cifar", [](N n, N t, N, S s) { return make_cifar_like(n, t, s); }},
+      {"e18", [](N n, N t, N p, S s) { return make_e18_like(n, t, p, s); }},
+      {"blobs",
+       [](N n, N t, N p, S s) { return make_blobs(n, t, p, 10, 3.0, 1.0, s); }},
+  };
+  constexpr std::string_view kLibsvm = "libsvm:";
+  if (spec.rfind(kLibsvm, 0) == 0) {
+    if (spec.size() == kLibsvm.size()) {
+      throw InvalidArgument("dataset 'libsvm:' needs a path (libsvm:<path>)");
+    }
+    return {nullptr, spec.substr(kLibsvm.size())};
+  }
+  std::string names;
+  for (const auto& [name, generator] : kGenerators) {
+    if (spec == name) return {generator, {}};
+    names += std::string(name) + '|';
+  }
+  throw InvalidArgument("unknown dataset '" + spec + "' (expected " + names +
+                        "libsvm:<path>)");
 }
 
 }  // namespace nadmm::data

@@ -52,9 +52,21 @@ TrainTest make_cifar_like(std::size_t n_train, std::size_t n_test,
 TrainTest make_e18_like(std::size_t n_train, std::size_t n_test, std::size_t p,
                         std::uint64_t seed);
 
-/// Dispatch by name: "higgs" | "mnist" | "cifar" | "e18" | "blobs".
-/// `n_train`/`n_test` scale the problem; `p` is honoured for e18/blobs.
-TrainTest make_by_name(const std::string& name, std::size_t n_train,
-                       std::size_t n_test, std::size_t p, std::uint64_t seed);
+/// A named generator: `n_train`/`n_test` scale the problem; `p` is
+/// honoured for e18/blobs.
+using Generator = TrainTest (*)(std::size_t n_train, std::size_t n_test,
+                                std::size_t p, std::uint64_t seed);
+
+/// A dataset spec, resolved.
+struct DatasetSource {
+  Generator generator = nullptr;  ///< the named generator, or
+  std::string libsvm_path;        ///< the file of a `libsvm:<path>` source
+};
+
+/// "higgs" | "mnist" | "cifar" | "e18" | "blobs" | "libsvm:<path>";
+/// throws InvalidArgument on an unknown name or an empty path. The one
+/// parser of dataset specs: --dataset, the datasets axis and the data
+/// plane (generate_dataset) all call it.
+DatasetSource parse_dataset_source(const std::string& spec);
 
 }  // namespace nadmm::data

@@ -36,6 +36,8 @@ struct RowRange {
 enum class PartitionMode { kContiguous, kStrided, kWeighted };
 
 /// "contiguous" | "strided" | "weighted"; throws InvalidArgument otherwise.
+/// The one parser of the shard-plan mode (--partition, the partitions
+/// axis and runner::shard_plan).
 PartitionMode partition_mode_from_string(const std::string& name);
 std::string to_string(PartitionMode mode);
 

@@ -10,10 +10,6 @@
 
 namespace nadmm::data {
 
-namespace {
-constexpr std::string_view kLibsvmPrefix = "libsvm:";
-}  // namespace
-
 std::string DatasetKey::cache_tag() const {
   std::ostringstream os;
   os << source << "|n" << n_train << "|t" << n_test << "|p" << features
@@ -22,18 +18,15 @@ std::string DatasetKey::cache_tag() const {
 }
 
 TrainTest generate_dataset(const DatasetKey& key) {
-  TrainTest tt;
-  if (key.is_streamable()) {
-    const std::string path(key.source.substr(kLibsvmPrefix.size()));
-    NADMM_CHECK(!path.empty(), "libsvm source needs a path: 'libsvm:<path>'");
-    // The feature dimension comes from the file itself; the `features`
-    // knob is a generator parameter (e18/blobs) and is ignored here —
-    // dataset_key() zeroes it so equivalent keys share one cache entry.
-    tt = load_libsvm_train_test(path, key.n_train, key.n_test, 0);
-  } else {
-    tt = make_by_name(key.source, key.n_train, key.n_test, key.features,
-                      key.seed);
-  }
+  const DatasetSource source = parse_dataset_source(key.source);
+  // A file's feature dimension comes from the file itself; the `features`
+  // knob is a generator parameter (e18/blobs) and is ignored there —
+  // dataset_key() zeroes it so equivalent keys share one cache entry.
+  TrainTest tt =
+      source.generator
+          ? source.generator(key.n_train, key.n_test, key.features, key.seed)
+          : load_libsvm_train_test(source.libsvm_path, key.n_train,
+                                   key.n_test, 0);
   if (key.standardize) {
     Standardizer sc;
     sc.fit(tt.train);
@@ -46,9 +39,8 @@ TrainTest generate_dataset(const DatasetKey& key) {
 ShardedDataset generate_sharded_dataset(const DatasetKey& key,
                                         const ShardPlan& plan) {
   if (key.is_streamable()) {
-    const std::string path(key.source.substr(kLibsvmPrefix.size()));
-    NADMM_CHECK(!path.empty(), "libsvm source needs a path: 'libsvm:<path>'");
-    return load_libsvm_sharded(path, key.n_train, key.n_test, plan,
+    return load_libsvm_sharded(parse_dataset_source(key.source).libsvm_path,
+                               key.n_train, key.n_test, plan,
                                key.standardize);
   }
   const TrainTest tt = generate_dataset(key);

@@ -12,8 +12,8 @@
 // that still hold the pointer and are simply regenerated on the next
 // request.
 //
-// Sources: any generator name accepted by data::make_by_name, or
-// "libsvm:<path>" to stream a LIBSVM file from disk (io.hpp).
+// Sources: any spec data::parse_dataset_source accepts — a generator
+// name, or "libsvm:<path>" to stream a LIBSVM file from disk (io.hpp).
 //
 // `get_sharded` is the shard-native entry point: for in-memory sources it
 // builds O(1) zero-copy rank views over the cached full dataset (nothing

@@ -71,13 +71,4 @@ void gemv(double alpha, DenseView a, std::span<const double> x,
   flops::add_bytes(8 * (m * k + k + output_passes(beta) * m));
 }
 
-void gemv_t(double alpha, DenseView a, std::span<const double> x,
-            double beta, std::span<double> y) {
-  TELEM_SPAN("kernel", "gemv_t");
-  kernels::gemv_t(alpha, a, x, beta, y);
-  const std::size_t k = a.rows(), m = a.cols();
-  flops::add(2 * m * k);
-  flops::add_bytes(8 * (k * m + k + output_passes(beta) * m));
-}
-
 }  // namespace nadmm::la

@@ -118,8 +118,4 @@ void gemm_tn(double alpha, DenseView a, const DenseMatrix& b,
 void gemv(double alpha, DenseView a, std::span<const double> x,
           double beta, std::span<double> y);
 
-/// y = alpha * A^T * x + beta * y.   A: k×m, x: k, y: m.
-void gemv_t(double alpha, DenseView a, std::span<const double> x,
-            double beta, std::span<double> y);
-
 }  // namespace nadmm::la

@@ -21,4 +21,20 @@ DeviceModel device_from_string(const std::string& spec) {
   return {"custom", gf, gb};
 }
 
+std::vector<DeviceModel> device_list_from_string(const std::string& list) {
+  std::vector<DeviceModel> devices;
+  for (std::size_t begin = 0, end = 0; end != std::string::npos;
+       begin = end + 1) {
+    end = list.find_first_of(",+", begin);
+    const std::string item = list.substr(begin, end - begin);
+    const auto first = item.find_first_not_of(" \t\r\n");
+    if (first == std::string::npos) {
+      throw InvalidArgument("device list '" + list + "' has an empty element");
+    }
+    devices.push_back(device_from_string(
+        item.substr(first, item.find_last_not_of(" \t\r\n") - first + 1)));
+  }
+  return devices;
+}
+
 }  // namespace nadmm::la

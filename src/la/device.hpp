@@ -14,6 +14,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "support/check.hpp"
 
@@ -66,5 +67,12 @@ inline DeviceModel cpu_device() { return {"cpu", 50.0, 25.0}; }
 /// (flop-only pricing), or parse "<gflops>:<gbytes_per_s>" for a custom
 /// roofline device.
 DeviceModel device_from_string(const std::string& spec);
+
+/// A per-rank device list: device_from_string specs joined by ',' or '+'
+/// ("p100+cpu"; sweep axis values use '+', commas being the axis
+/// separator). Elements are trimmed; an empty list or element throws
+/// InvalidArgument. The one parser behind --device, the devices axis and
+/// runner::cluster_devices.
+std::vector<DeviceModel> device_list_from_string(const std::string& list);
 
 }  // namespace nadmm::la

@@ -366,41 +366,6 @@ void accumulate_tn(const double* pa, const double* pb, std::size_t m,
   for (; i < i1; ++i) tn_block<V, 1>(pa, pb, m, n, i, local);
 }
 
-/// Phase-1 core for gemv_t: y-panel is a single column.
-template <class V>
-void accumulate_tv(const double* __restrict pa, const double* __restrict x,
-                   std::size_t m, std::size_t i0, std::size_t i1,
-                   double* __restrict local) {
-  std::size_t i = i0;
-  for (; i + 4 <= i1; i += 4) {
-    const double* a0 = pa + i * m;
-    const double* a1 = a0 + m;
-    const double* a2 = a1 + m;
-    const double* a3 = a2 + m;
-    const double x0 = x[i];
-    const double x1 = x[i + 1];
-    const double x2 = x[i + 2];
-    const double x3 = x[i + 3];
-    const V x0v = V::broadcast(x0);
-    const V x1v = V::broadcast(x1);
-    const V x2v = V::broadcast(x2);
-    const V x3v = V::broadcast(x3);
-    std::size_t j = 0;
-    for (; j + V::width <= m; j += V::width) {
-      V s = x0v * V::load(a0 + j) + x1v * V::load(a1 + j);
-      s = s + x2v * V::load(a2 + j);
-      s = s + x3v * V::load(a3 + j);
-      (V::load(local + j) + s).store(local + j);
-    }
-    for (; j < m; ++j) {
-      local[j] += x0 * a0[j] + x1 * a1[j] + x2 * a2[j] + x3 * a3[j];
-    }
-  }
-  for (; i < i1; ++i) {
-    simd::axpy<V>(x[i], pa + i * m, local, m);
-  }
-}
-
 /// Row boundary for thread t when partitioning CSR rows by nonzero count:
 /// the first row whose prefix nnz reaches t/team of the total. Depends
 /// only on (row_ptr, t, team) — deterministic and balanced for skewed
@@ -488,29 +453,6 @@ void engine_gemm_tn(double alpha, DenseArg a, DenseArg b, double beta,
 #pragma omp barrier
     const Range er = slice(mn, t, team);
     fold_partials<V>(alpha, beta, pc, ws, mn, team, er.lo, er.hi);
-  }
-}
-
-template <class V>
-void engine_gemv_t(double alpha, DenseArg a, const double* x, double beta,
-                   double* y) {
-  const std::size_t k = a.rows, m = a.cols;
-  const double* pa = a.p;
-
-  const bool parallel = 2 * m * k >= kParallelFlops;
-  const int tmax = max_team(parallel);
-  double* ws = reduction_workspace(static_cast<std::size_t>(tmax) * m);
-#pragma omp parallel if (parallel)
-  {
-    const int team = team_size();
-    const int t = thread_id();
-    double* local = ws + static_cast<std::size_t>(t) * m;
-    zero(local, m);
-    const Range kr = slice(k, t, team);
-    accumulate_tv<V>(pa, x, m, kr.lo, kr.hi, local);
-#pragma omp barrier
-    const Range er = slice(m, t, team);
-    fold_partials<V>(alpha, beta, y, ws, m, team, er.lo, er.hi);
   }
 }
 
@@ -762,9 +704,9 @@ const Rung& rung() {
   static constexpr Rung table{
       NADMM_RUNG_STR(NADMM_RUNG),     Lanes::width,
       engine_gemm_nn<Lanes>,          engine_gemm_tn<Lanes>,
-      engine_gemv_t<Lanes>,           engine_spmm_nn<Lanes>,
-      engine_spmm_tn<Lanes>,          engine_spmm_tn_gather<Lanes>,
-      engine_softmax_forward<Lanes>,  peak_probe<Lanes>};
+      engine_spmm_nn<Lanes>,          engine_spmm_tn<Lanes>,
+      engine_spmm_tn_gather<Lanes>,   engine_softmax_forward<Lanes>,
+      peak_probe<Lanes>};
   return table;
 }
 

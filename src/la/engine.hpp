@@ -88,9 +88,6 @@ struct Rung {
   /// C = alpha·Aᵀ·B + beta·C, two-phase reduction.
   void (*gemm_tn)(double alpha, DenseArg a, DenseArg b, double beta,
                   DenseOut c);
-  /// y = alpha·Aᵀ·x + beta·y, two-phase reduction.
-  void (*gemv_t)(double alpha, DenseArg a, const double* x, double beta,
-                 double* y);
   /// C = alpha·A·B + beta·C over CSR rows (m = a.rows).
   void (*spmm_nn)(double alpha, CsrArg a, DenseArg b, double beta,
                   DenseOut c);

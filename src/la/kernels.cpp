@@ -96,18 +96,6 @@ void gemm_tn(double alpha, DenseView a, const DenseMatrix& b,
   rung.gemm_tn(alpha, arg(a), arg(b), beta, out(c));
 }
 
-void gemv_t(double alpha, DenseView a, std::span<const double> x,
-            double beta, std::span<double> y, const Rung& rung) {
-  NADMM_CHECK(a.rows() == x.size(), "gemv_t: x size mismatch");
-  NADMM_CHECK(a.cols() == y.size(), "gemv_t: y size mismatch");
-  if (y.empty()) return;
-  if (a.rows() == 0) {
-    scale_output(beta, y);
-    return;
-  }
-  rung.gemv_t(alpha, arg(a), x.data(), beta, y.data());
-}
-
 void spmm_nn(double alpha, const CsrView& a, const DenseMatrix& b,
              double beta, DenseMatrix& c, const Rung& rung) {
   NADMM_CHECK(a.cols() == b.rows(), "spmm_nn: inner dimension mismatch");
@@ -240,35 +228,6 @@ void gemm_tn(double alpha, const DenseMatrix& a, const DenseMatrix& b,
 #pragma omp critical(nadmm_ref_gemm_tn_reduce)
     {
       for (std::size_t e = 0; e < local.size(); ++e) pc[e] += alpha * local[e];
-    }
-  }
-}
-
-void gemv_t(double alpha, const DenseMatrix& a, std::span<const double> x,
-            double beta, std::span<double> y) {
-  NADMM_CHECK(a.rows() == x.size(), "gemv_t: x size mismatch");
-  NADMM_CHECK(a.cols() == y.size(), "gemv_t: y size mismatch");
-  const std::size_t k = a.rows(), m = a.cols();
-  const double* pa = a.data().data();
-  if (beta == 0.0) {
-    std::fill(y.begin(), y.end(), 0.0);
-  } else if (beta != 1.0) {
-    scal(beta, y);
-  }
-  [[maybe_unused]] const bool parallel = 2 * m * k >= kParallelFlops;
-#pragma omp parallel if (parallel)
-  {
-    std::vector<double> local(m, 0.0);
-#pragma omp for schedule(static)
-    for (std::ptrdiff_t i = 0; i < static_cast<std::ptrdiff_t>(k); ++i) {
-      const double xv = x[i];
-      if (xv == 0.0) continue;
-      const double* arow = pa + static_cast<std::size_t>(i) * m;
-      for (std::size_t j = 0; j < m; ++j) local[j] += xv * arow[j];
-    }
-#pragma omp critical(nadmm_ref_gemv_t_reduce)
-    {
-      for (std::size_t j = 0; j < m; ++j) y[j] += alpha * local[j];
     }
   }
 }

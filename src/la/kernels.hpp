@@ -73,11 +73,6 @@ void gemm_nn(double alpha, DenseView a, const DenseMatrix& b,
 void gemm_tn(double alpha, DenseView a, const DenseMatrix& b,
              double beta, DenseMatrix& c, const Rung& rung = active_rung());
 
-/// y = alpha·Aᵀ·x + beta·y (A: k×m). Two-phase lock-free reduction.
-void gemv_t(double alpha, DenseView a, std::span<const double> x,
-            double beta, std::span<double> y,
-            const Rung& rung = active_rung());
-
 /// C = alpha·A·B + beta·C (A: m×k CSR). Each output row accumulates its
 /// row's entries in order, so the result is bit-identical for any
 /// thread count.
@@ -114,8 +109,6 @@ void gemm_nn(double alpha, const DenseMatrix& a, const DenseMatrix& b,
              double beta, DenseMatrix& c);
 void gemm_tn(double alpha, const DenseMatrix& a, const DenseMatrix& b,
              double beta, DenseMatrix& c);
-void gemv_t(double alpha, const DenseMatrix& a, std::span<const double> x,
-            double beta, std::span<double> y);
 void spmm_tn(double alpha, const CsrMatrix& a, const DenseMatrix& b,
              double beta, DenseMatrix& c);
 double softmax_forward(const DenseMatrix& scores,

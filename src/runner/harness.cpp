@@ -1,11 +1,15 @@
 #include "runner/harness.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
-#include <cstdlib>
+#include <string_view>
+#include <utility>
 
+#include "runner/options.hpp"
 #include "runner/registry.hpp"
 #include "support/check.hpp"
+#include "support/cli.hpp"
 #include "support/csv.hpp"
 #include "support/table.hpp"
 
@@ -18,9 +22,8 @@ data::DatasetKey dataset_key(const ExperimentConfig& config) {
   key.n_test = config.n_test;
   // File-backed sources take their dimension (and content) from the
   // file, so the generator knobs must not split their cache entries.
-  const bool file_backed = config.dataset.rfind("libsvm:", 0) == 0;
-  key.features = file_backed ? 0 : config.e18_features;
-  key.seed = file_backed ? 0 : config.seed;
+  key.features = key.is_streamable() ? 0 : config.e18_features;
+  key.seed = key.is_streamable() ? 0 : config.seed;
   return key;
 }
 
@@ -30,55 +33,57 @@ data::TrainTest make_data(const ExperimentConfig& config) {
 
 namespace {
 
-/// Split a per-rank device list on ',' or '+' (equivalent; sweep axis
-/// values must use '+' because commas separate axis entries).
-std::vector<std::string> split_device_specs(const std::string& list) {
-  std::vector<std::string> out;
-  std::string item;
-  for (const char c : list) {
-    if (c == ',' || c == '+') {
-      if (!item.empty()) out.push_back(item);
-      item.clear();
-    } else if (c != ' ') {
-      item += c;
-    }
-  }
-  if (!item.empty()) out.push_back(item);
-  return out;
+/// "<a>:<b>" as two whole numbers of their types.
+template <class A, class B>
+bool parse_pair(std::string_view text, A& a, B& b) {
+  const auto colon = text.find(':');
+  return colon != std::string_view::npos &&
+         parse_number(text.substr(0, colon), a) &&
+         parse_number(text.substr(colon + 1), b);
 }
 
 }  // namespace
 
+std::optional<Straggler> parse_straggler(const std::string& spec) {
+  if (spec == "none") return std::nullopt;
+  Straggler s;
+  if (!parse_pair(spec, s.rank, s.slowdown) || s.rank < 0 ||
+      !std::isfinite(s.slowdown) || s.slowdown < 1.0) {
+    throw InvalidArgument("straggler '" + spec +
+                          "': expected none or <rank>:<slowdown> (an int "
+                          "rank >= 0, a finite slowdown >= 1)");
+  }
+  s.label = spec.substr(spec.find(':') + 1);
+  return s;
+}
+
+std::optional<Kill> parse_kill(const std::string& spec) {
+  if (spec == "none") return std::nullopt;
+  Kill k;
+  if (!parse_pair(spec, k.rank, k.epoch) || k.rank < 0 || k.epoch < 1) {
+    throw InvalidArgument("kill '" + spec +
+                          "': expected none or <rank>:<epoch> (an int rank "
+                          ">= 0, an int epoch >= 1)");
+  }
+  return k;
+}
+
 std::vector<la::DeviceModel> cluster_devices(const ExperimentConfig& config) {
   NADMM_CHECK(config.workers >= 1, "cluster needs at least one rank");
-  const auto specs = split_device_specs(config.device);
-  NADMM_CHECK(!specs.empty(), "device spec must not be empty");
+  const auto specs = la::device_list_from_string(config.device);
   std::vector<la::DeviceModel> devices;
   devices.reserve(static_cast<std::size_t>(config.workers));
   for (int r = 0; r < config.workers; ++r) {
-    devices.push_back(la::device_from_string(
-        specs[static_cast<std::size_t>(r) % specs.size()]));
+    devices.push_back(specs[static_cast<std::size_t>(r) % specs.size()]);
   }
-  if (!config.straggler.empty() && config.straggler != "none") {
-    const auto colon = config.straggler.find(':');
-    NADMM_CHECK(colon != std::string::npos,
-                "straggler spec must be 'none' or '<rank>:<slowdown>', got '" +
+  if (const auto straggler = parse_straggler(config.straggler)) {
+    NADMM_CHECK(straggler->rank < config.workers,
+                "straggler rank must be in [0, workers), got '" +
                     config.straggler + "'");
-    char* end = nullptr;
-    const long rank = std::strtol(config.straggler.c_str(), &end, 10);
-    NADMM_CHECK(end == config.straggler.c_str() + colon && rank >= 0 &&
-                    rank < config.workers,
-                "straggler rank must be an integer in [0, workers), got '" +
-                    config.straggler + "'");
-    const double slowdown =
-        std::strtod(config.straggler.c_str() + colon + 1, &end);
-    NADMM_CHECK(end != nullptr && *end == '\0' && slowdown > 0.0,
-                "straggler slowdown must be a positive number, got '" +
-                    config.straggler + "'");
-    la::DeviceModel& d = devices[static_cast<std::size_t>(rank)];
-    d.gflops /= slowdown;
-    if (d.gbytes_per_s > 0.0) d.gbytes_per_s /= slowdown;
-    d.name += "/x" + config.straggler.substr(colon + 1);
+    la::DeviceModel& d = devices[static_cast<std::size_t>(straggler->rank)];
+    d.gflops /= straggler->slowdown;
+    if (d.gbytes_per_s > 0.0) d.gbytes_per_s /= straggler->slowdown;
+    d.name += "/x" + straggler->label;
   }
   return devices;
 }
@@ -132,22 +137,9 @@ solvers::AsyncAdmmOptions async_options(const ExperimentConfig& config,
   o.fault = config.fault.empty() ? "none" : config.fault;
   o.seed = config.seed;
   o.checkpoint_every = config.checkpoint_every;
-  if (!config.kill.empty() && config.kill != "none") {
-    const auto colon = config.kill.find(':');
-    NADMM_CHECK(colon != std::string::npos,
-                "kill spec must be 'none' or '<rank>:<epoch>', got '" +
-                    config.kill + "'");
-    char* end = nullptr;
-    const long rank = std::strtol(config.kill.c_str(), &end, 10);
-    NADMM_CHECK(end == config.kill.c_str() + colon && rank >= 0,
-                "kill rank must be a non-negative integer, got '" +
-                    config.kill + "'");
-    const long epoch = std::strtol(config.kill.c_str() + colon + 1, &end, 10);
-    NADMM_CHECK(end != nullptr && *end == '\0' && epoch >= 1,
-                "kill epoch must be an integer >= 1, got '" + config.kill +
-                    "'");
-    o.kill_rank = static_cast<int>(rank);
-    o.kill_epoch = static_cast<int>(epoch);
+  if (const auto kill = parse_kill(config.kill)) {
+    o.kill_rank = kill->rank;
+    o.kill_epoch = kill->epoch;
   }
   return o;
 }
@@ -219,17 +211,53 @@ core::RunResult run_solver(const std::string& solver,
 }
 
 serve::ServeConfig serve_config(const ExperimentConfig& config,
-                                std::string arrival, std::string batch,
-                                std::size_t requests,
-                                double dispatch_overhead_s) {
-  return {.arrival = std::move(arrival),
-          .batch = std::move(batch),
-          .requests = requests,
-          .seed = config.seed,
-          .device = config.device,
-          .network = config.network,
-          .dispatch_overhead_s = dispatch_overhead_s,
-          .omp_threads = config.omp_threads};
+                                serve::ServeConfig serving) {
+  serving.seed = config.seed;
+  serving.device = config.device;
+  serving.network = config.network;
+  serving.omp_threads = config.omp_threads;
+  return serving;
+}
+
+serve::SavedModel saved_model(const std::string& solver,
+                              const ExperimentConfig& config,
+                              const data::Dataset& train,
+                              std::vector<double> x) {
+  serve::SavedModel model;
+  model.objective = "softmax";
+  model.solver = solver;
+  model.dataset = config.dataset;
+  model.seed = config.seed;
+  model.n_train = config.n_train;
+  model.n_test = config.n_test;
+  model.num_features = train.num_features();
+  model.num_classes = train.num_classes();
+  model.lambda = config.lambda;
+  model.x = std::move(x);
+  return model;
+}
+
+void check_model_pool(const serve::SavedModel& model,
+                      const ExperimentConfig& config) {
+  ExperimentConfig trained = config;
+  trained.dataset = model.dataset;
+  trained.seed = model.seed;
+  trained.n_train = model.n_train;
+  trained.n_test = model.n_test;
+  const data::DatasetKey want = dataset_key(trained);
+  const data::DatasetKey pool = dataset_key(config);
+  const auto check = [](bool same, const char* field, const auto& model_value,
+                        const auto& pool_value) {
+    if (same) return;
+    throw InvalidArgument(std::string("request pool ") + field + " '" +
+                          to_text(pool_value) + "' differs from the model's " +
+                          field + " '" + to_text(model_value) +
+                          "' (serve a model on the data it was trained on)");
+  };
+  check(want.source == pool.source, "dataset", want.source, pool.source);
+  check(want.seed == pool.seed, "seed", want.seed, pool.seed);
+  check(want.n_train == pool.n_train, "n_train", want.n_train, pool.n_train);
+  check(want.n_test == pool.n_test, "n_test", want.n_test, pool.n_test);
 }
 
 void write_trace_csv(const core::RunResult& result, const std::string& path) {

@@ -4,8 +4,8 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
-
 #include <vector>
 
 #include "baselines/dane.hpp"
@@ -39,7 +39,7 @@ struct ExperimentConfig {
   std::string network = "ib100";  ///< comm::network_from_string preset
   /// Straggler injection: "none", or "<rank>:<slowdown>" — divide that
   /// rank's flop rate and bandwidth by `slowdown` (e.g. "1:4" makes rank
-  /// 1 four times slower).
+  /// 1 four times slower; parse_straggler).
   std::string straggler = "none";
   /// Shard planning across ranks: contiguous (zero-copy views, the
   /// paper's pre-sharded setup), strided (label balance; gather copies),
@@ -70,7 +70,8 @@ struct ExperimentConfig {
   /// (comm::FaultSpec::parse). The fault RNG is seeded from `seed`.
   std::string fault = "none";
   /// Elastic-membership kill: "none", or "<rank>:<epoch>" — kill that
-  /// rank after the given epoch and rejoin it from the last checkpoint.
+  /// rank after the given epoch and rejoin it from the last checkpoint
+  /// (parse_kill).
   std::string kill = "none";
   /// Coordinator checkpoint period in applied updates (0 = off; must be
   /// > 0 when `kill` is set).
@@ -85,9 +86,34 @@ data::DatasetKey dataset_key(const ExperimentConfig& config);
 /// path with no caching; sweeps go through a DatasetProvider instead.
 data::TrainTest make_data(const ExperimentConfig& config);
 
+/// A parsed `straggler` spec: rank `rank` runs `slowdown` times slower.
+struct Straggler {
+  int rank = 0;
+  double slowdown = 1.0;
+  std::string label;  ///< the slowdown as written, for the device name
+};
+
+/// "none" (nullopt) or "<rank>:<slowdown>" with an int rank >= 0 and a
+/// finite slowdown >= 1; throws InvalidArgument otherwise. The one parser
+/// of the spec: --straggler, the stragglers axis and cluster_devices.
+std::optional<Straggler> parse_straggler(const std::string& spec);
+
+/// A parsed `kill` spec: kill rank `rank` after epoch `epoch`.
+struct Kill {
+  int rank = 0;
+  int epoch = 1;
+};
+
+/// "none" (nullopt) or "<rank>:<epoch>" with an int rank >= 0 and an int
+/// epoch >= 1; throws InvalidArgument otherwise. The one parser of the
+/// spec: --kill, the kill sweep key and async_options.
+std::optional<Kill> parse_kill(const std::string& spec);
+
 /// Per-rank device models from the config: the (possibly heterogeneous)
 /// `device` list cycled over `workers` ranks, with the `straggler`
-/// slowdown applied. Throws InvalidArgument on malformed specs.
+/// slowdown applied (the straggled device's name gains "/x<slowdown>").
+/// Throws InvalidArgument on malformed specs or a straggler rank outside
+/// [0, workers).
 std::vector<la::DeviceModel> cluster_devices(const ExperimentConfig& config);
 
 /// The shard plan the config names: `partition` mode over `workers`
@@ -129,13 +155,26 @@ core::RunResult run_solver(const std::string& solver,
                            const data::ShardedDataset& data,
                            const ExperimentConfig& config);
 
-/// The serving plane of a serving scenario: `arrival`/`batch` specs,
-/// `requests` and the per-dispatch cost, with the request-stream seed,
-/// server device, network and threads from `config`.
+/// `serving` (its serve_fields(): arrival, batch, requests, dispatch
+/// overhead) with the request-stream seed, server device, network and
+/// threads taken from `config`.
 serve::ServeConfig serve_config(const ExperimentConfig& config,
-                                std::string arrival, std::string batch,
-                                std::size_t requests,
-                                double dispatch_overhead_s);
+                                serve::ServeConfig serving);
+
+/// The softmax model `solver` trained on `config`'s data (`train` is its
+/// train split): coefficients `x` with the provenance check_model_pool
+/// compares.
+serve::SavedModel saved_model(const std::string& solver,
+                              const ExperimentConfig& config,
+                              const data::Dataset& train,
+                              std::vector<double> x);
+
+/// Throws InvalidArgument naming the field (dataset, seed, n_train or
+/// n_test) when the request pool `config` describes is not the data
+/// `model` was trained on, compared through dataset_key (so `libsvm:`
+/// models ignore the seed).
+void check_model_pool(const serve::SavedModel& model,
+                      const ExperimentConfig& config);
 
 /// Write the full per-iteration trace as CSV (columns match
 /// core::IterationStats).

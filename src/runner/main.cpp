@@ -1,19 +1,22 @@
 // The `nadmm` CLI: one binary for the whole experiment surface.
 //
-//   nadmm list [--json]            — solvers / datasets / devices / networks
+//   nadmm list [--json]            — solvers, then each flag vocabulary
 //   nadmm run   --solver=… --dataset=… [knobs] [--save-model=FILE]
 //   nadmm serve --model=FILE --arrival=… --batch=… [pool flags]
 //   nadmm sweep --spec=FILE | [grid flags] --jobs=N --out=report.csv
 //
 // Every subcommand builds its flag surface from the shared declarative
-// option specs in runner/options.hpp (ExperimentConfig flags from its
-// field table): the spec registers the flags, generates `--help` in
-// declaration order, and validates parsed values up front (rejections
-// name the offending flag). `run` executes a single scenario and prints
-// its trace summary; `serve` replays a synthetic request stream against
-// a saved model; `sweep` expands a declarative grid — training or
-// serving — and executes it on a worker pool (see runner/sweep.hpp —
-// the aggregated report is deterministic across --jobs settings).
+// option specs in runner/options.hpp (ExperimentConfig and ServeConfig
+// flags from their field tables): the spec registers the flags,
+// generates `--help` in declaration order, and validates parsed values
+// up front with the parsers the run uses (rejections name the offending
+// flag). `list` prints the registry and, from the flags' help lines, the
+// vocabularies; `run` executes a single scenario and prints its trace
+// summary; `serve` replays a synthetic request stream against a saved
+// model, refusing a pool other than the model's training data; `sweep`
+// expands a declarative grid — training or serving — and executes it on
+// a worker pool (see runner/sweep.hpp — the aggregated report is
+// deterministic across --jobs settings).
 #include <cstdint>
 #include <cstdio>
 #include <exception>
@@ -69,24 +72,21 @@ int cmd_list(int argc, const char* const* argv) {
                      info.description});
   }
   solvers.print();
-  std::printf(
-      "\ndatasets:   higgs | mnist | cifar | e18 | blobs (synthetic, "
-      "paper-shaped)\n"
-      "            libsvm:<path> (streamed from disk as row shards)\n"
-      "devices:    p100 | cpu | <gflops>[:<gbytes_per_s>], per-rank lists\n"
-      "            with ','/'+' (\"p100+cpu\" cycles over the ranks)\n"
-      "networks:   ib100 | eth10 | eth1 | wan | ideal\n"
-      "penalties:  fixed | rb | sps\n"
-      "stragglers: none | <rank>:<slowdown> (e.g. 1:4 — rank 1 is 4x "
-      "slower)\n"
-      "partitions: contiguous (zero-copy views) | strided (label balance) "
-      "| weighted\n"
-      "            (shard sizes follow per-rank device gflops; "
-      "libsvm: sources\n"
-      "            stream straight into the per-rank shards)\n"
-      "arrivals:   poisson[:<rate>] | diurnal[:<mean>[:<amp>[:<period>]]]\n"
-      "            | bursty[:<base>[:<burst>[:<period>[:<duty>]]]]\n"
-      "batching:   immediate | size:<B> | deadline:<B>:<seconds>\n");
+  // The vocabularies are the help lines of the flags that take them.
+  using C = runner::ExperimentConfig;
+  using S = serve::ServeConfig;
+  std::printf("\nvocabularies:\n");
+  for (const runner::OptionSpec* spec :
+       {&runner::config_field<&C::dataset>().spec,
+        &runner::config_field<&C::device>().spec,
+        &runner::config_field<&C::network>().spec,
+        &runner::config_field<&C::penalty>().spec,
+        &runner::config_field<&C::straggler>().spec,
+        &runner::config_field<&C::partition>().spec,
+        &runner::config_field<&S::arrival>().spec,
+        &runner::config_field<&S::batch>().spec}) {
+    std::printf("  --%-10s %s\n", spec->name.c_str(), spec->help.c_str());
+  }
   return 0;
 }
 
@@ -158,15 +158,8 @@ int cmd_run(int argc, const char* const* argv) {
   }
   const std::string model_path = cli.get_string("save-model");
   if (!model_path.empty()) {
-    serve::SavedModel model;
-    model.objective = "softmax";
-    model.solver = solver;
-    model.dataset = config.dataset;
-    model.num_features = tt.train.num_features();
-    model.num_classes = tt.train.num_classes();
-    model.lambda = config.lambda;
-    model.x = result.x;
-    serve::save_model(model, model_path);
+    serve::save_model(runner::saved_model(solver, config, tt.train, result.x),
+                      model_path);
     std::printf("\nmodel written to %s\n", model_path.c_str());
   }
   return 0;
@@ -182,7 +175,6 @@ int cmd_serve(int argc, const char* const* argv) {
   opts.add_string("model", "",
                   "trained model file (from `nadmm run --save-model`)");
   opts.extend(runner::config_options(runner::kServe));
-  opts.extend(runner::serving_options());
   opts.add_string("trace-out", "",
                   "if set, write a Chrome trace_event JSON of the serving "
                   "telemetry here");
@@ -195,13 +187,12 @@ int cmd_serve(int argc, const char* const* argv) {
 
   const auto model = serve::load_model(cli.get_string("model"));
   const auto data_config = runner::config_from_flags(cli);
+  runner::check_model_pool(model, data_config);
   const auto tt = runner::make_data(data_config);
   NADMM_CHECK(!tt.test.empty(),
               "serving needs a non-empty test split (--n-test > 0)");
   const serve::ServeConfig config = runner::serve_config(
-      data_config, cli.get_string("arrival"), cli.get_string("batch"),
-      cli.get_int_as<std::size_t>("requests"),
-      cli.get_double("dispatch-overhead"));
+      data_config, runner::config_from_flags<serve::ServeConfig>(cli));
 
   std::printf("serving: model=%s (%s via %s) pool=%s rows=%zu p=%zu "
               "device=%s network=%s\n",

@@ -7,6 +7,9 @@
 
 #include "comm/fault.hpp"
 #include "comm/network_model.hpp"
+#include "core/penalty.hpp"
+#include "data/generators.hpp"
+#include "data/partition.hpp"
 #include "la/device.hpp"
 #include "runner/harness.hpp"
 #include "runner/registry.hpp"
@@ -16,15 +19,11 @@
 
 namespace nadmm::runner {
 
-namespace {
-
 std::string fmt_double(double v) {
   char buf[64];
   std::snprintf(buf, sizeof buf, "%g", v);
   return buf;
 }
-
-}  // namespace
 
 std::string trim(const std::string& s) {
   const auto begin = s.find_first_not_of(" \t\r\n");
@@ -56,13 +55,6 @@ OptionSet& OptionSet::add_int(const std::string& name,
                               const std::string& help,
                               OptionValidator validator) {
   return add({name, OptType::kInt, std::to_string(default_value), help,
-              std::move(validator)});
-}
-
-OptionSet& OptionSet::add_double(const std::string& name, double default_value,
-                                 const std::string& help,
-                                 OptionValidator validator) {
-  return add({name, OptType::kDouble, fmt_double(default_value), help,
               std::move(validator)});
 }
 
@@ -157,105 +149,49 @@ OptionValidator v_one_of(std::vector<std::string> allowed) {
   };
 }
 
+std::vector<std::string> split_list(const std::string& value, char sep) {
+  std::vector<std::string> out;
+  if (value.empty()) return out;
+  std::size_t begin = 0;
+  for (std::size_t end; (end = value.find(sep, begin)) != std::string::npos;
+       begin = end + 1) {
+    out.push_back(trim(value.substr(begin, end - begin)));
+  }
+  out.push_back(trim(value.substr(begin)));
+  return out;
+}
+
 OptionValidator v_each(char sep, OptionValidator inner) {
   return [sep, inner = std::move(inner)](const std::string& flag,
                                          const std::string& value) {
-    if (value.empty()) return;
-    std::size_t begin = 0;
-    while (begin <= value.size()) {
-      const auto end = value.find(sep, begin);
-      const std::string token =
-          trim(value.substr(begin, end == std::string::npos ? std::string::npos
-                                                            : end - begin));
+    for (const auto& token : split_list(value, sep)) {
       if (token.empty()) reject_value(flag, value, "empty list element");
       inner(flag, token);
-      if (end == std::string::npos) break;
-      begin = end + 1;
     }
   };
 }
 
-OptionValidator v_dataset() {
-  return [](const std::string& flag, const std::string& value) {
-    static const std::vector<std::string> kNamed = {"higgs", "mnist", "cifar",
-                                                    "e18", "blobs"};
-    if (value.rfind("libsvm:", 0) == 0) {
-      if (value.size() == 7) reject_value(flag, value, "libsvm: needs a path");
-      return;
-    }
-    if (std::find(kNamed.begin(), kNamed.end(), value) == kNamed.end()) {
-      reject_value(flag, value,
-                   "expected higgs|mnist|cifar|e18|blobs|libsvm:<path>");
-    }
-  };
-}
-
-namespace {
-
-/// Accepts whatever `parse` accepts; its exception text is the reason.
-template <class Parse>
-OptionValidator v_parses(Parse parse) {
-  return [parse](const std::string& flag, const std::string& value) {
-    try {
-      static_cast<void>(parse(value));
-    } catch (const std::exception& e) {
-      reject_value(flag, value, e.what());
-    }
-  };
-}
-
-}  // namespace
+OptionValidator v_dataset() { return v_parses(data::parse_dataset_source); }
 
 OptionValidator v_device_list() {
-  return v_each(',', v_each('+', v_parses([](const std::string& v) {
-                  return la::device_from_string(v);
-                })));
+  return v_parses(la::device_list_from_string);
 }
 
-OptionValidator v_network() {
-  return v_parses(
-      [](const std::string& v) { return comm::network_from_string(v); });
-}
+OptionValidator v_network() { return v_parses(comm::network_from_string); }
 
-OptionValidator v_straggler() {
-  return [](const std::string& flag, const std::string& value) {
-    if (value == "none") return;
-    const auto colon = value.find(':');
-    if (colon == std::string::npos) {
-      reject_value(flag, value, "expected none or <rank>:<slowdown>");
-    }
-    const auto rank =
-        parse_number<std::int64_t>(flag, value.substr(0, colon));
-    const double slowdown = parse_number<double>(flag, value.substr(colon + 1));
-    if (rank < 0) reject_value(flag, value, "rank must be >= 0");
-    if (slowdown < 1.0) reject_value(flag, value, "slowdown must be >= 1");
-  };
+OptionValidator v_straggler() { return v_parses(parse_straggler); }
+
+OptionValidator v_penalty() {
+  return v_parses(core::penalty_rule_from_string);
 }
 
 OptionValidator v_partition() {
-  return v_one_of({"contiguous", "strided", "weighted"});
+  return v_parses(data::partition_mode_from_string);
 }
 
-OptionValidator v_fault() {
-  return v_parses(
-      [](const std::string& v) { return comm::FaultSpec::parse(v); });
-}
+OptionValidator v_fault() { return v_parses(comm::FaultSpec::parse); }
 
-OptionValidator v_kill() {
-  return [](const std::string& flag, const std::string& value) {
-    if (value == "none") return;
-    const auto colon = value.find(':');
-    if (colon == std::string::npos) {
-      reject_value(flag, value, "expected none or <rank>:<epoch>");
-    }
-    const auto rank =
-        parse_number<std::int64_t>(flag, value.substr(0, colon));
-    const auto epoch =
-        parse_number<std::int64_t>(flag, value.substr(colon + 1));
-    if (rank < 0) reject_value(flag, value, "rank must be >= 0");
-    if (epoch < 1) reject_value(flag, value, "epoch must be >= 1");
-  };
-}
+OptionValidator v_kill() { return v_parses(parse_kill); }
 
 OptionValidator v_solver() {
   return v_parses([](const std::string& v) {
@@ -263,14 +199,9 @@ OptionValidator v_solver() {
   });
 }
 
-OptionValidator v_arrival() {
-  return v_parses([](const std::string& v) { return serve::make_arrival(v); });
-}
+OptionValidator v_arrival() { return v_parses(serve::make_arrival); }
 
-OptionValidator v_batch_policy() {
-  return v_parses(
-      [](const std::string& v) { return serve::make_batch_policy(v); });
-}
+OptionValidator v_batch_policy() { return v_parses(serve::make_batch_policy); }
 
 OptionValidator v_byte_size() {
   return [](const std::string& flag, const std::string& value) {
@@ -334,7 +265,7 @@ bool from_text(const std::string& text, bool& out) {
 }
 
 // ---------------------------------------------------------------------------
-// The ExperimentConfig field table.
+// The field tables.
 // ---------------------------------------------------------------------------
 
 namespace {
@@ -342,10 +273,12 @@ namespace {
 /// Table entry for member F: its flag `name`, `help` line and
 /// `validator`, taken as a flag by the `flag_on` commands.
 template <auto F>
-ConfigField field(std::string name, std::string help,
-                  OptionValidator validator = {}, unsigned flag_on = kRun) {
+Field<OwnerOf<F>> field(std::string name, std::string help,
+                        OptionValidator validator = {},
+                        unsigned flag_on = kRun) {
+  using Config = OwnerOf<F>;
   using T = TypeOf<F>;
-  const T value = ExperimentConfig{}.*F;
+  const T value = Config{}.*F;
   OptionSpec spec{std::move(name), OptType::kString, to_text(value),
                   std::move(help), std::move(validator)};
   if constexpr (std::is_same_v<T, bool>) {
@@ -357,10 +290,11 @@ ConfigField field(std::string name, std::string help,
     spec.default_value = fmt_double(value);  // as CliParser prints it
   }
   return {std::move(spec), flag_on,
-          [](ExperimentConfig& c, const std::string& flag,
-             const std::string& text) { c.*F = parse_as<T>(flag, text); },
-          [](const ExperimentConfig& c) { return to_text(c.*F); },
-          [](const ExperimentConfig& c) -> const void* { return &(c.*F); }};
+          [](Config& c, const std::string& flag, const std::string& text) {
+            c.*F = parse_as<T>(flag, text);
+          },
+          [](const Config& c) { return to_text(c.*F); },
+          [](const Config& c) -> const void* { return &(c.*F); }};
 }
 
 /// A field no command takes as a flag (the sweep fingerprints it).
@@ -371,17 +305,13 @@ ConfigField unflagged(std::string name) {
 
 }  // namespace
 
-std::string ConfigField::key() const {
-  std::string key = spec.name;
-  std::replace(key.begin(), key.end(), '-', '_');
-  return key;
-}
-
 const std::vector<ConfigField>& config_fields() {
   using C = ExperimentConfig;
   static const std::vector<ConfigField> fields = {
       field<&C::dataset>("dataset",
-                         "higgs|mnist|cifar|e18|blobs|libsvm:<path>",
+                         "higgs|mnist|cifar|e18|blobs (synthetic, "
+                         "paper-shaped) | libsvm:<path> (streamed from disk "
+                         "as row shards)",
                          v_dataset(), kRun | kServe),
       field<&C::n_train>("n-train", "training samples", v_int_min(1),
                          kRun | kServe),
@@ -400,7 +330,7 @@ const std::vector<ConfigField>& config_fields() {
                          "network model (ib100|eth10|eth1|wan|ideal)",
                          v_network(), kRun | kServe),
       field<&C::penalty>("penalty", "ADMM penalty rule (fixed|rb|sps)",
-                         v_one_of({"fixed", "rb", "sps"})),
+                         v_penalty()),
       field<&C::lambda>("lambda", "l2 regularization", v_double_min(0.0)),
       field<&C::rho0>("rho0", "initial ADMM penalty rho_0",
                       v_double_min(0.0, /*inclusive=*/false)),
@@ -466,42 +396,39 @@ const std::vector<ConfigField>& config_fields() {
   return fields;
 }
 
+const std::vector<ServeField>& serve_fields() {
+  using S = serve::ServeConfig;
+  static const std::vector<ServeField> fields = {
+      field<&S::arrival>("arrival",
+                         "arrival model: poisson[:<rate>] | "
+                         "diurnal[:<mean>[:<amp>[:<period>]]] | "
+                         "bursty[:<base>[:<burst>[:<period>[:<duty>]]]]",
+                         v_arrival(), kServe),
+      field<&S::batch>("batch",
+                       "batch policy: immediate | size:<B> | "
+                       "deadline:<B>:<seconds>",
+                       v_batch_policy(), kServe),
+      field<&S::requests>("requests", "synthetic requests to serve",
+                          v_int_min(0), kServe),
+      field<&S::dispatch_overhead_s>(
+          "dispatch-overhead",
+          "fixed per-dispatch cost in seconds (kernel launch + result "
+          "framing); the term batching amortizes",
+          v_double_min(0.0), kServe),
+  };
+  return fields;
+}
+
 OptionSet config_options(FlagOn command) {
   OptionSet set;
-  for (const auto& f : config_fields()) {
-    if ((f.flag_on & command) != 0) set.add(f.spec);
-  }
+  const auto add = [&](const auto& fields) {
+    for (const auto& f : fields) {
+      if ((f.flag_on & command) != 0) set.add(f.spec);
+    }
+  };
+  add(config_fields());
+  add(serve_fields());
   return set;
-}
-
-ExperimentConfig config_from_flags(const CliParser& cli) {
-  ExperimentConfig config;
-  for (const auto& f : config_fields()) {
-    const std::string& name = f.spec.name;
-    if (cli.has(name)) f.assign(config, name, cli.text(name));
-  }
-  return config;
-}
-
-const OptionSet& serving_options() {
-  static const OptionSet specs = [] {
-    OptionSet s;
-    s.add_string("arrival", "poisson:1000",
-                 "arrival model: poisson[:<rate>] | "
-                 "diurnal[:<mean>[:<amp>[:<period>]]] | "
-                 "bursty[:<base>[:<burst>[:<period>[:<duty>]]]]",
-                 v_arrival());
-    s.add_string("batch", "immediate",
-                 "batch policy: immediate | size:<B> | deadline:<B>:<seconds>",
-                 v_batch_policy());
-    s.add_int("requests", 10000, "synthetic requests to serve", v_int_min(0));
-    s.add_double("dispatch-overhead", 1e-4,
-                 "fixed per-dispatch cost in seconds (kernel launch + result "
-                 "framing); the term batching amortizes",
-                 v_double_min(0.0));
-    return s;
-  }();
-  return specs;
 }
 
 // ---------------------------------------------------------------------------

@@ -6,18 +6,23 @@
 // in declaration order) and validates the parsed values up front — every
 // rejection names the offending flag and echoes the bad value.
 //
-// ExperimentConfig's fields are declared once, in config_fields(): each
+// ExperimentConfig's fields are declared once, in config_fields(), and
+// the serving fields of serve::ServeConfig once, in serve_fields(): each
 // entry binds a member pointer to the field's name, help line and
 // validator, and says which commands take it as a flag. `nadmm run` and
 // `nadmm serve` flags (config_options, config_from_flags), the sweep's
-// scalar and fixed keys and the validators of its config axes
-// (runner/sweep.cpp), and the solver-knob catalog (describe_knob, behind
-// `nadmm list --json` and the README solver table) are all built from
-// that table, so none of them can drift from the others.
+// scalar, fixed and serving keys and the validators of its axes
+// (runner/sweep.cpp), the vocabularies `nadmm list` prints, and the
+// solver-knob catalog (describe_knob, behind `nadmm list --json` and the
+// README solver table) are all built from those tables, so none of them
+// can drift from the others. Every spec-string validator is
+// v_parses(parser) over the parser the run itself calls, so a flag or
+// key accepts exactly the texts a run does.
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
+#include <exception>
 #include <functional>
 #include <string>
 #include <type_traits>
@@ -52,9 +57,6 @@ class OptionSet {
   OptionSet& add(OptionSpec spec);
   OptionSet& add_int(const std::string& name, std::int64_t default_value,
                      const std::string& help, OptionValidator validator = {});
-  OptionSet& add_double(const std::string& name, double default_value,
-                        const std::string& help,
-                        OptionValidator validator = {});
   OptionSet& add_string(const std::string& name,
                         const std::string& default_value,
                         const std::string& help,
@@ -90,20 +92,39 @@ OptionValidator v_one_of(std::vector<std::string> allowed);
 /// empty values pass (unset axis).
 OptionValidator v_each(char sep, OptionValidator inner);
 
-OptionValidator v_dataset();      ///< named dataset or libsvm:<path>
-OptionValidator v_device_list();  ///< ','/'+'-separated device specs
-OptionValidator v_network();      ///< comm::network_from_string presets
-OptionValidator v_straggler();    ///< "none" or <rank>:<slowdown>
-OptionValidator v_partition();    ///< contiguous|strided|weighted
-OptionValidator v_fault();        ///< "none" or comm::FaultSpec::parse spec
-OptionValidator v_kill();         ///< "none" or <rank>:<epoch>
+/// Accepts whatever `parse` accepts; its exception text is the reason.
+/// Every spec grammar is checked this way, by the parser the run uses.
+template <class Parse>
+OptionValidator v_parses(Parse parse) {
+  return [parse](const std::string& flag, const std::string& value) {
+    try {
+      static_cast<void>(parse(value));
+    } catch (const std::exception& e) {
+      reject_value(flag, value, e.what());
+    }
+  };
+}
+
+OptionValidator v_dataset();      ///< data::parse_dataset_source
+OptionValidator v_device_list();  ///< la::device_list_from_string
+OptionValidator v_network();      ///< comm::network_from_string
+OptionValidator v_straggler();    ///< parse_straggler
+OptionValidator v_penalty();      ///< core::penalty_rule_from_string
+OptionValidator v_partition();    ///< data::partition_mode_from_string
+OptionValidator v_fault();        ///< comm::FaultSpec::parse
+OptionValidator v_kill();         ///< parse_kill
 OptionValidator v_solver();       ///< registered solver name
-OptionValidator v_arrival();      ///< serve/arrival.hpp spec
-OptionValidator v_batch_policy(); ///< serve/batching.hpp spec
+OptionValidator v_arrival();      ///< serve::make_arrival
+OptionValidator v_batch_policy(); ///< serve::make_batch_policy
 OptionValidator v_byte_size();    ///< bytes with optional k/m/g suffix
 
 /// `s` without leading and trailing spaces, tabs, CRs and LFs.
 std::string trim(const std::string& s);
+/// The trimmed elements of a `sep`-separated list, empty ones included
+/// ("" has none).
+std::vector<std::string> split_list(const std::string& value, char sep);
+/// `v` at %g, the spelling --help prints defaults in.
+std::string fmt_double(double v);
 /// `s` escaped for the inside of a JSON string (control bytes as \u00XX).
 std::string json_escape(const std::string& s);
 
@@ -170,66 +191,91 @@ template <auto F>
 using TypeOf = typename Member<decltype(F)>::Type;
 
 // ---------------------------------------------------------------------------
-// The ExperimentConfig field table.
+// The field tables: ExperimentConfig and the serving part of
+// serve::ServeConfig.
 // ---------------------------------------------------------------------------
 
-/// The commands that take a config field as a flag (a bit set). Every
+/// The commands that take a field as a flag (a bit set). Every config
 /// field is part of the sweep fingerprint; which fields are sweep keys is
 /// chosen in sweep.cpp's key table.
 enum FlagOn : unsigned { kNoFlag = 0, kRun = 1u, kServe = 2u };
 
-/// One ExperimentConfig field. `spec.name` is the flag spelling
-/// ("n-train"); the sweep key swaps '-' for '_'. The type comes from the
-/// member pointer, the default from ExperimentConfig{}.
-struct ConfigField {
+/// One field of Config. `spec.name` is the flag spelling ("n-train");
+/// the sweep key swaps '-' for '_'. The type comes from the member
+/// pointer, the default from Config{}.
+template <class Config>
+struct Field {
   OptionSpec spec;
   unsigned flag_on = kNoFlag;  ///< FlagOn bits
   /// Parse `text` into the field (numbers through parse_number: a value
   /// the member's type cannot hold is rejected, never wrapped); throws
   /// naming `flag`.
-  void (*assign)(ExperimentConfig& config, const std::string& flag,
+  void (*assign)(Config& config, const std::string& flag,
                  const std::string& text);
   /// The field's value in to_text spelling (the sweep fingerprint's).
-  std::string (*text)(const ExperimentConfig& config);
+  std::string (*text)(const Config& config);
   /// The member's address inside `config`: identifies the field.
-  const void* (*address)(const ExperimentConfig& config);
+  const void* (*address)(const Config& config);
 
   /// `n-train` -> `n_train`.
-  [[nodiscard]] std::string key() const;
+  [[nodiscard]] std::string key() const {
+    std::string key = spec.name;
+    std::replace(key.begin(), key.end(), '-', '_');
+    return key;
+  }
 };
+using ConfigField = Field<ExperimentConfig>;
+using ServeField = Field<serve::ServeConfig>;
 
 /// Every ExperimentConfig field, once, in `nadmm run --help` order.
 const std::vector<ConfigField>& config_fields();
+/// The serving fields of serve::ServeConfig (arrival, batch, requests,
+/// dispatch overhead), once, in `nadmm serve --help` order. The rest of a
+/// ServeConfig comes from the ExperimentConfig (serve_config).
+const std::vector<ServeField>& serve_fields();
+
+/// The field table of Config.
+template <class Config>
+const std::vector<Field<Config>>& fields_of() {
+  if constexpr (std::is_same_v<Config, ExperimentConfig>) {
+    return config_fields();
+  } else {
+    return serve_fields();
+  }
+}
 
 /// The table entry of member F.
 template <auto F>
-  requires std::is_same_v<OwnerOf<F>, ExperimentConfig>
-const ConfigField& config_field() {
-  static const ConfigField& field = []() -> const ConfigField& {
-    static const ExperimentConfig probe{};
-    const auto& fields = config_fields();
+const Field<OwnerOf<F>>& config_field() {
+  using Config = OwnerOf<F>;
+  static const Field<Config>& field = []() -> const Field<Config>& {
+    static const Config probe{};
+    const auto& fields = fields_of<Config>();
     const auto it = std::find_if(
         fields.begin(), fields.end(),
-        [](const ConfigField& f) { return f.address(probe) == &(probe.*F); });
+        [](const Field<Config>& f) { return f.address(probe) == &(probe.*F); });
     NADMM_ASSERT(it != fields.end());
     return *it;
   }();
   return field;
 }
 
-/// The config fields `command` (kRun or kServe) takes as flags, in table
-/// order.
+/// The fields `command` (kRun or kServe) takes as flags, in table order:
+/// config fields, then (for kServe) the serving fields.
 OptionSet config_options(FlagOn command);
 
-/// The ExperimentConfig that `cli`'s config flags describe: each table
-/// field `cli` registered is parsed from its text, the rest keep
-/// ExperimentConfig{}. Malformed or out-of-range text throws
-/// InvalidArgument naming the flag.
-ExperimentConfig config_from_flags(const CliParser& cli);
-
-/// The serving-scenario surface shared by `nadmm serve` and the sweep's
-/// serving mode: arrival/batch specs, request count, dispatch overhead.
-const OptionSet& serving_options();
+/// The Config that `cli`'s flags describe: each table field `cli`
+/// registered is parsed from its text, the rest keep Config{}. Malformed
+/// or out-of-range text throws InvalidArgument naming the flag.
+template <class Config = ExperimentConfig>
+Config config_from_flags(const CliParser& cli) {
+  Config config;
+  for (const auto& f : fields_of<Config>()) {
+    const std::string& name = f.spec.name;
+    if (cli.has(name)) f.assign(config, name, cli.text(name));
+  }
+  return config;
+}
 
 // ---------------------------------------------------------------------------
 // Solver-knob catalog (registry introspection).

@@ -5,7 +5,6 @@
 #include <charconv>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -24,23 +23,6 @@
 namespace nadmm::runner {
 
 namespace {
-
-std::vector<std::string> split_list(const std::string& value) {
-  std::vector<std::string> out;
-  std::stringstream ss(value);
-  std::string item;
-  while (std::getline(ss, item, ',')) {
-    item = trim(item);
-    if (!item.empty()) out.push_back(item);
-  }
-  return out;
-}
-
-std::string fmt_compact(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%g", v);
-  return buf;
-}
 
 /// ';'-joined per-rank wait seconds ("0;1.5;0.25"), empty when the
 /// solver reports none. Round-trips through the journal verbatim.
@@ -198,14 +180,28 @@ struct SweepKey {
   std::function<void(const SweepSpec&, std::size_t i, Scenario&)> pick;
 };
 
-/// Axis key: the spec list F; scenario field Target (a Scenario member
-/// or a config one) takes one entry per scenario. A config Target's
-/// entries are checked by its field's validator.
+/// The Config inside a SweepSpec (its base config or serving knobs) or
+/// inside a Scenario.
+template <class Config, class Holder>
+auto& part(Holder& holder) {
+  if constexpr (std::is_same_v<Config, serve::ServeConfig>) {
+    return holder.serve;
+  } else if constexpr (std::is_same_v<std::remove_const_t<Holder>,
+                                      Scenario>) {
+    return holder.config;
+  } else {
+    return holder.base;
+  }
+}
+
+/// Axis key: the spec list F; scenario field Target (a Scenario member,
+/// a config one or a serving one) takes one entry per scenario. A field
+/// Target's entries are checked by its field's validator.
 template <auto F, auto Target>
 SweepKey axis(std::string name, std::string help, Mode mode = kBoth,
               OptionValidator validate = {}) {
   using T = typename TypeOf<F>::value_type;
-  if constexpr (std::is_same_v<OwnerOf<Target>, ExperimentConfig>) {
+  if constexpr (!std::is_same_v<OwnerOf<Target>, Scenario>) {
     validate = config_field<Target>().spec.validator;
   }
   return {std::move(name), SweepKey::kAxis, std::move(help),
@@ -213,7 +209,7 @@ SweepKey axis(std::string name, std::string help, Mode mode = kBoth,
           [](SweepSpec& spec, const std::string& flag,
              const std::string& text) {
             std::vector<T> entries;
-            for (const auto& item : split_list(text)) {
+            for (const auto& item : split_list(text, ',')) {
               entries.push_back(parse_as<T>(flag, item));
             }
             spec.*F = std::move(entries);
@@ -231,7 +227,7 @@ SweepKey axis(std::string name, std::string help, Mode mode = kBoth,
             if constexpr (std::is_same_v<OwnerOf<Target>, Scenario>) {
               scenario.*Target = (spec.*F)[i];
             } else {
-              scenario.config.*Target = (spec.*F)[i];
+              part<OwnerOf<Target>>(scenario).*Target = (spec.*F)[i];
             }
           }};
 }
@@ -249,17 +245,23 @@ SweepKey scalar(std::string name, std::string help,
           [](const SweepSpec& spec) { return to_text(spec.*F); }, {}, {}};
 }
 
-/// Scalar or fixed key for config field F: name, help and validator come
-/// from its config_fields() entry.
+/// Scalar or fixed key for field F of the spec's base config or serving
+/// knobs: help and validator come from its field-table entry, the name
+/// too unless `name` overrides it.
 template <auto F>
-SweepKey config_key(SweepKey::Kind kind) {
-  const ConfigField& field = config_field<F>();
-  return {field.key(), kind, field.spec.help, field.spec.validator, kBoth,
+SweepKey config_key(SweepKey::Kind kind, Mode mode = kBoth,
+                   std::string name = {}) {
+  using Config = OwnerOf<F>;
+  const Field<Config>& field = config_field<F>();
+  return {name.empty() ? field.key() : std::move(name), kind,
+          field.spec.help, field.spec.validator, mode,
           [&field](SweepSpec& spec, const std::string& flag,
                    const std::string& text) {
-            field.assign(spec.base, flag, text);
+            field.assign(part<Config>(spec), flag, text);
           },
-          [&field](const SweepSpec& spec) { return field.text(spec.base); },
+          [&field](const SweepSpec& spec) {
+            return field.text(part<Config>(spec));
+          },
           {}, {}};
 }
 
@@ -269,6 +271,7 @@ SweepKey config_key(SweepKey::Kind kind) {
 const std::vector<SweepKey>& sweep_keys() {
   using C = ExperimentConfig;
   using S = SweepSpec;
+  using V = serve::ServeConfig;
   constexpr auto kScalar = SweepKey::kScalar;
   constexpr auto kFixed = SweepKey::kFixed;
   static const std::vector<SweepKey> keys = {
@@ -325,20 +328,16 @@ const std::vector<SweepKey>& sweep_keys() {
           kTrain),
       scalar<&S::mode>("mode", "grid mode: train|serving",
                        v_one_of({"train", "serving"})),
-      axis<&S::arrivals, &Scenario::arrival>(
-          "arrivals", "arrival axis, e.g. poisson:1000,bursty", kServing,
-          v_arrival()),
-      axis<&S::batch_policies, &Scenario::batch>(
+      axis<&S::arrivals, &V::arrival>(
+          "arrivals", "arrival axis, e.g. poisson:1000,bursty", kServing),
+      axis<&S::batch_policies, &V::batch>(
           "batch_policies", "batch axis, e.g. immediate,deadline:16:0.005",
-          kServing, v_batch_policy()),
-      scalar<&S::serve_requests>("serve_requests", "requests per scenario",
-                                 v_int_min(0), kServing),
+          kServing),
+      config_key<&V::requests>(kScalar, kServing, "serve_requests"),
       scalar<&S::serve_model>("serve_model",
                               "pre-trained model file to serve", {},
                               kServing),
-      scalar<&S::dispatch_overhead_s>("dispatch_overhead",
-                                      "per-dispatch cost in seconds",
-                                      v_double_min(0.0), kServing),
+      config_key<&V::dispatch_overhead_s>(kScalar, kServing),
   };
   return keys;
 }
@@ -391,14 +390,14 @@ struct Column {
 template <auto F, class Outcome>
 auto& outcome_field(Outcome& o) {
   using Owner = OwnerOf<F>;
-  if constexpr (std::is_same_v<Owner, ExperimentConfig>) {
-    return o.scenario.config.*F;
-  } else if constexpr (std::is_same_v<Owner, Scenario>) {
+  if constexpr (std::is_same_v<Owner, Scenario>) {
     return o.scenario.*F;
   } else if constexpr (std::is_same_v<Owner, core::RunResult>) {
     return o.result.*F;
-  } else {
+  } else if constexpr (std::is_same_v<Owner, ScenarioOutcome>) {
     return o.*F;
+  } else {
+    return part<Owner>(o.scenario).*F;
   }
 }
 
@@ -409,7 +408,13 @@ Column column(const char* name, Scope scope, unsigned sinks = kCsv | kJson) {
           std::is_same_v<T, std::string> ? Cell::kText
           : std::is_floating_point_v<T>  ? Cell::kReal
                                          : Cell::kInteger,
-          [](const ScenarioOutcome& o) { return to_text(outcome_field<F>(o)); },
+          [](const ScenarioOutcome& o) {
+            // Serving knobs are reported for serving scenarios only.
+            if constexpr (std::is_same_v<OwnerOf<F>, serve::ServeConfig>) {
+              if (!o.scenario.serving) return std::string();
+            }
+            return to_text(outcome_field<F>(o));
+          },
           [](ScenarioOutcome& o, const std::string& text) {
             return from_text(text, outcome_field<F>(o));
           }};
@@ -431,6 +436,7 @@ const std::vector<Column>& columns() {
   using C = ExperimentConfig;
   using O = ScenarioOutcome;
   using R = core::RunResult;
+  using V = serve::ServeConfig;
   static const std::vector<Column> table = {
       column<&Scenario::index>("scenario", kScenario),
       {"tag", kScenario, kJson, Cell::kText,
@@ -462,8 +468,8 @@ const std::vector<Column>& columns() {
       column<&O::rank_waits>("rank_wait_seconds", kResult),
       column<&O::staleness_hist>("staleness_hist", kResult),
       column<&O::peak_dataset_bytes>("peak_dataset_bytes", kResult),
-      column<&Scenario::arrival>("arrival", kScenario),
-      column<&Scenario::batch>("batch_policy", kScenario),
+      column<&V::arrival>("arrival", kScenario),
+      column<&V::batch>("batch_policy", kScenario),
       column<&O::serve_requests>("requests", kResult),
       column<&O::serve_batches>("batches", kResult),
       column<&O::throughput_rps>("throughput_rps", kResult),
@@ -527,10 +533,20 @@ std::string fs_safe(std::string s) {
   return s;
 }
 
-/// Sample count after the spec's paper-scale multiplier.
-std::size_t scaled_count(std::size_t base, double scale) {
-  return static_cast<std::size_t>(
-      std::llround(static_cast<double>(base) * scale));
+/// Sample count `key` after the spec's paper-scale multiplier: exact at
+/// scale 1; otherwise a count the double product cannot hold exactly, or
+/// whose product overflows, throws InvalidArgument naming `key`.
+std::size_t scaled_count(const char* key, std::size_t base, double scale) {
+  if (scale == 1.0) return base;
+  const double scaled = static_cast<double>(base) * scale;
+  if (base > (std::size_t{1} << 53) || !(scaled < 0x1p63)) {
+    throw InvalidArgument("sweep key '" + std::string(key) + "' = " +
+                          to_text(base) + " cannot be scaled by " +
+                          to_text(scale) +
+                          ": a double holds counts exactly only up to 2^53 "
+                          "and the result must stay below 2^63");
+  }
+  return static_cast<std::size_t>(std::llround(scaled));
 }
 
 }  // namespace
@@ -609,15 +625,15 @@ std::string Scenario::tag() const {
     std::snprintf(buf, sizeof buf, "%03d_serve_%s_%s_w%d_%s_%s_%s_%s", index,
                   solver.c_str(), fs_safe(config.dataset).c_str(),
                   config.workers, fs_safe(config.device).c_str(),
-                  config.network.c_str(), fs_safe(arrival).c_str(),
-                  fs_safe(batch).c_str());
+                  config.network.c_str(), fs_safe(serve.arrival).c_str(),
+                  fs_safe(serve.batch).c_str());
     return buf;
   }
   std::snprintf(buf, sizeof buf, "%03d_%s_%s_w%d_%s_%s_%s_lam%s_st%s_%s",
                 index, solver.c_str(), fs_safe(config.dataset).c_str(),
                 config.workers, fs_safe(config.device).c_str(),
                 config.network.c_str(), config.penalty.c_str(),
-                fmt_compact(config.lambda).c_str(),
+                fmt_double(config.lambda).c_str(),
                 fs_safe(config.straggler).c_str(), config.partition.c_str());
   std::string tag = buf;
   // Appended only when set, so pre-fault grids keep their tags (and
@@ -640,13 +656,14 @@ std::vector<Scenario> expand_scenarios(const SweepSpec& spec) {
                 "sweep axis '" + key.name + "' needs at least one entry");
     axes.push_back(&key);
   }
-  const std::size_t scaled_train =
-      std::max<std::size_t>(1, scaled_count(spec.base.n_train, spec.scale));
+  const std::size_t scaled_train = std::max<std::size_t>(
+      1, scaled_count("n_train", spec.base.n_train, spec.scale));
   Scenario base;
   base.serving = serving;
   base.config = spec.base;
   base.config.n_train = scaled_train;
-  base.config.n_test = scaled_count(spec.base.n_test, spec.scale);
+  base.config.n_test = scaled_count("n_test", spec.base.n_test, spec.scale);
+  base.serve = spec.serve;
 
   // Odometer over the active axes, rightmost fastest.
   std::vector<std::size_t> digit(axes.size(), 0);
@@ -741,8 +758,8 @@ std::string outcome_json(const ScenarioOutcome& o, bool journal) {
       out += '"';
       out += json_escape(text);
       out += '"';
-    } else if (c.cell == Cell::kReal && !journal &&
-               !std::isfinite(std::strtod(text.c_str(), nullptr))) {
+    } else if (double v = 0.0; c.cell == Cell::kReal && !journal &&
+                                parse_number(text, v) && !std::isfinite(v)) {
       out += "null";  // JSON has no inf/nan literals
     } else {
       out += text;
@@ -931,15 +948,8 @@ SweepReport run_sweep(const SweepSpec& spec, const SweepOptions& options) {
           scenario.solver, cluster,
           shard_for_solver(scenario.solver, tt.train, &tt.test, train_config),
           train_config);
-      auto m = std::make_shared<serve::SavedModel>();
-      m->objective = "softmax";
-      m->solver = scenario.solver;
-      m->dataset = train_config.dataset;
-      m->num_features = tt.train.num_features();
-      m->num_classes = tt.train.num_classes();
-      m->lambda = train_config.lambda;
-      m->x = trained.x;
-      model = m;
+      model = std::make_shared<serve::SavedModel>(saved_model(
+          scenario.solver, train_config, tt.train, trained.x));
     }
     model_cache.emplace(key, model);
     return model;
@@ -969,15 +979,15 @@ SweepReport run_sweep(const SweepSpec& spec, const SweepOptions& options) {
       config.omp_threads = 1;
       if (scenario.serving) {
         const auto model = serve_model_for(scenario, config);
-        // The request pool is the test split of the scenario's dataset.
+        // The request pool is the test split of the scenario's dataset,
+        // which must be the data a loaded model was trained on.
+        if (!spec.serve_model.empty()) check_model_pool(*model, config);
         const auto full = full_data(dataset_key(config));
         const data::TrainTest& tt = *full;
         NADMM_CHECK(!tt.test.empty(),
                     "serving needs a non-empty test split (n_test > 0)");
         const serve::ServeResult sr = serve::simulate(
-            *model, tt.test,
-            serve_config(config, scenario.arrival, scenario.batch,
-                         spec.serve_requests, spec.dispatch_overhead_s));
+            *model, tt.test, serve_config(config, scenario.serve));
         outcome.serve_requests = sr.requests;
         outcome.serve_batches = sr.batches;
         outcome.throughput_rps = sr.throughput_rps;

@@ -82,18 +82,18 @@ struct SweepSpec {
   /// values for the training step).
   std::string mode{"train"};
   /// Serving-mode arrival axis (serve/arrival.hpp specs).
-  std::vector<std::string> arrivals{"poisson:1000"};
+  std::vector<std::string> arrivals{serve::ServeConfig{}.arrival};
   /// Serving-mode batch-policy axis (serve/batching.hpp specs).
-  std::vector<std::string> batch_policies{"immediate"};
-  /// Requests per serving scenario.
-  std::size_t serve_requests = 10'000;
+  std::vector<std::string> batch_policies{serve::ServeConfig{}.batch};
   /// Pre-trained model path; empty trains in-process per
   /// (solver, dataset) with the base config's cluster.
   std::string serve_model;
-  /// Fixed per-dispatch cost (see serve::ServeConfig).
-  double dispatch_overhead_s = 1e-4;
 
   ExperimentConfig base;
+  /// The serving knobs every serving scenario shares: `requests`
+  /// (serve_requests) and `dispatch_overhead_s` (dispatch_overhead); the
+  /// arrival and batch axes set the rest of serve_fields().
+  serve::ServeConfig serve;
 };
 
 /// Apply one `key = value` assignment to the spec. Grid axes take
@@ -123,11 +123,12 @@ struct Scenario {
   int index = 0;         ///< position in deterministic expansion order
   std::string solver;
   ExperimentConfig config;
-  /// Serving-mode fields: set (and appended to the tag) only when the
-  /// grid's mode is "serving".
+  /// Serving mode: the scenario replays `serve` (serve_fields() from
+  /// the spec and its arrival/batch axes; serve_config binds the rest
+  /// from `config` at run time). Its arrival and batch are appended to
+  /// the tag and reported only when the grid's mode is "serving".
   bool serving = false;
-  std::string arrival;
-  std::string batch;
+  serve::ServeConfig serve;
 
   /// Stable file-system-safe identifier, e.g.
   /// "003_giant_blobs_w4_p100_ib100_sps_lam1e-05".

@@ -13,7 +13,7 @@ namespace nadmm::serve {
 
 namespace {
 
-constexpr const char* kMagic = "nadmm-model v1";
+constexpr const char* kMagic = "nadmm-model v2";
 constexpr std::size_t kCoefPerLine = 16;
 
 std::string fmt_exact(double v) {
@@ -51,6 +51,9 @@ void save_model(const SavedModel& model, const std::string& path) {
       << "objective " << model.objective << '\n'
       << "solver " << (model.solver.empty() ? "-" : model.solver) << '\n'
       << "dataset " << (model.dataset.empty() ? "-" : model.dataset) << '\n'
+      << "seed " << model.seed << '\n'
+      << "n_train " << model.n_train << '\n'
+      << "n_test " << model.n_test << '\n'
       << "features " << model.num_features << '\n'
       << "classes " << model.num_classes << '\n'
       << "lambda " << fmt_exact(model.lambda) << '\n'
@@ -105,6 +108,9 @@ SavedModel load_model(const std::string& path) {
       fail(path, line_no, "malformed " + key + " '" + text + "'");
     }
   };
+  number("seed", m.seed);
+  number("n_train", m.n_train);
+  number("n_test", m.n_test);
   number("features", m.num_features);
   number("classes", m.num_classes);
   number("lambda", m.lambda);

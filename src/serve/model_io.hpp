@@ -21,6 +21,13 @@ struct SavedModel {
   std::string objective = "softmax";
   std::string solver;   ///< provenance: the solver that trained x
   std::string dataset;  ///< provenance: the training dataset spec
+  /// Provenance of the training data beside `dataset`: the generator
+  /// seed and the requested split sizes. `nadmm serve` and serving
+  /// sweeps reject a request pool that differs in any of them
+  /// (runner::check_model_pool).
+  std::uint64_t seed = 0;
+  std::size_t n_train = 0;
+  std::size_t n_test = 0;
   std::size_t num_features = 0;
   int num_classes = 0;
   double lambda = 0.0;  ///< l2 regularization used in training

@@ -45,7 +45,7 @@ TEST(Penalty, RuleParsingRoundTrip) {
   EXPECT_EQ(penalty_rule_from_string("fixed"), PenaltyRule::kFixed);
   EXPECT_EQ(penalty_rule_from_string("rb"), PenaltyRule::kResidualBalancing);
   EXPECT_EQ(penalty_rule_from_string("sps"), PenaltyRule::kSpectral);
-  EXPECT_EQ(penalty_rule_from_string("spectral"), PenaltyRule::kSpectral);
+  EXPECT_THROW(penalty_rule_from_string("spectral"), InvalidArgument);
   EXPECT_THROW(penalty_rule_from_string("??"), InvalidArgument);
   EXPECT_EQ(to_string(PenaltyRule::kSpectral), "sps");
 }

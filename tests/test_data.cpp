@@ -184,13 +184,22 @@ TEST(Generators, E18RejectsTinyDimension) {
   EXPECT_THROW(make_e18_like(10, 5, 8, 1), InvalidArgument);
 }
 
-TEST(Generators, MakeByNameDispatch) {
-  EXPECT_EQ(make_by_name("higgs", 50, 10, 0, 1).train.num_classes(), 2);
-  EXPECT_EQ(make_by_name("mnist", 50, 10, 0, 1).train.num_features(), 784u);
-  EXPECT_EQ(make_by_name("cifar", 50, 10, 0, 1).train.num_features(), 3072u);
-  EXPECT_TRUE(make_by_name("e18", 50, 10, 256, 1).train.is_sparse());
-  EXPECT_EQ(make_by_name("blobs", 50, 10, 20, 1).train.num_features(), 20u);
-  EXPECT_THROW(make_by_name("nope", 10, 10, 10, 1), InvalidArgument);
+TEST(Generators, DatasetSpecsParseToOneGeneratorOrFile) {
+  const auto make = [](const std::string& name, std::size_t p) {
+    return parse_dataset_source(name).generator(50, 10, p, 1);
+  };
+  EXPECT_EQ(make("higgs", 0).train.num_classes(), 2);
+  EXPECT_EQ(make("mnist", 0).train.num_features(), 784u);
+  EXPECT_EQ(make("cifar", 0).train.num_features(), 3072u);
+  EXPECT_TRUE(make("e18", 256).train.is_sparse());
+  EXPECT_EQ(make("blobs", 20).train.num_features(), 20u);
+  const auto file = parse_dataset_source("libsvm:/data/a9a");
+  EXPECT_EQ(file.generator, nullptr);
+  EXPECT_EQ(file.libsvm_path, "/data/a9a");
+  EXPECT_THROW(static_cast<void>(parse_dataset_source("nope")),
+               InvalidArgument);
+  EXPECT_THROW(static_cast<void>(parse_dataset_source("libsvm:")),
+               InvalidArgument);
 }
 
 TEST(Generators, TrainAndTestDrawnFromSameDistribution) {

@@ -26,12 +26,6 @@
 namespace nadmm::la {
 namespace {
 
-std::vector<double> random_vec(std::size_t n, Rng& rng) {
-  std::vector<double> v(n);
-  for (double& e : v) e = rng.normal();
-  return v;
-}
-
 DenseMatrix random_matrix(std::size_t r, std::size_t c, Rng& rng) {
   DenseMatrix m(r, c);
   for (double& e : m.data()) e = rng.normal();
@@ -131,27 +125,6 @@ TEST(KernelEngine, GemmTnMatchesReferenceAcrossShapesAndAlphaBeta) {
   }
 }
 
-TEST(KernelEngine, GemvTMatchesReferenceAcrossShapesAndAlphaBeta) {
-  Rng rng(13);
-  const std::size_t shapes[][2] = {{1, 1}, {7, 5}, {300, 17}, {2, 257}, {129, 3}};
-  for (const auto& sh : shapes) {
-    const std::size_t k = sh[0], m = sh[1];
-    const auto a = random_matrix(k, m, rng);
-    const auto x = random_vec(k, rng);
-    const auto y0 = random_vec(m, rng);
-    for (double alpha : kAlphas) {
-      for (double beta : kBetas) {
-        auto y = y0, y_ref = y0;
-        gemv_t(alpha, a, x, beta, y);
-        kernels::reference::gemv_t(alpha, a, x, beta, y_ref);
-        for (std::size_t j = 0; j < m; ++j) {
-          EXPECT_NEAR(y[j], y_ref[j], 1e-12 * (std::abs(y_ref[j]) + 1.0));
-        }
-      }
-    }
-  }
-}
-
 TEST(KernelEngine, DegenerateShapesMatchBetaScaling) {
   Rng rng(14);
   // k = 0: C must become beta·C without reading any A/B data.
@@ -181,11 +154,6 @@ TEST(KernelEngine, DegenerateShapesMatchBetaScaling) {
       EXPECT_DOUBLE_EQ(cs.at(i, j), -0.5 * cs0.at(i, j));
     }
   }
-  // k = 0 gemv_t.
-  std::vector<double> y{1.0, 2.0};
-  gemv_t(1.0, DenseMatrix(0, 2), std::vector<double>{}, 0.0, y);
-  EXPECT_DOUBLE_EQ(y[0], 0.0);
-  EXPECT_DOUBLE_EQ(y[1], 0.0);
 }
 
 // ---------------------------------------------------------- sparse parity
@@ -253,7 +221,6 @@ TEST(KernelEngine, TwoPhaseReductionsAreBitDeterministicAtFixedThreads) {
   const auto bs = random_matrix(500, 9, rng);
   const auto sp_wide = random_csr(300, 2000, 0.01, rng);  // transpose path
   const auto bw = random_matrix(300, 9, rng);
-  const auto x = random_vec(2000, rng);
 
   for (int threads : {1, 3, 4}) {
     ThreadGuard guard(threads);
@@ -278,12 +245,6 @@ TEST(KernelEngine, TwoPhaseReductionsAreBitDeterministicAtFixedThreads) {
                              w1.size() * sizeof(double)))
         << "spmm_tn (transpose path) not deterministic at " << threads
         << " threads";
-
-    std::vector<double> y1(64, 0.0), y2(64, 0.0);
-    gemv_t(1.0, a, x, 0.0, y1);
-    gemv_t(1.0, a, x, 0.0, y2);
-    ASSERT_EQ(0, std::memcmp(y1.data(), y2.data(), y1.size() * sizeof(double)))
-        << "gemv_t not deterministic at " << threads << " threads";
   }
 }
 
@@ -419,7 +380,6 @@ TEST(ShardViews, DenseViewProductsMatchCopiedShardBitwise) {
   const auto full = random_matrix(k, m, rng);
   const auto b = random_matrix(k, n, rng);
   const auto bx = random_matrix(m, n, rng);
-  const auto x = random_vec(k, rng);
   // An interior shard with awkward boundaries.
   const std::size_t lo = 37, hi = 221;
   DenseMatrix copy(hi - lo, m);
@@ -432,7 +392,6 @@ TEST(ShardViews, DenseViewProductsMatchCopiedShardBitwise) {
     const auto row = b.row(r);
     std::copy(row.begin(), row.end(), b_sub.row(r - lo).begin());
   }
-  const std::vector<double> x_sub(x.begin() + lo, x.begin() + hi);
 
   for (const int threads : {1, 2, 3, 4, 8}) {
     ThreadGuard guard(threads);
@@ -449,13 +408,6 @@ TEST(ShardViews, DenseViewProductsMatchCopiedShardBitwise) {
     kernels::gemm_nn(1.0, copy, bx, 0.0, s_copy);
     for (std::size_t e = 0; e < s_view.size(); ++e) {
       ASSERT_EQ(s_view.data()[e], s_copy.data()[e]) << "gemm_nn t=" << threads;
-    }
-    // gemv_t.
-    std::vector<double> y_view(m, 0.0), y_copy(m, 0.0);
-    kernels::gemv_t(1.0, full.view(lo, hi), x_sub, 0.0, y_view);
-    kernels::gemv_t(1.0, copy, x_sub, 0.0, y_copy);
-    for (std::size_t j = 0; j < m; ++j) {
-      ASSERT_EQ(y_view[j], y_copy[j]) << "gemv_t t=" << threads;
     }
   }
 }
@@ -629,7 +581,7 @@ TEST(IsaDispatch, GemmNnEveryRungMatchesScalarBitwise) {
   }
 }
 
-TEST(IsaDispatch, GemmTnAndGemvTEveryRungMatchesScalarBitwise) {
+TEST(IsaDispatch, GemmTnEveryRungMatchesScalarBitwise) {
   const std::size_t shapes[][3] = {{1, 1, 1},  {6, 4, 3},   {200, 33, 9},
                                    {1, 5, 2},  {513, 7, 1}, {3, 1, 19},
                                    {50, 64, 8}};
@@ -642,8 +594,6 @@ TEST(IsaDispatch, GemmTnAndGemvTEveryRungMatchesScalarBitwise) {
         const auto a = random_matrix(k, m, rng);
         const auto b = random_matrix(k, n, rng);
         const auto c0 = random_matrix(m, n, rng);
-        const auto x = random_vec(k, rng);
-        const auto y0 = random_vec(m, rng);
         for (double alpha : kAlphas) {
           for (double beta : kBetas) {
             DenseMatrix c = c0, c_sc = c0;
@@ -652,12 +602,6 @@ TEST(IsaDispatch, GemmTnAndGemvTEveryRungMatchesScalarBitwise) {
             for (std::size_t e = 0; e < c.size(); ++e) {
               ASSERT_EQ(c.data()[e], c_sc.data()[e])
                   << rung->name << " gemm_tn t=" << threads;
-            }
-            auto y = y0, y_sc = y0;
-            kernels::gemv_t(alpha, a, x, beta, y, *rung);
-            kernels::gemv_t(alpha, a, x, beta, y_sc, oracle());
-            for (std::size_t j = 0; j < m; ++j) {
-              ASSERT_EQ(y[j], y_sc[j]) << rung->name << " gemv_t t=" << threads;
             }
           }
         }

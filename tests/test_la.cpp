@@ -191,23 +191,16 @@ TEST(Gemm, ShapeMismatchThrows) {
   EXPECT_THROW(gemm_tn(1.0, a, b, 0.0, c), InvalidArgument);
 }
 
-TEST(Gemv, BothOrientationsMatchReference) {
+TEST(Gemv, MatchesReference) {
   Rng rng(5);
   const auto a = random_matrix(7, 5, rng);
   const auto x5 = random_vec(5, rng);
-  const auto x7 = random_vec(7, rng);
-  std::vector<double> y7(7, 1.0), y5(5, 1.0);
+  std::vector<double> y7(7, 1.0);
   gemv(2.0, a, x5, 1.0, y7);
-  gemv_t(1.0, a, x7, 0.0, y5);
   for (std::size_t i = 0; i < 7; ++i) {
     double acc = 0.0;
     for (std::size_t j = 0; j < 5; ++j) acc += a.at(i, j) * x5[j];
     EXPECT_NEAR(y7[i], 2.0 * acc + 1.0, 1e-9);
-  }
-  for (std::size_t j = 0; j < 5; ++j) {
-    double acc = 0.0;
-    for (std::size_t i = 0; i < 7; ++i) acc += a.at(i, j) * x7[i];
-    EXPECT_NEAR(y5[j], acc, 1e-9);
   }
 }
 

@@ -226,8 +226,9 @@ INSTANTIATE_TEST_SUITE_P(Ranks, CollectiveProperty, testing::Values(2, 3, 5, 8))
 
 TEST(DataProperty, EveryGeneratorIsSeedDeterministic) {
   for (const char* name : {"higgs", "mnist", "cifar", "e18", "blobs"}) {
-    auto a = data::make_by_name(name, 40, 10, 128, 77);
-    auto b = data::make_by_name(name, 40, 10, 128, 77);
+    const auto generate = data::parse_dataset_source(name).generator;
+    auto a = generate(40, 10, 128, 77);
+    auto b = generate(40, 10, 128, 77);
     ASSERT_EQ(a.train.num_samples(), b.train.num_samples()) << name;
     EXPECT_TRUE(std::equal(a.train.labels().begin(), a.train.labels().end(),
                            b.train.labels().begin()))

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <optional>
@@ -188,7 +189,8 @@ TEST(OptionSpecs, RegisterValidateAndRejectWithFlagName) {
   OptionSet opts;
   opts.add_int("count", 4, "how many", v_int_min(1));
   opts.add_string("mode", "fast", "speed", v_one_of({"fast", "slow"}));
-  opts.add_double("rate", 0.5, "per second", v_double_min(0.0, false));
+  opts.add({"rate", OptType::kDouble, "0.5", "per second",
+            v_double_min(0.0, false)});
   CliParser cli("test");
   opts.register_into(cli);
   const char* good[] = {"prog", "--count", "2", "--mode=slow", "--rate", "1.5"};
@@ -259,7 +261,8 @@ TEST(OptionSpecs, SharedTablesStayConsistent) {
   EXPECT_EQ(run.find("local-newton-steps"), nullptr);  // fingerprint only
   EXPECT_NE(serve.find("device"), nullptr);
   EXPECT_EQ(serve.find("penalty"), nullptr);
-  EXPECT_NE(serving_options().find("arrival"), nullptr);
+  EXPECT_NE(serve.find("arrival"), nullptr);
+  EXPECT_EQ(run.find("arrival"), nullptr);
   const auto knob = describe_knob("cg-iterations");
   EXPECT_EQ(to_string(knob.type), "int");
   EXPECT_EQ(knob.default_value, "10");
@@ -411,6 +414,107 @@ TEST(RunFlags, IntegerFieldsHoldOrRejectEveryBoundaryThroughRunAndSweep) {
               "2147483647");
   }
   EXPECT_GE(checked, 15u);
+}
+
+/// What the run makes of a config's spec string: the value the runtime
+/// parser returned, as text.
+using Runtime = std::string (*)(const ExperimentConfig&);
+
+std::string runtime_kill(const ExperimentConfig& c) {
+  const auto o = async_options(c, /*stale_sync=*/false);
+  return std::to_string(o.kill_rank) + ":" + std::to_string(o.kill_epoch);
+}
+
+std::string runtime_devices(const ExperimentConfig& c) {
+  std::string out;
+  for (const auto& d : cluster_devices(c)) {
+    out += d.name + "@" + to_text(d.gflops) + "/" + to_text(d.gbytes_per_s) +
+           ";";
+  }
+  return out;
+}
+
+std::string runtime_penalty(const ExperimentConfig& c) {
+  return core::to_string(admm_options(c).penalty.rule);
+}
+
+std::string runtime_partition(const ExperimentConfig& c) {
+  return data::to_string(shard_plan(c).mode);
+}
+
+std::string runtime_dataset(const ExperimentConfig& c) {
+  const auto source = data::parse_dataset_source(dataset_key(c).source);
+  return source.generator != nullptr
+             ? to_text(reinterpret_cast<std::uintptr_t>(source.generator))
+             : "libsvm " + source.libsvm_path;
+}
+
+TEST(SpecGrammars, FlagSweepKeyAndRuntimeAcceptTheSameTexts) {
+  // Each spec grammar has one parser: `nadmm run`'s flag, the sweep key
+  // and the run itself accept a text together (and the run sees the same
+  // value either way) or reject it together, naming the flag.
+  struct Case {
+    const char* flag;
+    const char* key;
+    Runtime runtime;
+    std::string text;
+    bool accepted;
+  };
+  const std::vector<Case> cases = {
+      {"kill", "kill", runtime_kill, "1:2", true},
+      {"kill", "kill", runtime_kill, "none", true},
+      {"kill", "kill", runtime_kill, "4294967296:2", false},
+      {"kill", "kill", runtime_kill, "1:4294967297", false},
+      {"kill", "kill", runtime_kill, "1:0", false},
+      {"kill", "kill", runtime_kill, "1", false},
+      {"penalty", "penalties", runtime_penalty, "rb", true},
+      {"penalty", "penalties", runtime_penalty, "spectral", false},
+      {"penalty", "penalties", runtime_penalty, "residual-balancing", false},
+      {"device", "devices", runtime_devices, "p100+cpu", true},
+      {"device", "devices", runtime_devices, "p100 + 40:20", true},
+      {"device", "devices", runtime_devices, "p100,,cpu", false},
+      {"device", "devices", runtime_devices, "p100+", false},
+      {"straggler", "stragglers", runtime_devices, "1:4", true},
+      {"straggler", "stragglers", runtime_devices, "none", true},
+      {"straggler", "stragglers", runtime_devices, "1:0.5", false},
+      {"straggler", "stragglers", runtime_devices, "1:nan", false},
+      {"straggler", "stragglers", runtime_devices, "4294967297:2", false},
+      {"partition", "partitions", runtime_partition, "weighted", true},
+      {"partition", "partitions", runtime_partition, "sharded", false},
+      {"dataset", "datasets", runtime_dataset, "mnist", true},
+      {"dataset", "datasets", runtime_dataset, "libsvm:a.svm", true},
+      {"dataset", "datasets", runtime_dataset, "libsvm:", false},
+      {"dataset", "datasets", runtime_dataset, "imagenet", false},
+  };
+  const OptionSet run = config_options(kRun);
+  for (const auto& c : cases) {
+    SCOPED_TRACE(std::string(c.flag) + "=" + c.text);
+    const auto by_run = accepted(c.flag, c.text, [&] {
+      CliParser cli("test");
+      run.register_into(cli);
+      const std::string arg = "--" + std::string(c.flag) + "=" + c.text;
+      const char* argv[] = {"prog", arg.c_str()};
+      EXPECT_TRUE(cli.parse(2, argv));
+      run.validate(cli);
+      return c.runtime(config_from_flags(cli));
+    });
+    const auto by_sweep = accepted(c.key, c.text, [&] {
+      SweepSpec spec;
+      apply_sweep_assignment(spec, c.key, c.text);
+      return c.runtime(expand_scenarios(spec).at(0).config);
+    });
+    EXPECT_EQ(by_run.has_value(), c.accepted);
+    EXPECT_EQ(by_sweep.has_value(), c.accepted);
+    EXPECT_EQ(by_run, by_sweep);
+    if (!c.accepted) {
+      // The run rejects the raw text too: there is no second parser.
+      ExperimentConfig raw;
+      std::find_if(config_fields().begin(), config_fields().end(),
+                   [&](const ConfigField& f) { return f.spec.name == c.flag; })
+          ->assign(raw, c.flag, c.text);
+      EXPECT_THROW(static_cast<void>(c.runtime(raw)), InvalidArgument);
+    }
+  }
 }
 
 }  // namespace

@@ -342,6 +342,9 @@ TEST(ModelIo, RoundTripsExactly) {
   m.dataset = "blobs";
   m.num_features = 3;
   m.num_classes = 4;
+  m.seed = 18446744073709551615ull;
+  m.n_train = 2000;
+  m.n_test = 500;
   m.lambda = 1e-5;
   m.x = {0.125, -2.5, 3.0e-17, 1.0 / 3.0, -0.0, 5.0, 6.25, -7.125, 8.0};
   const std::string path = "test_model_roundtrip.txt";
@@ -350,6 +353,9 @@ TEST(ModelIo, RoundTripsExactly) {
   EXPECT_EQ(loaded.objective, m.objective);
   EXPECT_EQ(loaded.solver, m.solver);
   EXPECT_EQ(loaded.dataset, m.dataset);
+  EXPECT_EQ(loaded.seed, m.seed);
+  EXPECT_EQ(loaded.n_train, m.n_train);
+  EXPECT_EQ(loaded.n_test, m.n_test);
   EXPECT_EQ(loaded.num_features, m.num_features);
   EXPECT_EQ(loaded.num_classes, m.num_classes);
   EXPECT_DOUBLE_EQ(loaded.lambda, m.lambda);
@@ -366,7 +372,8 @@ TEST(ModelIo, RejectsMissingAndCorruptFiles) {
   const std::string path = "test_model_corrupt.txt";
   {
     std::ofstream out(path);
-    out << "nadmm-model v1\nobjective softmax\nsolver -\ndataset -\n"
+    out << "nadmm-model v2\nobjective softmax\nsolver -\ndataset -\n"
+           "seed 0\nn_train 0\nn_test 0\n"
            "features 2\nclasses 2\nlambda 0\ncoefficients 2\n1.0\n";
     // truncated: coefficient count promised 2, only 1 present, no `end`
   }
@@ -387,7 +394,8 @@ TEST(ModelIo, HeaderCountsAreBoundedBeforeAnythingIsAllocated) {
   const auto expect_rejected = [&](const std::string& counts) {
     {
       std::ofstream out(path);
-      out << "nadmm-model v1\nobjective softmax\nsolver -\ndataset -\n"
+      out << "nadmm-model v2\nobjective softmax\nsolver -\ndataset -\n"
+           "seed 0\nn_train 0\nn_test 0\n"
           << counts << "1.0 2.0\nend\n";
     }
     try {
@@ -412,6 +420,74 @@ TEST(ModelIo, HeaderCountsAreBoundedBeforeAnythingIsAllocated) {
   std::filesystem::remove(path);
 }
 
+/// Expect check_model_pool to reject `pool` naming `field`.
+void expect_pool_rejected(const SavedModel& model,
+                          const runner::ExperimentConfig& pool,
+                          const std::string& field) {
+  try {
+    runner::check_model_pool(model, pool);
+    ADD_FAILURE() << "pool accepted; expected a " << field << " mismatch";
+  } catch (const InvalidArgument& e) {
+    EXPECT_NE(std::string(e.what()).find("pool " + field + " "),
+              std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(ModelPool, ServingRejectsAPoolTheModelWasNotTrainedOn) {
+  // A model file records its training data; serving it on another seed
+  // or split would score it against a different request pool.
+  runner::ExperimentConfig config;
+  config.n_train = 40;
+  config.n_test = 10;
+  config.e18_features = 6;
+  config.seed = 42;
+  const auto tt = runner::make_data(config);
+  const std::string path = "test_model_pool.txt";
+  save_model(runner::saved_model("newton-admm", config, tt.train,
+                                 std::vector<double>(6 * 9, 0.0)),
+             path);
+  const SavedModel model = load_model(path);
+  std::filesystem::remove(path);
+  runner::check_model_pool(model, config);  // the training pool passes
+
+  auto pool = config;
+  pool.seed = 43;
+  expect_pool_rejected(model, pool, "seed");
+  pool = config;
+  pool.n_train = 41;
+  expect_pool_rejected(model, pool, "n_train");
+  pool = config;
+  pool.n_test = 11;
+  expect_pool_rejected(model, pool, "n_test");
+  pool = config;
+  pool.dataset = "higgs";
+  expect_pool_rejected(model, pool, "dataset");
+
+  // A file-backed model has no generator seed to disagree with.
+  SavedModel file_model = model;
+  file_model.dataset = "libsvm:train.svm";
+  pool = config;
+  pool.dataset = file_model.dataset;
+  pool.seed = 7;
+  runner::check_model_pool(file_model, pool);
+
+  // The sweep's serve_model path fails the row, naming the field.
+  save_model(model, path);
+  runner::SweepSpec spec;
+  spec.mode = "serving";
+  spec.serve_model = path;
+  spec.base = config;
+  spec.base.seed = 43;
+  spec.serve.requests = 20;
+  const auto report = runner::run_sweep(spec, runner::SweepOptions{});
+  std::filesystem::remove(path);
+  ASSERT_EQ(report.outcomes.size(), 1u);
+  EXPECT_FALSE(report.outcomes[0].ok);
+  EXPECT_NE(report.outcomes[0].error.find("pool seed '43'"), std::string::npos)
+      << report.outcomes[0].error;
+}
+
 // ----------------------------------------------------- serving sweeps
 
 TEST(ServingSweep, ReportIsByteIdenticalAcrossJobs) {
@@ -422,7 +498,7 @@ TEST(ServingSweep, ReportIsByteIdenticalAcrossJobs) {
   spec.workers = {2};
   spec.arrivals = {"poisson:500", "bursty:100:2000:0.5:0.2"};
   spec.batch_policies = {"immediate", "deadline:8:0.01"};
-  spec.serve_requests = 200;
+  spec.serve.requests = 200;
   spec.base.n_train = 120;
   spec.base.n_test = 40;
   spec.base.e18_features = 8;

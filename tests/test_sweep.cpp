@@ -76,7 +76,7 @@ TEST(SweepSpecParsing, NumericFlagsKeepEveryDigit) {
   SweepSpec from_flags;
   apply_sweep_flags(from_flags, cli);
   EXPECT_EQ(from_flags.base.objective_target, 1e-7);
-  EXPECT_EQ(from_flags.dispatch_overhead_s, 5e-7);
+  EXPECT_EQ(from_flags.serve.dispatch_overhead_s, 5e-7);
 
   const std::string path = testing::TempDir() + "/nadmm_sweep_flags.sweep";
   {
@@ -295,6 +295,41 @@ TEST(SweepExpansion, ScaleMultipliesSampleCountsAtExpansion) {
   EXPECT_THROW(apply_sweep_assignment(spec, "scale", "0"), InvalidArgument);
   EXPECT_THROW(apply_sweep_assignment(spec, "scale", "-1"), InvalidArgument);
   EXPECT_THROW(apply_sweep_assignment(spec, "scale", "big"), InvalidArgument);
+}
+
+TEST(SweepExpansion, CountsStayExactAtScaleOneAndHugeOnesAreRejected) {
+  // At scale 1 a count never passes through a double; at any other scale
+  // a count the double cannot hold is rejected, naming its key.
+  SweepSpec spec = tiny_spec();
+  apply_sweep_assignment(spec, "n_train", "9223372036854775807");
+  apply_sweep_assignment(spec, "n_test", "9007199254740993");
+  const auto scenarios = expand_scenarios(spec);
+  EXPECT_EQ(scenarios.front().config.n_train, 9223372036854775807ull);
+  EXPECT_EQ(scenarios.front().config.n_test, 9007199254740993ull);
+  ScenarioOutcome row;
+  row.scenario = scenarios.front();
+  SweepReport report;
+  report.outcomes = {row};
+  EXPECT_NE(report.csv_rows()[1].find(",9223372036854775807,"),
+            std::string::npos);
+
+  const auto rejected = [&](const char* key) {
+    try {
+      static_cast<void>(expand_scenarios(spec));
+      ADD_FAILURE() << "expanded";
+    } catch (const InvalidArgument& e) {
+      EXPECT_NE(std::string(e.what()).find(std::string("'") + key + "'"),
+                std::string::npos)
+          << e.what();
+    }
+  };
+  apply_sweep_assignment(spec, "scale", "0.5");
+  rejected("n_train");
+  apply_sweep_assignment(spec, "n_train", "9007199254740992");
+  rejected("n_test");
+  apply_sweep_assignment(spec, "n_test", "10");
+  EXPECT_EQ(expand_scenarios(spec).front().config.n_train,
+            4503599627370496ull);
 }
 
 TEST(SweepExpansion, WeakScalingGrowsTrainSetWithWorkers) {
