@@ -93,7 +93,7 @@ core::RunResult inexact_dane(comm::SimCluster& cluster,
       }
       la::copy(sv.x, w);
 
-      if (options.record_trace) recorder.record(k + 1, w);
+      recorder.record(k + 1, w);
     }
     if (ctx.is_root()) result.x = w;
   });

@@ -33,7 +33,6 @@ struct DaneOptions {
   // AIDE acceleration:
   bool accelerate = false;    ///< false → InexactDANE, true → AIDE
   double tau = 1.0;           ///< catalyst smoothing (paper sweeps this)
-  bool record_trace = true;
   bool evaluate_accuracy = true;
 };
 

@@ -62,7 +62,7 @@ core::RunResult disco(comm::SimCluster& cluster,
           std::sqrt(std::max(0.0, la::dot(p, hp) / n_total));
       la::axpy(1.0 / (1.0 + delta), p, w);
 
-      if (options.record_trace) recorder.record(k + 1, w);
+      recorder.record(k + 1, w);
     }
     if (ctx.is_root()) result.x = w;
   });

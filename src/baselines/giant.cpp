@@ -106,12 +106,10 @@ core::RunResult giant(comm::SimCluster& cluster,
       }
       if (accepted > 0.0) la::axpy(accepted, p, w);
 
-      if (options.record_trace) {
-        const double objective = recorder.record(k + 1, w);
-        if (options.objective_target > 0.0 &&
-            objective <= options.objective_target) {
-          break;  // objective came via allreduce: uniform across ranks
-        }
+      const double objective = recorder.record(k + 1, w);
+      if (options.objective_target > 0.0 &&
+          objective <= options.objective_target) {
+        break;  // objective came via allreduce: uniform across ranks
       }
       if (accepted == 0.0) break;  // stagnated
     }

@@ -28,7 +28,6 @@ struct GiantOptions {
   /// Stop once the diagnostic global objective reaches this value; ≤ 0
   /// disables. Used by the time-to-θ benches.
   double objective_target = 0.0;
-  bool record_trace = true;
   bool evaluate_accuracy = true;
 };
 

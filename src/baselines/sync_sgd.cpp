@@ -71,7 +71,7 @@ core::RunResult sync_sgd(comm::SimCluster& cluster,
         }
         nadmm::flops::add(4 * dim);
       }
-      if (options.record_trace) recorder.record(epoch + 1, w);
+      recorder.record(epoch + 1, w);
     }
     if (ctx.is_root()) result.x = w;
   });

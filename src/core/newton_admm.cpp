@@ -106,7 +106,7 @@ RunResult newton_admm(comm::SimCluster& cluster,
         accuracy = ctx.allreduce_sum(local_hits) /
                    static_cast<double>(data.test_samples);
       }
-      if (ctx.is_root() && options.record_trace) {
+      if (ctx.is_root()) {
         IterationStats s;
         s.iteration = k + 1;
         s.objective = objective;

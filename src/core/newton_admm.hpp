@@ -36,7 +36,6 @@ struct NewtonAdmmOptions {
   /// Stop as soon as the (diagnostic) global objective F(z) falls to or
   /// below this value; ≤ 0 disables. Used by the time-to-θ benches.
   double objective_target = 0.0;
-  bool record_trace = true;
   bool evaluate_accuracy = true;      ///< evaluate test accuracy per epoch
 };
 

@@ -105,25 +105,23 @@ bool is_data_line(std::string& line) {
   return !line.empty() && line[0] != '#';
 }
 
-std::map<std::int64_t, std::int32_t> build_label_map(
-    const std::vector<std::int64_t>& label_values) {
-  // Tolerate duplicates / arbitrary order in the caller's vector: insert
-  // first, then number in ascending raw-label order (the same remap
-  // load_libsvm documents).
-  std::map<std::int64_t, std::int32_t> map;
-  for (const std::int64_t raw : label_values) map.emplace(raw, 0);
-  std::int32_t next = 0;
-  for (auto& [raw, mapped] : map) mapped = next++;
-  return map;
-}
+/// Global metadata from the strict scan pass (O(1) memory beyond the
+/// distinct-label set).
+struct LibsvmInfo {
+  std::size_t num_rows = 0;
+  std::size_t num_features = 0;  ///< max 1-based index seen
+  /// Raw label → class id, numbered [0, C) in ascending raw order.
+  std::map<std::int64_t, std::int32_t> labels;
+};
 
-}  // namespace
-
+/// Pass 1: row count, feature dimension and the label set, validating
+/// every line. Rejects the file at the first line where p·(C−1) — with
+/// C−1 taken as at least 1, since a run needs two labels — would exceed
+/// kMaxLibsvmParameters.
 LibsvmInfo scan_libsvm(const std::string& path) {
   std::ifstream in(path);
   if (!in) throw RuntimeError("cannot open LIBSVM file: " + path);
   LibsvmInfo info;
-  std::map<std::int64_t, std::int32_t> labels;
   LibsvmRow row;
   std::string line;
   std::size_t line_no = 0;
@@ -132,149 +130,25 @@ LibsvmInfo scan_libsvm(const std::string& path) {
     if (!is_data_line(line)) continue;
     parse_libsvm_row(line, path, line_no, row);
     ++info.num_rows;
-    labels.emplace(row.label, 0);
+    info.labels.emplace(row.label, 0);
     if (!row.cols.empty()) {
       info.num_features = std::max(
           info.num_features, static_cast<std::size_t>(row.cols.back() + 1));
     }
+    const std::size_t outputs = std::max<std::size_t>(info.labels.size() - 1, 1);
+    if (info.num_features > kMaxLibsvmParameters / outputs) {
+      parse_error(path, line_no,
+                  "feature index " + std::to_string(info.num_features) +
+                      " with " + std::to_string(info.labels.size()) +
+                      " labels implies more than " +
+                      std::to_string(kMaxLibsvmParameters) +
+                      " model parameters p*(C-1)");
+    }
   }
-  info.label_values.reserve(labels.size());
-  for (const auto& [raw, _] : labels) info.label_values.push_back(raw);
+  std::int32_t next = 0;
+  for (auto& [raw, mapped] : info.labels) mapped = next++;
   return info;
 }
-
-LibsvmShardReader::LibsvmShardReader(
-    const std::string& path, std::size_t num_features,
-    const std::vector<std::int64_t>& label_values)
-    : path_(path), in_(path), num_features_(num_features),
-      label_map_(build_label_map(label_values)) {
-  if (!in_) throw RuntimeError("cannot open LIBSVM file: " + path);
-  NADMM_CHECK(num_features_ > 0, "LibsvmShardReader needs num_features > 0");
-  NADMM_CHECK(label_map_.size() >= 2,
-              "LibsvmShardReader needs at least two label values");
-}
-
-Dataset LibsvmShardReader::next_shard(std::size_t max_rows) {
-  NADMM_CHECK(max_rows > 0, "next_shard: max_rows must be positive");
-  std::vector<std::int64_t> row_ptr{0};
-  std::vector<std::int64_t> col_idx;
-  std::vector<double> values;
-  std::vector<std::int32_t> labels;
-
-  LibsvmRow row;
-  std::string line;
-  while (labels.size() < max_rows && std::getline(in_, line)) {
-    ++line_no_;
-    if (!is_data_line(line)) continue;
-    parse_libsvm_row(line, path_, line_no_, row);
-    const auto it = label_map_.find(row.label);
-    if (it == label_map_.end()) {
-      parse_error(path_, line_no_,
-                  "label " + std::to_string(row.label) +
-                      " not in the reader's label set");
-    }
-    if (!row.cols.empty() &&
-        static_cast<std::size_t>(row.cols.back()) >= num_features_) {
-      parse_error(path_, line_no_,
-                  "feature index " + std::to_string(row.cols.back() + 1) +
-                      " beyond declared dimension " +
-                      std::to_string(num_features_));
-    }
-    labels.push_back(it->second);
-    col_idx.insert(col_idx.end(), row.cols.begin(), row.cols.end());
-    values.insert(values.end(), row.vals.begin(), row.vals.end());
-    row_ptr.push_back(static_cast<std::int64_t>(values.size()));
-  }
-  if (labels.empty()) {
-    done_ = true;
-    return {};
-  }
-  rows_read_ += labels.size();
-  la::CsrMatrix features(labels.size(), num_features_, std::move(row_ptr),
-                         std::move(col_idx), std::move(values));
-  return Dataset::sparse(std::move(features), std::move(labels),
-                         static_cast<int>(label_map_.size()));
-}
-
-Dataset load_libsvm(const std::string& path, std::size_t num_features) {
-  // Single pass: buffer rows with their raw labels, remap at the end
-  // (sharded consumers pay the extra scan_libsvm pass instead so every
-  // shard agrees on (p, C); the whole-file path does not need to).
-  std::ifstream in(path);
-  if (!in) throw RuntimeError("cannot open LIBSVM file: " + path);
-
-  std::vector<std::int64_t> row_ptr{0};
-  std::vector<std::int64_t> col_idx;
-  std::vector<double> values;
-  std::vector<std::int64_t> raw_labels;
-  std::size_t max_col = 0;
-
-  LibsvmRow row;
-  std::string line;
-  std::size_t line_no = 0;
-  while (std::getline(in, line)) {
-    ++line_no;
-    if (!is_data_line(line)) continue;
-    parse_libsvm_row(line, path, line_no, row);
-    raw_labels.push_back(row.label);
-    if (!row.cols.empty()) {
-      max_col = std::max(max_col, static_cast<std::size_t>(row.cols.back() + 1));
-    }
-    col_idx.insert(col_idx.end(), row.cols.begin(), row.cols.end());
-    values.insert(values.end(), row.vals.begin(), row.vals.end());
-    row_ptr.push_back(static_cast<std::int64_t>(values.size()));
-  }
-  NADMM_CHECK(!raw_labels.empty(), "load_libsvm: " + path + " has no samples");
-
-  const std::size_t p = num_features > 0 ? num_features : max_col;
-  NADMM_CHECK(max_col <= p, "load_libsvm: " + path +
-                                " has feature index beyond " +
-                                std::to_string(p));
-
-  // Remap labels to [0, C) in ascending order of the raw values.
-  std::map<std::int64_t, std::int32_t> remap;
-  for (const std::int64_t l : raw_labels) remap.emplace(l, 0);
-  std::int32_t next = 0;
-  for (auto& [raw, mapped] : remap) mapped = next++;
-  std::vector<std::int32_t> labels;
-  labels.reserve(raw_labels.size());
-  for (const std::int64_t l : raw_labels) labels.push_back(remap.at(l));
-
-  la::CsrMatrix features(raw_labels.size(), p, std::move(row_ptr),
-                         std::move(col_idx), std::move(values));
-  return Dataset::sparse(std::move(features), std::move(labels),
-                         std::max<std::int32_t>(next, 2));
-}
-
-TrainTest load_libsvm_train_test(const std::string& path, std::size_t n_train,
-                                 std::size_t n_test,
-                                 std::size_t num_features) {
-  const LibsvmInfo info = scan_libsvm(path);
-  const std::size_t p = num_features > 0 ? num_features : info.num_features;
-  NADMM_CHECK(info.num_features <= p,
-              "load_libsvm_train_test: " + path +
-                  " has feature index beyond " + std::to_string(p));
-  NADMM_CHECK(info.label_values.size() >= 2,
-              "load_libsvm_train_test: " + path +
-                  " needs at least two distinct labels");
-  NADMM_CHECK(n_test < info.num_rows,
-              "load_libsvm_train_test: test split (" + std::to_string(n_test) +
-                  " rows) leaves no training rows in " + path);
-  const std::size_t train_rows =
-      n_train > 0 ? n_train : info.num_rows - n_test;
-  NADMM_CHECK(train_rows + n_test <= info.num_rows,
-              "load_libsvm_train_test: " + path + " has " +
-                  std::to_string(info.num_rows) + " rows; need " +
-                  std::to_string(train_rows + n_test));
-
-  LibsvmShardReader reader(path, p, info.label_values);
-  TrainTest tt;
-  tt.train = reader.next_shard(train_rows);
-  if (n_test > 0) tt.test = reader.next_shard(n_test);
-  return tt;
-}
-
-namespace {
 
 /// Streaming row router: maps the i-th row of an n-row split to its rank
 /// under a plan. Contiguous/weighted walk the precomputed ranges with a
@@ -306,14 +180,10 @@ struct ShardBuilder {
   std::vector<double> values;
   std::vector<std::int32_t> labels;
 
-  void append(const LibsvmRow& row, std::int32_t label,
-              std::span<const double> scale) {
+  void append(const LibsvmRow& row, std::int32_t label) {
     labels.push_back(label);
-    for (std::size_t e = 0; e < row.cols.size(); ++e) {
-      const auto c = static_cast<std::size_t>(row.cols[e]);
-      col_idx.push_back(row.cols[e]);
-      values.push_back(scale.empty() ? row.vals[e] : row.vals[e] * scale[c]);
-    }
+    col_idx.insert(col_idx.end(), row.cols.begin(), row.cols.end());
+    values.insert(values.end(), row.vals.begin(), row.vals.end());
     row_ptr.push_back(static_cast<std::int64_t>(values.size()));
   }
 
@@ -329,83 +199,64 @@ struct ShardBuilder {
 
 ShardedDataset load_libsvm_sharded(const std::string& path,
                                    std::size_t train_rows, std::size_t n_test,
-                                   const ShardPlan& plan, bool standardize) {
+                                   const ShardPlan& plan) {
   NADMM_CHECK(plan.parts >= 1, "load_libsvm_sharded: need >= 1 part");
   const LibsvmInfo info = scan_libsvm(path);
   const std::size_t p = info.num_features;
-  NADMM_CHECK(info.label_values.size() >= 2,
+  NADMM_CHECK(info.labels.size() >= 2,
               "load_libsvm_sharded: " + path +
                   " needs at least two distinct labels");
+  NADMM_CHECK(p > 0, "load_libsvm_sharded: " + path + " has no features");
   NADMM_CHECK(n_test < info.num_rows,
               "load_libsvm_sharded: test split (" + std::to_string(n_test) +
                   " rows) leaves no training rows in " + path);
   const std::size_t n_train =
       train_rows > 0 ? train_rows : info.num_rows - n_test;
-  NADMM_CHECK(n_train + n_test <= info.num_rows,
+  NADMM_CHECK(n_train <= info.num_rows - n_test,
               "load_libsvm_sharded: " + path + " has " +
                   std::to_string(info.num_rows) + " rows; need " +
                   std::to_string(n_train + n_test));
-  const auto label_map = build_label_map(info.label_values);
-  const int num_classes = static_cast<int>(label_map.size());
+  const int num_classes = static_cast<int>(info.labels.size());
 
-  // Streaming standardize, pass 1 of 2: per-column max-abs over exactly
-  // the train rows. Max is order-independent, so the resulting scale —
-  // and every value scaled by it in pass 2 — is bit-identical to fitting
-  // data::Standardizer on the materialized train split.
-  std::vector<double> scale;
-  if (standardize) {
-    std::ifstream in(path);
-    if (!in) throw RuntimeError("cannot open LIBSVM file: " + path);
-    std::vector<double> max_abs(p, 0.0);
-    LibsvmRow row;
-    std::string line;
-    std::size_t line_no = 0;
-    std::size_t seen = 0;
-    while (seen < n_train && std::getline(in, line)) {
-      ++line_no;
-      if (!is_data_line(line)) continue;
-      parse_libsvm_row(line, path, line_no, row);
-      for (std::size_t e = 0; e < row.cols.size(); ++e) {
-        const auto c = static_cast<std::size_t>(row.cols[e]);
-        max_abs[c] = std::max(max_abs[c], std::abs(row.vals[e]));
-      }
-      ++seen;
-    }
-    scale.assign(p, 1.0);
-    for (std::size_t j = 0; j < p; ++j) {
-      scale[j] = max_abs[j] > 0.0 ? 1.0 / max_abs[j] : 1.0;
-    }
-  }
-
-  // Pass 2: route every row into its rank's builder as it is parsed.
+  // Pass 2: route every row into its rank's builder as it is parsed. The
+  // scan fixed (p, C); a row outside them means the file changed between
+  // the passes.
   const auto parts = static_cast<std::size_t>(plan.parts);
   std::vector<ShardBuilder> train_builders(parts);
   std::vector<ShardBuilder> test_builders(parts);
   ShardRouter train_router(plan, n_train);
   ShardRouter test_router(plan, n_test);
-  {
-    std::ifstream in(path);
-    if (!in) throw RuntimeError("cannot open LIBSVM file: " + path);
-    LibsvmRow row;
-    std::string line;
-    std::size_t line_no = 0;
-    std::size_t seen = 0;
-    while (seen < n_train + n_test && std::getline(in, line)) {
-      ++line_no;
-      if (!is_data_line(line)) continue;
-      parse_libsvm_row(line, path, line_no, row);
-      const auto it = label_map.find(row.label);
-      NADMM_ASSERT(it != label_map.end());  // scan fixed the label set
-      const bool is_train = seen < n_train;
-      ShardBuilder& builder =
-          is_train
-              ? train_builders[train_router.rank_of(seen)]
-              : test_builders[test_router.rank_of(seen - n_train)];
-      builder.append(row, it->second, scale);
-      ++seen;
+  std::ifstream in(path);
+  if (!in) throw RuntimeError("cannot open LIBSVM file: " + path);
+  LibsvmRow row;
+  std::string line;
+  std::size_t line_no = 0;
+  std::size_t seen = 0;
+  while (seen < n_train + n_test && std::getline(in, line)) {
+    ++line_no;
+    if (!is_data_line(line)) continue;
+    parse_libsvm_row(line, path, line_no, row);
+    const auto it = info.labels.find(row.label);
+    if (it == info.labels.end()) {
+      parse_error(path, line_no,
+                  "label " + std::to_string(row.label) +
+                      " not in the scanned label set");
     }
-    NADMM_CHECK(seen == n_train + n_test,
-                "load_libsvm_sharded: " + path + " ended early");
+    if (!row.cols.empty() && static_cast<std::size_t>(row.cols.back()) >= p) {
+      parse_error(path, line_no,
+                  "feature index " + std::to_string(row.cols.back() + 1) +
+                      " beyond the scanned dimension " + std::to_string(p));
+    }
+    ShardBuilder& builder =
+        seen < n_train ? train_builders[train_router.rank_of(seen)]
+                       : test_builders[test_router.rank_of(seen - n_train)];
+    builder.append(row, it->second);
+    ++seen;
+  }
+  if (seen < n_train + n_test) {
+    throw RuntimeError(path + ": ended after " + std::to_string(seen) +
+                       " rows; the scan counted " +
+                       std::to_string(info.num_rows));
   }
 
   ShardedDataset out;
@@ -457,70 +308,6 @@ void save_libsvm(const Dataset& ds, const std::string& path) {
       }
       out << '\n';
     }
-  }
-}
-
-Dataset load_csv(const std::string& path, int num_classes) {
-  std::ifstream in(path);
-  if (!in) throw RuntimeError("cannot open CSV file: " + path);
-  std::vector<std::vector<double>> rows;
-  std::vector<std::int32_t> labels;
-  std::string line;
-  std::size_t line_no = 0;
-  std::size_t p = 0;
-  while (std::getline(in, line)) {
-    ++line_no;
-    if (!is_data_line(line)) continue;
-    std::vector<double> vals;
-    std::stringstream ls(line);
-    std::string cell;
-    while (std::getline(ls, cell, ',')) {
-      // Tolerate "label, 0.5" padding; the value itself stays strict.
-      const auto b = cell.find_first_not_of(" \t");
-      const auto e = cell.find_last_not_of(" \t");
-      const std::string_view trimmed =
-          b == std::string::npos
-              ? std::string_view{}
-              : std::string_view(cell).substr(b, e - b + 1);
-      double v = 0.0;
-      if (!parse_full_double(trimmed, v)) {
-        parse_error(path, line_no, "malformed CSV number '" + cell + "'");
-      }
-      vals.push_back(v);
-    }
-    NADMM_CHECK(vals.size() >= 2, path + ":" + std::to_string(line_no) +
-                                      ": need label plus >=1 feature");
-    if (p == 0) {
-      p = vals.size() - 1;
-    } else {
-      NADMM_CHECK(vals.size() - 1 == p,
-                  path + ":" + std::to_string(line_no) + ": ragged row");
-    }
-    labels.push_back(static_cast<std::int32_t>(vals[0]));
-    vals.erase(vals.begin());
-    rows.push_back(std::move(vals));
-  }
-  la::DenseMatrix x(rows.size(), p);
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    std::copy(rows[i].begin(), rows[i].end(), x.row(i).begin());
-  }
-  return Dataset::dense(std::move(x), std::move(labels), num_classes);
-}
-
-void save_csv(const Dataset& ds, const std::string& path) {
-  NADMM_CHECK(!ds.is_sparse(), "save_csv supports dense datasets only");
-  std::ofstream out(path);
-  if (!out) throw RuntimeError("cannot open file for writing: " + path);
-  const auto labels = ds.labels();
-  const auto& a = ds.dense_features();
-  char buf[64];
-  for (std::size_t i = 0; i < ds.num_samples(); ++i) {
-    out << labels[i];
-    for (double v : a.row(i)) {
-      std::snprintf(buf, sizeof buf, ",%.17g", v);
-      out << buf;
-    }
-    out << '\n';
   }
 }
 

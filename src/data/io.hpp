@@ -1,103 +1,48 @@
-// Dataset file I/O.
+// Dataset file I/O in the LIBSVM format (sparse, `label idx:value ...`,
+// 1-based indices) — how the real HIGGS / MNIST / CIFAR-10 / E18 files
+// enter a run (`--dataset=libsvm:<path>`).
 //
-// LIBSVM format (sparse, `label idx:value ...`, 1-based indices) and a
-// simple dense CSV (`label,f0,f1,...`). Loaders let users run the solver
-// stack on the real HIGGS / MNIST / CIFAR-10 / E18 data unchanged.
-//
-// LIBSVM files can also be consumed as bounded-memory row shards via
-// `LibsvmShardReader`, so paper-scale inputs never have to fit in memory
-// at once: `scan_libsvm` makes one streaming pass to fix the global label
-// set and feature dimension, then every shard agrees on both. All parsing
-// is strict: malformed input fails with a `path:line:` message rather
-// than silently misparsing (e.g. `1x:2` or `1:2.5junk`).
+// `load_libsvm_sharded` is the one decoder. It makes two passes: a strict
+// scan fixes the row count, the feature dimension p and the label set,
+// then a route pass sends each row straight to its rank's shard, so
+// paper-scale inputs never exist in one allocation. All parsing is strict:
+// malformed input fails with a `path:line:` RuntimeError rather than
+// silently misparsing (e.g. `1x:2` or `1:2.5junk`).
 #pragma once
 
-#include <cstdint>
-#include <fstream>
-#include <map>
+#include <cstddef>
 #include <string>
-#include <vector>
 
 #include "data/dataset.hpp"
 #include "data/partition.hpp"
 
 namespace nadmm::data {
 
-/// Load a LIBSVM file as a sparse dataset. Labels may be arbitrary
-/// integers; they are remapped to [0, C) in ascending order.
-/// `num_features` = 0 infers the dimension from the file.
-Dataset load_libsvm(const std::string& path, std::size_t num_features = 0);
+/// Largest softmax parameter count p·(C−1) a LIBSVM file may imply:
+/// 2^28 doubles is 2 GiB per dense model vector, and still admits E18's
+/// 28M-feature two-class shape. The scan rejects a larger file at the
+/// line whose feature index (or new label) crosses the limit, before
+/// anything is allocated by p.
+inline constexpr std::size_t kMaxLibsvmParameters = std::size_t{1} << 28;
 
 /// Write a dataset (dense or sparse) in LIBSVM format.
 void save_libsvm(const Dataset& ds, const std::string& path);
 
-/// Global metadata gathered by one streaming pass over a LIBSVM file
-/// (O(1) memory beyond the distinct-label set).
-struct LibsvmInfo {
-  std::size_t num_rows = 0;
-  std::size_t num_features = 0;            ///< max 1-based index seen
-  std::vector<std::int64_t> label_values;  ///< distinct raw labels, ascending
-};
-
-/// Streaming pre-scan: row count, feature dimension and the label set.
-/// Validates every line with the same strict parser the loaders use.
-LibsvmInfo scan_libsvm(const std::string& path);
-
-/// Incremental row-shard reader over a LIBSVM file. The feature dimension
-/// and raw-label set are fixed up front (typically from `scan_libsvm`) so
-/// every shard shares one consistent (p, C) shape; only `max_rows` rows
-/// are resident at a time.
-class LibsvmShardReader {
- public:
-  LibsvmShardReader(const std::string& path, std::size_t num_features,
-                    const std::vector<std::int64_t>& label_values);
-
-  /// Read up to `max_rows` further rows as a sparse dataset. Returns an
-  /// empty dataset (num_samples() == 0) once the file is exhausted.
-  Dataset next_shard(std::size_t max_rows);
-
-  [[nodiscard]] std::size_t rows_read() const { return rows_read_; }
-  [[nodiscard]] bool done() const { return done_; }
-
- private:
-  std::string path_;
-  std::ifstream in_;
-  std::size_t num_features_ = 0;
-  std::map<std::int64_t, std::int32_t> label_map_;
-  std::size_t line_no_ = 0;
-  std::size_t rows_read_ = 0;
-  bool done_ = false;
-};
-
-/// Stream a LIBSVM file into a (train, test) pair: the first `n_train`
-/// rows train, the next `n_test` rows test. `n_train` = 0 means "all rows
-/// not claimed by the test split". Both splits share the file-global
-/// feature dimension and label mapping. Throws when the file has fewer
-/// than `n_train + n_test` rows.
-TrainTest load_libsvm_train_test(const std::string& path, std::size_t n_train,
-                                 std::size_t n_test,
-                                 std::size_t num_features = 0);
-
 /// Stream a LIBSVM file *directly into per-rank shards* under `plan`:
 /// the first `train_rows` rows (0 = all rows not claimed by the test
 /// split) are routed row-by-row into each rank's train shard, the next
-/// `n_test` rows into its test shard, and the full matrix is never
-/// assembled in one allocation — peak resident dataset bytes stay at the
-/// sum of the shards instead of full + copies. With `standardize`, a
-/// second streaming pass fits the sparse max-abs scale on the train rows
-/// first (max is order-independent, so the fit — and therefore every
-/// shard — is bit-identical to materializing the file and running
-/// data::Standardizer). The returned ShardedDataset has no full_train /
-/// full_test; resident_bytes is the summed shard footprint.
+/// `n_test` rows into its test shard. Raw labels (any integers, e.g.
+/// `-1`/`+1`) are numbered [0, C) in ascending order and every shard
+/// shares the file-global (p, C). The full matrix is never assembled in
+/// one allocation — resident_bytes is the summed shard footprint, and the
+/// result has no full_train / full_test. The one-part `ShardPlan{}` puts
+/// both whole splits in `ranks[0]`.
+///
+/// Throws RuntimeError (`path:line: ...`) on malformed lines and on a
+/// p·(C−1) above kMaxLibsvmParameters, and InvalidArgument when the file
+/// has fewer than two labels, no features, or fewer rows than requested.
 ShardedDataset load_libsvm_sharded(const std::string& path,
                                    std::size_t train_rows, std::size_t n_test,
-                                   const ShardPlan& plan, bool standardize);
-
-/// Load a dense CSV: one sample per line, first column is the integer
-/// label (already in [0, C)), remaining columns are features.
-Dataset load_csv(const std::string& path, int num_classes);
-
-/// Write a dense dataset as CSV (label first).
-void save_csv(const Dataset& ds, const std::string& path);
+                                   const ShardPlan& plan);
 
 }  // namespace nadmm::data

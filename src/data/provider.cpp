@@ -5,7 +5,6 @@
 
 #include "data/generators.hpp"
 #include "data/io.hpp"
-#include "data/standardize.hpp"
 #include "support/check.hpp"
 
 namespace nadmm::data {
@@ -13,35 +12,29 @@ namespace nadmm::data {
 std::string DatasetKey::cache_tag() const {
   std::ostringstream os;
   os << source << "|n" << n_train << "|t" << n_test << "|p" << features
-     << "|s" << seed << "|z" << (standardize ? 1 : 0);
+     << "|s" << seed;
   return os.str();
 }
 
 TrainTest generate_dataset(const DatasetKey& key) {
   const DatasetSource source = parse_dataset_source(key.source);
-  // A file's feature dimension comes from the file itself; the `features`
-  // knob is a generator parameter (e18/blobs) and is ignored there —
-  // dataset_key() zeroes it so equivalent keys share one cache entry.
-  TrainTest tt =
-      source.generator
-          ? source.generator(key.n_train, key.n_test, key.features, key.seed)
-          : load_libsvm_train_test(source.libsvm_path, key.n_train,
-                                   key.n_test, 0);
-  if (key.standardize) {
-    Standardizer sc;
-    sc.fit(tt.train);
-    tt.train = sc.transform(tt.train);
-    if (tt.test.num_samples() > 0) tt.test = sc.transform(tt.test);
+  if (source.generator) {
+    return source.generator(key.n_train, key.n_test, key.features, key.seed);
   }
-  return tt;
+  // A file's feature dimension comes from the file itself; the `features`
+  // knob is a generator parameter (e18/blobs) and is ignored here —
+  // dataset_key() zeroes it so equivalent keys share one cache entry. The
+  // one-part plan streams both whole splits into rank 0.
+  ShardedDataset whole = load_libsvm_sharded(source.libsvm_path, key.n_train,
+                                             key.n_test, ShardPlan{});
+  return {std::move(whole.ranks[0].train), std::move(whole.ranks[0].test)};
 }
 
 ShardedDataset generate_sharded_dataset(const DatasetKey& key,
                                         const ShardPlan& plan) {
   if (key.is_streamable()) {
     return load_libsvm_sharded(parse_dataset_source(key.source).libsvm_path,
-                               key.n_train, key.n_test, plan,
-                               key.standardize);
+                               key.n_train, key.n_test, plan);
   }
   const TrainTest tt = generate_dataset(key);
   return make_sharded(tt.train, &tt.test, plan);

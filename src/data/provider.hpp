@@ -3,7 +3,7 @@
 // the data (solver, workers, device, network, penalty, λ).
 //
 // Datasets are keyed by their content-defining parameters (source name,
-// sample counts, feature dimension, seed, standardization). A `get` on a
+// sample counts, feature dimension, seed). A `get` on a
 // cached key returns the same `shared_ptr<const TrainTest>`; a miss
 // generates (or loads) the dataset exactly once even when many scheduler
 // threads request the same key concurrently (single-flight). Cached
@@ -45,7 +45,6 @@ struct DatasetKey {
   std::size_t n_test = 0;
   std::size_t features = 0;  ///< p knob (honoured by e18/blobs; 0 = infer)
   std::uint64_t seed = 0;
-  bool standardize = false;  ///< z-score the splits after generation
 
   bool operator==(const DatasetKey&) const = default;
 

@@ -65,7 +65,8 @@ inline DeviceModel cpu_device() { return {"cpu", 50.0, 25.0}; }
 
 /// Look up a preset by name ("p100", "cpu"), parse a number as GF/s
 /// (flop-only pricing), or parse "<gflops>:<gbytes_per_s>" for a custom
-/// roofline device.
+/// roofline device. Ratings are parse_number texts, finite and > 0;
+/// anything else throws InvalidArgument.
 DeviceModel device_from_string(const std::string& spec);
 
 /// A per-rank device list: device_from_string specs joined by ',' or '+'

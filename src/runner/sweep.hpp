@@ -41,24 +41,24 @@ namespace nadmm::runner {
 /// carries the shared knobs (sample counts, iteration budgets, seed).
 struct SweepSpec {
   std::vector<std::string> solvers{"newton-admm"};
-  std::vector<std::string> datasets{"blobs"};
-  std::vector<int> workers{8};
+  std::vector<std::string> datasets{ExperimentConfig{}.dataset};
+  std::vector<int> workers{ExperimentConfig{}.workers};
   /// Device axis values may be '+'-separated per-rank lists
   /// ("p100+cpu+cpu") — commas separate axis entries.
-  std::vector<std::string> devices{"p100"};
-  std::vector<std::string> networks{"ib100"};
-  std::vector<std::string> penalties{"sps"};
-  std::vector<double> lambdas{1e-5};
+  std::vector<std::string> devices{ExperimentConfig{}.device};
+  std::vector<std::string> networks{ExperimentConfig{}.network};
+  std::vector<std::string> penalties{ExperimentConfig{}.penalty};
+  std::vector<double> lambdas{ExperimentConfig{}.lambda};
   /// Straggler axis: "none" or "<rank>:<slowdown>" entries.
-  std::vector<std::string> stragglers{"none"};
+  std::vector<std::string> stragglers{ExperimentConfig{}.straggler};
   /// Shard-plan axis: contiguous | strided | weighted (see
   /// data/partition.hpp).
-  std::vector<std::string> partitions{"contiguous"};
+  std::vector<std::string> partitions{ExperimentConfig{}.partition};
   /// Link-fault axis: "none" or comm::FaultSpec::parse specs
   /// ("drop:0.05,dup:0.02"). Only the async-engine solvers inject
   /// faults; expansion rejects a non-"none" fault for a solver whose
   /// registry entry has no `fault` knob (reject_unread_knobs).
-  std::vector<std::string> faults{"none"};
+  std::vector<std::string> faults{ExperimentConfig{}.fault};
 
   /// Paper-scale multiplier applied at expansion time: every scenario's
   /// sample counts become round(base.n_train × scale) /

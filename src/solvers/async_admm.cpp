@@ -397,18 +397,16 @@ core::RunResult async_admm(comm::SimCluster& cluster,
       }
       const double accuracy = eval_accuracy ? diag_accuracy(z) : -1.0;
       const double sim_time = ctx.now();
-      if (admm.record_trace) {
-        core::IterationStats it;
-        it.iteration = epochs;
-        it.objective = objective;
-        it.test_accuracy = accuracy;
-        it.sim_seconds = sim_time;
-        it.wall_seconds = wall.seconds();
-        it.epoch_sim_seconds = sim_time - prev_sim_time;
-        it.comm_sim_seconds = ctx.clock().comm_seconds();
-        it.rho_mean = acc.rho_sum() / n;
-        result.trace.push_back(it);
-      }
+      core::IterationStats it;
+      it.iteration = epochs;
+      it.objective = objective;
+      it.test_accuracy = accuracy;
+      it.sim_seconds = sim_time;
+      it.wall_seconds = wall.seconds();
+      it.epoch_sim_seconds = sim_time - prev_sim_time;
+      it.comm_sim_seconds = ctx.clock().comm_seconds();
+      it.rho_mean = acc.rho_sum() / n;
+      result.trace.push_back(it);
       prev_sim_time = sim_time;
       result.iterations = epochs;
       result.final_objective = objective;

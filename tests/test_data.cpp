@@ -1,6 +1,6 @@
 // Tests for src/data: dataset container, the four paper-dataset
 // generators (shape/conditioning/sparsity properties), partitioning,
-// standardization, and file I/O round trips.
+// and the LIBSVM decoder (round trips, strict rejection, mutation fuzz).
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -12,8 +12,8 @@
 #include "data/generators.hpp"
 #include "data/io.hpp"
 #include "data/partition.hpp"
-#include "data/standardize.hpp"
 #include "support/check.hpp"
+#include "support/rng.hpp"
 
 namespace nadmm::data {
 namespace {
@@ -416,77 +416,21 @@ TEST(Dataset, ViewsComposeAndShareStorage) {
   EXPECT_NO_THROW(static_cast<void>(tt.train.view(0, 30).dense_features()));
 }
 
-// ------------------------------------------------------------ standardize
-
-TEST(Standardize, DenseZeroMeanUnitVariance) {
-  auto tt = make_blobs(500, 100, 6, 3, 4.0, 2.0, 21);
-  Standardizer sc;
-  sc.fit(tt.train);
-  ASSERT_TRUE(sc.fitted());
-  const auto scaled = sc.transform(tt.train);
-  const auto& x = scaled.dense_features();
-  for (std::size_t j = 0; j < x.cols(); ++j) {
-    double mean = 0;
-    for (std::size_t i = 0; i < x.rows(); ++i) mean += x.at(i, j);
-    mean /= static_cast<double>(x.rows());
-    double var = 0;
-    for (std::size_t i = 0; i < x.rows(); ++i) {
-      var += (x.at(i, j) - mean) * (x.at(i, j) - mean);
-    }
-    var /= static_cast<double>(x.rows());
-    EXPECT_NEAR(mean, 0.0, 1e-9);
-    EXPECT_NEAR(var, 1.0, 1e-6);
-  }
-}
-
-TEST(Standardize, SparseMaxAbsPreservesSparsity) {
-  auto tt = make_e18_like(120, 20, 256, 9);
-  Standardizer sc;
-  sc.fit(tt.train);
-  const auto scaled = sc.transform(tt.train);
-  EXPECT_TRUE(scaled.is_sparse());
-  EXPECT_EQ(scaled.sparse_features().nnz(), tt.train.sparse_features().nnz());
-  // All scaled magnitudes within [0, 1] on the fit split.
-  for (double v : scaled.sparse_features().values()) {
-    EXPECT_GT(v, 0.0);
-    EXPECT_LE(v, 1.0 + 1e-12);
-  }
-}
-
-TEST(Standardize, TransformBeforeFitThrows) {
-  auto tt = make_blobs(20, 5, 4, 2, 3.0, 1.0, 2);
-  Standardizer sc;
-  EXPECT_THROW(sc.transform(tt.train), InvalidArgument);
-}
-
-TEST(Standardize, StorageKindMismatchThrows) {
-  auto dense = make_blobs(20, 5, 64, 2, 3.0, 1.0, 2);
-  auto sparse = make_e18_like(20, 5, 64, 2);
-  Standardizer sc;
-  sc.fit(dense.train);
-  EXPECT_THROW(sc.transform(sparse.train), InvalidArgument);
-}
-
-TEST(Standardize, ConstantColumnHandled) {
-  la::DenseMatrix x(3, 2, {5, 1, 5, 2, 5, 3});
-  auto ds = Dataset::dense(std::move(x), {0, 1, 0}, 2);
-  Standardizer sc;
-  sc.fit(ds);
-  const auto scaled = sc.transform(ds);
-  // Constant column becomes exactly zero (scale guard keeps it finite).
-  for (std::size_t i = 0; i < 3; ++i) {
-    EXPECT_DOUBLE_EQ(scaled.dense_features().at(i, 0), 0.0);
-    EXPECT_TRUE(std::isfinite(scaled.dense_features().at(i, 1)));
-  }
-}
-
 // ------------------------------------------------------------ io
+
+/// Both whole splits of a LIBSVM file through the one decoder (the
+/// one-part plan puts them in rank 0).
+RankData load_whole(const std::string& path, std::size_t n_train = 0,
+                    std::size_t n_test = 0) {
+  return std::move(
+      load_libsvm_sharded(path, n_train, n_test, ShardPlan{}).ranks[0]);
+}
 
 TEST(Io, LibsvmRoundTripSparse) {
   auto tt = make_e18_like(40, 5, 128, 33);
   const std::string path = testing::TempDir() + "/nadmm_e18.libsvm";
   save_libsvm(tt.train, path);
-  const auto loaded = load_libsvm(path, 128);
+  const auto loaded = load_whole(path).train;
   EXPECT_EQ(loaded.num_samples(), tt.train.num_samples());
   EXPECT_EQ(loaded.sparse_features().nnz(), tt.train.sparse_features().nnz());
   // The loader remaps labels to a dense [0, C) range in ascending order of
@@ -511,7 +455,7 @@ TEST(Io, LibsvmSavesDenseSkipsZeros) {
   auto ds = Dataset::dense(std::move(x), {0, 1}, 2);
   const std::string path = testing::TempDir() + "/nadmm_dense.libsvm";
   save_libsvm(ds, path);
-  const auto loaded = load_libsvm(path, 3);
+  const auto loaded = load_whole(path).train;
   EXPECT_EQ(loaded.sparse_features().nnz(), 3u);
   EXPECT_DOUBLE_EQ(loaded.sparse_features().to_dense().at(1, 2), 3.0);
   std::filesystem::remove(path);
@@ -523,7 +467,7 @@ TEST(Io, LibsvmRemapsArbitraryLabels) {
     std::ofstream out(path);
     out << "-1 1:1.0\n7 2:2.0\n-1 1:0.5\n";
   }
-  const auto ds = load_libsvm(path);
+  const auto ds = load_whole(path).train;
   EXPECT_EQ(ds.num_classes(), 2);
   EXPECT_EQ(ds.labels()[0], 0);  // −1 → 0 (ascending remap)
   EXPECT_EQ(ds.labels()[1], 1);  // 7 → 1
@@ -534,15 +478,15 @@ TEST(Io, LibsvmMalformedInputThrows) {
   const std::string path = testing::TempDir() + "/nadmm_bad.libsvm";
   {
     std::ofstream out(path);
-    out << "1 0:1.0\n";  // 0-based index is invalid
+    out << "1 0:1.0\n0 1:1.0\n";  // 0-based index is invalid
   }
-  EXPECT_THROW(load_libsvm(path), RuntimeError);
+  EXPECT_THROW(load_whole(path), RuntimeError);
   {
     std::ofstream out(path);
-    out << "1 2:1.0 1:2.0\n";  // non-increasing indices
+    out << "1 2:1.0 1:2.0\n0 1:1.0\n";  // non-increasing indices
   }
-  EXPECT_THROW(load_libsvm(path), RuntimeError);
-  EXPECT_THROW(load_libsvm("/does/not/exist.libsvm"), RuntimeError);
+  EXPECT_THROW(load_whole(path), RuntimeError);
+  EXPECT_THROW(load_whole("/does/not/exist.libsvm"), RuntimeError);
   std::filesystem::remove(path);
 }
 
@@ -558,7 +502,7 @@ TEST(Io, LibsvmRejectsMalformedTokensWithFileAndLine) {
       out << "0 1:1.0\n" << content << '\n';
     }
     try {
-      static_cast<void>(load_libsvm(path));
+      static_cast<void>(load_whole(path));
       FAIL() << "expected rejection of: " << content;
     } catch (const RuntimeError& e) {
       EXPECT_NE(std::string(e.what()).find(path + ":2"), std::string::npos)
@@ -586,7 +530,7 @@ TEST(Io, LibsvmAcceptsPlusPrefixedLabelsAndValues) {
     std::ofstream out(path);
     out << "+1 1:+0.5 3:1.0\n-1 2:0.25\n";
   }
-  const auto ds = load_libsvm(path);
+  const auto ds = load_whole(path).train;
   EXPECT_EQ(ds.num_samples(), 2u);
   EXPECT_EQ(ds.num_classes(), 2);
   EXPECT_EQ(ds.labels()[0], 1);  // −1 → 0, +1 → 1 (ascending remap)
@@ -594,95 +538,83 @@ TEST(Io, LibsvmAcceptsPlusPrefixedLabelsAndValues) {
   EXPECT_DOUBLE_EQ(ds.sparse_features().to_dense().at(0, 0), 0.5);
   {
     std::ofstream out(path);
-    out << "+-1 1:0.5\n";  // only a single leading '+' is tolerated
+    out << "+-1 1:0.5\n1 2:1.0\n";  // only a single leading '+' is tolerated
   }
-  EXPECT_THROW(static_cast<void>(load_libsvm(path)), RuntimeError);
+  EXPECT_THROW(static_cast<void>(load_whole(path)), RuntimeError);
   std::filesystem::remove(path);
 }
 
-TEST(Io, ScanLibsvmReportsRowsFeaturesAndLabels) {
+TEST(Io, LibsvmScanSkipsCommentsAndSizesFromTheWholeFile) {
   const std::string path = testing::TempDir() + "/nadmm_scan.libsvm";
   {
     std::ofstream out(path);
     out << "# comment\n"
         << "5 1:1.0 9:2.0\n"
-        << "-1 3:4.0\n"
+        << "-1 3:4.0\r\n"
         << "\n"
         << "5 2:1.0\n";
   }
-  const LibsvmInfo info = scan_libsvm(path);
-  EXPECT_EQ(info.num_rows, 3u);
-  EXPECT_EQ(info.num_features, 9u);
-  EXPECT_EQ(info.label_values, (std::vector<std::int64_t>{-1, 5}));
+  const ShardedDataset sd = load_libsvm_sharded(path, 0, 0, ShardPlan{});
+  EXPECT_EQ(sd.train_samples, 3u);
+  EXPECT_EQ(sd.num_features, 9u);
+  EXPECT_EQ(sd.num_classes, 2);
+  const Dataset& train = sd.ranks[0].train;
+  EXPECT_EQ(train.labels()[0], 1);  // 5 → 1
+  EXPECT_EQ(train.labels()[1], 0);  // −1 → 0
+  EXPECT_EQ(train.labels()[2], 1);
   std::filesystem::remove(path);
 }
 
-TEST(Io, ShardReaderStreamsRowsInBoundedChunks) {
-  auto tt = make_e18_like(10, 5, 64, 9);
-  const std::string path = testing::TempDir() + "/nadmm_shards.libsvm";
-  save_libsvm(tt.train, path);
+TEST(Io, LibsvmRejectsFilesWithOneLabelOrNoFeatures) {
+  const std::string path = testing::TempDir() + "/nadmm_degenerate.libsvm";
+  {
+    std::ofstream out(path);
+    out << "3 1:1.0\n3 2:1.0\n3 1:0.5\n";
+  }
+  EXPECT_THROW(static_cast<void>(load_whole(path)), InvalidArgument);
+  {
+    std::ofstream out(path);
+    out << "0\n1\n";
+  }
+  EXPECT_THROW(static_cast<void>(load_whole(path)), InvalidArgument);
+  std::filesystem::remove(path);
+}
 
-  const LibsvmInfo info = scan_libsvm(path);
-  const Dataset whole = load_libsvm(path, 64);
-  LibsvmShardReader reader(path, 64, info.label_values);
-  std::size_t rows = 0, nnz = 0;
-  int shards = 0;
-  while (true) {
-    const Dataset shard = reader.next_shard(4);
-    if (shard.num_samples() == 0) break;
-    ++shards;
-    EXPECT_LE(shard.num_samples(), 4u);
-    EXPECT_EQ(shard.num_features(), whole.num_features());
-    EXPECT_EQ(shard.num_classes(), whole.num_classes());
-    // Shard labels agree with the whole-file load at the same offset.
-    for (std::size_t i = 0; i < shard.num_samples(); ++i) {
-      EXPECT_EQ(shard.labels()[i], whole.labels()[rows + i]);
+TEST(Io, LibsvmRejectsADimensionAboveTheParameterLimit) {
+  const std::string path = testing::TempDir() + "/nadmm_huge.libsvm";
+  const auto rejection = [&](const std::string& content) -> std::string {
+    {
+      std::ofstream out(path);
+      out << content;
     }
-    rows += shard.num_samples();
-    nnz += shard.sparse_features().nnz();
-  }
-  EXPECT_TRUE(reader.done());
-  EXPECT_EQ(shards, 3);  // 4 + 4 + 2 rows
-  EXPECT_EQ(rows, 10u);
-  EXPECT_EQ(reader.rows_read(), 10u);
-  EXPECT_EQ(nnz, whole.sparse_features().nnz());
+    try {
+      static_cast<void>(load_whole(path));
+    } catch (const RuntimeError& e) {
+      return e.what();
+    }
+    return "";
+  };
+  // The 4-row probe: a model of 4e9·(C−1) doubles must be refused by the
+  // scan, not by bad_alloc in the solver.
+  const std::string probe =
+      rejection("0 1:1.0\n1 2:1.0\n0 4000000000:1.0\n1 3:1.0\n");
+  EXPECT_NE(probe.find(path + ":3:"), std::string::npos) << probe;
+  EXPECT_NE(probe.find("feature index 4000000000"), std::string::npos)
+      << probe;
+  const std::size_t limit = kMaxLibsvmParameters;
+  // Exactly at the limit with two labels loads; one index more does not.
+  EXPECT_EQ(rejection("0 1:1.0\n1 " + std::to_string(limit) + ":1.0\n"), "");
+  EXPECT_NE(rejection("0 1:1.0\n1 " + std::to_string(limit + 1) + ":1.0\n")
+                .find(path + ":2:"),
+            std::string::npos);
+  // A third label can cross the limit too: p·(C−1) doubles with C.
+  const std::string third_label = rejection(
+      "0 " + std::to_string(limit / 2 + 1) + ":1.0\n1 1:1.0\n2 1:1.0\n");
+  EXPECT_NE(third_label.find(path + ":3:"), std::string::npos) << third_label;
   std::filesystem::remove(path);
 }
 
-TEST(Io, ShardReaderNumbersDuplicatedOrUnsortedLabelsAscending) {
-  const std::string path = testing::TempDir() + "/nadmm_dup_labels.libsvm";
-  {
-    std::ofstream out(path);
-    out << "5 1:1.0\n-1 2:1.0\n";
-  }
-  // Duplicates and descending order must not distort the ascending remap.
-  LibsvmShardReader reader(path, 2, {5, 5, -1});
-  const Dataset shard = reader.next_shard(2);
-  EXPECT_EQ(shard.num_classes(), 2);
-  EXPECT_EQ(shard.labels()[0], 1);  // 5 → 1
-  EXPECT_EQ(shard.labels()[1], 0);  // −1 → 0
-  std::filesystem::remove(path);
-}
-
-TEST(Io, CsvToleratesSpacePaddingButStaysStrict) {
-  const std::string path = testing::TempDir() + "/nadmm_padded.csv";
-  {
-    std::ofstream out(path);
-    out << "1, 0.5,\t2.0\n0,1.5, -3.0\n";
-  }
-  const auto ds = load_csv(path, 2);
-  EXPECT_EQ(ds.num_samples(), 2u);
-  EXPECT_DOUBLE_EQ(ds.dense_features().at(0, 0), 0.5);
-  EXPECT_DOUBLE_EQ(ds.dense_features().at(1, 1), -3.0);
-  {
-    std::ofstream out(path);
-    out << "1,0.5x,2.0\n";
-  }
-  EXPECT_THROW(static_cast<void>(load_csv(path, 2)), RuntimeError);
-  std::filesystem::remove(path);
-}
-
-TEST(Io, LoadLibsvmTrainTestSplitsConsistently) {
+TEST(Io, LoadLibsvmSplitsConsistently) {
   const std::string path = testing::TempDir() + "/nadmm_split.libsvm";
   {
     std::ofstream out(path);
@@ -690,7 +622,7 @@ TEST(Io, LoadLibsvmTrainTestSplitsConsistently) {
       out << (i % 2 == 0 ? 3 : 8) << ' ' << (i + 1) << ":1.0\n";
     }
   }
-  const TrainTest tt = load_libsvm_train_test(path, 15, 5);
+  const RankData tt = load_whole(path, 15, 5);
   EXPECT_EQ(tt.train.num_samples(), 15u);
   EXPECT_EQ(tt.test.num_samples(), 5u);
   // Both splits share the file-global shape even though the test rows
@@ -700,12 +632,11 @@ TEST(Io, LoadLibsvmTrainTestSplitsConsistently) {
   EXPECT_EQ(tt.train.num_classes(), 2);
   EXPECT_EQ(tt.test.num_classes(), 2);
   // All rows train when n_train = 0.
-  const TrainTest all = load_libsvm_train_test(path, 0, 0);
+  const RankData all = load_whole(path);
   EXPECT_EQ(all.train.num_samples(), 20u);
   EXPECT_EQ(all.test.num_samples(), 0u);
   // Asking for more rows than the file has is an error, not a clamp.
-  EXPECT_THROW(static_cast<void>(load_libsvm_train_test(path, 18, 5)),
-               InvalidArgument);
+  EXPECT_THROW(static_cast<void>(load_whole(path, 18, 5)), InvalidArgument);
   std::filesystem::remove(path);
 }
 
@@ -713,108 +644,166 @@ TEST(Io, LoadLibsvmShardedMatchesMaterializedPath) {
   const std::string path = testing::TempDir() + "/nadmm_sharded.libsvm";
   {
     std::ofstream out(path);
-    // 37 rows, 3 labels, irregular sparsity; values exercise the
-    // max-abs standardize scale.
+    // 37 rows, 3 labels, irregular sparsity.
     for (int i = 0; i < 37; ++i) {
       out << (i % 3) << ' ' << (i % 7 + 1) << ':' << (0.25 * (i + 1)) << ' '
           << (i % 5 + 8) << ':' << (-1.5 * (i % 4 + 1)) << '\n';
     }
   }
-  for (const bool standardize : {false, true}) {
-    const TrainTest full = [&] {
-      TrainTest tt = load_libsvm_train_test(path, 30, 7);
-      if (standardize) {
-        Standardizer sc;
-        sc.fit(tt.train);
-        tt.train = sc.transform(tt.train);
-        tt.test = sc.transform(tt.test);
+  const RankData full = load_whole(path, 30, 7);
+  for (const PartitionMode mode :
+       {PartitionMode::kContiguous, PartitionMode::kStrided,
+        PartitionMode::kWeighted}) {
+    ShardPlan plan;
+    plan.mode = mode;
+    plan.parts = 4;
+    if (mode == PartitionMode::kWeighted) {
+      plan.weights = {2.0, 1.0, 1.0, 1.0};
+    }
+    const ShardedDataset streamed = load_libsvm_sharded(path, 30, 7, plan);
+    ASSERT_EQ(streamed.parts(), 4);
+    EXPECT_FALSE(streamed.has_full());
+    EXPECT_EQ(streamed.train_samples, 30u);
+    EXPECT_EQ(streamed.test_samples, 7u);
+    EXPECT_EQ(streamed.num_features, full.train.num_features());
+    EXPECT_EQ(streamed.num_classes, full.train.num_classes());
+    std::size_t rows = 0;
+    for (int r = 0; r < 4; ++r) {
+      // Each streamed shard must be bit-identical to sharding the
+      // materialized matrix the same way.
+      const Dataset want = shard_dataset(full.train, plan, r);
+      const Dataset& got = streamed.ranks[static_cast<std::size_t>(r)].train;
+      ASSERT_EQ(got.num_samples(), want.num_samples());
+      rows += got.num_samples();
+      ASSERT_TRUE(std::equal(got.labels().begin(), got.labels().end(),
+                             want.labels().begin()));
+      const auto gv = got.csr_view();
+      const auto wv = want.csr_view();
+      ASSERT_EQ(gv.nnz(), wv.nnz());
+      const auto gb = gv.row_ptr().front();
+      const auto wb = wv.row_ptr().front();
+      for (std::size_t e = 0; e < gv.nnz(); ++e) {
+        ASSERT_EQ(gv.values()[static_cast<std::size_t>(gb) + e],
+                  wv.values()[static_cast<std::size_t>(wb) + e])
+            << "mode " << to_string(mode);
+        ASSERT_EQ(gv.col_idx()[static_cast<std::size_t>(gb) + e],
+                  wv.col_idx()[static_cast<std::size_t>(wb) + e]);
       }
-      return tt;
-    }();
-    for (const PartitionMode mode :
-         {PartitionMode::kContiguous, PartitionMode::kStrided,
-          PartitionMode::kWeighted}) {
-      ShardPlan plan;
-      plan.mode = mode;
-      plan.parts = 4;
-      if (mode == PartitionMode::kWeighted) {
-        plan.weights = {2.0, 1.0, 1.0, 1.0};
+      const Dataset want_test = shard_dataset(full.test, plan, r);
+      const Dataset& got_test =
+          streamed.ranks[static_cast<std::size_t>(r)].test;
+      ASSERT_EQ(got_test.num_samples(), want_test.num_samples());
+    }
+    EXPECT_EQ(rows, 30u);
+    // Peak accounting: the streamed path holds only the shards — less
+    // than the materialized path's full matrix + shard copies.
+    std::size_t copy_path = full.train.approx_bytes() + full.test.approx_bytes();
+    for (int r = 0; r < 4; ++r) {
+      copy_path += shard_contiguous(full.train, 4, r).approx_bytes();
+      copy_path += shard_contiguous(full.test, 4, r).approx_bytes();
+    }
+    EXPECT_LT(streamed.resident_bytes, copy_path);
+  }
+  std::filesystem::remove(path);
+}
+
+/// A seeded mutation of `valid`: 1–4 byte flips, inserts, deletes or
+/// truncations. A pure function of (valid, seed), so a failing seed
+/// replays exactly: `mutate_libsvm(kValidLibsvm, <seed>)`.
+std::string mutate_libsvm(std::string bytes, std::uint64_t seed) {
+  static constexpr std::string_view kAlphabet = "0123456789:+-.e \t\n#\r";
+  Rng rng(seed);
+  const std::uint64_t edits = 1 + rng.uniform_index(4);
+  for (std::uint64_t k = 0; k < edits && !bytes.empty(); ++k) {
+    const std::size_t at = rng.uniform_index(bytes.size());
+    switch (rng.uniform_index(4)) {
+      case 0:  // flip one bit
+        bytes[at] = static_cast<char>(bytes[at] ^ (1 << rng.uniform_index(8)));
+        break;
+      case 1: {  // insert a grammar character or an arbitrary byte
+        const char c = rng.uniform_index(2) == 0
+                           ? kAlphabet[rng.uniform_index(kAlphabet.size())]
+                           : static_cast<char>(rng.uniform_index(256));
+        bytes.insert(bytes.begin() + static_cast<std::ptrdiff_t>(at), c);
+        break;
       }
-      const ShardedDataset streamed =
-          load_libsvm_sharded(path, 30, 7, plan, standardize);
-      ASSERT_EQ(streamed.parts(), 4);
-      EXPECT_FALSE(streamed.has_full());
-      EXPECT_EQ(streamed.train_samples, 30u);
-      EXPECT_EQ(streamed.test_samples, 7u);
-      EXPECT_EQ(streamed.num_features, full.train.num_features());
-      EXPECT_EQ(streamed.num_classes, full.train.num_classes());
-      std::size_t rows = 0;
-      for (int r = 0; r < 4; ++r) {
-        // Each streamed shard must be bit-identical to sharding the
-        // materialized (and standardized) matrix the same way.
-        const Dataset want = shard_dataset(full.train, plan, r);
-        const Dataset& got = streamed.ranks[static_cast<std::size_t>(r)].train;
-        ASSERT_EQ(got.num_samples(), want.num_samples());
-        rows += got.num_samples();
-        ASSERT_TRUE(std::equal(got.labels().begin(), got.labels().end(),
-                               want.labels().begin()));
-        const auto gv = got.csr_view();
-        const auto wv = want.csr_view();
-        ASSERT_EQ(gv.nnz(), wv.nnz());
-        const auto gb = gv.row_ptr().front();
-        const auto wb = wv.row_ptr().front();
-        for (std::size_t e = 0; e < gv.nnz(); ++e) {
-          ASSERT_EQ(gv.values()[static_cast<std::size_t>(gb) + e],
-                    wv.values()[static_cast<std::size_t>(wb) + e])
-              << "mode " << to_string(mode) << " standardize " << standardize;
-          ASSERT_EQ(gv.col_idx()[static_cast<std::size_t>(gb) + e],
-                    wv.col_idx()[static_cast<std::size_t>(wb) + e]);
+      case 2:  // delete a short run
+        bytes.erase(at, 1 + rng.uniform_index(3));
+        break;
+      default:  // truncate
+        bytes.resize(at);
+        break;
+    }
+  }
+  return bytes;
+}
+
+// Jepsen-style decoder fuzzing: every mutated file either fails with a
+// typed error (RuntimeError / InvalidArgument) or loads into shards that
+// respect the scanned (p, C) and the requested row counts. Anything else
+// — another exception type, a crash under ASan/UBSan — is a decoder bug.
+TEST(Io, MutatedLibsvmFilesFailTypedOrLoadConsistently) {
+  std::string valid = "# three labels, comments, CRLF and a blank line\n";
+  for (int i = 0; i < 24; ++i) {
+    valid += std::to_string(i % 3 == 0 ? -1 : (i % 3 == 1 ? 3 : 7)) + ' ' +
+             std::to_string(i % 5 + 1) + ':' + std::to_string(0.5 * i) + ' ' +
+             std::to_string(i % 4 + 7) + ":-1.25" + (i == 5 ? "\r\n" : "\n");
+    if (i == 11) valid += '\n';
+  }
+  constexpr std::uint64_t kFirstSeed = 0x11b5f00d;
+  constexpr std::uint64_t kTrials = 2000;
+  constexpr std::size_t kTest = 4;
+  const std::string path = testing::TempDir() + "/nadmm_fuzz.libsvm";
+  std::size_t loaded = 0;
+  for (std::uint64_t seed = kFirstSeed; seed < kFirstSeed + kTrials; ++seed) {
+    {
+      std::ofstream out(path, std::ios::binary | std::ios::trunc);
+      out << mutate_libsvm(valid, seed);
+    }
+    ShardPlan plan;
+    plan.parts = 3;
+    plan.mode = seed % 2 == 0 ? PartitionMode::kContiguous
+                              : PartitionMode::kStrided;
+    ShardedDataset sd;
+    try {
+      sd = load_libsvm_sharded(path, 0, kTest, plan);
+    } catch (const RuntimeError&) {
+      continue;
+    } catch (const InvalidArgument&) {
+      continue;
+    } catch (const std::exception& e) {
+      FAIL() << "seed " << seed << ": untyped " << e.what();
+    }
+    ++loaded;
+    ASSERT_EQ(sd.test_samples, kTest) << "seed " << seed;
+    ASSERT_GT(sd.num_features, 0u) << "seed " << seed;
+    ASSERT_GE(sd.num_classes, 2) << "seed " << seed;
+    ASSERT_LE(sd.dim(), kMaxLibsvmParameters) << "seed " << seed;
+    std::size_t train_rows = 0;
+    std::size_t test_rows = 0;
+    for (const RankData& rd : sd.ranks) {
+      for (const Dataset* ds : {&rd.train, &rd.test}) {
+        if (ds->num_samples() == 0) continue;
+        ASSERT_EQ(ds->num_features(), sd.num_features) << "seed " << seed;
+        ASSERT_EQ(ds->num_classes(), sd.num_classes) << "seed " << seed;
+        for (const std::int32_t label : ds->labels()) {
+          ASSERT_TRUE(label >= 0 && label < sd.num_classes) << "seed " << seed;
         }
-        const Dataset want_test = shard_dataset(full.test, plan, r);
-        const Dataset& got_test =
-            streamed.ranks[static_cast<std::size_t>(r)].test;
-        ASSERT_EQ(got_test.num_samples(), want_test.num_samples());
+        for (const std::int64_t col : ds->sparse_features().col_idx()) {
+          ASSERT_TRUE(col >= 0 &&
+                      static_cast<std::size_t>(col) < sd.num_features)
+              << "seed " << seed;
+        }
       }
-      EXPECT_EQ(rows, 30u);
-      // Peak accounting: the streamed path holds only the shards — less
-      // than the materialized path's full matrix + shard copies.
-      std::size_t copy_path = full.approx_bytes();
-      for (int r = 0; r < 4; ++r) {
-        copy_path += shard_contiguous(full.train, 4, r).approx_bytes();
-        copy_path += shard_contiguous(full.test, 4, r).approx_bytes();
-      }
-      EXPECT_LT(streamed.resident_bytes, copy_path);
+      train_rows += rd.train.num_samples();
+      test_rows += rd.test.num_samples();
     }
+    ASSERT_EQ(train_rows, sd.train_samples) << "seed " << seed;
+    ASSERT_EQ(test_rows, kTest) << "seed " << seed;
   }
-  std::filesystem::remove(path);
-}
-
-TEST(Io, CsvRoundTripDense) {
-  auto tt = make_blobs(25, 5, 6, 3, 3.0, 1.0, 44);
-  const std::string path = testing::TempDir() + "/nadmm_blobs.csv";
-  save_csv(tt.train, path);
-  const auto loaded = load_csv(path, 3);
-  EXPECT_EQ(loaded.num_samples(), 25u);
-  EXPECT_EQ(loaded.num_features(), 6u);
-  for (std::size_t i = 0; i < 25; ++i) {
-    EXPECT_EQ(loaded.labels()[i], tt.train.labels()[i]);
-    for (std::size_t j = 0; j < 6; ++j) {
-      EXPECT_DOUBLE_EQ(loaded.dense_features().at(i, j),
-                       tt.train.dense_features().at(i, j));
-    }
-  }
-  std::filesystem::remove(path);
-}
-
-TEST(Io, CsvRejectsSparseAndRaggedRows) {
-  auto sparse = make_e18_like(10, 5, 128, 1);
-  EXPECT_THROW(save_csv(sparse.train, "/tmp/x.csv"), InvalidArgument);
-  const std::string path = testing::TempDir() + "/nadmm_ragged.csv";
-  {
-    std::ofstream out(path);
-    out << "0,1.0,2.0\n1,3.0\n";
-  }
-  EXPECT_THROW(load_csv(path, 2), InvalidArgument);
+  // The mix must exercise both outcomes, or the fuzzer tests nothing.
+  EXPECT_GT(loaded, kTrials / 10);
+  EXPECT_LT(loaded, kTrials);
   std::filesystem::remove(path);
 }
 

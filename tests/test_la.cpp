@@ -467,5 +467,21 @@ TEST(Device, PresetsAndParsing) {
   EXPECT_THROW(device_from_string("100x5"), InvalidArgument);
 }
 
+TEST(Device, RatingsMustBeWholeFiniteNumbersAboveZero) {
+  // strtod priced these: infinite GF/s (0 simulated seconds) and hex 16.
+  for (const char* spec : {"inf", "1e400", "0x10", "nan", "0", "100:inf",
+                           "100:1e400", "100:0x10", "+100", "100:"}) {
+    try {
+      static_cast<void>(device_from_string(spec));
+      ADD_FAILURE() << "accepted device spec " << spec;
+    } catch (const InvalidArgument& e) {
+      EXPECT_NE(std::string(e.what()).find("device spec"), std::string::npos)
+          << e.what();
+    }
+  }
+  EXPECT_DOUBLE_EQ(device_from_string("1e3:2.5").gflops, 1000.0);
+  EXPECT_DOUBLE_EQ(device_from_string("1e3:2.5").gbytes_per_s, 2.5);
+}
+
 }  // namespace
 }  // namespace nadmm::la

@@ -51,10 +51,7 @@ TEST(DatasetKey, EveryContentParameterChangesTheTag) {
   k = base;
   k.seed = base.seed + 1;
   tags.insert(k.cache_tag());
-  k = base;
-  k.standardize = true;
-  tags.insert(k.cache_tag());
-  EXPECT_EQ(tags.size(), 7u);  // base + 6 distinct variations
+  EXPECT_EQ(tags.size(), 6u);  // base + 5 distinct variations
 }
 
 // ------------------------------------------------------------ sharing
@@ -182,17 +179,6 @@ TEST(DatasetProvider, LibsvmSourceStreamsAndSplits) {
   std::filesystem::remove(path);
 }
 
-TEST(DatasetProvider, StandardizedKeyIsADistinctEntry) {
-  DatasetProvider provider;
-  DatasetKey plain = blobs_key();
-  DatasetKey scaled = plain;
-  scaled.standardize = true;
-  const auto a = provider.get(plain);
-  const auto b = provider.get(scaled);
-  EXPECT_NE(a.get(), b.get());
-  EXPECT_EQ(provider.stats().generations, 2u);
-}
-
 // ------------------------------------------------------------ sharded
 
 TEST(DatasetProvider, ShardedInMemorySourceSharesTheFullEntry) {
@@ -277,15 +263,16 @@ TEST(DatasetProvider, StreamedShardsStayBelowMaterializedPathPeak) {
     }
   }
   const int parts = 4;
-  const TrainTest full = load_libsvm_train_test(path, 160, 40);
+  const RankData full =
+      std::move(load_libsvm_sharded(path, 160, 40, ShardPlan{}).ranks[0]);
   ShardPlan plan;
   plan.parts = parts;
-  const ShardedDataset streamed = load_libsvm_sharded(path, 160, 40, plan,
-                                                      /*standardize=*/false);
+  const ShardedDataset streamed = load_libsvm_sharded(path, 160, 40, plan);
   // The seed data plane materialized the full matrix AND copied one
   // shard per rank — its peak was full + Σ copies. Streaming holds only
   // the shards, comfortably below that.
-  std::size_t copy_path_peak = full.approx_bytes();
+  std::size_t copy_path_peak =
+      full.train.approx_bytes() + full.test.approx_bytes();
   for (int r = 0; r < parts; ++r) {
     copy_path_peak += shard_contiguous(full.train, parts, r).approx_bytes();
     copy_path_peak += shard_contiguous(full.test, parts, r).approx_bytes();
