@@ -10,13 +10,13 @@
 //   naive implementation the bulk writer replaced. The /N argument is a
 //   payload size, not a thread count.
 //
-//   BM_ChannelLoss_{Engine,Seed}/P — drive a fixed request-response
+//   BM_ChannelLoss_{Engine,Seed}/loss_pct:P — drive a fixed request-response
 //   workload through the async engine with the reliable channel at P%
 //   frame loss (engine) vs the bare in-memory engine with no channel at
 //   all (seed). The ratio is the wall-clock overhead of framing, acks,
 //   timers, and retransmission at that loss rate — the channel's
-//   bookkeeping cost, since virtual time is free. The /P argument is a
-//   loss percentage.
+//   bookkeeping cost, since virtual time is free. The argument is named,
+//   so perf_smoke records P as the entry's param rather than threads.
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
@@ -202,7 +202,7 @@ void BM_ChannelLoss_Engine(benchmark::State& state) {
 }
 
 void BM_ChannelLoss_Seed(benchmark::State& state) {
-  // Bare engine: same app workload, no framing, no channel. The /P
+  // Bare engine: same app workload, no framing, no channel. The loss
   // argument is unused (the seed has no loss knob) but kept so the
   // perf-smoke gate pairs each loss level with its baseline.
   std::uint64_t delivered = 0;
@@ -218,7 +218,7 @@ void BM_ChannelLoss_Seed(benchmark::State& state) {
 
 BENCHMARK(BM_WireCodec_Engine)->Arg(16)->Arg(1024)->Arg(16384);
 BENCHMARK(BM_WireCodec_Seed)->Arg(16)->Arg(1024)->Arg(16384);
-BENCHMARK(BM_ChannelLoss_Engine)->Arg(0)->Arg(1)->Arg(5);
-BENCHMARK(BM_ChannelLoss_Seed)->Arg(0)->Arg(1)->Arg(5);
+BENCHMARK(BM_ChannelLoss_Engine)->ArgName("loss_pct")->Arg(0)->Arg(1)->Arg(5);
+BENCHMARK(BM_ChannelLoss_Seed)->ArgName("loss_pct")->Arg(0)->Arg(1)->Arg(5);
 
 BENCHMARK_MAIN();

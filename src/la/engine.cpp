@@ -30,9 +30,13 @@ namespace {
 
 using Lanes = simd::NADMM_RUNG_VECTOR;
 
-// Microkernel tile: MR rows of A against an NR-wide packed strip of B.
-constexpr std::size_t kMR = 4;
+// gemm_nn strip tile: kMR rows of A against a kNR-wide packed strip of B.
+// The 8-lane rung's strip is one vector, so it takes 8 rows to keep 8
+// independent add chains in flight; narrower rungs have several vectors
+// per strip row and keep 4.
 constexpr std::size_t kNR = 8;
+template <class V>
+constexpr std::size_t kMR = V::width == kNR ? 8 : 4;
 
 // How many CSC entries ahead of the gather cursor to prefetch the B row
 // for. The gather's access pattern (row_idx-indexed rows of B) is the one
@@ -156,112 +160,53 @@ class AlignedBuffer {
 };
 
 // ------------------------------------------------------------- gemm_nn
+//
+// Every element C[i, j] is alpha·(a[i,0]·b[0,j] + a[i,1]·b[1,j] + …)
+// summed in k order from zero, then combined with C through the beta
+// 0/1/other epilogue. The lane-multiple columns [0, nvec) vectorize
+// across columns in packed strips; the n − nvec leftover columns
+// vectorize across rows instead, so a class count like 9 on an 8-lane
+// rung never falls to a scalar column tail. Both forms keep the
+// per-element chain above, so every rung matches the scalar one.
 
-/// Pack B (k×n row-major) into zero-padded kNR-wide strips: the
-/// microkernel then reads one contiguous cache line per k step regardless
-/// of n, and never needs a column-tail branch in its inner loop. The
-/// panel lives in a grow-only per-thread buffer (this runs every CG
-/// iteration — see reduction_workspace below for the rationale); only
-/// the tail strip's padding columns are zeroed, full strips are fully
-/// overwritten. Strips start 64-byte aligned (k·kNR doubles apart from
-/// an aligned base).
+/// Pack the lane-multiple columns [0, nvec) of B (k×n row-major) into
+/// kNR-wide strips, the last one as wide as what is left: the microkernel
+/// then reads one contiguous row of its strip per k step. The panel lives
+/// in a grow-only per-thread buffer (this runs every CG iteration — see
+/// reduction_workspace below for the rationale). Strips start 64-byte
+/// aligned (k·kNR doubles apart from an aligned base).
 double* pack_b(const double* pb, std::size_t k, std::size_t n,
-               std::size_t nstrips) {
+               std::size_t nvec) {
   static thread_local AlignedBuffer panel;
-  double* bp = panel.ensure(nstrips * k * kNR);
-  for (std::size_t s = 0; s < nstrips; ++s) {
-    const std::size_t j0 = s * kNR;
-    const std::size_t w = min_of(kNR, n - j0);
-    double* dst = bp + s * k * kNR;
+  double* bp = panel.ensure(k * nvec);
+  for (std::size_t j0 = 0; j0 < nvec; j0 += kNR) {
+    const std::size_t w = min_of(kNR, nvec - j0);
+    double* dst = bp + j0 * k;
     for (std::size_t kk = 0; kk < k; ++kk) {
       const double* src = pb + kk * n + j0;
-      for (std::size_t jj = 0; jj < w; ++jj) dst[kk * kNR + jj] = src[jj];
-      for (std::size_t jj = w; jj < kNR; ++jj) dst[kk * kNR + jj] = 0.0;
+      for (std::size_t jj = 0; jj < w; ++jj) dst[kk * w + jj] = src[jj];
     }
   }
   return bp;
 }
 
-/// MR×W register tile against a packed strip: MR·W accumulators live in
-/// registers across the whole k loop (compile-time bounds, __restrict so
-/// nothing is spilled for aliasing), C is touched exactly once per tile,
-/// and tail strips instantiate their true width — no padded flops and no
-/// per-element zero branch. This scalar form handles tail strips on every
-/// backend (same per-element accumulation order as the vector form).
-template <std::size_t MR, std::size_t W>
-inline void micro_nn(const double* __restrict pa, std::size_t lda,
-                     const double* __restrict bp, std::size_t k, double alpha,
-                     double beta, double* __restrict pc, std::size_t ldc) {
-  double acc[MR][W] = {};
-  for (std::size_t kk = 0; kk < k; ++kk) {
-    const double* __restrict b = bp + kk * kNR;
-    for (std::size_t r = 0; r < MR; ++r) {
-      const double v = pa[r * lda + kk];
-      for (std::size_t j = 0; j < W; ++j) acc[r][j] += v * b[j];
-    }
-  }
-  for (std::size_t r = 0; r < MR; ++r) {
-    double* __restrict crow = pc + r * ldc;
-    if (beta == 0.0) {
-      for (std::size_t j = 0; j < W; ++j) crow[j] = alpha * acc[r][j];
-    } else if (beta == 1.0) {
-      for (std::size_t j = 0; j < W; ++j) crow[j] += alpha * acc[r][j];
-    } else {
-      for (std::size_t j = 0; j < W; ++j) {
-        crow[j] = beta * crow[j] + alpha * acc[r][j];
-      }
-    }
-  }
-}
-
-template <std::size_t MR>
-inline void micro_nn_w(std::size_t w, const double* pa, std::size_t lda,
-                       const double* bp, std::size_t k, double alpha,
-                       double beta, double* pc, std::size_t ldc) {
-  switch (w) {
-    case 1: micro_nn<MR, 1>(pa, lda, bp, k, alpha, beta, pc, ldc); break;
-    case 2: micro_nn<MR, 2>(pa, lda, bp, k, alpha, beta, pc, ldc); break;
-    case 3: micro_nn<MR, 3>(pa, lda, bp, k, alpha, beta, pc, ldc); break;
-    case 4: micro_nn<MR, 4>(pa, lda, bp, k, alpha, beta, pc, ldc); break;
-    case 5: micro_nn<MR, 5>(pa, lda, bp, k, alpha, beta, pc, ldc); break;
-    case 6: micro_nn<MR, 6>(pa, lda, bp, k, alpha, beta, pc, ldc); break;
-    case 7: micro_nn<MR, 7>(pa, lda, bp, k, alpha, beta, pc, ldc); break;
-    default: micro_nn<MR, 8>(pa, lda, bp, k, alpha, beta, pc, ldc); break;
-  }
-}
-
-inline void micro_nn_dispatch(std::size_t mr, std::size_t w, const double* pa,
-                              std::size_t lda, const double* bp, std::size_t k,
-                              double alpha, double beta, double* pc,
-                              std::size_t ldc) {
-  switch (mr) {
-    case 1: micro_nn_w<1>(w, pa, lda, bp, k, alpha, beta, pc, ldc); break;
-    case 2: micro_nn_w<2>(w, pa, lda, bp, k, alpha, beta, pc, ldc); break;
-    case 3: micro_nn_w<3>(w, pa, lda, bp, k, alpha, beta, pc, ldc); break;
-    default: micro_nn_w<4>(w, pa, lda, bp, k, alpha, beta, pc, ldc); break;
-  }
-}
-
-/// Full-width strip microkernel on the SIMD backend: the kNR columns are
-/// kNR / V::width vector accumulators of independent chains per row, so
-/// each C element accumulates in exactly the same order as the scalar
-/// micro_nn<MR, kNR> — the backends differ only in how many independent
-/// chains advance per instruction. Epilogue uses the same beta 0/1/other
-/// expression trees. Register budget at kMR = 4: AVX-512 holds 4 acc +
-/// B + broadcast in 6 of 32 zmm; AVX2 8 + 2 + 1 of 16 ymm.
-template <class V, std::size_t MR>
-inline void micro_nn_full(const double* __restrict pa, std::size_t lda,
-                          const double* __restrict bp, std::size_t k,
-                          double alpha, double beta, double* __restrict pc,
-                          std::size_t ldc) {
-  static_assert(kNR % V::width == 0, "strip width must be a lane multiple");
-  constexpr std::size_t NV = kNR / V::width;
+/// MR rows of A against a packed strip of NV vectors: MR·NV accumulators
+/// live in registers across the whole k loop (compile-time bounds,
+/// __restrict so nothing is spilled for aliasing) and C is touched once
+/// per tile. Register budget at kMR: AVX-512 holds 8 acc + B + broadcast
+/// in 10 of 32 zmm; AVX2 8 + 2 + 1 of 16 ymm.
+template <class V, std::size_t MR, std::size_t NV>
+inline void micro_nn_strip(const double* __restrict pa, std::size_t lda,
+                           const double* __restrict bp, std::size_t k,
+                           double alpha, double beta, double* __restrict pc,
+                           std::size_t ldc) {
+  constexpr std::size_t ldb = NV * V::width;
   V acc[MR][NV];
   for (std::size_t r = 0; r < MR; ++r) {
     for (std::size_t j = 0; j < NV; ++j) acc[r][j] = V::zero();
   }
   for (std::size_t kk = 0; kk < k; ++kk) {
-    const double* __restrict b = bp + kk * kNR;
+    const double* __restrict b = bp + kk * ldb;
     V bv[NV];
     for (std::size_t j = 0; j < NV; ++j) bv[j] = V::load(b + j * V::width);
     for (std::size_t r = 0; r < MR; ++r) {
@@ -293,15 +238,84 @@ inline void micro_nn_full(const double* __restrict pa, std::size_t lda,
   }
 }
 
-template <class V>
-inline void micro_nn_full_mr(std::size_t mr, const double* pa, std::size_t lda,
-                             const double* bp, std::size_t k, double alpha,
-                             double beta, double* pc, std::size_t ldc) {
-  switch (mr) {
-    case 1: micro_nn_full<V, 1>(pa, lda, bp, k, alpha, beta, pc, ldc); break;
-    case 2: micro_nn_full<V, 2>(pa, lda, bp, k, alpha, beta, pc, ldc); break;
-    case 3: micro_nn_full<V, 3>(pa, lda, bp, k, alpha, beta, pc, ldc); break;
-    default: micro_nn_full<V, 4>(pa, lda, bp, k, alpha, beta, pc, ldc); break;
+/// micro_nn_strip for a runtime tile height mr ≤ MR and strip width
+/// nv ≤ NV vectors.
+template <class V, std::size_t MR = kMR<V>, std::size_t NV = kNR / V::width>
+inline void dispatch_strip(std::size_t mr, std::size_t nv, const double* pa,
+                           std::size_t lda, const double* bp, std::size_t k,
+                           double alpha, double beta, double* pc,
+                           std::size_t ldc) {
+  if constexpr (MR > 1) {
+    if (mr < MR) {
+      return dispatch_strip<V, MR - 1, NV>(mr, nv, pa, lda, bp, k, alpha,
+                                           beta, pc, ldc);
+    }
+  }
+  if constexpr (NV > 1) {
+    if (nv < NV) {
+      return dispatch_strip<V, MR, NV - 1>(mr, nv, pa, lda, bp, k, alpha,
+                                           beta, pc, ldc);
+    }
+  }
+  micro_nn_strip<V, MR, NV>(pa, lda, bp, k, alpha, beta, pc, ldc);
+}
+
+/// V::width rows of A against NL < V::width leftover columns of B (read
+/// in place, leading dimension ldb): one accumulator per column holds its
+/// V::width rows. Each V::width×V::width tile of A is transposed in
+/// registers so every vector is one k-column, which multiplies the
+/// broadcast b[kk, j] — the same k-ordered chain per element as the
+/// strips, with the rows in the lanes.
+template <class V, std::size_t NL>
+inline void micro_nn_rows(const double* __restrict pa, std::size_t lda,
+                          const double* __restrict pb, std::size_t ldb,
+                          std::size_t k, double alpha, double beta,
+                          double* __restrict pc, std::size_t ldc) {
+  constexpr std::size_t W = V::width;
+  V acc[NL];
+  for (std::size_t j = 0; j < NL; ++j) acc[j] = V::zero();
+  std::size_t kk = 0;
+  for (; kk + W <= k; kk += W) {
+    V col[W];
+    for (std::size_t r = 0; r < W; ++r) col[r] = V::load(pa + r * lda + kk);
+    V::transpose(col);
+    for (std::size_t q = 0; q < W; ++q) {
+      const double* __restrict b = pb + (kk + q) * ldb;
+      for (std::size_t j = 0; j < NL; ++j) {
+        acc[j] = acc[j] + col[q] * V::broadcast(b[j]);
+      }
+    }
+  }
+  for (; kk < k; ++kk) {
+    double a[W];
+    for (std::size_t r = 0; r < W; ++r) a[r] = pa[r * lda + kk];
+    const V col = V::load(a);
+    const double* __restrict b = pb + kk * ldb;
+    for (std::size_t j = 0; j < NL; ++j) {
+      acc[j] = acc[j] + col * V::broadcast(b[j]);
+    }
+  }
+  for (std::size_t j = 0; j < NL; ++j) {
+    double s[W];
+    acc[j].store(s);
+    for (std::size_t r = 0; r < W; ++r) {
+      simd::combine_one(alpha, beta, pc[r * ldc + j], s[r]);
+    }
+  }
+}
+
+/// micro_nn_rows for a runtime leftover count 0 < nl ≤ NL.
+template <class V, std::size_t NL = V::width - 1>
+inline void dispatch_rows(std::size_t nl, const double* pa, std::size_t lda,
+                          const double* pb, std::size_t ldb, std::size_t k,
+                          double alpha, double beta, double* pc,
+                          std::size_t ldc) {
+  if constexpr (NL > 0) {
+    if (nl < NL) {
+      return dispatch_rows<V, NL - 1>(nl, pa, lda, pb, ldb, k, alpha, beta,
+                                      pc, ldc);
+    }
+    micro_nn_rows<V, NL>(pa, lda, pb, ldb, k, alpha, beta, pc, ldc);
   }
 }
 
@@ -316,13 +330,13 @@ double* reduction_workspace(std::size_t elems) {
   return ws.ensure(elems);
 }
 
-/// Phase-1 block: fold U samples starting at row `i` into the local m×n
-/// partial in one pass over the panel — U× less accumulator traffic than
-/// the seed's one-sample loop, contiguous streaming loads of A and B,
-/// and no per-element zero branch. U is a compile-time constant so the
-/// inner sums fully unroll; the class dimension advances V::width
-/// independent output elements per step (the per-element sum over u is
-/// the same tree on every backend).
+/// Phase-1 block: fold U samples starting at row `i` into the local
+/// class-major n×m partial in one pass over the panel. The feature
+/// dimension — the long one — advances V::width independent output
+/// elements per step: the U sample rows' features are loaded once and
+/// each class's weight is broadcast. U is a compile-time constant so the
+/// inner sums fully unroll; the per-element sum over u starts from zero
+/// in u order on every backend.
 template <class V, std::size_t U>
 inline void tn_block(const double* __restrict pa, const double* __restrict pb,
                      std::size_t m, std::size_t n, std::size_t i,
@@ -333,28 +347,28 @@ inline void tn_block(const double* __restrict pa, const double* __restrict pb,
     a[u] = pa + (i + u) * m;
     b[u] = pb + (i + u) * n;
   }
-  for (std::size_t j = 0; j < m; ++j) {
-    double x[U];
-    for (std::size_t u = 0; u < U; ++u) x[u] = a[u][j];
-    V xv[U];
-    for (std::size_t u = 0; u < U; ++u) xv[u] = V::broadcast(x[u]);
-    double* __restrict lrow = local + j * n;
-    std::size_t t = 0;
-    for (; t + V::width <= n; t += V::width) {
+  std::size_t j = 0;
+  for (; j + V::width <= m; j += V::width) {
+    V x[U];
+    for (std::size_t u = 0; u < U; ++u) x[u] = V::load(a[u] + j);
+    for (std::size_t c = 0; c < n; ++c) {
       V s = V::zero();
-      for (std::size_t u = 0; u < U; ++u) s = s + xv[u] * V::load(b[u] + t);
-      (V::load(lrow + t) + s).store(lrow + t);
+      for (std::size_t u = 0; u < U; ++u) s = s + x[u] * V::broadcast(b[u][c]);
+      double* __restrict l = local + c * m + j;
+      (V::load(l) + s).store(l);
     }
-    for (; t < n; ++t) {
+  }
+  for (; j < m; ++j) {
+    for (std::size_t c = 0; c < n; ++c) {
       double s = 0.0;
-      for (std::size_t u = 0; u < U; ++u) s += x[u] * b[u][t];
-      lrow[t] += s;
+      for (std::size_t u = 0; u < U; ++u) s += a[u][j] * b[u][c];
+      local[c * m + j] += s;
     }
   }
 }
 
-/// Phase-1 core: accumulate Aᵀ·B for the sample range [i0, i1) into
-/// `local` (m×n, pre-zeroed), 8 samples per pass with 4/2/1 tails.
+/// Phase-1 core: accumulate (Aᵀ·B)ᵀ for the sample range [i0, i1) into
+/// `local` (n×m, pre-zeroed), 8 samples per pass with 4/2/1 tails.
 template <class V>
 void accumulate_tn(const double* pa, const double* pb, std::size_t m,
                    std::size_t n, std::size_t i0, std::size_t i1,
@@ -400,28 +414,43 @@ void scale_row(double beta, double* row, std::size_t n) {
 template <class V>
 void engine_gemm_nn(double alpha, DenseArg a, DenseArg b, double beta,
                     DenseOut c) {
+  constexpr std::size_t W = V::width;
+  // A strip tile's rows also hold whole leftover-column tiles.
+  static_assert(kMR<V> % W == 0, "strip tiles must span whole row tiles");
   const std::size_t m = a.rows, k = a.cols, n = b.cols;
   const double* pa = a.p;
+  const double* pb = b.p;
   double* pc = c.p;
 
-  const std::size_t nstrips = (n + kNR - 1) / kNR;
-  const double* bp = pack_b(b.p, k, n, nstrips);
+  const std::size_t nvec = n - n % W;
+  const std::size_t nstrips = (nvec + kNR - 1) / kNR;
+  const double* bp = pack_b(pb, k, n, nvec);
 
-  const std::size_t ntiles = (m + kMR - 1) / kMR;
+  const std::size_t ntiles = (m + kMR<V> - 1) / kMR<V>;
   [[maybe_unused]] const bool parallel = 2 * m * k * n >= kParallelFlops;
 #pragma omp parallel for schedule(static) if (parallel)
   for (std::ptrdiff_t it = 0; it < static_cast<std::ptrdiff_t>(ntiles); ++it) {
-    const std::size_t i = static_cast<std::size_t>(it) * kMR;
-    const std::size_t mr = min_of(kMR, m - i);
+    const std::size_t i0 = static_cast<std::size_t>(it) * kMR<V>;
+    const std::size_t mr = min_of(kMR<V>, m - i0);
     for (std::size_t s = 0; s < nstrips; ++s) {
       const std::size_t j0 = s * kNR;
-      const std::size_t w = min_of(kNR, n - j0);
-      if (w == kNR) {
-        micro_nn_full_mr<V>(mr, pa + i * k, k, bp + s * k * kNR, k,
-                            alpha, beta, pc + i * n + j0, n);
-      } else {
-        micro_nn_dispatch(mr, w, pa + i * k, k, bp + s * k * kNR, k,
-                          alpha, beta, pc + i * n + j0, n);
+      dispatch_strip<V>(mr, min_of(kNR, nvec - j0) / W, pa + i0 * k, k,
+                        bp + j0 * k, k, alpha, beta, pc + i0 * n + j0, n);
+    }
+    if (nvec == n) continue;
+    std::size_t i = i0;
+    for (; i + W <= i0 + mr; i += W) {
+      dispatch_rows<V>(n - nvec, pa + i * k, k, pb + nvec, n, k, alpha, beta,
+                       pc + i * n + nvec, n);
+    }
+    // The last m mod W rows of the leftover columns.
+    for (; i < i0 + mr; ++i) {
+      for (std::size_t j = nvec; j < n; ++j) {
+        double sum = 0.0;
+        for (std::size_t kk = 0; kk < k; ++kk) {
+          sum += pa[i * k + kk] * pb[kk * n + j];
+        }
+        simd::combine_one(alpha, beta, pc[i * n + j], sum);
       }
     }
   }
@@ -440,7 +469,8 @@ void engine_gemm_tn(double alpha, DenseArg a, DenseArg b, double beta,
 
   const bool parallel = 2 * k * m * n >= kParallelFlops;
   const int tmax = max_team(parallel);
-  // Per-thread k-block partials; phase 2 folds them in thread order.
+  // Per-thread class-major k-block partials; phase 2 folds them in thread
+  // order over a slice of features and writes those rows of C.
   double* ws = reduction_workspace(static_cast<std::size_t>(tmax) * mn);
 #pragma omp parallel if (parallel)
   {
@@ -451,8 +481,19 @@ void engine_gemm_tn(double alpha, DenseArg a, DenseArg b, double beta,
     const Range kr = slice(k, t, team);
     accumulate_tn<V>(pa, pb, m, n, kr.lo, kr.hi, local);
 #pragma omp barrier
-    const Range er = slice(mn, t, team);
-    fold_partials<V>(alpha, beta, pc, ws, mn, team, er.lo, er.hi);
+    const Range jr = slice(m, t, team);
+    for (std::size_t cl = 0; cl < n; ++cl) {
+      double* acc = ws + cl * m;
+      for (int r = 1; r < team; ++r) {
+        const double* src = ws + static_cast<std::size_t>(r) * mn + cl * m;
+        simd::add_inplace<V>(acc + jr.lo, src + jr.lo, jr.hi - jr.lo);
+      }
+    }
+    for (std::size_t j = jr.lo; j < jr.hi; ++j) {
+      for (std::size_t cl = 0; cl < n; ++cl) {
+        simd::combine_one(alpha, beta, pc[j * n + cl], ws[cl * m + j]);
+      }
+    }
   }
 }
 

@@ -15,9 +15,12 @@
 //
 // Both phases are static, so for a given thread count the result is
 // bit-identical run to run (the sweep scheduler relies on this). The
-// dense gemm_nn is a register-blocked microkernel (packed B panel, 4×8
-// tiles, no per-element zero branch), and the softmax forward is a fused
-// single-sweep (online max / exp / sum with a trailing normalize).
+// dense gemm_nn is a register-blocked microkernel: lane-multiple class
+// columns in packed 8-wide strips with A broadcast, the leftover classes
+// across rows through an in-register transpose of the A tile. The dense
+// gemm_tn vectorizes phase 1 across features (class-major partials). The
+// softmax forward is a fused single-sweep (online max / exp / sum with a
+// trailing normalize).
 //
 // The seed implementations are preserved under kernels::reference — they
 // are the parity oracle for tests and the "vs seed" side of
@@ -29,8 +32,10 @@
 // shapes, handle empty operands and pick the strategy, then run the rung
 // they are given — by default the widest one this CPU supports, chosen
 // once at start-up. Vector lanes only ever span independent output
-// elements and no path fuses a multiply-add, so every rung is
-// bit-identical to kernels::scalar::rung(), the parity oracle.
+// elements — whichever dimension fills them — and no path fuses a
+// multiply-add; every element keeps its k-ordered sum from zero and its
+// epilogue, so every rung is bit-identical to kernels::scalar::rung(),
+// the parity oracle.
 #pragma once
 
 #include <cstdint>
@@ -63,13 +68,15 @@ const char* active_isa();
 /// both.
 
 /// C = alpha·A·B + beta·C (A: m×k, B: k×n, C: m×n). Register-blocked
-/// microkernel over a packed B panel; deterministic for any thread count
-/// (each C row is produced by exactly one thread in fixed k order).
+/// microkernel: lane-multiple columns over a packed B panel, the rest
+/// across rows; deterministic for any thread count (each C row is
+/// produced by exactly one thread in fixed k order).
 void gemm_nn(double alpha, DenseView a, const DenseMatrix& b,
              double beta, DenseMatrix& c, const Rung& rung = active_rung());
 
 /// C = alpha·Aᵀ·B + beta·C (A: k×m, B: k×n, C: m×n). Two-phase lock-free
-/// reduction; deterministic for a fixed thread count.
+/// reduction vectorized across the m features; deterministic for a fixed
+/// thread count.
 void gemm_tn(double alpha, DenseView a, const DenseMatrix& b,
              double beta, DenseMatrix& c, const Rung& rung = active_rung());
 

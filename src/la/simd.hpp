@@ -9,14 +9,19 @@
 ///   Avx512   8 lanes, __m512d          needs __AVX512F__
 ///
 /// The contract every backend obeys: a lane is an *independent output
-/// element*. Kernels vectorize only across independent outputs (the
-/// column/class dimension), never across a reduction, and no backend
-/// ever fuses a multiply-add — `mul` then `add` are separate rounding
-/// steps, exactly like the scalar engine. Together those two rules make
-/// every backend bit-identical to the scalar path per element, which is
-/// what keeps the committed sweep/figure artifacts byte-stable while
-/// the instruction mix underneath changes. (The build also pins
-/// `-ffp-contract=off` so the compiler cannot re-fuse what we split.)
+/// element*. Kernels vectorize only across independent outputs, never
+/// across a reduction, and no backend ever fuses a multiply-add — `mul`
+/// then `add` are separate rounding steps, exactly like the scalar
+/// engine. Together those two rules make every backend bit-identical to
+/// the scalar path per element, which is what keeps the committed
+/// sweep/figure artifacts byte-stable while the instruction mix
+/// underneath changes. (The build also pins `-ffp-contract=off` so the
+/// compiler cannot re-fuse what we split.) Which outputs share a vector
+/// is the kernel's choice: class columns (gemm_nn strips, the sparse
+/// products, softmax), features (gemm_tn) or rows (gemm_nn's leftover
+/// classes, whose A tile `transpose` turns into one vector per
+/// k-column). Moving an element to another lane leaves its expression
+/// tree alone.
 ///
 /// Everything here has internal linkage: each rung object gets its own
 /// copy, compiled for its own ISA, that no other object can link to.
@@ -45,6 +50,9 @@ struct Scalar {
   static Scalar zero() { return {0.0}; }
   friend Scalar operator+(Scalar a, Scalar b) { return {a.v + b.v}; }
   friend Scalar operator*(Scalar a, Scalar b) { return {a.v * b.v}; }
+  /// Rows of a width×width tile in, its columns out: lane j of r[i]
+  /// moves to lane i of r[j]. Pure data movement.
+  static void transpose(Scalar (&)[1]) {}
 };
 
 #if defined(__SSE2__)
@@ -57,6 +65,11 @@ struct Sse2 {
   static Sse2 zero() { return {_mm_setzero_pd()}; }
   friend Sse2 operator+(Sse2 a, Sse2 b) { return {_mm_add_pd(a.v, b.v)}; }
   friend Sse2 operator*(Sse2 a, Sse2 b) { return {_mm_mul_pd(a.v, b.v)}; }
+  static void transpose(Sse2 (&r)[2]) {
+    const __m128d lo = _mm_unpacklo_pd(r[0].v, r[1].v);
+    r[1].v = _mm_unpackhi_pd(r[0].v, r[1].v);
+    r[0].v = lo;
+  }
 };
 #endif
 
@@ -70,6 +83,17 @@ struct Avx2 {
   static Avx2 zero() { return {_mm256_setzero_pd()}; }
   friend Avx2 operator+(Avx2 a, Avx2 b) { return {_mm256_add_pd(a.v, b.v)}; }
   friend Avx2 operator*(Avx2 a, Avx2 b) { return {_mm256_mul_pd(a.v, b.v)}; }
+  static void transpose(Avx2 (&r)[4]) {
+    // Pairs of rows interleave within 128-bit halves, then the halves swap.
+    const __m256d t0 = _mm256_unpacklo_pd(r[0].v, r[1].v);
+    const __m256d t1 = _mm256_unpackhi_pd(r[0].v, r[1].v);
+    const __m256d t2 = _mm256_unpacklo_pd(r[2].v, r[3].v);
+    const __m256d t3 = _mm256_unpackhi_pd(r[2].v, r[3].v);
+    r[0].v = _mm256_permute2f128_pd(t0, t2, 0x20);
+    r[1].v = _mm256_permute2f128_pd(t1, t3, 0x20);
+    r[2].v = _mm256_permute2f128_pd(t0, t2, 0x31);
+    r[3].v = _mm256_permute2f128_pd(t1, t3, 0x31);
+  }
 };
 #endif
 
@@ -86,6 +110,36 @@ struct Avx512 {
   }
   friend Avx512 operator*(Avx512 a, Avx512 b) {
     return {_mm512_mul_pd(a.v, b.v)};
+  }
+  static void transpose(Avx512 (&r)[8]) {
+    // Rows interleave in pairs within 128-bit lanes (t), the lanes of row
+    // pairs then gather into rows-0..3 / rows-4..7 halves (u), and a last
+    // lane shuffle joins the halves into columns. The full-mask maskz
+    // forms are the plain instructions; GCC 12's unmasked intrinsics
+    // trip -Wmaybe-uninitialized on their undefined merge source.
+    constexpr __mmask8 kAll = 0xFF;
+    __m512d t[8];
+    for (int p = 0; p < 4; ++p) {
+      t[2 * p] = _mm512_maskz_unpacklo_pd(kAll, r[2 * p].v, r[2 * p + 1].v);
+      t[2 * p + 1] =
+          _mm512_maskz_unpackhi_pd(kAll, r[2 * p].v, r[2 * p + 1].v);
+    }
+    constexpr int kEven = _MM_SHUFFLE(2, 0, 2, 0);
+    constexpr int kOdd = _MM_SHUFFLE(3, 1, 3, 1);
+    __m512d u[8];
+    for (int h = 0; h < 2; ++h) {
+      const __m512d* th = t + 4 * h;
+      // Columns 0/4, 2/6, 1/5 and 3/7 of rows 4h..4h+3.
+      u[4 * h + 0] = _mm512_maskz_shuffle_f64x2(kAll, th[0], th[2], kEven);
+      u[4 * h + 1] = _mm512_maskz_shuffle_f64x2(kAll, th[0], th[2], kOdd);
+      u[4 * h + 2] = _mm512_maskz_shuffle_f64x2(kAll, th[1], th[3], kEven);
+      u[4 * h + 3] = _mm512_maskz_shuffle_f64x2(kAll, th[1], th[3], kOdd);
+    }
+    constexpr int kCol[4] = {0, 2, 1, 3};
+    for (int q = 0; q < 4; ++q) {
+      r[kCol[q]].v = _mm512_maskz_shuffle_f64x2(kAll, u[q], u[4 + q], kEven);
+      r[kCol[q] + 4].v = _mm512_maskz_shuffle_f64x2(kAll, u[q], u[4 + q], kOdd);
+    }
   }
 };
 #endif
@@ -138,9 +192,21 @@ inline void axpy(double a, const double* x, double* y, std::size_t n) {
   for (; i < n; ++i) y[i] += a * x[i];
 }
 
-/// The engine's epilogue: out = beta * out + alpha * acc, with the same
-/// beta == 0 / beta == 1 special cases (and expression trees) the scalar
-/// fold has always used.
+/// out = beta * out + alpha * acc for one element, with the beta == 0 /
+/// beta == 1 special cases (and expression trees) the scalar fold has
+/// always used.
+inline void combine_one(double alpha, double beta, double& out, double acc) {
+  if (beta == 0.0) {
+    out = alpha * acc;
+  } else if (beta == 1.0) {
+    out += alpha * acc;
+  } else {
+    out = beta * out + alpha * acc;
+  }
+}
+
+/// The engine's epilogue, combine_one over n elements: the vector body
+/// repeats its expression trees lane by lane.
 template <class V>
 inline void combine(double alpha, double beta, double* out, const double* acc,
                     std::size_t n) {
@@ -150,19 +216,17 @@ inline void combine(double alpha, double beta, double* out, const double* acc,
     for (; i + V::width <= n; i += V::width) {
       (av * V::load(acc + i)).store(out + i);
     }
-    for (; i < n; ++i) out[i] = alpha * acc[i];
   } else if (beta == 1.0) {
     for (; i + V::width <= n; i += V::width) {
       (V::load(out + i) + av * V::load(acc + i)).store(out + i);
     }
-    for (; i < n; ++i) out[i] += alpha * acc[i];
   } else {
     const V bv = V::broadcast(beta);
     for (; i + V::width <= n; i += V::width) {
       (bv * V::load(out + i) + av * V::load(acc + i)).store(out + i);
     }
-    for (; i < n; ++i) out[i] = beta * out[i] + alpha * acc[i];
   }
+  for (; i < n; ++i) combine_one(alpha, beta, out[i], acc[i]);
 }
 
 }  // namespace

@@ -112,6 +112,9 @@ int cmd_run(int argc, const char* const* argv) {
   const auto config = runner::config_from_flags(cli);
   const auto& info = runner::SolverRegistry::instance().info(solver);
   runner::reject_unread_knobs(solver, config);
+  if (info.kind == runner::SolverKind::kSingleNode) {
+    runner::v_device()("device", config.device);
+  }
 
   const auto tt = runner::make_data(config);
   std::printf("scenario: solver=%s (%s) dataset=%s n=%zu p=%zu C=%d "
@@ -181,6 +184,7 @@ int cmd_serve(int argc, const char* const* argv) {
   opts.register_into(cli);
   if (!cli.parse(argc, argv)) return 0;
   opts.validate(cli);
+  runner::v_device()("device", cli.text("device"));
   NADMM_CHECK(!cli.get_string("model").empty(),
               "--model is required (train one with `nadmm run "
               "--save-model=model.txt`)");

@@ -177,6 +177,18 @@ OptionValidator v_device_list() {
   return v_parses(la::device_list_from_string);
 }
 
+OptionValidator v_device() {
+  return [parses = v_parses(la::device_from_string)](
+             const std::string& flag, const std::string& value) {
+    if (value.find_first_of(",+") != std::string::npos) {
+      reject_value(flag, value,
+                   "this run prices one device; a ','/'+' list rates the "
+                   "ranks of a distributed solver");
+    }
+    parses(flag, value);
+  };
+}
+
 OptionValidator v_network() { return v_parses(comm::network_from_string); }
 
 OptionValidator v_straggler() { return v_parses(parse_straggler); }

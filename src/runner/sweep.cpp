@@ -675,6 +675,12 @@ std::vector<Scenario> expand_scenarios(const SweepSpec& spec) {
       axes[i]->pick(spec, digit[i], s);
     }
     reject_unread_knobs(s.solver, s.config);
+    // Serving and single-node runs price one device (v_device).
+    const auto& registry = SolverRegistry::instance();
+    const bool single_node =
+        registry.contains(s.solver) &&
+        registry.info(s.solver).kind == SolverKind::kSingleNode;
+    if (s.serving || single_node) v_device()("devices", s.config.device);
     // Weak scaling: base.n_train is the per-worker shard.
     if (spec.weak_scaling && !serving) {
       s.config.n_train =

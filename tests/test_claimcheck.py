@@ -9,7 +9,9 @@ an unknown column, or an lhs/rhs group mismatch is a hard ClaimError —
 a harness that silently passes when its data vanishes gates nothing.
 """
 
+import json
 import os
+import subprocess
 import sys
 import tempfile
 import unittest
@@ -22,9 +24,22 @@ from nadmm_results import (  # noqa: E402
     bench_entries,
     evaluate_claim,
     extract_series,
+    load_bench_pairs,
     load_claims,
     load_csv,
 )
+
+TOOLS = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir,
+                     "tools")
+
+
+def bench_json(path, isa, rows):
+    """Write a Google-Benchmark JSON with `rows` = [(name, items/s)]."""
+    with open(path, "w") as f:
+        json.dump({"context": {"nadmm_isa": isa} if isa else {},
+                   "benchmarks": [{"name": n, "run_type": "iteration",
+                                   "items_per_second": ips}
+                                  for n, ips in rows]}, f)
 
 ROWS = [
     {"solver": "newton-admm", "dataset": "mnist", "workers": "1",
@@ -176,11 +191,87 @@ class LoadersTest(unittest.TestCase):
                 load_claims(path)
 
     def test_bench_entries_requires_both_sides(self):
-        pairs = {("BM_Gemv", 2): {"engine": 200.0, "seed": 100.0},
-                 ("BM_Axpy", 2): {"engine": 50.0}}
+        pairs = {("BM_Gemv", 2, None): {"engine": 200.0, "seed": 100.0},
+                 ("BM_Axpy", 2, None): {"engine": 50.0}}
         entries = bench_entries(pairs)
         self.assertEqual(len(entries), 1)
         self.assertEqual(entries[0]["speedup"], 2.0)
+        self.assertNotIn("param", entries[0])
+        self.assertNotIn("isa", entries[0])
+
+    def test_named_bench_args_are_params_not_threads(self):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "b.json")
+            bench_json(path, None, [
+                ("BM_Gemv_Engine/4", 4.0), ("BM_Gemv_Seed/4", 2.0),
+                ("BM_Loss_Engine/loss_pct:5", 1.0),
+                ("BM_Loss_Seed/loss_pct:5", 4.0),
+                ("BM_Loss_Engine/loss_pct:0", 3.0),
+                ("BM_Loss_Seed/loss_pct:0", 4.0)])
+            pairs = load_bench_pairs(path)
+        self.assertEqual(sorted(pairs, key=str),
+                         [("BM_Gemv", 4, None), ("BM_Loss", 1, 0),
+                          ("BM_Loss", 1, 5)])
+        entries = bench_entries(pairs, "avx2")
+        self.assertEqual([(e["kernel"], e["threads"], e.get("param"))
+                          for e in entries],
+                         [("BM_Gemv", 4, None), ("BM_Loss", 1, 0),
+                          ("BM_Loss", 1, 5)])
+        self.assertEqual({e["isa"] for e in entries}, {"avx2"})
+        self.assertEqual(entries[2]["speedup"], 0.25)
+
+
+class PerfSmokeTest(unittest.TestCase):
+    """tools/perf_smoke.py gates only the baseline entries recorded on
+    the rung the bench ran on, and names every entry it skips."""
+
+    def run_smoke(self, tmp, isa, engine_ips):
+        run = os.path.join(tmp, "run.json")
+        bench_json(run, isa, [("BM_Gemm_Engine/1", engine_ips),
+                              ("BM_Gemm_Seed/1", 1.0)])
+        return subprocess.run(
+            [sys.executable, os.path.join(TOOLS, "perf_smoke.py"), run,
+             "--baseline", os.path.join(tmp, "base.json")],
+            capture_output=True, text=True)
+
+    def test_only_entries_of_the_running_rung_are_gated(self):
+        with tempfile.TemporaryDirectory() as tmp:
+            with open(os.path.join(tmp, "base.json"), "w") as f:
+                json.dump({"entries": [
+                    {"kernel": "BM_Gemm", "threads": 1, "isa": "avx512",
+                     "speedup": 4.0},
+                    {"kernel": "BM_Gemm", "threads": 1, "isa": "sse2",
+                     "speedup": 1.5}]}, f)
+            ok = self.run_smoke(tmp, "sse2", 1.4)
+            self.assertEqual(ok.returncode, 0, ok.stderr)
+            self.assertIn("skip BM_Gemm (threads=1): recorded on avx512 "
+                          "rung, this run is on sse2", ok.stdout)
+            slow = self.run_smoke(tmp, "avx512", 2.0)
+            self.assertEqual(slow.returncode, 1)
+            self.assertIn("recorded on sse2 rung", slow.stdout)
+            self.assertIn("BM_Gemm (threads=1): current 2.000 below floor "
+                          "3.000", slow.stderr)
+
+    def test_rerecording_one_rung_keeps_the_others(self):
+        with tempfile.TemporaryDirectory() as tmp:
+            base = os.path.join(tmp, "base.json")
+            with open(base, "w") as f:
+                json.dump({"entries": [
+                    {"kernel": "BM_Gemm", "threads": 1, "isa": "avx2",
+                     "speedup": 3.0},
+                    {"kernel": "BM_Gemm", "threads": 1, "isa": "sse2",
+                     "speedup": 1.5}]}, f)
+            run = os.path.join(tmp, "run.json")
+            bench_json(run, "sse2", [("BM_Gemm_Engine/1", 2.0),
+                                     ("BM_Gemm_Seed/1", 1.0)])
+            subprocess.run(
+                [sys.executable, os.path.join(TOOLS, "perf_smoke.py"), run,
+                 "--baseline", base, "--write-baseline"],
+                check=True, capture_output=True)
+            with open(base) as f:
+                entries = json.load(f)["entries"]
+        self.assertEqual([(e["isa"], e["speedup"]) for e in entries],
+                         [("avx2", 3.0), ("sse2", 2.0)])
 
 
 class CommittedArtifactsTest(unittest.TestCase):

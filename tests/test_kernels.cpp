@@ -12,6 +12,7 @@
 
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -84,10 +85,13 @@ constexpr double kBetas[] = {0.0, 1.0, -0.5};
 TEST(KernelEngine, GemmNnMatchesReferenceAcrossShapesAndAlphaBeta) {
   Rng rng(11);
   // Row tails (m mod 4), strip tails (n mod 8), 1×N / N×1, tall and wide.
-  const std::size_t shapes[][3] = {{1, 1, 1},   {5, 7, 3},   {64, 129, 9},
-                                   {1, 300, 1}, {257, 2, 8}, {4, 8, 8},
-                                   {6, 5, 16},  {7, 3, 17},  {3, 200, 23},
-                                   {100, 1, 9}};
+  // m × k × n. Class counts off the lane multiples run their leftover
+  // columns across rows (transposed A tiles); m not a multiple of 2/4/8
+  // leaves rows for the scalar loop, k not a multiple of 8 a k tail.
+  const std::size_t shapes[][3] = {
+      {1, 1, 1},    {5, 7, 3},   {64, 129, 9},   {1, 300, 1}, {257, 2, 8},
+      {4, 8, 8},    {6, 5, 16},  {7, 3, 17},     {3, 200, 23}, {100, 1, 9},
+      {13, 129, 9}, {37, 784, 9}, {1000, 32, 9}, {9, 17, 1},  {8, 5, 3}};
   for (const auto& sh : shapes) {
     const std::size_t m = sh[0], k = sh[1], n = sh[2];
     const auto a = random_matrix(m, k, rng);
@@ -106,9 +110,11 @@ TEST(KernelEngine, GemmNnMatchesReferenceAcrossShapesAndAlphaBeta) {
 
 TEST(KernelEngine, GemmTnMatchesReferenceAcrossShapesAndAlphaBeta) {
   Rng rng(12);
-  const std::size_t shapes[][3] = {{1, 1, 1},  {6, 4, 3},   {200, 33, 9},
-                                   {1, 5, 2},  {513, 7, 1}, {3, 1, 19},
-                                   {50, 64, 8}};
+  // k × m × n. Feature counts off the lane multiples leave a scalar
+  // feature tail after the vectorized features.
+  const std::size_t shapes[][3] = {
+      {1, 1, 1},   {6, 4, 3},   {200, 33, 9}, {1, 5, 2},   {513, 7, 1},
+      {3, 1, 19},  {50, 64, 8}, {200, 785, 9}, {37, 3, 9}, {1, 9, 17}};
   for (const auto& sh : shapes) {
     const std::size_t k = sh[0], m = sh[1], n = sh[2];
     const auto a = random_matrix(k, m, rng);  // used transposed
@@ -551,10 +557,13 @@ TEST(IsaDispatch, ActiveIsaNameIsOnTheLadder) {
 }
 
 TEST(IsaDispatch, GemmNnEveryRungMatchesScalarBitwise) {
-  const std::size_t shapes[][3] = {{1, 1, 1},   {5, 7, 3},   {64, 129, 9},
-                                   {1, 300, 1}, {257, 2, 8}, {4, 8, 8},
-                                   {6, 5, 16},  {7, 3, 17},  {3, 200, 23},
-                                   {100, 1, 9}};
+  // m × k × n. Class counts off the lane multiples run their leftover
+  // columns across rows (transposed A tiles); m not a multiple of 2/4/8
+  // leaves rows for the scalar loop, k not a multiple of 8 a k tail.
+  const std::size_t shapes[][3] = {
+      {1, 1, 1},    {5, 7, 3},   {64, 129, 9},   {1, 300, 1}, {257, 2, 8},
+      {4, 8, 8},    {6, 5, 16},  {7, 3, 17},     {3, 200, 23}, {100, 1, 9},
+      {13, 129, 9}, {37, 784, 9}, {1000, 32, 9}, {9, 17, 1},  {8, 5, 3}};
   for (const kernels::Rung* rung : vector_rungs()) {
     Rng rng(61);
     for (const int threads : {1, 2, 3, 8}) {
@@ -582,9 +591,11 @@ TEST(IsaDispatch, GemmNnEveryRungMatchesScalarBitwise) {
 }
 
 TEST(IsaDispatch, GemmTnEveryRungMatchesScalarBitwise) {
-  const std::size_t shapes[][3] = {{1, 1, 1},  {6, 4, 3},   {200, 33, 9},
-                                   {1, 5, 2},  {513, 7, 1}, {3, 1, 19},
-                                   {50, 64, 8}};
+  // k × m × n. Feature counts off the lane multiples leave a scalar
+  // feature tail after the vectorized features.
+  const std::size_t shapes[][3] = {
+      {1, 1, 1},   {6, 4, 3},   {200, 33, 9}, {1, 5, 2},   {513, 7, 1},
+      {3, 1, 19},  {50, 64, 8}, {200, 785, 9}, {37, 3, 9}, {1, 9, 17}};
   for (const kernels::Rung* rung : vector_rungs()) {
     Rng rng(62);
     for (const int threads : {1, 2, 3, 8}) {
@@ -605,6 +616,74 @@ TEST(IsaDispatch, GemmTnEveryRungMatchesScalarBitwise) {
             }
           }
         }
+      }
+    }
+  }
+}
+
+/// Same bits, element for element: NaN payloads and the sign of zero
+/// included.
+void expect_same_bits(const DenseMatrix& got, const DenseMatrix& want,
+                      const std::string& what) {
+  ASSERT_EQ(got.size(), want.size()) << what;
+  for (std::size_t e = 0; e < got.size(); ++e) {
+    ASSERT_EQ(std::memcmp(&got.data()[e], &want.data()[e], sizeof(double)), 0)
+        << what << " element " << e << ": " << got.data()[e] << " vs "
+        << want.data()[e];
+  }
+}
+
+TEST(IsaDispatch, DenseProductsKeepZeroSignsInfAndNanBitwise) {
+  // An all −0.0 row (gemm_nn) / column (gemm_tn) of A makes every product
+  // of its chains a signed zero (−0.0 against a positive B), so its
+  // outputs are +0.0 only because each chain starts from +0.0;
+  // an Inf and a NaN land in a transposed tile, the k tail and the
+  // scalar leftover rows. Lanes mixed up by a transpose or a class-major
+  // partial would move them to other outputs.
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (const kernels::Rung* rung : vector_rungs()) {
+    Rng rng(65);
+    for (const int threads : {1, 2, 3, 8}) {
+      ThreadGuard guard(threads);
+      auto a = random_matrix(13, 19, rng);
+      for (std::size_t j = 0; j < a.cols(); ++j) a.at(3, j) = -0.0;
+      a.at(5, 4) = inf;
+      a.at(6, 17) = nan;
+      a.at(10, 2) = -inf;
+      const auto b = random_matrix(19, 9, rng);
+      const auto c0 = random_matrix(13, 9, rng);
+      auto at = random_matrix(37, 11, rng);
+      for (std::size_t i = 0; i < at.rows(); ++i) at.at(i, 9) = -0.0;
+      at.at(4, 2) = inf;
+      at.at(33, 10) = nan;
+      const auto bt = random_matrix(37, 9, rng);
+      const auto ct0 = random_matrix(11, 9, rng);
+      for (double alpha : kAlphas) {
+        for (double beta : kBetas) {
+          const std::string what = std::string(rung->name) + " t=" +
+                                   std::to_string(threads) + " alpha=" +
+                                   std::to_string(alpha) + " beta=" +
+                                   std::to_string(beta);
+          DenseMatrix c = c0, c_sc = c0;
+          kernels::gemm_nn(alpha, a, b, beta, c, *rung);
+          kernels::gemm_nn(alpha, a, b, beta, c_sc, oracle());
+          expect_same_bits(c, c_sc, "gemm_nn " + what);
+          DenseMatrix ct = ct0, ct_sc = ct0;
+          kernels::gemm_tn(alpha, at, bt, beta, ct, *rung);
+          kernels::gemm_tn(alpha, at, bt, beta, ct_sc, oracle());
+          expect_same_bits(ct, ct_sc, "gemm_tn " + what);
+        }
+      }
+      // The chains of the −0.0 row / column start from +0.0.
+      DenseMatrix c(13, 9), ct(11, 9);
+      kernels::gemm_nn(1.0, a, b, 0.0, c, *rung);
+      kernels::gemm_tn(1.0, at, bt, 0.0, ct, *rung);
+      for (std::size_t j = 0; j < 9; ++j) {
+        EXPECT_FALSE(std::signbit(c.at(3, j))) << rung->name;
+        EXPECT_FALSE(std::signbit(ct.at(9, j))) << rung->name;
+        EXPECT_TRUE(std::isnan(c.at(6, j))) << rung->name;
+        EXPECT_TRUE(std::isnan(ct.at(10, j))) << rung->name;
       }
     }
   }

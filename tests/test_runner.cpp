@@ -230,6 +230,8 @@ TEST(OptionSpecs, DomainValidatorsCoverTheSharedAxes) {
   };
   ok(v_device_list(), "p100+cpu");
   rejects(v_device_list(), "p100+warp9");
+  ok(v_device(), "40:20");
+  rejects(v_device(), "p100+cpu");
   ok(v_network(), "ideal");
   rejects(v_network(), "carrier-pigeon");
   ok(v_straggler(), "1:4");
@@ -249,6 +251,31 @@ TEST(OptionSpecs, DomainValidatorsCoverTheSharedAxes) {
   EXPECT_EQ(parse_byte_size("--b", "0"), 0u);
   EXPECT_THROW(parse_byte_size("--b", "12q"), InvalidArgument);
   EXPECT_THROW(parse_byte_size("--b", "-1"), InvalidArgument);
+}
+
+TEST(OneDevice, SingleNodeAndServingRejectADeviceListBeforeRunning) {
+  // A per-rank list rates the ranks of a distributed solver. Single-node
+  // solvers and the serving plane price one device, so the list is
+  // rejected naming the flag instead of failing once the run started.
+  try {
+    v_device()("device", "p100+cpu");
+    FAIL() << "p100+cpu passed the one-device check";
+  } catch (const InvalidArgument& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("--device"), std::string::npos) << what;
+    EXPECT_NE(what.find("'p100+cpu'"), std::string::npos) << what;
+  }
+  SweepSpec spec;
+  spec.devices = {"p100+cpu"};
+  spec.solvers = {"newton-admm", "giant"};
+  EXPECT_EQ(expand_scenarios(spec).size(), 2u);
+  spec.solvers = {"newton-admm", "newton-cg"};
+  EXPECT_THROW(static_cast<void>(expand_scenarios(spec)), InvalidArgument);
+  spec.solvers = {"newton-admm"};
+  spec.mode = "serving";
+  EXPECT_THROW(static_cast<void>(expand_scenarios(spec)), InvalidArgument);
+  spec.devices = {"p100", "cpu"};
+  EXPECT_EQ(expand_scenarios(spec).size(), 2u);
 }
 
 TEST(OptionSpecs, SharedTablesStayConsistent) {

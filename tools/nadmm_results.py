@@ -13,7 +13,8 @@ It has no third-party dependencies (stdlib only) and never imports
 matplotlib; rendering lives with the consumers.
 
 Contents:
-  Google-Benchmark JSON     load_bench_pairs(), bench_entries(), host_peak()
+  Google-Benchmark JSON     load_bench_pairs(), bench_entries(), bench_isa(),
+                            host_peak(), entry_key(), key_order()
   sweep report CSVs         load_csv(), distinct(), extract_series()
   claim checking            load_claims(), evaluate_claim(), ClaimError
 
@@ -46,15 +47,30 @@ except ModuleNotFoundError:  # pragma: no cover - 3.10 fallback, unused in CI
 # Google-Benchmark JSON (bench_kernels / bench_async / ... --benchmark_format=json)
 # --------------------------------------------------------------------------
 
-BENCH_NAME_RE = re.compile(r"^(BM_\w+?)_(Engine|Seed)/(\d+)$")
+# BM_<kernel>_<Engine|Seed>/<arg>. The arg is a thread count unless the
+# bench names it (`->ArgName("batch")` prints `/batch:65536`): then it is
+# the entry's `param` and the pair ran on one thread.
+BENCH_NAME_RE = re.compile(r"^(BM_\w+?)_(Engine|Seed)/(?:(\w+):)?(\d+)$")
+
+
+def entry_key(entry):
+    """(kernel, threads, param) — what a baseline entry is matched on;
+    param is None for thread-count benches."""
+    return (entry["kernel"], entry["threads"], entry.get("param"))
+
+
+def key_order(key):
+    """Sort order of entry keys: by kernel, then threads, then param."""
+    kernel, threads, param = key
+    return (kernel, threads, -1 if param is None else param)
 
 
 def load_bench_pairs(bench_json_path):
-    """Return {(kernel, threads): {"engine": ips, "seed": ips}}.
+    """Return {(kernel, threads, param): {"engine": ips, "seed": ips}}.
 
     Every kernel is benchmarked twice in the same run — the engine
     version and the preserved seed version — so the engine-vs-seed
-    speedup per (kernel, threads) is a same-machine ratio that
+    speedup per (kernel, threads, param) is a same-machine ratio that
     transfers across runner hardware far better than absolute timings.
     When the run used --benchmark_repetitions, median aggregates are
     preferred over per-iteration entries for noise robustness.
@@ -75,14 +91,18 @@ def load_bench_pairs(bench_json_path):
         m = BENCH_NAME_RE.match(name)
         if not m:
             continue
-        kernel, side, threads = m.group(1), m.group(2), int(m.group(3))
+        kernel, side, arg_name, arg = m.groups()
+        if arg_name in (None, "threads"):
+            key = (kernel, int(arg), None)
+        else:
+            key = (kernel, 1, int(arg))
         ips = b.get("items_per_second")
         if ips is None:
             # Fall back to inverse real time when items were not set.
             ips = 1.0 / b["real_time"] if b.get("real_time") else None
         if ips is None:
             continue
-        sides = pairs.setdefault((kernel, threads), {})
+        sides = pairs.setdefault(key, {})
         sides[side.lower()] = ips
         # Absolute memory traffic, when the bench set bytes (optional —
         # older bench binaries and the unit-test fixtures omit it).
@@ -92,7 +112,7 @@ def load_bench_pairs(bench_json_path):
     return pairs
 
 
-def bench_entries(pairs):
+def bench_entries(pairs, isa=None):
     """Flatten load_bench_pairs() output into sorted baseline entries.
 
     Alongside the machine-portable engine-vs-seed speedup, entries carry
@@ -101,23 +121,37 @@ def bench_entries(pairs):
     kernels, elements for softmax, nnz for the CSC build) and
     `engine_gb_per_s` is memory traffic. Absolute numbers only mean
     something next to the same run's host-peak probes — see host_peak().
+    `isa`, the engine rung the run used (bench_isa()), is recorded on
+    every entry when given: a ratio measured on one rung says nothing
+    about another.
     """
     entries = []
-    for (kernel, threads), sides in sorted(pairs.items()):
+    for (kernel, threads, param), sides in sorted(
+            pairs.items(), key=lambda kv: key_order(kv[0])):
         if "engine" not in sides or "seed" not in sides:
             continue
-        entry = {
-            "kernel": kernel,
-            "threads": threads,
+        entry = {"kernel": kernel, "threads": threads}
+        if param is not None:
+            entry["param"] = param
+        if isa is not None:
+            entry["isa"] = isa
+        entry.update({
             "engine_items_per_s": round(sides["engine"], 1),
             "seed_items_per_s": round(sides["seed"], 1),
             "speedup": round(sides["engine"] / sides["seed"], 3),
-        }
+        })
         entry["engine_gops"] = round(sides["engine"] / 1e9, 3)
         if "engine_bytes" in sides:
             entry["engine_gb_per_s"] = round(sides["engine_bytes"] / 1e9, 3)
         entries.append(entry)
     return entries
+
+
+def bench_isa(bench_json_path):
+    """The engine rung a bench run used (its `nadmm_isa` context), or
+    None for benches that do not record one."""
+    with open(bench_json_path) as f:
+        return json.load(f).get("context", {}).get("nadmm_isa")
 
 
 HOST_PEAK_BENCHES = {

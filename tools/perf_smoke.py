@@ -8,6 +8,17 @@ la::kernels::reference — so the engine-vs-seed *speedup* per
 (kernel, threads) is a same-machine ratio that transfers across runner
 hardware far better than absolute timings.
 
+A ratio only transfers between machines running the same engine rung
+(la/kernels.hpp: scalar, sse2, avx2, avx512 — the widest the CPU has).
+Runs that record one (bench_kernels' `nadmm_isa` context) tag every
+baseline entry with it, and the check compares only the entries recorded
+on the running rung; each entry it skips is printed. Benches without a
+rung (async, wire, ...) record none and always compare.
+
+Entries are keyed on (kernel, threads, param): `param` is the argument
+of a bench that names it (BM_LatencySketch_Engine/batch:65536,
+BM_ChannelLoss_Engine/loss_pct:5), which ran on one thread.
+
 Alongside the ratio gate there is a *fraction-of-peak* gate: bench runs
 that carry the BM_HostPeak_* probes (STREAM-style triad GB/s, unfused
 mul+add GFLOP/s) record each single-thread kernel's throughput as a
@@ -22,7 +33,8 @@ Modes:
                     available) against the committed baseline
                     (BENCH_kernels.json); exit 1 if any entry regresses
                     more than `tolerance` (default 25%) below baseline.
-  --write-baseline  regenerate the baseline from a bench run.
+  --write-baseline  regenerate the baseline from a bench run (entries
+                    recorded on other rungs are kept).
 
 Usage:
   bench_kernels --benchmark_format=json > bench.json
@@ -32,16 +44,19 @@ Usage:
 
 import argparse
 import json
+import os
 import sys
 
-from nadmm_results import bench_entries, host_peak, load_bench_pairs
+from nadmm_results import (bench_entries, bench_isa, entry_key, host_peak,
+                           key_order, load_bench_pairs)
 
 BASELINE_DEFAULT = "BENCH_kernels.json"
 
-# Parsing lives in tools/nadmm_results.py (shared with tools/reproduce.py
-# and the claim-check tests); these aliases keep existing imports working.
-load_pairs = load_bench_pairs
-to_entries = bench_entries
+
+def label(key):
+    """`BM_X` or, for a named-argument bench, `BM_X/<param>`."""
+    kernel, _, param = key
+    return kernel if param is None else f"{kernel}/{param}"
 
 
 def peak_fraction(entry, host):
@@ -81,7 +96,8 @@ def main():
     ap.add_argument("--write-baseline", action="store_true")
     args = ap.parse_args()
 
-    entries = to_entries(load_pairs(args.bench_json))
+    isa = bench_isa(args.bench_json)
+    entries = bench_entries(load_bench_pairs(args.bench_json), isa)
     if args.max_threads is not None and not args.write_baseline:
         entries = [e for e in entries if e["threads"] <= args.max_threads]
     if not entries:
@@ -94,9 +110,18 @@ def main():
             frac = peak_fraction(e, host)
             if frac is not None:
                 e["peak_fraction"] = round(frac, 4)
+        # One baseline holds one set of entries per rung: re-recording on
+        # this rung keeps the entries recorded on the others.
+        if isa is not None and os.path.exists(args.baseline):
+            with open(args.baseline) as f:
+                kept = [e for e in json.load(f)["entries"]
+                        if e.get("isa") not in (None, isa)]
+            entries = sorted(kept + entries, key=lambda e: (
+                key_order(entry_key(e)), e.get("isa")))
         baseline = {
             "bench": args.bench_name,
-            "gate": "engine-vs-seed speedup per (kernel, threads); "
+            "gate": "engine-vs-seed speedup per (kernel, threads, param) "
+                    "on the recorded rung (isa); "
                     "fails when measured < baseline * (1 - tolerance); "
                     "single-thread entries additionally gate roofline "
                     "fraction-of-host-peak, normalized per run by the "
@@ -114,40 +139,50 @@ def main():
 
     with open(args.baseline) as f:
         baseline = json.load(f)
-    base = {(e["kernel"], e["threads"]): e["speedup"]
-            for e in baseline["entries"]
-            if args.max_threads is None or e["threads"] <= args.max_threads}
+    gated = []
+    for e in baseline["entries"]:
+        if args.max_threads is not None and e["threads"] > args.max_threads:
+            continue
+        if e.get("isa") != isa:
+            print(f"perf_smoke: skip {label(entry_key(e))} "
+                  f"(threads={e['threads']}): recorded on "
+                  f"{e.get('isa') or 'an unrecorded'} rung, this run is on "
+                  f"{isa or 'none'}")
+            continue
+        gated.append(e)
+    base = {entry_key(e): e["speedup"] for e in gated}
     tolerance = args.tolerance
 
     failures, missing = [], []
-    width = max(len(e["kernel"]) for e in entries)
+    width = max(len(label(entry_key(e))) for e in entries)
     print(f"{'kernel':<{width}}  thr  speedup  baseline  floor")
     for e in entries:
-        key = (e["kernel"], e["threads"])
+        key = entry_key(e)
         if key not in base:
             missing.append(key)
             continue
         floor = base[key] * (1.0 - tolerance)
         status = "ok" if e["speedup"] >= floor else "REGRESSION"
-        print(f"{e['kernel']:<{width}}  {e['threads']:>3}  "
+        print(f"{label(key):<{width}}  {e['threads']:>3}  "
               f"{e['speedup']:>7.3f}  {base[key]:>8.3f}  {floor:>5.3f}  {status}")
         if e["speedup"] < floor:
             failures.append((key, e["speedup"], floor))
 
-    for key in sorted(set(base) - {(e["kernel"], e["threads"]) for e in entries}):
-        print(f"perf_smoke: baseline entry {key} missing from bench run",
-              file=sys.stderr)
+    for key in sorted(set(base) - {entry_key(e) for e in entries},
+                      key=key_order):
+        print(f"perf_smoke: baseline entry {label(key)} (threads={key[1]}) "
+              "missing from bench run", file=sys.stderr)
         failures.append((key, 0.0, base[key]))
 
     # Fraction-of-peak gate: only for single-thread entries where both the
     # baseline (recorded fraction) and this run (host probes + absolute
     # columns) carry the data. Normalizing each side by its own machine's
     # probes is what makes the fraction portable.
-    base_frac = {(e["kernel"], e["threads"]): e["peak_fraction"]
-                 for e in baseline["entries"] if "peak_fraction" in e}
+    base_frac = {entry_key(e): e["peak_fraction"]
+                 for e in gated if "peak_fraction" in e}
     frac_rows = []
     for e in entries:
-        key = (e["kernel"], e["threads"])
+        key = entry_key(e)
         measured = peak_fraction(e, host)
         if key not in base_frac or measured is None:
             continue
@@ -157,7 +192,7 @@ def main():
         print(f"\n{'kernel':<{width}}  thr  peak-frac  baseline  floor")
         for key, measured, base_val, floor in frac_rows:
             status = "ok" if measured >= floor else "REGRESSION"
-            print(f"{key[0]:<{width}}  {key[1]:>3}  {measured:>9.3f}  "
+            print(f"{label(key):<{width}}  {key[1]:>3}  {measured:>9.3f}  "
                   f"{base_val:>8.3f}  {floor:>5.3f}  {status}")
             if measured < floor:
                 failures.append((key, measured, floor))
@@ -167,16 +202,17 @@ def main():
 
     if missing:
         print(f"perf_smoke: note: {len(missing)} measured pairs have no "
-              f"baseline entry (new benchmarks?): {missing}")
+              f"baseline entry on this rung (new benchmarks?): "
+              f"{[label(k) + f'@{k[1]}' for k in missing]}")
     if failures:
         print(f"perf_smoke: {len(failures)} kernel(s) regressed >"
               f"{tolerance:.0%} against {args.baseline}", file=sys.stderr)
-        for (kernel, threads), measured, floor in failures:
-            print(f"perf_smoke:   {kernel} (threads={threads}): current "
+        for key, measured, floor in failures:
+            print(f"perf_smoke:   {label(key)} (threads={key[1]}): current "
                   f"{measured:.3f} below floor {floor:.3f}", file=sys.stderr)
         return 1
-    gated = len(entries) + len(frac_rows)
-    print(f"perf_smoke: all {gated} gated values within "
+    n_gated = len(entries) - len(missing) + len(frac_rows)
+    print(f"perf_smoke: all {n_gated} gated values within "
           f"{tolerance:.0%} of baseline")
     return 0
 
