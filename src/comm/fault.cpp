@@ -1,9 +1,9 @@
 #include "comm/fault.hpp"
 
 #include <cstdio>
-#include <cstdlib>
 
 #include "support/check.hpp"
+#include "support/cli.hpp"
 
 namespace nadmm::comm {
 
@@ -11,9 +11,8 @@ namespace {
 
 double parse_probability(const std::string& spec, const std::string& key,
                          const std::string& value) {
-  char* end = nullptr;
-  const double p = std::strtod(value.c_str(), &end);
-  NADMM_CHECK(end != value.c_str() && *end == '\0',
+  double p = 0.0;
+  NADMM_CHECK(parse_number(value, p),
               "fault spec '" + spec + "': malformed probability for '" + key +
                   "'");
   NADMM_CHECK(p >= 0.0 && p <= 1.0,

@@ -135,22 +135,6 @@ void Dataset::accumulate_gradient(double alpha, const la::DenseMatrix& w,
   }
 }
 
-std::vector<std::size_t> Dataset::class_histogram() const {
-  std::vector<std::size_t> hist(static_cast<std::size_t>(num_classes_), 0);
-  for (std::int32_t y : labels()) ++hist[static_cast<std::size_t>(y)];
-  return hist;
-}
-
-double Dataset::feature_density() const {
-  if (num_samples() == 0 || num_features_ == 0) return 0.0;
-  const auto denom = static_cast<double>(num_samples()) *
-                     static_cast<double>(num_features_);
-  if (is_sparse_) return static_cast<double>(csr_view().nnz()) / denom;
-  std::size_t nz = 0;
-  for (double v : dense_view().data()) nz += (v != 0.0);
-  return static_cast<double>(nz) / denom;
-}
-
 std::size_t Dataset::approx_bytes() const {
   // A proper sub-view owns nothing: its bytes belong to the parent
   // storage, which the owning dataset (or sharded cache entry) accounts.

@@ -78,13 +78,6 @@ class Dataset {
   void accumulate_gradient(double alpha, const la::DenseMatrix& w, double beta,
                            la::DenseMatrix& g) const;
 
-  /// Per-class sample counts (diagnostics and stratified checks).
-  [[nodiscard]] std::vector<std::size_t> class_histogram() const;
-
-  /// Fraction of nonzero feature entries (1.0 reported for dense data is
-  /// the true stored density of the dense buffer).
-  [[nodiscard]] double feature_density() const;
-
   /// Resident bytes this dataset is responsible for: the full feature +
   /// label storage for an owning dataset, and 0 for a proper sub-view
   /// (its storage is accounted to the parent). Used by the

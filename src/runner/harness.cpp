@@ -224,7 +224,6 @@ serve::SavedModel saved_model(const std::string& solver,
                               const data::Dataset& train,
                               std::vector<double> x) {
   serve::SavedModel model;
-  model.objective = "softmax";
   model.solver = solver;
   model.dataset = config.dataset;
   model.seed = config.seed;
@@ -274,7 +273,7 @@ void write_trace_csv(const core::RunResult& result, const std::string& path) {
   }
 }
 
-void print_trace_summary(const core::RunResult& result, int max_rows) {
+void print_trace_summary(const core::RunResult& result) {
   std::printf("solver=%s iterations=%d final_objective=%.6f "
               "final_accuracy=%.4f avg_epoch=%.3f ms total_sim=%.3f s\n",
               result.solver.c_str(), result.iterations, result.final_objective,
@@ -283,8 +282,8 @@ void print_trace_summary(const core::RunResult& result, int max_rows) {
   if (result.trace.empty()) return;
   Table t({"iter", "objective", "test_acc", "sim_s", "epoch_ms"});
   const std::size_t n = result.trace.size();
-  const std::size_t stride =
-      std::max<std::size_t>(1, n / static_cast<std::size_t>(std::max(1, max_rows)));
+  constexpr std::size_t kMaxRows = 12;
+  const std::size_t stride = std::max<std::size_t>(1, n / kMaxRows);
   for (std::size_t i = 0; i < n; i += stride) {
     const auto& it = result.trace[i];
     t.add_row({Table::fmt_int(it.iteration), Table::fmt(it.objective, 6),

@@ -1,6 +1,6 @@
 // Experiment harness: wires dataset → simulated cluster → solver and
-// emits traces. The nadmm CLI (run/sweep), bench/e2e and the examples
-// are thin drivers over this header.
+// emits traces. The nadmm CLI (run/sweep/serve) and bench/e2e are thin
+// drivers over this header.
 #pragma once
 
 #include <cstdint>
@@ -180,7 +180,8 @@ void check_model_pool(const serve::SavedModel& model,
 /// core::IterationStats).
 void write_trace_csv(const core::RunResult& result, const std::string& path);
 
-/// Print a short console summary of a run (first/middle/last iterations).
-void print_trace_summary(const core::RunResult& result, int max_rows = 12);
+/// Print a short console summary of a run: about a dozen evenly spaced
+/// iterations plus the last.
+void print_trace_summary(const core::RunResult& result);
 
 }  // namespace nadmm::runner

@@ -198,9 +198,9 @@ int cmd_serve(int argc, const char* const* argv) {
   const serve::ServeConfig config = runner::serve_config(
       data_config, runner::config_from_flags<serve::ServeConfig>(cli));
 
-  std::printf("serving: model=%s (%s via %s) pool=%s rows=%zu p=%zu "
+  std::printf("serving: model=%s solver=%s pool=%s rows=%zu p=%zu "
               "device=%s network=%s\n",
-              cli.get_string("model").c_str(), model.objective.c_str(),
+              cli.get_string("model").c_str(),
               model.solver.empty() ? "-" : model.solver.c_str(),
               data_config.dataset.c_str(), tt.test.num_samples(),
               tt.test.num_features(), config.device.c_str(),

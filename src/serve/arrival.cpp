@@ -4,6 +4,7 @@
 #include <cstdio>
 
 #include "support/check.hpp"
+#include "support/cli.hpp"
 #include "support/rng.hpp"
 
 namespace nadmm::serve {
@@ -36,15 +37,12 @@ std::vector<std::string> split_spec(const std::string& spec) {
 double parse_field(const std::string& spec, const std::vector<std::string>& f,
                    std::size_t i, double fallback) {
   if (i >= f.size()) return fallback;
-  try {
-    std::size_t pos = 0;
-    const double v = std::stod(f[i], &pos);
-    NADMM_CHECK(pos == f[i].size(), "trailing characters");
-    return v;
-  } catch (const std::exception&) {
+  double v = 0.0;
+  if (!parse_number(f[i], v) || !std::isfinite(v)) {
     throw InvalidArgument("arrival spec '" + spec + "': malformed number '" +
                           f[i] + "'");
   }
+  return v;
 }
 
 }  // namespace

@@ -1,8 +1,10 @@
 #include "serve/batching.hpp"
 
+#include <cmath>
 #include <cstdio>
 
 #include "support/check.hpp"
+#include "support/cli.hpp"
 
 namespace nadmm::serve {
 
@@ -15,30 +17,22 @@ std::string fmt(double v) {
 }
 
 std::size_t parse_batch(const std::string& spec, const std::string& field) {
-  try {
-    std::size_t pos = 0;
-    const long long v = std::stoll(field, &pos);
-    NADMM_CHECK(pos == field.size(), "trailing characters");
-    NADMM_CHECK(v > 0, "batch size must be positive");
-    return static_cast<std::size_t>(v);
-  } catch (const InvalidArgument&) {
-    throw;
-  } catch (const std::exception&) {
+  std::size_t v = 0;
+  if (!parse_number(field, v)) {
     throw InvalidArgument("batch spec '" + spec + "': malformed batch size '" +
                           field + "'");
   }
+  NADMM_CHECK(v > 0, "batch size must be positive");
+  return v;
 }
 
 double parse_delay(const std::string& spec, const std::string& field) {
-  try {
-    std::size_t pos = 0;
-    const double v = std::stod(field, &pos);
-    NADMM_CHECK(pos == field.size(), "trailing characters");
-    return v;
-  } catch (const std::exception&) {
+  double v = 0.0;
+  if (!parse_number(field, v) || !std::isfinite(v)) {
     throw InvalidArgument("batch spec '" + spec + "': malformed deadline '" +
                           field + "'");
   }
+  return v;
 }
 
 }  // namespace

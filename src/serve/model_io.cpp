@@ -1,10 +1,11 @@
 #include "serve/model_io.hpp"
 
+#include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <limits>
 #include <sstream>
+#include <type_traits>
 
 #include "support/check.hpp"
 #include "support/cli.hpp"
@@ -32,15 +33,10 @@ std::string fmt_exact(double v) {
 
 std::size_t SavedModel::coef_cols() const {
   NADMM_CHECK(num_classes >= 2, "saved model: needs >= 2 classes");
-  return objective == "softmax"
-             ? static_cast<std::size_t>(num_classes) - 1
-             : static_cast<std::size_t>(num_classes);
+  return static_cast<std::size_t>(num_classes) - 1;
 }
 
 void save_model(const SavedModel& model, const std::string& path) {
-  NADMM_CHECK(model.objective == "softmax" ||
-                  model.objective == "least-squares",
-              "saved model: unknown objective '" + model.objective + "'");
   NADMM_CHECK(model.num_features > 0, "saved model: needs >= 1 feature");
   NADMM_CHECK(model.x.size() == model.num_features * model.coef_cols(),
               "saved model: coefficient count does not match features × "
@@ -48,7 +44,7 @@ void save_model(const SavedModel& model, const std::string& path) {
   std::ofstream out(path);
   if (!out) throw RuntimeError("cannot open model file for writing: " + path);
   out << kMagic << '\n'
-      << "objective " << model.objective << '\n'
+      << "objective softmax\n"
       << "solver " << (model.solver.empty() ? "-" : model.solver) << '\n'
       << "dataset " << (model.dataset.empty() ? "-" : model.dataset) << '\n'
       << "seed " << model.seed << '\n'
@@ -92,21 +88,27 @@ SavedModel load_model(const std::string& path) {
     fail(path, line_no, std::string("expected header '") + kMagic + "'");
   }
   SavedModel m;
-  m.objective = field("objective");
-  if (m.objective != "softmax" && m.objective != "least-squares") {
-    fail(path, line_no, "unknown objective '" + m.objective + "'");
+  if (const std::string objective = field("objective");
+      objective != "softmax") {
+    fail(path, line_no, "unknown objective '" + objective + "'");
   }
   m.solver = field("solver");
   if (m.solver == "-") m.solver.clear();
   m.dataset = field("dataset");
   if (m.dataset == "-") m.dataset.clear();
-  // Every count is outside input: parse it exactly (no sign, no wrap)
-  // and check the product before it sizes anything.
-  const auto number = [&](const std::string& key, auto& out) {
-    const std::string text = field(key);
-    if (!parse_number(text, out)) {
-      fail(path, line_no, "malformed " + key + " '" + text + "'");
+  // Every number is outside input: parse it exactly (no sign, no wrap,
+  // nothing non-finite) and check the product before it sizes anything.
+  const auto parse = [&](const std::string& what, const std::string& text,
+                         auto& out) {
+    bool ok = parse_number(text, out);
+    if constexpr (std::is_floating_point_v<
+                      std::remove_reference_t<decltype(out)>>) {
+      ok = ok && std::isfinite(out);
     }
+    if (!ok) fail(path, line_no, "malformed " + what + " '" + text + "'");
+  };
+  const auto number = [&](const std::string& key, auto& out) {
+    parse(key, field(key), out);
   };
   number("seed", m.seed);
   number("n_train", m.n_train);
@@ -134,11 +136,8 @@ SavedModel load_model(const std::string& path) {
       if (m.x.size() == count) {
         fail(path, line_no, "more coefficients than declared");
       }
-      char* end = nullptr;
-      const double v = std::strtod(token.c_str(), &end);
-      if (end == nullptr || *end != '\0') {
-        fail(path, line_no, "malformed coefficient '" + token + "'");
-      }
+      double v = 0.0;
+      parse("coefficient", token, v);
       m.x.push_back(v);
     }
   }

@@ -15,10 +15,8 @@
 
 namespace nadmm::serve {
 
+/// A softmax model: x is p×(C−1), the last class the implicit reference.
 struct SavedModel {
-  /// "softmax" (x is p×(C−1), implicit reference class) or
-  /// "least-squares" (x is p×c).
-  std::string objective = "softmax";
   std::string solver;   ///< provenance: the solver that trained x
   std::string dataset;  ///< provenance: the training dataset spec
   /// Provenance of the training data beside `dataset`: the generator
@@ -31,9 +29,9 @@ struct SavedModel {
   std::size_t num_features = 0;
   int num_classes = 0;
   double lambda = 0.0;  ///< l2 regularization used in training
-  std::vector<double> x;  ///< row-major p×c coefficient panel
+  std::vector<double> x;  ///< row-major p×(C−1) coefficient panel
 
-  /// Coefficient columns implied by the objective (C−1 for softmax).
+  /// Coefficient columns: C−1.
   [[nodiscard]] std::size_t coef_cols() const;
 };
 
@@ -42,7 +40,8 @@ struct SavedModel {
 void save_model(const SavedModel& model, const std::string& path);
 
 /// Read a model back; strict parse — throws InvalidArgument naming the
-/// offending path/line on any malformed or truncated input.
+/// offending path/line on any malformed or truncated input, an objective
+/// other than softmax, or a non-finite λ or coefficient.
 SavedModel load_model(const std::string& path);
 
 }  // namespace nadmm::serve

@@ -75,13 +75,10 @@ ServeResult simulate(const SavedModel& model, const data::Dataset& pool,
               "request pool has " + std::to_string(pool.num_features()) +
                   " features but the model expects " +
                   std::to_string(model.num_features));
-  const bool softmax = model.objective == "softmax";
-  if (softmax) {
-    NADMM_CHECK(pool.num_classes() == model.num_classes,
-                "request pool has " + std::to_string(pool.num_classes()) +
-                    " classes but the model expects " +
-                    std::to_string(model.num_classes));
-  }
+  NADMM_CHECK(pool.num_classes() == model.num_classes,
+              "request pool has " + std::to_string(pool.num_classes()) +
+                  " classes but the model expects " +
+                  std::to_string(model.num_classes));
   NADMM_CHECK(config.dispatch_overhead_s >= 0.0,
               "dispatch overhead must be >= 0 seconds");
 
@@ -121,23 +118,20 @@ ServeResult simulate(const SavedModel& model, const data::Dataset& pool,
     gather_rows(pool, queue, b, rows, labels);
     la::DenseMatrix scores(b, c);
     la::kernels::gemm_nn(1.0, rows.view(0, b), coef, 0.0, scores);
-    if (softmax) {
-      la::DenseMatrix probs(b, c);
-      std::vector<double> lse(b);
-      la::kernels::softmax_forward(
-          scores, {labels.data(), b}, probs, lse);
-      for (std::size_t i = 0; i < b; ++i) {
-        const auto s = scores.row(i);
-        double best = 0.0;  // implicit reference class
-        std::int32_t pred = implicit_class;
-        for (std::size_t j = 0; j < c; ++j) {
-          if (s[j] > best) {
-            best = s[j];
-            pred = static_cast<std::int32_t>(j);
-          }
+    la::DenseMatrix probs(b, c);
+    std::vector<double> lse(b);
+    la::kernels::softmax_forward(scores, {labels.data(), b}, probs, lse);
+    for (std::size_t i = 0; i < b; ++i) {
+      const auto s = scores.row(i);
+      double best = 0.0;  // implicit reference class
+      std::int32_t pred = implicit_class;
+      for (std::size_t j = 0; j < c; ++j) {
+        if (s[j] > best) {
+          best = s[j];
+          pred = static_cast<std::int32_t>(j);
         }
-        correct += (pred == labels[i]) ? 1 : 0;
       }
+      correct += (pred == labels[i]) ? 1 : 0;
     }
     rank.clock().add_compute(config.dispatch_overhead_s);
     rank.clock().sync_compute();
@@ -256,10 +250,8 @@ ServeResult simulate(const SavedModel& model, const data::Dataset& pool,
     result.p99_latency_s = sketch.quantile(0.99);
     result.p999_latency_s = sketch.quantile(0.999);
     result.max_latency_s = latency_max;
-    if (softmax) {
-      result.accuracy =
-          static_cast<double>(correct) / static_cast<double>(served);
-    }
+    result.accuracy =
+        static_cast<double>(correct) / static_cast<double>(served);
   }
   return result;
 }

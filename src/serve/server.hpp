@@ -55,16 +55,16 @@ struct ServeResult {
   double p99_latency_s = 0.0;
   double p999_latency_s = 0.0;
   double max_latency_s = 0.0;
-  /// Served-prediction accuracy against the pool labels (softmax only).
+  /// Served-prediction accuracy against the pool labels.
   double accuracy = 0.0;
   double server_compute_seconds = 0.0;
   double server_wait_seconds = 0.0;
 };
 
 /// Serve `config.requests` synthetic requests drawn from `pool` rows
-/// against `model`. The pool's feature dimension (and, for softmax, its
-/// class count) must match the model. Throws InvalidArgument on
-/// mismatched shapes or malformed specs.
+/// against `model`. The pool's feature dimension and class count must
+/// match the model. Throws InvalidArgument on mismatched shapes or
+/// malformed specs.
 ServeResult simulate(const SavedModel& model, const data::Dataset& pool,
                      const ServeConfig& config);
 

@@ -1,4 +1,4 @@
-// Tiny command-line option parser used by the nadmm CLI, benches and examples.
+// Tiny command-line option parser used by the nadmm CLI and the benches.
 //
 // Supports `--name value`, `--name=value`, and boolean flags `--name`.
 // Every option must be registered with a default and a help string;

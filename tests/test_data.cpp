@@ -13,12 +13,32 @@
 #include "data/io.hpp"
 #include "data/partition.hpp"
 #include "support/check.hpp"
+#include "helpers.hpp"
 #include "support/rng.hpp"
 
 namespace nadmm::data {
 namespace {
 
 // ------------------------------------------------------------ dataset
+
+/// Per-class sample counts.
+std::vector<std::size_t> class_histogram(const Dataset& ds) {
+  std::vector<std::size_t> hist(static_cast<std::size_t>(ds.num_classes()), 0);
+  for (const std::int32_t y : ds.labels()) ++hist[static_cast<std::size_t>(y)];
+  return hist;
+}
+
+/// Fraction of stored nonzero feature entries.
+double density(const Dataset& ds) {
+  std::size_t nonzero = 0;
+  if (ds.is_sparse()) {
+    nonzero = ds.sparse_features().nnz();
+  } else {
+    for (const double v : ds.dense_features().data()) nonzero += v != 0.0;
+  }
+  return static_cast<double>(nonzero) /
+         static_cast<double>(ds.num_samples() * ds.num_features());
+}
 
 TEST(Dataset, DenseConstructionAndAccessors) {
   la::DenseMatrix x(3, 2, {1, 2, 3, 4, 5, 6});
@@ -78,10 +98,10 @@ TEST(Dataset, ScoresDispatchMatchesAcrossStorage) {
 TEST(Dataset, ClassHistogramAndDensity) {
   la::DenseMatrix x(4, 2, {0, 1, 0, 0, 2, 0, 0, 0});
   auto ds = Dataset::dense(std::move(x), {0, 1, 1, 1}, 2);
-  const auto hist = ds.class_histogram();
+  const auto hist = class_histogram(ds);
   EXPECT_EQ(hist[0], 1u);
   EXPECT_EQ(hist[1], 3u);
-  EXPECT_DOUBLE_EQ(ds.feature_density(), 2.0 / 8.0);
+  EXPECT_DOUBLE_EQ(density(ds), 2.0 / 8.0);
 }
 
 // ------------------------------------------------------------ generators
@@ -118,7 +138,7 @@ TEST(Generators, HiggsLikeShape) {
   EXPECT_EQ(tt.train.num_features(), 28u);  // paper Table 1
   EXPECT_EQ(tt.train.num_classes(), 2);
   // Both classes present.
-  const auto hist = tt.train.class_histogram();
+  const auto hist = class_histogram(tt.train);
   EXPECT_GT(hist[0], 50u);
   EXPECT_GT(hist[1], 50u);
 }
@@ -135,8 +155,8 @@ TEST(Generators, MnistLikeShapeAndSparsityPattern) {
   }
   EXPECT_GE(lo, 0.0);
   EXPECT_LE(hi, 1.0);
-  EXPECT_LT(tt.train.feature_density(), 0.6);
-  EXPECT_GT(tt.train.feature_density(), 0.02);
+  EXPECT_LT(density(tt.train), 0.6);
+  EXPECT_GT(density(tt.train), 0.02);
 }
 
 TEST(Generators, CifarLikeNeighbourCorrelation) {
@@ -175,8 +195,8 @@ TEST(Generators, E18LikeSparseCounts) {
   EXPECT_EQ(tt.train.num_classes(), 20);
   // scRNA-like sparsity: low density, strictly positive stored values
   // (log1p of counts).
-  EXPECT_LT(tt.train.feature_density(), 0.30);
-  EXPECT_GT(tt.train.feature_density(), 0.005);
+  EXPECT_LT(density(tt.train), 0.30);
+  EXPECT_GT(density(tt.train), 0.005);
   for (double v : tt.train.sparse_features().values()) EXPECT_GT(v, 0.0);
 }
 
@@ -205,8 +225,8 @@ TEST(Generators, DatasetSpecsParseToOneGeneratorOrFile) {
 TEST(Generators, TrainAndTestDrawnFromSameDistribution) {
   // Class histograms of train and test should be roughly proportional.
   auto tt = make_blobs(4000, 4000, 10, 5, 3.0, 1.0, 3);
-  const auto ht = tt.train.class_histogram();
-  const auto he = tt.test.class_histogram();
+  const auto ht = class_histogram(tt.train);
+  const auto he = class_histogram(tt.test);
   for (std::size_t c = 0; c < ht.size(); ++c) {
     EXPECT_NEAR(static_cast<double>(ht[c]), static_cast<double>(he[c]),
                 0.25 * static_cast<double>(ht[c]) + 30);
@@ -251,11 +271,11 @@ TEST(Partition, StridedShardsCoverDatasetDense) {
   for (int r = 0; r < 4; ++r) {
     const auto s = shard_strided(tt.train, 4, r);
     total += s.num_samples();
-    const auto h = s.class_histogram();
+    const auto h = class_histogram(s);
     for (std::size_t c = 0; c < 3; ++c) class_sum[c] += h[c];
   }
   EXPECT_EQ(total, 57u);
-  const auto full_hist = tt.train.class_histogram();
+  const auto full_hist = class_histogram(tt.train);
   for (std::size_t c = 0; c < 3; ++c) EXPECT_EQ(class_sum[c], full_hist[c]);
 }
 
@@ -707,37 +727,6 @@ TEST(Io, LoadLibsvmShardedMatchesMaterializedPath) {
   std::filesystem::remove(path);
 }
 
-/// A seeded mutation of `valid`: 1–4 byte flips, inserts, deletes or
-/// truncations. A pure function of (valid, seed), so a failing seed
-/// replays exactly: `mutate_libsvm(kValidLibsvm, <seed>)`.
-std::string mutate_libsvm(std::string bytes, std::uint64_t seed) {
-  static constexpr std::string_view kAlphabet = "0123456789:+-.e \t\n#\r";
-  Rng rng(seed);
-  const std::uint64_t edits = 1 + rng.uniform_index(4);
-  for (std::uint64_t k = 0; k < edits && !bytes.empty(); ++k) {
-    const std::size_t at = rng.uniform_index(bytes.size());
-    switch (rng.uniform_index(4)) {
-      case 0:  // flip one bit
-        bytes[at] = static_cast<char>(bytes[at] ^ (1 << rng.uniform_index(8)));
-        break;
-      case 1: {  // insert a grammar character or an arbitrary byte
-        const char c = rng.uniform_index(2) == 0
-                           ? kAlphabet[rng.uniform_index(kAlphabet.size())]
-                           : static_cast<char>(rng.uniform_index(256));
-        bytes.insert(bytes.begin() + static_cast<std::ptrdiff_t>(at), c);
-        break;
-      }
-      case 2:  // delete a short run
-        bytes.erase(at, 1 + rng.uniform_index(3));
-        break;
-      default:  // truncate
-        bytes.resize(at);
-        break;
-    }
-  }
-  return bytes;
-}
-
 // Jepsen-style decoder fuzzing: every mutated file either fails with a
 // typed error (RuntimeError / InvalidArgument) or loads into shards that
 // respect the scanned (p, C) and the requested row counts. Anything else
@@ -758,7 +747,7 @@ TEST(Io, MutatedLibsvmFilesFailTypedOrLoadConsistently) {
   for (std::uint64_t seed = kFirstSeed; seed < kFirstSeed + kTrials; ++seed) {
     {
       std::ofstream out(path, std::ios::binary | std::ios::trunc);
-      out << mutate_libsvm(valid, seed);
+      out << test::mutate(valid, seed, "0123456789:+-.e \t\n#\r");
     }
     ShardPlan plan;
     plan.parts = 3;

@@ -7,8 +7,8 @@
 #include <cmath>
 
 #include "data/generators.hpp"
+#include "helpers.hpp"
 #include "la/vector_ops.hpp"
-#include "model/fd_check.hpp"
 #include "model/metrics.hpp"
 #include "model/prox.hpp"
 #include "model/softmax.hpp"
@@ -17,6 +17,9 @@
 
 namespace nadmm::model {
 namespace {
+
+using test::gradient_fd_error;
+using test::hessian_fd_error;
 
 std::vector<double> random_point(std::size_t dim, double scale,
                                  std::uint64_t seed) {

@@ -9,9 +9,12 @@
 #include <optional>
 #include <set>
 
+#include "comm/fault.hpp"
 #include "runner/harness.hpp"
 #include "runner/options.hpp"
 #include "runner/sweep.hpp"
+#include "serve/arrival.hpp"
+#include "serve/batching.hpp"
 #include "support/check.hpp"
 
 namespace nadmm::runner {
@@ -443,41 +446,70 @@ TEST(RunFlags, IntegerFieldsHoldOrRejectEveryBoundaryThroughRunAndSweep) {
   EXPECT_GE(checked, 15u);
 }
 
-/// What the run makes of a config's spec string: the value the runtime
+/// What the run makes of a scenario's spec string: the value the runtime
 /// parser returned, as text.
-using Runtime = std::string (*)(const ExperimentConfig&);
+using Runtime = std::string (*)(const Scenario&);
 
-std::string runtime_kill(const ExperimentConfig& c) {
-  const auto o = async_options(c, /*stale_sync=*/false);
+std::string runtime_kill(const Scenario& s) {
+  const auto o = async_options(s.config, /*stale_sync=*/false);
   return std::to_string(o.kill_rank) + ":" + std::to_string(o.kill_epoch);
 }
 
-std::string runtime_devices(const ExperimentConfig& c) {
+std::string runtime_devices(const Scenario& s) {
   std::string out;
-  for (const auto& d : cluster_devices(c)) {
+  for (const auto& d : cluster_devices(s.config)) {
     out += d.name + "@" + to_text(d.gflops) + "/" + to_text(d.gbytes_per_s) +
            ";";
   }
   return out;
 }
 
-std::string runtime_penalty(const ExperimentConfig& c) {
-  return core::to_string(admm_options(c).penalty.rule);
+std::string runtime_penalty(const Scenario& s) {
+  return core::to_string(admm_options(s.config).penalty.rule);
 }
 
-std::string runtime_partition(const ExperimentConfig& c) {
-  return data::to_string(shard_plan(c).mode);
+std::string runtime_partition(const Scenario& s) {
+  return data::to_string(shard_plan(s.config).mode);
 }
 
-std::string runtime_dataset(const ExperimentConfig& c) {
-  const auto source = data::parse_dataset_source(dataset_key(c).source);
+std::string runtime_dataset(const Scenario& s) {
+  const auto source = data::parse_dataset_source(dataset_key(s.config).source);
   return source.generator != nullptr
              ? to_text(reinterpret_cast<std::uintptr_t>(source.generator))
              : "libsvm " + source.libsvm_path;
 }
 
+std::string runtime_fault(const Scenario& s) {
+  return comm::FaultSpec::parse(async_options(s.config, false).fault)
+      .to_string();
+}
+
+std::string runtime_arrival(const Scenario& s) {
+  return serve::make_arrival(s.serve.arrival)->name();
+}
+
+std::string runtime_batch(const Scenario& s) {
+  return serve::make_batch_policy(s.serve.batch)->name();
+}
+
+/// Parse `text` into the `flag` field of `scenario`: its config for a
+/// `nadmm run` field, its serving knobs for a `nadmm serve` one.
+void assign_raw(Scenario& scenario, FlagOn command, const std::string& flag,
+                const std::string& text) {
+  const auto assign = [&](const auto& fields, auto& config) {
+    std::find_if(fields.begin(), fields.end(), [&](const auto& f) {
+      return f.spec.name == flag;
+    })->assign(config, flag, text);
+  };
+  if (command == kServe) {
+    assign(serve_fields(), scenario.serve);
+  } else {
+    assign(config_fields(), scenario.config);
+  }
+}
+
 TEST(SpecGrammars, FlagSweepKeyAndRuntimeAcceptTheSameTexts) {
-  // Each spec grammar has one parser: `nadmm run`'s flag, the sweep key
+  // Each spec grammar has one parser: the command's flag, the sweep key
   // and the run itself accept a text together (and the run sees the same
   // value either way) or reject it together, naming the flag.
   struct Case {
@@ -486,6 +518,7 @@ TEST(SpecGrammars, FlagSweepKeyAndRuntimeAcceptTheSameTexts) {
     Runtime runtime;
     std::string text;
     bool accepted;
+    FlagOn command = kRun;
   };
   const std::vector<Case> cases = {
       {"kill", "kill", runtime_kill, "1:2", true},
@@ -512,33 +545,55 @@ TEST(SpecGrammars, FlagSweepKeyAndRuntimeAcceptTheSameTexts) {
       {"dataset", "datasets", runtime_dataset, "libsvm:a.svm", true},
       {"dataset", "datasets", runtime_dataset, "libsvm:", false},
       {"dataset", "datasets", runtime_dataset, "imagenet", false},
+      {"fault", "faults", runtime_fault, "none", true},
+      {"fault", "faults", runtime_fault, "drop:+0.5", false},
+      {"fault", "faults", runtime_fault, "drop: 0.5", false},
+      {"fault", "faults", runtime_fault, "drop:0x0.8", false},
+      {"arrival", "arrivals", runtime_arrival, "poisson:5", true, kServe},
+      {"arrival", "arrivals", runtime_arrival, "bursty:400:4000:0.25:0.2",
+       true, kServe},
+      {"arrival", "arrivals", runtime_arrival, "poisson:inf", false, kServe},
+      {"arrival", "arrivals", runtime_arrival, "bursty:400:inf:0.25:0.2",
+       false, kServe},
+      {"arrival", "arrivals", runtime_arrival, "poisson:+5", false, kServe},
+      {"arrival", "arrivals", runtime_arrival, "poisson: 5", false, kServe},
+      {"arrival", "arrivals", runtime_arrival, "poisson:0x10", false, kServe},
+      {"batch", "batch_policies", runtime_batch, "deadline:16:0.005", true,
+       kServe},
+      {"batch", "batch_policies", runtime_batch, "deadline:16:inf", false,
+       kServe},
+      {"batch", "batch_policies", runtime_batch, "size:+8", false, kServe},
   };
-  const OptionSet run = config_options(kRun);
   for (const auto& c : cases) {
     SCOPED_TRACE(std::string(c.flag) + "=" + c.text);
     const auto by_run = accepted(c.flag, c.text, [&] {
       CliParser cli("test");
-      run.register_into(cli);
+      const OptionSet options = config_options(c.command);
+      options.register_into(cli);
       const std::string arg = "--" + std::string(c.flag) + "=" + c.text;
       const char* argv[] = {"prog", arg.c_str()};
       EXPECT_TRUE(cli.parse(2, argv));
-      run.validate(cli);
-      return c.runtime(config_from_flags(cli));
+      options.validate(cli);
+      Scenario run;
+      run.config = config_from_flags(cli);
+      run.serve = config_from_flags<serve::ServeConfig>(cli);
+      return c.runtime(run);
     });
-    const auto by_sweep = accepted(c.key, c.text, [&] {
+    std::string key_flag = c.key;  // batch_policies -> --batch-policies
+    std::replace(key_flag.begin(), key_flag.end(), '_', '-');
+    const auto by_sweep = accepted(key_flag, c.text, [&] {
       SweepSpec spec;
+      if (c.command == kServe) apply_sweep_assignment(spec, "mode", "serving");
       apply_sweep_assignment(spec, c.key, c.text);
-      return c.runtime(expand_scenarios(spec).at(0).config);
+      return c.runtime(expand_scenarios(spec).at(0));
     });
     EXPECT_EQ(by_run.has_value(), c.accepted);
     EXPECT_EQ(by_sweep.has_value(), c.accepted);
     EXPECT_EQ(by_run, by_sweep);
     if (!c.accepted) {
       // The run rejects the raw text too: there is no second parser.
-      ExperimentConfig raw;
-      std::find_if(config_fields().begin(), config_fields().end(),
-                   [&](const ConfigField& f) { return f.spec.name == c.flag; })
-          ->assign(raw, c.flag, c.text);
+      Scenario raw;
+      assign_raw(raw, c.command, c.flag, c.text);
       EXPECT_THROW(static_cast<void>(c.runtime(raw)), InvalidArgument);
     }
   }

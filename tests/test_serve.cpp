@@ -10,9 +10,12 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
+#include <limits>
 #include <string>
 #include <vector>
 
+#include "helpers.hpp"
 #include "runner/harness.hpp"
 #include "runner/sweep.hpp"
 #include "serve/arrival.hpp"
@@ -237,7 +240,6 @@ Fixture tiny_fixture() {
   c.n_test = 40;
   c.e18_features = 8;
   Fixture f{runner::make_data(c), {}};
-  f.model.objective = "softmax";
   f.model.num_features = f.tt.test.num_features();
   f.model.num_classes = f.tt.test.num_classes();
   f.model.x.assign(f.model.num_features * f.model.coef_cols(), 0.01);
@@ -337,7 +339,6 @@ TEST(ServeSimulator, RejectsMismatchedPool) {
 
 TEST(ModelIo, RoundTripsExactly) {
   SavedModel m;
-  m.objective = "softmax";
   m.solver = "newton-admm";
   m.dataset = "blobs";
   m.num_features = 3;
@@ -350,7 +351,6 @@ TEST(ModelIo, RoundTripsExactly) {
   const std::string path = "test_model_roundtrip.txt";
   save_model(m, path);
   const auto loaded = load_model(path);
-  EXPECT_EQ(loaded.objective, m.objective);
   EXPECT_EQ(loaded.solver, m.solver);
   EXPECT_EQ(loaded.dataset, m.dataset);
   EXPECT_EQ(loaded.seed, m.seed);
@@ -417,6 +417,103 @@ TEST(ModelIo, HeaderCountsAreBoundedBeforeAnythingIsAllocated) {
   // Negative text must not wrap to 2^64 − 1.
   expect_rejected("features -1\nclasses 3\nlambda 0\ncoefficients 2\n");
   expect_rejected("features 1\nclasses 3\nlambda 0\ncoefficients -1\n");
+  std::filesystem::remove(path);
+}
+
+TEST(ModelIo, WritesSoftmaxAndRejectsAnyOtherObjective) {
+  const std::string path = "test_model_objective.txt";
+  SavedModel m;
+  m.num_features = 1;
+  m.num_classes = 2;
+  m.x = {0.5};
+  save_model(m, path);
+  {
+    std::ifstream in(path);
+    std::string magic, objective;
+    std::getline(in, magic);
+    std::getline(in, objective);
+    EXPECT_EQ(objective, "objective softmax");
+  }
+  for (const char* other : {"least-squares", "Softmax", ""}) {
+    {
+      std::ofstream out(path);
+      out << "nadmm-model v2\nobjective " << other
+          << "\nsolver -\ndataset -\nseed 0\nn_train 0\nn_test 0\n"
+             "features 1\nclasses 2\nlambda 0\ncoefficients 1\n0.5\nend\n";
+    }
+    try {
+      static_cast<void>(load_model(path));
+      ADD_FAILURE() << "accepted objective '" << other << "'";
+    } catch (const InvalidArgument& e) {
+      EXPECT_NE(std::string(e.what()).find(path + ":2:"), std::string::npos)
+          << e.what();
+    }
+  }
+  std::filesystem::remove(path);
+}
+
+// Jepsen-style decoder fuzzing: every mutated model file either fails
+// with a typed error or loads a consistent softmax model — p·(C−1) finite
+// coefficients and a finite λ. The valid file carries the extremes of
+// %.17g text (the largest finite double, a subnormal, -0) so that a
+// mutated digit or exponent can push a value out of range.
+TEST(ModelIo, MutatedModelFilesFailTypedOrLoadConsistently) {
+  const std::string valid_path = testing::TempDir() + "/nadmm_valid.model";
+  SavedModel m;
+  m.solver = "newton-admm";
+  m.dataset = "blobs";
+  m.seed = 42;
+  m.n_train = 2000;
+  m.n_test = 500;
+  m.num_features = 5;
+  m.num_classes = 4;
+  m.lambda = 1e-5;
+  for (std::size_t i = 0; i < m.num_features * m.coef_cols(); ++i) {
+    m.x.push_back(std::ldexp(static_cast<double>(i) - 7.0, 3 * static_cast<int>(i) - 20));
+  }
+  m.x[1] = std::numeric_limits<double>::max();
+  m.x[6] = -std::numeric_limits<double>::denorm_min();
+  m.x[11] = -0.0;
+  save_model(m, valid_path);
+  std::string valid;
+  {
+    std::ifstream in(valid_path);
+    valid.assign(std::istreambuf_iterator<char>(in), {});
+  }
+  std::filesystem::remove(valid_path);
+
+  constexpr std::uint64_t kFirstSeed = 0x6d0de1f0;
+  constexpr std::uint64_t kTrials = 20000;
+  const std::string path = testing::TempDir() + "/nadmm_fuzz.model";
+  std::size_t loaded = 0;
+  for (std::uint64_t seed = kFirstSeed; seed < kFirstSeed + kTrials; ++seed) {
+    {
+      std::ofstream out(path, std::ios::binary | std::ios::trunc);
+      out << test::mutate(valid, seed, "0123456789.e+- \n");
+    }
+    SavedModel got;
+    try {
+      got = load_model(path);
+    } catch (const RuntimeError&) {
+      continue;
+    } catch (const InvalidArgument&) {
+      continue;
+    } catch (const std::exception& e) {
+      FAIL() << "seed " << seed << ": untyped " << e.what();
+    }
+    ++loaded;
+    ASSERT_GT(got.num_features, 0u) << "seed " << seed;
+    ASSERT_GE(got.num_classes, 2) << "seed " << seed;
+    ASSERT_EQ(got.x.size(), got.num_features * got.coef_cols())
+        << "seed " << seed;
+    ASSERT_TRUE(std::isfinite(got.lambda)) << "seed " << seed;
+    for (const double v : got.x) {
+      ASSERT_TRUE(std::isfinite(v)) << "seed " << seed << ": " << v;
+    }
+  }
+  // The mix must exercise both outcomes, or the fuzzer tests nothing.
+  EXPECT_GT(loaded, kTrials / 20);
+  EXPECT_LT(loaded, kTrials);
   std::filesystem::remove(path);
 }
 

@@ -14,6 +14,7 @@
 #include <set>
 #include <sstream>
 
+#include "helpers.hpp"
 #include "runner/registry.hpp"
 #include "runner/sweep.hpp"
 #include "support/check.hpp"
@@ -149,10 +150,10 @@ TEST(SweepSpecParsing, EveryCommittedSpecParsesAndExpands) {
   // Scenario counts the specs' header comments state.
   const std::map<std::string, std::size_t> stated = {
       {"ablation_cg_budget", 1}, {"ablation_interconnect", 16},
-      {"async_grid", 18},        {"fig2_epoch_time", 32},
-      {"fig4_sgd", 8},           {"quick", 12},
-      {"serving_grid", 18},      {"solver_grid", 80},
-      {"trace_example", 2},
+      {"ablation_penalty", 3},   {"async_grid", 18},
+      {"fig2_epoch_time", 32},   {"fig4_sgd", 8},
+      {"quick", 12},             {"serving_grid", 18},
+      {"solver_grid", 80},       {"trace_example", 2},
   };
   std::set<std::string> seen;
   for (const auto& entry :
@@ -179,6 +180,7 @@ TEST(SweepSpecParsing, CommittedSpecFingerprintsArePinned) {
   const std::map<std::string, std::string> pinned = {
       {"ablation_cg_budget", "16b3ebcd301f7d45"},
       {"ablation_interconnect", "2d36767efc23ddd5"},
+      {"ablation_penalty", "00cd3bec76f384a8"},
       {"async_grid", "24952a59b793d0db"},
       {"fault_grid", "1f5044a1122b54bc"},
       {"fig1_solvers", "22f95bb558c1ee92"},
@@ -203,6 +205,51 @@ TEST(SweepSpecParsing, CommittedSpecFingerprintsArePinned) {
     seen.insert(name);
   }
   EXPECT_EQ(seen.size(), pinned.size());
+}
+
+// Jepsen-style spec fuzzing: every mutant of a committed spec either
+// fails with a typed error or parses, expands and fingerprints.
+TEST(SweepSpecParsing, MutatedCommittedSpecsFailTypedOrExpand) {
+  constexpr std::uint64_t kTrialsPerSpec = 300;
+  const std::string path = testing::TempDir() + "/nadmm_fuzz.sweep";
+  // Sorted, so each spec gets the same seeds on every file system.
+  std::set<std::filesystem::path> specs;
+  for (const auto& entry :
+       std::filesystem::directory_iterator(NADMM_SWEEPS_DIR)) {
+    if (entry.path().extension() == ".sweep") specs.insert(entry.path());
+  }
+  std::uint64_t seed = 0x5ee9f00d;
+  std::size_t expanded = 0, trials = 0;
+  for (const auto& spec_path : specs) {
+    const std::string name = spec_path.stem().string();
+    std::string valid;
+    {
+      std::ifstream in(spec_path);
+      valid.assign(std::istreambuf_iterator<char>(in), {});
+    }
+    for (std::uint64_t k = 0; k < kTrialsPerSpec; ++k, ++seed, ++trials) {
+      {
+        std::ofstream out(path, std::ios::binary | std::ios::trunc);
+        out << test::mutate(valid, seed, "=,#:+-.e0123456789 \n");
+      }
+      try {
+        const SweepSpec spec = parse_sweep_file(path);
+        EXPECT_FALSE(expand_scenarios(spec).empty())
+            << name << " seed " << seed;
+        EXPECT_EQ(spec_fingerprint(spec).size(), 16u)
+            << name << " seed " << seed;
+        ++expanded;
+      } catch (const RuntimeError&) {
+      } catch (const InvalidArgument&) {
+      } catch (const std::exception& e) {
+        FAIL() << name << " seed " << seed << ": untyped " << e.what();
+      }
+    }
+  }
+  // The mix must exercise both outcomes, or the fuzzer tests nothing.
+  EXPECT_GT(expanded, trials / 10);
+  EXPECT_LT(expanded, trials);
+  std::filesystem::remove(path);
 }
 
 // ------------------------------------------------------------ expansion
