@@ -1,6 +1,6 @@
 // Kernel-engine benchmarks: every rewired hot-path kernel (register-
-// blocked gemm_nn, two-phase gemm_tn / spmm_tn, fused softmax
-// forward) against the seed critical-section implementations preserved in
+// blocked gemm_nn, two-phase gemm_tn, register-row spmm_nn and CSC-gather
+// spmm_tn, fused softmax forward) against the seed critical-section implementations preserved in
 // la::kernels::reference, at 1/4/8 OpenMP threads, over dense MNIST-like
 // / CIFAR-like and sparse E18-like shapes.
 //
@@ -206,6 +206,75 @@ void BM_SpmmTN_E18(benchmark::State& state) {
                                 8 * (a.rows() * c + a.cols() * c)));
 }
 
+// One rank's shard of the e18-nadmm end-to-end workload: rows
+// [8000, 16000) of a 16000×1400 E18-like parent (two ranks), against
+// C − 1 = 19 classes. The second rank's view starts past parent row 0, so
+// the gather's shard-relative B rows are what this measures. The parent
+// is generated once per process.
+constexpr std::size_t kE18Classes = 19;
+
+la::CsrView e18_shard() {
+  static const data::TrainTest tt = data::make_e18_like(16000, 10, 1400, 21);
+  return tt.train.sparse_features().view(8000, 16000);
+}
+
+template <bool kEngine>
+void BM_SpmmNN_E18Shard(benchmark::State& state) {
+  set_threads(state.range(0));
+  const la::CsrView a = e18_shard();
+  const std::size_t c = kE18Classes;
+  const auto x = random_matrix(a.cols(), c, 22);
+  la::DenseMatrix s(a.rows(), c);
+  for (auto _ : state) {
+    if constexpr (kEngine) {
+      la::spmm_nn(1.0, a, x, 0.0, s);
+    } else {
+      la::kernels::reference::spmm_nn(1.0, a, x, 0.0, s);
+    }
+    benchmark::DoNotOptimize(s.data().data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(2 * a.nnz() * c));
+  // The shard's CSR entries, the X panel and the S write.
+  const std::size_t csr_bytes =
+      a.nnz() * (sizeof(double) + sizeof(std::int64_t)) +
+      (a.rows() + 1) * sizeof(std::int64_t);
+  state.SetBytesProcessed(
+      static_cast<std::int64_t>(state.iterations()) *
+      static_cast<std::int64_t>(csr_bytes +
+                                8 * (a.cols() * c + a.rows() * c)));
+}
+
+template <bool kEngine>
+void BM_SpmmTN_E18Shard(benchmark::State& state) {
+  set_threads(state.range(0));
+  const la::CsrView a = e18_shard();
+  // Built before timing, as the solver's set-up does.
+  static_cast<void>(a.parent()->transposed());
+  const std::size_t c = kE18Classes;
+  const auto w = random_matrix(a.rows(), c, 23);
+  la::DenseMatrix g(a.cols(), c);
+  for (auto _ : state) {
+    if constexpr (kEngine) {
+      la::spmm_tn(1.0, a, w, 0.0, g);
+    } else {
+      la::kernels::reference::spmm_tn(1.0, a, w, 0.0, g);
+    }
+    benchmark::DoNotOptimize(g.data().data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(2 * a.nnz() * c));
+  const std::size_t csr_bytes =
+      a.nnz() * (sizeof(double) + sizeof(std::int64_t)) +
+      (a.rows() + 1) * sizeof(std::int64_t);
+  state.SetBytesProcessed(
+      static_cast<std::int64_t>(state.iterations()) *
+      static_cast<std::int64_t>(csr_bytes +
+                                8 * (a.rows() * c + a.cols() * c)));
+}
+
 // ------------------------------------------------ fused softmax forward
 
 template <bool kEngine>
@@ -240,7 +309,7 @@ template <bool kEngine>
 void BM_CscBuildE18(benchmark::State& state) {
   set_threads(state.range(0));
   // Same E18-like shard as the spmm bench: the CSC transpose this build
-  // produces is exactly what the cached wide-shard gather consumes.
+  // produces is exactly what the spmm_tn gather consumes.
   const auto tt = data::make_e18_like(400, 10, 27998, 9);
   const auto& a = tt.train.sparse_features();
   const auto rp = a.row_ptr();
@@ -323,6 +392,10 @@ BENCHMARK_TEMPLATE(BM_GemmTN_Cifar, true)->Name("BM_GemmTN_Cifar_Engine")->Arg(1
 BENCHMARK_TEMPLATE(BM_GemmTN_Cifar, false)->Name("BM_GemmTN_Cifar_Seed")->Arg(1)->Arg(4)->Arg(8)->Unit(benchmark::kMicrosecond);
 BENCHMARK_TEMPLATE(BM_SpmmTN_E18, true)->Name("BM_SpmmTN_E18_Engine")->Arg(1)->Arg(4)->Arg(8)->Unit(benchmark::kMicrosecond);
 BENCHMARK_TEMPLATE(BM_SpmmTN_E18, false)->Name("BM_SpmmTN_E18_Seed")->Arg(1)->Arg(4)->Arg(8)->Unit(benchmark::kMicrosecond);
+BENCHMARK_TEMPLATE(BM_SpmmNN_E18Shard, true)->Name("BM_SpmmNN_E18Shard_Engine")->Arg(1)->Arg(4)->Arg(8)->Unit(benchmark::kMicrosecond);
+BENCHMARK_TEMPLATE(BM_SpmmNN_E18Shard, false)->Name("BM_SpmmNN_E18Shard_Seed")->Arg(1)->Arg(4)->Arg(8)->Unit(benchmark::kMicrosecond);
+BENCHMARK_TEMPLATE(BM_SpmmTN_E18Shard, true)->Name("BM_SpmmTN_E18Shard_Engine")->Arg(1)->Arg(4)->Arg(8)->Unit(benchmark::kMicrosecond);
+BENCHMARK_TEMPLATE(BM_SpmmTN_E18Shard, false)->Name("BM_SpmmTN_E18Shard_Seed")->Arg(1)->Arg(4)->Arg(8)->Unit(benchmark::kMicrosecond);
 BENCHMARK_TEMPLATE(BM_SoftmaxForward, true)->Name("BM_SoftmaxForward_Engine")->Arg(1)->Arg(4)->Arg(8)->Unit(benchmark::kMicrosecond);
 BENCHMARK_TEMPLATE(BM_SoftmaxForward, false)->Name("BM_SoftmaxForward_Seed")->Arg(1)->Arg(4)->Arg(8)->Unit(benchmark::kMicrosecond);
 BENCHMARK_TEMPLATE(BM_CscBuildE18, true)->Name("BM_CscBuildE18_Engine")->Arg(1)->Arg(4)->Arg(8)->Unit(benchmark::kMicrosecond);

@@ -6,6 +6,11 @@
 // code calls nothing defined in a header outside this file and simd.hpp:
 // no std:: algorithm or container, no nadmm class member. See the note in
 // la/engine.hpp on why a rung object must not emit such code.
+//
+// The one two-phase reduction left is gemm_tn's (per-thread partials,
+// then a fold in thread order). The sparse products keep each output row
+// in registers across its entries instead (sparse_row below), and
+// spmm_tn reads the parent matrix's cached CSC, so neither has partials.
 #include "la/engine.hpp"
 
 #ifdef _OPENMP
@@ -38,12 +43,20 @@ constexpr std::size_t kNR = 8;
 template <class V>
 constexpr std::size_t kMR = V::width == kNR ? 8 : 4;
 
-// How many CSC entries ahead of the gather cursor to prefetch the B row
-// for. The gather's access pattern (row_idx-indexed rows of B) is the one
-// the hardware prefetcher cannot predict; 8 entries ≈ one column's worth
-// on the E18 shapes, far enough to cover a memory latency at the gather's
-// per-entry cost.
+// The sparse products keep up to kRowVecs vectors of one output row in
+// registers while they walk that row's entries: kRowVecs accumulators,
+// the broadcast value and a B load fit the 16 vector registers of the
+// sse2/avx2 rungs. Wider rows run in chunks of kRowVecs vectors.
+constexpr std::size_t kRowVecs = 8;
+
+// How many entries ahead of the sparse row cursor to prefetch the B row
+// for. Index-driven rows of B are the one access pattern the hardware
+// prefetcher cannot predict; 8 entries is far enough to cover a memory
+// latency at the row loop's per-entry cost on the E18 shapes.
 constexpr std::int64_t kPrefetchAhead = 8;
+
+// Doubles per 64-byte cache line.
+constexpr std::size_t kLineDoubles = 8;
 
 std::size_t min_of(std::size_t a, std::size_t b) { return a < b ? a : b; }
 
@@ -105,22 +118,6 @@ Range slice(std::size_t count, int t, int team) {
   const auto tt = static_cast<std::size_t>(t);
   const auto tm = static_cast<std::size_t>(team);
   return {count * tt / tm, count * (tt + 1) / tm};
-}
-
-/// Fold phase 2 of a two-phase reduction: partials 1..team−1 are added
-/// into partial 0 (fixed thread order), then the slice [lo, hi) of the
-/// output is combined as C = beta·C + alpha·acc. Every element of the
-/// output is written by exactly one thread.
-template <class V>
-void fold_partials(double alpha, double beta, double* out, double* ws,
-                   std::size_t stride, int team, std::size_t lo,
-                   std::size_t hi) {
-  double* acc = ws;
-  for (int r = 1; r < team; ++r) {
-    const double* src = ws + static_cast<std::size_t>(r) * stride;
-    simd::add_inplace<V>(acc + lo, src + lo, hi - lo);
-  }
-  simd::combine<V>(alpha, beta, out + lo, acc + lo, hi - lo);
 }
 
 /// Grow-only, 64-byte-aligned, *uninitialized* per-thread buffer backing
@@ -321,9 +318,9 @@ inline void dispatch_rows(std::size_t nl, const double* pa, std::size_t lda,
 
 // ------------------------------------------------------------- gemm_tn
 
-/// Reusable per-calling-thread reduction workspace: the two-phase
-/// kernels run every CG iteration, and a fresh large allocation per call
-/// means fresh page faults per call. Grow-only and uninitialized — each
+/// Reusable per-calling-thread reduction workspace: gemm_tn and the
+/// softmax loss fold run every CG iteration, and a fresh large
+/// allocation per call means fresh page faults per call. Grow-only and uninitialized — each
 /// team thread first-touches its own partial slice (see AlignedBuffer).
 double* reduction_workspace(std::size_t elems) {
   static thread_local AlignedBuffer ws;
@@ -380,28 +377,98 @@ void accumulate_tn(const double* pa, const double* pb, std::size_t m,
   for (; i < i1; ++i) tn_block<V, 1>(pa, pb, m, n, i, local);
 }
 
-/// Row boundary for thread t when partitioning CSR rows by nonzero count:
-/// the first row whose prefix nnz reaches t/team of the total. Depends
-/// only on (row_ptr, t, team) — deterministic and balanced for skewed
-/// shards where equal row counts would not be. `rp` (count entries) may
-/// carry a shard view's absolute offsets (rp[0] != 0); the target is
-/// relative to that base, so a view and a copied shard partition
-/// identically.
-std::size_t nnz_boundary(const std::int64_t* rp, std::size_t count,
-                         std::int64_t nnz, int t, int team) {
-  const std::int64_t target =
-      rp[0] +
-      nnz * static_cast<std::int64_t>(t) / static_cast<std::int64_t>(team);
-  return static_cast<std::size_t>(lower_bound(rp, rp + count, target) - rp);
+// ------------------------------------------------------ sparse rows
+//
+// Both sparse products compute one output row at a time from a list of
+// entries: C[r] = beta·C[r] + Σ_e (alpha·vals[e])·B[idx[e] − base]. The
+// row stays in registers across the entries and is stored once, so no
+// add waits on the previous entry's store. Every element keeps the chain
+// the scalar engine has always used — beta·C (or +0.0 when beta is 0),
+// then one unfused mul and add per entry, in entry order — so a row is
+// bit-identical on every rung and on whichever thread computes it.
+
+/// Prefetch every cache line of the `cols` doubles at p, which fill NV
+/// vectors (the last one partial). A fixed count of prefetches, unrolled:
+/// a loop bounded by cols costs more than the prefetches save.
+template <class V, std::size_t NV>
+inline void prefetch_chunk(const double* p, std::size_t cols) {
+  static_assert(kLineDoubles % V::width == 0, "lines hold whole vectors");
+  // j is a multiple of V::width below NV·width, so p + j stays in the row.
+  for (std::size_t j = 0; j < NV * V::width; j += kLineDoubles) {
+    simd::prefetch(p + j);
+  }
+  simd::prefetch(p + cols - 1);
 }
 
-/// out = beta·out over one output row, ahead of an accumulation into it.
-template <class V>
-void scale_row(double beta, double* row, std::size_t n) {
+/// NV vectors of one output row over the entries [e0, e1); the last
+/// vector holds `last` lanes (1..V::width). B's leading dimension is ldb.
+template <class V, std::size_t NV, class Index>
+inline void row_chunk(double alpha, double beta, const Index* __restrict idx,
+                      Index base, const double* __restrict vals,
+                      std::int64_t e0, std::int64_t e1,
+                      const double* __restrict pb, std::size_t ldb,
+                      std::size_t last, double* __restrict crow) {
+  constexpr std::size_t W = V::width;
+  constexpr std::size_t L = NV - 1;
+  V acc[NV];
   if (beta == 0.0) {
-    zero(row, n);
-  } else if (beta != 1.0) {
-    simd::scale<V>(beta, row, n);
+    for (std::size_t j = 0; j < NV; ++j) acc[j] = V::zero();
+  } else {
+    for (std::size_t j = 0; j < L; ++j) acc[j] = V::load(crow + j * W);
+    acc[L] = V::load_first(crow + L * W, last);
+    if (beta != 1.0) {
+      const V bv = V::broadcast(beta);
+      for (std::size_t j = 0; j < NV; ++j) acc[j] = acc[j] * bv;
+    }
+  }
+  const std::size_t cols = L * W + last;
+  for (std::int64_t e = e0; e < e1; ++e) {
+    if (e + kPrefetchAhead < e1) {
+      const auto ahead =
+          static_cast<std::size_t>(idx[e + kPrefetchAhead] - base);
+      prefetch_chunk<V, NV>(pb + ahead * ldb, cols);
+    }
+    const V av = V::broadcast(alpha * vals[e]);
+    const double* __restrict b =
+        pb + static_cast<std::size_t>(idx[e] - base) * ldb;
+    for (std::size_t j = 0; j < L; ++j) {
+      acc[j] = acc[j] + av * V::load(b + j * W);
+    }
+    acc[L] = acc[L] + av * V::load_first(b + L * W, last);
+  }
+  for (std::size_t j = 0; j < L; ++j) acc[j].store(crow + j * W);
+  acc[L].store_first(crow + L * W, last);
+}
+
+/// row_chunk for a runtime vector count 0 < nv ≤ NV.
+template <class V, std::size_t NV = kRowVecs, class Index>
+inline void dispatch_row_chunk(std::size_t nv, double alpha, double beta,
+                               const Index* idx, Index base,
+                               const double* vals, std::int64_t e0,
+                               std::int64_t e1, const double* pb,
+                               std::size_t ldb, std::size_t last,
+                               double* crow) {
+  if constexpr (NV > 1) {
+    if (nv < NV) {
+      return dispatch_row_chunk<V, NV - 1>(nv, alpha, beta, idx, base, vals,
+                                           e0, e1, pb, ldb, last, crow);
+    }
+  }
+  row_chunk<V, NV>(alpha, beta, idx, base, vals, e0, e1, pb, ldb, last, crow);
+}
+
+/// One n-wide output row of a sparse product, kRowVecs vectors at a time.
+template <class V, class Index>
+void sparse_row(double alpha, double beta, const Index* idx, Index base,
+                const double* vals, std::int64_t e0, std::int64_t e1,
+                const double* pb, std::size_t n, double* crow) {
+  constexpr std::size_t W = V::width;
+  constexpr std::size_t kChunk = kRowVecs * W;
+  for (std::size_t j0 = 0; j0 < n; j0 += kChunk) {
+    const std::size_t cols = min_of(kChunk, n - j0);
+    const std::size_t nv = (cols + W - 1) / W;
+    dispatch_row_chunk<V>(nv, alpha, beta, idx, base, vals, e0, e1, pb + j0,
+                          n, cols - (nv - 1) * W, crow + j0);
   }
 }
 
@@ -497,162 +564,49 @@ void engine_gemm_tn(double alpha, DenseArg a, DenseArg b, double beta,
   }
 }
 
-/// Scores S = alpha·A·B + beta·S over CSR rows: every output row is its
-/// own chain of axpys in the row's entry order (the expression tree the
-/// seed loop `crow[j] += (alpha·a) * brow[j]` used), so rows can go to
-/// any thread in any order and the result is bit-identical regardless.
+/// Scores S = alpha·A·B + beta·S over CSR rows: output row i is
+/// sparse_row over row i's entries, so rows can go to any thread in any
+/// order and the result is bit-identical regardless.
 template <class V>
 void engine_spmm_nn(double alpha, CsrArg a, DenseArg b, double beta,
                     DenseOut c) {
   const std::size_t n = b.cols;
   const std::int64_t* rp = a.row_ptr;
-  const std::int64_t* ci = a.col_idx;
-  const double* va = a.values;
-  const double* pb = b.p;
-  double* pc = c.p;
   [[maybe_unused]] const bool parallel = 2 * a.nnz * n >= kParallelFlops;
 #pragma omp parallel for schedule(dynamic, 64) if (parallel)
   for (std::ptrdiff_t i = 0; i < static_cast<std::ptrdiff_t>(a.rows); ++i) {
-    double* crow = pc + static_cast<std::size_t>(i) * n;
-    scale_row<V>(beta, crow, n);
-    for (std::int64_t e = rp[i]; e < rp[i + 1]; ++e) {
-      const double av = alpha * va[e];
-      const double* brow = pb + static_cast<std::size_t>(ci[e]) * n;
-      simd::axpy<V>(av, brow, crow, n);
-    }
+    sparse_row<V>(alpha, beta, a.col_idx, std::int64_t{0}, a.values, rp[i],
+                  rp[i + 1], b.p, n, c.p + static_cast<std::size_t>(i) * n);
   }
 }
 
-/// Narrow-output spmm_tn: per-thread dense partials over CSR row blocks
-/// balanced by nonzero count, folded in thread order.
+/// G = alpha·Aᵀ·B + beta·G as a gather over the parent matrix's cached
+/// CSC: output row j is sparse_row over column j's entries in ascending
+/// sample order, restricted for a shard view to the view's parent rows
+/// (rows ascend within a column, so that is one binary-searched subrange
+/// per column). No partials and no fold: the per-element order is fixed,
+/// so the result is bit-identical for any thread count and to a copied
+/// shard's own CSC.
 template <class V>
-void engine_spmm_tn(double alpha, CsrArg a, DenseArg b, double beta,
+void engine_spmm_tn(double alpha, CscArg a, DenseArg b, double beta,
                     DenseOut c) {
-  const std::size_t n = b.cols;
-  const std::size_t mn = c.rows * c.cols;
-  const bool parallel = 2 * a.nnz * n >= kParallelFlops;
-  const int tmax = max_team(parallel);
-  const std::int64_t* rp = a.row_ptr;
-  const std::int64_t* ci = a.col_idx;
-  const double* va = a.values;
-  const double* pb = b.p;
-  double* pc = c.p;
-
-  double* ws = reduction_workspace(static_cast<std::size_t>(tmax) * mn);
-  const auto nnz = static_cast<std::int64_t>(a.nnz);
-#pragma omp parallel if (parallel)
-  {
-    const int team = team_size();
-    const int t = thread_id();
-    double* local = ws + static_cast<std::size_t>(t) * mn;
-    zero(local, mn);
-    const std::size_t r0 = nnz_boundary(rp, a.rows + 1, nnz, t, team);
-    const std::size_t r1 = nnz_boundary(rp, a.rows + 1, nnz, t + 1, team);
-    for (std::size_t i = r0; i < r1; ++i) {
-      const double* brow = pb + i * n;
-      for (std::int64_t e = rp[i]; e < rp[i + 1]; ++e) {
-        double* lrow = local + static_cast<std::size_t>(ci[e]) * n;
-        simd::axpy<V>(va[e], brow, lrow, n);
-      }
-    }
-#pragma omp barrier
-    const Range er = slice(mn, t, team);
-    fold_partials<V>(alpha, beta, pc, ws, mn, team, er.lo, er.hi);
-  }
-}
-
-/// Wide-output spmm_tn: gather over the parent matrix's cached transposed
-/// (CSC) view — every output row is computed independently from its
-/// column's entries in ascending sample order. No per-thread dense
-/// partials at all, so reduction work scales with nnz instead of
-/// team × cols × n, and the summation order per output element is fixed —
-/// the result is bit-identical for ANY thread count. The CSC view is
-/// built once per parent matrix (CsrMatrix::transposed()) and is shared
-/// by every shard view of it, so the build amortizes across all ranks'
-/// CG iterations. The entry loop software-prefetches the B row
-/// kPrefetchAhead entries ahead: row_idx-indexed loads are the one
-/// pattern the hardware prefetcher cannot cover, and the cursor runs
-/// contiguously through the entry arrays so the lookahead index is
-/// always in cache already.
-template <class V>
-void engine_spmm_tn_gather(double alpha, CscArg a, DenseArg b, double beta,
-                           DenseOut c) {
   const std::size_t m = a.cols, n = b.cols;
   const std::int64_t* colptr = a.col_ptr;
   const std::int32_t* trows = a.row_idx;
-  const double* tvals = a.values;
-  const double* pb = b.p;
-  double* pc = c.p;
-  const auto elim = static_cast<std::int64_t>(a.entries);
   [[maybe_unused]] const bool parallel = 2 * a.nnz * n >= kParallelFlops;
-
-  if (a.covers_parent) {
-    const auto nnz = static_cast<std::int64_t>(a.nnz);
-#pragma omp parallel if (parallel)
-    {
-      const int team = team_size();
-      const int t = thread_id();
-      // Independent per-output-row gathers, balanced by entry count; the
-      // boundaries depend only on (col_ptr, team), so the tiling is
-      // deterministic and covers exactly [0, jstar).
-      const std::size_t j0 = nnz_boundary(colptr, m + 1, nnz, t, team);
-      const std::size_t j1 = nnz_boundary(colptr, m + 1, nnz, t + 1, team);
-      for (std::size_t j = j0; j < j1; ++j) {
-        double* crow = pc + j * n;
-        scale_row<V>(beta, crow, n);
-        for (std::int64_t e = colptr[j]; e < colptr[j + 1]; ++e) {
-          if (e + kPrefetchAhead < elim) {
-            simd::prefetch(
-                pb + static_cast<std::size_t>(trows[e + kPrefetchAhead]) * n);
-          }
-          const double v = alpha * tvals[e];
-          const double* brow = pb + static_cast<std::size_t>(trows[e]) * n;
-          simd::axpy<V>(v, brow, crow, n);
-        }
-      }
-      // jstar is the first column at which the prefix reaches nnz;
-      // trailing empty columns still need their beta scaling.
-      const std::size_t jstar = nnz_boundary(colptr, m + 1, nnz, team, team);
-      const Range jz = slice(m - jstar, t, team);
-      for (std::size_t j = jstar + jz.lo; j < jstar + jz.hi; ++j) {
-        scale_row<V>(beta, pc + j * n, n);
-      }
+  // Small dynamic chunks: column lengths are skewed (a few dense genes on
+  // E18), and which thread takes a column never changes its bits.
+#pragma omp parallel for schedule(dynamic, 16) if (parallel)
+  for (std::ptrdiff_t jj = 0; jj < static_cast<std::ptrdiff_t>(m); ++jj) {
+    const auto j = static_cast<std::size_t>(jj);
+    const std::int32_t* first = trows + colptr[j];
+    const std::int32_t* last = trows + colptr[j + 1];
+    if (!a.covers_parent) {
+      first = lower_bound(first, last, a.row_lo);
+      last = lower_bound(first, last, a.row_hi);
     }
-    return;
-  }
-
-  // Shard view: restrict every column of the shared CSC to the view's
-  // parent-row range. Rows ascend within a column, so the range is one
-  // binary-searched subrange per column — the gather then visits exactly
-  // the shard's entries in the same ascending order a copied shard's own
-  // CSC would, so the result is bit-identical to the copy (and to any
-  // thread count; columns are statically sliced, every output row is
-  // written by exactly one thread).
-  const std::int32_t lo_row = a.row_lo;
-  const std::int32_t hi_row = a.row_hi;
-#pragma omp parallel if (parallel)
-  {
-    const int team = team_size();
-    const int t = thread_id();
-    const Range jr = slice(m, t, team);
-    for (std::size_t j = jr.lo; j < jr.hi; ++j) {
-      double* crow = pc + j * n;
-      scale_row<V>(beta, crow, n);
-      const std::int32_t* cb = trows + colptr[j];
-      const std::int32_t* ce = trows + colptr[j + 1];
-      const auto e0 = colptr[j] + (lower_bound(cb, ce, lo_row) - cb);
-      const auto e1 = colptr[j] + (lower_bound(cb, ce, hi_row) - cb);
-      for (std::int64_t e = e0; e < e1; ++e) {
-        if (e + kPrefetchAhead < elim) {
-          simd::prefetch(
-              pb + static_cast<std::size_t>(trows[e + kPrefetchAhead]) * n);
-        }
-        const double v = alpha * tvals[e];
-        const double* brow =
-            pb + static_cast<std::size_t>(trows[e] - lo_row) * n;
-        simd::axpy<V>(v, brow, crow, n);
-      }
-    }
+    sparse_row<V>(alpha, beta, trows, a.row_lo, a.values, first - trows,
+                  last - trows, b.p, n, c.p + j * n);
   }
 }
 
@@ -746,8 +700,7 @@ const Rung& rung() {
       NADMM_RUNG_STR(NADMM_RUNG),     Lanes::width,
       engine_gemm_nn<Lanes>,          engine_gemm_tn<Lanes>,
       engine_spmm_nn<Lanes>,          engine_spmm_tn<Lanes>,
-      engine_spmm_tn_gather<Lanes>,   engine_softmax_forward<Lanes>,
-      peak_probe<Lanes>};
+      engine_softmax_forward<Lanes>,  peak_probe<Lanes>};
   return table;
 }
 

@@ -10,7 +10,7 @@
 //
 // Each compilation exports exactly one function, <rung>::rung(), returning
 // its table. la/kernels.cpp validates shapes, handles empty operands and
-// picks the strategy, then calls through the widest table the CPU can run.
+// builds the operands, then calls through the widest table the CPU can run.
 //
 // Only plain data crosses this boundary — raw pointers and sizes, no class
 // members and no std templates. An inline function a rung object emitted
@@ -59,15 +59,15 @@ struct CsrArg {
   std::size_t nnz;
 };
 
-/// The parent matrix's cached CSC (cols + 1 column pointers over `entries`
-/// entries) and the view's window [row_lo, row_hi) of parent rows, which
-/// holds `nnz` of them. covers_parent: the window is every parent row.
+/// The parent matrix's cached CSC (cols + 1 column pointers) and the
+/// view's window [row_lo, row_hi) of parent rows, which holds `nnz` of
+/// its entries. covers_parent: the window is every parent row, so no
+/// column needs its range searched.
 struct CscArg {
   const std::int64_t* col_ptr;
   const std::int32_t* row_idx;
   const double* values;
   std::size_t cols;
-  std::size_t entries;
   std::size_t nnz;
   std::int32_t row_lo;
   std::int32_t row_hi;
@@ -88,15 +88,14 @@ struct Rung {
   /// C = alpha·Aᵀ·B + beta·C, two-phase reduction.
   void (*gemm_tn)(double alpha, DenseArg a, DenseArg b, double beta,
                   DenseOut c);
-  /// C = alpha·A·B + beta·C over CSR rows (m = a.rows).
+  /// C = alpha·A·B + beta·C over CSR rows (m = a.rows), each output row
+  /// held in registers across its row's entries.
   void (*spmm_nn)(double alpha, CsrArg a, DenseArg b, double beta,
                   DenseOut c);
-  /// C = alpha·Aᵀ·B + beta·C, two-phase dense reduction (narrow outputs).
-  void (*spmm_tn)(double alpha, CsrArg a, DenseArg b, double beta,
+  /// C = alpha·Aᵀ·B + beta·C, gather over the parent's CSC: each output
+  /// row held in registers across its column's entries in the view.
+  void (*spmm_tn)(double alpha, CscArg a, DenseArg b, double beta,
                   DenseOut c);
-  /// C = alpha·Aᵀ·B + beta·C, gather over the parent's CSC (wide outputs).
-  void (*spmm_tn_gather)(double alpha, CscArg a, DenseArg b, double beta,
-                         DenseOut c);
   /// Fused softmax forward; returns the summed cross-entropy loss.
   double (*softmax_forward)(DenseArg scores, const std::int32_t* labels,
                             DenseOut probs, double* lse);

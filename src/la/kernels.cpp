@@ -1,9 +1,5 @@
 #include "la/kernels.hpp"
 
-#ifdef _OPENMP
-#include <omp.h>
-#endif
-
 #include <algorithm>
 #include <cmath>
 #include <vector>
@@ -31,16 +27,6 @@ void scale_output(double beta, std::span<double> c) {
   } else if (beta != 1.0) {
     for (double& v : c) v *= beta;
   }
-}
-
-/// Threads a parallel region of the engine would use (1 when serial).
-int max_team(bool parallel) {
-#ifdef _OPENMP
-  return parallel ? std::max(1, omp_get_max_threads()) : 1;
-#else
-  static_cast<void>(parallel);
-  return 1;
-#endif
 }
 
 /// Every compiled rung this CPU can run, narrowest first. The x86 rungs
@@ -115,26 +101,16 @@ void spmm_tn(double alpha, const CsrView& a, const DenseMatrix& b,
     scale_output(beta, c.data());
     return;
   }
-  // Wide outputs (team × output panel larger than the nonzero count):
-  // dense per-thread partials would cost more traffic than the matrix
-  // itself — gather over the transposed view instead. Narrow outputs
-  // keep the two-phase dense reduction.
-  const bool parallel = 2 * a.nnz() * b.cols() >= kParallelFlops;
-  if (static_cast<std::size_t>(max_team(parallel)) * c.size() <= a.nnz()) {
-    rung.spmm_tn(alpha, arg(a), arg(b), beta, out(c));
-    return;
-  }
   const CsrTransposed& tv = a.parent()->transposed();
   const CscArg csc{tv.col_ptr.data(),
                    tv.row_idx.data(),
                    tv.values.data(),
                    a.cols(),
-                   tv.values.size(),
                    a.nnz(),
                    static_cast<std::int32_t>(a.row_begin()),
                    static_cast<std::int32_t>(a.row_begin() + a.rows()),
                    a.covers_parent()};
-  rung.spmm_tn_gather(alpha, csc, arg(b), beta, out(c));
+  rung.spmm_tn(alpha, csc, arg(b), beta, out(c));
 }
 
 double softmax_forward(const DenseMatrix& scores,
@@ -153,7 +129,9 @@ double softmax_forward(const DenseMatrix& scores,
 
 // ===========================================================================
 // Seed reference kernels (verbatim pre-engine implementations, minus the
-// flop accounting which the public wrappers own).
+// flop accounting which the public wrappers own). spmm_nn's seed is the
+// engine's row loop as it stood before output rows moved into registers:
+// one axpy into the output row per entry.
 // ===========================================================================
 
 namespace reference {
@@ -232,7 +210,35 @@ void gemm_tn(double alpha, const DenseMatrix& a, const DenseMatrix& b,
   }
 }
 
-void spmm_tn(double alpha, const CsrMatrix& a, const DenseMatrix& b,
+void spmm_nn(double alpha, const CsrView& a, const DenseMatrix& b,
+             double beta, DenseMatrix& c) {
+  NADMM_CHECK(a.cols() == b.rows(), "spmm_nn: inner dimension mismatch");
+  NADMM_CHECK(c.rows() == a.rows() && c.cols() == b.cols(),
+              "spmm_nn: output shape mismatch");
+  const std::size_t n = b.cols();
+  const auto rp = a.row_ptr();
+  const auto ci = a.col_idx();
+  const auto va = a.values();
+  const double* pb = b.data().data();
+  double* pc = c.data().data();
+  [[maybe_unused]] const bool parallel = 2 * a.nnz() * n >= kParallelFlops;
+#pragma omp parallel for schedule(dynamic, 64) if (parallel)
+  for (std::ptrdiff_t i = 0; i < static_cast<std::ptrdiff_t>(a.rows()); ++i) {
+    double* crow = pc + static_cast<std::size_t>(i) * n;
+    if (beta == 0.0) {
+      for (std::size_t j = 0; j < n; ++j) crow[j] = 0.0;
+    } else if (beta != 1.0) {
+      for (std::size_t j = 0; j < n; ++j) crow[j] *= beta;
+    }
+    for (std::int64_t e = rp[i]; e < rp[i + 1]; ++e) {
+      const double av = alpha * va[e];
+      const double* brow = pb + static_cast<std::size_t>(ci[e]) * n;
+      for (std::size_t j = 0; j < n; ++j) crow[j] += av * brow[j];
+    }
+  }
+}
+
+void spmm_tn(double alpha, const CsrView& a, const DenseMatrix& b,
              double beta, DenseMatrix& c) {
   NADMM_CHECK(a.rows() == b.rows(), "spmm_tn: inner dimension mismatch");
   NADMM_CHECK(c.rows() == a.cols() && c.cols() == b.cols(),

@@ -4,8 +4,9 @@
 // every rank: scores S = A·X (gemm_nn / spmm_nn), gradient and
 // Hessian-vector accumulation G = Aᵀ·W (gemm_tn / spmm_tn), and the
 // softmax forward sweep over the score panel. The seed kernels serialized
-// the transposed products through `#pragma omp critical` reduces; the
-// engine replaces them with deterministic two-phase reductions:
+// the transposed products through `#pragma omp critical` reduces. The
+// engine's dense gemm_tn replaces that with a deterministic two-phase
+// reduction:
 //
 //   phase 1  each thread accumulates a private partial over a statically
 //            partitioned block of the k (sample) dimension;
@@ -15,6 +16,10 @@
 //
 // Both phases are static, so for a given thread count the result is
 // bit-identical run to run (the sweep scheduler relies on this). The
+// sparse spmm_tn needs no reduction at all: it is one gather over the
+// parent matrix's cached CSC, so each output element has one fixed chain
+// whatever the thread count. Both sparse products keep each output row
+// in registers across its entries and store it once. The
 // dense gemm_nn is a register-blocked microkernel: lane-multiple class
 // columns in packed 8-wide strips with A broadcast, the leftover classes
 // across rows through an in-register transpose of the A tile. The dense
@@ -63,7 +68,7 @@ const char* active_isa();
 /// (la::DenseView / la::CsrView); whole matrices convert implicitly, and
 /// a rank's shard runs in place on the parent's storage. For a contiguous
 /// shard view the engine is bit-identical to running on a copied shard at
-/// the same thread count (the CSR gather path is bit-identical for any
+/// the same thread count (both sparse products are bit-identical for any
 /// thread count) — the shard-native data plane and its tests rely on
 /// both.
 
@@ -80,20 +85,18 @@ void gemm_nn(double alpha, DenseView a, const DenseMatrix& b,
 void gemm_tn(double alpha, DenseView a, const DenseMatrix& b,
              double beta, DenseMatrix& c, const Rung& rung = active_rung());
 
-/// C = alpha·A·B + beta·C (A: m×k CSR). Each output row accumulates its
-/// row's entries in order, so the result is bit-identical for any
-/// thread count.
+/// C = alpha·A·B + beta·C (A: m×k CSR). Each output row stays in
+/// registers while it accumulates its row's entries in order, so the
+/// result is bit-identical for any thread count.
 void spmm_nn(double alpha, const CsrView& a, const DenseMatrix& b,
              double beta, DenseMatrix& c, const Rung& rung = active_rung());
 
-/// C = alpha·Aᵀ·B + beta·C (A: k×m CSR). Hybrid lock-free strategy:
-/// narrow outputs use the two-phase reduction with CSR rows partitioned
-/// by nonzero count (boundaries depend only on (row_ptr, T)); wide
-/// outputs — T·m·n larger than nnz, the E18 regime — gather over the
-/// parent matrix's cached transposed (CSC) view instead (restricted to
-/// the view's row range by per-column binary search for shard views),
-/// which has no dense partials at all and is bit-identical for any
-/// thread count.
+/// C = alpha·Aᵀ·B + beta·C (A: k×m CSR). One gather over the parent
+/// matrix's cached transposed (CSC) view, built on the first call:
+/// output row j accumulates column j's entries in ascending sample
+/// order (restricted to the view's rows by per-column binary search for
+/// shard views), held in registers and stored once. No partials and no
+/// fold, so the result is bit-identical for any thread count.
 void spmm_tn(double alpha, const CsrView& a, const DenseMatrix& b,
              double beta, DenseMatrix& c, const Rung& rung = active_rung());
 
@@ -109,14 +112,18 @@ double softmax_forward(const DenseMatrix& scores,
                        const Rung& rung = active_rung());
 
 /// Seed (pre-engine) kernels, kept verbatim as the parity oracle and the
-/// baseline side of bench_kernels. Not used on any hot path.
+/// baseline side of bench_kernels — spmm_nn, which the seed never had,
+/// is the engine's loop from before its rows moved into registers. Not
+/// used on any hot path.
 namespace reference {
 
 void gemm_nn(double alpha, const DenseMatrix& a, const DenseMatrix& b,
              double beta, DenseMatrix& c);
 void gemm_tn(double alpha, const DenseMatrix& a, const DenseMatrix& b,
              double beta, DenseMatrix& c);
-void spmm_tn(double alpha, const CsrMatrix& a, const DenseMatrix& b,
+void spmm_nn(double alpha, const CsrView& a, const DenseMatrix& b,
+             double beta, DenseMatrix& c);
+void spmm_tn(double alpha, const CsrView& a, const DenseMatrix& b,
              double beta, DenseMatrix& c);
 double softmax_forward(const DenseMatrix& scores,
                        std::span<const std::int32_t> labels,

@@ -23,12 +23,18 @@
 /// k-column). Moving an element to another lane leaves its expression
 /// tree alone.
 ///
+/// A row whose length is not a lane multiple ends in a partial vector:
+/// `load_first(p, k)` / `store_first(p, k)` touch only the first k lanes
+/// (1 ≤ k ≤ width) at p, so a row's last vector never reads or writes
+/// past its end. The other lanes load as +0.0 and whatever they compute
+/// is never stored.
+///
 /// Everything here has internal linkage: each rung object gets its own
 /// copy, compiled for its own ISA, that no other object can link to.
 ///
-/// Helpers at the bottom (`scale`, `add_inplace`, `combine`, `axpy`)
-/// are the shared elementwise loops: vector body plus a scalar tail
-/// whose per-element expression trees match the vector lanes exactly.
+/// Helpers at the bottom (`scale`, `add_inplace`) are the shared
+/// elementwise loops: vector body plus a scalar tail whose per-element
+/// expression trees match the vector lanes exactly.
 
 #include <cstddef>
 
@@ -46,6 +52,8 @@ struct Scalar {
   double v;
   static Scalar load(const double* p) { return {*p}; }
   void store(double* p) const { *p = v; }
+  static Scalar load_first(const double* p, std::size_t) { return {*p}; }
+  void store_first(double* p, std::size_t) const { *p = v; }
   static Scalar broadcast(double x) { return {x}; }
   static Scalar zero() { return {0.0}; }
   friend Scalar operator+(Scalar a, Scalar b) { return {a.v + b.v}; }
@@ -61,6 +69,16 @@ struct Sse2 {
   __m128d v;
   static Sse2 load(const double* p) { return {_mm_loadu_pd(p)}; }
   void store(double* p) const { _mm_storeu_pd(p, v); }
+  static Sse2 load_first(const double* p, std::size_t k) {
+    return {k == 1 ? _mm_load_sd(p) : _mm_loadu_pd(p)};
+  }
+  void store_first(double* p, std::size_t k) const {
+    if (k == 1) {
+      _mm_store_sd(p, v);
+    } else {
+      _mm_storeu_pd(p, v);
+    }
+  }
   static Sse2 broadcast(double x) { return {_mm_set1_pd(x)}; }
   static Sse2 zero() { return {_mm_setzero_pd()}; }
   friend Sse2 operator+(Sse2 a, Sse2 b) { return {_mm_add_pd(a.v, b.v)}; }
@@ -79,6 +97,17 @@ struct Avx2 {
   __m256d v;
   static Avx2 load(const double* p) { return {_mm256_loadu_pd(p)}; }
   void store(double* p) const { _mm256_storeu_pd(p, v); }
+  /// Lanes below k: the sign bit of each 64-bit mask element.
+  static __m256i first(std::size_t k) {
+    return _mm256_cmpgt_epi64(_mm256_set1_epi64x(static_cast<long long>(k)),
+                              _mm256_setr_epi64x(0, 1, 2, 3));
+  }
+  static Avx2 load_first(const double* p, std::size_t k) {
+    return {_mm256_maskload_pd(p, first(k))};
+  }
+  void store_first(double* p, std::size_t k) const {
+    _mm256_maskstore_pd(p, first(k), v);
+  }
   static Avx2 broadcast(double x) { return {_mm256_set1_pd(x)}; }
   static Avx2 zero() { return {_mm256_setzero_pd()}; }
   friend Avx2 operator+(Avx2 a, Avx2 b) { return {_mm256_add_pd(a.v, b.v)}; }
@@ -103,6 +132,15 @@ struct Avx512 {
   __m512d v;
   static Avx512 load(const double* p) { return {_mm512_loadu_pd(p)}; }
   void store(double* p) const { _mm512_storeu_pd(p, v); }
+  static __mmask8 first(std::size_t k) {
+    return static_cast<__mmask8>((1U << k) - 1U);
+  }
+  static Avx512 load_first(const double* p, std::size_t k) {
+    return {_mm512_maskz_loadu_pd(first(k), p)};
+  }
+  void store_first(double* p, std::size_t k) const {
+    _mm512_mask_storeu_pd(p, first(k), v);
+  }
   static Avx512 broadcast(double x) { return {_mm512_set1_pd(x)}; }
   static Avx512 zero() { return {_mm512_setzero_pd()}; }
   friend Avx512 operator+(Avx512 a, Avx512 b) {
@@ -181,17 +219,6 @@ inline void add_inplace(double* acc, const double* src, std::size_t n) {
   for (; i < n; ++i) acc[i] += src[i];
 }
 
-/// y[i] += a * x[i]
-template <class V>
-inline void axpy(double a, const double* x, double* y, std::size_t n) {
-  const V av = V::broadcast(a);
-  std::size_t i = 0;
-  for (; i + V::width <= n; i += V::width) {
-    (V::load(y + i) + av * V::load(x + i)).store(y + i);
-  }
-  for (; i < n; ++i) y[i] += a * x[i];
-}
-
 /// out = beta * out + alpha * acc for one element, with the beta == 0 /
 /// beta == 1 special cases (and expression trees) the scalar fold has
 /// always used.
@@ -203,30 +230,6 @@ inline void combine_one(double alpha, double beta, double& out, double acc) {
   } else {
     out = beta * out + alpha * acc;
   }
-}
-
-/// The engine's epilogue, combine_one over n elements: the vector body
-/// repeats its expression trees lane by lane.
-template <class V>
-inline void combine(double alpha, double beta, double* out, const double* acc,
-                    std::size_t n) {
-  const V av = V::broadcast(alpha);
-  std::size_t i = 0;
-  if (beta == 0.0) {
-    for (; i + V::width <= n; i += V::width) {
-      (av * V::load(acc + i)).store(out + i);
-    }
-  } else if (beta == 1.0) {
-    for (; i + V::width <= n; i += V::width) {
-      (V::load(out + i) + av * V::load(acc + i)).store(out + i);
-    }
-  } else {
-    const V bv = V::broadcast(beta);
-    for (; i + V::width <= n; i += V::width) {
-      (bv * V::load(out + i) + av * V::load(acc + i)).store(out + i);
-    }
-  }
-  for (; i < n; ++i) combine_one(alpha, beta, out[i], acc[i]);
 }
 
 }  // namespace

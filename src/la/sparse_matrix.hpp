@@ -26,7 +26,7 @@ struct Triplet {
 
 /// Column-major (CSC) view of a CsrMatrix: entries of column j live at
 /// [col_ptr[j], col_ptr[j+1]) in ascending row order. Built lazily by
-/// CsrMatrix::transposed() for the wide-output Aᵀ·B gather kernel.
+/// CsrMatrix::transposed() for the Aᵀ·B gather kernel (spmm_tn).
 struct CsrTransposed {
   std::vector<std::int64_t> col_ptr;  // cols + 1
   std::vector<std::int32_t> row_idx;  // nnz sample indices
@@ -103,7 +103,7 @@ class CsrMatrix {
   [[nodiscard]] DenseMatrix to_dense() const;
 
   /// Approximate resident bytes: the CSR arrays plus the transposed
-  /// (CSC) view that the wide-output Aᵀ·B kernel builds lazily. The view
+  /// (CSC) view that the Aᵀ·B kernel builds lazily. The view
   /// is counted up front so byte budgets (DatasetProvider's LRU) hold at
   /// peak, not just before the first gradient step.
   [[nodiscard]] std::size_t approx_bytes() const {
@@ -120,7 +120,7 @@ class CsrMatrix {
   /// this matrix. values_mut() invalidates it, so the view never goes
   /// stale. Thread-safe: concurrent first calls — e.g. sweep scenarios
   /// sharing a cached dataset — build exactly once. The ADMM
-  /// gradient/Hessian path hits this every CG iteration on wide shards,
+  /// gradient/Hessian path hits this every CG iteration on sparse shards,
   /// so the build cost amortizes to zero.
   [[nodiscard]] const CsrTransposed& transposed() const;
 
@@ -175,7 +175,7 @@ class CsrView {
   }
 
   /// First parent row covered by this view (offset into the parent's
-  /// cached transposed view, used by the wide-output gather kernel).
+  /// cached transposed view, used by the spmm_tn gather kernel).
   [[nodiscard]] std::size_t row_begin() const { return row_begin_; }
   [[nodiscard]] bool covers_parent() const {
     return parent_ != nullptr && row_begin_ == 0 && rows_ == parent_->rows();

@@ -2,8 +2,9 @@
 // reference implementations (kernels::reference) and an independent naive
 // oracle, across degenerate shapes and the alpha/beta grid; dense-vs-CSR
 // dispatch parity; fixed-thread-count bit-determinism of the two-phase
-// reductions; the fused softmax forward; and the bytes-moved accounting
-// feeding the device roofline.
+// reductions and thread-count invariance of the sparse products; the
+// fused softmax forward; and the bytes-moved accounting feeding the
+// device roofline.
 #include <gtest/gtest.h>
 
 #ifdef _OPENMP
@@ -169,12 +170,11 @@ TEST(KernelEngine, SpmmTnMatchesReferenceIncludingSkewedRows) {
   std::vector<CsrMatrix> mats;
   mats.push_back(random_csr(50, 20, 0.15, rng));
   mats.push_back(random_csr(100, 40, 0.02, rng));  // many empty rows
-  // Wide output (cols ≫ nnz/team): exercises the transpose/gather path,
-  // including trailing empty columns that only see the beta scaling.
+  // Wide output (cols ≫ nnz): trailing empty columns only see the beta
+  // scaling.
   mats.push_back(random_csr(60, 800, 0.01, rng));
   {
-    // Heavily skewed: one dense row dominates the nonzero count, which
-    // exercises the nnz-balanced row partition.
+    // Heavily skewed: one dense row dominates the nonzero count.
     std::vector<Triplet> t;
     for (std::size_t j = 0; j < 30; ++j) t.push_back({0, j, rng.normal()});
     for (std::size_t i = 10; i < 40; ++i) t.push_back({i, i % 30, rng.normal()});
@@ -251,6 +251,59 @@ TEST(KernelEngine, TwoPhaseReductionsAreBitDeterministicAtFixedThreads) {
                              w1.size() * sizeof(double)))
         << "spmm_tn (transpose path) not deterministic at " << threads
         << " threads";
+  }
+}
+
+TEST(KernelEngine, SparseProductsIgnoreThreadCount) {
+  // Every output row of spmm_nn and spmm_tn is computed by one thread in
+  // a fixed entry order, so any team size gives the bits of one thread:
+  // whole matrices and shard views, narrow and wide outputs, class
+  // counts on and off the lane multiples, over the alpha/beta grid.
+  Rng rng(18);
+  std::vector<CsrMatrix> mats;
+  mats.push_back(random_csr(50, 20, 0.15, rng));
+  mats.push_back(random_csr(500, 300, 0.05, rng));
+  mats.push_back(random_csr(60, 800, 0.01, rng));
+  mats.push_back(random_csr(300, 2000, 0.01, rng));
+  const auto same = [](const DenseMatrix& got, const DenseMatrix& want) {
+    return std::memcmp(got.data().data(), want.data().data(),
+                       got.size() * sizeof(double)) == 0;
+  };
+  for (const auto& sp : mats) {
+    const std::size_t lo = sp.rows() / 4, hi = sp.rows() - 3;
+    for (const CsrView a : {CsrView(sp), sp.view(lo, hi)}) {
+      for (const std::size_t n : {1, 3, 8, 9, 19, 33}) {
+        const auto b = random_matrix(a.rows(), n, rng);
+        const auto x = random_matrix(a.cols(), n, rng);
+        const auto c0 = random_matrix(a.cols(), n, rng);
+        const auto s0 = random_matrix(a.rows(), n, rng);
+        for (double alpha : kAlphas) {
+          for (double beta : kBetas) {
+            DenseMatrix c1 = c0, s1 = s0;
+            {
+              ThreadGuard guard(1);
+              spmm_tn(alpha, a, b, beta, c1);
+              spmm_nn(alpha, a, x, beta, s1);
+            }
+            for (const int threads : {2, 3, 8}) {
+              ThreadGuard guard(threads);
+              DenseMatrix c = c0, s = s0;
+              spmm_tn(alpha, a, b, beta, c);
+              spmm_nn(alpha, a, x, beta, s);
+              const std::string what =
+                  std::to_string(sp.rows()) + "x" + std::to_string(sp.cols()) +
+                  " view " + std::to_string(a.row_begin()) + "+" +
+                  std::to_string(a.rows()) + " n=" + std::to_string(n) +
+                  " alpha=" + std::to_string(alpha) +
+                  " beta=" + std::to_string(beta) +
+                  " t=" + std::to_string(threads);
+              ASSERT_TRUE(same(c, c1)) << "spmm_tn " << what;
+              ASSERT_TRUE(same(s, s1)) << "spmm_nn " << what;
+            }
+          }
+        }
+      }
+    }
   }
 }
 
@@ -420,7 +473,7 @@ TEST(ShardViews, DenseViewProductsMatchCopiedShardBitwise) {
 
 TEST(ShardViews, CsrViewProductsMatchCopiedShardBitwise) {
   Rng rng(43);
-  // Narrow regime (two-phase reduction) and wide regime (CSC gather).
+  // Narrow and wide outputs.
   const struct {
     std::size_t rows, cols, n;
     double density;
@@ -458,9 +511,9 @@ TEST(ShardViews, CsrViewProductsMatchCopiedShardBitwise) {
 
 TEST(ShardViews, CsrWideGatherIsThreadCountInvariantOnViews) {
   Rng rng(47);
-  // Wide output forces the CSC gather; a shard view must give the same
-  // bits at EVERY thread count (the full-matrix guarantee extends to
-  // views via the per-column subrange restriction).
+  // A shard view's gather must give the same bits at EVERY thread count
+  // (the full-matrix guarantee extends to views via the per-column
+  // subrange restriction).
   const auto full = random_csr(90, 800, 0.015, rng);
   const auto b = random_matrix(40, 7, rng);
   DenseMatrix base(800, 7);
@@ -691,20 +744,20 @@ TEST(IsaDispatch, DenseProductsKeepZeroSignsInfAndNanBitwise) {
 
 TEST(IsaDispatch, SparseProductsEveryRungMatchScalarBitwise) {
   Rng rng(63);
-  // spmm_tn: narrow output (two-phase dense reduction) and wide output
-  // (CSC gather with software prefetch) — both strategies must be clean;
-  // spmm_nn runs on the same matrices, on the whole matrix and on a
-  // shard view.
+  // spmm_tn (CSC gather) and spmm_nn on narrow and wide outputs, the
+  // latter on the whole matrix and on a shard view. The class counts put
+  // every lane count of every rung into a row's last, partial vector, and
+  // 17/19/33 span several vectors (and, on the narrow rungs, chunks).
   std::vector<CsrMatrix> mats;
   mats.push_back(random_csr(50, 20, 0.15, rng));
   mats.push_back(random_csr(500, 300, 0.05, rng));
-  mats.push_back(random_csr(60, 800, 0.01, rng));   // wide, gather path
-  mats.push_back(random_csr(300, 2000, 0.01, rng)); // wide, many columns
+  mats.push_back(random_csr(60, 800, 0.01, rng));
+  mats.push_back(random_csr(300, 2000, 0.01, rng));  // wide, many columns
   for (const kernels::Rung* rung : vector_rungs()) {
     for (const int threads : {1, 2, 3, 8}) {
       ThreadGuard guard(threads);
       for (const auto& sp : mats) {
-        for (const std::size_t n : {std::size_t{5}, std::size_t{19}}) {
+        for (const std::size_t n : {1, 2, 3, 5, 8, 9, 17, 19, 33}) {
           const auto b = random_matrix(sp.rows(), n, rng);
           const auto c0 = random_matrix(sp.cols(), n, rng);
           const auto x = random_matrix(sp.cols(), n, rng);
@@ -736,6 +789,104 @@ TEST(IsaDispatch, SparseProductsEveryRungMatchScalarBitwise) {
                     << rung->name << " spmm_nn view t=" << threads;
               }
             }
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(IsaDispatch, SparseProductsKeepZeroSignsInfAndNanBitwise) {
+  // The sparse sibling of the dense case above: −0.0, ±Inf and NaN in the
+  // CSR values and in B. Row 3 (spmm_nn) and column 9 (spmm_tn) of A hold
+  // only −0.0, so their finite outputs are +0.0 only because each chain
+  // starts from +0.0. The Inf at (7, 8) turns the zero-loaded lanes past
+  // a partial vector's end into NaN (Inf·0) in S's row 7 and C's row 8;
+  // the rows after them (S's empty rows 8 and 9, C's empty row 10) must
+  // keep their bits, and the Inf in A's last row must write nothing past
+  // S's end.
+  //
+  // Here several NaNs meet in one chain. Which operand's payload an add
+  // or mul of two NaNs keeps is the compiler's choice (it may commute
+  // them), so the NaN planted is the one the hardware's own Inf·0 makes:
+  // every NaN in these chains then has the same bits.
+  const double inf = std::numeric_limits<double>::infinity();
+  volatile double zero = 0.0;
+  const double nan = inf * zero;
+  Rng rng(66);
+  std::vector<Triplet> t;
+  for (std::size_t i = 0; i < 23; ++i) {
+    if (i == 8 || i == 9) continue;
+    for (std::size_t j = 0; j < 8; ++j) {
+      if (i != 3 && rng.bernoulli(0.4)) t.push_back({i, j, rng.normal()});
+    }
+    t.push_back({i, 9, -0.0});
+  }
+  for (std::size_t j = 0; j < 9; ++j) t.push_back({3, j, -0.0});
+  t.push_back({7, 8, inf});
+  t.push_back({12, 2, nan});
+  t.push_back({17, 6, -inf});
+  t.push_back({22, 1, inf});
+  const CsrMatrix a(23, 11, std::move(t));
+  for (const kernels::Rung* rung : vector_rungs()) {
+    for (const int threads : {1, 2, 3, 8}) {
+      ThreadGuard guard(threads);
+      for (const std::size_t n : {1, 3, 5, 9, 19}) {
+        auto x = random_matrix(11, n, rng);  // spmm_nn's B
+        auto w = random_matrix(23, n, rng);  // spmm_tn's B
+        x.at(0, n - 1) = inf;
+        x.at(5, 0) = -0.0;
+        w.at(20, n / 2) = nan;
+        w.at(21, 0) = -inf;
+        w.at(22, n - 1) = -0.0;
+        const auto s0 = random_matrix(23, n, rng);
+        const auto c0 = random_matrix(11, n, rng);
+        for (double alpha : kAlphas) {
+          for (double beta : kBetas) {
+            const std::string what =
+                std::string(rung->name) + " n=" + std::to_string(n) +
+                " t=" + std::to_string(threads) + " alpha=" +
+                std::to_string(alpha) + " beta=" + std::to_string(beta);
+            DenseMatrix s = s0, s_sc = s0;
+            kernels::spmm_nn(alpha, a, x, beta, s, *rung);
+            kernels::spmm_nn(alpha, a, x, beta, s_sc, oracle());
+            expect_same_bits(s, s_sc, "spmm_nn " + what);
+            DenseMatrix c = c0, c_sc = c0;
+            kernels::spmm_tn(alpha, a, w, beta, c, *rung);
+            kernels::spmm_tn(alpha, a, w, beta, c_sc, oracle());
+            expect_same_bits(c, c_sc, "spmm_tn " + what);
+          }
+        }
+        const auto same_row = [n](const DenseMatrix& got,
+                                  const DenseMatrix& want, std::size_t r) {
+          return std::memcmp(got.row(r).data(), want.row(r).data(),
+                             n * sizeof(double)) == 0;
+        };
+        DenseMatrix s = s0, c = c0;
+        kernels::spmm_nn(1.0, a, x, 1.0, s, *rung);
+        kernels::spmm_tn(1.0, a, w, 1.0, c, *rung);
+        EXPECT_TRUE(same_row(s, s0, 8) && same_row(s, s0, 9))
+            << rung->name << " spmm_nn n=" << n;
+        EXPECT_TRUE(same_row(c, c0, 10)) << rung->name << " spmm_tn n=" << n;
+        // Row 3 meets x's Inf in class n − 1 (−0.0·Inf is NaN); column 9
+        // meets w's NaN and −Inf in classes n / 2 and 0.
+        s = DenseMatrix(23, n);
+        c = DenseMatrix(11, n);
+        kernels::spmm_nn(1.0, a, x, 0.0, s, *rung);
+        kernels::spmm_tn(1.0, a, w, 0.0, c, *rung);
+        for (std::size_t j = 0; j < n; ++j) {
+          const double sv = s.at(3, j), cv = c.at(9, j);
+          if (j == n - 1) {
+            EXPECT_TRUE(std::isnan(sv)) << rung->name << " n=" << n;
+          } else {
+            EXPECT_TRUE(sv == 0.0 && !std::signbit(sv))
+                << rung->name << " spmm_nn n=" << n << " j=" << j << ": " << sv;
+          }
+          if (j == 0 || j == n / 2) {
+            EXPECT_TRUE(std::isnan(cv)) << rung->name << " n=" << n;
+          } else {
+            EXPECT_TRUE(cv == 0.0 && !std::signbit(cv))
+                << rung->name << " spmm_tn n=" << n << " j=" << j << ": " << cv;
           }
         }
       }
