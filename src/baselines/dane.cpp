@@ -2,7 +2,6 @@
 
 #include <cmath>
 
-#include "baselines/diag.hpp"
 #include "data/partition.hpp"
 #include "la/vector_ops.hpp"
 #include "model/softmax.hpp"
@@ -28,7 +27,7 @@ core::RunResult inexact_dane(comm::SimCluster& cluster,
   const bool eval_accuracy =
       options.evaluate_accuracy && data.test_samples > 0;
 
-  cluster.run([&](comm::RankCtx& ctx) {
+  result.record_waits(cluster.run([&](comm::RankCtx& ctx) {
     const int rank = ctx.rank();
     ctx.clock().pause();
     const data::RankData& rd = data.ranks[static_cast<std::size_t>(rank)];
@@ -38,9 +37,10 @@ core::RunResult inexact_dane(comm::SimCluster& cluster,
     std::vector<model::SoftmaxObjective> batches;
     batches.reserve(batch_data.size());
     for (const auto& b : batch_data) batches.emplace_back(b, 0.0);
-    EpochRecorder recorder(ctx, local, options.lambda,
-                           eval_accuracy ? rd.test : data::Dataset{},
-                           eval_accuracy ? data.test_samples : 0, result);
+    core::EpochRecorder recorder(ctx, local, options.lambda,
+                                 eval_accuracy ? rd.test : data::Dataset{},
+                                 eval_accuracy ? data.test_samples : 0,
+                                 result);
     ctx.clock().resume();
 
     std::vector<double> w(dim, 0.0), x_prev(dim, 0.0), y_t(dim, 0.0),
@@ -96,11 +96,7 @@ core::RunResult inexact_dane(comm::SimCluster& cluster,
       recorder.record(k + 1, w);
     }
     if (ctx.is_root()) result.x = w;
-  });
-
-  if (result.iterations > 0) {
-    result.avg_epoch_sim_seconds = result.total_sim_seconds / result.iterations;
-  }
+  }));
   return result;
 }
 

@@ -2,7 +2,6 @@
 
 #include <cmath>
 
-#include "baselines/diag.hpp"
 #include "data/partition.hpp"
 #include "la/vector_ops.hpp"
 #include "model/softmax.hpp"
@@ -23,14 +22,15 @@ core::RunResult disco(comm::SimCluster& cluster,
   const bool eval_accuracy =
       options.evaluate_accuracy && data.test_samples > 0;
 
-  cluster.run([&](comm::RankCtx& ctx) {
+  result.record_waits(cluster.run([&](comm::RankCtx& ctx) {
     const int rank = ctx.rank();
     ctx.clock().pause();
     const data::RankData& rd = data.ranks[static_cast<std::size_t>(rank)];
     model::SoftmaxObjective local(rd.train, /*l2_lambda=*/0.0);
-    EpochRecorder recorder(ctx, local, options.lambda,
-                           eval_accuracy ? rd.test : data::Dataset{},
-                           eval_accuracy ? data.test_samples : 0, result);
+    core::EpochRecorder recorder(ctx, local, options.lambda,
+                                 eval_accuracy ? rd.test : data::Dataset{},
+                                 eval_accuracy ? data.test_samples : 0,
+                                 result);
     ctx.clock().resume();
 
     std::vector<double> w(dim, 0.0), g(dim), p(dim), hp(dim);
@@ -65,11 +65,7 @@ core::RunResult disco(comm::SimCluster& cluster,
       recorder.record(k + 1, w);
     }
     if (ctx.is_root()) result.x = w;
-  });
-
-  if (result.iterations > 0) {
-    result.avg_epoch_sim_seconds = result.total_sim_seconds / result.iterations;
-  }
+  }));
   return result;
 }
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <numeric>
 
-#include "baselines/diag.hpp"
 #include "data/partition.hpp"
 #include "la/vector_ops.hpp"
 #include "model/softmax.hpp"
@@ -29,15 +28,12 @@ core::RunResult sync_sgd(comm::SimCluster& cluster,
   const bool eval_accuracy =
       options.evaluate_accuracy && data.test_samples > 0;
 
-  cluster.run([&](comm::RankCtx& ctx) {
+  result.record_waits(cluster.run([&](comm::RankCtx& ctx) {
     const int rank = ctx.rank();
     ctx.clock().pause();
     const data::RankData& rd = data.ranks[static_cast<std::size_t>(rank)];
     const data::Dataset& shard = rd.train;
     model::SoftmaxObjective local(shard, /*l2_lambda=*/0.0);
-    EpochRecorder recorder(ctx, local, options.lambda,
-                           eval_accuracy ? rd.test : data::Dataset{},
-                           eval_accuracy ? data.test_samples : 0, result);
 
     auto batch_data = solvers::make_batches(shard, options.batch_size);
     std::vector<model::SoftmaxObjective> batches;
@@ -46,6 +42,10 @@ core::RunResult sync_sgd(comm::SimCluster& cluster,
     // Every rank must execute the same number of allreduces per epoch.
     const auto steps_per_epoch = static_cast<std::size_t>(
         ctx.allreduce_min(static_cast<double>(batches.size())));
+    core::EpochRecorder recorder(ctx, local, options.lambda,
+                                 eval_accuracy ? rd.test : data::Dataset{},
+                                 eval_accuracy ? data.test_samples : 0,
+                                 result);
     ctx.clock().resume();
 
     std::vector<double> w(dim, 0.0), packed(dim + 1);
@@ -74,11 +74,7 @@ core::RunResult sync_sgd(comm::SimCluster& cluster,
       recorder.record(epoch + 1, w);
     }
     if (ctx.is_root()) result.x = w;
-  });
-
-  if (result.iterations > 0) {
-    result.avg_epoch_sim_seconds = result.total_sim_seconds / result.iterations;
-  }
+  }));
   return result;
 }
 

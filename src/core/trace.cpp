@@ -1,26 +1,25 @@
-#include "baselines/diag.hpp"
+#include "core/trace.hpp"
 
 #include "la/vector_ops.hpp"
 
-namespace nadmm::baselines {
+namespace nadmm::core {
 
 EpochRecorder::EpochRecorder(comm::RankCtx& ctx,
                              model::SoftmaxObjective& local_loss,
                              double lambda, data::Dataset test_shard,
-                             std::size_t test_total, core::RunResult& result)
+                             std::size_t test_total, RunResult& result)
     : ctx_(&ctx),
       local_loss_(&local_loss),
       lambda_(lambda),
       test_total_(test_total),
       test_shard_(std::move(test_shard)),
-      result_(&result) {
-  if (!test_shard_.empty()) {
-    test_eval_ = std::make_unique<model::SoftmaxObjective>(test_shard_, 0.0);
-    test_shard_size_ = test_shard_.num_samples();
-  }
-}
+      test_eval_(test_shard_.empty() ? nullptr
+                                     : std::make_unique<model::SoftmaxObjective>(
+                                           test_shard_, 0.0)),
+      result_(&result) {}
 
-double EpochRecorder::record(int k, std::span<const double> w) {
+double EpochRecorder::record(int k, std::span<const double> w,
+                             const AdmmResiduals& admm) {
   ctx_->clock().pause();
   const double sim_time = ctx_->allreduce_max(ctx_->clock().total_seconds());
   double objective = ctx_->allreduce_sum(local_loss_->value(w));
@@ -29,29 +28,26 @@ double EpochRecorder::record(int k, std::span<const double> w) {
   if (test_total_ > 0) {
     const double hits =
         test_eval_ != nullptr
-            ? test_eval_->accuracy(w) * static_cast<double>(test_shard_size_)
+            ? test_eval_->accuracy(w) *
+                  static_cast<double>(test_shard_.num_samples())
             : 0.0;
     accuracy = ctx_->allreduce_sum(hits) / static_cast<double>(test_total_);
   }
   if (ctx_->is_root()) {
-    core::IterationStats s;
+    IterationStats s;
     s.iteration = k;
     s.objective = objective;
     s.test_accuracy = accuracy;
     s.sim_seconds = sim_time;
     s.wall_seconds = wall_.seconds();
-    s.epoch_sim_seconds = sim_time - prev_sim_time_;
     s.comm_sim_seconds = ctx_->clock().comm_seconds();
-    result_->trace.push_back(s);
-    result_->iterations = k;
-    result_->final_objective = objective;
-    result_->final_test_accuracy = accuracy;
-    result_->total_sim_seconds = sim_time;
-    result_->total_wall_seconds = wall_.seconds();
+    s.primal_residual = admm.primal;
+    s.dual_residual = admm.dual;
+    s.rho_mean = admm.rho_mean;
+    result_->append(s);
   }
-  prev_sim_time_ = sim_time;
   ctx_->clock().resume();
   return objective;
 }
 
-}  // namespace nadmm::baselines
+}  // namespace nadmm::core

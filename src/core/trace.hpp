@@ -1,16 +1,33 @@
-// Per-iteration trace types shared by Newton-ADMM and all baselines, so
-// the experiment harness can plot every solver in the same coordinates
-// the paper's figures use (objective / accuracy vs. time).
+// The epoch ledger every solver reports through, so the experiment
+// harness can plot all of them in the same coordinates the paper's
+// figures use (objective / accuracy vs. time):
+//   * IterationStats — one outer iteration ("epoch");
+//   * RunResult — a run's trace plus the totals mirrored from its last
+//     entry. RunResult::append is the only writer of both, and
+//     RunResult::record_waits takes the per-rank idle seconds from a
+//     run's reports;
+//   * EpochRecorder — the per-rank, collective epoch diagnostics of a
+//     SimCluster solver (objective, test accuracy, simulated time, and
+//     the ADMM residuals when the solver has them) on the paused clock,
+//     appended to the run's result by the root.
 #pragma once
 
 #include <cstdint>
 #include <map>
+#include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
+#include "comm/cluster.hpp"
+#include "data/dataset.hpp"
+#include "model/softmax.hpp"
+#include "support/check.hpp"
+#include "support/timer.hpp"
+
 namespace nadmm::core {
 
-/// One outer iteration ("epoch") of any distributed solver.
+/// One outer iteration ("epoch") of any solver.
 struct IterationStats {
   int iteration = 0;
   double objective = 0.0;        ///< F(x) on the full training set
@@ -25,7 +42,7 @@ struct IterationStats {
   double rho_mean = 0.0;         ///< mean per-node penalty
 };
 
-/// Final result of a distributed solver run.
+/// Final result of a solver run.
 struct RunResult {
   std::string solver;
   std::vector<double> x;              ///< final consensus / global iterate
@@ -39,7 +56,7 @@ struct RunResult {
 
   /// Simulated idle seconds per rank: barrier skew for synchronous
   /// solvers, mailbox/staleness-gate waits for asynchronous ones. Empty
-  /// for solvers that do not report it (single-node, SGD baselines).
+  /// for single-node solvers, which run on no cluster.
   std::vector<double> rank_wait_seconds;
   /// staleness_hist[s] counts consensus updates applied while their
   /// worker was `s` rounds ahead of the slowest worker (asynchronous
@@ -56,6 +73,32 @@ struct RunResult {
   /// New subsystems add keys without touching this struct; sweep
   /// CSV/JSON/journal carry the map generically.
   std::map<std::string, std::uint64_t> metrics;
+
+  /// Append the next epoch (iterations run 1, 2, …): sets its
+  /// epoch_sim_seconds from the previous entry, mirrors it into
+  /// iterations, final_* and total_*, and re-derives
+  /// avg_epoch_sim_seconds.
+  void append(IterationStats it) {
+    NADMM_CHECK(it.iteration == iterations + 1,
+                "RunResult::append: epochs must be numbered 1, 2, ...");
+    it.epoch_sim_seconds =
+        it.sim_seconds - (trace.empty() ? 0.0 : trace.back().sim_seconds);
+    iterations = it.iteration;
+    final_objective = it.objective;
+    final_test_accuracy = it.test_accuracy;
+    total_sim_seconds = it.sim_seconds;
+    total_wall_seconds = it.wall_seconds;
+    avg_epoch_sim_seconds = total_sim_seconds / iterations;
+    trace.push_back(it);
+  }
+
+  /// Take each rank's simulated idle seconds from a run's per-rank
+  /// reports (SimCluster::run's or AsyncEngine::run's).
+  template <class Reports>
+  void record_waits(const Reports& reports) {
+    rank_wait_seconds.clear();
+    for (const auto& r : reports) rank_wait_seconds.push_back(r.wait_seconds);
+  }
 
   /// Value of a metric, 0 when absent.
   [[nodiscard]] std::uint64_t metric(const std::string& name) const {
@@ -82,14 +125,48 @@ struct RunResult {
     }
     return -1.0;
   }
+};
 
-  /// Earliest iteration index reaching the threshold; −1 if never.
-  [[nodiscard]] int iterations_to_objective(double threshold) const {
-    for (const auto& it : trace) {
-      if (it.objective <= threshold) return it.iteration;
-    }
-    return -1;
-  }
+/// ADMM consensus diagnostics of one epoch, already reduced across
+/// ranks. All zero for solvers without a consensus step.
+struct AdmmResiduals {
+  double primal = 0.0;    ///< √Σ‖x_i − z‖²
+  double dual = 0.0;      ///< √Σ‖ρ_i(z^{k+1} − z^k)‖²
+  double rho_mean = 0.0;  ///< mean per-node penalty
+};
+
+/// Per-rank epoch diagnostics of one SimCluster solver run. Runs on a
+/// paused simulated clock, so trace timings measure only the algorithm's
+/// own compute + communication.
+class EpochRecorder {
+ public:
+  /// `test_total` is the global test-set size for averaging the
+  /// per-shard hit counts; it gates the accuracy allreduce and MUST be
+  /// the same on every rank (0 reports accuracy as −1). `test_shard`
+  /// may be empty on an individual rank (more ranks than test rows) —
+  /// that rank still joins the allreduce with zero hits. The shard is
+  /// taken by value (an O(1) shared-storage view copy) and owned by the
+  /// recorder, so callers can pass a temporary. The wall clock starts
+  /// when the recorder is built: build it last in the untimed setup.
+  EpochRecorder(comm::RankCtx& ctx, model::SoftmaxObjective& local_loss,
+                double lambda, data::Dataset test_shard,
+                std::size_t test_total, RunResult& result);
+
+  /// Record epoch k (1-based) at global iterate `w`, with the solver's
+  /// consensus residuals if it has them. Every rank must call this
+  /// collectively. Returns the objective F(w), identical on every rank.
+  double record(int k, std::span<const double> w,
+                const AdmmResiduals& admm = {});
+
+ private:
+  comm::RankCtx* ctx_;
+  model::SoftmaxObjective* local_loss_;
+  double lambda_;
+  std::size_t test_total_;
+  data::Dataset test_shard_;  ///< owned: test_eval_ points into it
+  std::unique_ptr<model::SoftmaxObjective> test_eval_;
+  RunResult* result_;
+  WallTimer wall_;
 };
 
 }  // namespace nadmm::core

@@ -47,6 +47,7 @@ core::RunResult run_single_node(const std::string& name,
   flops::Scope scope;
   core::RunResult r;
   r.solver = name;
+  std::vector<double> objectives;  // F(x) after each iteration
 
   if (name == "newton-cg") {
     solvers::NewtonOptions o;
@@ -58,15 +59,7 @@ core::RunResult run_single_node(const std::string& name,
     o.record_trace = true;
     auto nr = solvers::newton_cg(objective, std::move(x0), o);
     r.x = std::move(nr.x);
-    r.iterations = nr.iterations;
-    r.final_objective = nr.final_value;
-    r.trace.reserve(nr.trace.size());
-    for (std::size_t i = 0; i < nr.trace.size(); ++i) {
-      core::IterationStats it;
-      it.iteration = static_cast<int>(i) + 1;
-      it.objective = nr.trace[i].value;
-      r.trace.push_back(it);
-    }
+    for (const auto& it : nr.trace) objectives.push_back(it.value);
   } else {
     solvers::FirstOrderOptions o;
     o.rule = solvers::first_order_rule_from_string(name);
@@ -76,29 +69,26 @@ core::RunResult run_single_node(const std::string& name,
     o.record_trace = true;
     auto fr = solvers::first_order_minimize(objective, {}, std::move(x0), o);
     r.x = std::move(fr.x);
-    r.iterations = fr.iterations;
-    r.final_objective = fr.final_value;
-    r.trace.reserve(fr.value_trace.size());
-    for (std::size_t i = 0; i < fr.value_trace.size(); ++i) {
-      core::IterationStats it;
-      it.iteration = static_cast<int>(i) + 1;
-      it.objective = fr.value_trace[i];
-      r.trace.push_back(it);
-    }
+    objectives = std::move(fr.value_trace);
   }
 
-  r.total_sim_seconds = device.seconds_for(scope.elapsed(), scope.elapsed_bytes());
-  r.total_wall_seconds = timer.seconds();
-  if (r.iterations > 0) {
-    r.avg_epoch_sim_seconds = r.total_sim_seconds / r.iterations;
-  }
-  if (test != nullptr && !test->empty()) {
-    r.final_test_accuracy = model::accuracy(*test, r.x);
-  }
-  if (!r.trace.empty()) {
-    r.trace.back().sim_seconds = r.total_sim_seconds;
-    r.trace.back().wall_seconds = r.total_wall_seconds;
-    r.trace.back().test_accuracy = r.final_test_accuracy;
+  // Time and accuracy are known for the whole run only: the last entry
+  // carries them, every earlier one sits at time 0.
+  const double sim_seconds =
+      device.seconds_for(scope.elapsed(), scope.elapsed_bytes());
+  const double wall_seconds = timer.seconds();
+  const double accuracy =
+      test != nullptr ? model::accuracy(*test, r.x) : -1.0;
+  for (std::size_t i = 0; i < objectives.size(); ++i) {
+    core::IterationStats it;
+    it.iteration = static_cast<int>(i) + 1;
+    it.objective = objectives[i];
+    if (i + 1 == objectives.size()) {
+      it.sim_seconds = sim_seconds;
+      it.wall_seconds = wall_seconds;
+      it.test_accuracy = accuracy;
+    }
+    r.append(it);
   }
   return r;
 }

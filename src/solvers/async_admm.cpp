@@ -147,7 +147,6 @@ core::RunResult async_admm(comm::SimCluster& cluster,
   std::uint64_t commits = 0;
   int epochs = 0;
   bool stopping = false;
-  double prev_sim_time = 0.0;
   std::vector<std::uint64_t>& hist = result.staleness_hist;
   WallTimer wall;
 
@@ -390,32 +389,21 @@ core::RunResult async_admm(comm::SimCluster& cluster,
     if (commits % static_cast<std::uint64_t>(n) == 0) {
       // --- epoch diagnostics on the paused clock ---
       ctx.clock().pause();
-      ++epochs;
-      double objective = diag_objective(z);
-      if (admm.lambda > 0.0) {
-        objective += 0.5 * admm.lambda * la::nrm2_sq(z);
-      }
-      const double accuracy = eval_accuracy ? diag_accuracy(z) : -1.0;
-      const double sim_time = ctx.now();
       core::IterationStats it;
-      it.iteration = epochs;
-      it.objective = objective;
-      it.test_accuracy = accuracy;
-      it.sim_seconds = sim_time;
+      it.iteration = ++epochs;
+      it.objective = diag_objective(z);
+      if (admm.lambda > 0.0) {
+        it.objective += 0.5 * admm.lambda * la::nrm2_sq(z);
+      }
+      it.test_accuracy = eval_accuracy ? diag_accuracy(z) : -1.0;
+      it.sim_seconds = ctx.now();
       it.wall_seconds = wall.seconds();
-      it.epoch_sim_seconds = sim_time - prev_sim_time;
       it.comm_sim_seconds = ctx.clock().comm_seconds();
       it.rho_mean = acc.rho_sum() / n;
-      result.trace.push_back(it);
-      prev_sim_time = sim_time;
-      result.iterations = epochs;
-      result.final_objective = objective;
-      result.final_test_accuracy = accuracy;
-      result.total_sim_seconds = sim_time;
-      result.total_wall_seconds = wall.seconds();
+      result.append(it);
       if (epochs >= admm.max_iterations ||
           (admm.objective_target > 0.0 &&
-           objective <= admm.objective_target)) {
+           it.objective <= admm.objective_target)) {
         stopping = true;
       }
       if (options.kill_rank >= 0 && !killed && !stopping &&
@@ -500,16 +488,11 @@ core::RunResult async_admm(comm::SimCluster& cluster,
       });
 
   result.x = z;
-  result.rank_wait_seconds.reserve(reports.size());
+  result.record_waits(reports);
   for (const auto& r : reports) {
-    result.rank_wait_seconds.push_back(r.wait_seconds);
     result.add_metric("retransmits", r.retransmits);
     result.add_metric("gaps_detected", r.gaps_detected);
     result.add_metric("messages_dropped", r.messages_dropped);
-  }
-  if (result.iterations > 0) {
-    result.avg_epoch_sim_seconds =
-        result.total_sim_seconds / result.iterations;
   }
   return result;
 }

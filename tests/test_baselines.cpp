@@ -3,6 +3,7 @@
 // converge to the single-node reference optimum.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "baselines/dane.hpp"
@@ -79,6 +80,23 @@ TEST(Giant, TraceAndAccuracyPopulated) {
   EXPECT_GT(r.final_test_accuracy, 0.4);
   EXPECT_GT(r.trace.back().comm_sim_seconds, 0.0);
   EXPECT_GT(r.avg_epoch_sim_seconds, 0.0);
+}
+
+TEST(Giant, ReportsStragglerWaitPerRank) {
+  // straggler=1:4 on 2 ranks: rank 1's device runs at a quarter speed,
+  // so rank 0 idles at every barrier and rank 1 never waits.
+  auto tt = easy_problem(36);
+  comm::SimCluster cluster(
+      {la::DeviceModel{"test", 100.0}, la::DeviceModel{"test/4", 25.0}},
+      comm::infiniband_100g());
+  GiantOptions opts;
+  opts.max_iterations = 5;
+  const auto r = giant(cluster, shards(cluster, tt.train, nullptr), opts);
+  ASSERT_EQ(r.rank_wait_seconds.size(), 2u);
+  EXPECT_GT(r.rank_wait_seconds[0], 0.0);
+  EXPECT_EQ(r.rank_wait_seconds[1], 0.0);
+  EXPECT_EQ(r.max_wait_seconds(), *std::max_element(r.rank_wait_seconds.begin(),
+                                                    r.rank_wait_seconds.end()));
 }
 
 TEST(Giant, ValidatesOptions) {

@@ -163,6 +163,35 @@ TEST(SolverRegistry, RunsDistributedSolver) {
   EXPECT_GT(r.total_sim_seconds, 0.0);
 }
 
+TEST(SolverRegistry, EveryDistributedSolverKeepsAConsistentLedger) {
+  // Every distributed solver records its epochs through one ledger, so
+  // the totals mirror the last trace entry and every rank reports its
+  // wait, whichever solver ran.
+  const auto c = tiny_config();
+  const auto tt = make_data(c);
+  int checked = 0;
+  for (const auto& info : SolverRegistry::instance().list()) {
+    if (info.kind != SolverKind::kDistributed) continue;
+    SCOPED_TRACE(info.name);
+    auto cluster = make_cluster(c);
+    const auto r = SolverRegistry::instance().run(
+        info.name, cluster,
+        shard_for_solver(info.name, tt.train, &tt.test, c), c);
+    ++checked;
+    ASSERT_GT(r.iterations, 0);
+    ASSERT_EQ(r.trace.size(), static_cast<std::size_t>(r.iterations));
+    for (std::size_t i = 0; i < r.trace.size(); ++i) {
+      EXPECT_EQ(r.trace[i].iteration, static_cast<int>(i) + 1);
+    }
+    EXPECT_EQ(r.final_objective, r.trace.back().objective);
+    EXPECT_EQ(r.final_test_accuracy, r.trace.back().test_accuracy);
+    EXPECT_EQ(r.total_sim_seconds, r.trace.back().sim_seconds);
+    EXPECT_EQ(r.avg_epoch_sim_seconds, r.total_sim_seconds / r.iterations);
+    EXPECT_EQ(r.rank_wait_seconds.size(), static_cast<std::size_t>(c.workers));
+  }
+  EXPECT_GT(checked, 0);
+}
+
 TEST(SolverRegistry, RunsSingleNodeSolverWithFlopDerivedTime) {
   auto c = tiny_config();
   c.iterations = 5;

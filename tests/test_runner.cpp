@@ -142,10 +142,8 @@ TEST(HarnessTrace, TimeToObjectiveHelpers) {
   b.sim_seconds = 1.5;
   r.trace = {a, b};
   EXPECT_DOUBLE_EQ(r.sim_time_to_objective(5.0), 1.5);
-  EXPECT_EQ(r.iterations_to_objective(5.0), 2);
   EXPECT_DOUBLE_EQ(r.sim_time_to_objective(11.0), 0.5);
   EXPECT_DOUBLE_EQ(r.sim_time_to_objective(1.0), -1.0);
-  EXPECT_EQ(r.iterations_to_objective(1.0), -1);
 }
 
 TEST(HarnessEarlyStop, AdmmObjectiveTargetStopsRun) {
