@@ -66,7 +66,14 @@ void AsyncRank::send(int to, int tag, std::vector<double> payload) {
     m.delivery_time = m.send_time;  // loopback: no wire, no charge
   } else {
     const std::uint64_t bytes = wire::frame_bytes(payload.size());
-    m.delivery_time = m.send_time + engine_->network_.point_to_point(bytes);
+    // Per-link FIFO: never deliver before the link's previous message.
+    // Priced times alone can invert by a rounding step when latency is
+    // 0 and frames differ in size (a request overtaken by a shorter
+    // Done); the equal-time tie then falls to the earlier seq.
+    double& last = engine_->link_last_delivery_[engine_->link_index(rank_, to)];
+    m.delivery_time = std::max(
+        last, m.send_time + engine_->network_.point_to_point(bytes));
+    last = m.delivery_time;
     clock_.add_comm(engine_->network_.serialization(bytes));
   }
   m.payload = std::move(payload);
@@ -423,6 +430,7 @@ std::vector<AsyncRankReport> AsyncEngine::run(const StartFn& on_start,
   static_cast<void>(omp_threads_);
 #endif
 
+  link_last_delivery_.assign(devices_.size() * devices_.size(), 0.0);
   std::vector<AsyncRank> ranks;
   ranks.reserve(devices_.size());
   for (std::size_t r = 0; r < devices_.size(); ++r) {
@@ -492,9 +500,6 @@ std::vector<AsyncRankReport> AsyncEngine::run(const StartFn& on_start,
     report.compute_seconds = clock.compute_seconds();
     report.comm_seconds = clock.comm_seconds();
     report.wait_seconds = clock.wait_seconds();
-    report.finish_time = clock.total_seconds();
-    report.total_flops = clock.total_flops();
-    report.total_bytes = clock.total_bytes();
     report.messages_sent = ranks[r].sent_;
     report.messages_received = ranks[r].received_;
     report.messages_dropped = ranks[r].dropped_;

@@ -65,9 +65,6 @@ struct AsyncRankReport {
   double compute_seconds = 0.0;
   double comm_seconds = 0.0;   ///< serialization charges for sent frames
   double wait_seconds = 0.0;   ///< idle time between handler invocations
-  double finish_time = 0.0;    ///< rank clock when the event queue drained
-  std::uint64_t total_flops = 0;
-  std::uint64_t total_bytes = 0;
   std::uint64_t messages_sent = 0;
   std::uint64_t messages_received = 0;
   /// Messages addressed to this rank that were never delivered: dropped
@@ -91,7 +88,8 @@ class AsyncRank {
   [[nodiscard]] const NetworkModel& network() const;
 
   /// Post `payload` to rank `to`. The message is delivered at
-  /// now() + point_to_point(frame bytes); the sender's clock is charged
+  /// now() + point_to_point(frame bytes), but never before the previous
+  /// send on the same link (per-link FIFO); the sender's clock is charged
   /// the serialization term. Loopback sends (to == rank()) are free and
   /// deliver at now().
   void send(int to, int tag, std::vector<double> payload);
@@ -197,6 +195,8 @@ class AsyncEngine {
   std::vector<AsyncMessage> queue_;  ///< binary min-heap, see event_after
   std::uint64_t next_seq_ = 0;
   std::uint64_t delivered_ = 0;
+  /// Delivery time of the last plain-path send per link (from, to).
+  std::vector<double> link_last_delivery_;
   bool ran_ = false;
 
   bool faults_enabled_ = false;

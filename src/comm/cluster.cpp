@@ -97,8 +97,6 @@ std::vector<RankReport> SimCluster::run(
     report.compute_seconds = ctx.clock_.compute_seconds();
     report.comm_seconds = ctx.clock_.comm_seconds();
     report.wait_seconds = ctx.clock_.wait_seconds();
-    report.total_flops = ctx.clock_.total_flops();
-    report.total_bytes = ctx.clock_.total_bytes();
   };
 
   std::vector<std::thread> threads;
@@ -256,7 +254,5 @@ void RankCtx::allgather(std::span<const double> in, std::vector<double>& out) {
   clock_.add_comm(c.network_.allgather(in.size() * sizeof(double), size_));
   c.barrier_.arrive_and_wait();
 }
-
-void RankCtx::charge_all(double seconds) { clock_.add_comm(seconds); }
 
 }  // namespace nadmm::comm

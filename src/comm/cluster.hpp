@@ -100,8 +100,6 @@ class RankCtx {
   RankCtx(int rank, int size, SimCluster& cluster, la::DeviceModel device)
       : rank_(rank), size_(size), cluster_(&cluster), clock_(std::move(device)) {}
 
-  void charge_all(double seconds);
-
   int rank_;
   int size_;
   SimCluster* cluster_;
@@ -116,8 +114,6 @@ struct RankReport {
   /// barrier skew (slowest rank's busy time minus this rank's), the time
   /// a fast rank spent parked at barriers waiting for stragglers.
   double wait_seconds = 0.0;
-  std::uint64_t total_flops = 0;
-  std::uint64_t total_bytes = 0;
 };
 
 /// Owns the shared collective state and the rank threads.

@@ -55,8 +55,8 @@ struct RunResult {
   double avg_epoch_sim_seconds = 0.0;
 
   /// Simulated idle seconds per rank: barrier skew for synchronous
-  /// solvers, mailbox/staleness-gate waits for asynchronous ones. Empty
-  /// for single-node solvers, which run on no cluster.
+  /// solvers, mailbox/staleness-gate waits for asynchronous ones. One
+  /// entry (always 0) for single-node solvers, which run on one rank.
   std::vector<double> rank_wait_seconds;
   /// staleness_hist[s] counts consensus updates applied while their
   /// worker was `s` rounds ahead of the slowest worker (asynchronous

@@ -95,7 +95,8 @@ struct ShardedDataset {
   /// Full splits when the data was materialized in one piece (views of /
   /// the same storage the rank shards reference). Empty for streamed
   /// sources, where the full matrix never exists — solvers must not
-  /// require them (single-node solvers do, and say so).
+  /// require them (async-admm's full-set diagnostics use them when
+  /// present).
   Dataset full_train;
   Dataset full_test;
 

@@ -1,95 +1,72 @@
 #include "runner/registry.hpp"
 
-#ifdef _OPENMP
-#include <omp.h>
-#endif
-
 #include <algorithm>
 #include <utility>
 
-#include "la/flops.hpp"
-#include "model/metrics.hpp"
 #include "model/softmax.hpp"
 #include "solvers/first_order.hpp"
 #include "solvers/newton.hpp"
 #include "support/check.hpp"
-#include "support/timer.hpp"
 
 namespace nadmm::runner {
 
 namespace {
 
-/// Run one of the single-node reference optimizers on the full training
-/// set. The cluster is unused; simulated time is derived from the flops
-/// the run executed on the calling thread under the configured device
-/// rating, so sweep results stay machine-independent and deterministic.
+/// Run one of the single-node reference optimizers as a one-rank cluster
+/// run on the config's single device, over the one-part plan's whole
+/// split. Every iteration is recorded through core::EpochRecorder like
+/// any cluster solver's epoch: simulated time is the device roofline over
+/// the flops each iteration executed, diagnostics run on the paused
+/// clock.
 core::RunResult run_single_node(const std::string& name,
                                 const data::ShardedDataset& data,
                                 const ExperimentConfig& config) {
-  NADMM_CHECK(data.has_full(),
-              "single-node solver '" + name +
-                  "' needs the materialized dataset; streamed libsvm shards "
-                  "have no full matrix (run it through the harness, which "
-                  "materializes for single-node solvers)");
-  const data::Dataset& train = data.full_train;
-  const data::Dataset* test = data.full_test.empty() ? nullptr : &data.full_test;
-  // Honour the same per-rank thread pin the cluster applies: the sweep
-  // scheduler relies on it for byte-stable reports and to keep
-  // jobs × cores from oversubscribing the host.
-#ifdef _OPENMP
-  if (config.omp_threads > 0) omp_set_num_threads(config.omp_threads);
-#endif
-  model::SoftmaxObjective objective(train, config.lambda);
-  const la::DeviceModel device = la::device_from_string(config.device);
-  std::vector<double> x0(objective.dim(), 0.0);
-
-  WallTimer timer;
-  flops::Scope scope;
+  NADMM_CHECK(data.parts() == 1, "single-node solver '" + name +
+                                     "' needs a one-part shard plan");
+  comm::SimCluster cluster(1, la::device_from_string(config.device),
+                           comm::network_from_string(config.network),
+                           config.omp_threads);
+  const bool eval_accuracy =
+      config.evaluate_accuracy && data.test_samples > 0;
   core::RunResult r;
   r.solver = name;
-  std::vector<double> objectives;  // F(x) after each iteration
+  r.record_waits(cluster.run([&](comm::RankCtx& ctx) {
+    ctx.clock().pause();
+    const data::RankData& rd = data.ranks.front();
+    model::SoftmaxObjective objective(rd.train, config.lambda);
+    // The recorder evaluates F(x) on its own copy: a shared forward cache
+    // would hand the next gradient a forward pass computed on the paused
+    // clock, and first-order iterations would be priced without it. λ
+    // lives in the copy, so the recorder adds none.
+    model::SoftmaxObjective diagnostics(rd.train, config.lambda);
+    core::EpochRecorder recorder(ctx, diagnostics, /*lambda=*/0.0,
+                                 eval_accuracy ? rd.test : data::Dataset{},
+                                 eval_accuracy ? data.test_samples : 0, r);
+    ctx.clock().resume();
 
-  if (name == "newton-cg") {
-    solvers::NewtonOptions o;
-    o.max_iterations = config.iterations;
-    o.cg.max_iterations = config.cg_iterations;
-    o.cg.rel_tol = config.cg_tol;
-    o.line_search.max_iterations = config.line_search_iterations;
-    if (config.gradient_tol >= 0.0) o.gradient_tol = config.gradient_tol;
-    o.record_trace = true;
-    auto nr = solvers::newton_cg(objective, std::move(x0), o);
-    r.x = std::move(nr.x);
-    for (const auto& it : nr.trace) objectives.push_back(it.value);
-  } else {
-    solvers::FirstOrderOptions o;
-    o.rule = solvers::first_order_rule_from_string(name);
-    o.max_iterations = config.iterations;
-    if (config.fo_step > 0.0) o.step_size = config.fo_step;
-    if (config.gradient_tol >= 0.0) o.gradient_tol = config.gradient_tol;
-    o.record_trace = true;
-    auto fr = solvers::first_order_minimize(objective, {}, std::move(x0), o);
-    r.x = std::move(fr.x);
-    objectives = std::move(fr.value_trace);
-  }
-
-  // Time and accuracy are known for the whole run only: the last entry
-  // carries them, every earlier one sits at time 0.
-  const double sim_seconds =
-      device.seconds_for(scope.elapsed(), scope.elapsed_bytes());
-  const double wall_seconds = timer.seconds();
-  const double accuracy =
-      test != nullptr ? model::accuracy(*test, r.x) : -1.0;
-  for (std::size_t i = 0; i < objectives.size(); ++i) {
-    core::IterationStats it;
-    it.iteration = static_cast<int>(i) + 1;
-    it.objective = objectives[i];
-    if (i + 1 == objectives.size()) {
-      it.sim_seconds = sim_seconds;
-      it.wall_seconds = wall_seconds;
-      it.test_accuracy = accuracy;
+    const auto record = [&](int k, std::span<const double> x) {
+      recorder.record(k, x);
+    };
+    std::vector<double> x0(objective.dim(), 0.0);
+    if (name == "newton-cg") {
+      solvers::NewtonOptions o;
+      o.max_iterations = config.iterations;
+      o.cg.max_iterations = config.cg_iterations;
+      o.cg.rel_tol = config.cg_tol;
+      o.line_search.max_iterations = config.line_search_iterations;
+      if (config.gradient_tol >= 0.0) o.gradient_tol = config.gradient_tol;
+      o.on_iteration = record;
+      r.x = solvers::newton_cg(objective, std::move(x0), o).x;
+    } else {
+      solvers::FirstOrderOptions o;
+      o.rule = solvers::first_order_rule_from_string(name);
+      o.max_iterations = config.iterations;
+      if (config.fo_step > 0.0) o.step_size = config.fo_step;
+      if (config.gradient_tol >= 0.0) o.gradient_tol = config.gradient_tol;
+      o.on_iteration = record;
+      r.x = solvers::first_order_minimize(objective, std::move(x0), o).x;
     }
-    r.append(it);
-  }
+  }));
   return r;
 }
 

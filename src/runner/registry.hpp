@@ -6,9 +6,10 @@
 //     paper's baselines GIANT / Synchronous SGD / InexactDANE / AIDE /
 //     DiSCO);
 //   * single-node — the §1 reference optimizers (Newton-CG, gradient
-//     descent, momentum, Adagrad, Adam) run on the calling thread; their
-//     traces carry per-iteration objectives and a flop-derived total
-//     simulated time, but no per-iteration timing breakdown.
+//     descent, momentum, Adagrad, Adam) run as one-rank cluster runs on
+//     the config's single device and record every iteration through
+//     core::EpochRecorder, so their traces carry per-iteration simulated
+//     time, wall time and test accuracy like the distributed ones.
 #pragma once
 
 #include <functional>
@@ -55,8 +56,9 @@ struct SolverInfo {
 /// Factory signature shared by both families: every solver receives the
 /// pre-sharded experiment data (one RankData per rank, planned by the
 /// harness — no solver re-shards). Single-node solvers ignore the
-/// cluster and run on the materialized full splits, but keep the uniform
-/// signature so callers need no special cases.
+/// cluster (they build a one-rank one) and read the one-part plan's
+/// whole split, but keep the uniform signature so callers need no
+/// special cases.
 using SolverFactory = std::function<core::RunResult(
     comm::SimCluster&, const data::ShardedDataset&, const ExperimentConfig&)>;
 

@@ -118,9 +118,6 @@ ServeResult simulate(const SavedModel& model, const data::Dataset& pool,
     gather_rows(pool, queue, b, rows, labels);
     la::DenseMatrix scores(b, c);
     la::kernels::gemm_nn(1.0, rows.view(0, b), coef, 0.0, scores);
-    la::DenseMatrix probs(b, c);
-    std::vector<double> lse(b);
-    la::kernels::softmax_forward(scores, {labels.data(), b}, probs, lse);
     for (std::size_t i = 0; i < b; ++i) {
       const auto s = scores.row(i);
       double best = 0.0;  // implicit reference class
@@ -229,6 +226,10 @@ ServeResult simulate(const SavedModel& model, const data::Dataset& pool,
       {la::cpu_device(), la::device_from_string(config.device)},
       comm::network_from_string(config.network), config.omp_threads);
   const auto reports = engine.run(on_start, on_message);
+  if (served != stream.size()) {
+    throw RuntimeError("serving answered " + std::to_string(served) + " of " +
+                       std::to_string(stream.size()) + " requests");
+  }
 
   ServeResult result;
   result.arrival = arrival->name();

@@ -64,7 +64,8 @@ struct ServeResult {
 /// Serve `config.requests` synthetic requests drawn from `pool` rows
 /// against `model`. The pool's feature dimension and class count must
 /// match the model. Throws InvalidArgument on mismatched shapes or
-/// malformed specs.
+/// malformed specs, and RuntimeError when the run answers fewer requests
+/// than the stream holds.
 ServeResult simulate(const SavedModel& model, const data::Dataset& pool,
                      const ServeConfig& config);
 

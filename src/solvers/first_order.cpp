@@ -4,7 +4,6 @@
 
 #include "la/vector_ops.hpp"
 #include "support/check.hpp"
-#include "support/rng.hpp"
 
 namespace nadmm::solvers {
 
@@ -27,39 +26,23 @@ std::string to_string(FirstOrderRule rule) {
   return "?";
 }
 
-FirstOrderResult first_order_minimize(
-    model::Objective& objective, std::vector<model::Objective*> batches,
-    std::vector<double> x0, const FirstOrderOptions& options) {
+FirstOrderResult first_order_minimize(model::Objective& objective,
+                                      std::vector<double> x0,
+                                      const FirstOrderOptions& options) {
   NADMM_CHECK(x0.size() == objective.dim(), "first_order: x0 size mismatch");
   NADMM_CHECK(options.step_size > 0.0, "first_order: step size must be > 0");
   NADMM_CHECK(options.max_iterations >= 1, "first_order: bad max_iterations");
-  const bool stochastic = options.batch_size > 0;
-  NADMM_CHECK(!stochastic || !batches.empty(),
-              "first_order: stochastic mode needs batch objectives");
-  for (auto* b : batches) {
-    NADMM_CHECK(b != nullptr && b->dim() == objective.dim(),
-                "first_order: batch dimension mismatch");
-  }
 
   const std::size_t dim = objective.dim();
   FirstOrderResult result;
   result.x = std::move(x0);
   std::vector<double> g(dim), velocity(dim, 0.0), accum(dim, 0.0),
       moment1(dim, 0.0), moment2(dim, 0.0);
-  Rng rng(options.seed);
-  const double total_samples = static_cast<double>(objective.num_samples());
 
+  // The convergence test leaves ∇F(x) in g; the next step reuses it.
+  bool fresh = false;
   for (int k = 0; k < options.max_iterations; ++k) {
-    if (stochastic) {
-      auto* batch = batches[rng.uniform_index(batches.size())];
-      batch->gradient(result.x, g);
-      // Unbiased full-sum estimate: scale by n / |batch|.
-      const double scale =
-          total_samples / static_cast<double>(batch->num_samples());
-      la::scal(scale, g);
-    } else {
-      objective.gradient(result.x, g);
-    }
+    if (!fresh) objective.gradient(result.x, g);
 
     switch (options.rule) {
       case FirstOrderRule::kGradientDescent:
@@ -97,10 +80,9 @@ FirstOrderResult first_order_minimize(
       }
     }
     result.iterations = k + 1;
-    if (options.record_trace) {
-      result.value_trace.push_back(objective.value(result.x));
-    }
-    if (options.gradient_tol > 0.0 && !stochastic) {
+    if (options.on_iteration) options.on_iteration(k + 1, result.x);
+    fresh = options.gradient_tol > 0.0;
+    if (fresh) {
       objective.gradient(result.x, g);
       if (la::nrm2(g) < options.gradient_tol) {
         result.converged = true;
@@ -108,7 +90,7 @@ FirstOrderResult first_order_minimize(
       }
     }
   }
-  objective.gradient(result.x, g);
+  if (!fresh) objective.gradient(result.x, g);
   result.final_gradient_norm = la::nrm2(g);
   if (options.gradient_tol > 0.0 &&
       result.final_gradient_norm < options.gradient_tol) {

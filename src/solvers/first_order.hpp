@@ -1,6 +1,6 @@
 // Single-node first-order methods: full-batch gradient descent and the
-// stochastic family the paper's §1.2 surveys (SGD with momentum,
-// Adagrad, Adam).
+// adaptive family the paper's §1.2 surveys (heavy-ball momentum,
+// Adagrad, Adam), all on the full gradient.
 //
 // They serve two roles: as reference optimizers in tests (every convex
 // objective they minimize must agree with Newton-CG), and as the
@@ -9,7 +9,8 @@
 // iterations, step-size sensitivity.
 #pragma once
 
-#include <cstdint>
+#include <functional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -31,9 +32,9 @@ struct FirstOrderOptions {
   double beta2 = 0.999;           ///< kAdam
   double epsilon = 1e-8;          ///< kAdagrad / kAdam denominator guard
   double gradient_tol = 0.0;      ///< stop when ‖g‖ < tol (0: run all)
-  std::size_t batch_size = 0;     ///< 0 = full batch (deterministic GD)
-  std::uint64_t seed = 99;        ///< batch sampling seed
-  bool record_trace = false;
+  /// Called after each step with the 1-based iteration and the new
+  /// iterate (the registry records its trace row here); may be empty.
+  std::function<void(int, std::span<const double>)> on_iteration;
 };
 
 struct FirstOrderResult {
@@ -42,16 +43,12 @@ struct FirstOrderResult {
   double final_value = 0.0;
   double final_gradient_norm = 0.0;
   bool converged = false;
-  std::vector<double> value_trace;  ///< per-iteration F(x) if recorded
 };
 
-/// Minimize `objective` with the selected rule. With batch_size == 0 the
-/// full gradient is used each step; otherwise `batches` (pre-sliced
-/// objectives whose gradients sum to the full one) drive stochastic
-/// steps — pass an empty vector for full-batch mode.
-FirstOrderResult first_order_minimize(
-    model::Objective& objective,
-    std::vector<model::Objective*> batches,  // may be empty
-    std::vector<double> x0, const FirstOrderOptions& options);
+/// Minimize `objective` from `x0` with the selected rule, one full
+/// gradient per step.
+FirstOrderResult first_order_minimize(model::Objective& objective,
+                                      std::vector<double> x0,
+                                      const FirstOrderOptions& options);
 
 }  // namespace nadmm::solvers

@@ -23,7 +23,7 @@ NewtonResult newton_cg(model::Objective& objective, std::vector<double> x0,
       result.converged = true;
       break;
     }
-    const CgResult cg = conjugate_gradient(
+    conjugate_gradient(
         [&](std::span<const double> v, std::span<double> hv) {
           objective.hessian_vec(result.x, v, hv);
         },
@@ -46,10 +46,7 @@ NewtonResult newton_cg(model::Objective& objective, std::vector<double> x0,
     f = objective.value_and_gradient(result.x, g);
     g_norm = la::nrm2(g);
     result.iterations = k + 1;
-    if (options.record_trace) {
-      result.trace.push_back(
-          {f, g_norm, ls.alpha, cg.iterations, cg.rel_residual});
-    }
+    if (options.on_iteration) options.on_iteration(k + 1, result.x);
   }
   if (g_norm < options.gradient_tol) result.converged = true;
   result.final_value = f;

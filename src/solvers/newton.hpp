@@ -6,6 +6,8 @@
 // problem-independent local rate (Roosta-Khorasani & Mahoney).
 #pragma once
 
+#include <functional>
+#include <span>
 #include <vector>
 
 #include "model/objective.hpp"
@@ -19,15 +21,9 @@ struct NewtonOptions {
   double gradient_tol = 1e-8;  ///< ε in Algorithm 1: stop when ‖g‖ < ε
   CgOptions cg;
   LineSearchOptions line_search;
-  bool record_trace = false;   ///< keep per-iteration diagnostics
-};
-
-struct NewtonIterate {
-  double value;
-  double gradient_norm;
-  double step_size;
-  int cg_iterations;
-  double cg_rel_residual;
+  /// Called after each accepted step with the 1-based iteration and the
+  /// new iterate (the registry records its trace row here); may be empty.
+  std::function<void(int, std::span<const double>)> on_iteration;
 };
 
 struct NewtonResult {
@@ -36,7 +32,6 @@ struct NewtonResult {
   double final_value = 0.0;
   double final_gradient_norm = 0.0;
   bool converged = false;         ///< gradient tolerance reached
-  std::vector<NewtonIterate> trace;
 };
 
 /// Minimize `objective` starting from `x0`.

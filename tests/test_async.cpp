@@ -42,6 +42,36 @@ TEST(AsyncEngine, DeliversInVirtualTimeOrder) {
   EXPECT_EQ(tags, (std::vector<int>{1, 11, 2, 3}));
 }
 
+TEST(AsyncEngine, KeepsPerLinkFifoOnAZeroLatencyNetwork) {
+  // On `ideal` (latency 0, 1e18 B/s) a 64-byte frame and the 48-byte
+  // frame sent right after it land within half an ulp of each other, so
+  // rounding alone could let the second overtake the first. Each timer
+  // sends a two-double message, then an empty one: the receiver must see
+  // them in send order, every time.
+  constexpr int kRounds = 2000;
+  comm::AsyncEngine engine({unit_device(), unit_device()},
+                           comm::ideal_network());
+  std::vector<int> tags;
+  int rounds = 0;
+  engine.run(
+      [&](comm::AsyncRank& ctx) {
+        if (ctx.rank() == 0) ctx.send_self(/*tag=*/0, /*delay=*/0.5);
+      },
+      [&](comm::AsyncRank& ctx, const comm::AsyncMessage& msg) {
+        if (ctx.rank() == 1) {
+          tags.push_back(msg.tag);
+          return;
+        }
+        ctx.send(1, /*tag=*/1, {1.0, 2.0});
+        ctx.send(1, /*tag=*/2, {});
+        if (++rounds < kRounds) ctx.send_self(/*tag=*/0, /*delay=*/2.5e-4);
+      });
+  ASSERT_EQ(tags.size(), static_cast<std::size_t>(2 * kRounds));
+  for (std::size_t i = 0; i < tags.size(); ++i) {
+    ASSERT_EQ(tags[i], i % 2 == 0 ? 1 : 2) << "delivery " << i;
+  }
+}
+
 TEST(AsyncEngine, SenderPaysSerializationReceiverWaits) {
   // A 125-double message travels as a wire frame: 48-byte header +
   // 1000 payload bytes. On a 1 ms / 1 MB/s network the sender's clock

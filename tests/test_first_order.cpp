@@ -4,12 +4,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <span>
+#include <vector>
 
 #include "data/generators.hpp"
 #include "la/vector_ops.hpp"
 #include "model/softmax.hpp"
 #include "solvers/first_order.hpp"
-#include "solvers/minibatch.hpp"
 #include "solvers/newton.hpp"
 #include "support/check.hpp"
 
@@ -39,7 +40,7 @@ TEST_P(RuleSweep, DecreasesConvexObjective) {
   }
   std::vector<double> x0(obj.dim(), 0.0);
   const double f0 = obj.value(x0);
-  const auto r = first_order_minimize(obj, {}, std::move(x0), opts);
+  const auto r = first_order_minimize(obj, std::move(x0), opts);
   EXPECT_LT(r.final_value, 0.5 * f0) << to_string(GetParam());
 }
 
@@ -56,7 +57,7 @@ TEST(FirstOrder, GdAgreesWithNewtonOnStronglyConvexProblem) {
   opts.max_iterations = 5000;
   opts.step_size = 2e-3;
   opts.gradient_tol = 1e-6;
-  const auto gd = first_order_minimize(obj, {}, std::vector<double>(obj.dim(), 0.0),
+  const auto gd = first_order_minimize(obj, std::vector<double>(obj.dim(), 0.0),
                                        opts);
   NewtonOptions nopts;
   nopts.gradient_tol = 1e-10;
@@ -77,7 +78,7 @@ TEST(FirstOrder, NewtonNeedsFarFewerIterations) {
   opts.max_iterations = 100000;
   opts.step_size = 2e-3;
   opts.gradient_tol = 1e-4;
-  const auto gd = first_order_minimize(obj, {}, std::vector<double>(obj.dim(), 0.0),
+  const auto gd = first_order_minimize(obj, std::vector<double>(obj.dim(), 0.0),
                                        opts);
   NewtonOptions nopts;
   nopts.gradient_tol = 1e-4;
@@ -97,31 +98,13 @@ TEST(FirstOrder, StepSizeSensitivity) {
   big.max_iterations = 50;
   big.step_size = 1.0;
   const auto diverged =
-      first_order_minimize(obj, {}, std::vector<double>(obj.dim(), 0.0), big);
+      first_order_minimize(obj, std::vector<double>(obj.dim(), 0.0), big);
   FirstOrderOptions good = big;
   good.step_size = 2e-3;
   const auto ok =
-      first_order_minimize(obj, {}, std::vector<double>(obj.dim(), 0.0), good);
+      first_order_minimize(obj, std::vector<double>(obj.dim(), 0.0), good);
   EXPECT_TRUE(!std::isfinite(diverged.final_value) ||
               diverged.final_value > 10.0 * ok.final_value);
-}
-
-TEST(FirstOrder, StochasticModeUsesBatches) {
-  auto tt = problem(5);
-  model::SoftmaxObjective obj(tt.train, 1e-2);
-  auto batch_data = make_batches(tt.train, 32);
-  std::vector<model::SoftmaxObjective> owned;
-  std::vector<model::Objective*> batches;
-  for (const auto& b : batch_data) owned.emplace_back(b, 0.0);
-  for (auto& b : owned) batches.push_back(&b);
-  FirstOrderOptions opts;
-  opts.max_iterations = 2000;
-  opts.step_size = 1e-3;
-  opts.batch_size = 32;
-  std::vector<double> x0(obj.dim(), 0.0);
-  const double f0 = obj.value(x0);
-  const auto r = first_order_minimize(obj, batches, std::move(x0), opts);
-  EXPECT_LT(r.final_value, 0.5 * f0);
 }
 
 TEST(FirstOrder, TraceRecordsEveryIteration) {
@@ -130,11 +113,61 @@ TEST(FirstOrder, TraceRecordsEveryIteration) {
   FirstOrderOptions opts;
   opts.max_iterations = 25;
   opts.step_size = 1e-3;
-  opts.record_trace = true;
-  const auto r = first_order_minimize(obj, {}, std::vector<double>(obj.dim(), 0.0),
-                                      opts);
-  EXPECT_EQ(r.value_trace.size(), 25u);
-  EXPECT_LT(r.value_trace.back(), r.value_trace.front());
+  std::vector<int> iterations;
+  std::vector<double> values;
+  opts.on_iteration = [&](int k, std::span<const double> x) {
+    iterations.push_back(k);
+    values.push_back(obj.value(x));
+  };
+  const auto r =
+      first_order_minimize(obj, std::vector<double>(obj.dim(), 0.0), opts);
+  ASSERT_EQ(values.size(), 25u);
+  for (std::size_t k = 0; k < iterations.size(); ++k) {
+    EXPECT_EQ(iterations[k], static_cast<int>(k) + 1);
+  }
+  EXPECT_LT(values.back(), values.front());
+  EXPECT_EQ(values.back(), r.final_value);
+}
+
+/// Counts the gradient evaluations of the objective it wraps.
+class CountingObjective final : public model::Objective {
+ public:
+  explicit CountingObjective(model::Objective& inner) : inner_(&inner) {}
+  [[nodiscard]] std::size_t dim() const override { return inner_->dim(); }
+  [[nodiscard]] std::size_t num_samples() const override {
+    return inner_->num_samples();
+  }
+  double value(std::span<const double> x) override { return inner_->value(x); }
+  void gradient(std::span<const double> x, std::span<double> g) override {
+    ++gradients;
+    inner_->gradient(x, g);
+  }
+  void hessian_vec(std::span<const double> x, std::span<const double> v,
+                   std::span<double> hv) override {
+    inner_->hessian_vec(x, v, hv);
+  }
+  int gradients = 0;
+
+ private:
+  model::Objective* inner_;
+};
+
+TEST(FirstOrder, ConvergenceTestReusesItsGradient) {
+  // With a gradient tolerance the test's ∇F(x) drives the next step, so
+  // every iteration costs one gradient, with or without the test.
+  auto tt = problem(8);
+  model::SoftmaxObjective obj(tt.train, 1e-2);
+  FirstOrderOptions opts;
+  opts.max_iterations = 10;
+  opts.step_size = 1e-3;
+  for (const double tol : {0.0, 1e-12}) {
+    CountingObjective counted(obj);
+    opts.gradient_tol = tol;
+    const auto r =
+        first_order_minimize(counted, std::vector<double>(obj.dim(), 0.0), opts);
+    ASSERT_EQ(r.iterations, 10);
+    EXPECT_EQ(counted.gradients, 11) << "tol " << tol;  // + the final one
+  }
 }
 
 TEST(FirstOrder, RuleParsing) {
@@ -149,15 +182,10 @@ TEST(FirstOrder, ValidatesOptions) {
   model::SoftmaxObjective obj(tt.train, 0.0);
   FirstOrderOptions bad;
   bad.step_size = 0.0;
-  EXPECT_THROW(first_order_minimize(obj, {}, std::vector<double>(obj.dim(), 0.0),
+  EXPECT_THROW(first_order_minimize(obj, std::vector<double>(obj.dim(), 0.0),
                                     bad),
                InvalidArgument);
-  FirstOrderOptions stochastic;
-  stochastic.batch_size = 16;  // but no batches supplied
-  EXPECT_THROW(first_order_minimize(
-                   obj, {}, std::vector<double>(obj.dim(), 0.0), stochastic),
-               InvalidArgument);
-  EXPECT_THROW(first_order_minimize(obj, {}, std::vector<double>(3, 0.0),
+  EXPECT_THROW(first_order_minimize(obj, std::vector<double>(3, 0.0),
                                     FirstOrderOptions{}),
                InvalidArgument);
 }

@@ -163,20 +163,19 @@ TEST(SolverRegistry, RunsDistributedSolver) {
   EXPECT_GT(r.total_sim_seconds, 0.0);
 }
 
-TEST(SolverRegistry, EveryDistributedSolverKeepsAConsistentLedger) {
-  // Every distributed solver records its epochs through one ledger, so
-  // the totals mirror the last trace entry and every rank reports its
-  // wait, whichever solver ran.
+TEST(SolverRegistry, EverySolverKeepsAConsistentLedger) {
+  // Every solver records its epochs through one ledger, so the totals
+  // mirror the last trace entry and every rank reports its wait,
+  // whichever solver ran (single-node solvers run on one rank).
   const auto c = tiny_config();
   const auto tt = make_data(c);
   int checked = 0;
   for (const auto& info : SolverRegistry::instance().list()) {
-    if (info.kind != SolverKind::kDistributed) continue;
     SCOPED_TRACE(info.name);
     auto cluster = make_cluster(c);
-    const auto r = SolverRegistry::instance().run(
-        info.name, cluster,
-        shard_for_solver(info.name, tt.train, &tt.test, c), c);
+    const auto sharded = shard_for_solver(info.name, tt.train, &tt.test, c);
+    const auto r =
+        SolverRegistry::instance().run(info.name, cluster, sharded, c);
     ++checked;
     ASSERT_GT(r.iterations, 0);
     ASSERT_EQ(r.trace.size(), static_cast<std::size_t>(r.iterations));
@@ -187,9 +186,39 @@ TEST(SolverRegistry, EveryDistributedSolverKeepsAConsistentLedger) {
     EXPECT_EQ(r.final_test_accuracy, r.trace.back().test_accuracy);
     EXPECT_EQ(r.total_sim_seconds, r.trace.back().sim_seconds);
     EXPECT_EQ(r.avg_epoch_sim_seconds, r.total_sim_seconds / r.iterations);
-    EXPECT_EQ(r.rank_wait_seconds.size(), static_cast<std::size_t>(c.workers));
+    EXPECT_EQ(r.rank_wait_seconds.size(),
+              static_cast<std::size_t>(sharded.parts()));
   }
-  EXPECT_GT(checked, 0);
+  EXPECT_EQ(checked, static_cast<int>(SolverRegistry::instance().names().size()));
+}
+
+TEST(SolverRegistry, SingleNodeSolversTimeEveryIteration) {
+  // Each single-node iteration is an epoch of a one-rank cluster run:
+  // every row carries its own simulated time and test accuracy, so the
+  // time to an objective reached early is that row's time, not 0.
+  auto c = tiny_config();
+  c.iterations = 5;
+  const auto tt = make_data(c);
+  for (const char* name : {"newton-cg", "gd"}) {
+    SCOPED_TRACE(name);
+    auto cluster = make_cluster(c);
+    const auto r = SolverRegistry::instance().run(
+        name, cluster, shard_for_solver(name, tt.train, &tt.test, c), c);
+    ASSERT_GE(r.trace.size(), 3u);
+    double previous = 0.0;
+    for (const auto& it : r.trace) {
+      EXPECT_GT(it.sim_seconds, previous) << "iteration " << it.iteration;
+      EXPECT_GT(it.epoch_sim_seconds, 0.0);
+      EXPECT_GE(it.test_accuracy, 0.0);
+      EXPECT_LE(it.test_accuracy, 1.0);
+      previous = it.sim_seconds;
+    }
+    EXPECT_LT(r.trace[1].objective, r.trace[0].objective);
+    const double early = r.sim_time_to_objective(r.trace[1].objective);
+    EXPECT_EQ(early, r.trace[1].sim_seconds);
+    EXPECT_GT(early, 0.0);
+    EXPECT_LT(early, r.total_sim_seconds);
+  }
 }
 
 TEST(SolverRegistry, RunsSingleNodeSolverWithFlopDerivedTime) {

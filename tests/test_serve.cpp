@@ -309,6 +309,23 @@ TEST(ServeSimulator, DeadlineExpiryFlushesInFlightRequests) {
   EXPECT_LT(r.p99_latency_s, 0.01);
 }
 
+TEST(ServeSimulator, IdealNetworkAnswersEveryPoissonRequest) {
+  // serving_grid's headline load on the zero-latency network: the last
+  // request and the generator's Done frame land within half an ulp, so
+  // only per-link FIFO delivery keeps Done from halting the server first.
+  const auto f = tiny_fixture();
+  auto config = tiny_serve();
+  config.arrival = "poisson:20000";
+  config.batch = "deadline:32:0.002";
+  config.requests = 20000;
+  config.dispatch_overhead_s = 1e-4;
+  for (const std::uint64_t seed : {42u, 43u, 44u, 45u, 46u, 47u}) {
+    config.seed = seed;
+    EXPECT_EQ(simulate(f.model, f.tt.test, config).requests, 20000u)
+        << "seed " << seed;
+  }
+}
+
 TEST(ServeSimulator, RerunsAreBitIdentical) {
   const auto f = tiny_fixture();
   auto config = tiny_serve();

@@ -321,12 +321,27 @@ TEST(NewtonCg, MonotonicDecreaseWithTrace) {
   NewtonOptions opts;
   opts.max_iterations = 20;
   opts.gradient_tol = 0.0;
-  opts.record_trace = true;
+  std::vector<int> iterations;
+  std::vector<double> values;
+  std::vector<std::vector<double>> iterates;
+  opts.on_iteration = [&](int k, std::span<const double> x) {
+    iterations.push_back(k);
+    values.push_back(obj.value(x));
+    iterates.emplace_back(x.begin(), x.end());
+  };
   const auto r = newton_cg(obj, std::vector<double>(obj.dim(), 0.0), opts);
-  ASSERT_GE(r.trace.size(), 2u);
-  for (std::size_t i = 1; i < r.trace.size(); ++i) {
-    EXPECT_LE(r.trace[i].value, r.trace[i - 1].value + 1e-12);
-    EXPECT_GT(r.trace[i].step_size, 0.0);
+  ASSERT_GE(values.size(), 2u);
+  ASSERT_EQ(values.size(), static_cast<std::size_t>(r.iterations));
+  EXPECT_EQ(values.back(), r.final_value);
+  for (std::size_t i = 0; i < values.size(); ++i) {
+    EXPECT_EQ(iterations[i], static_cast<int>(i) + 1);
+    // Every recorded step is an accepted one: the iterate moves.
+    const std::vector<double> previous =
+        i == 0 ? std::vector<double>(obj.dim(), 0.0) : iterates[i - 1];
+    EXPECT_NE(iterates[i], previous);
+    if (i > 0) {
+      EXPECT_LE(values[i], values[i - 1] + 1e-12);
+    }
   }
 }
 
