@@ -24,8 +24,6 @@ core::RunResult inexact_dane(comm::SimCluster& cluster,
   const int n_ranks = cluster.size();
   const std::size_t dim = data.dim();
   const double n_ranks_d = static_cast<double>(n_ranks);
-  const bool eval_accuracy =
-      options.evaluate_accuracy && data.test_samples > 0;
 
   result.record_waits(cluster.run([&](comm::RankCtx& ctx) {
     const int rank = ctx.rank();
@@ -37,10 +35,8 @@ core::RunResult inexact_dane(comm::SimCluster& cluster,
     std::vector<model::SoftmaxObjective> batches;
     batches.reserve(batch_data.size());
     for (const auto& b : batch_data) batches.emplace_back(b, 0.0);
-    core::EpochRecorder recorder(ctx, local, options.lambda,
-                                 eval_accuracy ? rd.test : data::Dataset{},
-                                 eval_accuracy ? data.test_samples : 0,
-                                 result);
+    core::EpochRecorder recorder(ctx, local, options.lambda, data,
+                                 options.evaluate_accuracy, result);
     ctx.clock().resume();
 
     std::vector<double> w(dim, 0.0), x_prev(dim, 0.0), y_t(dim, 0.0),

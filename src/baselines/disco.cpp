@@ -19,18 +19,14 @@ core::RunResult disco(comm::SimCluster& cluster,
   core::RunResult result;
   result.solver = "disco";
   const std::size_t dim = data.dim();
-  const bool eval_accuracy =
-      options.evaluate_accuracy && data.test_samples > 0;
 
   result.record_waits(cluster.run([&](comm::RankCtx& ctx) {
     const int rank = ctx.rank();
     ctx.clock().pause();
     const data::RankData& rd = data.ranks[static_cast<std::size_t>(rank)];
     model::SoftmaxObjective local(rd.train, /*l2_lambda=*/0.0);
-    core::EpochRecorder recorder(ctx, local, options.lambda,
-                                 eval_accuracy ? rd.test : data::Dataset{},
-                                 eval_accuracy ? data.test_samples : 0,
-                                 result);
+    core::EpochRecorder recorder(ctx, local, options.lambda, data,
+                                 options.evaluate_accuracy, result);
     ctx.clock().resume();
 
     std::vector<double> w(dim, 0.0), g(dim), p(dim), hp(dim);

@@ -25,8 +25,6 @@ core::RunResult sync_sgd(comm::SimCluster& cluster,
   const std::size_t dim = data.dim();
   const double n_total = static_cast<double>(data.train_samples);
   const double lambda_mean = options.lambda / n_total;
-  const bool eval_accuracy =
-      options.evaluate_accuracy && data.test_samples > 0;
 
   result.record_waits(cluster.run([&](comm::RankCtx& ctx) {
     const int rank = ctx.rank();
@@ -42,10 +40,8 @@ core::RunResult sync_sgd(comm::SimCluster& cluster,
     // Every rank must execute the same number of allreduces per epoch.
     const auto steps_per_epoch = static_cast<std::size_t>(
         ctx.allreduce_min(static_cast<double>(batches.size())));
-    core::EpochRecorder recorder(ctx, local, options.lambda,
-                                 eval_accuracy ? rd.test : data::Dataset{},
-                                 eval_accuracy ? data.test_samples : 0,
-                                 result);
+    core::EpochRecorder recorder(ctx, local, options.lambda, data,
+                                 options.evaluate_accuracy, result);
     ctx.clock().resume();
 
     std::vector<double> w(dim, 0.0), packed(dim + 1);

@@ -202,27 +202,6 @@ void RankCtx::gather(std::span<const double> in, std::vector<double>& out,
   c.barrier_.arrive_and_wait();
 }
 
-void RankCtx::scatter(std::span<const double> in, std::span<double> out,
-                      int root) {
-  clock_.sync_compute();
-  SimCluster& c = *cluster_;
-  if (rank_ == root) {
-    NADMM_CHECK(in.size() == out.size() * static_cast<std::size_t>(size_),
-                "scatter: root buffer must hold size()*chunk values");
-    c.contributions_[static_cast<std::size_t>(root)] = in;
-  }
-  c.barrier_.arrive_and_wait();
-  const auto src = c.contributions_[static_cast<std::size_t>(root)];
-  const std::size_t chunk = out.size();
-  std::copy(src.begin() + static_cast<std::ptrdiff_t>(
-                              static_cast<std::size_t>(rank_) * chunk),
-            src.begin() + static_cast<std::ptrdiff_t>(
-                              (static_cast<std::size_t>(rank_) + 1) * chunk),
-            out.begin());
-  clock_.add_comm(c.network_.scatter(chunk * sizeof(double), size_));
-  c.barrier_.arrive_and_wait();
-}
-
 void RankCtx::broadcast(std::span<double> data, int root) {
   clock_.sync_compute();
   SimCluster& c = *cluster_;
@@ -234,24 +213,6 @@ void RankCtx::broadcast(std::span<double> data, int root) {
     std::copy(src.begin(), src.end(), data.begin());
   }
   clock_.add_comm(c.network_.broadcast(data.size() * sizeof(double), size_));
-  c.barrier_.arrive_and_wait();
-}
-
-void RankCtx::allgather(std::span<const double> in, std::vector<double>& out) {
-  clock_.sync_compute();
-  SimCluster& c = *cluster_;
-  c.contributions_[static_cast<std::size_t>(rank_)] = in;
-  c.barrier_.arrive_and_wait();
-  out.resize(in.size() * static_cast<std::size_t>(size_));
-  for (int r = 0; r < size_; ++r) {
-    const auto src = c.contributions_[static_cast<std::size_t>(r)];
-    NADMM_CHECK(src.size() == in.size(),
-                "allgather: all contributions must have equal length");
-    std::copy(src.begin(), src.end(),
-              out.begin() + static_cast<std::ptrdiff_t>(
-                                static_cast<std::size_t>(r) * in.size()));
-  }
-  clock_.add_comm(c.network_.allgather(in.size() * sizeof(double), size_));
   c.barrier_.arrive_and_wait();
 }
 

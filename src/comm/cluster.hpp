@@ -85,15 +85,8 @@ class RankCtx {
   void gather(std::span<const double> in, std::vector<double>& out,
               int root = 0);
 
-  /// Inverse of gather: root's `in` must hold size()*out.size() values.
-  void scatter(std::span<const double> in, std::span<double> out,
-               int root = 0);
-
   /// Broadcast root's buffer to all ranks (in-place on non-roots).
   void broadcast(std::span<double> data, int root = 0);
-
-  /// Every rank ends with the concatenation of all contributions.
-  void allgather(std::span<const double> in, std::vector<double>& out);
 
  private:
   friend class SimCluster;

@@ -72,18 +72,6 @@ struct NetworkModel {
            static_cast<double>(n - 1) * static_cast<double>(bytes_per_rank) /
                bandwidth_bps;
   }
-
-  [[nodiscard]] double scatter(std::uint64_t bytes_per_rank, int n) const {
-    return gather(bytes_per_rank, n);
-  }
-
-  [[nodiscard]] double allgather(std::uint64_t bytes_per_rank, int n) const {
-    if (n <= 1) return 0.0;
-    // Recursive doubling: log2 N rounds, round k moving 2^k chunks.
-    return tree_depth(n) * latency_s +
-           static_cast<double>(n - 1) * static_cast<double>(bytes_per_rank) /
-               bandwidth_bps;
-  }
 };
 
 /// 100 Gbps InfiniBand (the paper's cluster): ~1.5 µs latency, 12.5 GB/s.

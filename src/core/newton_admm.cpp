@@ -23,10 +23,6 @@ RunResult newton_admm(comm::SimCluster& cluster,
   result.solver = "newton-admm";
   const int n_ranks = cluster.size();
   const std::size_t dim = data.dim();
-  // Whether the accuracy allreduce runs is a global property (uniform
-  // across ranks even when some rank's test shard is empty).
-  const bool eval_accuracy =
-      options.evaluate_accuracy && data.test_samples > 0;
 
   result.record_waits(cluster.run([&](comm::RankCtx& ctx) {
     const int rank = ctx.rank();
@@ -35,8 +31,7 @@ RunResult newton_admm(comm::SimCluster& cluster,
     const data::RankData& rd = data.ranks[static_cast<std::size_t>(rank)];
     AdmmWorker worker(rd.train, options, dim);
     EpochRecorder recorder(ctx, worker.objective(), options.lambda,
-                           eval_accuracy ? rd.test : data::Dataset{},
-                           eval_accuracy ? data.test_samples : 0, result);
+                           data, options.evaluate_accuracy, result);
     ctx.clock().resume();
 
     std::vector<double> gathered;  // root only
@@ -46,7 +41,7 @@ RunResult newton_admm(comm::SimCluster& cluster,
       const auto packed = worker.local_step();
       const double rho = worker.round_rho();
 
-      // --- one communication round: gather, z-update (eq. 7), scatter ---
+      // --- one communication round: gather, z-update (eq. 7), broadcast ---
       ctx.gather(packed, gathered, /*root=*/0);
       worker.snapshot_z_prev();
       const auto z = worker.z();

@@ -10,7 +10,7 @@
 //   3. locally update the dual y_i ← y_i + ρ_i(z^{k+1} − x_i)  (eq. 6c)
 //      and adapt ρ_i with spectral penalty selection (paper step 8).
 //
-// This is the single gather+scatter round the paper credits for the
+// This is the single gather+broadcast round the paper credits for the
 // method's low communication cost (Remark 1).
 #pragma once
 

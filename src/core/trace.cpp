@@ -6,17 +6,20 @@ namespace nadmm::core {
 
 EpochRecorder::EpochRecorder(comm::RankCtx& ctx,
                              model::SoftmaxObjective& local_loss,
-                             double lambda, data::Dataset test_shard,
-                             std::size_t test_total, RunResult& result)
+                             double lambda, const data::ShardedDataset& data,
+                             bool evaluate_accuracy, RunResult& result)
     : ctx_(&ctx),
       local_loss_(&local_loss),
       lambda_(lambda),
-      test_total_(test_total),
-      test_shard_(std::move(test_shard)),
-      test_eval_(test_shard_.empty() ? nullptr
-                                     : std::make_unique<model::SoftmaxObjective>(
-                                           test_shard_, 0.0)),
-      result_(&result) {}
+      test_total_(scores_accuracy(data, evaluate_accuracy) ? data.test_samples
+                                                           : 0),
+      result_(&result) {
+  const data::Dataset& shard =
+      data.ranks[static_cast<std::size_t>(ctx.rank())].test;
+  if (test_total_ > 0 && !shard.empty()) {
+    test_eval_ = std::make_unique<model::SoftmaxObjective>(shard, 0.0);
+  }
+}
 
 double EpochRecorder::record(int k, std::span<const double> w,
                              const AdmmResiduals& admm) {
@@ -29,7 +32,7 @@ double EpochRecorder::record(int k, std::span<const double> w,
     const double hits =
         test_eval_ != nullptr
             ? test_eval_->accuracy(w) *
-                  static_cast<double>(test_shard_.num_samples())
+                  static_cast<double>(test_eval_->num_samples())
             : 0.0;
     accuracy = ctx_->allreduce_sum(hits) / static_cast<double>(test_total_);
   }

@@ -20,7 +20,7 @@
 #include <vector>
 
 #include "comm/cluster.hpp"
-#include "data/dataset.hpp"
+#include "data/partition.hpp"
 #include "model/softmax.hpp"
 #include "support/check.hpp"
 #include "support/timer.hpp"
@@ -135,22 +135,29 @@ struct AdmmResiduals {
   double rho_mean = 0.0;  ///< mean per-node penalty
 };
 
+/// Whether a run's trace scores test accuracy: the solver asks for it
+/// and the data has a test split. A global property, the same on every
+/// rank even where a rank's test shard is empty.
+inline bool scores_accuracy(const data::ShardedDataset& data,
+                            bool evaluate_accuracy) {
+  return evaluate_accuracy && data.test_samples > 0;
+}
+
 /// Per-rank epoch diagnostics of one SimCluster solver run. Runs on a
 /// paused simulated clock, so trace timings measure only the algorithm's
 /// own compute + communication.
 class EpochRecorder {
  public:
-  /// `test_total` is the global test-set size for averaging the
-  /// per-shard hit counts; it gates the accuracy allreduce and MUST be
-  /// the same on every rank (0 reports accuracy as −1). `test_shard`
-  /// may be empty on an individual rank (more ranks than test rows) —
-  /// that rank still joins the allreduce with zero hits. The shard is
-  /// taken by value (an O(1) shared-storage view copy) and owned by the
-  /// recorder, so callers can pass a temporary. The wall clock starts
-  /// when the recorder is built: build it last in the untimed setup.
+  /// Accuracy is scored on this rank's `data.ranks[ctx.rank()].test`
+  /// shard when scores_accuracy(data, evaluate_accuracy) holds (−1
+  /// otherwise), averaging the per-shard hit counts over the global
+  /// test-set size. A rank whose test shard is empty (more ranks than
+  /// test rows) still joins the allreduce with zero hits. `data` must
+  /// outlive the recorder. The wall clock starts when the recorder is
+  /// built: build it last in the untimed setup.
   EpochRecorder(comm::RankCtx& ctx, model::SoftmaxObjective& local_loss,
-                double lambda, data::Dataset test_shard,
-                std::size_t test_total, RunResult& result);
+                double lambda, const data::ShardedDataset& data,
+                bool evaluate_accuracy, RunResult& result);
 
   /// Record epoch k (1-based) at global iterate `w`, with the solver's
   /// consensus residuals if it has them. Every rank must call this
@@ -162,8 +169,7 @@ class EpochRecorder {
   comm::RankCtx* ctx_;
   model::SoftmaxObjective* local_loss_;
   double lambda_;
-  std::size_t test_total_;
-  data::Dataset test_shard_;  ///< owned: test_eval_ points into it
+  std::size_t test_total_;  ///< 0 when accuracy is not scored
   std::unique_ptr<model::SoftmaxObjective> test_eval_;
   RunResult* result_;
   WallTimer wall_;

@@ -181,15 +181,11 @@ ShardedDataset make_sharded(const Dataset& train, const Dataset* test,
   NADMM_CHECK(plan.parts >= 1, "make_sharded: need >= 1 part");
   ShardedDataset out;
   out.plan = plan;
-  out.full_train = train;
   out.train_samples = train.num_samples();
   out.num_features = train.num_features();
   out.num_classes = train.num_classes();
   const bool have_test = test != nullptr && !test->empty();
-  if (have_test) {
-    out.full_test = *test;
-    out.test_samples = test->num_samples();
-  }
+  if (have_test) out.test_samples = test->num_samples();
   out.ranks.reserve(static_cast<std::size_t>(plan.parts));
   for (int r = 0; r < plan.parts; ++r) {
     RankData rd;

@@ -87,20 +87,14 @@ struct RankData {
 };
 
 /// The whole experiment's data, pre-sharded: what the harness hands every
-/// distributed solver through the registry (no solver re-shards).
+/// distributed solver through the registry (no solver re-shards). Rank
+/// shards are all there is — materialized and streamed sources look the
+/// same, and a solver that needs a global value sums it over the shards.
 struct ShardedDataset {
   std::vector<RankData> ranks;
   ShardPlan plan;
 
-  /// Full splits when the data was materialized in one piece (views of /
-  /// the same storage the rank shards reference). Empty for streamed
-  /// sources, where the full matrix never exists — solvers must not
-  /// require them (async-admm's full-set diagnostics use them when
-  /// present).
-  Dataset full_train;
-  Dataset full_test;
-
-  // Global shape, valid in both the materialized and streamed cases.
+  // Global shape.
   std::size_t train_samples = 0;
   std::size_t test_samples = 0;
   std::size_t num_features = 0;
@@ -112,7 +106,6 @@ struct ShardedDataset {
   std::size_t resident_bytes = 0;
 
   [[nodiscard]] int parts() const { return static_cast<int>(ranks.size()); }
-  [[nodiscard]] bool has_full() const { return !full_train.empty(); }
   /// Parameter dimension p·(C−1) of the softmax model.
   [[nodiscard]] std::size_t dim() const {
     return num_features * (static_cast<std::size_t>(num_classes) - 1);

@@ -31,6 +31,7 @@
 #include "runner/harness.hpp"
 #include "support/check.hpp"
 #include "support/cli.hpp"
+#include "support/json.hpp"
 
 namespace nadmm::runner {
 
@@ -130,8 +131,6 @@ std::string trim(const std::string& s);
 std::vector<std::string> split_list(const std::string& value, char sep);
 /// `v` at %g, the spelling --help prints defaults in.
 std::string fmt_double(double v);
-/// `s` escaped for the inside of a JSON string (control bytes as \u00XX).
-std::string json_escape(const std::string& s);
 
 /// Parse "0", "1500000", "512m", "2g" (case-insensitive k/m/g suffix).
 /// Throws InvalidArgument naming `flag` on malformed input.

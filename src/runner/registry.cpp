@@ -26,8 +26,6 @@ core::RunResult run_single_node(const std::string& name,
   comm::SimCluster cluster(1, la::device_from_string(config.device),
                            comm::network_from_string(config.network),
                            config.omp_threads);
-  const bool eval_accuracy =
-      config.evaluate_accuracy && data.test_samples > 0;
   core::RunResult r;
   r.solver = name;
   r.record_waits(cluster.run([&](comm::RankCtx& ctx) {
@@ -40,8 +38,7 @@ core::RunResult run_single_node(const std::string& name,
     // lives in the copy, so the recorder adds none.
     model::SoftmaxObjective diagnostics(rd.train, config.lambda);
     core::EpochRecorder recorder(ctx, diagnostics, /*lambda=*/0.0,
-                                 eval_accuracy ? rd.test : data::Dataset{},
-                                 eval_accuracy ? data.test_samples : 0, r);
+                                 data, config.evaluate_accuracy, r);
     ctx.clock().resume();
 
     const auto record = [&](int k, std::span<const double> x) {

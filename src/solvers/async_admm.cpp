@@ -9,7 +9,6 @@
 #include "core/admm_worker.hpp"
 #include "data/partition.hpp"
 #include "la/vector_ops.hpp"
-#include "model/metrics.hpp"
 #include "model/softmax.hpp"
 #include "support/binio.hpp"
 #include "support/check.hpp"
@@ -26,10 +25,10 @@ enum : int {
   kTagStop = 3,       ///< coordinator → worker: run is over
 };
 
-constexpr std::uint16_t kCheckpointVersion = 1;
+constexpr std::uint16_t kCheckpointVersion = 2;
 
 /// One applied update, as logged since the last checkpoint: enough to
-/// replay the coordinator's commit + reply-gate decisions.
+/// replay the coordinator's commit + release decisions.
 struct CommitEntry {
   int w = 0;
   int round = 0;
@@ -43,17 +42,115 @@ struct ReplyEntry {
   std::vector<double> z;  ///< the payload the worker copied in
 };
 
-std::vector<std::uint8_t> worker_bytes(const core::AdmmWorker& worker) {
+/// One rank's recoverable worker state: its round counter and its
+/// AdmmWorker snapshot.
+std::vector<std::uint8_t> worker_bytes(const core::AdmmWorker& worker,
+                                       int round) {
   binio::ByteWriter w;
+  w.put_i64(round);
   worker.save_checkpoint(w);
   return w.take();
 }
 
-std::vector<std::uint8_t> consensus_bytes(const core::ConsensusState& acc) {
-  binio::ByteWriter w;
-  acc.save(w);
-  return w.take();
-}
+/// The coordinator's protocol state. The live handler and the kill
+/// replay drive it through the same commit + release calls, so the
+/// staleness gate, the sync barrier and the checkpoint field list each
+/// exist once.
+struct Coordinator {
+  Coordinator(int workers, std::size_t dim, double lambda, int tau)
+      : n(workers),
+        staleness(tau),
+        rounds(static_cast<std::size_t>(workers), 0),
+        deferred(static_cast<std::size_t>(workers), 0),
+        acc(workers, dim, lambda),
+        z(dim, 0.0) {}
+
+  /// Fold worker `w`'s update of round `round` into the consensus and
+  /// recompute z. True when the commit completes an epoch (every n
+  /// commits).
+  bool commit(int w, int round, std::span<const double> packed) {
+    rounds[static_cast<std::size_t>(w)] = round;
+    acc.apply(w, packed);
+    acc.compute_z(z);
+    ++commits;
+    if (commits % static_cast<std::uint64_t>(n) != 0) return false;
+    ++epochs;
+    return true;
+  }
+
+  /// The workers to answer with the current z after `w`'s commit, in
+  /// canonical order. A flagged (sync-round) update parks `w` at the
+  /// barrier until all n workers arrive, then releases them in arrival
+  /// order. Otherwise `w` is answered unless it leads the slowest worker
+  /// by more than τ, and every parked worker whose lead this commit
+  /// brought back within τ is released in rank order.
+  std::vector<int> release(int w, bool flagged) {
+    std::vector<int> out;
+    if (flagged) {
+      barrier.push_back(w);
+      if (static_cast<int>(barrier.size()) == n) out.swap(barrier);
+      return out;
+    }
+    const int min_r = *std::min_element(rounds.begin(), rounds.end());
+    if (rounds[static_cast<std::size_t>(w)] - min_r <= staleness) {
+      out.push_back(w);
+    } else {
+      deferred[static_cast<std::size_t>(w)] = 1;
+    }
+    for (int d = 0; d < n; ++d) {
+      if (deferred[static_cast<std::size_t>(d)] &&
+          rounds[static_cast<std::size_t>(d)] - min_r <= staleness) {
+        deferred[static_cast<std::size_t>(d)] = 0;
+        out.push_back(d);
+      }
+    }
+    return out;
+  }
+
+  void save(binio::ByteWriter& w) const {
+    w.put_u64(commits);
+    w.put_i64(epochs);
+    for (const int r : rounds) w.put_i64(r);
+    for (const char d : deferred) w.put_u8(static_cast<std::uint8_t>(d));
+    w.put_u64(barrier.size());
+    for (const int b : barrier) w.put_i64(b);
+    acc.save(w);
+    w.put_f64_span(z);
+  }
+
+  void restore(binio::ByteReader& r) {
+    commits = r.get_u64();
+    epochs = static_cast<int>(r.get_i64());
+    for (auto& v : rounds) v = static_cast<int>(r.get_i64());
+    for (auto& v : deferred) v = static_cast<char>(r.get_u8());
+    const std::uint64_t parked = r.get_u64();
+    NADMM_CHECK(parked <= static_cast<std::uint64_t>(n),
+                "solver checkpoint: barrier larger than the cluster");
+    barrier.resize(static_cast<std::size_t>(parked));
+    for (auto& v : barrier) v = static_cast<int>(r.get_i64());
+    acc.restore(r);
+    z = r.get_f64_vector();
+    NADMM_CHECK(z.size() == acc.dim(),
+                "solver checkpoint: consensus dimension mismatch");
+  }
+
+  /// save()'s bytes: what the kill replay compares.
+  [[nodiscard]] std::vector<std::uint8_t> bytes() const {
+    binio::ByteWriter w;
+    save(w);
+    return w.take();
+  }
+
+  int n;
+  int staleness;
+  std::vector<int> rounds;     ///< last committed round per worker
+  std::vector<char> deferred;  ///< workers parked by the staleness gate
+  std::vector<int> barrier;    ///< arrival order of parked sync-round workers
+  std::uint64_t commits = 0;
+  int epochs = 0;
+  core::ConsensusState acc;
+  std::vector<double> z;  ///< the consensus the next reply carries
+};
 
 }  // namespace
 
@@ -89,63 +186,45 @@ core::RunResult async_admm(comm::SimCluster& cluster,
   core::RunResult result;
   result.solver = options.sync_every > 0 ? "stale-sync-admm" : "async-admm";
 
-  // --- untimed setup: shards, workers, diagnostic objective ---
+  // --- untimed setup: workers and the coordinator's diagnostics ---
   std::vector<std::unique_ptr<core::AdmmWorker>> workers;
   workers.reserve(static_cast<std::size_t>(n));
   for (int r = 0; r < n; ++r) {
     workers.push_back(std::make_unique<core::AdmmWorker>(
         data.ranks[static_cast<std::size_t>(r)].train, admm, dim));
   }
-  const bool eval_accuracy = admm.evaluate_accuracy && data.test_samples > 0;
-
-  // Coordinator diagnostics. Materialized plans evaluate the full splits
-  // (identical numerics to the pre-shard-plan solver); streamed sources
-  // have no full matrix, so the objective is the per-shard sum (rank
-  // order) and accuracy is the summed per-shard hit count — the same
-  // value up to float association, and exactly the same hit count.
-  std::unique_ptr<model::SoftmaxObjective> global;
-  if (data.has_full()) {
-    global = std::make_unique<model::SoftmaxObjective>(data.full_train,
-                                                       /*l2_lambda=*/0.0);
-  }
+  // The coordinator scores z on objectives of its own over the rank
+  // shards: scoring on a worker's objective would overwrite the forward
+  // pass its next local_step reuses. F(z) and the test hit count are
+  // summed in rank order, as core::EpochRecorder's allreduce sums them.
+  const bool eval_accuracy =
+      core::scores_accuracy(data, admm.evaluate_accuracy);
+  std::vector<std::unique_ptr<model::SoftmaxObjective>> train_evals;
   std::vector<std::unique_ptr<model::SoftmaxObjective>> test_evals;
-  if (eval_accuracy && !data.has_full()) {
-    for (int r = 0; r < n; ++r) {
-      const data::Dataset& shard = data.ranks[static_cast<std::size_t>(r)].test;
+  for (const data::RankData& rd : data.ranks) {
+    train_evals.push_back(
+        std::make_unique<model::SoftmaxObjective>(rd.train, 0.0));
+    if (eval_accuracy && !rd.test.empty()) {
       test_evals.push_back(
-          shard.empty() ? nullptr
-                        : std::make_unique<model::SoftmaxObjective>(shard, 0.0));
+          std::make_unique<model::SoftmaxObjective>(rd.test, 0.0));
     }
   }
-  const auto diag_objective = [&](std::span<const double> zv) {
-    if (global != nullptr) return global->value(zv);
-    double sum = 0.0;
-    for (auto& w : workers) sum += w->objective().value(zv);
-    return sum;
-  };
-  const auto diag_accuracy = [&](std::span<const double> zv) {
-    if (data.has_full()) return model::accuracy(data.full_test, zv);
+  const auto diagnose = [&](core::IterationStats& it,
+                            std::span<const double> zv) {
+    it.objective = 0.0;
+    for (auto& eval : train_evals) it.objective += eval->value(zv);
+    if (admm.lambda > 0.0) it.objective += 0.5 * admm.lambda * la::nrm2_sq(zv);
+    if (!eval_accuracy) return;
     double hits = 0.0;
-    for (int r = 0; r < n; ++r) {
-      auto& eval = test_evals[static_cast<std::size_t>(r)];
-      if (eval == nullptr) continue;
-      hits += eval->accuracy(zv) *
-              static_cast<double>(
-                  data.ranks[static_cast<std::size_t>(r)].test.num_samples());
+    for (auto& eval : test_evals) {
+      hits += eval->accuracy(zv) * static_cast<double>(eval->num_samples());
     }
-    return hits / static_cast<double>(data.test_samples);
+    it.test_accuracy = hits / static_cast<double>(data.test_samples);
   };
 
-  // --- coordinator state (the event loop is single-threaded) ---
-  core::ConsensusState acc(n, dim, admm.lambda);
-  std::vector<double> z(dim, 0.0);
-  std::vector<int> rounds(static_cast<std::size_t>(n), 0);
+  // --- coordinator and worker state (the event loop is single-threaded) ---
+  Coordinator coord(n, dim, admm.lambda, staleness);
   std::vector<int> worker_round(static_cast<std::size_t>(n), 0);
-  std::vector<char> deferred(static_cast<std::size_t>(n), 0);
-  std::vector<int> barrier;  // arrival order of parked sync-round workers
-  barrier.reserve(static_cast<std::size_t>(n));
-  std::uint64_t commits = 0;
-  int epochs = 0;
   bool stopping = false;
   std::vector<std::uint64_t>& hist = result.staleness_hist;
   WallTimer wall;
@@ -179,43 +258,21 @@ core::RunResult async_admm(comm::SimCluster& cluster,
     ctx.send(0, kTagUpdate, std::move(payload));
   };
 
-  const auto reply_z = [&](comm::AsyncRank& ctx, int to) {
-    ctx.send(to, kTagConsensus, z);
-  };
-  const auto reply_stop = [&](comm::AsyncRank& ctx, int to) {
-    ctx.send(to, kTagStop, {});
-  };
-
-  // Serialize the full recoverable state: coordinator bookkeeping, the
-  // consensus accumulator, and every worker's iterate snapshot. Taken at
-  // handler exit (the triggering update fully applied), so replaying the
-  // since-checkpoint logs reproduces any later handler state exactly.
+  // Serialize the full recoverable state: the coordinator, then every
+  // rank's worker record. Taken at handler exit (the triggering update
+  // fully applied), so replaying the since-checkpoint logs reproduces
+  // any later handler state exactly.
   const auto take_checkpoint = [&] {
     binio::ByteWriter w;
     w.put_u16(kCheckpointVersion);
-    w.put_u64(commits);
-    w.put_i64(epochs);
-    for (int r = 0; r < n; ++r) {
-      w.put_i64(rounds[static_cast<std::size_t>(r)]);
-    }
-    for (int r = 0; r < n; ++r) {
-      w.put_i64(worker_round[static_cast<std::size_t>(r)]);
-    }
-    for (int r = 0; r < n; ++r) {
-      w.put_u8(
-          static_cast<std::uint8_t>(deferred[static_cast<std::size_t>(r)]));
-    }
-    w.put_u64(barrier.size());
-    for (const int b : barrier) w.put_i64(b);
-    acc.save(w);
-    for (int r = 0; r < n; ++r) {
-      binio::ByteWriter inner;
-      workers[static_cast<std::size_t>(r)]->save_checkpoint(inner);
-      w.put_u64(inner.size());
-      w.put_bytes(inner.bytes());
+    coord.save(w);
+    for (std::size_t r = 0; r < workers.size(); ++r) {
+      const auto record = worker_bytes(*workers[r], worker_round[r]);
+      w.put_u64(record.size());
+      w.put_bytes(record);
     }
     checkpoint = w.take();
-    checkpoint_commits = commits;
+    checkpoint_commits = coord.commits;
     commit_log.clear();
     for (auto& log : reply_log) log.clear();
     result.add_metric("checkpoints", 1);
@@ -225,7 +282,7 @@ core::RunResult async_admm(comm::SimCluster& cluster,
 
   const auto maybe_checkpoint = [&](comm::AsyncRank& ctx) {
     if (!checkpointing || stopping) return;
-    if (commits - checkpoint_commits <
+    if (coord.commits - checkpoint_commits <
         static_cast<std::uint64_t>(options.checkpoint_every)) {
       return;
     }
@@ -252,22 +309,13 @@ core::RunResult async_admm(comm::SimCluster& cluster,
     NADMM_CHECK(version == kCheckpointVersion,
                 "solver checkpoint: unsupported version " +
                     std::to_string(version));
-    const std::uint64_t commits0 = r.get_u64();
-    const int epochs0 = static_cast<int>(r.get_i64());
-    std::vector<int> rounds0(static_cast<std::size_t>(n), 0);
-    for (auto& v : rounds0) v = static_cast<int>(r.get_i64());
-    std::vector<int> worker_round0(static_cast<std::size_t>(n), 0);
-    for (auto& v : worker_round0) v = static_cast<int>(r.get_i64());
-    std::vector<char> deferred0(static_cast<std::size_t>(n), 0);
-    for (auto& v : deferred0) v = static_cast<char>(r.get_u8());
-    std::vector<int> barrier0(static_cast<std::size_t>(r.get_u64()), 0);
-    for (auto& v : barrier0) v = static_cast<int>(r.get_i64());
-    core::ConsensusState acc2(n, dim, admm.lambda);
-    acc2.restore(r);
+    Coordinator rebuilt(n, dim, admm.lambda, staleness);
+    rebuilt.restore(r);
 
     // Rebuild the victim worker over the same shard/config and replay
     // every consensus delivery it applied since the checkpoint.
     std::unique_ptr<core::AdmmWorker> rejoined;
+    int rejoined_round = 0;
     for (int rank = 0; rank < n; ++rank) {
       const std::uint64_t len = r.get_u64();
       const auto record = r.get_raw(static_cast<std::size_t>(len));
@@ -275,6 +323,7 @@ core::RunResult async_admm(comm::SimCluster& cluster,
       rejoined = std::make_unique<core::AdmmWorker>(
           data.ranks[static_cast<std::size_t>(victim)].train, admm, dim);
       binio::ByteReader wr(record, "worker checkpoint record");
+      rejoined_round = static_cast<int>(wr.get_i64());
       rejoined->restore_checkpoint(wr);
       wr.expect_end();
     }
@@ -284,6 +333,7 @@ core::RunResult async_admm(comm::SimCluster& cluster,
       std::copy(e.z.begin(), e.z.end(), rejoined->z().begin());
       rejoined->apply_consensus(e.k);
       rejoined->local_step();
+      ++rejoined_round;
     }
     // The live worker it replaces holds a warm softmax forward pass at
     // its current x (the last point its Newton-CG evaluated); a cold
@@ -293,62 +343,23 @@ core::RunResult async_admm(comm::SimCluster& cluster,
     // lost the rank.
     static_cast<void>(rejoined->objective().value(rejoined->x()));
     NADMM_CHECK(
-        worker_bytes(*workers[static_cast<std::size_t>(victim)]) ==
-            worker_bytes(*rejoined),
+        worker_bytes(*workers[static_cast<std::size_t>(victim)],
+                     worker_round[static_cast<std::size_t>(victim)]) ==
+            worker_bytes(*rejoined, rejoined_round),
         "async_admm kill-rejoin: worker replay diverged from the lost state");
     workers[static_cast<std::size_t>(victim)] = std::move(rejoined);
 
     if (victim == 0) {
       // The coordinator died too: replay the commit log through the same
-      // per-update logic the live handler ran, then prove every piece of
-      // coordinator state matches before adopting the rebuilt copy.
-      std::vector<int> rounds2 = rounds0;
-      std::vector<char> deferred2 = deferred0;
-      std::vector<int> barrier2 = barrier0;
-      std::uint64_t commits2 = commits0;
-      int epochs2 = epochs0;
+      // commit + release the live handler ran, then prove the rebuilt
+      // state byte-identical before adopting it.
       for (const CommitEntry& e : commit_log) {
-        rounds2[static_cast<std::size_t>(e.w)] = e.round;
-        acc2.apply(e.w, e.packed);
-        ++commits2;
-        if (commits2 % static_cast<std::uint64_t>(n) == 0) ++epochs2;
-        if (e.flagged) {
-          barrier2.push_back(e.w);
-          if (static_cast<int>(barrier2.size()) == n) barrier2.clear();
-          continue;
-        }
-        const int min_r = *std::min_element(rounds2.begin(), rounds2.end());
-        if (rounds2[static_cast<std::size_t>(e.w)] - min_r > staleness) {
-          deferred2[static_cast<std::size_t>(e.w)] = 1;
-        }
-        for (int d = 0; d < n; ++d) {
-          if (deferred2[static_cast<std::size_t>(d)] &&
-              rounds2[static_cast<std::size_t>(d)] - min_r <= staleness) {
-            deferred2[static_cast<std::size_t>(d)] = 0;
-          }
-        }
+        rebuilt.commit(e.w, e.round, e.packed);
+        rebuilt.release(e.w, e.flagged);
       }
-      std::vector<int> worker_round2 = worker_round0;
-      for (int rank = 0; rank < n; ++rank) {
-        worker_round2[static_cast<std::size_t>(rank)] += static_cast<int>(
-            reply_log[static_cast<std::size_t>(rank)].size());
-      }
-      NADMM_CHECK(consensus_bytes(acc2) == consensus_bytes(acc),
-                  "async_admm kill-rejoin: consensus replay diverged");
-      NADMM_CHECK(rounds2 == rounds && worker_round2 == worker_round &&
-                      deferred2 == deferred && barrier2 == barrier &&
-                      commits2 == commits && epochs2 == epochs,
+      NADMM_CHECK(rebuilt.bytes() == coord.bytes(),
                   "async_admm kill-rejoin: coordinator replay diverged");
-      std::vector<double> z2(dim, 0.0);
-      acc2.compute_z(z2);
-      NADMM_CHECK(z2 == z,
-                  "async_admm kill-rejoin: consensus iterate diverged");
-      acc = std::move(acc2);
-      z = std::move(z2);
-      rounds = std::move(rounds2);
-      worker_round = std::move(worker_round2);
-      deferred = std::move(deferred2);
-      barrier = std::move(barrier2);
+      coord = std::move(rebuilt);
     }
     result.add_metric("restores", 1);
     telem::count("restores");
@@ -360,7 +371,7 @@ core::RunResult async_admm(comm::SimCluster& cluster,
                                       const comm::AsyncMessage& msg) {
     const int w = msg.from;
     if (stopping) {
-      reply_stop(ctx, w);
+      ctx.send(w, kTagStop, {});
       return;
     }
     // Deferred to the start of the next update so the kill lands on a
@@ -369,45 +380,39 @@ core::RunResult async_admm(comm::SimCluster& cluster,
     // Observed staleness: completed rounds ahead of the slowest worker
     // when this update's round started. The reply gate bounded it then,
     // and the minimum only grows, so hist's top bucket stays <= τ.
-    const int min_before = *std::min_element(rounds.begin(), rounds.end());
+    const auto& rounds = coord.rounds;
     const auto s = static_cast<std::size_t>(
-        rounds[static_cast<std::size_t>(w)] - min_before);
+        rounds[static_cast<std::size_t>(w)] -
+        *std::min_element(rounds.begin(), rounds.end()));
     if (hist.size() <= s) hist.resize(s + 1, 0);
     ++hist[s];
 
-    rounds[static_cast<std::size_t>(w)] = static_cast<int>(msg.payload[0]);
+    const int round = static_cast<int>(msg.payload[0]);
     const bool flagged = msg.payload[1] != 0.0;
-    acc.apply(w, std::span<const double>(msg.payload).subspan(2));
-    acc.compute_z(z);
-    ++commits;
+    const auto packed = std::span<const double>(msg.payload).subspan(2);
+    const bool epoch_done = coord.commit(w, round, packed);
     if (checkpointing) {
-      commit_log.push_back(
-          {w, rounds[static_cast<std::size_t>(w)], flagged,
-           std::vector<double>(msg.payload.begin() + 2, msg.payload.end())});
+      commit_log.push_back({w, round, flagged, {packed.begin(), packed.end()}});
     }
 
-    if (commits % static_cast<std::uint64_t>(n) == 0) {
+    if (epoch_done) {
       // --- epoch diagnostics on the paused clock ---
       ctx.clock().pause();
       core::IterationStats it;
-      it.iteration = ++epochs;
-      it.objective = diag_objective(z);
-      if (admm.lambda > 0.0) {
-        it.objective += 0.5 * admm.lambda * la::nrm2_sq(z);
-      }
-      it.test_accuracy = eval_accuracy ? diag_accuracy(z) : -1.0;
+      it.iteration = coord.epochs;
+      diagnose(it, coord.z);
       it.sim_seconds = ctx.now();
       it.wall_seconds = wall.seconds();
       it.comm_sim_seconds = ctx.clock().comm_seconds();
-      it.rho_mean = acc.rho_sum() / n;
+      it.rho_mean = coord.acc.rho_sum() / n;
       result.append(it);
-      if (epochs >= admm.max_iterations ||
+      if (coord.epochs >= admm.max_iterations ||
           (admm.objective_target > 0.0 &&
            it.objective <= admm.objective_target)) {
         stopping = true;
       }
       if (options.kill_rank >= 0 && !killed && !stopping &&
-          epochs == options.kill_epoch) {
+          coord.epochs == options.kill_epoch) {
         pending_kill = true;
       }
       // Epoch boundary: sample every registered telemetry counter as a
@@ -417,42 +422,18 @@ core::RunResult async_admm(comm::SimCluster& cluster,
     }
 
     if (stopping) {
-      reply_stop(ctx, w);
+      // The run is over: stop this worker and every parked one.
+      ctx.send(w, kTagStop, {});
       for (int d = 0; d < n; ++d) {
-        if (deferred[static_cast<std::size_t>(d)]) {
-          deferred[static_cast<std::size_t>(d)] = 0;
-          reply_stop(ctx, d);
+        if (coord.deferred[static_cast<std::size_t>(d)]) {
+          ctx.send(d, kTagStop, {});
         }
       }
-      for (const int b : barrier) reply_stop(ctx, b);
-      barrier.clear();
+      for (const int b : coord.barrier) ctx.send(b, kTagStop, {});
       return;
     }
-
-    if (flagged) {
-      barrier.push_back(w);
-      if (static_cast<int>(barrier.size()) == n) {
-        for (const int b : barrier) reply_z(ctx, b);
-        barrier.clear();
-      }
-      maybe_checkpoint(ctx);
-      return;
-    }
-    const int min_r = *std::min_element(rounds.begin(), rounds.end());
-    if (rounds[static_cast<std::size_t>(w)] - min_r <= staleness) {
-      reply_z(ctx, w);
-    } else {
-      deferred[static_cast<std::size_t>(w)] = 1;
-    }
-    // This commit may have raised the minimum round; release any parked
-    // worker whose lead is back within the bound (rank order — the loop
-    // is deterministic either way, but keep replies canonical).
-    for (int d = 0; d < n; ++d) {
-      if (deferred[static_cast<std::size_t>(d)] &&
-          rounds[static_cast<std::size_t>(d)] - min_r <= staleness) {
-        deferred[static_cast<std::size_t>(d)] = 0;
-        reply_z(ctx, d);
-      }
+    for (const int to : coord.release(w, flagged)) {
+      ctx.send(to, kTagConsensus, coord.z);
     }
     maybe_checkpoint(ctx);
   };
@@ -487,7 +468,7 @@ core::RunResult async_admm(comm::SimCluster& cluster,
         }
       });
 
-  result.x = z;
+  result.x = coord.z;
   result.record_waits(reports);
   for (const auto& r : reports) {
     result.add_metric("retransmits", r.retransmits);

@@ -57,11 +57,12 @@ struct AsyncAdmmOptions {
 /// Run stale-consensus ADMM on the cluster's rank/device/network spec
 /// (the cluster's threads are not used — the async engine replays the
 /// protocol on virtual time). Rank r trains on `data.ranks[r].train`.
-/// Coordinator diagnostics use the materialized full splits when the
-/// plan provides them, and fall back to summing per-shard objectives /
-/// hit counts for streamed sources (where no full matrix exists).
-/// `result.solver` is "async-admm" when sync_every == 0 and
-/// "stale-sync-admm" otherwise.
+/// Each epoch the coordinator scores z on objectives of its own over the
+/// rank shards — F(z) and the test hit count summed in rank order, as
+/// core::EpochRecorder sums them — on the paused clock, never touching a
+/// worker's forward cache, so materialized and streamed plans train and
+/// are priced bit-identically. `result.solver` is "async-admm" when
+/// sync_every == 0 and "stale-sync-admm" otherwise.
 core::RunResult async_admm(comm::SimCluster& cluster,
                            const data::ShardedDataset& data,
                            const AsyncAdmmOptions& options);

@@ -9,6 +9,7 @@
 #include "comm/clock.hpp"
 #include "la/flops.hpp"
 #include "support/check.hpp"
+#include "support/json.hpp"
 
 namespace nadmm::telem {
 
@@ -27,17 +28,6 @@ std::string fmt_val(double v) {
   char buf[64];
   std::snprintf(buf, sizeof(buf), "%.17g", v);
   return buf;
-}
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    if (c == '"' || c == '\\') out.push_back('\\');
-    if (static_cast<unsigned char>(c) < 0x20) continue;  // labels only
-    out.push_back(c);
-  }
-  return out;
 }
 
 }  // namespace

@@ -502,12 +502,21 @@ TEST(AsyncAdmmFaults, StaleSyncSupportsKillToo) {
   auto config = tiny_config();
   config.iterations = 6;
   config.sync_every = 2;
-  config.checkpoint_every = 3;
+  config.checkpoint_every = 4;
   const auto baseline = run_registry("stale-sync-admm", config);
   config.kill = "1:2";
   const auto killed = run_registry("stale-sync-admm", config);
   EXPECT_EQ(killed.metric("restores"), 1u);
   EXPECT_EQ(trace_fingerprint(killed), trace_fingerprint(baseline));
+
+  // Kill the coordinator rank: its last checkpoint (4 commits in) holds
+  // one worker parked at the sync-round barrier, and the replayed log
+  // carries the two flagged updates that fill and release it. The
+  // rebuilt coordinator must serialize to the lost one's bytes.
+  config.kill = "0:2";
+  const auto coord = run_registry("stale-sync-admm", config);
+  EXPECT_EQ(coord.metric("restores"), 1u);
+  EXPECT_EQ(trace_fingerprint(coord), trace_fingerprint(baseline));
 }
 
 TEST(AsyncAdmmFaults, KillWithoutCheckpointsIsRejected) {

@@ -42,7 +42,6 @@ TEST(NetworkModel, CollectiveCostsScaleWithRanks) {
   EXPECT_DOUBLE_EQ(m.broadcast(1000, 8), 3 * m.point_to_point(1000));
   // gather: depth·latency + (n−1)·bytes/bw
   EXPECT_DOUBLE_EQ(m.gather(1000, 4), 2 * 1e-3 + 3 * 1000 / 1e6);
-  EXPECT_DOUBLE_EQ(m.scatter(1000, 4), m.gather(1000, 4));
 }
 
 TEST(NetworkModel, SlowerNetworksCostMore) {
@@ -167,23 +166,6 @@ TEST_P(CollectivesTest, GatherConcatenatesInRankOrder) {
   });
 }
 
-TEST_P(CollectivesTest, ScatterDistributesChunks) {
-  const int n = GetParam();
-  auto cluster = make_cluster(n);
-  cluster.run([&](RankCtx& ctx) {
-    std::vector<double> big;
-    if (ctx.is_root()) {
-      big.resize(3 * static_cast<std::size_t>(n));
-      for (std::size_t i = 0; i < big.size(); ++i) big[i] = static_cast<double>(i);
-    }
-    std::vector<double> chunk(3);
-    ctx.scatter(big, chunk, 0);
-    for (int j = 0; j < 3; ++j) {
-      EXPECT_DOUBLE_EQ(chunk[j], 3.0 * ctx.rank() + j);
-    }
-  });
-}
-
 TEST_P(CollectivesTest, BroadcastFromNonZeroRoot) {
   const int n = GetParam();
   if (n < 2) GTEST_SKIP();
@@ -192,18 +174,6 @@ TEST_P(CollectivesTest, BroadcastFromNonZeroRoot) {
     std::vector<double> v(5, ctx.rank() == 1 ? 42.0 : 0.0);
     ctx.broadcast(v, 1);
     for (double e : v) EXPECT_DOUBLE_EQ(e, 42.0);
-  });
-}
-
-TEST_P(CollectivesTest, AllgatherGivesEveryoneEverything) {
-  const int n = GetParam();
-  auto cluster = make_cluster(n);
-  cluster.run([&](RankCtx& ctx) {
-    std::vector<double> mine{static_cast<double>(ctx.rank() * 2)};
-    std::vector<double> all;
-    ctx.allgather(mine, all);
-    ASSERT_EQ(all.size(), static_cast<std::size_t>(n));
-    for (int r = 0; r < n; ++r) EXPECT_DOUBLE_EQ(all[r], 2.0 * r);
   });
 }
 
@@ -236,9 +206,10 @@ TEST_P(CollectivesTest, AllreduceAgreesAcrossRanksUnderReuse) {
         // Interleave other collectives so a straggler from the previous
         // allreduce would be caught corrupting the staging slots.
         std::vector<double> mine{static_cast<double>(ctx.rank())};
-        std::vector<double> all;
-        ctx.allgather(mine, all);
-        ASSERT_EQ(all.size(), static_cast<std::size_t>(n));
+        std::vector<double> all(static_cast<std::size_t>(n));
+        ctx.gather(mine, all, 0);
+        ctx.broadcast(all, 0);
+        for (int r = 0; r < n; ++r) ASSERT_DOUBLE_EQ(all[r], r);
         EXPECT_DOUBLE_EQ(ctx.allreduce_max(static_cast<double>(ctx.rank())),
                          static_cast<double>(n - 1));
       }

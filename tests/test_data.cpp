@@ -399,7 +399,6 @@ TEST(Partition, MakeShardedAccountsResidentBytes) {
   plan.parts = 4;
   const auto sharded = make_sharded(tt.train, &tt.test, plan);
   EXPECT_EQ(sharded.parts(), 4);
-  EXPECT_TRUE(sharded.has_full());
   EXPECT_EQ(sharded.train_samples, 64u);
   EXPECT_EQ(sharded.test_samples, 16u);
   EXPECT_EQ(sharded.dim(), 6u * 2u);
@@ -682,7 +681,6 @@ TEST(Io, LoadLibsvmShardedMatchesMaterializedPath) {
     }
     const ShardedDataset streamed = load_libsvm_sharded(path, 30, 7, plan);
     ASSERT_EQ(streamed.parts(), 4);
-    EXPECT_FALSE(streamed.has_full());
     EXPECT_EQ(streamed.train_samples, 30u);
     EXPECT_EQ(streamed.test_samples, 7u);
     EXPECT_EQ(streamed.num_features, full.train.num_features());

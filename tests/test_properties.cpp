@@ -178,8 +178,9 @@ INSTANTIATE_TEST_SUITE_P(Seeds, CgProperty, testing::Values(1u, 2u, 3u, 4u));
 
 class CollectiveProperty : public testing::TestWithParam<int> {};
 
-TEST_P(CollectiveProperty, GatherScatterRoundTrip) {
-  // scatter(gather(x)) must reproduce every rank's contribution.
+TEST_P(CollectiveProperty, GatherBroadcastRoundTrip) {
+  // broadcast(gather(x)) must hand every rank its own contribution back
+  // at its rank's offset.
   const int n = GetParam();
   comm::SimCluster cluster(n, la::DeviceModel{"t", 1.0},
                            comm::ideal_network());
@@ -188,12 +189,12 @@ TEST_P(CollectiveProperty, GatherScatterRoundTrip) {
     Rng rng(static_cast<std::uint64_t>(ctx.rank()) + 100);
     for (double& v : mine) v = rng.normal();
     const std::vector<double> original = mine;
-    std::vector<double> all;
+    std::vector<double> all(13 * static_cast<std::size_t>(n));
     ctx.gather(mine, all, 0);
-    std::vector<double> back(13);
-    ctx.scatter(all, back, 0);
+    ctx.broadcast(all, 0);
+    const std::size_t offset = 13 * static_cast<std::size_t>(ctx.rank());
     for (std::size_t i = 0; i < mine.size(); ++i) {
-      EXPECT_DOUBLE_EQ(back[i], original[i]);
+      EXPECT_DOUBLE_EQ(all[offset + i], original[i]);
     }
   });
 }

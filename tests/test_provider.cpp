@@ -187,7 +187,6 @@ TEST(DatasetProvider, ShardedInMemorySourceSharesTheFullEntry) {
   plan.parts = 4;
   const auto sharded = provider.get_sharded(blobs_key(), plan);
   ASSERT_EQ(sharded->parts(), 4);
-  EXPECT_TRUE(sharded->has_full());
   // Shards are zero-copy views of the cached full dataset: only the full
   // entry is generated and only its bytes are resident.
   EXPECT_EQ(provider.stats().generations, 1u);
@@ -207,10 +206,10 @@ TEST(DatasetProvider, ShardedInMemorySourceSharesTheFullEntry) {
   // budget, and a repeat request shares it instead of re-gathering.
   ShardPlan strided = plan;
   strided.mode = PartitionMode::kStrided;
+  const std::size_t before = provider.bytes_in_use();
   const auto gathered = provider.get_sharded(blobs_key(), strided);
   EXPECT_EQ(provider.stats().generations, 2u);
-  EXPECT_GT(provider.bytes_in_use(), gathered->resident_bytes -
-                                         gathered->full_train.approx_bytes());
+  EXPECT_EQ(provider.bytes_in_use(), before + gathered->resident_bytes);
   const auto again = provider.get_sharded(blobs_key(), strided);
   EXPECT_EQ(gathered.get(), again.get());
   EXPECT_EQ(provider.stats().generations, 2u);
@@ -232,7 +231,6 @@ TEST(DatasetProvider, ShardedLibsvmStreamsIntoCachedPerRankShards) {
   ShardPlan plan;
   plan.parts = 4;
   const auto a = provider.get_sharded(key, plan);
-  EXPECT_FALSE(a->has_full());
   EXPECT_EQ(a->train_samples, 32u);
   EXPECT_EQ(a->test_samples, 8u);
   EXPECT_EQ(provider.stats().generations, 1u);

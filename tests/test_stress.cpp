@@ -30,7 +30,7 @@ TEST(Stress, SixteenRankCollectiveStorm) {
   cluster.run([&](comm::RankCtx& ctx) {
     Rng rng(static_cast<std::uint64_t>(ctx.rank()));
     std::vector<double> v(257);
-    std::vector<double> gathered, all;
+    std::vector<double> gathered(16 * 16);
     for (int round = 0; round < 200; ++round) {
       for (double& e : v) e = static_cast<double>(ctx.rank()) + e * 0.5;
       ctx.allreduce_sum(v);
@@ -38,8 +38,8 @@ TEST(Stress, SixteenRankCollectiveStorm) {
       EXPECT_DOUBLE_EQ(check, v[0]);  // allreduce made v identical
       if (round % 10 == 0) {
         ctx.gather(std::span<const double>(v).subspan(0, 16), gathered, 0);
-        ctx.allgather(std::span<const double>(v).subspan(0, 4), all);
-        ASSERT_EQ(all.size(), 64u);
+        ctx.broadcast(gathered, 0);
+        ASSERT_EQ(gathered[16 * 15 + 3], v[3]);  // v is identical everywhere
       }
     }
   });

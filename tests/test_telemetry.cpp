@@ -170,6 +170,17 @@ TEST(Telemetry, ChromeExportShapeAndStability) {
   EXPECT_LT(json.find("\"name\": \"outer\""), json.find("\"name\": \"inner\""));
 }
 
+TEST(Telemetry, ChromeExportEscapesTheLabel) {
+  // The label is free text (a run tag): quotes, backslashes and control
+  // bytes must come out escaped, not dropped, so the export stays JSON.
+  telem::Tracer tracer("say \"hi\"\\\nnext\x01");
+  std::ostringstream os;
+  tracer.write_chrome_trace(os);
+  EXPECT_NE(os.str().find("\"label\": \"say \\\"hi\\\"\\\\\\nnext\\u0001\""),
+            std::string::npos)
+      << os.str();
+}
+
 TEST(Telemetry, AsciiTimelineListsTracksAndCategories) {
   telem::Tracer tracer("test");
   comm::SimClock clock(unit_device());
