@@ -1,5 +1,5 @@
 // Kernel-engine benchmarks: every rewired hot-path kernel (register-
-// blocked gemm_nn, two-phase gemm_tn, register-row spmm_nn and CSC-gather
+// blocked gemm_nn, feature-split gemm_tn, register-row spmm_nn and CSC-gather
 // spmm_tn, fused softmax forward) against the seed critical-section implementations preserved in
 // la::kernels::reference, at 1/4/8 OpenMP threads, over dense MNIST-like
 // / CIFAR-like and sparse E18-like shapes.

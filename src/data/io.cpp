@@ -270,9 +270,10 @@ ShardedDataset load_libsvm_sharded(const std::string& path,
     RankData rd;
     rd.train = train_builders[r].build(p, num_classes);
     if (n_test > 0) rd.test = test_builders[r].build(p, num_classes);
-    out.resident_bytes += rd.train.approx_bytes() + rd.test.approx_bytes();
+    out.owned_bytes += rd.train.approx_bytes() + rd.test.approx_bytes();
     out.ranks.push_back(std::move(rd));
   }
+  out.resident_bytes = out.owned_bytes;
   return out;
 }
 

@@ -34,8 +34,9 @@ void save_libsvm(const Dataset& ds, const std::string& path);
 /// `n_test` rows into its test shard. Raw labels (any integers, e.g.
 /// `-1`/`+1`) are numbered [0, C) in ascending order and every shard
 /// shares the file-global (p, C). The full matrix is never assembled in
-/// one allocation — resident_bytes is the summed shard footprint. The
-/// one-part `ShardPlan{}` puts both whole splits in `ranks[0]`.
+/// one allocation — owned_bytes (= resident_bytes) is the summed shard
+/// footprint. The one-part `ShardPlan{}` puts both whole splits in
+/// `ranks[0]`.
 ///
 /// Throws RuntimeError (`path:line: ...`) on malformed lines and on a
 /// p·(C−1) above kMaxLibsvmParameters, and InvalidArgument when the file

@@ -193,18 +193,17 @@ ShardedDataset make_sharded(const Dataset& train, const Dataset* test,
     if (have_test) rd.test = shard_dataset(*test, plan, r);
     out.ranks.push_back(std::move(rd));
   }
-  // Resident bytes: the full storage plus whatever the shards own.
-  // Contiguous/weighted shards are views sharing the full storage and add
+  // Contiguous/weighted shards are views sharing the full storage and own
   // nothing (a one-part "view" covers the whole set, so summing its
-  // approx_bytes would double-count); strided gather copies add their
+  // approx_bytes would double-count); strided gather copies own their
   // buffers.
-  out.resident_bytes = train.approx_bytes();
-  if (have_test) out.resident_bytes += test->approx_bytes();
   if (plan.mode == PartitionMode::kStrided) {
     for (const auto& rd : out.ranks) {
-      out.resident_bytes += rd.train.approx_bytes() + rd.test.approx_bytes();
+      out.owned_bytes += rd.train.approx_bytes() + rd.test.approx_bytes();
     }
   }
+  out.resident_bytes = train.approx_bytes() + out.owned_bytes;
+  if (have_test) out.resident_bytes += test->approx_bytes();
   return out;
 }
 

@@ -100,9 +100,13 @@ struct ShardedDataset {
   std::size_t num_features = 0;
   int num_classes = 0;
 
-  /// Resident dataset bytes for this layout: full storage plus whatever
-  /// the shards own (0 for views, their buffers for strided copies and
-  /// streamed shards). The sweep reports this as peak_dataset_bytes.
+  /// Bytes the shards own: 0 for views, their buffers for strided copies
+  /// and streamed shards. A provider cache entry counts only these; the
+  /// full storage views share is counted by the full dataset's entry.
+  std::size_t owned_bytes = 0;
+  /// Resident dataset bytes for this layout: the full storage the shards
+  /// were cut from (in-memory sources) plus owned_bytes. The sweep
+  /// reports this as peak_dataset_bytes.
   std::size_t resident_bytes = 0;
 
   [[nodiscard]] int parts() const { return static_cast<int>(ranks.size()); }

@@ -117,7 +117,7 @@ class DatasetProvider {
 
     [[nodiscard]] std::size_t bytes() const {
       if (full != nullptr) return full->approx_bytes();
-      if (sharded != nullptr) return sharded->resident_bytes;
+      if (sharded != nullptr) return sharded->owned_bytes;
       return 0;
     }
   };

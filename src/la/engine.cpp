@@ -7,10 +7,12 @@
 // no std:: algorithm or container, no nadmm class member. See the note in
 // la/engine.hpp on why a rung object must not emit such code.
 //
-// The one two-phase reduction left is gemm_tn's (per-thread partials,
-// then a fold in thread order). The sparse products keep each output row
-// in registers across its entries instead (sparse_row below), and
-// spmm_tn reads the parent matrix's cached CSC, so neither has partials.
+// No kernel reduces across threads: every output element (and the
+// softmax loss) is produced by one thread in an order fixed by the shape
+// alone, so every kernel is bit-identical at any thread count. gemm_nn
+// and the sparse products split output rows, gemm_tn splits features in
+// whole cache lines, and softmax_forward folds its loss in row order on
+// the calling thread.
 #include "la/engine.hpp"
 
 #ifdef _OPENMP
@@ -80,16 +82,6 @@ const T* lower_bound(const T* first, const T* last, T v) {
   return first;
 }
 
-int max_team(bool parallel) {
-#ifdef _OPENMP
-  const int t = omp_get_max_threads();
-  return parallel && t > 1 ? t : 1;
-#else
-  static_cast<void>(parallel);
-  return 1;
-#endif
-}
-
 int team_size() {
 #ifdef _OPENMP
   return omp_get_num_threads();
@@ -111,9 +103,7 @@ struct Range {
   std::size_t hi;
 };
 
-/// Static slice t of `count` elements among `team` threads. Depends only
-/// on (count, t, team) — this is what makes both reduction phases
-/// deterministic for a fixed thread count.
+/// Static slice t of `count` elements among `team` threads.
 Range slice(std::size_t count, int t, int team) {
   const auto tt = static_cast<std::size_t>(t);
   const auto tm = static_cast<std::size_t>(team);
@@ -121,13 +111,13 @@ Range slice(std::size_t count, int t, int team) {
 }
 
 /// Grow-only, 64-byte-aligned, *uninitialized* per-thread buffer backing
-/// the packed panels and reduction workspaces. The kernels run every CG
+/// the packed panels and the gemm_tn workspace. The kernels run every CG
 /// iteration, so steady-state calls must never touch the allocator; the
 /// allocation deliberately leaves pages untouched, which is the NUMA
 /// first-touch half of the contract: each team thread zero-fills only
-/// its own partial slice inside the parallel region, so on multi-socket
-/// hosts a partial's pages land on the node of the thread that folds
-/// them rather than wherever the calling thread happened to run.
+/// its own feature columns of the gemm_tn workspace inside the parallel
+/// region, so on multi-socket hosts those pages land on the node of the
+/// thread that accumulates into them.
 class AlignedBuffer {
  public:
   AlignedBuffer() = default;
@@ -170,7 +160,7 @@ class AlignedBuffer {
 /// kNR-wide strips, the last one as wide as what is left: the microkernel
 /// then reads one contiguous row of its strip per k step. The panel lives
 /// in a grow-only per-thread buffer (this runs every CG iteration — see
-/// reduction_workspace below for the rationale). Strips start 64-byte
+/// tn_workspace below for the rationale). Strips start 64-byte
 /// aligned (k·kNR doubles apart from an aligned base).
 double* pack_b(const double* pb, std::size_t k, std::size_t n,
                std::size_t nvec) {
@@ -318,63 +308,66 @@ inline void dispatch_rows(std::size_t nl, const double* pa, std::size_t lda,
 
 // ------------------------------------------------------------- gemm_tn
 
-/// Reusable per-calling-thread reduction workspace: gemm_tn and the
-/// softmax loss fold run every CG iteration, and a fresh large
-/// allocation per call means fresh page faults per call. Grow-only and uninitialized — each
-/// team thread first-touches its own partial slice (see AlignedBuffer).
-double* reduction_workspace(std::size_t elems) {
+/// Reusable per-calling-thread gemm_tn workspace: gemm_tn runs every CG
+/// iteration, and a fresh large allocation per call means fresh page
+/// faults per call. Grow-only and uninitialized — each team thread
+/// first-touches its own feature columns (see AlignedBuffer).
+double* tn_workspace(std::size_t elems) {
   static thread_local AlignedBuffer ws;
   return ws.ensure(elems);
 }
 
-/// Phase-1 block: fold U samples starting at row `i` into the local
-/// class-major n×m partial in one pass over the panel. The feature
-/// dimension — the long one — advances V::width independent output
-/// elements per step: the U sample rows' features are loaded once and
-/// each class's weight is broadcast. U is a compile-time constant so the
-/// inner sums fully unroll; the per-element sum over u starts from zero
-/// in u order on every backend.
+/// Fold U samples starting at row `i` into features [j0, j1) of the
+/// class-major accumulator `acc` (n rows, leading dimension ld) in one
+/// pass over the panel. The feature dimension — the long one — advances
+/// V::width independent output elements per step: the U sample rows'
+/// features are loaded once and each class's weight is broadcast. U is a
+/// compile-time constant so the inner sums fully unroll; the per-element
+/// sum over u starts from zero in u order on every backend. j0 is a lane
+/// multiple, so every feature falls in the vector body or the scalar
+/// tail exactly as it does for the whole range [0, m).
 template <class V, std::size_t U>
 inline void tn_block(const double* __restrict pa, const double* __restrict pb,
                      std::size_t m, std::size_t n, std::size_t i,
-                     double* __restrict local) {
+                     std::size_t j0, std::size_t j1, std::size_t ld,
+                     double* __restrict acc) {
   const double* a[U];
   const double* b[U];
   for (std::size_t u = 0; u < U; ++u) {
     a[u] = pa + (i + u) * m;
     b[u] = pb + (i + u) * n;
   }
-  std::size_t j = 0;
-  for (; j + V::width <= m; j += V::width) {
+  std::size_t j = j0;
+  for (; j + V::width <= j1; j += V::width) {
     V x[U];
     for (std::size_t u = 0; u < U; ++u) x[u] = V::load(a[u] + j);
     for (std::size_t c = 0; c < n; ++c) {
       V s = V::zero();
       for (std::size_t u = 0; u < U; ++u) s = s + x[u] * V::broadcast(b[u][c]);
-      double* __restrict l = local + c * m + j;
+      double* __restrict l = acc + c * ld + j;
       (V::load(l) + s).store(l);
     }
   }
-  for (; j < m; ++j) {
+  for (; j < j1; ++j) {
     for (std::size_t c = 0; c < n; ++c) {
       double s = 0.0;
       for (std::size_t u = 0; u < U; ++u) s += a[u][j] * b[u][c];
-      local[c * m + j] += s;
+      acc[c * ld + j] += s;
     }
   }
 }
 
-/// Phase-1 core: accumulate (Aᵀ·B)ᵀ for the sample range [i0, i1) into
-/// `local` (n×m, pre-zeroed), 8 samples per pass with 4/2/1 tails.
+/// Accumulate features [j0, j1) of (Aᵀ·B)ᵀ over all k samples into `acc`
+/// (pre-zeroed there), 8 samples per pass with 4/2/1 tails.
 template <class V>
-void accumulate_tn(const double* pa, const double* pb, std::size_t m,
-                   std::size_t n, std::size_t i0, std::size_t i1,
-                   double* local) {
-  std::size_t i = i0;
-  for (; i + 8 <= i1; i += 8) tn_block<V, 8>(pa, pb, m, n, i, local);
-  for (; i + 4 <= i1; i += 4) tn_block<V, 4>(pa, pb, m, n, i, local);
-  for (; i + 2 <= i1; i += 2) tn_block<V, 2>(pa, pb, m, n, i, local);
-  for (; i < i1; ++i) tn_block<V, 1>(pa, pb, m, n, i, local);
+void accumulate_tn(const double* pa, const double* pb, std::size_t k,
+                   std::size_t m, std::size_t n, std::size_t j0,
+                   std::size_t j1, std::size_t ld, double* acc) {
+  std::size_t i = 0;
+  for (; i + 8 <= k; i += 8) tn_block<V, 8>(pa, pb, m, n, i, j0, j1, ld, acc);
+  for (; i + 4 <= k; i += 4) tn_block<V, 4>(pa, pb, m, n, i, j0, j1, ld, acc);
+  for (; i + 2 <= k; i += 2) tn_block<V, 2>(pa, pb, m, n, i, j0, j1, ld, acc);
+  for (; i < k; ++i) tn_block<V, 1>(pa, pb, m, n, i, j0, j1, ld, acc);
 }
 
 // ------------------------------------------------------ sparse rows
@@ -523,42 +516,40 @@ void engine_gemm_nn(double alpha, DenseArg a, DenseArg b, double beta,
   }
 }
 
+/// C = alpha·Aᵀ·B + beta·C. Each thread takes a slice of whole cache
+/// lines of features, runs every sample over them into its own columns of
+/// one class-major workspace, and writes those rows of C. Each element's
+/// chain is the one-thread chain, so any team size gives the same bits.
 template <class V>
 void engine_gemm_tn(double alpha, DenseArg a, DenseArg b, double beta,
                     DenseOut c) {
   const std::size_t k = a.rows;  // samples
   const std::size_t m = a.cols;  // features
   const std::size_t n = b.cols;  // classes
-  const std::size_t mn = m * n;
   const double* pa = a.p;
   const double* pb = b.p;
   double* pc = c.p;
 
-  const bool parallel = 2 * k * m * n >= kParallelFlops;
-  const int tmax = max_team(parallel);
-  // Per-thread class-major k-block partials; phase 2 folds them in thread
-  // order over a slice of features and writes those rows of C.
-  double* ws = reduction_workspace(static_cast<std::size_t>(tmax) * mn);
+  // Slices start on lane multiples, so each feature stays in the vector
+  // body or the scalar tail it falls in for the whole range.
+  static_assert(kLineDoubles % V::width == 0, "lines hold whole vectors");
+  // Workspace rows padded to whole lines: no two slices share a line.
+  const std::size_t lines = (m + kLineDoubles - 1) / kLineDoubles;
+  const std::size_t ld = lines * kLineDoubles;
+  double* ws = tn_workspace(n * ld);
+  [[maybe_unused]] const bool parallel = 2 * k * m * n >= kParallelFlops;
 #pragma omp parallel if (parallel)
   {
-    const int team = team_size();
-    const int t = thread_id();
-    double* local = ws + static_cast<std::size_t>(t) * mn;
-    zero(local, mn);
-    const Range kr = slice(k, t, team);
-    accumulate_tn<V>(pa, pb, m, n, kr.lo, kr.hi, local);
-#pragma omp barrier
-    const Range jr = slice(m, t, team);
-    for (std::size_t cl = 0; cl < n; ++cl) {
-      double* acc = ws + cl * m;
-      for (int r = 1; r < team; ++r) {
-        const double* src = ws + static_cast<std::size_t>(r) * mn + cl * m;
-        simd::add_inplace<V>(acc + jr.lo, src + jr.lo, jr.hi - jr.lo);
-      }
-    }
-    for (std::size_t j = jr.lo; j < jr.hi; ++j) {
-      for (std::size_t cl = 0; cl < n; ++cl) {
-        simd::combine_one(alpha, beta, pc[j * n + cl], ws[cl * m + j]);
+    const Range lr = slice(lines, thread_id(), team_size());
+    const std::size_t j0 = lr.lo * kLineDoubles;
+    const std::size_t j1 = min_of(m, lr.hi * kLineDoubles);
+    if (j0 < j1) {
+      for (std::size_t cl = 0; cl < n; ++cl) zero(ws + cl * ld + j0, j1 - j0);
+      accumulate_tn<V>(pa, pb, k, m, n, j0, j1, ld, ws);
+      for (std::size_t j = j0; j < j1; ++j) {
+        for (std::size_t cl = 0; cl < n; ++cl) {
+          simd::combine_one(alpha, beta, pc[j * n + cl], ws[cl * ld + j]);
+        }
       }
     }
   }
@@ -619,9 +610,9 @@ void engine_spmm_tn(double alpha, CscArg a, DenseArg b, double beta,
 /// 0, alpha at e⁰ = 1), matching the paper's eq. (9)-(10) stabilization.
 /// The running sweep is a true recurrence and stays scalar; the rescale
 /// and normalize sweeps scale independent elements and use the backend.
+/// Returns the row's log-sum-exp.
 template <class V>
-double softmax_row(const double* s, double* p, std::size_t c,
-                   std::int32_t label, double& lse_out) {
+double softmax_row(const double* s, double* p, std::size_t c) {
   double m = 0.0;
   double alpha = 1.0;
   for (std::size_t j = 0; j < c; ++j) {
@@ -640,9 +631,7 @@ double softmax_row(const double* s, double* p, std::size_t c,
   }
   const double inv_alpha = 1.0 / alpha;
   simd::scale<V>(inv_alpha, p, c);
-  lse_out = m + std::log(alpha);
-  const auto y = static_cast<std::size_t>(label);
-  return lse_out - (y < c ? s[y] : 0.0);
+  return m + std::log(alpha);
 }
 
 template <class V>
@@ -653,26 +642,20 @@ double engine_softmax_forward(DenseArg scores, const std::int32_t* labels,
   const double* ps = scores.p;
   double* pp = probs.p;
 
-  const bool parallel = n * c >= kParallelRows;
-  const auto tmax = static_cast<std::size_t>(max_team(parallel));
-  double* partial = reduction_workspace(tmax);
-  zero(partial, tmax);
-#pragma omp parallel if (parallel)
-  {
-    const int team = team_size();
-    const int t = thread_id();
-    const Range rr = slice(n, t, team);
-    double loss = 0.0;
-    for (std::size_t i = rr.lo; i < rr.hi; ++i) {
-      loss += softmax_row<V>(ps + i * c, pp + i * c, c, labels[i], lse[i]);
-    }
-    partial[static_cast<std::size_t>(t)] = loss;
+  [[maybe_unused]] const bool parallel = n * c >= kParallelRows;
+#pragma omp parallel for schedule(static) if (parallel)
+  for (std::ptrdiff_t ii = 0; ii < static_cast<std::ptrdiff_t>(n); ++ii) {
+    const auto i = static_cast<std::size_t>(ii);
+    lse[i] = softmax_row<V>(ps + i * c, pp + i * c, c);
   }
-  // Fold loss partials in fixed thread order (deterministic for a given
-  // thread count; unused slots stay exactly 0.0).
-  double total = 0.0;
-  for (std::size_t t = 0; t < tmax; ++t) total += partial[t];
-  return total;
+  // The loss Σᵢ (lseᵢ − s_{i,yᵢ}) folds in row order on the calling
+  // thread (the implicit class scores 0), whatever the team size.
+  double loss = 0.0;
+  for (std::size_t i = 0; i < n; ++i) {
+    const auto y = static_cast<std::size_t>(labels[i]);
+    loss += lse[i] - (y < c ? ps[i * c + y] : 0.0);
+  }
+  return loss;
 }
 
 template <class V>

@@ -85,7 +85,7 @@ struct Rung {
   /// C = alpha·A·B + beta·C.
   void (*gemm_nn)(double alpha, DenseArg a, DenseArg b, double beta,
                   DenseOut c);
-  /// C = alpha·Aᵀ·B + beta·C, two-phase reduction.
+  /// C = alpha·Aᵀ·B + beta·C, features split among the threads.
   void (*gemm_tn)(double alpha, DenseArg a, DenseArg b, double beta,
                   DenseOut c);
   /// C = alpha·A·B + beta·C over CSR rows (m = a.rows), each output row

@@ -5,27 +5,20 @@
 // Hessian-vector accumulation G = Aᵀ·W (gemm_tn / spmm_tn), and the
 // softmax forward sweep over the score panel. The seed kernels serialized
 // the transposed products through `#pragma omp critical` reduces. The
-// engine's dense gemm_tn replaces that with a deterministic two-phase
-// reduction:
-//
-//   phase 1  each thread accumulates a private partial over a statically
-//            partitioned block of the k (sample) dimension;
-//   phase 2  the output range is statically partitioned across the same
-//            team, and each thread folds the partials for its slice in
-//            fixed thread order 0..T−1.
-//
-// Both phases are static, so for a given thread count the result is
-// bit-identical run to run (the sweep scheduler relies on this). The
-// sparse spmm_tn needs no reduction at all: it is one gather over the
-// parent matrix's cached CSC, so each output element has one fixed chain
-// whatever the thread count. Both sparse products keep each output row
-// in registers across its entries and store it once. The
+// engine has no reduction across threads at all: every output element
+// is produced by exactly one thread, in an order fixed by the shape, so
+// every kernel is bit-identical at any thread count (the sweep scheduler,
+// the trace CSVs and the CI pins rely on this). The dense gemm_tn splits
+// the features among the threads in whole cache lines and each thread
+// runs every sample over its own features. The sparse spmm_tn is one
+// gather over the parent matrix's cached CSC. Both sparse products keep
+// each output row in registers across its entries and store it once. The
 // dense gemm_nn is a register-blocked microkernel: lane-multiple class
 // columns in packed 8-wide strips with A broadcast, the leftover classes
 // across rows through an in-register transpose of the A tile. The dense
-// gemm_tn vectorizes phase 1 across features (class-major partials). The
+// gemm_tn vectorizes across features (class-major accumulator). The
 // softmax forward is a fused single-sweep (online max / exp / sum with a
-// trailing normalize).
+// trailing normalize), and its loss folds in row order.
 //
 // The seed implementations are preserved under kernels::reference — they
 // are the parity oracle for tests and the "vs seed" side of
@@ -67,21 +60,20 @@ const char* active_isa();
 /// The A operand of every engine product is a non-owning row-range view
 /// (la::DenseView / la::CsrView); whole matrices convert implicitly, and
 /// a rank's shard runs in place on the parent's storage. For a contiguous
-/// shard view the engine is bit-identical to running on a copied shard at
-/// the same thread count (both sparse products are bit-identical for any
-/// thread count) — the shard-native data plane and its tests rely on
-/// both.
+/// shard view the engine is bit-identical to running on a copied shard,
+/// at any thread count — the shard-native data plane and its tests rely
+/// on both.
 
 /// C = alpha·A·B + beta·C (A: m×k, B: k×n, C: m×n). Register-blocked
 /// microkernel: lane-multiple columns over a packed B panel, the rest
-/// across rows; deterministic for any thread count (each C row is
+/// across rows; bit-identical at any thread count (each C row is
 /// produced by exactly one thread in fixed k order).
 void gemm_nn(double alpha, DenseView a, const DenseMatrix& b,
              double beta, DenseMatrix& c, const Rung& rung = active_rung());
 
-/// C = alpha·Aᵀ·B + beta·C (A: k×m, B: k×n, C: m×n). Two-phase lock-free
-/// reduction vectorized across the m features; deterministic for a fixed
-/// thread count.
+/// C = alpha·Aᵀ·B + beta·C (A: k×m, B: k×n, C: m×n). Each thread runs
+/// every sample over its own slice of the m features, vectorized across
+/// them; bit-identical at any thread count.
 void gemm_tn(double alpha, DenseView a, const DenseMatrix& b,
              double beta, DenseMatrix& c, const Rung& rung = active_rung());
 
@@ -105,7 +97,7 @@ void spmm_tn(double alpha, const CsrView& a, const DenseMatrix& b,
 /// the exponentials and their sum together; a second short sweep
 /// normalizes. Writes P (probabilities) and per-row LSE, and returns the
 /// summed cross-entropy loss Σ_i [lse_i − s_{i,y_i}] (0 for the implicit
-/// class). Loss partials are folded in fixed thread order.
+/// class), folded in row order: bit-identical at any thread count.
 double softmax_forward(const DenseMatrix& scores,
                        std::span<const std::int32_t> labels,
                        DenseMatrix& probs, std::span<double> lse,

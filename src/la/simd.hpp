@@ -32,9 +32,9 @@
 /// Everything here has internal linkage: each rung object gets its own
 /// copy, compiled for its own ISA, that no other object can link to.
 ///
-/// Helpers at the bottom (`scale`, `add_inplace`) are the shared
-/// elementwise loops: vector body plus a scalar tail whose per-element
-/// expression trees match the vector lanes exactly.
+/// The helper at the bottom (`scale`) is the shared elementwise loop:
+/// vector body plus a scalar tail whose per-element expression trees
+/// match the vector lanes exactly.
 
 #include <cstddef>
 
@@ -207,16 +207,6 @@ inline void scale(double s, double* p, std::size_t n) {
     (V::load(p + i) * sv).store(p + i);
   }
   for (; i < n; ++i) p[i] *= s;
-}
-
-/// acc[i] += src[i]
-template <class V>
-inline void add_inplace(double* acc, const double* src, std::size_t n) {
-  std::size_t i = 0;
-  for (; i + V::width <= n; i += V::width) {
-    (V::load(acc + i) + V::load(src + i)).store(acc + i);
-  }
-  for (; i < n; ++i) acc[i] += src[i];
 }
 
 /// out = beta * out + alpha * acc for one element, with the beta == 0 /

@@ -8,46 +8,28 @@
 
 namespace nadmm::la {
 
-namespace {
-// Below this many elements an OpenMP region costs more than it saves.
-constexpr std::size_t kParallelThreshold = 1 << 15;
-}  // namespace
+// Every loop here is serial: each result has one fixed chain, so it does
+// not depend on the OpenMP team size.
 
 void axpy(double alpha, std::span<const double> x, std::span<double> y) {
   NADMM_CHECK(x.size() == y.size(), "axpy: size mismatch");
-  const std::ptrdiff_t n = static_cast<std::ptrdiff_t>(x.size());
-  if (x.size() >= kParallelThreshold) {
-#pragma omp parallel for schedule(static)
-    for (std::ptrdiff_t i = 0; i < n; ++i) y[i] += alpha * x[i];
-  } else {
-    for (std::ptrdiff_t i = 0; i < n; ++i) y[i] += alpha * x[i];
-  }
+  for (std::size_t i = 0; i < x.size(); ++i) y[i] += alpha * x[i];
   flops::add(2 * x.size());
 }
 
 void axpby(double alpha, std::span<const double> x, double beta,
            std::span<double> y) {
   NADMM_CHECK(x.size() == y.size(), "axpby: size mismatch");
-  const std::ptrdiff_t n = static_cast<std::ptrdiff_t>(x.size());
-  if (x.size() >= kParallelThreshold) {
-#pragma omp parallel for schedule(static)
-    for (std::ptrdiff_t i = 0; i < n; ++i) y[i] = alpha * x[i] + beta * y[i];
-  } else {
-    for (std::ptrdiff_t i = 0; i < n; ++i) y[i] = alpha * x[i] + beta * y[i];
+  for (std::size_t i = 0; i < x.size(); ++i) {
+    y[i] = alpha * x[i] + beta * y[i];
   }
   flops::add(3 * x.size());
 }
 
 double dot(std::span<const double> x, std::span<const double> y) {
   NADMM_CHECK(x.size() == y.size(), "dot: size mismatch");
-  const std::ptrdiff_t n = static_cast<std::ptrdiff_t>(x.size());
   double acc = 0.0;
-  if (x.size() >= kParallelThreshold) {
-#pragma omp parallel for schedule(static) reduction(+ : acc)
-    for (std::ptrdiff_t i = 0; i < n; ++i) acc += x[i] * y[i];
-  } else {
-    for (std::ptrdiff_t i = 0; i < n; ++i) acc += x[i] * y[i];
-  }
+  for (std::size_t i = 0; i < x.size(); ++i) acc += x[i] * y[i];
   flops::add(2 * x.size());
   return acc;
 }
@@ -57,13 +39,7 @@ double nrm2_sq(std::span<const double> x) { return dot(x, x); }
 double nrm2(std::span<const double> x) { return std::sqrt(nrm2_sq(x)); }
 
 void scal(double alpha, std::span<double> x) {
-  const std::ptrdiff_t n = static_cast<std::ptrdiff_t>(x.size());
-  if (x.size() >= kParallelThreshold) {
-#pragma omp parallel for schedule(static)
-    for (std::ptrdiff_t i = 0; i < n; ++i) x[i] *= alpha;
-  } else {
-    for (std::ptrdiff_t i = 0; i < n; ++i) x[i] *= alpha;
-  }
+  for (double& v : x) v *= alpha;
   flops::add(x.size());
 }
 
@@ -78,19 +54,10 @@ void fill(std::span<double> x, double value) {
 
 double dist2(std::span<const double> x, std::span<const double> y) {
   NADMM_CHECK(x.size() == y.size(), "dist2: size mismatch");
-  const std::ptrdiff_t n = static_cast<std::ptrdiff_t>(x.size());
   double acc = 0.0;
-  if (x.size() >= kParallelThreshold) {
-#pragma omp parallel for schedule(static) reduction(+ : acc)
-    for (std::ptrdiff_t i = 0; i < n; ++i) {
-      const double d = x[i] - y[i];
-      acc += d * d;
-    }
-  } else {
-    for (std::ptrdiff_t i = 0; i < n; ++i) {
-      const double d = x[i] - y[i];
-      acc += d * d;
-    }
+  for (std::size_t i = 0; i < x.size(); ++i) {
+    const double d = x[i] - y[i];
+    acc += d * d;
   }
   flops::add(3 * x.size());
   return std::sqrt(acc);
@@ -103,14 +70,8 @@ double amax(std::span<const double> x) {
 }
 
 double sum(std::span<const double> x) {
-  const std::ptrdiff_t n = static_cast<std::ptrdiff_t>(x.size());
   double acc = 0.0;
-  if (x.size() >= kParallelThreshold) {
-#pragma omp parallel for schedule(static) reduction(+ : acc)
-    for (std::ptrdiff_t i = 0; i < n; ++i) acc += x[i];
-  } else {
-    for (std::ptrdiff_t i = 0; i < n; ++i) acc += x[i];
-  }
+  for (double v : x) acc += v;
   flops::add(x.size());
   return acc;
 }

@@ -982,6 +982,7 @@ SweepReport run_sweep(const SweepSpec& spec, const SweepOptions& options) {
     };
     try {
       ExperimentConfig config = scenario.config;
+      // One thread per rank: no oversubscription under --jobs.
       config.omp_threads = 1;
       if (scenario.serving) {
         const auto model = serve_model_for(scenario, config);

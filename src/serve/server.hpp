@@ -37,7 +37,7 @@ struct ServeConfig {
   /// the server clock on top of the batch's roofline time — the term
   /// batching amortizes.
   double dispatch_overhead_s = 1e-4;
-  int omp_threads = 1;  ///< handler compute threads (1 = deterministic)
+  int omp_threads = 1;  ///< handler compute threads
 };
 
 struct ServeResult {

@@ -402,13 +402,17 @@ TEST(Partition, MakeShardedAccountsResidentBytes) {
   EXPECT_EQ(sharded.train_samples, 64u);
   EXPECT_EQ(sharded.test_samples, 16u);
   EXPECT_EQ(sharded.dim(), 6u * 2u);
-  // Zero-copy views: resident bytes are exactly the full splits.
+  // Zero-copy views own nothing: resident bytes are exactly the full
+  // splits.
+  EXPECT_EQ(sharded.owned_bytes, 0u);
   EXPECT_EQ(sharded.resident_bytes, tt.approx_bytes());
-  // Strided shards are gather copies, so the copies add on top.
+  // Strided shards are dense gather copies holding every row once more,
+  // so they own the full splits' bytes again, on top of the full splits.
   ShardPlan strided = plan;
   strided.mode = PartitionMode::kStrided;
   const auto sharded_strided = make_sharded(tt.train, &tt.test, strided);
-  EXPECT_GT(sharded_strided.resident_bytes, tt.approx_bytes());
+  EXPECT_EQ(sharded_strided.owned_bytes, tt.approx_bytes());
+  EXPECT_EQ(sharded_strided.resident_bytes, 2 * tt.approx_bytes());
 }
 
 TEST(Dataset, ViewsComposeAndShareStorage) {

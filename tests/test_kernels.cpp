@@ -1,10 +1,9 @@
 // Kernel-engine tests: parity of every rewired kernel against the seed
 // reference implementations (kernels::reference) and an independent naive
 // oracle, across degenerate shapes and the alpha/beta grid; dense-vs-CSR
-// dispatch parity; fixed-thread-count bit-determinism of the two-phase
-// reductions and thread-count invariance of the sparse products; the
-// fused softmax forward; and the bytes-moved accounting feeding the
-// device roofline.
+// dispatch parity; bit-identity of every product and the softmax forward
+// at any thread count; the fused softmax forward; and the bytes-moved
+// accounting feeding the device roofline.
 #include <gtest/gtest.h>
 
 #ifdef _OPENMP
@@ -13,7 +12,9 @@
 
 #include <cmath>
 #include <cstring>
+#include <initializer_list>
 #include <limits>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -218,57 +219,80 @@ TEST(KernelEngine, DenseAndCsrDispatchAgree) {
 
 // ---------------------------------------------------------- determinism
 
-TEST(KernelEngine, TwoPhaseReductionsAreBitDeterministicAtFixedThreads) {
-  Rng rng(17);
-  // Large enough to clear the parallel threshold (2·k·m·n ≥ 2^17).
-  const auto a = random_matrix(2000, 64, rng);
-  const auto b = random_matrix(2000, 9, rng);
-  const auto sp = random_csr(500, 300, 0.05, rng);
-  const auto bs = random_matrix(500, 9, rng);
-  const auto sp_wide = random_csr(300, 2000, 0.01, rng);  // transpose path
-  const auto bw = random_matrix(300, 9, rng);
-
-  for (int threads : {1, 3, 4}) {
+/// `run` returns the bits a kernel call writes. At each of 2/3/8 threads
+/// they must equal its bits at one thread; 3 runs twice, so a fixed count
+/// is also checked run to run.
+template <class Run>
+void expect_thread_count_invariant(const Run& run, const std::string& what) {
+  std::vector<double> want;
+  {
+    ThreadGuard guard(1);
+    want = run();
+  }
+  for (const int threads : {2, 3, 3, 8}) {
     ThreadGuard guard(threads);
-    DenseMatrix c1(64, 9), c2(64, 9);
-    gemm_tn(1.0, a, b, 0.0, c1);
-    gemm_tn(1.0, a, b, 0.0, c2);
-    ASSERT_EQ(0, std::memcmp(c1.data().data(), c2.data().data(),
-                             c1.size() * sizeof(double)))
-        << "gemm_tn not deterministic at " << threads << " threads";
-
-    DenseMatrix s1(300, 9), s2(300, 9);
-    spmm_tn(1.0, sp, bs, 0.0, s1);
-    spmm_tn(1.0, sp, bs, 0.0, s2);
-    ASSERT_EQ(0, std::memcmp(s1.data().data(), s2.data().data(),
-                             s1.size() * sizeof(double)))
-        << "spmm_tn not deterministic at " << threads << " threads";
-
-    DenseMatrix w1(2000, 9), w2(2000, 9);
-    spmm_tn(1.0, sp_wide, bw, 0.0, w1);
-    spmm_tn(1.0, sp_wide, bw, 0.0, w2);
-    ASSERT_EQ(0, std::memcmp(w1.data().data(), w2.data().data(),
-                             w1.size() * sizeof(double)))
-        << "spmm_tn (transpose path) not deterministic at " << threads
-        << " threads";
+    const std::vector<double> got = run();
+    ASSERT_EQ(got.size(), want.size()) << what;
+    ASSERT_EQ(0, std::memcmp(got.data(), want.data(),
+                             got.size() * sizeof(double)))
+        << what << " t=" << threads;
   }
 }
 
-TEST(KernelEngine, SparseProductsIgnoreThreadCount) {
-  // Every output row of spmm_nn and spmm_tn is computed by one thread in
-  // a fixed entry order, so any team size gives the bits of one thread:
-  // whole matrices and shard views, narrow and wide outputs, class
-  // counts on and off the lane multiples, over the alpha/beta grid.
+/// The outputs of one call, end to end.
+std::vector<double> bits(std::initializer_list<std::span<const double>> parts) {
+  std::vector<double> out;
+  for (const auto part : parts) out.insert(out.end(), part.begin(), part.end());
+  return out;
+}
+
+std::string alpha_beta(double alpha, double beta) {
+  return " alpha=" + std::to_string(alpha) + " beta=" + std::to_string(beta);
+}
+
+TEST(KernelEngine, ProductsIgnoreThreadCount) {
+  // Every output element of every product, and the softmax loss, is
+  // summed by one thread in an order fixed by the shape alone, so any
+  // team size gives the bits of one thread.
   Rng rng(18);
+  // Dense products, above the parallel threshold (2·k·m·n ≥ 2^17):
+  // feature counts with line tails, one below team × lanes (m = 3), and
+  // a shard view.
+  struct DenseCase {
+    std::size_t k, m, n;
+  };
+  for (const DenseCase dc : {DenseCase{2500, 3, 9}, DenseCase{2000, 33, 9},
+                             DenseCase{700, 785, 9}, DenseCase{900, 20, 19}}) {
+    const auto full = random_matrix(dc.k + 40, dc.m, rng);
+    for (const DenseView a : {DenseView(full), full.view(17, dc.k + 17)}) {
+      const auto b = random_matrix(a.rows(), dc.n, rng);
+      const auto x = random_matrix(dc.m, dc.n, rng);
+      const auto g0 = random_matrix(dc.m, dc.n, rng);
+      const auto s0 = random_matrix(a.rows(), dc.n, rng);
+      for (double alpha : kAlphas) {
+        for (double beta : kBetas) {
+          expect_thread_count_invariant(
+              [&] {
+                DenseMatrix g = g0, s = s0;
+                gemm_tn(alpha, a, b, beta, g);
+                gemm_nn(alpha, a, x, beta, s);
+                return bits({g.data(), s.data()});
+              },
+              "gemm_tn/gemm_nn " + std::to_string(a.rows()) + "x" +
+                  std::to_string(dc.m) + " n=" + std::to_string(dc.n) +
+                  alpha_beta(alpha, beta));
+        }
+      }
+    }
+  }
+
+  // Sparse products: whole matrices and shard views, narrow and wide
+  // outputs, class counts on and off the lane multiples.
   std::vector<CsrMatrix> mats;
   mats.push_back(random_csr(50, 20, 0.15, rng));
   mats.push_back(random_csr(500, 300, 0.05, rng));
   mats.push_back(random_csr(60, 800, 0.01, rng));
   mats.push_back(random_csr(300, 2000, 0.01, rng));
-  const auto same = [](const DenseMatrix& got, const DenseMatrix& want) {
-    return std::memcmp(got.data().data(), want.data().data(),
-                       got.size() * sizeof(double)) == 0;
-  };
   for (const auto& sp : mats) {
     const std::size_t lo = sp.rows() / 4, hi = sp.rows() - 3;
     for (const CsrView a : {CsrView(sp), sp.view(lo, hi)}) {
@@ -279,31 +303,41 @@ TEST(KernelEngine, SparseProductsIgnoreThreadCount) {
         const auto s0 = random_matrix(a.rows(), n, rng);
         for (double alpha : kAlphas) {
           for (double beta : kBetas) {
-            DenseMatrix c1 = c0, s1 = s0;
-            {
-              ThreadGuard guard(1);
-              spmm_tn(alpha, a, b, beta, c1);
-              spmm_nn(alpha, a, x, beta, s1);
-            }
-            for (const int threads : {2, 3, 8}) {
-              ThreadGuard guard(threads);
-              DenseMatrix c = c0, s = s0;
-              spmm_tn(alpha, a, b, beta, c);
-              spmm_nn(alpha, a, x, beta, s);
-              const std::string what =
-                  std::to_string(sp.rows()) + "x" + std::to_string(sp.cols()) +
-                  " view " + std::to_string(a.row_begin()) + "+" +
-                  std::to_string(a.rows()) + " n=" + std::to_string(n) +
-                  " alpha=" + std::to_string(alpha) +
-                  " beta=" + std::to_string(beta) +
-                  " t=" + std::to_string(threads);
-              ASSERT_TRUE(same(c, c1)) << "spmm_tn " << what;
-              ASSERT_TRUE(same(s, s1)) << "spmm_nn " << what;
-            }
+            expect_thread_count_invariant(
+                [&] {
+                  DenseMatrix c = c0, s = s0;
+                  spmm_tn(alpha, a, b, beta, c);
+                  spmm_nn(alpha, a, x, beta, s);
+                  return bits({c.data(), s.data()});
+                },
+                "spmm_tn/spmm_nn " + std::to_string(sp.rows()) + "x" +
+                    std::to_string(sp.cols()) + " view " +
+                    std::to_string(a.row_begin()) + "+" +
+                    std::to_string(a.rows()) + " n=" + std::to_string(n) +
+                    alpha_beta(alpha, beta));
           }
         }
       }
     }
+  }
+
+  // Softmax forward above the parallel-row threshold (n·c ≥ 2^14): the
+  // loss, P and the per-row LSE.
+  for (const std::size_t c : {1, 9}) {
+    const std::size_t n = 20000 / c;
+    const auto scores = random_matrix(n, c, rng);
+    std::vector<std::int32_t> labels(n);
+    for (auto& y : labels) {
+      y = static_cast<std::int32_t>(rng.uniform_index(c + 1));
+    }
+    expect_thread_count_invariant(
+        [&] {
+          DenseMatrix p(n, c);
+          std::vector<double> lse(n);
+          const double loss = kernels::softmax_forward(scores, labels, p, lse);
+          return bits({std::span<const double>(&loss, 1), p.data(), lse});
+        },
+        "softmax_forward c=" + std::to_string(c));
   }
 }
 
@@ -374,26 +408,6 @@ TEST(KernelEngine, FusedSoftmaxForwardMatchesOracleAndReference) {
   EXPECT_NEAR(loss, loss_oracle, 1e-9 * (std::abs(loss_oracle) + 1.0));
   EXPECT_NEAR(loss, loss_ref, 1e-9 * (std::abs(loss_ref) + 1.0));
   expect_matrices_near(probs, probs_ref, 1e-11, "softmax probs");
-}
-
-TEST(KernelEngine, FusedSoftmaxForwardIsDeterministicAtFixedThreads) {
-  Rng rng(19);
-  const std::size_t n = 4000, c = 9;  // above the parallel-row threshold
-  const auto scores = random_matrix(n, c, rng);
-  std::vector<std::int32_t> labels(n);
-  for (auto& y : labels) y = static_cast<std::int32_t>(rng.uniform_index(c + 1));
-  for (int threads : {1, 4}) {
-    ThreadGuard guard(threads);
-    DenseMatrix p1(n, c), p2(n, c);
-    std::vector<double> l1(n), l2(n);
-    const double loss1 = kernels::softmax_forward(scores, labels, p1, l1);
-    const double loss2 = kernels::softmax_forward(scores, labels, p2, l2);
-    EXPECT_EQ(std::memcmp(&loss1, &loss2, sizeof(double)), 0);
-    EXPECT_EQ(std::memcmp(p1.data().data(), p2.data().data(),
-                          p1.size() * sizeof(double)),
-              0);
-    EXPECT_EQ(std::memcmp(l1.data(), l2.data(), n * sizeof(double)), 0);
-  }
 }
 
 // ---------------------------------------------------------- bytes/roofline

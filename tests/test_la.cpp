@@ -101,15 +101,47 @@ TEST(VectorOps, SizeMismatchThrows) {
   EXPECT_THROW(static_cast<void>(dist2(x, y)), InvalidArgument);
 }
 
-TEST(VectorOps, LargeVectorsUseParallelPathCorrectly) {
-  // Above the OpenMP threshold (1<<15) the parallel path must agree.
+/// Pin the OpenMP thread count for a scope (no-op without OpenMP).
+class ThreadGuard {
+ public:
+  explicit ThreadGuard(int threads) {
+#ifdef _OPENMP
+    prev_ = omp_get_max_threads();
+    omp_set_num_threads(threads);
+#else
+    static_cast<void>(threads);
+#endif
+  }
+  ~ThreadGuard() {
+#ifdef _OPENMP
+    omp_set_num_threads(prev_);
+#endif
+  }
+
+ private:
+  int prev_ = 1;
+};
+
+TEST(VectorOps, LargeReductionsIgnoreThreadCount) {
+  // Every reduction is one serial chain, so a long vector gives the bits
+  // of the plain loop at any OpenMP thread count.
   const std::size_t n = (1 << 16) + 3;
   Rng rng(1);
   auto x = random_vec(n, rng);
   auto y = random_vec(n, rng);
-  double expect_dot = 0.0;
-  for (std::size_t i = 0; i < n; ++i) expect_dot += x[i] * y[i];
-  EXPECT_NEAR(dot(x, y), expect_dot, std::abs(expect_dot) * 1e-10 + 1e-8);
+  double expect_dot = 0.0, expect_d2 = 0.0, expect_sum = 0.0;
+  for (std::size_t i = 0; i < n; ++i) {
+    expect_dot += x[i] * y[i];
+    const double d = x[i] - y[i];
+    expect_d2 += d * d;
+    expect_sum += x[i];
+  }
+  for (const int threads : {1, 4}) {
+    ThreadGuard guard(threads);
+    EXPECT_EQ(dot(x, y), expect_dot) << "t=" << threads;
+    EXPECT_EQ(dist2(x, y), std::sqrt(expect_d2)) << "t=" << threads;
+    EXPECT_EQ(sum(x), expect_sum) << "t=" << threads;
+  }
 
   auto y2 = y;
   for (std::size_t i = 0; i < n; ++i) y2[i] += 1.5 * x[i];
@@ -317,27 +349,6 @@ TEST(Csr, SpmvMatchesDense) {
 }
 
 // ------------------------------------------------- transposed (CSC) view
-
-/// Pin the OpenMP thread count for a scope (no-op without OpenMP).
-class ThreadGuard {
- public:
-  explicit ThreadGuard(int threads) {
-#ifdef _OPENMP
-    prev_ = omp_get_max_threads();
-    omp_set_num_threads(threads);
-#else
-    static_cast<void>(threads);
-#endif
-  }
-  ~ThreadGuard() {
-#ifdef _OPENMP
-    omp_set_num_threads(prev_);
-#endif
-  }
-
- private:
-  int prev_ = 1;
-};
 
 TEST(Csr, ParallelTransposeBuildMatchesSequentialBytes) {
   Rng rng(77);

@@ -202,14 +202,23 @@ TEST(DatasetProvider, ShardedInMemorySourceSharesTheFullEntry) {
   EXPECT_EQ(provider.stats().generations, 1u);
   EXPECT_GE(provider.stats().hits, 1u);
   // Strided shards are real gather copies: they get their own cached
-  // entry (re-sliced from the cached full dataset) whose bytes join the
-  // budget, and a repeat request shares it instead of re-gathering.
+  // entry (re-sliced from the cached full dataset) that adds only the
+  // copies' bytes to the budget, since the full entry already counts the
+  // storage they were gathered from. A repeat request shares the entry
+  // instead of re-gathering.
   ShardPlan strided = plan;
   strided.mode = PartitionMode::kStrided;
   const std::size_t before = provider.bytes_in_use();
   const auto gathered = provider.get_sharded(blobs_key(), strided);
   EXPECT_EQ(provider.stats().generations, 2u);
-  EXPECT_EQ(provider.bytes_in_use(), before + gathered->resident_bytes);
+  std::size_t copies = 0;
+  for (const auto& rd : gathered->ranks) {
+    copies += rd.train.approx_bytes() + rd.test.approx_bytes();
+  }
+  EXPECT_GT(copies, 0u);
+  EXPECT_EQ(provider.bytes_in_use(), before + copies);
+  // A scenario on the copies still holds the full dataset too.
+  EXPECT_EQ(gathered->resident_bytes, before + copies);
   const auto again = provider.get_sharded(blobs_key(), strided);
   EXPECT_EQ(gathered.get(), again.get());
   EXPECT_EQ(provider.stats().generations, 2u);

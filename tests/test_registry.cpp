@@ -1,10 +1,15 @@
 // Tests for the solver registry (src/runner/registry.*): every built-in
 // name resolves, unknown names are rejected with a helpful message, and
-// the uniform factory signature runs both solver families.
+// the uniform factory signature runs both solver families, and a run's
+// trace does not depend on the OpenMP thread count.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <string>
+#include <vector>
 
 #include "runner/registry.hpp"
 #include "support/check.hpp"
@@ -190,6 +195,59 @@ TEST(SolverRegistry, EverySolverKeepsAConsistentLedger) {
               static_cast<std::size_t>(sharded.parts()));
   }
   EXPECT_EQ(checked, static_cast<int>(SolverRegistry::instance().names().size()));
+}
+
+/// A trace row's fields bit for bit, wall_seconds (host time) left out.
+std::vector<std::uint64_t> row_bits(const core::IterationStats& s) {
+  std::vector<std::uint64_t> out{static_cast<std::uint64_t>(s.iteration)};
+  for (const double v :
+       {s.objective, s.test_accuracy, s.sim_seconds, s.epoch_sim_seconds,
+        s.comm_sim_seconds, s.primal_residual, s.dual_residual, s.rho_mean}) {
+    out.push_back(std::bit_cast<std::uint64_t>(v));
+  }
+  return out;
+}
+
+std::vector<std::uint64_t> vector_bits(const std::vector<double>& x) {
+  std::vector<std::uint64_t> out;
+  for (const double v : x) out.push_back(std::bit_cast<std::uint64_t>(v));
+  return out;
+}
+
+TEST(SolverRegistry, TracesIgnoreThreadCount) {
+  // Every kernel and reduction gives the bits of one thread at any team
+  // size, so a run's iterate and trace do too. The shape clears both
+  // parallel thresholds: each rank's 2000 rows × 9 score columns are
+  // above kParallelRows (2^14), and its dense products above
+  // kParallelFlops (2^17).
+  ExperimentConfig c;
+  c.dataset = "mnist";
+  c.n_train = 4000;
+  c.n_test = 100;
+  c.workers = 2;
+  c.iterations = 2;
+  const auto tt = make_data(c);
+  for (const char* name : {"newton-admm", "giant", "async-admm"}) {
+    SCOPED_TRACE(name);
+    const auto sharded = shard_for_solver(name, tt.train, &tt.test, c);
+    const auto run_at = [&](int threads) {
+      ExperimentConfig config = c;
+      config.omp_threads = threads;
+      auto cluster = make_cluster(config);
+      return SolverRegistry::instance().run(name, cluster, sharded, config);
+    };
+    const auto want = run_at(1);
+    for (const int threads : {2, 3, 8}) {
+      SCOPED_TRACE("omp_threads=" + std::to_string(threads));
+      const auto got = run_at(threads);
+      EXPECT_EQ(vector_bits(got.x), vector_bits(want.x));
+      ASSERT_EQ(got.trace.size(), want.trace.size());
+      for (std::size_t i = 0; i < got.trace.size(); ++i) {
+        EXPECT_EQ(row_bits(got.trace[i]), row_bits(want.trace[i]))
+            << "iteration " << i + 1;
+      }
+    }
+  }
 }
 
 TEST(SolverRegistry, SingleNodeSolversTimeEveryIteration) {
