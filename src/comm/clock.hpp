@@ -69,7 +69,6 @@ class SimClock {
     bytes_at_last_sync_ = nadmm::flops::read_bytes();
     paused_ = false;
   }
-  [[nodiscard]] bool paused() const { return paused_; }
 
   /// Charge explicit compute seconds (for work not expressed in flops).
   void add_compute(double seconds) { compute_s_ += seconds; }

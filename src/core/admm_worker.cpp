@@ -90,6 +90,7 @@ void AdmmWorker::restore_checkpoint(binio::ByteReader& r) {
               "worker snapshot: iterate dimension mismatch");
   round_rho_ = r.get_f64();
   penalty_.restore(r);
+  static_cast<void>(local_.value(x_));
 }
 
 void AdmmWorker::apply_consensus(int k) {

@@ -65,15 +65,17 @@ class AdmmWorker {
   [[nodiscard]] double rho() const { return penalty_.rho(); }
   /// The penalty used by the last local_step (diagnostic residuals).
   [[nodiscard]] double round_rho() const { return round_rho_; }
-  [[nodiscard]] model::SoftmaxObjective& objective() { return local_; }
-  [[nodiscard]] const data::Dataset& shard() const { return shard_; }
+  /// The local loss f_i (λ = 0), scored through its const value.
+  [[nodiscard]] const model::SoftmaxObjective& objective() const { return local_; }
 
   /// Versioned binary snapshot of the iterate state (x, y, ĥ, z, z_prev,
   /// round ρ, penalty memory). The shard and options are not serialized:
   /// a restored worker must be constructed over the same shard and
   /// configuration, after which replaying the post-checkpoint consensus
   /// stream reproduces the live worker bit-for-bit (center_/packed_ are
-  /// per-step scratch rebuilt by the next local_step).
+  /// per-step scratch rebuilt by the next local_step). Restore (on a
+  /// paused clock) also warms the forward cache at x, as a live worker's
+  /// last Newton-CG step left it, so the next local_step is priced alike.
   void save_checkpoint(binio::ByteWriter& w) const;
   void restore_checkpoint(binio::ByteReader& r);
 

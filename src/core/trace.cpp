@@ -5,7 +5,7 @@
 namespace nadmm::core {
 
 EpochRecorder::EpochRecorder(comm::RankCtx& ctx,
-                             model::SoftmaxObjective& local_loss,
+                             const model::SoftmaxObjective& local_loss,
                              double lambda, const data::ShardedDataset& data,
                              bool evaluate_accuracy, RunResult& result)
     : ctx_(&ctx),

@@ -51,7 +51,6 @@ struct RunResult {
   double final_objective = 0.0;
   double final_test_accuracy = -1.0;
   double total_sim_seconds = 0.0;
-  double total_wall_seconds = 0.0;
   double avg_epoch_sim_seconds = 0.0;
 
   /// Simulated idle seconds per rank: barrier skew for synchronous
@@ -76,7 +75,7 @@ struct RunResult {
 
   /// Append the next epoch (iterations run 1, 2, …): sets its
   /// epoch_sim_seconds from the previous entry, mirrors it into
-  /// iterations, final_* and total_*, and re-derives
+  /// iterations, final_* and total_sim_seconds, and re-derives
   /// avg_epoch_sim_seconds.
   void append(IterationStats it) {
     NADMM_CHECK(it.iteration == iterations + 1,
@@ -87,7 +86,6 @@ struct RunResult {
     final_objective = it.objective;
     final_test_accuracy = it.test_accuracy;
     total_sim_seconds = it.sim_seconds;
-    total_wall_seconds = it.wall_seconds;
     avg_epoch_sim_seconds = total_sim_seconds / iterations;
     trace.push_back(it);
   }
@@ -148,6 +146,8 @@ inline bool scores_accuracy(const data::ShardedDataset& data,
 /// own compute + communication.
 class EpochRecorder {
  public:
+  /// F(w) is the allreduced const `local_loss.value(w)` (the solver's
+  /// own objective, its forward cache untouched) plus (λ/2)‖w‖².
   /// Accuracy is scored on this rank's `data.ranks[ctx.rank()].test`
   /// shard when scores_accuracy(data, evaluate_accuracy) holds (−1
   /// otherwise), averaging the per-shard hit counts over the global
@@ -155,7 +155,7 @@ class EpochRecorder {
   /// test rows) still joins the allreduce with zero hits. `data` must
   /// outlive the recorder. The wall clock starts when the recorder is
   /// built: build it last in the untimed setup.
-  EpochRecorder(comm::RankCtx& ctx, model::SoftmaxObjective& local_loss,
+  EpochRecorder(comm::RankCtx& ctx, const model::SoftmaxObjective& local_loss,
                 double lambda, const data::ShardedDataset& data,
                 bool evaluate_accuracy, RunResult& result);
 
@@ -167,7 +167,7 @@ class EpochRecorder {
 
  private:
   comm::RankCtx* ctx_;
-  model::SoftmaxObjective* local_loss_;
+  const model::SoftmaxObjective* local_loss_;
   double lambda_;
   std::size_t test_total_;  ///< 0 when accuracy is not scored
   std::unique_ptr<model::SoftmaxObjective> test_eval_;

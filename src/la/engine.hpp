@@ -26,10 +26,10 @@
 namespace nadmm::la::kernels {
 
 /// Shared parallelism threshold: below this many flops an OpenMP region
-/// costs more than it saves (SGD minibatches, SVRG inner steps stay
-/// serial). Every la kernel — engine, gemv, spmm — gates on this one
-/// constant.
-inline constexpr std::size_t kParallelFlops = 1 << 17;
+/// costs more than it saves (an SVRG batch product, 2·16·785·9 ≈ 2.3e5,
+/// stays serial). Every la kernel — engine, gemv, spmm — gates on this
+/// one constant.
+inline constexpr std::size_t kParallelFlops = 1 << 18;
 
 /// Row-count analogue of kParallelFlops for cheap per-sample panel
 /// sweeps (softmax forward/gradient/Hessian loops).

@@ -28,8 +28,8 @@ class Objective {
   /// g = ∇F(x).
   virtual void gradient(std::span<const double> x, std::span<double> g) = 0;
 
-  /// Fused F(x) and ∇F(x); default delegates to the two calls, concrete
-  /// objectives override to share the forward pass.
+  /// Fused F(x) and ∇F(x): gradient first, so an objective that caches
+  /// its forward pass serves value from the cache.
   virtual double value_and_gradient(std::span<const double> x,
                                     std::span<double> g) {
     gradient(x, g);

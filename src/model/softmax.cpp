@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "la/flops.hpp"
 #include "la/kernels.hpp"
@@ -23,49 +24,53 @@ SoftmaxObjective::SoftmaxObjective(const data::Dataset& shard, double l2_lambda)
       p_(shard.num_features()),
       cm1_(static_cast<std::size_t>(shard.num_classes()) - 1),
       dim_(p_ * cm1_),
-      scores_(shard.num_samples(), cm1_),
-      probs_(shard.num_samples(), cm1_),
-      lse_(shard.num_samples()),
+      fwd_(shard.num_samples(), p_, cm1_),
       panel_(shard.num_samples(), cm1_),
-      xm_(p_, cm1_),
       vm_(p_, cm1_),
       gm_(p_, cm1_) {
   NADMM_CHECK(l2_lambda >= 0.0, "l2 lambda must be nonnegative");
   NADMM_CHECK(shard.num_classes() >= 2, "softmax needs >= 2 classes");
-  cached_x_.assign(dim_, 0.0);
 }
 
-void SoftmaxObjective::ensure_forward(std::span<const double> x) {
-  NADMM_CHECK(x.size() == dim_, "softmax: parameter size mismatch");
-  if (cache_valid_ && std::equal(x.begin(), x.end(), cached_x_.begin())) {
-    return;
-  }
-  std::copy(x.begin(), x.end(), cached_x_.begin());
-
+void SoftmaxObjective::forward(std::span<const double> x, Forward& f) const {
   // Parameter vector -> p×(C−1) matrix (row-major by feature).
-  std::copy(x.begin(), x.end(), xm_.data().begin());
-  shard_->scores(xm_, scores_);
+  std::copy(x.begin(), x.end(), f.xm.data().begin());
+  shard_->scores(f.xm, f.scores);
 
   // Fused single-sweep softmax forward (la/kernels.cpp): per-row online
   // max / exp / sum with the paper's eq. (9)-(10) stabilization, writing
   // the probability panel P_ic = e^{s_ic − M_i} / α_i and the per-sample
   // LSE, and returning the summed cross-entropy loss.
   const std::size_t n = shard_->num_samples();
-  {
-    TELEM_SPAN("kernel", "softmax_forward");
-    loss_sum_ = la::kernels::softmax_forward(scores_, shard_->labels(), probs_,
-                                             lse_);
-    nadmm::flops::add(5 * n * cm1_ + 4 * n);
-    nadmm::flops::add_bytes(8 * (2 * n * cm1_ + n) + 4 * n);
+  TELEM_SPAN("kernel", "softmax_forward");
+  f.loss = la::kernels::softmax_forward(f.scores, shard_->labels(), f.probs,
+                                        f.lse);
+  nadmm::flops::add(5 * n * cm1_ + 4 * n);
+  nadmm::flops::add_bytes(8 * (2 * n * cm1_ + n) + 4 * n);
+}
+
+void SoftmaxObjective::ensure_forward(std::span<const double> x) {
+  NADMM_CHECK(x.size() == dim_, "softmax: parameter size mismatch");
+  if (cached_at(x)) return;
+  cached_x_.assign(x.begin(), x.end());
+  forward(x, fwd_);
+}
+
+double SoftmaxObjective::value(std::span<const double> x) const {
+  NADMM_CHECK(x.size() == dim_, "softmax: parameter size mismatch");
+  double f = fwd_.loss;
+  if (!cached_at(x)) {
+    Forward scratch(shard_->num_samples(), p_, cm1_);
+    forward(x, scratch);
+    f = scratch.loss;
   }
-  cache_valid_ = true;
+  if (lambda_ > 0.0) f += 0.5 * lambda_ * la::nrm2_sq(x);
+  return f;
 }
 
 double SoftmaxObjective::value(std::span<const double> x) {
   ensure_forward(x);
-  double f = loss_sum_;
-  if (lambda_ > 0.0) f += 0.5 * lambda_ * la::nrm2_sq(x);
-  return f;
+  return std::as_const(*this).value(x);  // cache hit
 }
 
 void SoftmaxObjective::gradient(std::span<const double> x, std::span<double> g) {
@@ -77,7 +82,7 @@ void SoftmaxObjective::gradient(std::span<const double> x, std::span<double> g) 
   [[maybe_unused]] const bool parallel = n * cm1_ >= kParallelRows;
 #pragma omp parallel for schedule(static) if (parallel)
   for (std::ptrdiff_t i = 0; i < static_cast<std::ptrdiff_t>(n); ++i) {
-    const auto prob = probs_.row(static_cast<std::size_t>(i));
+    const auto prob = fwd_.probs.row(static_cast<std::size_t>(i));
     auto r = panel_.row(static_cast<std::size_t>(i));
     std::copy(prob.begin(), prob.end(), r.begin());
     const auto y = static_cast<std::size_t>(labels[static_cast<std::size_t>(i)]);
@@ -87,12 +92,6 @@ void SoftmaxObjective::gradient(std::span<const double> x, std::span<double> g) 
   shard_->accumulate_gradient(1.0, panel_, 0.0, gm_);
   std::copy(gm_.data().begin(), gm_.data().end(), g.begin());
   if (lambda_ > 0.0) la::axpy(lambda_, x, g);
-}
-
-double SoftmaxObjective::value_and_gradient(std::span<const double> x,
-                                            std::span<double> g) {
-  gradient(x, g);   // shares the forward pass through the cache
-  return value(x);  // cache hit: no recompute
 }
 
 void SoftmaxObjective::hessian_vec(std::span<const double> x,
@@ -110,7 +109,7 @@ void SoftmaxObjective::hessian_vec(std::span<const double> x,
   [[maybe_unused]] const bool parallel = n * cm1_ >= kParallelRows;
 #pragma omp parallel for schedule(static) if (parallel)
   for (std::ptrdiff_t i = 0; i < static_cast<std::ptrdiff_t>(n); ++i) {
-    const auto prob = probs_.row(static_cast<std::size_t>(i));
+    const auto prob = fwd_.probs.row(static_cast<std::size_t>(i));
     auto u = panel_.row(static_cast<std::size_t>(i));
     double mean = 0.0;
     for (std::size_t c = 0; c < cm1_; ++c) mean += prob[c] * u[c];
@@ -129,7 +128,7 @@ std::vector<std::int32_t> SoftmaxObjective::predict(std::span<const double> x) {
   [[maybe_unused]] const bool parallel = n * cm1_ >= kParallelRows;
 #pragma omp parallel for schedule(static) if (parallel)
   for (std::ptrdiff_t i = 0; i < static_cast<std::ptrdiff_t>(n); ++i) {
-    const auto s = scores_.row(static_cast<std::size_t>(i));
+    const auto s = fwd_.scores.row(static_cast<std::size_t>(i));
     double best = 0.0;  // implicit class score
     std::int32_t arg = static_cast<std::int32_t>(cm1_);
     for (std::size_t c = 0; c < cm1_; ++c) {

@@ -11,6 +11,7 @@
 // Hessian-vector product AᵀW) and runs over dense or CSR features.
 #pragma once
 
+#include <algorithm>
 #include <span>
 #include <vector>
 
@@ -32,24 +33,41 @@ class SoftmaxObjective final : public Objective {
     return shard_->num_samples();
   }
   [[nodiscard]] int num_classes() const { return shard_->num_classes(); }
-  [[nodiscard]] double l2_lambda() const { return lambda_; }
 
   double value(std::span<const double> x) override;
+  /// F(x), bit-identical to value(x), leaving the forward cache as it
+  /// is: a hit returns the cached loss, a miss runs the pass in scratch.
+  /// Epoch scoring uses it, so a solver's next step pays as if unscored.
+  [[nodiscard]] double value(std::span<const double> x) const;
   void gradient(std::span<const double> x, std::span<double> g) override;
-  double value_and_gradient(std::span<const double> x,
-                            std::span<double> g) override;
   void hessian_vec(std::span<const double> x, std::span<const double> v,
                    std::span<double> hv) override;
 
   /// Predicted class (argmax over the C−1 scores and the implicit 0).
-  /// `x` is a parameter vector of dim(); `sample_scores` is a scratch row.
+  /// `x` is a parameter vector of dim().
   [[nodiscard]] std::vector<std::int32_t> predict(std::span<const double> x);
 
   /// Classification accuracy of `x` on this objective's shard.
   [[nodiscard]] double accuracy(std::span<const double> x);
 
  private:
-  /// Recompute scores/probabilities if `x` differs from the cached point.
+  /// One forward pass: its buffers and the summed loss it returned.
+  struct Forward {
+    Forward(std::size_t n, std::size_t p, std::size_t c)
+        : xm(p, c), scores(n, c), probs(n, c), lse(n) {}
+    la::DenseMatrix xm;       // p × (C−1) parameter matrix
+    la::DenseMatrix scores;   // n × (C−1)
+    la::DenseMatrix probs;    // n × (C−1), P_ic
+    std::vector<double> lse;  // per-sample log(1 + Σ e^{s})
+    double loss = 0.0;
+  };
+
+  /// Scores, fused softmax and their flop/byte credits at `x`, into `f`.
+  void forward(std::span<const double> x, Forward& f) const;
+  [[nodiscard]] bool cached_at(std::span<const double> x) const {
+    return std::ranges::equal(x, cached_x_);
+  }
+  /// Recompute the cached forward pass if `x` differs from its point.
   void ensure_forward(std::span<const double> x);
 
   const data::Dataset* shard_;
@@ -58,17 +76,12 @@ class SoftmaxObjective final : public Objective {
   std::size_t cm1_;  // C-1 score columns
   std::size_t dim_;
 
-  // Cached forward pass at cached_x_.
+  // Cached forward pass at cached_x_ (empty until the first one).
   std::vector<double> cached_x_;
-  bool cache_valid_ = false;
-  la::DenseMatrix scores_;  // n × (C−1)
-  la::DenseMatrix probs_;   // n × (C−1), P_ic
-  std::vector<double> lse_; // per-sample log(1 + Σ e^{s})
-  double loss_sum_ = 0.0;
+  Forward fwd_;
 
   // Scratch reused across calls.
   la::DenseMatrix panel_;   // n × (C−1) residual / W panel
-  la::DenseMatrix xm_;      // p × (C−1) parameter matrix view
   la::DenseMatrix vm_;      // p × (C−1) Hessian-vector direction
   la::DenseMatrix gm_;      // p × (C−1) gradient accumulator
 };

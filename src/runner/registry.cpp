@@ -16,8 +16,9 @@ namespace {
 /// run on the config's single device, over the one-part plan's whole
 /// split. Every iteration is recorded through core::EpochRecorder like
 /// any cluster solver's epoch: simulated time is the device roofline over
-/// the flops each iteration executed, diagnostics run on the paused
-/// clock.
+/// the flops each iteration executed, and the recorder scores F(x) on the
+/// paused clock through the objective's const value, so the next gradient
+/// still pays for its own forward pass.
 core::RunResult run_single_node(const std::string& name,
                                 const data::ShardedDataset& data,
                                 const ExperimentConfig& config) {
@@ -32,12 +33,8 @@ core::RunResult run_single_node(const std::string& name,
     ctx.clock().pause();
     const data::RankData& rd = data.ranks.front();
     model::SoftmaxObjective objective(rd.train, config.lambda);
-    // The recorder evaluates F(x) on its own copy: a shared forward cache
-    // would hand the next gradient a forward pass computed on the paused
-    // clock, and first-order iterations would be priced without it. λ
-    // lives in the copy, so the recorder adds none.
-    model::SoftmaxObjective diagnostics(rd.train, config.lambda);
-    core::EpochRecorder recorder(ctx, diagnostics, /*lambda=*/0.0,
+    // λ lives in the objective, so the recorder adds none.
+    core::EpochRecorder recorder(ctx, objective, /*lambda=*/0.0,
                                  data, config.evaluate_accuracy, r);
     ctx.clock().resume();
 

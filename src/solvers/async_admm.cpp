@@ -186,24 +186,21 @@ core::RunResult async_admm(comm::SimCluster& cluster,
   core::RunResult result;
   result.solver = options.sync_every > 0 ? "stale-sync-admm" : "async-admm";
 
-  // --- untimed setup: workers and the coordinator's diagnostics ---
+  // --- untimed setup: workers and the coordinator's test scorers ---
   std::vector<std::unique_ptr<core::AdmmWorker>> workers;
   workers.reserve(static_cast<std::size_t>(n));
   for (int r = 0; r < n; ++r) {
     workers.push_back(std::make_unique<core::AdmmWorker>(
         data.ranks[static_cast<std::size_t>(r)].train, admm, dim));
   }
-  // The coordinator scores z on objectives of its own over the rank
-  // shards: scoring on a worker's objective would overwrite the forward
-  // pass its next local_step reuses. F(z) and the test hit count are
-  // summed in rank order, as core::EpochRecorder's allreduce sums them.
+  // The coordinator scores z on each worker's objective through its
+  // const value, which leaves the forward pass the worker's next
+  // local_step reuses in place. F(z) and the test hit count are summed
+  // in rank order, as core::EpochRecorder's allreduce sums them.
   const bool eval_accuracy =
       core::scores_accuracy(data, admm.evaluate_accuracy);
-  std::vector<std::unique_ptr<model::SoftmaxObjective>> train_evals;
   std::vector<std::unique_ptr<model::SoftmaxObjective>> test_evals;
   for (const data::RankData& rd : data.ranks) {
-    train_evals.push_back(
-        std::make_unique<model::SoftmaxObjective>(rd.train, 0.0));
     if (eval_accuracy && !rd.test.empty()) {
       test_evals.push_back(
           std::make_unique<model::SoftmaxObjective>(rd.test, 0.0));
@@ -212,7 +209,7 @@ core::RunResult async_admm(comm::SimCluster& cluster,
   const auto diagnose = [&](core::IterationStats& it,
                             std::span<const double> zv) {
     it.objective = 0.0;
-    for (auto& eval : train_evals) it.objective += eval->value(zv);
+    for (const auto& w : workers) it.objective += w->objective().value(zv);
     if (admm.lambda > 0.0) it.objective += 0.5 * admm.lambda * la::nrm2_sq(zv);
     if (!eval_accuracy) return;
     double hits = 0.0;
@@ -335,13 +332,6 @@ core::RunResult async_admm(comm::SimCluster& cluster,
       rejoined->local_step();
       ++rejoined_round;
     }
-    // The live worker it replaces holds a warm softmax forward pass at
-    // its current x (the last point its Newton-CG evaluated); a cold
-    // cache would make the rejoined worker's next local_step recompute
-    // it, leaking extra flops into the simulated timeline. Warm it here
-    // on the paused clock so the flop ledger matches a run that never
-    // lost the rank.
-    static_cast<void>(rejoined->objective().value(rejoined->x()));
     NADMM_CHECK(
         worker_bytes(*workers[static_cast<std::size_t>(victim)],
                      worker_round[static_cast<std::size_t>(victim)]) ==

@@ -57,8 +57,8 @@ struct AsyncAdmmOptions {
 /// Run stale-consensus ADMM on the cluster's rank/device/network spec
 /// (the cluster's threads are not used — the async engine replays the
 /// protocol on virtual time). Rank r trains on `data.ranks[r].train`.
-/// Each epoch the coordinator scores z on objectives of its own over the
-/// rank shards — F(z) and the test hit count summed in rank order, as
+/// Each epoch the coordinator scores z through each worker's const
+/// objective value — F(z) and the test hit count summed in rank order, as
 /// core::EpochRecorder sums them — on the paused clock, never touching a
 /// worker's forward cache, so materialized and streamed plans train and
 /// are priced bit-identically. `result.solver` is "async-admm" when

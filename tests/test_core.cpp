@@ -14,7 +14,9 @@
 #include "core/newton_admm.hpp"
 #include "core/penalty.hpp"
 #include "core/reference.hpp"
+#include "core/trace.hpp"
 #include "data/generators.hpp"
+#include "la/flops.hpp"
 #include "la/vector_ops.hpp"
 #include "model/softmax.hpp"
 #include "support/binio.hpp"
@@ -224,6 +226,42 @@ TEST(AdmmWorker, SnapshotLengthWhoseByteCountWrapsIsTruncated) {
     EXPECT_NE(std::string(e.what()).find("truncated"), std::string::npos)
         << e.what();
   }
+}
+
+TEST(EpochRecorder, ScoringLeavesTheSolversForwardCacheInPlace) {
+  // A solver warm at x scores the epoch iterate z through the recorder;
+  // its next gradient at x must still hit the cache and charge no
+  // forward pass.
+  auto tt = data::make_blobs(60, 20, 5, 3, 3.0, 1.0, 19);
+  auto cluster = test_cluster(1);
+  const auto sharded = shards(cluster, tt.train, &tt.test);
+  RunResult result;
+  std::uint64_t charged = 0, warm_charged = 0;
+  double fresh_f = 0.0;
+  cluster.run([&](comm::RankCtx& ctx) {
+    const data::Dataset& train = sharded.ranks.front().train;
+    model::SoftmaxObjective local(train, 0.0), warm(train, 0.0);
+    EpochRecorder recorder(ctx, local, /*lambda=*/0.5, sharded,
+                           /*evaluate_accuracy=*/true, result);
+    Rng rng(20);
+    std::vector<double> x(local.dim()), z(local.dim()), g(local.dim());
+    for (double& v : x) v = 0.2 * rng.normal();
+    for (double& v : z) v = 0.2 * rng.normal();
+    static_cast<void>(local.value(x));
+    static_cast<void>(warm.value(x));
+    recorder.record(1, z);
+    const flops::Scope scope;
+    local.gradient(x, g);
+    charged = scope.elapsed();
+    const flops::Scope warm_scope;
+    warm.gradient(x, g);
+    warm_charged = warm_scope.elapsed();
+    fresh_f = model::SoftmaxObjective(train, 0.0).value(z) +
+              0.25 * la::nrm2_sq(z);
+  });
+  EXPECT_EQ(charged, warm_charged);
+  ASSERT_EQ(result.trace.size(), 1u);
+  EXPECT_EQ(result.trace.front().objective, fresh_f);
 }
 
 TEST(NewtonAdmm, PrimalResidualShrinks) {

@@ -255,13 +255,13 @@ TEST(KernelEngine, ProductsIgnoreThreadCount) {
   // summed by one thread in an order fixed by the shape alone, so any
   // team size gives the bits of one thread.
   Rng rng(18);
-  // Dense products, above the parallel threshold (2·k·m·n ≥ 2^17):
+  // Dense products, above the parallel threshold (2·k·m·n ≥ 2^18):
   // feature counts with line tails, one below team × lanes (m = 3), and
   // a shard view.
   struct DenseCase {
     std::size_t k, m, n;
   };
-  for (const DenseCase dc : {DenseCase{2500, 3, 9}, DenseCase{2000, 33, 9},
+  for (const DenseCase dc : {DenseCase{5000, 3, 9}, DenseCase{2000, 33, 9},
                              DenseCase{700, 785, 9}, DenseCase{900, 20, 19}}) {
     const auto full = random_matrix(dc.k + 40, dc.m, rng);
     for (const DenseView a : {DenseView(full), full.view(17, dc.k + 17)}) {

@@ -8,6 +8,7 @@
 
 #include "data/generators.hpp"
 #include "helpers.hpp"
+#include "la/flops.hpp"
 #include "la/vector_ops.hpp"
 #include "model/metrics.hpp"
 #include "model/prox.hpp"
@@ -323,6 +324,36 @@ TEST(Softmax, HvpAfterValueUsesConsistentPoint) {
     EXPECT_NEAR(hv_stale[i], hv_fresh[i],
                 1e-9 * (1.0 + std::abs(hv_fresh[i])));
   }
+}
+
+TEST(Softmax, ConstValueScoresWithoutTouchingTheCache) {
+  auto tt = data::make_blobs(40, 6, 5, 4, 3.0, 1.0, 44);
+  SoftmaxObjective obj(tt.train, 0.3), fresh(tt.train, 0.3);
+  const SoftmaxObjective& scorer = obj;
+  const auto x = random_point(obj.dim(), 0.2, 45);
+  const auto z = random_point(obj.dim(), 0.2, 46);
+  const double fx = obj.value(x);  // warms the cache at x
+  // Bitwise equal to value() at the cached point and at a new one.
+  EXPECT_EQ(scorer.value(x), fx);
+  EXPECT_EQ(scorer.value(z), fresh.value(z));
+  EXPECT_EQ(scorer.value(z), scorer.value(z));
+
+  // The cache still holds x: a gradient there costs what it costs on an
+  // objective that never scored z, so no forward flops are charged.
+  SoftmaxObjective warm(tt.train, 0.3);
+  static_cast<void>(warm.value(x));
+  std::vector<double> g(obj.dim()), g_warm(obj.dim());
+  const flops::Scope scope;
+  obj.gradient(x, g);
+  const std::uint64_t charged = scope.elapsed();
+  const flops::Scope warm_scope;
+  warm.gradient(x, g_warm);
+  EXPECT_EQ(charged, warm_scope.elapsed());
+  EXPECT_EQ(g, g_warm);
+  // A forward pass at a new point is still charged in full.
+  const flops::Scope cold_scope;
+  static_cast<void>(scorer.value(random_point(obj.dim(), 0.2, 47)));
+  EXPECT_GT(cold_scope.elapsed(), 0u);
 }
 
 }  // namespace

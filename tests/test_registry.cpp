@@ -219,7 +219,7 @@ TEST(SolverRegistry, TracesIgnoreThreadCount) {
   // size, so a run's iterate and trace do too. The shape clears both
   // parallel thresholds: each rank's 2000 rows × 9 score columns are
   // above kParallelRows (2^14), and its dense products above
-  // kParallelFlops (2^17).
+  // kParallelFlops (2^18).
   ExperimentConfig c;
   c.dataset = "mnist";
   c.n_train = 4000;
