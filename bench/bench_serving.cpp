@@ -1,9 +1,10 @@
 // Serving-plane microbenchmarks: batched dispatch vs request-at-a-time.
 //
-// BM_ServeForward_<b>: score a b-request panel through the fused
-// softmax-forward path. "Engine" gathers the b rows into one panel and
-// issues ONE gemm + softmax pass (what the serving loop's batch dispatch
-// does); "Seed" issues b single-row gemms (immediate dispatch). Items/s
+// BM_ServeForward_<b>: score a b-request panel through gemm plus the
+// softmax forward. "Engine" gathers the b rows into one panel and issues
+// ONE gemm + softmax pass (the serving loop's batch dispatch runs the same
+// gemm and takes an argmax of the scores); "Seed" issues b single-row
+// gemms (immediate dispatch). Items/s
 // is requests scored per second, so the engine-vs-seed speedup is the
 // real amortization the batching policies buy — the wall-clock analogue
 // of the simulated dispatch-overhead model.

@@ -60,13 +60,17 @@ core::RunResult giant(comm::SimCluster& cluster,
       // Round 3: distributed line search over the fixed step set
       // S = {2^0 … 2^-k}. Every worker evaluates every step (the cost
       // structure the paper contrasts with Newton-ADMM's local search).
-      for (std::size_t s = 0; s < n_steps; ++s) {
+      // f_i(w) first, while the gradient's forward pass is still cached;
+      // then the steps smallest first, so the pass left cached is the
+      // full step's, the one usually accepted (the recorder and the next
+      // gradient then reuse it).
+      ls_values[n_steps] = local.value(w);
+      for (std::size_t s = n_steps; s-- > 0;) {
         const double alpha = std::ldexp(1.0, -static_cast<int>(s));
         la::copy(w, trial);
         la::axpy(alpha, p, trial);
         ls_values[s] = local.value(trial);
       }
-      ls_values[n_steps] = local.value(w);
       ctx.allreduce_sum(ls_values);
 
       const double pg = la::dot(p, g);

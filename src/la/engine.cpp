@@ -7,12 +7,10 @@
 // no std:: algorithm or container, no nadmm class member. See the note in
 // la/engine.hpp on why a rung object must not emit such code.
 //
-// No kernel reduces across threads: every output element (and the
-// softmax loss) is produced by one thread in an order fixed by the shape
-// alone, so every kernel is bit-identical at any thread count. gemm_nn
-// and the sparse products split output rows, gemm_tn splits features in
-// whole cache lines, and softmax_forward folds its loss in row order on
-// the calling thread.
+// No kernel reduces across threads: every output element is produced by
+// one thread in an order fixed by the shape alone, so every kernel is
+// bit-identical at any thread count. gemm_nn and the sparse products
+// split output rows, and gemm_tn splits features in whole cache lines.
 #include "la/engine.hpp"
 
 #ifdef _OPENMP
@@ -601,63 +599,6 @@ void engine_spmm_tn(double alpha, CscArg a, DenseArg b, double beta,
   }
 }
 
-// ------------------------------------------------------------- softmax
-
-/// One fused sweep over a score row: running max and running exp-sum are
-/// maintained together (stored exponentials are rescaled on the rare max
-/// update), so each score is exponentiated exactly once; a second short
-/// sweep normalizes. The implicit class contributes score 0 (m starts at
-/// 0, alpha at e⁰ = 1), matching the paper's eq. (9)-(10) stabilization.
-/// The running sweep is a true recurrence and stays scalar; the rescale
-/// and normalize sweeps scale independent elements and use the backend.
-/// Returns the row's log-sum-exp.
-template <class V>
-double softmax_row(const double* s, double* p, std::size_t c) {
-  double m = 0.0;
-  double alpha = 1.0;
-  for (std::size_t j = 0; j < c; ++j) {
-    const double v = s[j];
-    if (v <= m) {
-      const double e = std::exp(v - m);
-      p[j] = e;
-      alpha += e;
-    } else {
-      const double rescale = std::exp(m - v);
-      simd::scale<V>(rescale, p, j);
-      alpha = alpha * rescale + 1.0;
-      p[j] = 1.0;
-      m = v;
-    }
-  }
-  const double inv_alpha = 1.0 / alpha;
-  simd::scale<V>(inv_alpha, p, c);
-  return m + std::log(alpha);
-}
-
-template <class V>
-double engine_softmax_forward(DenseArg scores, const std::int32_t* labels,
-                              DenseOut probs, double* lse) {
-  const std::size_t n = scores.rows;
-  const std::size_t c = scores.cols;
-  const double* ps = scores.p;
-  double* pp = probs.p;
-
-  [[maybe_unused]] const bool parallel = n * c >= kParallelRows;
-#pragma omp parallel for schedule(static) if (parallel)
-  for (std::ptrdiff_t ii = 0; ii < static_cast<std::ptrdiff_t>(n); ++ii) {
-    const auto i = static_cast<std::size_t>(ii);
-    lse[i] = softmax_row<V>(ps + i * c, pp + i * c, c);
-  }
-  // The loss Σᵢ (lseᵢ − s_{i,yᵢ}) folds in row order on the calling
-  // thread (the implicit class scores 0), whatever the team size.
-  double loss = 0.0;
-  for (std::size_t i = 0; i < n; ++i) {
-    const auto y = static_cast<std::size_t>(labels[i]);
-    loss += lse[i] - (y < c ? ps[i * c + y] : 0.0);
-  }
-  return loss;
-}
-
 template <class V>
 double peak_probe(double x, std::size_t steps) {
   V acc[kProbeChains];
@@ -680,10 +621,10 @@ double peak_probe(double x, std::size_t steps) {
 
 const Rung& rung() {
   static constexpr Rung table{
-      NADMM_RUNG_STR(NADMM_RUNG),     Lanes::width,
-      engine_gemm_nn<Lanes>,          engine_gemm_tn<Lanes>,
-      engine_spmm_nn<Lanes>,          engine_spmm_tn<Lanes>,
-      engine_softmax_forward<Lanes>,  peak_probe<Lanes>};
+      NADMM_RUNG_STR(NADMM_RUNG), Lanes::width,
+      engine_gemm_nn<Lanes>,      engine_gemm_tn<Lanes>,
+      engine_spmm_nn<Lanes>,      engine_spmm_tn<Lanes>,
+      peak_probe<Lanes>};
   return table;
 }
 

@@ -9,8 +9,10 @@
 //   kernels::avx512   8 lanes     -mavx512f -mavx512dq -mavx512vl -mavx512bw
 //
 // Each compilation exports exactly one function, <rung>::rung(), returning
-// its table. la/kernels.cpp validates shapes, handles empty operands and
-// builds the operands, then calls through the widest table the CPU can run.
+// its table: the four matrix products and the host-peak probe. la/kernels.cpp
+// validates shapes, handles empty operands and builds the operands, then
+// calls through the widest table the CPU can run. Row sweeps that are not
+// products are compiled once, as plain functions in la/kernels.cpp.
 //
 // Only plain data crosses this boundary — raw pointers and sizes, no class
 // members and no std templates. An inline function a rung object emitted
@@ -30,10 +32,6 @@ namespace nadmm::la::kernels {
 /// stays serial). Every la kernel — engine, gemv, spmm — gates on this
 /// one constant.
 inline constexpr std::size_t kParallelFlops = 1 << 18;
-
-/// Row-count analogue of kParallelFlops for cheap per-sample panel
-/// sweeps (softmax forward/gradient/Hessian loops).
-inline constexpr std::size_t kParallelRows = 1 << 14;
 
 /// Row-major dense operand: rows × cols at p, leading dimension cols.
 struct DenseArg {
@@ -96,9 +94,6 @@ struct Rung {
   /// row held in registers across its column's entries in the view.
   void (*spmm_tn)(double alpha, CscArg a, DenseArg b, double beta,
                   DenseOut c);
-  /// Fused softmax forward; returns the summed cross-entropy loss.
-  double (*softmax_forward)(DenseArg scores, const std::int32_t* labels,
-                            DenseOut probs, double* lse);
   /// Host-peak probe: kProbeChains chains of `steps` unfused mul+add
   /// steps on this rung's vectors (2·lanes·kProbeChains flops per step),
   /// seeded from `x` so nothing folds at compile time.

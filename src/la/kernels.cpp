@@ -115,20 +115,40 @@ void spmm_tn(double alpha, const CsrView& a, const DenseMatrix& b,
 
 double softmax_forward(const DenseMatrix& scores,
                        std::span<const std::int32_t> labels,
-                       DenseMatrix& probs, std::span<double> lse,
-                       const Rung& rung) {
+                       DenseMatrix& probs, std::span<double> lse) {
   const std::size_t n = scores.rows();
-  NADMM_CHECK(probs.rows() == n && probs.cols() == scores.cols(),
+  const std::size_t c = scores.cols();
+  NADMM_CHECK(probs.rows() == n && probs.cols() == c,
               "softmax_forward: probs shape mismatch");
   NADMM_CHECK(labels.size() == n && lse.size() == n,
               "softmax_forward: labels/lse size mismatch");
-  if (n == 0) return 0.0;
-  return rung.softmax_forward(arg(scores), labels.data(), out(probs),
-                              lse.data());
+  [[maybe_unused]] const bool parallel = n * c >= kParallelRows;
+#pragma omp parallel for schedule(static) if (parallel)
+  for (std::ptrdiff_t ii = 0; ii < static_cast<std::ptrdiff_t>(n); ++ii) {
+    const auto i = static_cast<std::size_t>(ii);
+    const auto s = scores.row(i);
+    auto prob = probs.row(i);
+    double m = 0.0;  // implicit class score
+    for (double v : s) m = std::max(m, v);
+    double alpha = std::exp(-m);  // implicit class contribution
+    for (std::size_t cc = 0; cc < c; ++cc) {
+      prob[cc] = std::exp(s[cc] - m);
+      alpha += prob[cc];
+    }
+    const double inv_alpha = 1.0 / alpha;
+    for (double& p : prob) p *= inv_alpha;
+    lse[i] = m + std::log(alpha);
+  }
+  double loss = 0.0;
+  for (std::size_t i = 0; i < n; ++i) {
+    const auto y = static_cast<std::size_t>(labels[i]);
+    loss += lse[i] - (y < c ? scores.at(i, y) : 0.0);
+  }
+  return loss;
 }
 
 // ===========================================================================
-// Seed reference kernels (verbatim pre-engine implementations, minus the
+// Seed reference products (verbatim pre-engine implementations, minus the
 // flop accounting which the public wrappers own). spmm_nn's seed is the
 // engine's row loop as it stood before output rows moved into registers:
 // one axpy into the output row per entry.
@@ -272,38 +292,6 @@ void spmm_tn(double alpha, const CsrView& a, const DenseMatrix& b,
       for (std::size_t e = 0; e < local.size(); ++e) pc[e] += alpha * local[e];
     }
   }
-}
-
-double softmax_forward(const DenseMatrix& scores,
-                       std::span<const std::int32_t> labels,
-                       DenseMatrix& probs, std::span<double> lse) {
-  const std::size_t n = scores.rows();
-  const std::size_t c = scores.cols();
-  NADMM_CHECK(probs.rows() == n && probs.cols() == c,
-              "softmax_forward: probs shape mismatch");
-  NADMM_CHECK(labels.size() == n && lse.size() == n,
-              "softmax_forward: labels/lse size mismatch");
-  double loss = 0.0;
-  [[maybe_unused]] const bool parallel = n * c >= kParallelRows;
-#pragma omp parallel for schedule(static) reduction(+ : loss) if (parallel)
-  for (std::ptrdiff_t i = 0; i < static_cast<std::ptrdiff_t>(n); ++i) {
-    const auto s = scores.row(static_cast<std::size_t>(i));
-    auto prob = probs.row(static_cast<std::size_t>(i));
-    double m = 0.0;  // implicit class score
-    for (double v : s) m = std::max(m, v);
-    double alpha = std::exp(-m);  // implicit class contribution
-    for (std::size_t cc = 0; cc < c; ++cc) {
-      prob[cc] = std::exp(s[cc] - m);
-      alpha += prob[cc];
-    }
-    const double inv_alpha = 1.0 / alpha;
-    for (std::size_t cc = 0; cc < c; ++cc) prob[cc] *= inv_alpha;
-    const double l = m + std::log(alpha);
-    lse[static_cast<std::size_t>(i)] = l;
-    const auto y = static_cast<std::size_t>(labels[static_cast<std::size_t>(i)]);
-    loss += l - (y < c ? s[y] : 0.0);
-  }
-  return loss;
 }
 
 }  // namespace reference

@@ -17,15 +17,15 @@
 // columns in packed 8-wide strips with A broadcast, the leftover classes
 // across rows through an in-register transpose of the A tile. The dense
 // gemm_tn vectorizes across features (class-major accumulator). The
-// softmax forward is a fused single-sweep (online max / exp / sum with a
-// trailing normalize), and its loss folds in row order.
+// softmax forward is the seed's two-pass row (max, then exponentials and
+// their sum, then one normalize), and its loss folds in row order.
 //
-// The seed implementations are preserved under kernels::reference — they
-// are the parity oracle for tests and the "vs seed" side of
-// bench_kernels, which is what BENCH_kernels.json and the CI perf-smoke
-// gate measure against.
+// The seed products are preserved under kernels::reference — they are
+// the parity oracle for tests and the "vs seed" side of bench_kernels,
+// which is what BENCH_kernels.json and the CI perf-smoke gate measure
+// against.
 //
-// The loops themselves live in la/engine.cpp, compiled once per SIMD rung
+// The product loops live in la/engine.cpp, compiled once per SIMD rung
 // (scalar, sse2, avx2, avx512; la/engine.hpp). The functions below check
 // shapes, handle empty operands and pick the strategy, then run the rung
 // they are given — by default the widest one this CPU supports, chosen
@@ -33,7 +33,8 @@
 // elements — whichever dimension fills them — and no path fuses a
 // multiply-add; every element keeps its k-ordered sum from zero and its
 // epilogue, so every rung is bit-identical to kernels::scalar::rung(),
-// the parity oracle.
+// the parity oracle. The softmax forward is no product and has no rung:
+// it is compiled once, so it is the same on every ISA.
 #pragma once
 
 #include <cstdint>
@@ -92,18 +93,22 @@ void spmm_nn(double alpha, const CsrView& a, const DenseMatrix& b,
 void spmm_tn(double alpha, const CsrView& a, const DenseMatrix& b,
              double beta, DenseMatrix& c, const Rung& rung = active_rung());
 
-/// Fused softmax forward over a score panel (n × (C−1), class C implicit
-/// with score 0): one online sweep per row computes the stabilizing max,
-/// the exponentials and their sum together; a second short sweep
-/// normalizes. Writes P (probabilities) and per-row LSE, and returns the
-/// summed cross-entropy loss Σ_i [lse_i − s_{i,y_i}] (0 for the implicit
-/// class), folded in row order: bit-identical at any thread count.
+/// Row-count analogue of kParallelFlops for cheap per-sample panel
+/// sweeps (the softmax forward, gradient and Hessian loops).
+inline constexpr std::size_t kParallelRows = 1 << 14;
+
+/// Softmax forward over a score panel (n × (C−1), class C implicit with
+/// score 0), the paper's stabilized LSE per row: m = max(0, s_i), then
+/// α = e^{−m} + Σ_c e^{s_ic − m} with P_ic = e^{s_ic − m} / α, and
+/// lse_i = m + log α. Rows run in parallel above kParallelRows; the
+/// returned loss Σ_i [lse_i − s_{i,y_i}] (0 for the implicit class) folds
+/// in row order on the calling thread, so the result is bit-identical at
+/// any thread count.
 double softmax_forward(const DenseMatrix& scores,
                        std::span<const std::int32_t> labels,
-                       DenseMatrix& probs, std::span<double> lse,
-                       const Rung& rung = active_rung());
+                       DenseMatrix& probs, std::span<double> lse);
 
-/// Seed (pre-engine) kernels, kept verbatim as the parity oracle and the
+/// Seed (pre-engine) products, kept verbatim as the parity oracle and the
 /// baseline side of bench_kernels — spmm_nn, which the seed never had,
 /// is the engine's loop from before its rows moved into registers. Not
 /// used on any hot path.
@@ -117,9 +122,6 @@ void spmm_nn(double alpha, const CsrView& a, const DenseMatrix& b,
              double beta, DenseMatrix& c);
 void spmm_tn(double alpha, const CsrView& a, const DenseMatrix& b,
              double beta, DenseMatrix& c);
-double softmax_forward(const DenseMatrix& scores,
-                       std::span<const std::int32_t> labels,
-                       DenseMatrix& probs, std::span<double> lse);
 
 }  // namespace reference
 

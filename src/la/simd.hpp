@@ -18,7 +18,7 @@
 /// underneath changes. (The build also pins `-ffp-contract=off` so the
 /// compiler cannot re-fuse what we split.) Which outputs share a vector
 /// is the kernel's choice: class columns (gemm_nn strips, the sparse
-/// products, softmax), features (gemm_tn) or rows (gemm_nn's leftover
+/// products), features (gemm_tn) or rows (gemm_nn's leftover
 /// classes, whose A tile `transpose` turns into one vector per
 /// k-column). Moving an element to another lane leaves its expression
 /// tree alone.
@@ -31,10 +31,6 @@
 ///
 /// Everything here has internal linkage: each rung object gets its own
 /// copy, compiled for its own ISA, that no other object can link to.
-///
-/// The helper at the bottom (`scale`) is the shared elementwise loop:
-/// vector body plus a scalar tail whose per-element expression trees
-/// match the vector lanes exactly.
 
 #include <cstddef>
 
@@ -191,22 +187,6 @@ inline void prefetch(const void* p) {
 #else
   (void)p;
 #endif
-}
-
-// ---------------------------------------------------------------------------
-// Shared elementwise loops. Each runs the vector body over full lanes and a
-// scalar tail; both use the same per-element expression tree, so the result
-// is bit-identical to a pure scalar loop for every V.
-
-/// p[i] *= s
-template <class V>
-inline void scale(double s, double* p, std::size_t n) {
-  const V sv = V::broadcast(s);
-  std::size_t i = 0;
-  for (; i + V::width <= n; i += V::width) {
-    (V::load(p + i) * sv).store(p + i);
-  }
-  for (; i < n; ++i) p[i] *= s;
 }
 
 /// out = beta * out + alpha * acc for one element, with the beta == 0 /

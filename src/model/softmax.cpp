@@ -14,7 +14,7 @@ namespace nadmm::model {
 
 namespace {
 // Per-sample loops cost only a few flops per element; stay serial below
-// this many elements (shared with the fused forward in la/kernels.hpp).
+// this many elements (shared with the softmax forward in la/kernels.hpp).
 constexpr std::size_t kParallelRows = la::kernels::kParallelRows;
 }  // namespace
 
@@ -37,10 +37,10 @@ void SoftmaxObjective::forward(std::span<const double> x, Forward& f) const {
   std::copy(x.begin(), x.end(), f.xm.data().begin());
   shard_->scores(f.xm, f.scores);
 
-  // Fused single-sweep softmax forward (la/kernels.cpp): per-row online
-  // max / exp / sum with the paper's eq. (9)-(10) stabilization, writing
-  // the probability panel P_ic = e^{s_ic − M_i} / α_i and the per-sample
-  // LSE, and returning the summed cross-entropy loss.
+  // Softmax forward (la/kernels.cpp): per row the max, then the shifted
+  // exponentials and their sum, the paper's eq. (9)-(10) stabilization,
+  // writing the probability panel P_ic = e^{s_ic − M_i} / α_i and the
+  // per-sample LSE, and returning the summed cross-entropy loss.
   const std::size_t n = shard_->num_samples();
   TELEM_SPAN("kernel", "softmax_forward");
   f.loss = la::kernels::softmax_forward(f.scores, shard_->labels(), f.probs,

@@ -62,7 +62,7 @@ class SoftmaxObjective final : public Objective {
     double loss = 0.0;
   };
 
-  /// Scores, fused softmax and their flop/byte credits at `x`, into `f`.
+  /// Scores, softmax forward and their flop/byte credits at `x`, into `f`.
   void forward(std::span<const double> x, Forward& f) const;
   [[nodiscard]] bool cached_at(std::span<const double> x) const {
     return std::ranges::equal(x, cached_x_);

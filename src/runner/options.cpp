@@ -313,7 +313,8 @@ const std::vector<ConfigField>& config_fields() {
       field<&C::workers>("workers", "simulated cluster size", v_int_min(1)),
       field<&C::device>("device",
                         "device model (p100|cpu|<gflops>[:<gbytes_per_s>]); "
-                        "a ','/'+'-separated list rates ranks individually",
+                        "a ','/'+'-separated list cycles over the ranks "
+                        "(\"p100+cpu\": even ranks p100, odd ranks cpu)",
                         v_device_list(), kRun | kServe),
       field<&C::network>("network",
                          "network model (ib100|eth10|eth1|wan|ideal)",
@@ -327,9 +328,10 @@ const std::vector<ConfigField>& config_fields() {
           "straggler", "inject a straggler: <rank>:<slowdown> (none disables)",
           v_straggler()),
       field<&C::partition>("partition",
-                           "shard plan across ranks: contiguous|strided|"
-                           "weighted (weighted sizes shards by per-rank "
-                           "device gflops)",
+                           "shard plan across ranks: contiguous (zero-copy "
+                           "views) | strided (label balance; copied shards) "
+                           "| weighted (contiguous, sized by per-rank device "
+                           "gflops)",
                            v_partition()),
       field<&C::iterations>("iterations", "outer iterations (epochs)",
                             v_int_min(1)),

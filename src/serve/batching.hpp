@@ -1,7 +1,7 @@
 // Pluggable request-batching policies for the serving loop.
 //
 // The server queues arriving requests and asks its policy when to cut a
-// batch for the fused forward kernel:
+// batch for the scoring gemm:
 //   * immediate      — every request dispatches alone (lowest latency at
 //                      low load; collapses when per-dispatch overhead
 //                      saturates the device);

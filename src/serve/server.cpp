@@ -6,8 +6,8 @@
 #include <vector>
 
 #include "comm/async.hpp"
+#include "la/dense_matrix.hpp"
 #include "la/flops.hpp"
-#include "la/kernels.hpp"
 #include "serve/arrival.hpp"
 #include "serve/batching.hpp"
 #include "serve/quantile.hpp"
@@ -117,7 +117,7 @@ ServeResult simulate(const SavedModel& model, const data::Dataset& pool,
     const std::size_t b = std::min(queue.size(), cap);
     gather_rows(pool, queue, b, rows, labels);
     la::DenseMatrix scores(b, c);
-    la::kernels::gemm_nn(1.0, rows.view(0, b), coef, 0.0, scores);
+    la::gemm_nn(1.0, rows.view(0, b), coef, 0.0, scores);
     for (std::size_t i = 0; i < b; ++i) {
       const auto s = scores.row(i);
       double best = 0.0;  // implicit reference class

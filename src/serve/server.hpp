@@ -3,15 +3,15 @@
 // Two ranks on the async event engine (comm/async.hpp): rank 0 replays a
 // deterministic request schedule (serve/arrival.hpp) by timer, rank 1
 // queues the requests, cuts batches under a pluggable policy
-// (serve/batching.hpp), and runs each batch through the fused
-// softmax-forward kernel (la/kernels.hpp) on the configured device
-// model. Batch compute is priced by the device roofline through the
-// rank's SimClock — the coefficient panel is re-read per dispatch, so
-// batching amortizes real bandwidth — plus a fixed per-dispatch overhead
-// (kernel launch + result framing), the cost that makes the
-// immediate-dispatch policy collapse under load. Latency is
-// completion-clock minus delivery-time per request, accumulated in an
-// online quantile sketch (serve/quantile.hpp).
+// (serve/batching.hpp), and scores each batch with one gemm
+// (la::gemm_nn) and an argmax over its score rows (a prediction needs no
+// softmax) on the configured device model. Batch compute is priced by the
+// device roofline through the rank's SimClock — the gemm re-reads the
+// coefficient panel per dispatch, so batching amortizes real bandwidth —
+// plus a fixed per-dispatch overhead (kernel launch + result framing),
+// the cost that makes the immediate-dispatch policy collapse under load.
+// Latency is completion-clock minus delivery-time per request,
+// accumulated in an online quantile sketch (serve/quantile.hpp).
 //
 // Everything — schedule, event order, kernel flops, clock arithmetic —
 // is deterministic, so a serving scenario reports byte-identical numbers

@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include "baselines/dane.hpp"
 #include "baselines/disco.hpp"
@@ -13,6 +14,8 @@
 #include "comm/cluster.hpp"
 #include "core/reference.hpp"
 #include "data/generators.hpp"
+#include "la/flops.hpp"
+#include "model/softmax.hpp"
 #include "support/check.hpp"
 
 namespace nadmm::baselines {
@@ -105,6 +108,46 @@ TEST(Giant, ValidatesOptions) {
   GiantOptions bad;
   bad.max_iterations = 0;
   EXPECT_THROW(giant(cluster, shards(cluster, tt.train, nullptr), bad), InvalidArgument);
+}
+
+TEST(Giant, ChargesEachForwardPassOnce) {
+  // One rank on a flop-only 1 GF/s device, so compute seconds are flops.
+  // CG runs exactly 3 products per solve (a tolerance it cannot reach),
+  // and both line searches accept the full step. The charged work is
+  // then one forward pass at w = 0 plus, per iteration, the backward
+  // half of the gradient, 3 Hessian-vector products and the n_steps
+  // trial passes: f(w), the recorder and the next gradient reuse cached
+  // passes. Vector updates stay far below half a forward pass.
+  auto tt = easy_problem(35);
+  comm::SimCluster cluster(1, la::DeviceModel{"flops", 1.0},
+                           comm::infiniband_100g());
+  GiantOptions opts;
+  opts.max_iterations = 2;
+  opts.line_search_steps = 3;
+  opts.cg.max_iterations = 3;
+  opts.cg.rel_tol = 1e-300;
+  opts.evaluate_accuracy = false;
+  const auto r = giant(cluster, shards(cluster, tt.train, nullptr), opts);
+  ASSERT_EQ(r.trace.size(), 2u);
+  const double charged =
+      (r.total_sim_seconds - r.trace.back().comm_sim_seconds) * 1e9;
+
+  model::SoftmaxObjective obj(tt.train, 0.0);
+  std::vector<double> x(obj.dim(), 0.1), g(obj.dim()), hv(obj.dim());
+  const flops::Scope fwd_scope;
+  (void)obj.value(x);
+  const auto fwd = static_cast<double>(fwd_scope.elapsed());
+  const flops::Scope bwd_scope;
+  obj.gradient(x, g);
+  const auto bwd = static_cast<double>(bwd_scope.elapsed());
+  const flops::Scope hvp_scope;
+  obj.hessian_vec(x, g, hv);
+  const auto hvp = static_cast<double>(hvp_scope.elapsed());
+
+  const double n_steps = opts.line_search_steps + 1;
+  const double expected = fwd + 2.0 * (bwd + 3.0 * hvp + n_steps * fwd);
+  EXPECT_NEAR(charged, expected, 0.5 * fwd)
+      << "forward passes beyond the minimum: " << (charged - expected) / fwd;
 }
 
 // ------------------------------------------------------------ SGD

@@ -394,10 +394,8 @@ TEST(NewtonAdmm, ValidatesOptions) {
 }
 
 TEST(NewtonAdmm, ReproducibleAcrossRuns) {
-  // Data generation and the algorithm are deterministic; the only run-to-
-  // run variation is ulp-level parallel-reduction reordering (as with
-  // cuBLAS), which iteration dynamics can amplify slightly — hence tight
-  // NEAR rather than bitwise equality.
+  // Data generation, the algorithm and every kernel are deterministic,
+  // so two runs agree bit for bit.
   auto tt = data::make_blobs(200, 20, 5, 3, 3.0, 1.0, 18);
   NewtonAdmmOptions opts;
   opts.max_iterations = 10;
@@ -407,12 +405,10 @@ TEST(NewtonAdmm, ReproducibleAcrossRuns) {
   const auto r2 = newton_admm(c2, shards(c2, tt.train, nullptr), opts);
   ASSERT_EQ(r1.x.size(), r2.x.size());
   for (std::size_t i = 0; i < r1.x.size(); ++i) {
-    EXPECT_NEAR(r1.x[i], r2.x[i], 1e-7 * (1.0 + std::abs(r2.x[i])));
+    EXPECT_EQ(r1.x[i], r2.x[i]) << i;
   }
-  EXPECT_NEAR(r1.total_sim_seconds, r2.total_sim_seconds,
-              0.02 * r2.total_sim_seconds);
-  EXPECT_NEAR(r1.final_objective, r2.final_objective,
-              1e-6 * std::abs(r2.final_objective));
+  EXPECT_EQ(r1.total_sim_seconds, r2.total_sim_seconds);
+  EXPECT_EQ(r1.final_objective, r2.final_objective);
 }
 
 }  // namespace

@@ -2,8 +2,8 @@
 // reference implementations (kernels::reference) and an independent naive
 // oracle, across degenerate shapes and the alpha/beta grid; dense-vs-CSR
 // dispatch parity; bit-identity of every product and the softmax forward
-// at any thread count; the fused softmax forward; and the bytes-moved
-// accounting feeding the device roofline.
+// at any thread count; the softmax forward against a long-double oracle;
+// and the bytes-moved accounting feeding the device roofline.
 #include <gtest/gtest.h>
 
 #ifdef _OPENMP
@@ -361,11 +361,10 @@ void softmax_row_oracle(std::span<const double> s, std::vector<double>& p,
   lse = static_cast<double>(m + std::log(alpha));
 }
 
-TEST(KernelEngine, FusedSoftmaxForwardMatchesOracleAndReference) {
+TEST(KernelEngine, SoftmaxForwardMatchesOracle) {
   const std::size_t c = 9;
-  // Rows engineered to stress the online max: ascending (max updates every
-  // step), descending (one update), all-negative (implicit class wins),
-  // huge magnitudes (stabilization), plus random rows.
+  // Ascending, descending, all-negative (implicit class wins) and huge
+  // magnitudes (stabilization), plus random rows.
   std::vector<std::vector<double>> rows;
   rows.push_back({1, 2, 3, 4, 5, 6, 7, 8, 9});
   rows.push_back({9, 8, 7, 6, 5, 4, 3, 2, 1});
@@ -387,11 +386,9 @@ TEST(KernelEngine, FusedSoftmaxForwardMatchesOracleAndReference) {
     labels[i] = static_cast<std::int32_t>(i % (c + 1));
   }
 
-  DenseMatrix probs(n, c), probs_ref(n, c);
-  std::vector<double> lse(n), lse_ref(n);
+  DenseMatrix probs(n, c);
+  std::vector<double> lse(n);
   const double loss = kernels::softmax_forward(scores, labels, probs, lse);
-  const double loss_ref =
-      kernels::reference::softmax_forward(scores, labels, probs_ref, lse_ref);
 
   double loss_oracle = 0.0;
   std::vector<double> p_oracle;
@@ -406,8 +403,6 @@ TEST(KernelEngine, FusedSoftmaxForwardMatchesOracleAndReference) {
     loss_oracle += lse_o - (y < c ? scores.at(i, y) : 0.0);
   }
   EXPECT_NEAR(loss, loss_oracle, 1e-9 * (std::abs(loss_oracle) + 1.0));
-  EXPECT_NEAR(loss, loss_ref, 1e-9 * (std::abs(loss_ref) + 1.0));
-  expect_matrices_near(probs, probs_ref, 1e-11, "softmax probs");
 }
 
 // ---------------------------------------------------------- bytes/roofline
@@ -903,37 +898,6 @@ TEST(IsaDispatch, SparseProductsKeepZeroSignsInfAndNanBitwise) {
                 << rung->name << " spmm_tn n=" << n << " j=" << j << ": " << cv;
           }
         }
-      }
-    }
-  }
-}
-
-TEST(IsaDispatch, SoftmaxForwardEveryRungMatchesScalarBitwise) {
-  for (const kernels::Rung* rung : vector_rungs()) {
-    Rng rng(64);
-    for (const int threads : {1, 2, 3, 8}) {
-      ThreadGuard guard(threads);
-      for (const std::size_t n : {std::size_t{1}, std::size_t{37},
-                                  std::size_t{4000}}) {
-        const std::size_t c = 9;
-        auto scores = random_matrix(n, c, rng);
-        // Large spread exercises the rescale branch (running max updates).
-        for (double& v : scores.data()) v *= 30.0;
-        std::vector<std::int32_t> labels(n);
-        for (auto& l : labels) {
-          l = static_cast<std::int32_t>(rng.uniform_index(c + 1));
-        }
-        DenseMatrix p1(n, c), p2(n, c);
-        std::vector<double> l1(n), l2(n);
-        const double loss1 =
-            kernels::softmax_forward(scores, labels, p1, l1, *rung);
-        const double loss2 =
-            kernels::softmax_forward(scores, labels, p2, l2, oracle());
-        ASSERT_EQ(loss1, loss2) << rung->name << " t=" << threads;
-        for (std::size_t e = 0; e < p1.size(); ++e) {
-          ASSERT_EQ(p1.data()[e], p2.data()[e]) << rung->name;
-        }
-        for (std::size_t i = 0; i < n; ++i) ASSERT_EQ(l1[i], l2[i]) << rung->name;
       }
     }
   }

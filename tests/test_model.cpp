@@ -318,11 +318,8 @@ TEST(Softmax, HvpAfterValueUsesConsistentPoint) {
   (void)obj1.value(x1);
   obj1.hessian_vec(x2, v, hv_stale);
   obj2.hessian_vec(x2, v, hv_fresh);
-  // Near-equality: OpenMP reductions are order-nondeterministic at the
-  // ulp level (as with cuBLAS); a stale cache would differ at O(1).
   for (std::size_t i = 0; i < obj1.dim(); ++i) {
-    EXPECT_NEAR(hv_stale[i], hv_fresh[i],
-                1e-9 * (1.0 + std::abs(hv_fresh[i])));
+    EXPECT_EQ(hv_stale[i], hv_fresh[i]) << i;
   }
 }
 

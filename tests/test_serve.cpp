@@ -326,6 +326,26 @@ TEST(ServeSimulator, IdealNetworkAnswersEveryPoissonRequest) {
   }
 }
 
+TEST(ServeSimulator, DispatchesPayForTheScoringGemm) {
+  // A flop-only 0.01 GF/s device and no dispatch overhead: the server's
+  // compute is its batches' gemms, 2·b·p·(C−1) flops each, which sum to
+  // 2·requests·p·(C−1) however the stream was batched.
+  const auto f = tiny_fixture();
+  auto config = tiny_serve();
+  config.device = "0.01";
+  config.dispatch_overhead_s = 0.0;
+  config.arrival = "poisson:200";
+  config.batch = "deadline:16:0.005";
+  const auto r = simulate(f.model, f.tt.test, config);
+  ASSERT_EQ(r.requests, 400u);
+  EXPECT_GT(r.batches, 1u);
+  const double flops = 2.0 * 400.0 *
+                       static_cast<double>(f.model.num_features) *
+                       static_cast<double>(f.model.coef_cols());
+  const double want = flops / 0.01e9;
+  EXPECT_NEAR(r.server_compute_seconds, want, 1e-12 * want);
+}
+
 TEST(ServeSimulator, RerunsAreBitIdentical) {
   const auto f = tiny_fixture();
   auto config = tiny_serve();
