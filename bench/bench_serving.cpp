@@ -1,11 +1,11 @@
 // Serving-plane microbenchmarks: batched dispatch vs request-at-a-time.
 //
-// BM_ServeForward_<b>: score a b-request panel through gemm plus the
-// softmax forward. "Engine" gathers the b rows into one panel and issues
-// ONE gemm + softmax pass (the serving loop's batch dispatch runs the same
-// gemm and takes an argmax of the scores); "Seed" issues b single-row
-// gemms (immediate dispatch). Items/s
-// is requests scored per second, so the engine-vs-seed speedup is the
+// BM_ServeForward_<b>: predict a b-request panel the way the serving
+// loop's batch dispatch does: one gemm of the rows against the
+// coefficients, then serve::predict_class (an argmax) per score row.
+// "Engine" gathers the b rows into one panel and issues ONE gemm;
+// "Seed" issues b single-row gemms (immediate dispatch). Items/s is
+// requests predicted per second, so the engine-vs-seed speedup is the
 // real amortization the batching policies buy — the wall-clock analogue
 // of the simulated dispatch-overhead model.
 //
@@ -24,6 +24,7 @@
 #include "la/dense_matrix.hpp"
 #include "la/kernels.hpp"
 #include "serve/quantile.hpp"
+#include "serve/server.hpp"
 
 namespace {
 
@@ -61,32 +62,29 @@ const Panel& panel() {
   return p;
 }
 
-/// Score rows [0, b) of the pool: one fused dispatch ("Engine") or b
-/// single-row dispatches ("Seed"). Returns requests scored.
+/// Predict rows [0, b) of the pool: one batched dispatch ("Engine") or b
+/// single-row dispatches ("Seed"). Items are requests predicted.
 void run_forward(benchmark::State& state, bool batched) {
   const auto b = static_cast<std::size_t>(state.range(0));
   const Panel& p = panel();
   const std::size_t c = static_cast<std::size_t>(kClasses - 1);
   DenseMatrix scores(b, c);
-  std::vector<std::int32_t> labels(b, 0);
-  DenseMatrix probs(b, c);
-  std::vector<double> lse(b);
   DenseMatrix one_score(1, c);
-  DenseMatrix one_prob(1, c);
-  std::vector<double> one_lse(1);
   for (auto _ : state) {
+    std::int32_t predicted = 0;
     if (batched) {
       nadmm::la::kernels::gemm_nn(1.0, p.pool.view(0, b), p.coef, 0.0, scores);
-      benchmark::DoNotOptimize(nadmm::la::kernels::softmax_forward(
-          scores, {labels.data(), b}, probs, lse));
+      for (std::size_t r = 0; r < b; ++r) {
+        predicted += nadmm::serve::predict_class(scores.row(r));
+      }
     } else {
       for (std::size_t r = 0; r < b; ++r) {
         nadmm::la::kernels::gemm_nn(1.0, p.pool.view(r, r + 1), p.coef, 0.0,
                                     one_score);
-        benchmark::DoNotOptimize(nadmm::la::kernels::softmax_forward(
-            one_score, {labels.data(), 1}, one_prob, one_lse));
+        predicted += nadmm::serve::predict_class(one_score.row(0));
       }
     }
+    benchmark::DoNotOptimize(predicted);
     benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *

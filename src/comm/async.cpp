@@ -18,13 +18,13 @@ namespace {
 /// (delivery_time, seq) pair is the next event. `seq` is globally unique
 /// (and increases with send order, so same-timestamp messages keep their
 /// send order per rank), making the order total and independent of heap
-/// internals.
-bool event_after(const AsyncMessage& a, const AsyncMessage& b) {
+/// internals — and of which pool slot a message happens to occupy.
+constexpr auto event_after = [](const auto& a, const auto& b) {
   if (a.delivery_time != b.delivery_time) {
     return a.delivery_time > b.delivery_time;
   }
   return a.seq > b.seq;
-}
+};
 
 /// AsyncMessage::event_kind values. kApp is the only kind an app
 /// handler ever observes; the rest are the reliable channel's plumbing.
@@ -46,7 +46,7 @@ int AsyncRank::size() const { return engine_->size(); }
 
 const NetworkModel& AsyncRank::network() const { return engine_->network(); }
 
-void AsyncRank::send(int to, int tag, std::vector<double> payload) {
+void AsyncRank::send(int to, int tag, std::span<const double> payload) {
   NADMM_CHECK(to >= 0 && to < engine_->size(),
               "async send: destination rank out of range");
   clock_.sync_compute();  // timestamp after any compute since the last sync
@@ -54,44 +54,39 @@ void AsyncRank::send(int to, int tag, std::vector<double> payload) {
   telem::instant("wire", "send");
   telem::count("sends");
   if (engine_->faults_enabled_ && to != rank_) {
-    engine_->channel_send(*this, to, tag, std::move(payload));
+    engine_->channel_send(*this, to, tag, payload);
     return;
   }
-  AsyncMessage m;
-  m.from = rank_;
-  m.to = to;
-  m.tag = tag;
-  m.send_time = clock_.total_seconds();
-  if (to == rank_) {
-    m.delivery_time = m.send_time;  // loopback: no wire, no charge
-  } else {
+  const double send_time = clock_.total_seconds();
+  double delivery_time = send_time;  // loopback: no wire, no charge
+  if (to != rank_) {
     const std::uint64_t bytes = wire::frame_bytes(payload.size());
     // Per-link FIFO: never deliver before the link's previous message.
     // Priced times alone can invert by a rounding step when latency is
     // 0 and frames differ in size (a request overtaken by a shorter
     // Done); the equal-time tie then falls to the earlier seq.
     double& last = engine_->link_last_delivery_[engine_->link_index(rank_, to)];
-    m.delivery_time = std::max(
-        last, m.send_time + engine_->network_.point_to_point(bytes));
-    last = m.delivery_time;
+    delivery_time = std::max(
+        last, send_time + engine_->network_.point_to_point(bytes));
+    last = delivery_time;
     clock_.add_comm(engine_->network_.serialization(bytes));
   }
-  m.payload = std::move(payload);
-  engine_->push_event(std::move(m));
+  AsyncMessage& m =
+      engine_->push_event(kAppEv, rank_, to, send_time, delivery_time);
+  m.tag = tag;
+  m.payload.assign(payload.begin(), payload.end());
 }
 
-void AsyncRank::send_self(int tag, double delay, std::vector<double> payload) {
+void AsyncRank::send_self(int tag, double delay,
+                          std::span<const double> payload) {
   NADMM_CHECK(delay >= 0.0, "async send_self: delay must be >= 0");
   clock_.sync_compute();
-  AsyncMessage m;
-  m.from = rank_;
-  m.to = rank_;
+  const double send_time = clock_.total_seconds();
+  AsyncMessage& m = engine_->push_event(kAppEv, rank_, rank_, send_time,
+                                        send_time + delay);
   m.tag = tag;
-  m.send_time = clock_.total_seconds();
-  m.delivery_time = m.send_time + delay;
-  m.payload = std::move(payload);
+  m.payload.assign(payload.begin(), payload.end());
   ++sent_;
-  engine_->push_event(std::move(m));
 }
 
 AsyncEngine::AsyncEngine(std::vector<la::DeviceModel> devices,
@@ -120,21 +115,33 @@ void AsyncEngine::set_faults(const FaultSpec& spec, std::uint64_t seed) {
   link_receivers_.assign(n * n, LinkReceiver{});
 }
 
-void AsyncEngine::push_event(AsyncMessage message) {
-  message.seq = next_seq_++;
-  queue_.push_back(std::move(message));
+AsyncMessage& AsyncEngine::push_event(std::uint8_t kind, int from, int to,
+                                      double send_time, double delivery_time) {
+  std::uint32_t slot = 0;
+  if (free_slots_.empty()) {
+    slot = static_cast<std::uint32_t>(slots_.size());
+    slots_.emplace_back();
+  } else {
+    slot = free_slots_.back();
+    free_slots_.pop_back();
+  }
+  AsyncMessage& m = slots_[slot];
+  m.event_kind = kind;
+  m.from = from;
+  m.to = to;
+  m.tag = 0;
+  m.send_time = send_time;
+  m.delivery_time = delivery_time;
+  m.seq = next_seq_++;
+  m.link_seq = 0;
+  m.peer = -1;
+  queue_.push_back({delivery_time, m.seq, slot});
   std::push_heap(queue_.begin(), queue_.end(), event_after);
-}
-
-AsyncMessage AsyncEngine::pop_event() {
-  std::pop_heap(queue_.begin(), queue_.end(), event_after);
-  AsyncMessage m = std::move(queue_.back());
-  queue_.pop_back();
   return m;
 }
 
 void AsyncEngine::channel_send(AsyncRank& sender, int to, int tag,
-                               std::vector<double> payload) {
+                               std::span<const double> payload) {
   LinkSender& ls = link_senders_[link_index(sender.rank_, to)];
   wire::Frame frame;
   frame.kind = wire::FrameKind::kData;
@@ -142,7 +149,7 @@ void AsyncEngine::channel_send(AsyncRank& sender, int to, int tag,
   frame.to = to;
   frame.tag = tag;
   frame.link_seq = ls.next_seq++;
-  frame.payload = std::move(payload);
+  frame.payload.assign(payload.begin(), payload.end());
   std::vector<std::uint8_t> bytes;
   {
     TELEM_SPAN("wire", "encode");
@@ -165,47 +172,37 @@ void AsyncEngine::transmit(double base_time, int from, int to,
     telem::count("wire_drops");
   }
   if (!fate.drop) {
-    AsyncMessage ev;
-    ev.event_kind = kDataEv;
-    ev.from = from;
-    ev.to = to;
+    AsyncMessage& ev = push_event(kDataEv, from, to, base_time,
+                                  base_time + transit + fate.delay);
     ev.link_seq = seq;
-    ev.send_time = base_time;
-    ev.frame = entry.frame;
+    ev.frame.assign(entry.frame.begin(), entry.frame.end());
     if (fate.corrupt) {
       const std::uint64_t bit =
           fate.corrupt_bit % (static_cast<std::uint64_t>(ev.frame.size()) * 8);
       ev.frame[static_cast<std::size_t>(bit / 8)] ^=
           static_cast<std::uint8_t>(1U << (bit % 8));
     }
-    ev.delivery_time = base_time + transit + fate.delay;
-    push_event(std::move(ev));
     if (fate.duplicate) {
-      AsyncMessage dup;
-      dup.event_kind = kDataEv;
-      dup.from = from;
-      dup.to = to;
+      AsyncMessage& dup = push_event(kDataEv, from, to, base_time,
+                                     base_time + transit + fate.dup_delay);
       dup.link_seq = seq;
-      dup.send_time = base_time;
-      dup.frame = entry.frame;  // the copy travels uncorrupted
-      dup.delivery_time = base_time + transit + fate.dup_delay;
-      push_event(std::move(dup));
+      dup.frame.assign(entry.frame.begin(), entry.frame.end());  // uncorrupted
     }
   }
   if (!ls.timer_pending) {
-    // Generous timeout: covers the worst reorder delay (3 transits)
-    // plus the ack's return trip, so a delivered frame is always acked
-    // before its timer fires — abandonment then implies real loss.
+    // The timeout covers the worst reorder delay (3 transits) plus the
+    // ack's return trip. That does not make every timeout a real loss:
+    // the receiver acks at its own clock, which can run far past the
+    // frame's arrival while it computes, and the link's one timer, armed
+    // by an earlier frame, is not restarted when acks arrive. So a timer
+    // can fire before a delivered frame's ack is back and resend frames
+    // that were never lost (ROADMAP: "The reliable channel retransmits
+    // frames that were never lost").
     const double rto =
         4.0 * (transit + network_.point_to_point(wire::frame_bytes(0)));
-    AsyncMessage timer;
-    timer.event_kind = kTimerEv;
-    timer.from = from;
-    timer.to = from;
+    AsyncMessage& timer =
+        push_event(kTimerEv, from, from, base_time, base_time + rto);
     timer.peer = to;
-    timer.send_time = base_time;
-    timer.delivery_time = base_time + rto;
-    push_event(std::move(timer));
     ls.timer_pending = true;
   }
 }
@@ -225,14 +222,10 @@ void AsyncEngine::send_control(wire::FrameKind kind, int from, int to,
     telem::instant("wire", "nack");
     telem::count("nacks");
   }
-  AsyncMessage ev;
-  ev.event_kind = kind == wire::FrameKind::kAck ? kAckEv : kNackEv;
-  ev.from = from;
-  ev.to = to;
+  AsyncMessage& ev = push_event(
+      kind == wire::FrameKind::kAck ? kAckEv : kNackEv, from, to, base_time,
+      base_time + network_.point_to_point(wire::frame_bytes(0)));
   ev.link_seq = cursor;
-  ev.send_time = base_time;
-  ev.delivery_time = base_time + network_.point_to_point(wire::frame_bytes(0));
-  push_event(std::move(ev));
 }
 
 void AsyncEngine::settle_links(std::vector<AsyncRank>& ranks) {
@@ -277,7 +270,7 @@ void AsyncEngine::deliver_app(AsyncRank& rank, const AsyncMessage& event,
   rank.clock_.sync_compute();
 }
 
-void AsyncEngine::handle_data(const AsyncMessage& event,
+void AsyncEngine::handle_data(AsyncMessage& event,
                               const MessageFn& on_message) {
   AsyncRank& dst = (*running_ranks_)[static_cast<std::size_t>(event.to)];
   // A halted mailbox sends no ack: the sender's retry cap converts the
@@ -321,21 +314,21 @@ void AsyncEngine::handle_data(const AsyncMessage& event,
     return;
   }
 
+  // The data event's slot becomes the app message in place: times and
+  // seq stay the frame's, and the payload buffer trades places with the
+  // decoded one.
   const auto deliver = [&](wire::Frame& f) {
-    AsyncMessage app;
-    app.from = f.from;
-    app.to = f.to;
-    app.tag = f.tag;
-    app.send_time = event.send_time;
-    app.delivery_time = event.delivery_time;
-    app.seq = event.seq;
-    app.payload = std::move(f.payload);
+    event.event_kind = kAppEv;
+    event.from = f.from;
+    event.to = f.to;
+    event.tag = f.tag;
+    event.payload.swap(f.payload);
     dst.clock_.resume();
     ++dst.received_;
     ++delivered_;
     {
       TELEM_SPAN("comm", "deliver");
-      on_message(dst, app);
+      on_message(dst, event);
     }
     dst.clock_.sync_compute();
   };
@@ -399,21 +392,15 @@ void AsyncEngine::handle_timer(const AsyncMessage& event) {
   }
   sender.clock_.wait_until(event.delivery_time);
   telem::instant("wire", "rto");
-  std::vector<std::uint64_t> pending;
-  pending.reserve(ls.unacked.size());
-  for (const auto& [seq, entry] : ls.unacked) {
-    static_cast<void>(entry);
-    pending.push_back(seq);
-  }
-  for (const std::uint64_t seq : pending) {
-    auto it = ls.unacked.find(seq);
-    if (it == ls.unacked.end()) continue;
-    ++it->second.attempts;
-    if (it->second.attempts > kMaxAttempts) continue;  // retired, see above
+  // transmit() only queues events, so the unacked map holds still while
+  // this loop walks it.
+  for (auto& [seq, entry] : ls.unacked) {
+    ++entry.attempts;
+    if (entry.attempts > kMaxAttempts) continue;  // retired, see above
     ++sender.retransmits_;
     telem::instant("wire", "retransmit");
     telem::count("retransmits");
-    sender.clock_.add_comm(network_.serialization(it->second.frame.size()));
+    sender.clock_.add_comm(network_.serialization(entry.frame.size()));
     transmit(sender.clock_.total_seconds(), from, to, seq);
   }
 }
@@ -454,7 +441,12 @@ std::vector<AsyncRankReport> AsyncEngine::run(const StartFn& on_start,
   }
 
   while (!queue_.empty()) {
-    AsyncMessage m = pop_event();
+    std::pop_heap(queue_.begin(), queue_.end(), event_after);
+    const std::uint32_t slot = queue_.back().slot;
+    queue_.pop_back();
+    // Handlers may grow the deque but never move this slot; it returns to
+    // the free list once its handler is done with it.
+    AsyncMessage& m = slots_[slot];
     // Every event advances the clock of the rank it lands on (data and
     // app events on m.to, control and timers on the link's sender —
     // also m.to by construction).
@@ -477,6 +469,7 @@ std::vector<AsyncRankReport> AsyncEngine::run(const StartFn& on_start,
       default:
         NADMM_ASSERT(false && "unknown async event kind");
     }
+    free_slots_.push_back(slot);
   }
   running_ranks_ = nullptr;
   settle_links(ranks);

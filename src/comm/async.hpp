@@ -30,8 +30,11 @@
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <functional>
+#include <initializer_list>
 #include <map>
+#include <span>
 #include <vector>
 
 #include "comm/clock.hpp"
@@ -42,7 +45,10 @@
 
 namespace nadmm::comm {
 
-/// One timestamped mailbox entry.
+/// One timestamped mailbox entry. The engine keeps messages in a pool of
+/// recycled slots: a handler reads its message in place, and the
+/// reference is valid only until the handler returns — copy out whatever
+/// must outlive the call (the slot and its payload buffer are reused).
 struct AsyncMessage {
   int from = -1;
   int to = -1;
@@ -87,15 +93,22 @@ class AsyncRank {
   [[nodiscard]] SimClock& clock() { return clock_; }
   [[nodiscard]] const NetworkModel& network() const;
 
-  /// Post `payload` to rank `to`. The message is delivered at
+  /// Post a copy of `payload` to rank `to`. The message is delivered at
   /// now() + point_to_point(frame bytes), but never before the previous
   /// send on the same link (per-link FIFO); the sender's clock is charged
   /// the serialization term. Loopback sends (to == rank()) are free and
   /// deliver at now().
-  void send(int to, int tag, std::vector<double> payload);
+  void send(int to, int tag, std::span<const double> payload);
+  void send(int to, int tag, std::initializer_list<double> payload) {
+    send(to, tag, std::span<const double>(payload.begin(), payload.size()));
+  }
 
   /// Self-message after `delay` simulated seconds (a timer). Free.
-  void send_self(int tag, double delay, std::vector<double> payload = {});
+  void send_self(int tag, double delay, std::span<const double> payload = {});
+  void send_self(int tag, double delay, std::initializer_list<double> payload) {
+    send_self(tag, delay,
+              std::span<const double>(payload.begin(), payload.size()));
+  }
 
   /// Stop accepting messages: anything still in flight toward this rank
   /// is dropped on delivery (and counted in messages_dropped).
@@ -170,20 +183,30 @@ class AsyncEngine {
     std::uint64_t last_nacked = ~0ULL;
   };
 
-  void push_event(AsyncMessage message);
-  AsyncMessage pop_event();
+  /// Heap entry: the delivery order key and the slot holding the message.
+  struct EventKey {
+    double delivery_time;
+    std::uint64_t seq;
+    std::uint32_t slot;
+  };
+
+  /// Take a free slot, stamp it with the next `seq` and queue it for
+  /// `delivery_time`. The caller fills in the rest (payload, frame, tag…)
+  /// before returning to the event loop; buffers keep their capacity.
+  AsyncMessage& push_event(std::uint8_t kind, int from, int to,
+                           double send_time, double delivery_time);
 
   std::size_t link_index(int from, int to) const {
     return static_cast<std::size_t>(from) * devices_.size() +
            static_cast<std::size_t>(to);
   }
   void channel_send(AsyncRank& sender, int to, int tag,
-                    std::vector<double> payload);
+                    std::span<const double> payload);
   void transmit(double base_time, int from, int to, std::uint64_t seq);
   void send_control(wire::FrameKind kind, int from, int to,
                     std::uint64_t cursor, double base_time);
   void settle_links(std::vector<AsyncRank>& ranks);
-  void handle_data(const AsyncMessage& event, const MessageFn& on_message);
+  void handle_data(AsyncMessage& event, const MessageFn& on_message);
   void handle_control(const AsyncMessage& event);
   void handle_timer(const AsyncMessage& event);
   void deliver_app(AsyncRank& rank, const AsyncMessage& event,
@@ -192,7 +215,11 @@ class AsyncEngine {
   std::vector<la::DeviceModel> devices_;
   NetworkModel network_;
   int omp_threads_;
-  std::vector<AsyncMessage> queue_;  ///< binary min-heap, see event_after
+  std::vector<EventKey> queue_;  ///< binary min-heap, see event_after
+  /// Message slots. A deque, so a handler's message stays put while the
+  /// handler's sends grow the pool; `free_slots_` lists reusable ones.
+  std::deque<AsyncMessage> slots_;
+  std::vector<std::uint32_t> free_slots_;
   std::uint64_t next_seq_ = 0;
   std::uint64_t delivered_ = 0;
   /// Delivery time of the last plain-path send per link (from, to).

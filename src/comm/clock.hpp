@@ -41,9 +41,11 @@ class SimClock {
       bytes_at_last_sync_ = now_bytes;
       return;
     }
-    if (!paused_) {
-      const std::uint64_t df = now - flops_at_last_sync_;
-      const std::uint64_t db = now_bytes - bytes_at_last_sync_;
+    const std::uint64_t df = now - flops_at_last_sync_;
+    const std::uint64_t db = now_bytes - bytes_at_last_sync_;
+    // An empty interval prices to exactly 0 s (max(0/peak, 0/bw)), so
+    // skipping it moves no bit.
+    if (!paused_ && (df != 0 || db != 0)) {
       total_flops_ += df;
       total_bytes_ += db;
       compute_s_ += device_.seconds_for(df, db);

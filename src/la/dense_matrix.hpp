@@ -52,6 +52,15 @@ class DenseMatrix {
   /// Reset every entry to `value`.
   void fill(double value);
 
+  /// Reshape to rows×cols over the same buffer, which keeps its capacity:
+  /// a panel resized within its largest shape never reallocates. Entries
+  /// keep no meaningful layout; overwrite them.
+  void resize(std::size_t rows, std::size_t cols) {
+    rows_ = rows;
+    cols_ = cols;
+    data_.resize(rows * cols);
+  }
+
   /// Frobenius norm.
   [[nodiscard]] double frobenius_norm() const;
 

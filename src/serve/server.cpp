@@ -68,6 +68,18 @@ void gather_rows(const data::Dataset& pool, const std::deque<Pending>& queue,
 
 }  // namespace
 
+std::int32_t predict_class(std::span<const double> scores) {
+  double best = 0.0;  // implicit reference class
+  auto pred = static_cast<std::int32_t>(scores.size());
+  for (std::size_t j = 0; j < scores.size(); ++j) {
+    if (scores[j] > best) {
+      best = scores[j];
+      pred = static_cast<std::int32_t>(j);
+    }
+  }
+  return pred;
+}
+
 ServeResult simulate(const SavedModel& model, const data::Dataset& pool,
                      const ServeConfig& config) {
   NADMM_CHECK(!pool.empty(), "serving needs a non-empty request pool");
@@ -92,7 +104,6 @@ ServeResult simulate(const SavedModel& model, const data::Dataset& pool,
   NADMM_CHECK(model.x.size() == p * c,
               "model coefficient count does not match features × classes");
   const la::DenseMatrix coef(p, c, model.x);
-  const auto implicit_class = static_cast<std::int32_t>(c);
   const std::size_t cap = policy->max_batch();
 
   // --- server state, mutated only by the single-threaded event loop ----
@@ -109,6 +120,7 @@ ServeResult simulate(const SavedModel& model, const data::Dataset& pool,
   std::size_t next_request = 0;  // generator cursor into `stream`
 
   la::DenseMatrix rows(cap, p);
+  la::DenseMatrix scores(cap, c);  // resized per batch, never reallocated
   std::vector<std::int32_t> labels(cap);
 
   auto dispatch = [&](comm::AsyncRank& rank) {
@@ -116,19 +128,10 @@ ServeResult simulate(const SavedModel& model, const data::Dataset& pool,
     telem::count("batches_dispatched");
     const std::size_t b = std::min(queue.size(), cap);
     gather_rows(pool, queue, b, rows, labels);
-    la::DenseMatrix scores(b, c);
+    scores.resize(b, c);
     la::gemm_nn(1.0, rows.view(0, b), coef, 0.0, scores);
     for (std::size_t i = 0; i < b; ++i) {
-      const auto s = scores.row(i);
-      double best = 0.0;  // implicit reference class
-      std::int32_t pred = implicit_class;
-      for (std::size_t j = 0; j < c; ++j) {
-        if (s[j] > best) {
-          best = s[j];
-          pred = static_cast<std::int32_t>(j);
-        }
-      }
-      correct += (pred == labels[i]) ? 1 : 0;
+      correct += predict_class(scores.row(i)) == labels[i] ? 1 : 0;
     }
     rank.clock().add_compute(config.dispatch_overhead_s);
     rank.clock().sync_compute();

@@ -252,7 +252,7 @@ core::RunResult async_admm(comm::SimCluster& cluster,
     payload[1] =
         (options.sync_every > 0 && round % options.sync_every == 0) ? 1.0 : 0.0;
     std::copy(packed.begin(), packed.end(), payload.begin() + 2);
-    ctx.send(0, kTagUpdate, std::move(payload));
+    ctx.send(0, kTagUpdate, payload);
   };
 
   // Serialize the full recoverable state: the coordinator, then every

@@ -3,8 +3,11 @@
 // heterogeneous-cluster / straggler plumbing in the runner.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <numeric>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -281,6 +284,148 @@ TEST(AsyncEngineFaults, FaultyRunsReplayByteIdentically) {
   ASSERT_EQ(a.size(), b.size());
   for (std::size_t i = 0; i < a.size(); ++i) {
     EXPECT_DOUBLE_EQ(a[i], b[i]) << "delivery " << i;
+  }
+}
+
+TEST(AsyncEngine, RecycledSlotsKeepOrderAndPayloads) {
+  // Thousands of events through the engine's recycled message slots:
+  // equal-time ties (zero-delay timers, same-size frames sent at the same
+  // instant on a dyadic latency), payloads of 0, 2 and 1000 doubles, and
+  // handlers that send — forwarding their own payload — while they still
+  // read their message. Each delivery is checked against what was logged
+  // at send time. Clean, the delivery sequence must be exactly the
+  // (delivery_time, seq) order; through the faulty reliable channel it
+  // must stay ordered, with every link in send order.
+  constexpr int kRanks = 3;
+  constexpr std::size_t kMessages = 3000;
+  constexpr double kLatency = 1.0 / 1024;
+  const comm::NetworkModel net{"t", kLatency, 1e18};
+  const auto fresh = [](std::size_t id) {
+    constexpr std::size_t kSizes[] = {0, 2, 1000};
+    std::vector<double> v(kSizes[id % 3]);
+    for (std::size_t i = 0; i < v.size(); ++i) {
+      v[i] = static_cast<double>(id) * 1e4 + static_cast<double>(i);
+    }
+    return v;
+  };
+  for (const std::string spec : {"", "drop:0.05,reorder:0.1"}) {
+    SCOPED_TRACE(spec.empty() ? std::string("clean") : spec);
+    const bool clean = spec.empty();
+    struct Sent {
+      int from, to;
+      double delivery;  // predicted; remote sends only when clean
+      std::vector<double> payload;
+    };
+    struct Got {
+      std::size_t id;
+      double delivery;
+      std::uint64_t seq;
+    };
+    std::vector<Sent> sent;  // index = message id = tag
+    std::vector<Got> got;
+    std::vector<double> link_last(kRanks * kRanks, 0.0);
+    comm::AsyncEngine engine(
+        std::vector<la::DeviceModel>(kRanks, unit_device()), net);
+    if (!clean) engine.set_faults(comm::FaultSpec::parse(spec), /*seed=*/29);
+
+    // Post message `sent.size()` to `to` (a timer when to == own rank).
+    // Clean, every event is an app send, so its seq is its id.
+    const auto post = [&](comm::AsyncRank& ctx, int to,
+                          std::span<const double> payload) {
+      const std::size_t id = sent.size();
+      Sent s{ctx.rank(), to, 0.0, {payload.begin(), payload.end()}};
+      if (to == ctx.rank()) {
+        const double delay = static_cast<double>(id % 2) * kLatency;
+        s.delivery = ctx.now() + delay;
+        sent.push_back(std::move(s));
+        ctx.send_self(static_cast<int>(id), delay, payload);
+      } else {
+        double& last =
+            link_last[static_cast<std::size_t>(ctx.rank() * kRanks + to)];
+        last = std::max(last, ctx.now() + net.point_to_point(
+                                              comm::wire::frame_bytes(
+                                                  payload.size())));
+        s.delivery = last;
+        sent.push_back(std::move(s));
+        ctx.send(to, static_cast<int>(id), payload);
+      }
+    };
+    const auto reports = engine.run(
+        [&](comm::AsyncRank& ctx) {
+          post(ctx, ctx.rank(), fresh(sent.size()));
+          for (int to = 0; to < kRanks; ++to) {
+            if (to != ctx.rank()) post(ctx, to, fresh(sent.size()));
+          }
+        },
+        [&](comm::AsyncRank& ctx, const comm::AsyncMessage& msg) {
+          const auto id = static_cast<std::size_t>(msg.tag);
+          ASSERT_LT(id, sent.size());
+          got.push_back({id, msg.delivery_time, msg.seq});
+          const double* data = msg.payload.data();
+          if (sent.size() < kMessages) {
+            post(ctx, (ctx.rank() + 1) % kRanks, msg.payload);
+            post(ctx, ctx.rank(), fresh(sent.size()));
+            post(ctx, (ctx.rank() + 2) % kRanks, fresh(sent.size()));
+          }
+          // Still this message, untouched by the sends above.
+          EXPECT_EQ(msg.payload.data(), data);
+          EXPECT_EQ(msg.from, sent[id].from);
+          EXPECT_EQ(ctx.rank(), sent[id].to);
+          EXPECT_TRUE(msg.payload == sent[id].payload) << "message " << id;
+        });
+
+    ASSERT_GE(sent.size(), kMessages);
+    ASSERT_EQ(got.size(), sent.size());  // each message exactly once
+    std::vector<int> times(sent.size(), 0);
+    for (const Got& g : got) ++times[g.id];
+    EXPECT_EQ(std::count(times.begin(), times.end(), 1),
+              static_cast<std::ptrdiff_t>(sent.size()));
+    std::size_t ties = 0;
+    for (std::size_t i = 1; i < got.size(); ++i) {
+      const Got& a = got[i - 1];
+      const Got& b = got[i];
+      ties += a.delivery == b.delivery ? 1 : 0;
+      EXPECT_TRUE(a.delivery < b.delivery ||
+                  (a.delivery == b.delivery && a.seq <= b.seq))
+          << "delivery " << i;
+    }
+    EXPECT_GT(ties, sent.size() / 10);
+    for (const Got& g : got) {
+      // Timers never touch the channel, so their times hold either way.
+      if (clean || sent[g.id].from == sent[g.id].to) {
+        EXPECT_EQ(g.delivery, sent[g.id].delivery) << "message " << g.id;
+      }
+    }
+    if (clean) {
+      std::vector<std::size_t> order(sent.size());
+      std::iota(order.begin(), order.end(), std::size_t{0});
+      std::stable_sort(order.begin(), order.end(),
+                       [&](std::size_t a, std::size_t b) {
+                         return sent[a].delivery < sent[b].delivery;
+                       });
+      for (std::size_t i = 0; i < got.size(); ++i) {
+        ASSERT_EQ(got[i].id, order[i]) << "delivery " << i;
+        EXPECT_EQ(got[i].seq, got[i].id);
+      }
+    } else {
+      std::uint64_t retransmits = 0, gaps = 0;
+      for (const auto& r : reports) {
+        retransmits += r.retransmits;
+        gaps += r.gaps_detected;
+      }
+      EXPECT_GT(retransmits, 0u);  // the faults did hit the channel
+      EXPECT_GT(gaps, 0u);
+      // The reliable channel keeps each remote link in send order.
+      std::vector<std::size_t> link_next(kRanks * kRanks, 0);
+      for (const Got& g : got) {
+        const Sent& s = sent[g.id];
+        if (s.from == s.to) continue;
+        std::size_t& next =
+            link_next[static_cast<std::size_t>(s.from * kRanks + s.to)];
+        EXPECT_GE(g.id, next) << "message " << g.id;
+        next = g.id + 1;
+      }
+    }
   }
 }
 

@@ -6,12 +6,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
 #include <limits>
+#include <new>
 #include <string>
 #include <vector>
 
@@ -24,6 +27,24 @@
 #include "serve/quantile.hpp"
 #include "serve/server.hpp"
 #include "support/check.hpp"
+
+// Every global operator new in this binary is counted, so a test can
+// measure how many heap allocations a code path makes. GCC cannot see
+// that the replaced new and delete pair malloc with free.
+namespace {
+std::atomic<std::uint64_t> g_allocations{0};
+}  // namespace
+
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
+void* operator new(std::size_t size) {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+#pragma GCC diagnostic pop
 
 namespace nadmm::serve {
 namespace {
@@ -361,6 +382,36 @@ TEST(ServeSimulator, RerunsAreBitIdentical) {
   EXPECT_DOUBLE_EQ(a.p99_latency_s, b.p99_latency_s);
   EXPECT_DOUBLE_EQ(a.p999_latency_s, b.p999_latency_s);
   EXPECT_DOUBLE_EQ(a.accuracy, b.accuracy);
+}
+
+TEST(ServeSimulator, SteadyStateReplayBarelyAllocates) {
+  // The bench/e2e serve-poisson replay: 256 features, poisson:20000 with
+  // deadline batching on ib100. Requests travel through recycled event
+  // slots and the dispatch reuses its panels, so a second replay makes
+  // far fewer than one heap allocation per request.
+  runner::ExperimentConfig c;
+  c.dataset = "blobs";
+  c.n_train = 60;
+  c.n_test = 500;
+  c.e18_features = 256;
+  const auto tt = runner::make_data(c);
+  SavedModel model;
+  model.num_features = tt.test.num_features();
+  model.num_classes = tt.test.num_classes();
+  model.x.assign(model.num_features * model.coef_cols(), 0.01);
+  ServeConfig config;
+  config.arrival = "poisson:20000";
+  config.batch = "deadline:32:0.002";
+  config.requests = 20000;
+  config.network = "ib100";
+  config.omp_threads = 1;
+  ASSERT_EQ(simulate(model, tt.test, config).requests, 20000u);
+  const std::uint64_t before = g_allocations.load();
+  const auto r = simulate(model, tt.test, config);
+  const std::uint64_t allocations = g_allocations.load() - before;
+  ASSERT_EQ(r.requests, 20000u);
+  EXPECT_LT(static_cast<double>(allocations) / 20000.0, 0.1)
+      << allocations << " allocations for 20000 requests";
 }
 
 TEST(ServeSimulator, RejectsMismatchedPool) {
