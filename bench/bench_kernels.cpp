@@ -14,8 +14,9 @@
 //
 // Every kernel also reports absolute throughput (items_per_second is
 // GFLOP/s-style work items, bytes_per_second is memory traffic), and two
-// host-peak probes — a STREAM-style triad for bandwidth and an unfused
-// mul+add chain for compute — record what this machine can actually do.
+// host-peak probes — a STREAM-style triad for bandwidth and fused
+// multiply-add chains for compute — record what this machine can
+// actually do.
 // tools/perf_smoke.py divides the two to gate "fraction of host peak",
 // which is machine-normalized the same way the speedup ratios are.
 #include <benchmark/benchmark.h>
@@ -331,10 +332,9 @@ void BM_HostPeak_Triad(benchmark::State& state) {
                           static_cast<std::int64_t>(2 * n));
 }
 
-// Unfused mul+add chains on the dispatched engine rung: the compute peak
-// an engine kernel could reach under the bit-identity contract (the engine
-// never emits FMA, so neither does the probe — -ffp-contract=off keeps
-// the compiler from fusing these).
+// Fused multiply-add chains on the dispatched engine rung: the compute
+// peak an engine kernel can reach, since every term of its product chains
+// is one such fma (la/simd.hpp).
 void BM_HostPeak_Fma(benchmark::State& state) {
   const la::kernels::Rung& rung = la::kernels::active_rung();
   constexpr std::size_t kSteps = 4096;
@@ -343,7 +343,7 @@ void BM_HostPeak_Fma(benchmark::State& state) {
   for (auto _ : state) {
     benchmark::DoNotOptimize(rung.peak_probe(1.0, kSteps));
   }
-  // 2 flops (mul + add) per lane per chain step.
+  // 2 flops (one fused multiply-add) per lane per chain step.
   state.SetItemsProcessed(
       static_cast<std::int64_t>(state.iterations()) *
       static_cast<std::int64_t>(2 * rung.lanes * la::kernels::kProbeChains *

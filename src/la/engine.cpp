@@ -80,20 +80,33 @@ const T* lower_bound(const T* first, const T* last, T v) {
   return first;
 }
 
-int team_size() {
+/// Threads an OpenMP region started here would get.
+std::size_t max_threads() {
 #ifdef _OPENMP
-  return omp_get_num_threads();
+  return static_cast<std::size_t>(omp_get_max_threads());
 #else
   return 1;
 #endif
 }
 
-int thread_id() {
-#ifdef _OPENMP
-  return omp_get_thread_num();
-#else
-  return 0;
-#endif
+/// body(i) for every i in [0, count). Below the parallel threshold the
+/// loop runs on the calling thread and never enters the OpenMP runtime:
+/// even a one-thread team pays for a region, and every serving-size
+/// product is that small. In parallel, Chunk 0 gives each thread one
+/// static block of indices (the same one every call, so pages a thread
+/// first-touched stay its own); Chunk > 0 hands out Chunk at a time.
+template <std::size_t Chunk, class F>
+void for_each_index(bool parallel, std::size_t count, F&& body) {
+  const auto n = static_cast<std::ptrdiff_t>(count);
+  if (!parallel) {
+    for (std::size_t i = 0; i < count; ++i) body(i);
+  } else if constexpr (Chunk == 0) {
+#pragma omp parallel for schedule(static)
+    for (std::ptrdiff_t i = 0; i < n; ++i) body(static_cast<std::size_t>(i));
+  } else {
+#pragma omp parallel for schedule(dynamic, Chunk)
+    for (std::ptrdiff_t i = 0; i < n; ++i) body(static_cast<std::size_t>(i));
+  }
 }
 
 struct Range {
@@ -102,10 +115,8 @@ struct Range {
 };
 
 /// Static slice t of `count` elements among `team` threads.
-Range slice(std::size_t count, int t, int team) {
-  const auto tt = static_cast<std::size_t>(t);
-  const auto tm = static_cast<std::size_t>(team);
-  return {count * tt / tm, count * (tt + 1) / tm};
+Range slice(std::size_t count, std::size_t t, std::size_t team) {
+  return {count * t / team, count * (t + 1) / team};
 }
 
 /// Grow-only, 64-byte-aligned, *uninitialized* per-thread buffer backing
@@ -147,12 +158,13 @@ class AlignedBuffer {
 // ------------------------------------------------------------- gemm_nn
 //
 // Every element C[i, j] is alpha·(a[i,0]·b[0,j] + a[i,1]·b[1,j] + …)
-// summed in k order from zero, then combined with C through the beta
-// 0/1/other epilogue. The lane-multiple columns [0, nvec) vectorize
-// across columns in packed strips; the n − nvec leftover columns
-// vectorize across rows instead, so a class count like 9 on an 8-lane
-// rung never falls to a scalar column tail. Both forms keep the
-// per-element chain above, so every rung matches the scalar one.
+// accumulated in k order from zero, one fused multiply-add per term,
+// then combined with C through the beta 0/1/other epilogue. The
+// lane-multiple columns [0, nvec) vectorize across columns in packed
+// strips; the n − nvec leftover columns vectorize across rows instead,
+// so a class count like 9 on an 8-lane rung never falls to a scalar
+// column tail. Both forms keep the per-element chain above, so every
+// rung matches the scalar one.
 
 /// Pack the lane-multiple columns [0, nvec) of B (k×n row-major) into
 /// kNR-wide strips, the last one as wide as what is left: the microkernel
@@ -197,7 +209,7 @@ inline void micro_nn_strip(const double* __restrict pa, std::size_t lda,
     for (std::size_t r = 0; r < MR; ++r) {
       const V av = V::broadcast(pa[r * lda + kk]);
       for (std::size_t j = 0; j < NV; ++j) {
-        acc[r][j] = acc[r][j] + av * bv[j];
+        acc[r][j] = V::fma(av, bv[j], acc[r][j]);
       }
     }
   }
@@ -267,7 +279,7 @@ inline void micro_nn_rows(const double* __restrict pa, std::size_t lda,
     for (std::size_t q = 0; q < W; ++q) {
       const double* __restrict b = pb + (kk + q) * ldb;
       for (std::size_t j = 0; j < NL; ++j) {
-        acc[j] = acc[j] + col[q] * V::broadcast(b[j]);
+        acc[j] = V::fma(col[q], V::broadcast(b[j]), acc[j]);
       }
     }
   }
@@ -277,7 +289,7 @@ inline void micro_nn_rows(const double* __restrict pa, std::size_t lda,
     const V col = V::load(a);
     const double* __restrict b = pb + kk * ldb;
     for (std::size_t j = 0; j < NL; ++j) {
-      acc[j] = acc[j] + col * V::broadcast(b[j]);
+      acc[j] = V::fma(col, V::broadcast(b[j]), acc[j]);
     }
   }
   for (std::size_t j = 0; j < NL; ++j) {
@@ -341,7 +353,9 @@ inline void tn_block(const double* __restrict pa, const double* __restrict pb,
     for (std::size_t u = 0; u < U; ++u) x[u] = V::load(a[u] + j);
     for (std::size_t c = 0; c < n; ++c) {
       V s = V::zero();
-      for (std::size_t u = 0; u < U; ++u) s = s + x[u] * V::broadcast(b[u][c]);
+      for (std::size_t u = 0; u < U; ++u) {
+        s = V::fma(x[u], V::broadcast(b[u][c]), s);
+      }
       double* __restrict l = acc + c * ld + j;
       (V::load(l) + s).store(l);
     }
@@ -349,7 +363,7 @@ inline void tn_block(const double* __restrict pa, const double* __restrict pb,
   for (; j < j1; ++j) {
     for (std::size_t c = 0; c < n; ++c) {
       double s = 0.0;
-      for (std::size_t u = 0; u < U; ++u) s += a[u][j] * b[u][c];
+      for (std::size_t u = 0; u < U; ++u) s = std::fma(a[u][j], b[u][c], s);
       acc[c * ld + j] += s;
     }
   }
@@ -375,7 +389,7 @@ void accumulate_tn(const double* pa, const double* pb, std::size_t k,
 // row stays in registers across the entries and is stored once, so no
 // add waits on the previous entry's store. Every element keeps the chain
 // the scalar engine has always used — beta·C (or +0.0 when beta is 0),
-// then one unfused mul and add per entry, in entry order — so a row is
+// then one fused multiply-add per entry, in entry order — so a row is
 // bit-identical on every rung and on whichever thread computes it.
 
 /// Prefetch every cache line of the `cols` doubles at p, which fill NV
@@ -423,9 +437,9 @@ inline void row_chunk(double alpha, double beta, const Index* __restrict idx,
     const double* __restrict b =
         pb + static_cast<std::size_t>(idx[e] - base) * ldb;
     for (std::size_t j = 0; j < L; ++j) {
-      acc[j] = acc[j] + av * V::load(b + j * W);
+      acc[j] = V::fma(av, V::load(b + j * W), acc[j]);
     }
-    acc[L] = acc[L] + av * V::load_first(b + L * W, last);
+    acc[L] = V::fma(av, V::load_first(b + L * W, last), acc[L]);
   }
   for (std::size_t j = 0; j < L; ++j) acc[j].store(crow + j * W);
   acc[L].store_first(crow + L * W, last);
@@ -485,17 +499,16 @@ void engine_gemm_nn(double alpha, DenseArg a, DenseArg b, double beta,
   const double* bp = pack_b(pb, k, n, nvec);
 
   const std::size_t ntiles = (m + kMR<V> - 1) / kMR<V>;
-  [[maybe_unused]] const bool parallel = 2 * m * k * n >= kParallelFlops;
-#pragma omp parallel for schedule(static) if (parallel)
-  for (std::ptrdiff_t it = 0; it < static_cast<std::ptrdiff_t>(ntiles); ++it) {
-    const std::size_t i0 = static_cast<std::size_t>(it) * kMR<V>;
+  const bool parallel = 2 * m * k * n >= kParallelFlops;
+  for_each_index<0>(parallel, ntiles, [&](std::size_t it) {
+    const std::size_t i0 = it * kMR<V>;
     const std::size_t mr = min_of(kMR<V>, m - i0);
     for (std::size_t s = 0; s < nstrips; ++s) {
       const std::size_t j0 = s * kNR;
       dispatch_strip<V>(mr, min_of(kNR, nvec - j0) / W, pa + i0 * k, k,
                         bp + j0 * k, k, alpha, beta, pc + i0 * n + j0, n);
     }
-    if (nvec == n) continue;
+    if (nvec == n) return;
     std::size_t i = i0;
     for (; i + W <= i0 + mr; i += W) {
       dispatch_rows<V>(n - nvec, pa + i * k, k, pb + nvec, n, k, alpha, beta,
@@ -506,12 +519,12 @@ void engine_gemm_nn(double alpha, DenseArg a, DenseArg b, double beta,
       for (std::size_t j = nvec; j < n; ++j) {
         double sum = 0.0;
         for (std::size_t kk = 0; kk < k; ++kk) {
-          sum += pa[i * k + kk] * pb[kk * n + j];
+          sum = std::fma(pa[i * k + kk], pb[kk * n + j], sum);
         }
         simd::combine_one(alpha, beta, pc[i * n + j], sum);
       }
     }
-  }
+  });
 }
 
 /// C = alpha·Aᵀ·B + beta·C. Each thread takes a slice of whole cache
@@ -535,10 +548,10 @@ void engine_gemm_tn(double alpha, DenseArg a, DenseArg b, double beta,
   const std::size_t lines = (m + kLineDoubles - 1) / kLineDoubles;
   const std::size_t ld = lines * kLineDoubles;
   double* ws = tn_workspace(n * ld);
-  [[maybe_unused]] const bool parallel = 2 * k * m * n >= kParallelFlops;
-#pragma omp parallel if (parallel)
-  {
-    const Range lr = slice(lines, thread_id(), team_size());
+  const bool parallel = 2 * k * m * n >= kParallelFlops;
+  const std::size_t team = parallel ? max_threads() : 1;
+  for_each_index<0>(parallel, team, [&](std::size_t t) {
+    const Range lr = slice(lines, t, team);
     const std::size_t j0 = lr.lo * kLineDoubles;
     const std::size_t j1 = min_of(m, lr.hi * kLineDoubles);
     if (j0 < j1) {
@@ -550,7 +563,7 @@ void engine_gemm_tn(double alpha, DenseArg a, DenseArg b, double beta,
         }
       }
     }
-  }
+  });
 }
 
 /// Scores S = alpha·A·B + beta·S over CSR rows: output row i is
@@ -561,12 +574,11 @@ void engine_spmm_nn(double alpha, CsrArg a, DenseArg b, double beta,
                     DenseOut c) {
   const std::size_t n = b.cols;
   const std::int64_t* rp = a.row_ptr;
-  [[maybe_unused]] const bool parallel = 2 * a.nnz * n >= kParallelFlops;
-#pragma omp parallel for schedule(dynamic, 64) if (parallel)
-  for (std::ptrdiff_t i = 0; i < static_cast<std::ptrdiff_t>(a.rows); ++i) {
+  const bool parallel = 2 * a.nnz * n >= kParallelFlops;
+  for_each_index<64>(parallel, a.rows, [&](std::size_t i) {
     sparse_row<V>(alpha, beta, a.col_idx, std::int64_t{0}, a.values, rp[i],
-                  rp[i + 1], b.p, n, c.p + static_cast<std::size_t>(i) * n);
-  }
+                  rp[i + 1], b.p, n, c.p + i * n);
+  });
 }
 
 /// G = alpha·Aᵀ·B + beta·G as a gather over the parent matrix's cached
@@ -582,12 +594,10 @@ void engine_spmm_tn(double alpha, CscArg a, DenseArg b, double beta,
   const std::size_t m = a.cols, n = b.cols;
   const std::int64_t* colptr = a.col_ptr;
   const std::int32_t* trows = a.row_idx;
-  [[maybe_unused]] const bool parallel = 2 * a.nnz * n >= kParallelFlops;
+  const bool parallel = 2 * a.nnz * n >= kParallelFlops;
   // Small dynamic chunks: column lengths are skewed (a few dense genes on
   // E18), and which thread takes a column never changes its bits.
-#pragma omp parallel for schedule(dynamic, 16) if (parallel)
-  for (std::ptrdiff_t jj = 0; jj < static_cast<std::ptrdiff_t>(m); ++jj) {
-    const auto j = static_cast<std::size_t>(jj);
+  for_each_index<16>(parallel, m, [&](std::size_t j) {
     const std::int32_t* first = trows + colptr[j];
     const std::int32_t* last = trows + colptr[j + 1];
     if (!a.covers_parent) {
@@ -596,7 +606,7 @@ void engine_spmm_tn(double alpha, CscArg a, DenseArg b, double beta,
     }
     sparse_row<V>(alpha, beta, trows, a.row_lo, a.values, first - trows,
                   last - trows, b.p, n, c.p + j * n);
-  }
+  });
 }
 
 template <class V>
@@ -608,7 +618,7 @@ double peak_probe(double x, std::size_t steps) {
   const V mul = V::broadcast(1.0 + 1e-12 * x);
   const V add = V::broadcast(1e-12 * x);
   for (std::size_t s = 0; s < steps; ++s) {
-    for (auto& v : acc) v = v * mul + add;
+    for (auto& v : acc) v = V::fma(v, mul, add);
   }
   V sum = acc[0];
   for (std::size_t ch = 1; ch < kProbeChains; ++ch) sum = sum + acc[ch];

@@ -5,7 +5,7 @@
 //
 //   kernels::scalar   1 lane      every target; the parity oracle
 //   kernels::sse2     2 lanes     x86-64 baseline
-//   kernels::avx2     4 lanes     -mavx2
+//   kernels::avx2     4 lanes     -mavx2 -mfma
 //   kernels::avx512   8 lanes     -mavx512f -mavx512dq -mavx512vl -mavx512bw
 //
 // Each compilation exports exactly one function, <rung>::rung(), returning
@@ -72,7 +72,7 @@ struct CscArg {
   bool covers_parent;
 };
 
-/// Independent mul+add chains the host-peak probe keeps in flight.
+/// Independent multiply-add chains the host-peak probe keeps in flight.
 inline constexpr std::size_t kProbeChains = 8;
 
 /// One compilation of the engine. Operands are non-empty: la/kernels.cpp
@@ -94,9 +94,10 @@ struct Rung {
   /// row held in registers across its column's entries in the view.
   void (*spmm_tn)(double alpha, CscArg a, DenseArg b, double beta,
                   DenseOut c);
-  /// Host-peak probe: kProbeChains chains of `steps` unfused mul+add
-  /// steps on this rung's vectors (2·lanes·kProbeChains flops per step),
-  /// seeded from `x` so nothing folds at compile time.
+  /// Host-peak probe: kProbeChains chains of `steps` fused multiply-adds
+  /// on this rung's vectors, the instruction the products run on
+  /// (2·lanes·kProbeChains flops per step), seeded from `x` so nothing
+  /// folds at compile time.
   double (*peak_probe)(double x, std::size_t steps);
 };
 

@@ -37,7 +37,9 @@ std::vector<const Rung*> probe_ladder() {
 #ifdef NADMM_X86_RUNGS
   __builtin_cpu_init();
   rungs.push_back(&sse2::rung());
-  if (__builtin_cpu_supports("avx2")) rungs.push_back(&avx2::rung());
+  if (__builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma")) {
+    rungs.push_back(&avx2::rung());
+  }
   if (__builtin_cpu_supports("avx512f") && __builtin_cpu_supports("avx512dq") &&
       __builtin_cpu_supports("avx512vl") && __builtin_cpu_supports("avx512bw")) {
     rungs.push_back(&avx512::rung());

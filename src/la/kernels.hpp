@@ -30,11 +30,14 @@
 // shapes, handle empty operands and pick the strategy, then run the rung
 // they are given — by default the widest one this CPU supports, chosen
 // once at start-up. Vector lanes only ever span independent output
-// elements — whichever dimension fills them — and no path fuses a
-// multiply-add; every element keeps its k-ordered sum from zero and its
-// epilogue, so every rung is bit-identical to kernels::scalar::rung(),
-// the parity oracle. The softmax forward is no product and has no rung:
-// it is compiled once, so it is the same on every ISA.
+// elements — whichever dimension fills them — and every term of a product
+// chain is one fused multiply-add (rounded once on every rung); every
+// element keeps its k-ordered chain from zero and its epilogue, so every
+// rung is bit-identical to kernels::scalar::rung(), the parity oracle.
+// The seed products under kernels::reference stay unfused; the tests hold
+// the engine to them within a tolerance. The softmax forward is no
+// product and has no rung: it is compiled once, so it is the same on
+// every ISA.
 #pragma once
 
 #include <cstdint>

@@ -5,18 +5,21 @@
 ///
 ///   Scalar   1 lane, plain double      every target
 ///   Sse2     2 lanes, __m128d          x86-64 baseline
-///   Avx2     4 lanes, __m256d          needs __AVX2__
+///   Avx2     4 lanes, __m256d          needs __AVX2__ and __FMA__
 ///   Avx512   8 lanes, __m512d          needs __AVX512F__
 ///
 /// The contract every backend obeys: a lane is an *independent output
 /// element*. Kernels vectorize only across independent outputs, never
-/// across a reduction, and no backend ever fuses a multiply-add — `mul`
-/// then `add` are separate rounding steps, exactly like the scalar
-/// engine. Together those two rules make every backend bit-identical to
-/// the scalar path per element, which is what keeps the committed
-/// sweep/figure artifacts byte-stable while the instruction mix
-/// underneath changes. (The build also pins `-ffp-contract=off` so the
-/// compiler cannot re-fuse what we split.) Which outputs share a vector
+/// across a reduction, and every term of a product chain is one fused
+/// multiply-add, `fma(a, b, c)` = a·b + c rounded once: the FMA
+/// instruction on the avx2/avx512 rungs, `std::fma` per lane on the
+/// scalar and sse2 ones. IEEE fma has one correctly rounded result, so
+/// together those two rules make every backend bit-identical to the
+/// scalar path per element, which is what keeps the committed
+/// sweep/figure artifacts byte-stable across ISAs while the instruction
+/// mix underneath changes. Outside `fma` a `*` and a `+` stay two
+/// roundings: the build pins `-ffp-contract=off`, so the compiler fuses
+/// nothing the kernels did not ask for. Which outputs share a vector
 /// is the kernel's choice: class columns (gemm_nn strips, the sparse
 /// products), features (gemm_tn) or rows (gemm_nn's leftover
 /// classes, whose A tile `transpose` turns into one vector per
@@ -32,6 +35,7 @@
 /// Everything here has internal linkage: each rung object gets its own
 /// copy, compiled for its own ISA, that no other object can link to.
 
+#include <cmath>
 #include <cstddef>
 
 #if defined(__SSE2__)
@@ -54,6 +58,10 @@ struct Scalar {
   static Scalar zero() { return {0.0}; }
   friend Scalar operator+(Scalar a, Scalar b) { return {a.v + b.v}; }
   friend Scalar operator*(Scalar a, Scalar b) { return {a.v * b.v}; }
+  /// a·b + c, rounded once.
+  static Scalar fma(Scalar a, Scalar b, Scalar c) {
+    return {std::fma(a.v, b.v, c.v)};
+  }
   /// Rows of a width×width tile in, its columns out: lane j of r[i]
   /// moves to lane i of r[j]. Pure data movement.
   static void transpose(Scalar (&)[1]) {}
@@ -79,6 +87,15 @@ struct Sse2 {
   static Sse2 zero() { return {_mm_setzero_pd()}; }
   friend Sse2 operator+(Sse2 a, Sse2 b) { return {_mm_add_pd(a.v, b.v)}; }
   friend Sse2 operator*(Sse2 a, Sse2 b) { return {_mm_mul_pd(a.v, b.v)}; }
+  /// SSE2 has no FMA instruction: std::fma per lane.
+  static Sse2 fma(Sse2 a, Sse2 b, Sse2 c) {
+    double x[2], y[2], z[2];
+    _mm_storeu_pd(x, a.v);
+    _mm_storeu_pd(y, b.v);
+    _mm_storeu_pd(z, c.v);
+    return {_mm_setr_pd(std::fma(x[0], y[0], z[0]),
+                        std::fma(x[1], y[1], z[1]))};
+  }
   static void transpose(Sse2 (&r)[2]) {
     const __m128d lo = _mm_unpacklo_pd(r[0].v, r[1].v);
     r[1].v = _mm_unpackhi_pd(r[0].v, r[1].v);
@@ -87,7 +104,7 @@ struct Sse2 {
 };
 #endif
 
-#if defined(__AVX2__)
+#if defined(__AVX2__) && defined(__FMA__)
 struct Avx2 {
   static constexpr std::size_t width = 4;
   __m256d v;
@@ -108,6 +125,9 @@ struct Avx2 {
   static Avx2 zero() { return {_mm256_setzero_pd()}; }
   friend Avx2 operator+(Avx2 a, Avx2 b) { return {_mm256_add_pd(a.v, b.v)}; }
   friend Avx2 operator*(Avx2 a, Avx2 b) { return {_mm256_mul_pd(a.v, b.v)}; }
+  static Avx2 fma(Avx2 a, Avx2 b, Avx2 c) {
+    return {_mm256_fmadd_pd(a.v, b.v, c.v)};
+  }
   static void transpose(Avx2 (&r)[4]) {
     // Pairs of rows interleave within 128-bit halves, then the halves swap.
     const __m256d t0 = _mm256_unpacklo_pd(r[0].v, r[1].v);
@@ -144,6 +164,9 @@ struct Avx512 {
   }
   friend Avx512 operator*(Avx512 a, Avx512 b) {
     return {_mm512_mul_pd(a.v, b.v)};
+  }
+  static Avx512 fma(Avx512 a, Avx512 b, Avx512 c) {
+    return {_mm512_fmadd_pd(a.v, b.v, c.v)};
   }
   static void transpose(Avx512 (&r)[8]) {
     // Rows interleave in pairs within 128-bit lanes (t), the lanes of row

@@ -579,10 +579,11 @@ TEST(ShardViews, EmptyAndFullRangeViewsBehave) {
 // ------------------------------------------------------ ISA dispatch parity
 //
 // The engine's SIMD contract (la/simd.hpp): lanes only span independent
-// output elements and nothing fuses a multiply-add, so every rung this
-// CPU can run — avx512, avx2, sse2 — must be BIT-identical to the scalar
-// rung at every thread count. Every build compiles all rungs of its
-// target, so one run covers each rung the host supports.
+// output elements and every term of a product chain is one fused
+// multiply-add, rounded once, so every rung this CPU can run — avx512,
+// avx2, sse2 — must be BIT-identical to the scalar rung at every thread
+// count. Every build compiles all rungs of its target, so one run covers
+// each rung the host supports.
 
 /// The host's rungs above the scalar oracle.
 std::vector<const kernels::Rung*> vector_rungs() {
@@ -609,7 +610,9 @@ TEST(IsaDispatch, ActiveIsaNameIsOnTheLadder) {
 #if defined(__x86_64__)
   __builtin_cpu_init();
   widest = "sse2";
-  if (__builtin_cpu_supports("avx2")) widest = "avx2";
+  if (__builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma")) {
+    widest = "avx2";
+  }
   if (__builtin_cpu_supports("avx512f") && __builtin_cpu_supports("avx512dq") &&
       __builtin_cpu_supports("avx512vl") && __builtin_cpu_supports("avx512bw")) {
     widest = "avx512";
@@ -899,6 +902,74 @@ TEST(IsaDispatch, SparseProductsKeepZeroSignsInfAndNanBitwise) {
           }
         }
       }
+    }
+  }
+}
+
+TEST(IsaDispatch, ProductsFuseEachMultiplyAdd) {
+  // Two-term chains whose fused and unfused sums differ: with e = 2⁻³⁰,
+  // −1·1 + (1+e)·(1−e) is exactly −e² = −2⁻⁶⁰ when the second term fuses
+  // into the running sum, and 0 when (1+e)·(1−e) = 1 − 2⁻⁶⁰ is rounded
+  // to 1 first. Zero terms around the pair leave the chain alone, so each
+  // dense placement (k, p) puts the pair at k positions p, p + 1 of a
+  // different loop: gemm_nn's transposed tiles or its k tail, gemm_tn's
+  // 8-, 4- or 2-sample blocks. 4001 rows leave a scalar leftover row on
+  // every vector rung, 19 classes a strip and leftover columns, and every
+  // product is above the parallel threshold, so 3 threads split it.
+  const double e = std::ldexp(1.0, -30);
+  const double want = -std::ldexp(1.0, -60);
+  const std::size_t rows = 4001, n = 19;
+  const auto expect_all = [&](const DenseMatrix& c, const std::string& what) {
+    for (std::size_t i = 0; i < c.size(); ++i) {
+      ASSERT_EQ(c.data()[i], want) << what << " element " << i;
+    }
+  };
+  // The pair's B rows at p, p + 1 of a k×n operand.
+  const auto pair_b = [&](std::size_t k, std::size_t p) {
+    DenseMatrix b(k, n);
+    for (std::size_t j = 0; j < n; ++j) {
+      b.at(p, j) = 1.0;
+      b.at(p + 1, j) = 1.0 - e;
+    }
+    return b;
+  };
+  std::vector<Triplet> nn, tn;
+  for (std::size_t i = 0; i < rows; ++i) {
+    nn.push_back({i, 0, -1.0});
+    nn.push_back({i, 1, 1.0 + e});
+    tn.push_back({0, i, -1.0});
+    tn.push_back({1, i, 1.0 + e});
+  }
+  const CsrMatrix sp_nn(rows, 2, std::move(nn));
+  const CsrMatrix sp_tn(2, rows, std::move(tn));
+  const DenseMatrix b2 = pair_b(2, 0);
+  const std::size_t placements[][2] = {{2, 0}, {12, 8}, {19, 8}, {19, 16}};
+  for (const kernels::Rung* rung : kernels::host_rungs()) {
+    for (const int threads : {1, 3}) {
+      ThreadGuard guard(threads);
+      const std::string on =
+          std::string(" on ") + rung->name + " t=" + std::to_string(threads);
+      for (const auto& pl : placements) {
+        const std::size_t k = pl[0], p = pl[1];
+        DenseMatrix a(rows, k), at(k, rows);
+        for (std::size_t i = 0; i < rows; ++i) {
+          a.at(i, p) = at.at(p, i) = -1.0;
+          a.at(i, p + 1) = at.at(p + 1, i) = 1.0 + e;
+        }
+        const DenseMatrix b = pair_b(k, p);
+        const std::string where =
+            " k=" + std::to_string(k) + " p=" + std::to_string(p) + on;
+        DenseMatrix c(rows, n), ct(rows, n);
+        kernels::gemm_nn(1.0, a, b, 0.0, c, *rung);
+        expect_all(c, "gemm_nn" + where);
+        kernels::gemm_tn(1.0, at, b, 0.0, ct, *rung);
+        expect_all(ct, "gemm_tn" + where);
+      }
+      DenseMatrix s(rows, n), g(rows, n);
+      kernels::spmm_nn(1.0, sp_nn, b2, 0.0, s, *rung);
+      expect_all(s, "spmm_nn" + on);
+      kernels::spmm_tn(1.0, sp_tn, b2, 0.0, g, *rung);
+      expect_all(g, "spmm_tn" + on);
     }
   }
 }

@@ -166,9 +166,9 @@ def host_peak(bench_json_path):
     Returns {"triad_gb_per_s": ..., "fma_gflops": ..., "isa": ...} with
     only the keys the run actually contains — {} for bench binaries that
     predate the probes. The triad probe is STREAM-style sustainable
-    bandwidth; the FMA probe is unfused mul+add peak on the active SIMD
-    backend, i.e. the ceiling an engine kernel can reach under the
-    bit-identity (no-FMA) contract.
+    bandwidth; the FMA probe is fused multiply-add peak on the active
+    SIMD backend, i.e. the ceiling of the instruction every engine
+    product chain runs on.
     """
     with open(bench_json_path) as f:
         data = json.load(f)

@@ -20,8 +20,8 @@ of a bench that names it (BM_LatencySketch_Engine/batch:65536,
 BM_ChannelLoss_Engine/loss_pct:5), which ran on one thread.
 
 Alongside the ratio gate there is a *fraction-of-peak* gate: bench runs
-that carry the BM_HostPeak_* probes (STREAM-style triad GB/s, unfused
-mul+add GFLOP/s) record each single-thread kernel's throughput as a
+that carry the BM_HostPeak_* probes (STREAM-style triad GB/s, fused
+multiply-add GFLOP/s) record each single-thread kernel's throughput as a
 fraction of whichever host resource binds it tighter — a roofline-style
 max(gflops/fma_peak, gb_per_s/triad_peak). Both sides of that gate are
 normalized by the *same run's* probes, so it transfers across machines
