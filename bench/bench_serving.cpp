@@ -2,7 +2,7 @@
 //
 // BM_ServeForward_<b>: predict a b-request panel the way the serving
 // loop's batch dispatch does: one gemm of the rows against the
-// coefficients, then serve::predict_class (an argmax) per score row.
+// coefficients, then model::predict_class (an argmax) per score row.
 // "Engine" gathers the b rows into one panel and issues ONE gemm;
 // "Seed" issues b single-row gemms (immediate dispatch). Items/s is
 // requests predicted per second, so the engine-vs-seed speedup is the
@@ -23,8 +23,8 @@
 #include "data/generators.hpp"
 #include "la/dense_matrix.hpp"
 #include "la/kernels.hpp"
+#include "model/softmax.hpp"
 #include "serve/quantile.hpp"
-#include "serve/server.hpp"
 
 namespace {
 
@@ -75,13 +75,13 @@ void run_forward(benchmark::State& state, bool batched) {
     if (batched) {
       nadmm::la::kernels::gemm_nn(1.0, p.pool.view(0, b), p.coef, 0.0, scores);
       for (std::size_t r = 0; r < b; ++r) {
-        predicted += nadmm::serve::predict_class(scores.row(r));
+        predicted += nadmm::model::predict_class(scores.row(r));
       }
     } else {
       for (std::size_t r = 0; r < b; ++r) {
         nadmm::la::kernels::gemm_nn(1.0, p.pool.view(r, r + 1), p.coef, 0.0,
                                     one_score);
-        predicted += nadmm::serve::predict_class(one_score.row(0));
+        predicted += nadmm::model::predict_class(one_score.row(0));
       }
     }
     benchmark::DoNotOptimize(predicted);

@@ -1,7 +1,5 @@
 #include "comm/fault.hpp"
 
-#include <cstdio>
-
 #include "support/check.hpp"
 #include "support/cli.hpp"
 
@@ -66,22 +64,6 @@ FaultSpec FaultSpec::parse(const std::string& spec) {
     if (comma == std::string::npos) break;
     pos = comma + 1;
   }
-  return out;
-}
-
-std::string FaultSpec::to_string() const {
-  if (!any()) return "none";
-  std::string out;
-  const auto append = [&out](const char* key, double p) {
-    if (p <= 0.0) return;
-    char buf[48];
-    std::snprintf(buf, sizeof(buf), "%s%s:%g", out.empty() ? "" : ",", key, p);
-    out += buf;
-  };
-  append("drop", drop);
-  append("dup", duplicate);
-  append("reorder", reorder);
-  append("corrupt", corrupt);
   return out;
 }
 

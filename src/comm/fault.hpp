@@ -36,9 +36,6 @@ struct FaultSpec {
   /// Throws nadmm::InvalidArgument on an unknown key, malformed number,
   /// or probability outside [0, 1].
   static FaultSpec parse(const std::string& spec);
-
-  /// Canonical string form (round-trips through parse).
-  [[nodiscard]] std::string to_string() const;
 };
 
 /// What happens to one transmitted frame.

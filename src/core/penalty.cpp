@@ -16,15 +16,6 @@ PenaltyRule penalty_rule_from_string(const std::string& name) {
                         "' (expected fixed|rb|sps)");
 }
 
-std::string to_string(PenaltyRule rule) {
-  switch (rule) {
-    case PenaltyRule::kFixed: return "fixed";
-    case PenaltyRule::kResidualBalancing: return "rb";
-    case PenaltyRule::kSpectral: return "sps";
-  }
-  return "?";
-}
-
 PenaltyController::PenaltyController(const PenaltyOptions& options,
                                      std::size_t dim)
     : options_(options), rho_(options.rho0) {

@@ -25,7 +25,6 @@ enum class PenaltyRule { kFixed, kResidualBalancing, kSpectral };
 /// parser of the penalty rule: --penalty, the penalties axis and
 /// runner::admm_options all call it.
 PenaltyRule penalty_rule_from_string(const std::string& name);
-std::string to_string(PenaltyRule rule);
 
 struct PenaltyOptions {
   PenaltyRule rule = PenaltyRule::kSpectral;

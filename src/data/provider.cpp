@@ -173,17 +173,6 @@ void DatasetProvider::evict_over_budget_locked(const std::string& keep_tag) {
   }
 }
 
-void DatasetProvider::set_byte_budget(std::size_t bytes) {
-  const std::scoped_lock lock(mutex_);
-  byte_budget_ = bytes;
-  evict_over_budget_locked("");
-}
-
-std::size_t DatasetProvider::byte_budget() const {
-  const std::scoped_lock lock(mutex_);
-  return byte_budget_;
-}
-
 std::size_t DatasetProvider::bytes_in_use() const {
   const std::scoped_lock lock(mutex_);
   return bytes_in_use_;

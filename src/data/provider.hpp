@@ -87,10 +87,6 @@ class DatasetProvider {
   std::shared_ptr<const ShardedDataset> get_sharded(const DatasetKey& key,
                                                     const ShardPlan& plan);
 
-  /// Change the byte budget; evicts immediately if now over budget.
-  void set_byte_budget(std::size_t bytes);
-  [[nodiscard]] std::size_t byte_budget() const;
-
   /// Resident bytes across cached entries (excludes evicted datasets
   /// callers still hold).
   [[nodiscard]] std::size_t bytes_in_use() const;
@@ -129,7 +125,7 @@ class DatasetProvider {
   mutable std::mutex mutex_;
   std::map<std::string, std::shared_ptr<Slot>> entries_;
   std::list<std::string> lru_;  ///< most-recent first
-  std::size_t byte_budget_;
+  const std::size_t byte_budget_;
   std::size_t bytes_in_use_ = 0;
   Stats stats_;
 };

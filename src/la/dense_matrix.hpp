@@ -61,9 +61,6 @@ class DenseMatrix {
     data_.resize(rows * cols);
   }
 
-  /// Frobenius norm.
-  [[nodiscard]] double frobenius_norm() const;
-
   /// Non-owning view of the contiguous row range [begin, end) — O(1)
   /// metadata, no copy. The matrix must outlive the view.
   [[nodiscard]] DenseView view(std::size_t begin, std::size_t end) const;
@@ -102,11 +99,6 @@ class DenseView {
     return {data_, rows_ * cols_};
   }
 
-  /// Sub-view of rows [begin, end) of this view.
-  [[nodiscard]] DenseView subrows(std::size_t begin, std::size_t end) const {
-    return {data_ + begin * cols_, end - begin, cols_};
-  }
-
  private:
   const double* data_ = nullptr;
   std::size_t rows_ = 0;
@@ -122,9 +114,5 @@ void gemm_nn(double alpha, DenseView a, const DenseMatrix& b,
 /// samples), B the per-sample residual panel.
 void gemm_tn(double alpha, DenseView a, const DenseMatrix& b,
              double beta, DenseMatrix& c);
-
-/// y = alpha * A * x + beta * y.   A: m×k, x: k, y: m.
-void gemv(double alpha, DenseView a, std::span<const double> x,
-          double beta, std::span<double> y);
 
 }  // namespace nadmm::la

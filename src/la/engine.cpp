@@ -46,7 +46,7 @@ constexpr std::size_t kMR = V::width == kNR ? 8 : 4;
 // The sparse products keep up to kRowVecs vectors of one output row in
 // registers while they walk that row's entries: kRowVecs accumulators,
 // the broadcast value and a B load fit the 16 vector registers of the
-// sse2/avx2 rungs. Wider rows run in chunks of kRowVecs vectors.
+// avx2 rung. Wider rows run in chunks of kRowVecs vectors.
 constexpr std::size_t kRowVecs = 8;
 
 // How many entries ahead of the sparse row cursor to prefetch the B row

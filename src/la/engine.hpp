@@ -4,7 +4,6 @@
 // flags and into its own namespace (CMakeLists.txt, nadmm_add_rung):
 //
 //   kernels::scalar   1 lane      every target; the parity oracle
-//   kernels::sse2     2 lanes     x86-64 baseline
 //   kernels::avx2     4 lanes     -mavx2 -mfma
 //   kernels::avx512   8 lanes     -mavx512f -mavx512dq -mavx512vl -mavx512bw
 //
@@ -29,8 +28,7 @@ namespace nadmm::la::kernels {
 
 /// Shared parallelism threshold: below this many flops an OpenMP region
 /// costs more than it saves (an SVRG batch product, 2·16·785·9 ≈ 2.3e5,
-/// stays serial). Every la kernel — engine, gemv, spmm — gates on this
-/// one constant.
+/// stays serial). Every engine product gates on this one constant.
 inline constexpr std::size_t kParallelFlops = 1 << 18;
 
 /// Row-major dense operand: rows × cols at p, leading dimension cols.
@@ -102,9 +100,6 @@ struct Rung {
 };
 
 namespace scalar {
-const Rung& rung();
-}
-namespace sse2 {
 const Rung& rung();
 }
 namespace avx2 {

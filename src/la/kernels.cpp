@@ -36,7 +36,6 @@ std::vector<const Rung*> probe_ladder() {
   std::vector<const Rung*> rungs{&scalar::rung()};
 #ifdef NADMM_X86_RUNGS
   __builtin_cpu_init();
-  rungs.push_back(&sse2::rung());
   if (__builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma")) {
     rungs.push_back(&avx2::rung());
   }

@@ -26,7 +26,7 @@
 // against.
 //
 // The product loops live in la/engine.cpp, compiled once per SIMD rung
-// (scalar, sse2, avx2, avx512; la/engine.hpp). The functions below check
+// (scalar, avx2, avx512; la/engine.hpp). The functions below check
 // shapes, handle empty operands and pick the strategy, then run the rung
 // they are given — by default the widest one this CPU supports, chosen
 // once at start-up. Vector lanes only ever span independent output
@@ -57,7 +57,7 @@ std::span<const Rung* const> host_rungs();
 /// below runs on it unless given another.
 const Rung& active_rung();
 
-/// Name of the active rung: "avx512" | "avx2" | "sse2" | "scalar".
+/// Name of the active rung: "avx512" | "avx2" | "scalar".
 /// Recorded into bench JSON context and into parity-test failures.
 const char* active_isa();
 

@@ -4,7 +4,6 @@
 /// rung (la/engine.hpp) and names its backend with NADMM_RUNG_VECTOR:
 ///
 ///   Scalar   1 lane, plain double      every target
-///   Sse2     2 lanes, __m128d          x86-64 baseline
 ///   Avx2     4 lanes, __m256d          needs __AVX2__ and __FMA__
 ///   Avx512   8 lanes, __m512d          needs __AVX512F__
 ///
@@ -12,10 +11,10 @@
 /// element*. Kernels vectorize only across independent outputs, never
 /// across a reduction, and every term of a product chain is one fused
 /// multiply-add, `fma(a, b, c)` = a·b + c rounded once: the FMA
-/// instruction on the avx2/avx512 rungs, `std::fma` per lane on the
-/// scalar and sse2 ones. IEEE fma has one correctly rounded result, so
-/// together those two rules make every backend bit-identical to the
-/// scalar path per element, which is what keeps the committed
+/// instruction on the avx2/avx512 rungs, `std::fma` on the scalar one.
+/// IEEE fma has one correctly rounded result, so together those two
+/// rules make every backend bit-identical to the scalar path per
+/// element, which is what keeps the committed
 /// sweep/figure artifacts byte-stable across ISAs while the instruction
 /// mix underneath changes. Outside `fma` a `*` and a `+` stay two
 /// roundings: the build pins `-ffp-contract=off`, so the compiler fuses
@@ -38,7 +37,7 @@
 #include <cmath>
 #include <cstddef>
 
-#if defined(__SSE2__)
+#if defined(__AVX2__) || defined(__AVX512F__)
 #include <immintrin.h>
 #endif
 
@@ -66,43 +65,6 @@ struct Scalar {
   /// moves to lane i of r[j]. Pure data movement.
   static void transpose(Scalar (&)[1]) {}
 };
-
-#if defined(__SSE2__)
-struct Sse2 {
-  static constexpr std::size_t width = 2;
-  __m128d v;
-  static Sse2 load(const double* p) { return {_mm_loadu_pd(p)}; }
-  void store(double* p) const { _mm_storeu_pd(p, v); }
-  static Sse2 load_first(const double* p, std::size_t k) {
-    return {k == 1 ? _mm_load_sd(p) : _mm_loadu_pd(p)};
-  }
-  void store_first(double* p, std::size_t k) const {
-    if (k == 1) {
-      _mm_store_sd(p, v);
-    } else {
-      _mm_storeu_pd(p, v);
-    }
-  }
-  static Sse2 broadcast(double x) { return {_mm_set1_pd(x)}; }
-  static Sse2 zero() { return {_mm_setzero_pd()}; }
-  friend Sse2 operator+(Sse2 a, Sse2 b) { return {_mm_add_pd(a.v, b.v)}; }
-  friend Sse2 operator*(Sse2 a, Sse2 b) { return {_mm_mul_pd(a.v, b.v)}; }
-  /// SSE2 has no FMA instruction: std::fma per lane.
-  static Sse2 fma(Sse2 a, Sse2 b, Sse2 c) {
-    double x[2], y[2], z[2];
-    _mm_storeu_pd(x, a.v);
-    _mm_storeu_pd(y, b.v);
-    _mm_storeu_pd(z, c.v);
-    return {_mm_setr_pd(std::fma(x[0], y[0], z[0]),
-                        std::fma(x[1], y[1], z[1]))};
-  }
-  static void transpose(Sse2 (&r)[2]) {
-    const __m128d lo = _mm_unpacklo_pd(r[0].v, r[1].v);
-    r[1].v = _mm_unpackhi_pd(r[0].v, r[1].v);
-    r[0].v = lo;
-  }
-};
-#endif
 
 #if defined(__AVX2__) && defined(__FMA__)
 struct Avx2 {

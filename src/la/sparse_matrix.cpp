@@ -9,16 +9,12 @@
 
 #include "la/flops.hpp"
 #include "la/kernels.hpp"
-#include "la/vector_ops.hpp"
 #include "support/check.hpp"
 #include "support/telemetry.hpp"
 
 namespace nadmm::la {
 
 namespace {
-// Same threshold as the dense kernels: small products stay serial.
-constexpr std::size_t kParallelFlops = kernels::kParallelFlops;
-
 // Below this many nonzeros the parallel CSC build's histogram/scan
 // overhead (team × cols counters) outweighs the scatter parallelism.
 constexpr std::size_t kParallelBuildNnz = std::size_t{1} << 16;
@@ -222,14 +218,6 @@ CsrTransposed build_transposed(std::size_t rows, std::size_t cols,
 
 }  // namespace detail
 
-std::span<double> CsrMatrix::values_mut() {
-  // Fresh cache state for this matrix only: copies sharing the old
-  // pointers keep a view consistent with their own (deep-copied) values.
-  transpose_once_ = std::make_shared<std::once_flag>();
-  transpose_ = std::make_shared<CsrTransposed>();
-  return values_;
-}
-
 const CsrTransposed& CsrMatrix::transposed() const {
   std::call_once(*transpose_once_, [this] {
     NADMM_CHECK(rows_ <= 0x7fffffffULL,
@@ -268,26 +256,6 @@ void spmm_tn(double alpha, const CsrView& a, const DenseMatrix& b,
   flops::add(2 * a.nnz() * n);
   flops::add_bytes(csr_bytes(a) +
                    8 * (a.rows() * n + flops::output_passes(beta) * a.cols() * n));
-}
-
-void spmv(double alpha, const CsrView& a, std::span<const double> x,
-          double beta, std::span<double> y) {
-  NADMM_CHECK(a.cols() == x.size(), "spmv: x size mismatch");
-  NADMM_CHECK(a.rows() == y.size(), "spmv: y size mismatch");
-  const auto rp = a.row_ptr();
-  const auto ci = a.col_idx();
-  const auto va = a.values();
-  [[maybe_unused]] const bool parallel = 2 * a.nnz() >= kParallelFlops;
-#pragma omp parallel for schedule(dynamic, 64) if (parallel)
-  for (std::ptrdiff_t i = 0; i < static_cast<std::ptrdiff_t>(a.rows()); ++i) {
-    double acc = 0.0;
-    for (std::int64_t e = rp[i]; e < rp[i + 1]; ++e) {
-      acc += va[e] * x[static_cast<std::size_t>(ci[e])];
-    }
-    y[i] = alpha * acc + beta * y[i];
-  }
-  flops::add(2 * a.nnz());
-  flops::add_bytes(csr_bytes(a) + 8 * (a.cols() + 2 * a.rows()));
 }
 
 }  // namespace nadmm::la

@@ -53,9 +53,8 @@ CsrTransposed build_transposed(std::size_t rows, std::size_t cols,
 
 }  // namespace detail
 
-/// CSR matrix of doubles. The sparsity structure (row_ptr / col_idx) is
-/// immutable after construction; stored values may be updated in place
-/// through values_mut(), which invalidates this matrix's cached CSC view.
+/// CSR matrix of doubles, immutable after construction: its cached CSC
+/// view, shared between copies, never goes stale.
 class CsrMatrix {
  public:
   CsrMatrix() = default;
@@ -79,16 +78,6 @@ class CsrMatrix {
   [[nodiscard]] std::span<const std::int64_t> row_ptr() const { return row_ptr_; }
   [[nodiscard]] std::span<const std::int64_t> col_idx() const { return col_idx_; }
   [[nodiscard]] std::span<const double> values() const { return values_; }
-
-  /// Mutable view of the stored values (the column structure stays
-  /// fixed). Calling this invalidates THIS matrix's cached transposed
-  /// (CSC) view — it is rebuilt from the current values on the next
-  /// transposed() call, never served stale. Copies taken before the
-  /// mutation keep the cache they shared (consistent with their own
-  /// deep-copied values). Not thread-safe against concurrent kernels on
-  /// the same matrix — but neither is mutating values_ while a kernel
-  /// reads them.
-  [[nodiscard]] std::span<double> values_mut();
 
   /// Extract a contiguous row range [begin, end) as a new CSR matrix with
   /// the same column dimension. Used by the data partitioner.
@@ -117,8 +106,7 @@ class CsrMatrix {
   /// Lazy transposed (CSC) view, built deterministically on first use
   /// (detail::build_transposed — parallel above a nnz threshold, output
   /// bytes independent of thread count) and shared between copies of
-  /// this matrix. values_mut() invalidates it, so the view never goes
-  /// stale. Thread-safe: concurrent first calls — e.g. sweep scenarios
+  /// this matrix. Thread-safe: concurrent first calls — e.g. sweep scenarios
   /// sharing a cached dataset — build exactly once. The ADMM
   /// gradient/Hessian path hits this every CG iteration on sparse shards,
   /// so the build cost amortizes to zero.
@@ -195,9 +183,5 @@ void spmm_nn(double alpha, const CsrView& a, const DenseMatrix& b,
 /// C = alpha * A^T * B + beta * C.  A: k×m CSR, B: k×n dense, C: m×n dense.
 void spmm_tn(double alpha, const CsrView& a, const DenseMatrix& b,
              double beta, DenseMatrix& c);
-
-/// y = alpha * A * x + beta * y.
-void spmv(double alpha, const CsrView& a, std::span<const double> x,
-          double beta, std::span<double> y);
 
 }  // namespace nadmm::la

@@ -63,17 +63,4 @@ double dist2(std::span<const double> x, std::span<const double> y) {
   return std::sqrt(acc);
 }
 
-double amax(std::span<const double> x) {
-  double m = 0.0;
-  for (double v : x) m = std::max(m, std::abs(v));
-  return m;
-}
-
-double sum(std::span<const double> x) {
-  double acc = 0.0;
-  for (double v : x) acc += v;
-  flops::add(x.size());
-  return acc;
-}
-
 }  // namespace nadmm::la

@@ -43,10 +43,4 @@ void fill(std::span<double> x, double value);
 /// ||x - y||_2
 [[nodiscard]] double dist2(std::span<const double> x, std::span<const double> y);
 
-/// max_i |x_i|  (returns 0 for empty spans)
-[[nodiscard]] double amax(std::span<const double> x);
-
-/// sum of elements
-[[nodiscard]] double sum(std::span<const double> x);
-
 }  // namespace nadmm::la

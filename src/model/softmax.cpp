@@ -128,16 +128,8 @@ std::vector<std::int32_t> SoftmaxObjective::predict(std::span<const double> x) {
   [[maybe_unused]] const bool parallel = n * cm1_ >= kParallelRows;
 #pragma omp parallel for schedule(static) if (parallel)
   for (std::ptrdiff_t i = 0; i < static_cast<std::ptrdiff_t>(n); ++i) {
-    const auto s = fwd_.scores.row(static_cast<std::size_t>(i));
-    double best = 0.0;  // implicit class score
-    std::int32_t arg = static_cast<std::int32_t>(cm1_);
-    for (std::size_t c = 0; c < cm1_; ++c) {
-      if (s[c] > best) {
-        best = s[c];
-        arg = static_cast<std::int32_t>(c);
-      }
-    }
-    out[static_cast<std::size_t>(i)] = arg;
+    const auto row = static_cast<std::size_t>(i);
+    out[row] = predict_class(fwd_.scores.row(row));
   }
   return out;
 }

@@ -12,6 +12,7 @@
 #pragma once
 
 #include <algorithm>
+#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -20,6 +21,23 @@
 #include "model/objective.hpp"
 
 namespace nadmm::model {
+
+/// The class a score row predicts. The row holds the C−1 explicit class
+/// scores; the implicit last class, index scores.size(), scores 0. An
+/// explicit class must score above 0 to win, and the first of equal
+/// maxima wins. Inline: serving calls it once per request.
+[[nodiscard]] inline std::int32_t predict_class(
+    std::span<const double> scores) {
+  double best = 0.0;  // implicit reference class
+  auto pred = static_cast<std::int32_t>(scores.size());
+  for (std::size_t j = 0; j < scores.size(); ++j) {
+    if (scores[j] > best) {
+      best = scores[j];
+      pred = static_cast<std::int32_t>(j);
+    }
+  }
+  return pred;
+}
 
 class SoftmaxObjective final : public Objective {
  public:
@@ -43,8 +61,8 @@ class SoftmaxObjective final : public Objective {
   void hessian_vec(std::span<const double> x, std::span<const double> v,
                    std::span<double> hv) override;
 
-  /// Predicted class (argmax over the C−1 scores and the implicit 0).
-  /// `x` is a parameter vector of dim().
+  /// predict_class of every shard row's scores at `x` (a parameter
+  /// vector of dim()).
   [[nodiscard]] std::vector<std::int32_t> predict(std::span<const double> x);
 
   /// Classification accuracy of `x` on this objective's shard.

@@ -151,16 +151,6 @@ std::vector<SolverInfo> SolverRegistry::list() const {
   return out;  // std::map iteration is already name-sorted
 }
 
-std::vector<std::string> SolverRegistry::names() const {
-  std::vector<std::string> out;
-  out.reserve(solvers_.size());
-  for (const auto& [name, entry] : solvers_) {
-    static_cast<void>(entry);
-    out.push_back(name);
-  }
-  return out;
-}
-
 core::RunResult SolverRegistry::run(const std::string& name,
                                     comm::SimCluster& cluster,
                                     const data::ShardedDataset& data,

@@ -78,7 +78,6 @@ class SolverRegistry {
 
   /// All registered solvers, sorted by name.
   [[nodiscard]] std::vector<SolverInfo> list() const;
-  [[nodiscard]] std::vector<std::string> names() const;
 
   /// Resolve `name` and run it on pre-sharded data. Throws
   /// InvalidArgument for unknown names.

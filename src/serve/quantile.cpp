@@ -35,34 +35,8 @@ void QuantileSketch::add(double value) {
   ++buckets_[idx];
 }
 
-void QuantileSketch::merge(const QuantileSketch& other) {
-  NADMM_CHECK(floor_ == other.floor_ && growth_ == other.growth_,
-              "quantile sketch: merge requires matching error/floor");
-  if (other.count_ == 0) return;
-  if (count_ == 0) {
-    min_ = other.min_;
-    max_ = other.max_;
-  } else {
-    if (other.min_ < min_) min_ = other.min_;
-    if (other.max_ > max_) max_ = other.max_;
-  }
-  count_ += other.count_;
-  sum_ += other.sum_;
-  if (buckets_.size() < other.buckets_.size()) {
-    buckets_.resize(other.buckets_.size(), 0);
-  }
-  for (std::size_t i = 0; i < other.buckets_.size(); ++i) {
-    buckets_[i] += other.buckets_[i];
-  }
-}
-
 double QuantileSketch::mean() const {
   return count_ == 0 ? 0.0 : sum_ / static_cast<double>(count_);
-}
-
-double QuantileSketch::min() const {
-  NADMM_CHECK(count_ > 0, "quantile sketch: min() of an empty sketch");
-  return min_;
 }
 
 double QuantileSketch::max() const {

@@ -28,19 +28,12 @@ class QuantileSketch {
   [[nodiscard]] std::uint64_t count() const { return count_; }
   [[nodiscard]] double sum() const { return sum_; }
   [[nodiscard]] double mean() const;
-  /// Exact extremes (tracked outside the buckets).
-  [[nodiscard]] double min() const;
+  /// Exact maximum (both extremes are tracked outside the buckets).
   [[nodiscard]] double max() const;
 
   /// Value at quantile q ∈ [0, 1] with relative error <= ε, clamped to
   /// the exact [min, max]. Throws InvalidArgument on an empty sketch.
   [[nodiscard]] double quantile(double q) const;
-
-  /// Fold `other` into this sketch. Because the state is a pure function
-  /// of the value multiset, merge(a, b) is exactly the sketch of the
-  /// concatenated samples — which is what lets telemetry combine
-  /// per-rank histograms. Both sketches must share ε and floor.
-  void merge(const QuantileSketch& other);
 
  private:
   double floor_;

@@ -8,6 +8,7 @@
 #include "comm/async.hpp"
 #include "la/dense_matrix.hpp"
 #include "la/flops.hpp"
+#include "model/softmax.hpp"
 #include "serve/arrival.hpp"
 #include "serve/batching.hpp"
 #include "serve/quantile.hpp"
@@ -68,18 +69,6 @@ void gather_rows(const data::Dataset& pool, const std::deque<Pending>& queue,
 
 }  // namespace
 
-std::int32_t predict_class(std::span<const double> scores) {
-  double best = 0.0;  // implicit reference class
-  auto pred = static_cast<std::int32_t>(scores.size());
-  for (std::size_t j = 0; j < scores.size(); ++j) {
-    if (scores[j] > best) {
-      best = scores[j];
-      pred = static_cast<std::int32_t>(j);
-    }
-  }
-  return pred;
-}
-
 ServeResult simulate(const SavedModel& model, const data::Dataset& pool,
                      const ServeConfig& config) {
   NADMM_CHECK(!pool.empty(), "serving needs a non-empty request pool");
@@ -109,8 +98,6 @@ ServeResult simulate(const SavedModel& model, const data::Dataset& pool,
   // --- server state, mutated only by the single-threaded event loop ----
   std::deque<Pending> queue;
   QuantileSketch sketch;
-  double latency_sum = 0.0;
-  double latency_max = 0.0;
   double finish_time = 0.0;
   std::uint64_t served = 0, batches = 0, deadline_flushes = 0, correct = 0;
   std::uint64_t max_batch_seen = 0;
@@ -131,17 +118,14 @@ ServeResult simulate(const SavedModel& model, const data::Dataset& pool,
     scores.resize(b, c);
     la::gemm_nn(1.0, rows.view(0, b), coef, 0.0, scores);
     for (std::size_t i = 0; i < b; ++i) {
-      correct += predict_class(scores.row(i)) == labels[i] ? 1 : 0;
+      correct += model::predict_class(scores.row(i)) == labels[i] ? 1 : 0;
     }
     rank.clock().add_compute(config.dispatch_overhead_s);
     rank.clock().sync_compute();
     const double done_t = rank.now();
     finish_time = done_t;
     for (std::size_t i = 0; i < b; ++i) {
-      const double latency = done_t - queue[i].arrival_s;
-      sketch.add(latency);
-      latency_sum += latency;
-      latency_max = std::max(latency_max, latency);
+      sketch.add(done_t - queue[i].arrival_s);
     }
     queue.erase(queue.begin(), queue.begin() + static_cast<std::ptrdiff_t>(b));
     served += b;
@@ -249,11 +233,11 @@ ServeResult simulate(const SavedModel& model, const data::Dataset& pool,
         finish_time > 0.0 ? static_cast<double>(served) / finish_time : 0.0;
     result.mean_batch =
         static_cast<double>(served) / static_cast<double>(batches);
-    result.mean_latency_s = latency_sum / static_cast<double>(served);
+    result.mean_latency_s = sketch.mean();
     result.p50_latency_s = sketch.quantile(0.50);
     result.p99_latency_s = sketch.quantile(0.99);
     result.p999_latency_s = sketch.quantile(0.999);
-    result.max_latency_s = latency_max;
+    result.max_latency_s = sketch.max();
     result.accuracy =
         static_cast<double>(correct) / static_cast<double>(served);
   }

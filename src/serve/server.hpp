@@ -19,7 +19,6 @@
 #pragma once
 
 #include <cstdint>
-#include <span>
 #include <string>
 
 #include "data/dataset.hpp"
@@ -61,12 +60,6 @@ struct ServeResult {
   double server_compute_seconds = 0.0;
   double server_wait_seconds = 0.0;
 };
-
-/// The class a score row predicts. The row holds the C−1 explicit class
-/// scores; the implicit last class, index scores.size(), scores 0. An
-/// explicit class must score above 0 to win, and the first of equal
-/// maxima wins.
-std::int32_t predict_class(std::span<const double> scores);
 
 /// Serve `config.requests` synthetic requests drawn from `pool` rows
 /// against `model`. The pool's feature dimension and class count must

@@ -16,16 +16,6 @@ FirstOrderRule first_order_rule_from_string(const std::string& name) {
                         "' (expected gd|momentum|adagrad|adam)");
 }
 
-std::string to_string(FirstOrderRule rule) {
-  switch (rule) {
-    case FirstOrderRule::kGradientDescent: return "gd";
-    case FirstOrderRule::kMomentum: return "momentum";
-    case FirstOrderRule::kAdagrad: return "adagrad";
-    case FirstOrderRule::kAdam: return "adam";
-  }
-  return "?";
-}
-
 FirstOrderResult first_order_minimize(model::Objective& objective,
                                       std::vector<double> x0,
                                       const FirstOrderOptions& options) {

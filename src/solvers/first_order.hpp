@@ -21,7 +21,6 @@ namespace nadmm::solvers {
 enum class FirstOrderRule { kGradientDescent, kMomentum, kAdagrad, kAdam };
 
 FirstOrderRule first_order_rule_from_string(const std::string& name);
-std::string to_string(FirstOrderRule rule);
 
 struct FirstOrderOptions {
   FirstOrderRule rule = FirstOrderRule::kGradientDescent;

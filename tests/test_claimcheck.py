@@ -240,15 +240,15 @@ class PerfSmokeTest(unittest.TestCase):
                 json.dump({"entries": [
                     {"kernel": "BM_Gemm", "threads": 1, "isa": "avx512",
                      "speedup": 4.0},
-                    {"kernel": "BM_Gemm", "threads": 1, "isa": "sse2",
+                    {"kernel": "BM_Gemm", "threads": 1, "isa": "scalar",
                      "speedup": 1.5}]}, f)
-            ok = self.run_smoke(tmp, "sse2", 1.4)
+            ok = self.run_smoke(tmp, "scalar", 1.4)
             self.assertEqual(ok.returncode, 0, ok.stderr)
             self.assertIn("skip BM_Gemm (threads=1): recorded on avx512 "
-                          "rung, this run is on sse2", ok.stdout)
+                          "rung, this run is on scalar", ok.stdout)
             slow = self.run_smoke(tmp, "avx512", 2.0)
             self.assertEqual(slow.returncode, 1)
-            self.assertIn("recorded on sse2 rung", slow.stdout)
+            self.assertIn("recorded on scalar rung", slow.stdout)
             self.assertIn("BM_Gemm (threads=1): current 2.000 below floor "
                           "3.000", slow.stderr)
 
@@ -259,10 +259,10 @@ class PerfSmokeTest(unittest.TestCase):
                 json.dump({"entries": [
                     {"kernel": "BM_Gemm", "threads": 1, "isa": "avx2",
                      "speedup": 3.0},
-                    {"kernel": "BM_Gemm", "threads": 1, "isa": "sse2",
+                    {"kernel": "BM_Gemm", "threads": 1, "isa": "scalar",
                      "speedup": 1.5}]}, f)
             run = os.path.join(tmp, "run.json")
-            bench_json(run, "sse2", [("BM_Gemm_Engine/1", 2.0),
+            bench_json(run, "scalar", [("BM_Gemm_Engine/1", 2.0),
                                      ("BM_Gemm_Seed/1", 1.0)])
             subprocess.run(
                 [sys.executable, os.path.join(TOOLS, "perf_smoke.py"), run,
@@ -271,7 +271,7 @@ class PerfSmokeTest(unittest.TestCase):
             with open(base) as f:
                 entries = json.load(f)["entries"]
         self.assertEqual([(e["isa"], e["speedup"]) for e in entries],
-                         [("avx2", 3.0), ("sse2", 2.0)])
+                         [("avx2", 3.0), ("scalar", 2.0)])
 
 
 class CommittedArtifactsTest(unittest.TestCase):

@@ -49,7 +49,6 @@ TEST(Penalty, RuleParsingRoundTrip) {
   EXPECT_EQ(penalty_rule_from_string("sps"), PenaltyRule::kSpectral);
   EXPECT_THROW(penalty_rule_from_string("spectral"), InvalidArgument);
   EXPECT_THROW(penalty_rule_from_string("??"), InvalidArgument);
-  EXPECT_EQ(to_string(PenaltyRule::kSpectral), "sps");
 }
 
 TEST(Penalty, FixedNeverChanges) {
@@ -190,7 +189,7 @@ TEST_P(AdmmSweep, ConvergesToSingleNodeOptimum) {
   const double theta =
       (result.final_objective - ref.objective) / std::abs(ref.objective);
   EXPECT_LT(theta, 0.05) << "ranks=" << c.ranks
-                         << " rule=" << to_string(c.rule);
+                         << " rule=" << static_cast<int>(c.rule);
   EXPECT_EQ(result.solver, "newton-admm");
   EXPECT_EQ(static_cast<int>(result.trace.size()), result.iterations);
 }

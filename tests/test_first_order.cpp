@@ -41,7 +41,7 @@ TEST_P(RuleSweep, DecreasesConvexObjective) {
   std::vector<double> x0(obj.dim(), 0.0);
   const double f0 = obj.value(x0);
   const auto r = first_order_minimize(obj, std::move(x0), opts);
-  EXPECT_LT(r.final_value, 0.5 * f0) << to_string(GetParam());
+  EXPECT_LT(r.final_value, 0.5 * f0) << static_cast<int>(GetParam());
 }
 
 INSTANTIATE_TEST_SUITE_P(AllRules, RuleSweep,
@@ -173,7 +173,6 @@ TEST(FirstOrder, ConvergenceTestReusesItsGradient) {
 TEST(FirstOrder, RuleParsing) {
   EXPECT_EQ(first_order_rule_from_string("gd"), FirstOrderRule::kGradientDescent);
   EXPECT_EQ(first_order_rule_from_string("adam"), FirstOrderRule::kAdam);
-  EXPECT_EQ(to_string(FirstOrderRule::kAdagrad), "adagrad");
   EXPECT_THROW(first_order_rule_from_string("??"), InvalidArgument);
 }
 

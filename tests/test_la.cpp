@@ -85,13 +85,9 @@ TEST(VectorOps, ScalCopyFill) {
   EXPECT_DOUBLE_EQ(y[2], 7.0);
 }
 
-TEST(VectorOps, Dist2AmaxSum) {
+TEST(VectorOps, Dist2) {
   std::vector<double> x{1, 1}, y{4, 5};
   EXPECT_DOUBLE_EQ(dist2(x, y), 5.0);
-  std::vector<double> z{-3, 2};
-  EXPECT_DOUBLE_EQ(amax(z), 3.0);
-  EXPECT_DOUBLE_EQ(sum(z), -1.0);
-  EXPECT_DOUBLE_EQ(amax(std::vector<double>{}), 0.0);
 }
 
 TEST(VectorOps, SizeMismatchThrows) {
@@ -129,18 +125,16 @@ TEST(VectorOps, LargeReductionsIgnoreThreadCount) {
   Rng rng(1);
   auto x = random_vec(n, rng);
   auto y = random_vec(n, rng);
-  double expect_dot = 0.0, expect_d2 = 0.0, expect_sum = 0.0;
+  double expect_dot = 0.0, expect_d2 = 0.0;
   for (std::size_t i = 0; i < n; ++i) {
     expect_dot += x[i] * y[i];
     const double d = x[i] - y[i];
     expect_d2 += d * d;
-    expect_sum += x[i];
   }
   for (const int threads : {1, 4}) {
     ThreadGuard guard(threads);
     EXPECT_EQ(dot(x, y), expect_dot) << "t=" << threads;
     EXPECT_EQ(dist2(x, y), std::sqrt(expect_d2)) << "t=" << threads;
-    EXPECT_EQ(sum(x), expect_sum) << "t=" << threads;
   }
 
   auto y2 = y;
@@ -160,7 +154,6 @@ TEST(DenseMatrix, ConstructionAndAccess) {
   EXPECT_DOUBLE_EQ(m.row(1)[2], 5.0);
   m.fill(2.0);
   EXPECT_DOUBLE_EQ(m.at(0, 0), 2.0);
-  EXPECT_NEAR(m.frobenius_norm(), 2.0 * std::sqrt(6.0), 1e-12);
 }
 
 TEST(DenseMatrix, AdoptBufferValidatesSize) {
@@ -221,19 +214,6 @@ TEST(Gemm, ShapeMismatchThrows) {
   DenseMatrix a(2, 3), b(4, 2), c(2, 2);
   EXPECT_THROW(gemm_nn(1.0, a, b, 0.0, c), InvalidArgument);
   EXPECT_THROW(gemm_tn(1.0, a, b, 0.0, c), InvalidArgument);
-}
-
-TEST(Gemv, MatchesReference) {
-  Rng rng(5);
-  const auto a = random_matrix(7, 5, rng);
-  const auto x5 = random_vec(5, rng);
-  std::vector<double> y7(7, 1.0);
-  gemv(2.0, a, x5, 1.0, y7);
-  for (std::size_t i = 0; i < 7; ++i) {
-    double acc = 0.0;
-    for (std::size_t j = 0; j < 5; ++j) acc += a.at(i, j) * x5[j];
-    EXPECT_NEAR(y7[i], 2.0 * acc + 1.0, 1e-9);
-  }
 }
 
 // ------------------------------------------------------------ sparse
@@ -338,16 +318,6 @@ TEST(Csr, SpmmBetaAccumulates) {
   }
 }
 
-TEST(Csr, SpmvMatchesDense) {
-  Rng rng(9);
-  const auto a = random_csr(25, 18, 0.2, rng);
-  const auto x = random_vec(18, rng);
-  std::vector<double> y(25, 0.0), y_ref(25, 0.0);
-  spmv(1.0, a, x, 0.0, y);
-  gemv(1.0, a.to_dense(), x, 0.0, y_ref);
-  for (std::size_t i = 0; i < 25; ++i) EXPECT_NEAR(y[i], y_ref[i], 1e-10);
-}
-
 // ------------------------------------------------- transposed (CSC) view
 
 TEST(Csr, ParallelTransposeBuildMatchesSequentialBytes) {
@@ -385,43 +355,6 @@ TEST(Csr, ParallelTransposeBuildMatchesSequentialBytes) {
   }
 }
 
-TEST(Csr, TransposedCacheRebuildsAfterValueMutation) {
-  Rng rng(78);
-  auto m = random_csr(30, 50, 0.2, rng);
-  const auto before = m.transposed();  // materialize, then copy out
-  ASSERT_FALSE(before.values.empty());
-
-  // Regression: mutating values after the CSC view exists used to leave
-  // the cache silently stale forever (single-shot laziness).
-  auto vals = m.values_mut();
-  for (double& v : vals) v *= 2.0;
-  const CsrTransposed& after = m.transposed();
-  ASSERT_EQ(after.col_ptr, before.col_ptr);
-  ASSERT_EQ(after.row_idx, before.row_idx);
-  for (std::size_t e = 0; e < after.values.size(); ++e) {
-    ASSERT_EQ(after.values[e], 2.0 * before.values[e]) << e;
-  }
-}
-
-TEST(Csr, CopiesKeepTheirOwnTransposeCacheAcrossMutation) {
-  Rng rng(79);
-  auto m = random_csr(20, 30, 0.2, rng);
-  static_cast<void>(m.transposed());
-  const CsrMatrix copy = m;  // shares the already-built cache
-  const double old0 = copy.transposed().values[0];
-
-  m.values_mut()[0] = 1234.5;
-  // The mutated matrix rebuilds; the copy keeps the cache that is
-  // consistent with its own (deep-copied, unmutated) values.
-  const std::size_t hot = static_cast<std::size_t>(
-      std::find(m.transposed().values.begin(), m.transposed().values.end(),
-                1234.5) -
-      m.transposed().values.begin());
-  ASSERT_LT(hot, m.transposed().values.size());
-  EXPECT_EQ(copy.transposed().values[0], old0);
-  EXPECT_NE(copy.transposed().values[hot], 1234.5);
-}
-
 // ------------------------------------------------------------ flops/device
 
 TEST(Flops, KernelsCreditExpectedCounts) {
@@ -432,8 +365,8 @@ TEST(Flops, KernelsCreditExpectedCounts) {
   (void)dot(x, y);
   EXPECT_EQ(flops::read(), 400u);
   flops::Scope scope;
-  (void)sum(x);
-  EXPECT_EQ(scope.elapsed(), 100u);
+  (void)dot(x, y);
+  EXPECT_EQ(scope.elapsed(), 200u);
 }
 
 TEST(Flops, GemmCountsTwoMNK) {

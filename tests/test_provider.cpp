@@ -104,15 +104,19 @@ TEST(DatasetProvider, GenerationFailurePropagatesAndRetries) {
 
 // ------------------------------------------------------------ eviction
 
+/// Resident bytes of one blobs_key() dataset (every seed has the same shape).
+std::size_t one_dataset_bytes() {
+  return DatasetProvider().get(blobs_key(1))->approx_bytes();
+}
+
 TEST(DatasetProvider, LruEvictionUnderSmallByteBudget) {
-  DatasetProvider provider;
-  const auto a = provider.get(blobs_key(1));
-  const std::size_t one = a->approx_bytes();
+  const std::size_t one = one_dataset_bytes();
   // Room for one-and-a-half datasets: the second get must evict the
   // least-recently-used entry.
-  provider.set_byte_budget(one + one / 2);
+  DatasetProvider provider(one + one / 2);
+  const auto a = provider.get(blobs_key(1));
   static_cast<void>(provider.get(blobs_key(2)));  // evicts key 1
-  EXPECT_LE(provider.bytes_in_use(), provider.byte_budget());
+  EXPECT_LE(provider.bytes_in_use(), one + one / 2);
   static_cast<void>(provider.get(blobs_key(1)));  // regenerated
   const auto s = provider.stats();
   EXPECT_EQ(s.generations, 3u);
@@ -122,10 +126,9 @@ TEST(DatasetProvider, LruEvictionUnderSmallByteBudget) {
 }
 
 TEST(DatasetProvider, RecentlyUsedEntrySurvivesEviction) {
-  DatasetProvider provider;
-  const auto a = provider.get(blobs_key(1));
-  const std::size_t one = a->approx_bytes();
-  provider.set_byte_budget(2 * one + one / 2);  // fits two datasets
+  const std::size_t one = one_dataset_bytes();
+  DatasetProvider provider(2 * one + one / 2);  // fits two datasets
+  static_cast<void>(provider.get(blobs_key(1)));
   static_cast<void>(provider.get(blobs_key(2)));
   static_cast<void>(provider.get(blobs_key(1)));  // touch 1 → LRU is 2
   const auto c = provider.get(blobs_key(3));      // evicts 2, not 1

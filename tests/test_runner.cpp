@@ -463,7 +463,7 @@ std::string runtime_devices(const Scenario& s) {
 }
 
 std::string runtime_penalty(const Scenario& s) {
-  return core::to_string(admm_options(s.config).penalty.rule);
+  return std::to_string(static_cast<int>(admm_options(s.config).penalty.rule));
 }
 
 std::string runtime_partition(const Scenario& s) {
@@ -478,8 +478,9 @@ std::string runtime_dataset(const Scenario& s) {
 }
 
 std::string runtime_fault(const Scenario& s) {
-  return comm::FaultSpec::parse(async_options(s.config, false).fault)
-      .to_string();
+  const auto f = comm::FaultSpec::parse(async_options(s.config, false).fault);
+  return to_text(f.drop) + "," + to_text(f.duplicate) + "," +
+         to_text(f.reorder) + "," + to_text(f.corrupt);
 }
 
 std::string runtime_arrival(const Scenario& s) {

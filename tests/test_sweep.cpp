@@ -11,6 +11,7 @@
 #include <iterator>
 #include <limits>
 #include <map>
+#include <optional>
 #include <set>
 #include <sstream>
 
@@ -987,6 +988,65 @@ TEST(SweepJournal, EveryColumnSurvivesJournalRoundTrip) {
     resumed.outcomes = {*restored};
     EXPECT_EQ(resumed.csv_rows(), fresh.csv_rows());
   }
+}
+
+// Jepsen-style journal fuzzing: every mutant of a journal record either
+// restores or returns nullopt (a torn or malformed line, which a resume
+// skips). The one other outcome is the documented InvalidArgument for a
+// record that still names a grid point but no longer matches it, as a
+// journal from another spec would. A restored mutant is a fixed point:
+// its record restores to itself.
+TEST(SweepJournal, MutatedRecordsRestoreOrAreSkipped) {
+  const std::vector<Scenario> grid = expand_scenarios(tiny_spec());
+  std::vector<std::string> records;
+  for (std::size_t i = 0; i < grid.size(); ++i) {
+    ScenarioOutcome o;
+    o.scenario = grid[i];
+    o.ok = i != 1;
+    if (!o.ok) o.error = "rank 1 \"killed\"\tat epoch 2\n";
+    o.result.iterations = 7 + static_cast<int>(i);
+    o.result.final_objective = 1234.5678 / static_cast<double>(i + 1);
+    o.result.final_test_accuracy = 0.9375;
+    o.result.total_sim_seconds =
+        i == 2 ? std::numeric_limits<double>::infinity() : 0.0125;
+    o.result.avg_epoch_sim_seconds = 4.1e-3;
+    o.comm_sim_seconds = 2.5e-4;
+    o.rank_waits = "0.001;0.002";
+    o.peak_dataset_bytes = 51200;
+    o.result.add_metric("retransmits", 3);
+    records.push_back(outcome_json(o, /*journal=*/true));
+  }
+  constexpr std::uint64_t kFirstSeed = 0x10a9f00d;
+  constexpr std::uint64_t kTrials = 10000;
+  std::size_t restored = 0, skipped = 0;
+  for (std::uint64_t seed = kFirstSeed; seed < kFirstSeed + kTrials; ++seed) {
+    const std::string mutant = test::mutate(
+        records[seed % records.size()], seed, "{}\":,.-+e0123456789\\ ");
+    std::optional<ScenarioOutcome> got;
+    try {
+      got = restore_outcome(mutant, grid);
+    } catch (const InvalidArgument& e) {
+      ASSERT_NE(std::string(e.what()).find("different spec"),
+                std::string::npos)
+          << "seed " << seed << ": " << e.what();
+      continue;
+    } catch (const std::exception& e) {
+      FAIL() << "seed " << seed << ": untyped " << e.what();
+    }
+    if (!got) {
+      ++skipped;
+      continue;
+    }
+    ++restored;
+    const std::string record = outcome_json(*got, /*journal=*/true);
+    const auto again = restore_outcome(record, grid);
+    ASSERT_TRUE(again.has_value()) << "seed " << seed << ": " << record;
+    ASSERT_EQ(outcome_json(*again, /*journal=*/true), record)
+        << "seed " << seed;
+  }
+  // The mix must exercise both outcomes, or the fuzzer tests nothing.
+  EXPECT_GT(restored, kTrials / 100);
+  EXPECT_GT(skipped, kTrials / 20);
 }
 
 }  // namespace

@@ -117,7 +117,7 @@ def bench_entries(pairs, isa=None):
 
     Alongside the machine-portable engine-vs-seed speedup, entries carry
     absolute engine throughput when the bench recorded it:
-    `engine_gops` is giga work-items/s (flops for the gemm/gemv/spmm
+    `engine_gops` is giga work-items/s (flops for the gemm/spmm
     kernels, elements for softmax, nnz for the CSC build) and
     `engine_gb_per_s` is memory traffic. Absolute numbers only mean
     something next to the same run's host-peak probes — see host_peak().

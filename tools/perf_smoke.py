@@ -9,7 +9,7 @@ la::kernels::reference — so the engine-vs-seed *speedup* per
 hardware far better than absolute timings.
 
 A ratio only transfers between machines running the same engine rung
-(la/kernels.hpp: scalar, sse2, avx2, avx512 — the widest the CPU has).
+(la/kernels.hpp: scalar, avx2, avx512 — the widest the CPU has).
 Runs that record one (bench_kernels' `nadmm_isa` context) tag every
 baseline entry with it, and the check compares only the entries recorded
 on the running rung; each entry it skips is printed. Benches without a
