@@ -44,8 +44,6 @@ constexpr int kMaxAttempts = 16;
 
 int AsyncRank::size() const { return engine_->size(); }
 
-const NetworkModel& AsyncRank::network() const { return engine_->network(); }
-
 void AsyncRank::send(int to, int tag, std::span<const double> payload) {
   NADMM_CHECK(to >= 0 && to < engine_->size(),
               "async send: destination rank out of range");

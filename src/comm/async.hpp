@@ -91,7 +91,6 @@ class AsyncRank {
   /// This rank's current virtual time (compute + comm + wait).
   [[nodiscard]] double now() { return clock_.total_seconds(); }
   [[nodiscard]] SimClock& clock() { return clock_; }
-  [[nodiscard]] const NetworkModel& network() const;
 
   /// Post a copy of `payload` to rank `to`. The message is delivered at
   /// now() + point_to_point(frame bytes), but never before the previous
@@ -158,7 +157,6 @@ class AsyncEngine {
                                    const MessageFn& on_message);
 
   [[nodiscard]] int size() const { return static_cast<int>(devices_.size()); }
-  [[nodiscard]] const NetworkModel& network() const { return network_; }
   [[nodiscard]] std::uint64_t messages_delivered() const { return delivered_; }
 
  private:

@@ -122,8 +122,6 @@ std::vector<RankReport> SimCluster::run(
   return reports;
 }
 
-const NetworkModel& RankCtx::network() const { return cluster_->network_; }
-
 void RankCtx::barrier() {
   clock_.sync_compute();
   cluster_->barrier_.arrive_and_wait();

@@ -66,7 +66,6 @@ class RankCtx {
   [[nodiscard]] int size() const { return size_; }
   [[nodiscard]] bool is_root() const { return rank_ == 0; }
   [[nodiscard]] SimClock& clock() { return clock_; }
-  [[nodiscard]] const NetworkModel& network() const;
 
   /// Synchronize all ranks (no data, no simulated cost).
   void barrier();

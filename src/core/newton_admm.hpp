@@ -41,8 +41,8 @@ struct NewtonAdmmOptions {
 
 /// Run Newton-ADMM on `cluster` over pre-sharded data: rank r trains on
 /// `data.ranks[r].train` and evaluates accuracy on `data.ranks[r].test`
-/// (the harness plans the shards — zero-copy views for contiguous /
-/// weighted plans, streamed per-rank shards for `libsvm:` sources).
+/// (the harness plans the shards — zero-copy contiguous views of
+/// in-memory data, streamed per-rank shards for `libsvm:` sources).
 /// Diagnostics run on a paused simulated clock, so trace timings reflect
 /// only algorithm work.
 RunResult newton_admm(comm::SimCluster& cluster,

@@ -151,24 +151,18 @@ LibsvmInfo scan_libsvm(const std::string& path) {
 }
 
 /// Streaming row router: maps the i-th row of an n-row split to its rank
-/// under a plan. Contiguous/weighted walk the precomputed ranges with a
-/// cursor (rows arrive in order); strided is i mod parts.
+/// by walking the plan's contiguous ranges with a cursor (rows arrive in
+/// order).
 class ShardRouter {
  public:
-  ShardRouter(const ShardPlan& plan, std::size_t n) : plan_(&plan) {
-    if (plan.mode != PartitionMode::kStrided) ranges_ = plan.ranges(n);
-  }
+  ShardRouter(const ShardPlan& plan, std::size_t n) : ranges_(plan.ranges(n)) {}
 
   [[nodiscard]] std::size_t rank_of(std::size_t i) {
-    if (plan_->mode == PartitionMode::kStrided) {
-      return i % static_cast<std::size_t>(plan_->parts);
-    }
     while (i >= ranges_[at_].end) ++at_;
     return at_;
   }
 
  private:
-  const ShardPlan* plan_;
   std::vector<RowRange> ranges_;
   std::size_t at_ = 0;
 };
@@ -260,7 +254,6 @@ ShardedDataset load_libsvm_sharded(const std::string& path,
   }
 
   ShardedDataset out;
-  out.plan = plan;
   out.train_samples = n_train;
   out.test_samples = n_test;
   out.num_features = p;

@@ -118,29 +118,20 @@ std::shared_ptr<const TrainTest> DatasetProvider::get(const DatasetKey& key) {
 
 std::shared_ptr<const ShardedDataset> DatasetProvider::get_sharded(
     const DatasetKey& key, const ShardPlan& plan) {
-  if (!key.is_streamable() && plan.mode != PartitionMode::kStrided) {
-    // In-memory view plans (contiguous/weighted): shard the cached full
-    // dataset as zero-copy views. The views share (and keep alive) the
-    // full entry's storage, so no second cache entry — and no extra
-    // bytes — are created.
+  if (!key.is_streamable()) {
+    // In-memory sources: shard the cached full dataset as zero-copy
+    // views. The views share (and keep alive) the full entry's storage,
+    // so no second cache entry — and no extra bytes — are created.
     const auto full = get(key);
     return std::make_shared<const ShardedDataset>(
         make_sharded(full->train, &full->test, plan));
   }
-  // Streamed sources and strided gather copies own real per-shard
-  // buffers: cache them per (key, plan) with their bytes in the budget.
-  // A strided in-memory entry re-slices the cached full dataset, so
-  // repeated scenarios on the same plan share one set of copies instead
-  // of re-gathering per scenario.
+  // Streamed sources own real per-shard buffers: cache them per
+  // (key, plan) with their bytes in the budget.
   const std::string tag = key.cache_tag() + "|shard:" + plan.cache_tag();
-  const auto entry = get_entry(tag, [this, &key, &plan] {
-    if (key.is_streamable()) {
-      return Entry{nullptr, std::make_shared<const ShardedDataset>(
-                                generate_sharded_dataset(key, plan))};
-    }
-    const auto full = get(key);
+  const auto entry = get_entry(tag, [&key, &plan] {
     return Entry{nullptr, std::make_shared<const ShardedDataset>(
-                              make_sharded(full->train, &full->test, plan))};
+                              generate_sharded_dataset(key, plan))};
   });
   NADMM_ASSERT(entry->sharded != nullptr);
   return entry->sharded;

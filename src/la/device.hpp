@@ -14,7 +14,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <string>
-#include <vector>
 
 #include "support/check.hpp"
 
@@ -66,14 +65,9 @@ inline DeviceModel cpu_device() { return {"cpu", 50.0, 25.0}; }
 /// Look up a preset by name ("p100", "cpu"), parse a number as GF/s
 /// (flop-only pricing), or parse "<gflops>:<gbytes_per_s>" for a custom
 /// roofline device. Ratings are parse_number texts, finite and > 0;
-/// anything else throws InvalidArgument.
+/// anything else throws InvalidArgument. The one parser behind --device,
+/// the devices axis and runner::cluster_devices, which gives every rank
+/// this one device.
 DeviceModel device_from_string(const std::string& spec);
-
-/// A per-rank device list: device_from_string specs joined by ',' or '+'
-/// ("p100+cpu"; sweep axis values use '+', commas being the axis
-/// separator). Elements are trimmed; an empty list or element throws
-/// InvalidArgument. The one parser behind --device, the devices axis and
-/// runner::cluster_devices.
-std::vector<DeviceModel> device_list_from_string(const std::string& list);
 
 }  // namespace nadmm::la

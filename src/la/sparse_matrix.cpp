@@ -77,12 +77,6 @@ CsrMatrix::CsrMatrix(std::size_t rows, std::size_t cols,
   }
 }
 
-double CsrMatrix::density() const {
-  if (rows_ == 0 || cols_ == 0) return 0.0;
-  return static_cast<double>(nnz()) /
-         (static_cast<double>(rows_) * static_cast<double>(cols_));
-}
-
 CsrMatrix CsrMatrix::row_slice(std::size_t begin, std::size_t end) const {
   NADMM_CHECK(begin <= end && end <= rows_, "row_slice: bad range");
   const std::int64_t lo = row_ptr_[begin];

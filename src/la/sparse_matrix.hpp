@@ -72,9 +72,6 @@ class CsrMatrix {
   [[nodiscard]] std::size_t cols() const { return cols_; }
   [[nodiscard]] std::size_t nnz() const { return values_.size(); }
 
-  /// Fraction of entries that are stored (nnz / (rows*cols)).
-  [[nodiscard]] double density() const;
-
   [[nodiscard]] std::span<const std::int64_t> row_ptr() const { return row_ptr_; }
   [[nodiscard]] std::span<const std::int64_t> col_idx() const { return col_idx_; }
   [[nodiscard]] std::span<const double> values() const { return values_; }

@@ -70,12 +70,9 @@ std::optional<Kill> parse_kill(const std::string& spec) {
 
 std::vector<la::DeviceModel> cluster_devices(const ExperimentConfig& config) {
   NADMM_CHECK(config.workers >= 1, "cluster needs at least one rank");
-  const auto specs = la::device_list_from_string(config.device);
-  std::vector<la::DeviceModel> devices;
-  devices.reserve(static_cast<std::size_t>(config.workers));
-  for (int r = 0; r < config.workers; ++r) {
-    devices.push_back(specs[static_cast<std::size_t>(r) % specs.size()]);
-  }
+  std::vector<la::DeviceModel> devices(
+      static_cast<std::size_t>(config.workers),
+      la::device_from_string(config.device));
   if (const auto straggler = parse_straggler(config.straggler)) {
     NADMM_CHECK(straggler->rank < config.workers,
                 "straggler rank must be in [0, workers), got '" +
@@ -95,17 +92,7 @@ comm::SimCluster make_cluster(const ExperimentConfig& config) {
 }
 
 data::ShardPlan shard_plan(const ExperimentConfig& config) {
-  data::ShardPlan plan;
-  plan.mode = data::partition_mode_from_string(config.partition);
-  plan.parts = config.workers;
-  if (plan.mode == data::PartitionMode::kWeighted) {
-    // Effective per-rank speed (straggler slowdown included): a 4x-slowed
-    // rank gets a quarter of an equal rank's rows.
-    for (const la::DeviceModel& d : cluster_devices(config)) {
-      plan.weights.push_back(d.gflops);
-    }
-  }
-  return plan;
+  return data::ShardPlan{config.workers};
 }
 
 data::ShardedDataset make_sharded_data(const ExperimentConfig& config,

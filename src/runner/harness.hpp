@@ -31,21 +31,14 @@ struct ExperimentConfig {
   std::size_t e18_features = 1'400;  ///< scaled-down E18 dimension
   std::uint64_t seed = 42;
   int workers = 8;
-  /// One la::device_from_string spec, or a ','/'+'-separated per-rank
-  /// list ("p100+cpu+cpu"): entry i rates rank i, cycling when the list
-  /// is shorter than `workers` (sweep axis values use '+', commas being
-  /// the axis separator).
+  /// One la::device_from_string spec: every rank runs this device (the
+  /// straggler is the only per-rank skew).
   std::string device = "p100";
   std::string network = "ib100";  ///< comm::network_from_string preset
   /// Straggler injection: "none", or "<rank>:<slowdown>" — divide that
   /// rank's flop rate and bandwidth by `slowdown` (e.g. "1:4" makes rank
   /// 1 four times slower; parse_straggler).
   std::string straggler = "none";
-  /// Shard planning across ranks: contiguous (zero-copy views, the
-  /// paper's pre-sharded setup), strided (label balance; gather copies),
-  /// or weighted (contiguous views sized by each rank's DeviceModel
-  /// gflops — fast ranks of a heterogeneous cluster get more rows).
-  std::string partition = "contiguous";
   double lambda = 1e-5;           ///< paper default
   std::string penalty = "sps";    ///< ADMM rule: fixed|rb|sps
   double rho0 = 1.0;              ///< initial ADMM penalty ρ₀
@@ -109,21 +102,19 @@ struct Kill {
 /// spec: --kill, the kill sweep key and async_options.
 std::optional<Kill> parse_kill(const std::string& spec);
 
-/// Per-rank device models from the config: the (possibly heterogeneous)
-/// `device` list cycled over `workers` ranks, with the `straggler`
-/// slowdown applied (the straggled device's name gains "/x<slowdown>").
+/// Per-rank device models from the config: the one `device` on each of
+/// `workers` ranks, with the `straggler` slowdown applied (the straggled
+/// device's name gains "/x<slowdown>").
 /// Throws InvalidArgument on malformed specs or a straggler rank outside
 /// [0, workers).
 std::vector<la::DeviceModel> cluster_devices(const ExperimentConfig& config);
 
-/// The shard plan the config names: `partition` mode over `workers`
-/// ranks; weighted mode takes each rank's effective gflops (straggler
-/// slowdown included) from cluster_devices as its weight.
+/// The shard plan of the config: rank r owns the r-th of `workers`
+/// balanced contiguous ranges.
 data::ShardPlan shard_plan(const ExperimentConfig& config);
 
 /// Shard a materialized train/test pair under the config's plan — one
-/// RankData {train_view, test_view} per rank, zero-copy for
-/// contiguous/weighted plans.
+/// RankData {train_view, test_view} per rank, zero-copy.
 data::ShardedDataset make_sharded_data(const ExperimentConfig& config,
                                        const data::TrainTest& tt);
 
@@ -139,7 +130,7 @@ baselines::SyncSgdOptions sgd_options(const ExperimentConfig& config);
 baselines::DaneOptions dane_options(const ExperimentConfig& config);
 baselines::DiscoOptions disco_options(const ExperimentConfig& config);
 
-/// Shard `train`/`test` the way `solver` expects: the config's partition
+/// Shard `train`/`test` the way `solver` expects: the config's shard
 /// plan for distributed solvers, a one-part plan (materialized full
 /// splits) for single-node solvers.
 data::ShardedDataset shard_for_solver(const std::string& solver,

@@ -82,7 +82,6 @@ int cmd_list(int argc, const char* const* argv) {
         &runner::config_field<&C::network>().spec,
         &runner::config_field<&C::penalty>().spec,
         &runner::config_field<&C::straggler>().spec,
-        &runner::config_field<&C::partition>().spec,
         &runner::config_field<&S::arrival>().spec,
         &runner::config_field<&S::batch>().spec}) {
     std::printf("  --%-10s %s\n", spec->name.c_str(), spec->help.c_str());
@@ -112,9 +111,6 @@ int cmd_run(int argc, const char* const* argv) {
   const auto config = runner::config_from_flags(cli);
   const auto& info = runner::SolverRegistry::instance().info(solver);
   runner::reject_unread_knobs(solver, config);
-  if (info.kind == runner::SolverKind::kSingleNode) {
-    runner::v_device()("device", config.device);
-  }
 
   const auto tt = runner::make_data(config);
   std::printf("scenario: solver=%s (%s) dataset=%s n=%zu p=%zu C=%d "
@@ -184,7 +180,6 @@ int cmd_serve(int argc, const char* const* argv) {
   opts.register_into(cli);
   if (!cli.parse(argc, argv)) return 0;
   opts.validate(cli);
-  runner::v_device()("device", cli.text("device"));
   NADMM_CHECK(!cli.get_string("model").empty(),
               "--model is required (train one with `nadmm run "
               "--save-model=model.txt`)");

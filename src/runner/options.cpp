@@ -9,7 +9,6 @@
 #include "comm/network_model.hpp"
 #include "core/penalty.hpp"
 #include "data/generators.hpp"
-#include "data/partition.hpp"
 #include "la/device.hpp"
 #include "runner/harness.hpp"
 #include "runner/registry.hpp"
@@ -173,21 +172,7 @@ OptionValidator v_each(char sep, OptionValidator inner) {
 
 OptionValidator v_dataset() { return v_parses(data::parse_dataset_source); }
 
-OptionValidator v_device_list() {
-  return v_parses(la::device_list_from_string);
-}
-
-OptionValidator v_device() {
-  return [parses = v_parses(la::device_from_string)](
-             const std::string& flag, const std::string& value) {
-    if (value.find_first_of(",+") != std::string::npos) {
-      reject_value(flag, value,
-                   "this run prices one device; a ','/'+' list rates the "
-                   "ranks of a distributed solver");
-    }
-    parses(flag, value);
-  };
-}
+OptionValidator v_device() { return v_parses(la::device_from_string); }
 
 OptionValidator v_network() { return v_parses(comm::network_from_string); }
 
@@ -195,10 +180,6 @@ OptionValidator v_straggler() { return v_parses(parse_straggler); }
 
 OptionValidator v_penalty() {
   return v_parses(core::penalty_rule_from_string);
-}
-
-OptionValidator v_partition() {
-  return v_parses(data::partition_mode_from_string);
 }
 
 OptionValidator v_fault() { return v_parses(comm::FaultSpec::parse); }
@@ -312,10 +293,9 @@ const std::vector<ConfigField>& config_fields() {
                       kRun | kServe),
       field<&C::workers>("workers", "simulated cluster size", v_int_min(1)),
       field<&C::device>("device",
-                        "device model (p100|cpu|<gflops>[:<gbytes_per_s>]); "
-                        "a ','/'+'-separated list cycles over the ranks "
-                        "(\"p100+cpu\": even ranks p100, odd ranks cpu)",
-                        v_device_list(), kRun | kServe),
+                        "device model of every rank "
+                        "(p100|cpu|<gflops>[:<gbytes_per_s>])",
+                        v_device(), kRun | kServe),
       field<&C::network>("network",
                          "network model (ib100|eth10|eth1|wan|ideal)",
                          v_network(), kRun | kServe),
@@ -327,12 +307,6 @@ const std::vector<ConfigField>& config_fields() {
       field<&C::straggler>(
           "straggler", "inject a straggler: <rank>:<slowdown> (none disables)",
           v_straggler()),
-      field<&C::partition>("partition",
-                           "shard plan across ranks: contiguous (zero-copy "
-                           "views) | strided (label balance; copied shards) "
-                           "| weighted (contiguous, sized by per-rank device "
-                           "gflops)",
-                           v_partition()),
       field<&C::iterations>("iterations", "outer iterations (epochs)",
                             v_int_min(1)),
       field<&C::cg_iterations>("cg-iterations", "CG budget per Newton step",

@@ -107,16 +107,10 @@ OptionValidator v_parses(Parse parse) {
 }
 
 OptionValidator v_dataset();      ///< data::parse_dataset_source
-OptionValidator v_device_list();  ///< la::device_list_from_string
-/// la::device_from_string: exactly one device. `nadmm serve`, serving
-/// sweeps and single-node solvers price one device, so they check
-/// --device with this as well: a per-rank list passes v_device_list()
-/// and would only fail once the run had started.
-OptionValidator v_device();
+OptionValidator v_device();       ///< la::device_from_string
 OptionValidator v_network();      ///< comm::network_from_string
 OptionValidator v_straggler();    ///< parse_straggler
 OptionValidator v_penalty();      ///< core::penalty_rule_from_string
-OptionValidator v_partition();    ///< data::partition_mode_from_string
 OptionValidator v_fault();        ///< comm::FaultSpec::parse
 OptionValidator v_kill();         ///< parse_kill
 OptionValidator v_solver();       ///< registered solver name

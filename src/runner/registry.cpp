@@ -204,8 +204,8 @@ void SolverRegistry::register_builtins() {
     return base;
   };
   // Every distributed solver runs on a cluster built by make_cluster, so
-  // the heterogeneity knobs apply to all of them.
-  const Knobs cluster_knobs = {"device", "straggler", "partition"};
+  // the device and straggler knobs apply to all of them.
+  const Knobs cluster_knobs = {"device", "straggler"};
   const Knobs newton_knobs =
       with({"penalty", "rho0", "cg-iterations", "cg-tol",
             "line-search-iterations", "objective-target"},

@@ -282,8 +282,7 @@ const std::vector<SweepKey>& sweep_keys() {
                                       "dataset axis, e.g. blobs,higgs"),
       axis<&S::workers, &C::workers>(
           "workers", "rank-count axis, e.g. 4,8,16", kTrain),
-      axis<&S::devices, &C::device>("devices",
-                                    "device axis, e.g. p100,cpu,p100+cpu"),
+      axis<&S::devices, &C::device>("devices", "device axis, e.g. p100,cpu"),
       axis<&S::networks, &C::network>("networks",
                                       "network axis, e.g. ib100,eth10"),
       axis<&S::penalties, &C::penalty>(
@@ -292,9 +291,6 @@ const std::vector<SweepKey>& sweep_keys() {
                                     kTrain),
       axis<&S::stragglers, &C::straggler>(
           "stragglers", "straggler axis, e.g. none,1:4", kTrain),
-      axis<&S::partitions, &C::partition>(
-          "partitions", "shard-plan axis, e.g. contiguous,strided,weighted",
-          kTrain),
       axis<&S::faults, &C::fault>(
           "faults", "link-fault axis, e.g. none,drop:0.05,drop:0.1+dup:0.02",
           kTrain),
@@ -451,7 +447,6 @@ const std::vector<Column>& columns() {
       column<&C::penalty>("penalty", kScenario),
       column<&C::lambda>("lambda", kScenario),
       column<&C::straggler>("straggler", kScenario),
-      column<&C::partition>("partition", kScenario),
       {"status", kScenario, kCsv | kJson, Cell::kText,
        [](const O& o) { return std::string(kStatus[o.ok]); },
        [](O& o, const std::string& text) {
@@ -507,10 +502,10 @@ bool in_json_row(const Column& c, const ScenarioOutcome& o) {
 //
 // A header line, then one outcome_json(o, true) record per finished
 // scenario, flushed per line. Version history: docs/SWEEP_FORMAT.md
-// (v7: records became the JSON report rows, written and restored through
-// the column table). Older journals are rejected on --resume.
+// (v8: the partition column and key left the table). Older journals are
+// rejected on --resume.
 constexpr const char* kJournalKind = "nadmm-sweep-journal";
-constexpr std::int64_t kJournalVersion = 7;
+constexpr std::int64_t kJournalVersion = 8;
 
 std::string journal_header_line(const std::string& fingerprint,
                                 std::size_t scenarios) {
@@ -522,7 +517,7 @@ std::string journal_header_line(const std::string& fingerprint,
 }
 
 /// Map file-system-unsafe characters (e.g. from "libsvm:/path" dataset
-/// sources, "p100+cpu" device lists, "1:4" straggler specs) to '-'.
+/// sources, "3000:550" device ratings, "1:4" straggler specs) to '-'.
 std::string fs_safe(std::string s) {
   for (char& c : s) {
     const bool safe = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
@@ -629,12 +624,12 @@ std::string Scenario::tag() const {
                   fs_safe(serve.batch).c_str());
     return buf;
   }
-  std::snprintf(buf, sizeof buf, "%03d_%s_%s_w%d_%s_%s_%s_lam%s_st%s_%s",
+  std::snprintf(buf, sizeof buf, "%03d_%s_%s_w%d_%s_%s_%s_lam%s_st%s",
                 index, solver.c_str(), fs_safe(config.dataset).c_str(),
                 config.workers, fs_safe(config.device).c_str(),
                 config.network.c_str(), config.penalty.c_str(),
                 fmt_double(config.lambda).c_str(),
-                fs_safe(config.straggler).c_str(), config.partition.c_str());
+                fs_safe(config.straggler).c_str());
   std::string tag = buf;
   // Appended only when set, so pre-fault grids keep their tags (and
   // their journals) unchanged.
@@ -675,12 +670,6 @@ std::vector<Scenario> expand_scenarios(const SweepSpec& spec) {
       axes[i]->pick(spec, digit[i], s);
     }
     reject_unread_knobs(s.solver, s.config);
-    // Serving and single-node runs price one device (v_device).
-    const auto& registry = SolverRegistry::instance();
-    const bool single_node =
-        registry.contains(s.solver) &&
-        registry.info(s.solver).kind == SolverKind::kSingleNode;
-    if (s.serving || single_node) v_device()("devices", s.config.device);
     // Weak scaling: base.n_train is the per-worker shard.
     if (spec.weak_scaling && !serving) {
       s.config.n_train =
@@ -786,7 +775,10 @@ std::optional<ScenarioOutcome> restore_outcome(
                : nullptr;
   };
   // The grid point first: it yields the index and the status; the rest
-  // of it must agree with what the grid expands to at that index.
+  // of it must agree with what the grid expands to at that index. The
+  // header fingerprint already matched, so a record that disagrees was
+  // damaged after it was written: skip it like a torn line, and the
+  // scenario runs again.
   ScenarioOutcome o;
   for (const auto& c : columns()) {
     if (!in_json_row(c, o) || c.scope != kScenario) continue;
@@ -798,12 +790,7 @@ std::optional<ScenarioOutcome> restore_outcome(
   o.scenario = scenarios[index];
   for (const auto& c : columns()) {
     if (!in_json_row(c, o) || c.scope != kScenario) continue;
-    const std::string& recorded = field(c)->text;
-    NADMM_CHECK(recorded == c.format(o),
-                "sweep journal: scenario " + std::to_string(index) +
-                    " records " + c.name + " '" + recorded +
-                    "' but the grid expands to '" + c.format(o) +
-                    "' — journal is from a different spec");
+    if (field(c)->text != c.format(o)) return std::nullopt;
   }
   for (const auto& c : columns()) {
     if (!in_json_row(c, o) || c.scope == kScenario) continue;

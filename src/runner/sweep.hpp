@@ -43,17 +43,14 @@ struct SweepSpec {
   std::vector<std::string> solvers{"newton-admm"};
   std::vector<std::string> datasets{ExperimentConfig{}.dataset};
   std::vector<int> workers{ExperimentConfig{}.workers};
-  /// Device axis values may be '+'-separated per-rank lists
-  /// ("p100+cpu+cpu") — commas separate axis entries.
+  /// Device axis: one la::device_from_string spec per entry, run by
+  /// every rank of the scenario.
   std::vector<std::string> devices{ExperimentConfig{}.device};
   std::vector<std::string> networks{ExperimentConfig{}.network};
   std::vector<std::string> penalties{ExperimentConfig{}.penalty};
   std::vector<double> lambdas{ExperimentConfig{}.lambda};
   /// Straggler axis: "none" or "<rank>:<slowdown>" entries.
   std::vector<std::string> stragglers{ExperimentConfig{}.straggler};
-  /// Shard-plan axis: contiguous | strided | weighted (see
-  /// data/partition.hpp).
-  std::vector<std::string> partitions{ExperimentConfig{}.partition};
   /// Link-fault axis: "none" or comm::FaultSpec::parse specs
   /// ("drop:0.05,dup:0.02"). Only the async-engine solvers inject
   /// faults; expansion rejects a non-"none" fault for a solver whose
@@ -78,7 +75,7 @@ struct SweepSpec {
   /// each scenario trains (or loads) a model once per (solver, dataset)
   /// and replays a synthetic request stream against it, expanding
   /// solver × dataset × device × network × arrival × batch_policy
-  /// (workers/penalty/lambda/straggler/partition stay at their base
+  /// (workers/penalty/lambda/straggler stay at their base
   /// values for the training step).
   std::string mode{"train"};
   /// Serving-mode arrival axis (serve/arrival.hpp specs).
@@ -137,7 +134,7 @@ struct Scenario {
 
 /// Expand the grid in fixed axis order, rightmost fastest: solver,
 /// dataset, workers, device, network, penalty, lambda, straggler,
-/// partition, fault in train mode; solver, dataset, device, network,
+/// fault in train mode; solver, dataset, device, network,
 /// arrival, batch policy in serving mode.
 /// Throws InvalidArgument when a scenario sets a knob its solver never
 /// reads (reject_unread_knobs), before anything runs.
@@ -165,8 +162,8 @@ struct ScenarioOutcome {
   // result; journal restores rehydrate it there so CSV/JSON stay
   // byte-identical.
   /// Resident dataset bytes the scenario held while training: the full
-  /// splits plus whatever the shards own. Zero-copy view plans report
-  /// just the full storage; streamed `libsvm:` scenarios report the
+  /// splits plus whatever the shards own. In-memory scenarios (zero-copy
+  /// views) report just the full storage; streamed `libsvm:` ones report the
   /// summed per-rank shards (the full matrix never exists).
   std::uint64_t peak_dataset_bytes = 0;
   // Serving-mode columns (zero for train scenarios). Latencies are the
@@ -213,9 +210,10 @@ struct SweepReport {
 std::string outcome_json(const ScenarioOutcome& outcome, bool journal = false);
 
 /// Inverse of outcome_json(o, true): the outcome of the scenario the
-/// record names, or nullopt when the record is torn or malformed. Throws
-/// InvalidArgument when the record describes a different scenario than
-/// `scenarios` holds at its index (a journal from another grid).
+/// record names, or nullopt when the record is torn or malformed, or
+/// describes a different scenario than `scenarios` holds at its index
+/// (a record damaged after the header fingerprint matched; the caller
+/// runs that scenario again).
 std::optional<ScenarioOutcome> restore_outcome(
     const std::string& record, const std::vector<Scenario>& scenarios);
 

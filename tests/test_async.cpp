@@ -684,16 +684,16 @@ TEST(AsyncAdmmFaults, MalformedSpecsAreRejected) {
 
 // --------------------------------------- heterogeneous clusters / runner
 
-TEST(ClusterDevices, PerRankListsCycleAndStragglerApplies) {
+TEST(ClusterDevices, EveryRankRunsTheOneDeviceAndStragglerApplies) {
   runner::ExperimentConfig config;
   config.workers = 5;
-  config.device = "p100+cpu";
-  const auto cycled = runner::cluster_devices(config);
-  ASSERT_EQ(cycled.size(), 5u);
-  EXPECT_EQ(cycled[0].name, "p100");
-  EXPECT_EQ(cycled[1].name, "cpu");
-  EXPECT_EQ(cycled[2].name, "p100");
-  EXPECT_EQ(cycled[4].name, "p100");
+  config.device = "cpu";
+  const auto even = runner::cluster_devices(config);
+  ASSERT_EQ(even.size(), 5u);
+  for (const auto& d : even) EXPECT_EQ(d.name, "cpu");
+  config.device = "p100+cpu";  // no per-rank device lists
+  EXPECT_THROW(static_cast<void>(runner::cluster_devices(config)),
+               InvalidArgument);
 
   config.device = "100:50";
   config.straggler = "2:4";

@@ -264,72 +264,6 @@ TEST(Partition, ContiguousShardsCoverDataset) {
   EXPECT_THROW(shard_contiguous(tt.train, 4, 4), InvalidArgument);
 }
 
-TEST(Partition, StridedShardsCoverDatasetDense) {
-  auto tt = make_blobs(57, 10, 4, 3, 3.0, 1.0, 5);
-  std::size_t total = 0;
-  std::vector<std::size_t> class_sum(3, 0);
-  for (int r = 0; r < 4; ++r) {
-    const auto s = shard_strided(tt.train, 4, r);
-    total += s.num_samples();
-    const auto h = class_histogram(s);
-    for (std::size_t c = 0; c < 3; ++c) class_sum[c] += h[c];
-  }
-  EXPECT_EQ(total, 57u);
-  const auto full_hist = class_histogram(tt.train);
-  for (std::size_t c = 0; c < 3; ++c) EXPECT_EQ(class_sum[c], full_hist[c]);
-}
-
-TEST(Partition, StridedShardsSparse) {
-  auto tt = make_e18_like(60, 10, 128, 5);
-  std::size_t total_nnz = 0, total_rows = 0;
-  for (int r = 0; r < 3; ++r) {
-    const auto s = shard_strided(tt.train, 3, r);
-    EXPECT_TRUE(s.is_sparse());
-    total_rows += s.num_samples();
-    total_nnz += s.sparse_features().nnz();
-  }
-  EXPECT_EQ(total_rows, 60u);
-  EXPECT_EQ(total_nnz, tt.train.sparse_features().nnz());
-}
-
-TEST(Partition, WeightedRangesSumToNAndFollowWeights) {
-  const double weights[] = {3.0, 1.0, 1.0, 1.0};
-  const auto r = partition_rows_weighted(120, weights);
-  ASSERT_EQ(r.size(), 4u);
-  std::size_t total = 0;
-  for (const auto& range : r) total += range.size();
-  EXPECT_EQ(total, 120u);
-  EXPECT_EQ(r[0].size(), 60u);  // 3/6 of 120
-  EXPECT_EQ(r[1].size(), 20u);
-  EXPECT_EQ(r[0].begin, 0u);
-  EXPECT_EQ(r[3].end, 120u);
-  // Remainder rows land deterministically and the sizes still sum to n,
-  // whatever the (positive) weights.
-  const double awkward[] = {0.37, 1.9, 2.71};
-  for (const std::size_t n : {0ul, 1ul, 2ul, 7ul, 97ul}) {
-    const auto w = partition_rows_weighted(n, awkward);
-    std::size_t sum = 0;
-    for (const auto& range : w) sum += range.size();
-    EXPECT_EQ(sum, n);
-  }
-  EXPECT_THROW(
-      static_cast<void>(partition_rows_weighted(10, std::vector<double>{})),
-      InvalidArgument);
-  const double bad[] = {1.0, 0.0};
-  EXPECT_THROW(static_cast<void>(partition_rows_weighted(10, bad)),
-               InvalidArgument);
-}
-
-TEST(Partition, ModeNamesRoundTrip) {
-  EXPECT_EQ(partition_mode_from_string("contiguous"),
-            PartitionMode::kContiguous);
-  EXPECT_EQ(partition_mode_from_string("strided"), PartitionMode::kStrided);
-  EXPECT_EQ(partition_mode_from_string("weighted"), PartitionMode::kWeighted);
-  EXPECT_EQ(to_string(PartitionMode::kWeighted), "weighted");
-  EXPECT_THROW(static_cast<void>(partition_mode_from_string("zigzag")),
-               InvalidArgument);
-}
-
 TEST(Partition, ShardDatasetViewMatchesCopyOracle) {
   // The zero-copy view shard must agree with the copying oracle
   // element-for-element, dense and sparse.
@@ -376,21 +310,6 @@ TEST(Partition, MoreRanksThanRowsYieldsEmptyShards) {
   }
   EXPECT_EQ(total, 3u);
   EXPECT_EQ(empties, 5u);
-  // Strided and weighted plans cover the rows too.
-  plan.mode = PartitionMode::kStrided;
-  total = 0;
-  for (int r = 0; r < 8; ++r) {
-    total += shard_dataset(tt.train, plan, r).num_samples();
-  }
-  EXPECT_EQ(total, 3u);
-  plan.mode = PartitionMode::kWeighted;
-  plan.weights.assign(8, 1.0);
-  plan.weights[0] = 5.0;
-  total = 0;
-  for (int r = 0; r < 8; ++r) {
-    total += shard_dataset(tt.train, plan, r).num_samples();
-  }
-  EXPECT_EQ(total, 3u);
 }
 
 TEST(Partition, MakeShardedAccountsResidentBytes) {
@@ -406,13 +325,6 @@ TEST(Partition, MakeShardedAccountsResidentBytes) {
   // splits.
   EXPECT_EQ(sharded.owned_bytes, 0u);
   EXPECT_EQ(sharded.resident_bytes, tt.approx_bytes());
-  // Strided shards are dense gather copies holding every row once more,
-  // so they own the full splits' bytes again, on top of the full splits.
-  ShardPlan strided = plan;
-  strided.mode = PartitionMode::kStrided;
-  const auto sharded_strided = make_sharded(tt.train, &tt.test, strided);
-  EXPECT_EQ(sharded_strided.owned_bytes, tt.approx_bytes());
-  EXPECT_EQ(sharded_strided.resident_bytes, 2 * tt.approx_bytes());
 }
 
 TEST(Dataset, ViewsComposeAndShareStorage) {
@@ -674,57 +586,49 @@ TEST(Io, LoadLibsvmShardedMatchesMaterializedPath) {
     }
   }
   const RankData full = load_whole(path, 30, 7);
-  for (const PartitionMode mode :
-       {PartitionMode::kContiguous, PartitionMode::kStrided,
-        PartitionMode::kWeighted}) {
-    ShardPlan plan;
-    plan.mode = mode;
-    plan.parts = 4;
-    if (mode == PartitionMode::kWeighted) {
-      plan.weights = {2.0, 1.0, 1.0, 1.0};
+  // Each streamed shard must be bit-identical to sharding the
+  // materialized split the same way.
+  const auto expect_same = [](const Dataset& got, const Dataset& want,
+                              int parts) {
+    ASSERT_EQ(got.num_samples(), want.num_samples()) << parts << " parts";
+    ASSERT_TRUE(std::equal(got.labels().begin(), got.labels().end(),
+                           want.labels().begin()));
+    const auto gv = got.csr_view();
+    const auto wv = want.csr_view();
+    ASSERT_EQ(gv.nnz(), wv.nnz()) << parts << " parts";
+    const auto gb = static_cast<std::size_t>(gv.row_ptr().front());
+    const auto wb = static_cast<std::size_t>(wv.row_ptr().front());
+    for (std::size_t e = 0; e < gv.nnz(); ++e) {
+      ASSERT_EQ(gv.values()[gb + e], wv.values()[wb + e]) << parts << " parts";
+      ASSERT_EQ(gv.col_idx()[gb + e], wv.col_idx()[wb + e]);
     }
+  };
+  // Uneven splits, one row per test shard, and more parts than rows
+  // (empty shards) all stream like the materialized path.
+  for (const int parts : {1, 3, 4, 7, 8, 40}) {
+    const ShardPlan plan{parts};
     const ShardedDataset streamed = load_libsvm_sharded(path, 30, 7, plan);
-    ASSERT_EQ(streamed.parts(), 4);
+    ASSERT_EQ(streamed.parts(), parts);
     EXPECT_EQ(streamed.train_samples, 30u);
     EXPECT_EQ(streamed.test_samples, 7u);
     EXPECT_EQ(streamed.num_features, full.train.num_features());
     EXPECT_EQ(streamed.num_classes, full.train.num_classes());
     std::size_t rows = 0;
-    for (int r = 0; r < 4; ++r) {
-      // Each streamed shard must be bit-identical to sharding the
-      // materialized matrix the same way.
-      const Dataset want = shard_dataset(full.train, plan, r);
-      const Dataset& got = streamed.ranks[static_cast<std::size_t>(r)].train;
-      ASSERT_EQ(got.num_samples(), want.num_samples());
-      rows += got.num_samples();
-      ASSERT_TRUE(std::equal(got.labels().begin(), got.labels().end(),
-                             want.labels().begin()));
-      const auto gv = got.csr_view();
-      const auto wv = want.csr_view();
-      ASSERT_EQ(gv.nnz(), wv.nnz());
-      const auto gb = gv.row_ptr().front();
-      const auto wb = wv.row_ptr().front();
-      for (std::size_t e = 0; e < gv.nnz(); ++e) {
-        ASSERT_EQ(gv.values()[static_cast<std::size_t>(gb) + e],
-                  wv.values()[static_cast<std::size_t>(wb) + e])
-            << "mode " << to_string(mode);
-        ASSERT_EQ(gv.col_idx()[static_cast<std::size_t>(gb) + e],
-                  wv.col_idx()[static_cast<std::size_t>(wb) + e]);
-      }
-      const Dataset want_test = shard_dataset(full.test, plan, r);
-      const Dataset& got_test =
-          streamed.ranks[static_cast<std::size_t>(r)].test;
-      ASSERT_EQ(got_test.num_samples(), want_test.num_samples());
+    for (int r = 0; r < parts; ++r) {
+      const RankData& got = streamed.ranks[static_cast<std::size_t>(r)];
+      expect_same(got.train, shard_dataset(full.train, plan, r), parts);
+      expect_same(got.test, shard_dataset(full.test, plan, r), parts);
+      rows += got.train.num_samples();
     }
     EXPECT_EQ(rows, 30u);
     // Peak accounting: the streamed path holds only the shards — less
     // than the materialized path's full matrix + shard copies.
     std::size_t copy_path = full.train.approx_bytes() + full.test.approx_bytes();
-    for (int r = 0; r < 4; ++r) {
-      copy_path += shard_contiguous(full.train, 4, r).approx_bytes();
-      copy_path += shard_contiguous(full.test, 4, r).approx_bytes();
+    for (int r = 0; r < parts; ++r) {
+      copy_path += shard_contiguous(full.train, parts, r).approx_bytes();
+      copy_path += shard_contiguous(full.test, parts, r).approx_bytes();
     }
-    EXPECT_LT(streamed.resident_bytes, copy_path);
+    EXPECT_LT(streamed.resident_bytes, copy_path) << parts << " parts";
   }
   std::filesystem::remove(path);
 }
@@ -751,10 +655,8 @@ TEST(Io, MutatedLibsvmFilesFailTypedOrLoadConsistently) {
       std::ofstream out(path, std::ios::binary | std::ios::trunc);
       out << test::mutate(valid, seed, "0123456789:+-.e \t\n#\r");
     }
-    ShardPlan plan;
-    plan.parts = 3;
-    plan.mode = seed % 2 == 0 ? PartitionMode::kContiguous
-                              : PartitionMode::kStrided;
+    // Half the mutants stream into more parts than rows (empty shards).
+    const ShardPlan plan{seed % 2 == 0 ? 3 : 40};
     ShardedDataset sd;
     try {
       sd = load_libsvm_sharded(path, 0, kTest, plan);

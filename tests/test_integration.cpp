@@ -273,37 +273,6 @@ TEST(Integration, StreamedLibsvmShardsTrainIdenticallyToMaterialized) {
   std::filesystem::remove(path);
 }
 
-TEST(Integration, WeightedPartitionFollowsDeviceSpeed) {
-  // On a heterogeneous cluster the weighted plan gives the fast rank
-  // proportionally more rows, which narrows the per-epoch straggler gap
-  // versus an equal contiguous split.
-  ExperimentConfig c = small_config();
-  c.iterations = 4;
-  c.workers = 4;
-  c.device = "p100";
-  c.straggler = "1:4";  // rank 1 runs at quarter speed
-  ExperimentConfig weighted_cfg = c;
-  weighted_cfg.partition = "weighted";
-  const data::ShardPlan plan = shard_plan(weighted_cfg);
-  ASSERT_EQ(plan.weights.size(), 4u);
-  EXPECT_LT(plan.weights[1], plan.weights[0]);
-  const auto ranges = plan.ranges(c.n_train);
-  EXPECT_LT(ranges[1].size(), ranges[0].size());
-  // End to end: weighted sharding beats contiguous on simulated epoch
-  // time under the straggler (the slow rank has 4x less work).
-  const auto tt = make_data(c);
-  ExperimentConfig contiguous = c;
-  ExperimentConfig weighted = c;
-  weighted.partition = "weighted";
-  auto cluster_a = make_cluster(contiguous);
-  auto cluster_b = make_cluster(weighted);
-  const auto even = run_solver("newton-admm", cluster_a,
-      shard_for_solver("newton-admm", tt.train, &tt.test, contiguous), contiguous);
-  const auto prop = run_solver("newton-admm", cluster_b,
-      shard_for_solver("newton-admm", tt.train, &tt.test, weighted), weighted);
-  EXPECT_LT(prop.total_sim_seconds, even.total_sim_seconds);
-}
-
 TEST(Integration, StrongScalingReducesEpochTime) {
   // Figure-2 shape: with the total problem fixed, more workers → smaller
   // average epoch time (compute dominates at these sizes).

@@ -245,12 +245,6 @@ TEST(Csr, RawConstructionValidation) {
                InvalidArgument);
 }
 
-TEST(Csr, Density) {
-  CsrMatrix m(2, 4, {{0, 0, 1.0}, {1, 3, 1.0}});
-  EXPECT_DOUBLE_EQ(m.density(), 0.25);
-  EXPECT_DOUBLE_EQ(CsrMatrix().density(), 0.0);
-}
-
 TEST(Csr, RowSlicePreservesContent) {
   CsrMatrix m(4, 3, {{0, 0, 1.0}, {1, 1, 2.0}, {2, 2, 3.0}, {3, 0, 4.0}});
   const auto s = m.row_slice(1, 3);

@@ -198,33 +198,11 @@ TEST(DatasetProvider, ShardedInMemorySourceSharesTheFullEntry) {
     EXPECT_EQ(rd.train.approx_bytes(), 0u);
   }
   // A second plan over the same key re-slices the same cached entry.
-  ShardPlan other = plan;
-  other.parts = 2;
-  const auto resliced = provider.get_sharded(blobs_key(), other);
+  const auto resliced = provider.get_sharded(blobs_key(), ShardPlan{2});
   EXPECT_EQ(resliced->parts(), 2);
   EXPECT_EQ(provider.stats().generations, 1u);
   EXPECT_GE(provider.stats().hits, 1u);
-  // Strided shards are real gather copies: they get their own cached
-  // entry (re-sliced from the cached full dataset) that adds only the
-  // copies' bytes to the budget, since the full entry already counts the
-  // storage they were gathered from. A repeat request shares the entry
-  // instead of re-gathering.
-  ShardPlan strided = plan;
-  strided.mode = PartitionMode::kStrided;
-  const std::size_t before = provider.bytes_in_use();
-  const auto gathered = provider.get_sharded(blobs_key(), strided);
-  EXPECT_EQ(provider.stats().generations, 2u);
-  std::size_t copies = 0;
-  for (const auto& rd : gathered->ranks) {
-    copies += rd.train.approx_bytes() + rd.test.approx_bytes();
-  }
-  EXPECT_GT(copies, 0u);
-  EXPECT_EQ(provider.bytes_in_use(), before + copies);
-  // A scenario on the copies still holds the full dataset too.
-  EXPECT_EQ(gathered->resident_bytes, before + copies);
-  const auto again = provider.get_sharded(blobs_key(), strided);
-  EXPECT_EQ(gathered.get(), again.get());
-  EXPECT_EQ(provider.stats().generations, 2u);
+  EXPECT_EQ(provider.bytes_in_use(), sharded->resident_bytes);
 }
 
 TEST(DatasetProvider, ShardedLibsvmStreamsIntoCachedPerRankShards) {
@@ -253,9 +231,7 @@ TEST(DatasetProvider, ShardedLibsvmStreamsIntoCachedPerRankShards) {
   EXPECT_EQ(provider.stats().generations, 1u);
   // A different plan is a distinct streamed entry (no full matrix exists
   // to re-slice), accounted separately.
-  ShardPlan strided = plan;
-  strided.mode = PartitionMode::kStrided;
-  const auto c = provider.get_sharded(key, strided);
+  const auto c = provider.get_sharded(key, ShardPlan{2});
   EXPECT_NE(a.get(), c.get());
   EXPECT_EQ(provider.stats().generations, 2u);
   EXPECT_EQ(provider.bytes_in_use(),

@@ -63,8 +63,8 @@ TEST(SolverRegistry, CommClassAndKnobsComeFromTheRegistry) {
   EXPECT_EQ(to_string(CommClass::kNone), "-");
   // Every distributed solver documents its knobs; the async pair names
   // its staleness/barrier controls so `nadmm list` cannot drift. The
-  // --partition shard-plan knob applies to every distributed solver (the
-  // harness shards before dispatch), so each one must list it.
+  // --straggler knob applies to every distributed solver (make_cluster
+  // builds each one's ranks), so each one must list it.
   const auto has = [](const SolverInfo& info, const std::string& knob) {
     const auto& k = info.knob_names;
     return std::find(k.begin(), k.end(), knob) != k.end();
@@ -72,7 +72,7 @@ TEST(SolverRegistry, CommClassAndKnobsComeFromTheRegistry) {
   for (const auto& info : registry.list()) {
     if (info.kind == SolverKind::kDistributed) {
       EXPECT_FALSE(info.knob_names.empty()) << info.name;
-      EXPECT_TRUE(has(info, "partition")) << info.name;
+      EXPECT_TRUE(has(info, "straggler")) << info.name;
     }
   }
   EXPECT_TRUE(has(registry.info("async-admm"), "staleness"));
@@ -98,7 +98,7 @@ TEST(SolverRegistry, KnobNamesResolveToTypedMetadata) {
   EXPECT_THROW(static_cast<void>(describe_knob("no-such-knob")),
                InvalidArgument);
   EXPECT_EQ(registry.info("sync-sgd").knobs_csv(),
-            "sgd-batch,sgd-step,device,straggler,partition");
+            "sgd-batch,sgd-step,device,straggler");
 }
 
 TEST(SolverRegistry, RegistryJsonListsEverySolverWithKnobs) {
