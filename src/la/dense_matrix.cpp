@@ -41,6 +41,16 @@ void gemm_nn(double alpha, DenseView a, const DenseMatrix& b,
   flops::add_bytes(8 * (m * k + k * n + output_passes(beta) * m * n));
 }
 
+void gemm_nn_rows(double alpha, DenseView pool,
+                  std::span<const std::size_t> rows, const DenseMatrix& b,
+                  double beta, DenseMatrix& c) {
+  TELEM_SPAN("kernel", "gemm_nn");
+  kernels::gemm_nn_rows(alpha, pool, rows, b, beta, c);
+  const std::size_t m = rows.size(), k = pool.cols(), n = b.cols();
+  flops::add(2 * m * k * n);
+  flops::add_bytes(8 * (m * k + k * n + output_passes(beta) * m * n));
+}
+
 void gemm_tn(double alpha, DenseView a, const DenseMatrix& b,
              double beta, DenseMatrix& c) {
   TELEM_SPAN("kernel", "gemm_tn");

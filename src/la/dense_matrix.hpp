@@ -109,6 +109,13 @@ class DenseView {
 void gemm_nn(double alpha, DenseView a, const DenseMatrix& b,
              double beta, DenseMatrix& c);
 
+/// gemm_nn with A = the listed rows of `pool` (m = rows.size()), read in
+/// place: the result, the flops and the bytes credited are those of
+/// gemm_nn on the gathered m×k copy.
+void gemm_nn_rows(double alpha, DenseView pool,
+                  std::span<const std::size_t> rows, const DenseMatrix& b,
+                  double beta, DenseMatrix& c);
+
 /// C = alpha * A^T * B + beta * C.   A: k×m (transposed view), B: k×n, C: m×n.
 /// This is the gradient-accumulation shape: A is the data shard (rows =
 /// samples), B the per-sample residual panel.

@@ -38,7 +38,8 @@ using Lanes = simd::NADMM_RUNG_VECTOR;
 // gemm_nn strip tile: kMR rows of A against a kNR-wide packed strip of B.
 // The 8-lane rung's strip is one vector, so it takes 8 rows to keep 8
 // independent add chains in flight; narrower rungs have several vectors
-// per strip row and keep 4.
+// per strip row and keep 4. On both vector rungs a tile is one lane block
+// tall, which is what lets it carry the leftover columns (gemm_nn below).
 constexpr std::size_t kNR = 8;
 template <class V>
 constexpr std::size_t kMR = V::width == kNR ? 8 : 4;
@@ -159,12 +160,17 @@ class AlignedBuffer {
 //
 // Every element C[i, j] is alpha·(a[i,0]·b[0,j] + a[i,1]·b[1,j] + …)
 // accumulated in k order from zero, one fused multiply-add per term,
-// then combined with C through the beta 0/1/other epilogue. The
-// lane-multiple columns [0, nvec) vectorize across columns in packed
-// strips; the n − nvec leftover columns vectorize across rows instead,
-// so a class count like 9 on an 8-lane rung never falls to a scalar
-// column tail. Both forms keep the per-element chain above, so every
-// rung matches the scalar one.
+// then combined with C through the beta 0/1/other epilogue. A is read
+// through one row pointer per tile row, so a row list (a serving batch's
+// pool rows) runs the same loops as a contiguous block. The lane-multiple
+// columns [0, nvec) vectorize across columns in packed kNR-wide strips
+// with A broadcast. On a full row tile the n − nvec leftover columns
+// (read from B in place) ride along in the last strip's pass, vectorized
+// across rows: each W×W block of A is transposed in registers, so a class
+// count like 9 on an 8-lane rung adds one chain beside the strip's, not a
+// second pass over A. A partial tile's leftover columns are scalar
+// chains. Every form keeps the per-element chain above, so every rung
+// matches the scalar one.
 
 /// Pack the lane-multiple columns [0, nvec) of B (k×n row-major) into
 /// kNR-wide strips, the last one as wide as what is left: the microkernel
@@ -187,32 +193,11 @@ double* pack_b(const double* pb, std::size_t k, std::size_t n,
   return bp;
 }
 
-/// MR rows of A against a packed strip of NV vectors: MR·NV accumulators
-/// live in registers across the whole k loop (compile-time bounds,
-/// __restrict so nothing is spilled for aliasing) and C is touched once
-/// per tile. Register budget at kMR: AVX-512 holds 8 acc + B + broadcast
-/// in 10 of 32 zmm; AVX2 8 + 2 + 1 of 16 ymm.
+/// The strip accumulators' epilogue: C = alpha·acc + beta·C, MR rows of
+/// NV vectors.
 template <class V, std::size_t MR, std::size_t NV>
-inline void micro_nn_strip(const double* __restrict pa, std::size_t lda,
-                           const double* __restrict bp, std::size_t k,
-                           double alpha, double beta, double* __restrict pc,
-                           std::size_t ldc) {
-  constexpr std::size_t ldb = NV * V::width;
-  V acc[MR][NV];
-  for (std::size_t r = 0; r < MR; ++r) {
-    for (std::size_t j = 0; j < NV; ++j) acc[r][j] = V::zero();
-  }
-  for (std::size_t kk = 0; kk < k; ++kk) {
-    const double* __restrict b = bp + kk * ldb;
-    V bv[NV];
-    for (std::size_t j = 0; j < NV; ++j) bv[j] = V::load(b + j * V::width);
-    for (std::size_t r = 0; r < MR; ++r) {
-      const V av = V::broadcast(pa[r * lda + kk]);
-      for (std::size_t j = 0; j < NV; ++j) {
-        acc[r][j] = V::fma(av, bv[j], acc[r][j]);
-      }
-    }
-  }
+inline void store_strip(const V (&acc)[MR][NV], double alpha, double beta,
+                        double* __restrict pc, std::size_t ldc) {
   const V alphav = V::broadcast(alpha);
   for (std::size_t r = 0; r < MR; ++r) {
     double* __restrict crow = pc + r * ldc;
@@ -235,85 +220,141 @@ inline void micro_nn_strip(const double* __restrict pa, std::size_t lda,
   }
 }
 
+/// MR rows of A (row pointers ar) against a packed strip of NV vectors:
+/// MR·NV accumulators live in registers across the whole k loop
+/// (compile-time bounds, __restrict so nothing is spilled for aliasing)
+/// and C is touched once per tile. Register budget at kMR: AVX-512 holds
+/// 8 acc + B + broadcast in 10 of 32 zmm; AVX2 8 + 2 + 1 of 16 ymm.
+template <class V, std::size_t MR, std::size_t NV>
+inline void micro_nn_strip(const double* const* ar,
+                           const double* __restrict bp, std::size_t k,
+                           double alpha, double beta, double* __restrict pc,
+                           std::size_t ldc) {
+  constexpr std::size_t ldb = NV * V::width;
+  V acc[MR][NV];
+  for (std::size_t r = 0; r < MR; ++r) {
+    for (std::size_t j = 0; j < NV; ++j) acc[r][j] = V::zero();
+  }
+  for (std::size_t kk = 0; kk < k; ++kk) {
+    const double* __restrict b = bp + kk * ldb;
+    V bv[NV];
+    for (std::size_t j = 0; j < NV; ++j) bv[j] = V::load(b + j * V::width);
+    for (std::size_t r = 0; r < MR; ++r) {
+      const V av = V::broadcast(ar[r][kk]);
+      for (std::size_t j = 0; j < NV; ++j) {
+        acc[r][j] = V::fma(av, bv[j], acc[r][j]);
+      }
+    }
+  }
+  store_strip<V, MR, NV>(acc, alpha, beta, pc, ldc);
+}
+
 /// micro_nn_strip for a runtime tile height mr ≤ MR and strip width
 /// nv ≤ NV vectors.
 template <class V, std::size_t MR = kMR<V>, std::size_t NV = kNR / V::width>
-inline void dispatch_strip(std::size_t mr, std::size_t nv, const double* pa,
-                           std::size_t lda, const double* bp, std::size_t k,
-                           double alpha, double beta, double* pc,
-                           std::size_t ldc) {
+inline void dispatch_strip(std::size_t mr, std::size_t nv,
+                           const double* const* ar, const double* bp,
+                           std::size_t k, double alpha, double beta,
+                           double* pc, std::size_t ldc) {
   if constexpr (MR > 1) {
     if (mr < MR) {
-      return dispatch_strip<V, MR - 1, NV>(mr, nv, pa, lda, bp, k, alpha,
-                                           beta, pc, ldc);
+      return dispatch_strip<V, MR - 1, NV>(mr, nv, ar, bp, k, alpha, beta,
+                                           pc, ldc);
     }
   }
   if constexpr (NV > 1) {
     if (nv < NV) {
-      return dispatch_strip<V, MR, NV - 1>(mr, nv, pa, lda, bp, k, alpha,
-                                           beta, pc, ldc);
+      return dispatch_strip<V, MR, NV - 1>(mr, nv, ar, bp, k, alpha, beta,
+                                           pc, ldc);
     }
   }
-  micro_nn_strip<V, MR, NV>(pa, lda, bp, k, alpha, beta, pc, ldc);
+  micro_nn_strip<V, MR, NV>(ar, bp, k, alpha, beta, pc, ldc);
 }
 
-/// V::width rows of A against NL < V::width leftover columns of B (read
-/// in place, leading dimension ldb): one accumulator per column holds its
-/// V::width rows. Each V::width×V::width tile of A is transposed in
-/// registers so every vector is one k-column, which multiplies the
-/// broadcast b[kk, j] — the same k-ordered chain per element as the
-/// strips, with the rows in the lanes.
-template <class V, std::size_t NL>
-inline void micro_nn_rows(const double* __restrict pa, std::size_t lda,
-                          const double* __restrict pb, std::size_t ldb,
-                          std::size_t k, double alpha, double beta,
-                          double* __restrict pc, std::size_t ldc) {
+/// A full tile of W = V::width rows against a packed strip of NV vectors
+/// plus the NL < W leftover columns after it, in one pass over A. The
+/// strip runs as micro_nn_strip does; each leftover column keeps one
+/// accumulator holding its W rows, fed per k step by the tile's k-column
+/// (one vector from the transposed W×W block of A) times the broadcast
+/// b[kk, j] from the leftover columns pl of B (read in place, leading
+/// dimension ldl). The leftover chain waits behind the strip's W·NV
+/// chains instead of running alone. NV = 0 is a class count below W.
+template <class V, std::size_t NV, std::size_t NL>
+inline void micro_nn_fused(const double* const* ar,
+                           const double* __restrict bp,
+                           const double* __restrict pl, std::size_t ldl,
+                           std::size_t k, double alpha, double beta,
+                           double* __restrict pc, std::size_t ldc) {
   constexpr std::size_t W = V::width;
-  V acc[NL];
-  for (std::size_t j = 0; j < NL; ++j) acc[j] = V::zero();
+  constexpr std::size_t L = NV * W;  // the first leftover column
+  constexpr std::size_t ldb = L;
+  constexpr std::size_t NA = NV > 0 ? NV : 1;
+  V acc[W][NA];
+  V left[NL];
+  for (std::size_t r = 0; r < W; ++r) {
+    for (std::size_t j = 0; j < NV; ++j) acc[r][j] = V::zero();
+  }
+  for (std::size_t j = 0; j < NL; ++j) left[j] = V::zero();
+  // One k step: `col` holds a[r, kk] in lane r.
+  const auto step = [&](std::size_t kk, V col) {
+    const double* __restrict b = bp + kk * ldb;
+    V bv[NA];
+    for (std::size_t j = 0; j < NV; ++j) bv[j] = V::load(b + j * W);
+    for (std::size_t r = 0; r < W; ++r) {
+      const V av = V::broadcast(ar[r][kk]);
+      for (std::size_t j = 0; j < NV; ++j) {
+        acc[r][j] = V::fma(av, bv[j], acc[r][j]);
+      }
+    }
+    const double* __restrict bl = pl + kk * ldl;
+    for (std::size_t j = 0; j < NL; ++j) {
+      left[j] = V::fma(col, V::broadcast(bl[j]), left[j]);
+    }
+  };
   std::size_t kk = 0;
   for (; kk + W <= k; kk += W) {
     V col[W];
-    for (std::size_t r = 0; r < W; ++r) col[r] = V::load(pa + r * lda + kk);
+    for (std::size_t r = 0; r < W; ++r) col[r] = V::load(ar[r] + kk);
     V::transpose(col);
-    for (std::size_t q = 0; q < W; ++q) {
-      const double* __restrict b = pb + (kk + q) * ldb;
-      for (std::size_t j = 0; j < NL; ++j) {
-        acc[j] = V::fma(col[q], V::broadcast(b[j]), acc[j]);
-      }
-    }
+    for (std::size_t q = 0; q < W; ++q) step(kk + q, col[q]);
   }
   for (; kk < k; ++kk) {
     double a[W];
-    for (std::size_t r = 0; r < W; ++r) a[r] = pa[r * lda + kk];
-    const V col = V::load(a);
-    const double* __restrict b = pb + kk * ldb;
-    for (std::size_t j = 0; j < NL; ++j) {
-      acc[j] = V::fma(col, V::broadcast(b[j]), acc[j]);
-    }
+    for (std::size_t r = 0; r < W; ++r) a[r] = ar[r][kk];
+    step(kk, V::load(a));
   }
+  if constexpr (NV > 0) store_strip<V, W, NV>(acc, alpha, beta, pc, ldc);
   for (std::size_t j = 0; j < NL; ++j) {
     double s[W];
-    acc[j].store(s);
+    left[j].store(s);
     for (std::size_t r = 0; r < W; ++r) {
-      simd::combine_one(alpha, beta, pc[r * ldc + j], s[r]);
+      simd::combine_one(alpha, beta, pc[r * ldc + L + j], s[r]);
     }
   }
 }
 
-/// micro_nn_rows for a runtime leftover count 0 < nl ≤ NL.
-template <class V, std::size_t NL = V::width - 1>
-inline void dispatch_rows(std::size_t nl, const double* pa, std::size_t lda,
-                          const double* pb, std::size_t ldb, std::size_t k,
-                          double alpha, double beta, double* pc,
-                          std::size_t ldc) {
-  if constexpr (NL > 0) {
-    if (nl < NL) {
-      return dispatch_rows<V, NL - 1>(nl, pa, lda, pb, ldb, k, alpha, beta,
-                                      pc, ldc);
+/// micro_nn_fused for a runtime strip width nv ≤ NV vectors and leftover
+/// count 0 < nl ≤ NL.
+template <class V, std::size_t NV = kNR / V::width,
+          std::size_t NL = V::width - 1>
+inline void dispatch_fused(std::size_t nv, std::size_t nl,
+                           const double* const* ar, const double* bp,
+                           const double* pl, std::size_t ldl, std::size_t k,
+                           double alpha, double beta, double* pc,
+                           std::size_t ldc) {
+  if constexpr (NV > 0) {
+    if (nv < NV) {
+      return dispatch_fused<V, NV - 1, NL>(nv, nl, ar, bp, pl, ldl, k, alpha,
+                                           beta, pc, ldc);
     }
-    micro_nn_rows<V, NL>(pa, lda, pb, ldb, k, alpha, beta, pc, ldc);
   }
+  if constexpr (NL > 1) {
+    if (nl < NL) {
+      return dispatch_fused<V, NV, NL - 1>(nv, nl, ar, bp, pl, ldl, k, alpha,
+                                           beta, pc, ldc);
+    }
+  }
+  micro_nn_fused<V, NV, NL>(ar, bp, pl, ldl, k, alpha, beta, pc, ldc);
 }
 
 // ------------------------------------------------------------- gemm_tn
@@ -487,41 +528,55 @@ template <class V>
 void engine_gemm_nn(double alpha, DenseArg a, DenseArg b, double beta,
                     DenseOut c) {
   constexpr std::size_t W = V::width;
-  // A strip tile's rows also hold whole leftover-column tiles.
-  static_assert(kMR<V> % W == 0, "strip tiles must span whole row tiles");
+  constexpr std::size_t MR = kMR<V>;
+  // A full vector-rung tile is one transposed W×W block of A.
+  static_assert(W == 1 || MR == W, "row tiles must be one lane block tall");
   const std::size_t m = a.rows, k = a.cols, n = b.cols;
-  const double* pa = a.p;
   const double* pb = b.p;
   double* pc = c.p;
 
   const std::size_t nvec = n - n % W;
   const std::size_t nstrips = (nvec + kNR - 1) / kNR;
+  // The strip the leftover columns ride along with: the last one, or an
+  // empty one at column 0 when n < W.
+  const std::size_t jl = nstrips == 0 ? 0 : (nstrips - 1) * kNR;
   const double* bp = pack_b(pb, k, n, nvec);
 
-  const std::size_t ntiles = (m + kMR<V> - 1) / kMR<V>;
+  const std::size_t ntiles = (m + MR - 1) / MR;
   const bool parallel = 2 * m * k * n >= kParallelFlops;
   for_each_index<0>(parallel, ntiles, [&](std::size_t it) {
-    const std::size_t i0 = it * kMR<V>;
-    const std::size_t mr = min_of(kMR<V>, m - i0);
-    for (std::size_t s = 0; s < nstrips; ++s) {
-      const std::size_t j0 = s * kNR;
-      dispatch_strip<V>(mr, min_of(kNR, nvec - j0) / W, pa + i0 * k, k,
-                        bp + j0 * k, k, alpha, beta, pc + i0 * n + j0, n);
+    const std::size_t i0 = it * MR;
+    const std::size_t mr = min_of(MR, m - i0);
+    const double* ar[MR] = {};
+    for (std::size_t r = 0; r < mr; ++r) {
+      const std::size_t i =
+          a.row_list != nullptr ? a.row_list[i0 + r] : i0 + r;
+      ar[r] = a.p + i * k;
     }
-    if (nvec == n) return;
-    std::size_t i = i0;
-    for (; i + W <= i0 + mr; i += W) {
-      dispatch_rows<V>(n - nvec, pa + i * k, k, pb + nvec, n, k, alpha, beta,
-                       pc + i * n + nvec, n);
+    double* ct = pc + i0 * n;
+    if constexpr (W > 1) {
+      if (nvec < n && mr == MR) {
+        for (std::size_t j0 = 0; j0 < jl; j0 += kNR) {
+          dispatch_strip<V>(MR, kNR / W, ar, bp + j0 * k, k, alpha, beta,
+                            ct + j0, n);
+        }
+        dispatch_fused<V>((nvec - jl) / W, n - nvec, ar, bp + jl * k,
+                          pb + nvec, n, k, alpha, beta, ct + jl, n);
+        return;
+      }
     }
-    // The last m mod W rows of the leftover columns.
-    for (; i < i0 + mr; ++i) {
+    for (std::size_t j0 = 0; j0 < nvec; j0 += kNR) {
+      dispatch_strip<V>(mr, min_of(kNR, nvec - j0) / W, ar, bp + j0 * k, k,
+                        alpha, beta, ct + j0, n);
+    }
+    // A partial tile's leftover columns.
+    for (std::size_t r = 0; r < mr; ++r) {
       for (std::size_t j = nvec; j < n; ++j) {
         double sum = 0.0;
         for (std::size_t kk = 0; kk < k; ++kk) {
-          sum = std::fma(pa[i * k + kk], pb[kk * n + j], sum);
+          sum = std::fma(ar[r][kk], pb[kk * n + j], sum);
         }
-        simd::combine_one(alpha, beta, pc[i * n + j], sum);
+        simd::combine_one(alpha, beta, ct[r * n + j], sum);
       }
     }
   });

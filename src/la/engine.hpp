@@ -32,10 +32,13 @@ namespace nadmm::la::kernels {
 inline constexpr std::size_t kParallelFlops = 1 << 18;
 
 /// Row-major dense operand: rows × cols at p, leading dimension cols.
+/// With a row list, row i is the row row_list[i] of the matrix at p
+/// instead (gemm_nn's A only; every index already checked in range).
 struct DenseArg {
   const double* p;
   std::size_t rows;
   std::size_t cols;
+  const std::size_t* row_list = nullptr;
 };
 
 /// Row-major dense output.
@@ -78,7 +81,7 @@ inline constexpr std::size_t kProbeChains = 8;
 struct Rung {
   const char* name;
   std::size_t lanes;
-  /// C = alpha·A·B + beta·C.
+  /// C = alpha·A·B + beta·C; A may carry a row list.
   void (*gemm_nn)(double alpha, DenseArg a, DenseArg b, double beta,
                   DenseOut c);
   /// C = alpha·Aᵀ·B + beta·C, features split among the threads.

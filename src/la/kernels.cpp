@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
 #include <vector>
 
 #include "la/vector_ops.hpp"
@@ -68,6 +69,22 @@ void gemm_nn(double alpha, DenseView a, const DenseMatrix& b,
               "gemm_nn: output shape mismatch");
   if (c.size() == 0) return;
   rung.gemm_nn(alpha, arg(a), arg(b), beta, out(c));
+}
+
+void gemm_nn_rows(double alpha, DenseView pool,
+                  std::span<const std::size_t> rows, const DenseMatrix& b,
+                  double beta, DenseMatrix& c, const Rung& rung) {
+  NADMM_CHECK(pool.cols() == b.rows(), "gemm_nn: inner dimension mismatch");
+  NADMM_CHECK(c.rows() == rows.size() && c.cols() == b.cols(),
+              "gemm_nn: output shape mismatch");
+  for (const std::size_t r : rows) {
+    NADMM_CHECK(r < pool.rows(), "gemm_nn_rows: row " + std::to_string(r) +
+                                     " of a " + std::to_string(pool.rows()) +
+                                     "-row matrix");
+  }
+  if (c.size() == 0) return;
+  const DenseArg a{pool.data().data(), rows.size(), pool.cols(), rows.data()};
+  rung.gemm_nn(alpha, a, arg(b), beta, out(c));
 }
 
 void gemm_tn(double alpha, DenseView a, const DenseMatrix& b,

@@ -13,12 +13,16 @@
 // runs every sample over its own features. The sparse spmm_tn is one
 // gather over the parent matrix's cached CSC. Both sparse products keep
 // each output row in registers across its entries and store it once. The
-// dense gemm_nn is a register-blocked microkernel: lane-multiple class
-// columns in packed 8-wide strips with A broadcast, the leftover classes
-// across rows through an in-register transpose of the A tile. The dense
-// gemm_tn vectorizes across features (class-major accumulator). The
-// softmax forward is the seed's two-pass row (max, then exponentials and
-// their sum, then one normalize), and its loss folds in row order.
+// dense gemm_nn is a register-blocked microkernel that reads A through
+// per-tile row pointers, so a row list (serving's pool rows) runs in
+// place. Lane-multiple class columns run in 8-wide strips with A
+// broadcast, and the leftover classes across rows through an in-register
+// transpose of the A tile, in the last strip's pass; the strips' columns
+// of B are packed into an aligned panel once per call, the leftover
+// columns read in place. The dense gemm_tn vectorizes across features
+// (class-major accumulator). The softmax forward is the seed's two-pass
+// row (max, then exponentials and their sum, then one normalize), and
+// its loss folds in row order.
 //
 // The seed products are preserved under kernels::reference — they are
 // the parity oracle for tests and the "vs seed" side of bench_kernels,
@@ -69,11 +73,23 @@ const char* active_isa();
 /// on both.
 
 /// C = alpha·A·B + beta·C (A: m×k, B: k×n, C: m×n). Register-blocked
-/// microkernel: lane-multiple columns over a packed B panel, the rest
-/// across rows; bit-identical at any thread count (each C row is
-/// produced by exactly one thread in fixed k order).
+/// microkernel over row tiles of A: lane-multiple columns in strips with
+/// A broadcast, and on a full tile the leftover columns across rows in
+/// the same pass over A (a partial tile's are scalar chains);
+/// bit-identical at any thread count (each C row is produced by exactly
+/// one thread in fixed k order).
 void gemm_nn(double alpha, DenseView a, const DenseMatrix& b,
              double beta, DenseMatrix& c, const Rung& rung = active_rung());
+
+/// gemm_nn with A = the rows `rows` of `pool`, in list order (repeats
+/// allowed): the same kernel reads each listed row in place, so the
+/// result is bit-identical to gemm_nn on the gathered copy. Every index
+/// is checked against pool.rows() before anything is read
+/// (InvalidArgument).
+void gemm_nn_rows(double alpha, DenseView pool,
+                  std::span<const std::size_t> rows, const DenseMatrix& b,
+                  double beta, DenseMatrix& c,
+                  const Rung& rung = active_rung());
 
 /// C = alpha·Aᵀ·B + beta·C (A: k×m, B: k×n, C: m×n). Each thread runs
 /// every sample over its own slice of the m features, vectorized across

@@ -93,13 +93,17 @@ OptionValidator v_one_of(std::vector<std::string> allowed);
 /// empty values pass (unset axis).
 OptionValidator v_each(char sep, OptionValidator inner);
 
-/// Accepts whatever `parse` accepts; its exception text is the reason.
-/// Every spec grammar is checked this way, by the parser the run uses.
+/// Accepts whatever `parse` accepts; its exception text is the reason
+/// (only the message of a failed NADMM_CHECK, without its expression and
+/// source location). Every spec grammar is checked this way, by the
+/// parser the run uses.
 template <class Parse>
 OptionValidator v_parses(Parse parse) {
   return [parse](const std::string& flag, const std::string& value) {
     try {
       static_cast<void>(parse(value));
+    } catch (const CheckFailure& e) {
+      reject_value(flag, value, e.reason());
     } catch (const std::exception& e) {
       reject_value(flag, value, e.what());
     }

@@ -1,7 +1,6 @@
 #include "serve/server.hpp"
 
 #include <algorithm>
-#include <cstring>
 #include <deque>
 #include <vector>
 
@@ -32,14 +31,24 @@ struct Pending {
   std::size_t row;
 };
 
-/// Copy pool rows into a dense batch panel (densifying CSR rows), and
-/// credit the copy's memory traffic so the roofline prices the gather.
+/// Stage the batch's first `count` requests for scoring: their pool row
+/// numbers into `row_list` and their labels. A sparse pool's rows are
+/// also densified into the `rows` panel; a dense pool's are scored where
+/// they lie (la::gemm_nn_rows). Either way the roofline is charged for
+/// gathering the batch panel, the staging a device scoring the batch
+/// would do: each row read and written once, and a sparse row's values
+/// and indices read.
 void gather_rows(const data::Dataset& pool, const std::deque<Pending>& queue,
                  std::size_t count, la::DenseMatrix& rows,
+                 std::vector<std::size_t>& row_list,
                  std::vector<std::int32_t>& labels) {
   const std::size_t p = pool.num_features();
   const auto pool_labels = pool.labels();
   std::uint64_t moved = 0;
+  for (std::size_t i = 0; i < count; ++i) {
+    row_list[i] = queue[i].row;
+    labels[i] = pool_labels[queue[i].row];
+  }
   if (pool.is_sparse()) {
     const la::CsrView view = pool.csr_view();
     const auto rp = view.row_ptr();
@@ -47,22 +56,15 @@ void gather_rows(const data::Dataset& pool, const std::deque<Pending>& queue,
     const auto vals = view.values();
     rows.fill(0.0);
     for (std::size_t i = 0; i < count; ++i) {
-      const std::size_t r = queue[i].row;
+      const std::size_t r = row_list[i];
       auto out = rows.row(i);
       for (std::int64_t k = rp[r]; k < rp[r + 1]; ++k) {
         out[static_cast<std::size_t>(cols[k])] = vals[k];
       }
       moved += static_cast<std::uint64_t>(rp[r + 1] - rp[r]) * 16 + p * 8;
-      labels[i] = pool_labels[r];
     }
   } else {
-    const la::DenseView view = pool.dense_view();
-    for (std::size_t i = 0; i < count; ++i) {
-      const auto src = view.row(queue[i].row);
-      std::memcpy(rows.row(i).data(), src.data(), p * sizeof(double));
-      moved += p * 16;
-      labels[i] = pool_labels[queue[i].row];
-    }
+    moved = count * p * 16;
   }
   nadmm::flops::add_bytes(moved);
 }
@@ -106,17 +108,24 @@ ServeResult simulate(const SavedModel& model, const data::Dataset& pool,
   std::uint64_t timer_armed_for = kNoTimer;
   std::size_t next_request = 0;  // generator cursor into `stream`
 
-  la::DenseMatrix rows(cap, p);
+  // The densified batch panel, for a sparse pool only.
+  la::DenseMatrix rows(pool.is_sparse() ? cap : 0, p);
   la::DenseMatrix scores(cap, c);  // resized per batch, never reallocated
+  std::vector<std::size_t> row_list(cap);
   std::vector<std::int32_t> labels(cap);
 
   auto dispatch = [&](comm::AsyncRank& rank) {
     TELEM_SPAN("serve", "batch_dispatch");
     telem::count("batches_dispatched");
     const std::size_t b = std::min(queue.size(), cap);
-    gather_rows(pool, queue, b, rows, labels);
+    gather_rows(pool, queue, b, rows, row_list, labels);
     scores.resize(b, c);
-    la::gemm_nn(1.0, rows.view(0, b), coef, 0.0, scores);
+    if (pool.is_sparse()) {
+      la::gemm_nn(1.0, rows.view(0, b), coef, 0.0, scores);
+    } else {
+      la::gemm_nn_rows(1.0, pool.dense_view(), {row_list.data(), b}, coef,
+                       0.0, scores);
+    }
     for (std::size_t i = 0; i < b; ++i) {
       correct += model::predict_class(scores.row(i)) == labels[i] ? 1 : 0;
     }

@@ -8,6 +8,7 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 namespace nadmm {
 
@@ -24,6 +25,20 @@ class RuntimeError : public std::runtime_error {
   using std::runtime_error::runtime_error;
 };
 
+/// A failed NADMM_CHECK. what() names the expression and its source
+/// location before the message, for library callers; reason() is the
+/// message alone (the expression when there is none), which is what a
+/// user who typed the bad value needs to read.
+class CheckFailure : public InvalidArgument {
+ public:
+  CheckFailure(const std::string& what, std::string reason)
+      : InvalidArgument(what), reason_(std::move(reason)) {}
+  [[nodiscard]] const std::string& reason() const { return reason_; }
+
+ private:
+  std::string reason_;
+};
+
 namespace detail {
 
 [[noreturn]] inline void throw_check_failure(const char* expr, const char* file,
@@ -31,7 +46,7 @@ namespace detail {
   std::ostringstream os;
   os << "NADMM_CHECK failed: (" << expr << ") at " << file << ':' << line;
   if (!msg.empty()) os << " — " << msg;
-  throw InvalidArgument(os.str());
+  throw CheckFailure(os.str(), msg.empty() ? std::string(expr) : msg);
 }
 
 [[noreturn]] inline void throw_assert_failure(const char* expr, const char* file,
@@ -45,7 +60,8 @@ namespace detail {
 }  // namespace detail
 }  // namespace nadmm
 
-/// Validate a public-API precondition; throws nadmm::InvalidArgument.
+/// Validate a public-API precondition; throws nadmm::CheckFailure, an
+/// nadmm::InvalidArgument.
 #define NADMM_CHECK(expr, msg)                                              \
   do {                                                                      \
     if (!(expr)) {                                                          \

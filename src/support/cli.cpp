@@ -63,16 +63,24 @@ bool CliParser::parse(int argc, const char* const* argv) {
       name = name.substr(0, eq);
       has_value = true;
     }
+    // What the user typed is wrong, not the program: the message is the
+    // reason alone, without NADMM_CHECK's expression and source location.
     auto it = options_.find(name);
-    NADMM_CHECK(it != options_.end(), "unknown option --" + name);
+    if (it == options_.end()) {
+      throw InvalidArgument("unknown option --" + name);
+    }
     Option& opt = it->second;
     if (opt.kind == Kind::kFlag) {
-      NADMM_CHECK(!has_value || value == "true" || value == "false",
-                  "flag --" + name + " takes no value (or true/false)");
+      if (has_value && value != "true" && value != "false") {
+        throw InvalidArgument("flag --" + name +
+                              " takes no value (or true/false)");
+      }
       opt.value = has_value ? value : "true";
     } else {
       if (!has_value) {
-        NADMM_CHECK(i + 1 < argc, "option --" + name + " expects a value");
+        if (i + 1 >= argc) {
+          throw InvalidArgument("option --" + name + " expects a value");
+        }
         value = argv[++i];
       }
       opt.value = value;

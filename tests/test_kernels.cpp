@@ -2,14 +2,16 @@
 // reference implementations (kernels::reference) and an independent naive
 // oracle, across degenerate shapes and the alpha/beta grid; dense-vs-CSR
 // dispatch parity; bit-identity of every product and the softmax forward
-// at any thread count; the softmax forward against a long-double oracle;
-// and the bytes-moved accounting feeding the device roofline.
+// at any thread count, and of the row-list gemm_nn against its gathered
+// copy; the softmax forward against a long-double oracle; and the
+// bytes-moved accounting feeding the device roofline.
 #include <gtest/gtest.h>
 
 #ifdef _OPENMP
 #include <omp.h>
 #endif
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <initializer_list>
@@ -416,6 +418,17 @@ TEST(KernelEngine, KernelsCreditBytesMoved) {
   flops::reset();
   gemm_nn(1.0, a, b, 1.0, c);  // beta != 0: C is read and written
   EXPECT_EQ(flops::read_bytes(), 8u * (4 * 5 + 5 * 6 + 2 * 4 * 6));
+  // A row list is credited as gemm_nn on the gathered 4×5 copy: the
+  // pool's other rows are never read.
+  const DenseMatrix pool(9, 5);
+  const std::vector<std::size_t> rows = {8, 0, 8, 3};
+  for (const double beta : {0.0, 1.0}) {
+    flops::reset();
+    gemm_nn_rows(1.0, pool, rows, b, beta, c);
+    EXPECT_EQ(flops::read(), 2u * 4 * 5 * 6);
+    EXPECT_EQ(flops::read_bytes(),
+              8u * (4 * 5 + 5 * 6 + (beta == 0.0 ? 1 : 2) * 4 * 6));
+  }
   flops::reset();
   const CsrMatrix sp(2, 3, {{0, 1, 1.0}, {1, 2, 2.0}});
   DenseMatrix bs(2, 4), cs(3, 4);
@@ -651,6 +664,97 @@ TEST(IsaDispatch, GemmNnEveryRungMatchesScalarBitwise) {
   }
 }
 
+/// Same bits, element for element: NaN payloads and the sign of zero
+/// included.
+void expect_same_bits(const DenseMatrix& got, const DenseMatrix& want,
+                      const std::string& what) {
+  ASSERT_EQ(got.size(), want.size()) << what;
+  for (std::size_t e = 0; e < got.size(); ++e) {
+    ASSERT_EQ(std::memcmp(&got.data()[e], &want.data()[e], sizeof(double)), 0)
+        << what << " element " << e << ": " << got.data()[e] << " vs "
+        << want.data()[e];
+  }
+}
+
+/// The listed rows of `pool`, in list order: the copy gemm_nn_rows must
+/// match.
+DenseMatrix gather(DenseView pool, std::span<const std::size_t> rows) {
+  DenseMatrix g(rows.size(), pool.cols());
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    const auto src = pool.row(rows[i]);
+    std::copy(src.begin(), src.end(), g.row(i).begin());
+  }
+  return g;
+}
+
+TEST(IsaDispatch, GemmNnRowsEveryRungMatchesGatheredCopyBitwise) {
+  // gemm_nn_rows reads each listed pool row in place; gemm_nn on the
+  // gathered copy is its oracle on the same rung. n = 1…19 spans
+  // leftover-only tiles (n < 8 on avx512, < 4 on avx2), every leftover
+  // count, and two strips plus a leftover; m = 1…20 and 4000 leave
+  // partial row tiles and cross the parallel threshold; k = 16 has no
+  // lane tail, k = 21 has one.
+  std::vector<std::size_t> ms;
+  for (std::size_t m = 1; m <= 20; ++m) ms.push_back(m);
+  ms.push_back(4000);
+  for (const kernels::Rung* rung : kernels::host_rungs()) {
+    Rng rng(63);
+    for (const int threads : {1, 3}) {
+      ThreadGuard guard(threads);
+      for (const std::size_t k : {16, 21}) {
+        // A view 5 rows into its matrix: indices count from the view.
+        const auto full = random_matrix(4000 + 12, k, rng);
+        const DenseView pool = full.view(5, full.rows());
+        for (const std::size_t m : ms) {
+          std::vector<std::size_t> rows(m);
+          for (std::size_t& r : rows) r = rng.uniform_index(pool.rows());
+          const auto a = gather(pool, rows);
+          for (std::size_t n = 1; n <= 19; ++n) {
+            const auto b = random_matrix(k, n, rng);
+            const auto c0 = random_matrix(m, n, rng);
+            for (const double beta : {0.0, 1.0, 0.5}) {
+              DenseMatrix c = c0, want = c0;
+              kernels::gemm_nn_rows(0.75, pool, rows, b, beta, c, *rung);
+              kernels::gemm_nn(0.75, a, b, beta, want, *rung);
+              expect_same_bits(c, want,
+                               std::string(rung->name) + " m=" +
+                                   std::to_string(m) + " k=" +
+                                   std::to_string(k) + " n=" +
+                                   std::to_string(n) + " t=" +
+                                   std::to_string(threads));
+            }
+          }
+        }
+      }
+    }
+
+    // Repeated and unsorted lists, and an empty one.
+    const auto pool = random_matrix(30, 21, rng);
+    const auto b = random_matrix(21, 9, rng);
+    const std::vector<std::vector<std::size_t>> lists = {
+        std::vector<std::size_t>(17, 4),
+        {29, 3, 3, 17, 0, 29, 8, 1, 1, 22, 5},
+        {}};
+    for (const auto& rows : lists) {
+      const auto c0 = random_matrix(rows.size(), 9, rng);
+      DenseMatrix c = c0, want = c0;
+      kernels::gemm_nn_rows(1.0, pool, rows, b, 0.5, c, *rung);
+      kernels::gemm_nn(1.0, gather(pool, rows), b, 0.5, want, *rung);
+      expect_same_bits(c, want, std::string(rung->name) + " list of " +
+                                    std::to_string(rows.size()));
+    }
+
+    // An index past the pool is rejected before C is touched.
+    const std::vector<std::size_t> bad = {0, 30, 1};
+    const auto c0 = random_matrix(3, 9, rng);
+    DenseMatrix c = c0;
+    EXPECT_THROW(kernels::gemm_nn_rows(1.0, pool, bad, b, 0.0, c, *rung),
+                 InvalidArgument)
+        << rung->name;
+    expect_same_bits(c, c0, std::string(rung->name) + " rejected list");
+  }
+}
+
 TEST(IsaDispatch, GemmTnEveryRungMatchesScalarBitwise) {
   // k × m × n. Feature counts off the lane multiples leave a scalar
   // feature tail after the vectorized features.
@@ -679,18 +783,6 @@ TEST(IsaDispatch, GemmTnEveryRungMatchesScalarBitwise) {
         }
       }
     }
-  }
-}
-
-/// Same bits, element for element: NaN payloads and the sign of zero
-/// included.
-void expect_same_bits(const DenseMatrix& got, const DenseMatrix& want,
-                      const std::string& what) {
-  ASSERT_EQ(got.size(), want.size()) << what;
-  for (std::size_t e = 0; e < got.size(); ++e) {
-    ASSERT_EQ(std::memcmp(&got.data()[e], &want.data()[e], sizeof(double)), 0)
-        << what << " element " << e << ": " << got.data()[e] << " vs "
-        << want.data()[e];
   }
 }
 

@@ -6,10 +6,12 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <optional>
 #include <set>
 
 #include "comm/fault.hpp"
+#include "la/device.hpp"
 #include "runner/harness.hpp"
 #include "runner/options.hpp"
 #include "runner/sweep.hpp"
@@ -220,6 +222,51 @@ TEST(OptionSpecs, DuplicateNamesAreRejected) {
   OptionSet other;
   other.add_int("n", 2, "also n");
   EXPECT_THROW(opts.extend(other), InvalidArgument);
+}
+
+TEST(OptionSpecs, UserInputErrorsGiveOnlyTheReason) {
+  // A bad flag or value is the user's mistake: its message names the
+  // flag and the reason, never NADMM_CHECK's expression or a source
+  // location.
+  const auto expect_reason_only = [](const std::function<void()>& f,
+                                     const std::string& reason) {
+    try {
+      f();
+      FAIL() << "expected InvalidArgument: " << reason;
+    } catch (const InvalidArgument& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find(reason), std::string::npos) << what;
+      EXPECT_EQ(what.find("NADMM_CHECK"), std::string::npos) << what;
+      EXPECT_EQ(what.find(".cpp:"), std::string::npos) << what;
+    }
+  };
+  const auto parse = [](std::vector<const char*> argv) {
+    CliParser cli("test");
+    cli.add_int("count", 1, "a count").add_flag("quiet", "no output");
+    argv.insert(argv.begin(), "prog");
+    static_cast<void>(cli.parse(static_cast<int>(argv.size()), argv.data()));
+  };
+  expect_reason_only([&] { parse({"--partition=contiguous"}); },
+                     "unknown option --partition");
+  expect_reason_only([&] { parse({"--quiet=maybe"}); }, "--quiet");
+  expect_reason_only([&] { parse({"--count"}); }, "expects a value");
+  const std::pair<OptionValidator, const char*> bad[] = {
+      {v_device(), "p100+cpu"},     {v_network(), "carrier-pigeon"},
+      {v_straggler(), "1:"},        {v_penalty(), "sometimes"},
+      {v_fault(), "drop:2"},        {v_kill(), "4294967296:2"},
+      {v_dataset(), "libsvm:"},     {v_arrival(), "poisson:-5"},
+      {v_batch_policy(), "size:0"}, {v_solver(), "sgd"}};
+  for (const auto& [validator, value] : bad) {
+    expect_reason_only([&] { validator("--x", value); },
+                       std::string("--x: invalid value '") + value + "'");
+  }
+  // A library caller still gets the whole check text.
+  try {
+    static_cast<void>(la::device_from_string("p100+cpu"));
+    FAIL() << "expected InvalidArgument";
+  } catch (const InvalidArgument& e) {
+    EXPECT_NE(std::string(e.what()).find("NADMM_CHECK"), std::string::npos);
+  }
 }
 
 TEST(OptionSpecs, DomainValidatorsCoverTheSharedAxes) {

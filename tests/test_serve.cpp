@@ -1,8 +1,9 @@
 // Tests for the serving plane (src/serve/*): quantile-sketch accuracy
 // against exact percentiles, arrival-schedule determinism, batch-policy
 // edge cases through the simulator (empty stream, bursts larger than
-// the batch cap, deadline expiry), model save/load round trips, and
-// byte-identical serving sweeps at any --jobs level.
+// the batch cap, deadline expiry), served answers against offline
+// predictions on dense and sparse pools, model save/load round trips,
+// and byte-identical serving sweeps at any --jobs level.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -19,6 +20,8 @@
 #include <vector>
 
 #include "helpers.hpp"
+#include "la/dense_matrix.hpp"
+#include "model/softmax.hpp"
 #include "runner/harness.hpp"
 #include "runner/sweep.hpp"
 #include "serve/arrival.hpp"
@@ -27,6 +30,7 @@
 #include "serve/quantile.hpp"
 #include "serve/server.hpp"
 #include "support/check.hpp"
+#include "support/rng.hpp"
 
 // Every global operator new in this binary is counted, so a test can
 // measure how many heap allocations a code path makes. GCC cannot see
@@ -341,6 +345,56 @@ TEST(ServeSimulator, SteadyStateReplayBarelyAllocates) {
   ASSERT_EQ(r.requests, 20000u);
   EXPECT_LT(static_cast<double>(allocations) / 20000.0, 0.1)
       << allocations << " allocations for 20000 requests";
+}
+
+TEST(ServeSimulator, AnswersMatchOfflinePredictions) {
+  // A dense pool is scored in place and a sparse one through its
+  // densified batch panel; either way each answer is predict_class of
+  // the requested row's scores, so the served accuracy counts exactly the
+  // requests that scoring the whole pool offline gets right.
+  for (const char* dataset : {"blobs", "e18"}) {
+    runner::ExperimentConfig c;
+    c.dataset = dataset;
+    c.n_train = 60;
+    c.n_test = 300;
+    c.e18_features = 64;
+    const auto tt = runner::make_data(c);
+    const auto& pool = tt.test;
+    ASSERT_EQ(pool.is_sparse(), std::string(dataset) == "e18");
+    SavedModel model;
+    model.num_features = pool.num_features();
+    model.num_classes = pool.num_classes();
+    Rng rng(7);
+    model.x.resize(model.num_features * model.coef_cols());
+    for (double& v : model.x) v = rng.normal();
+
+    ServeConfig config;
+    config.arrival = "bursty:100:4000:0.25:0.5";
+    config.batch = "deadline:16:0.002";
+    config.requests = 2000;
+    config.omp_threads = 1;
+    const auto r = simulate(model, pool, config);
+    ASSERT_EQ(r.requests, config.requests) << dataset;
+    EXPECT_GT(r.mean_batch, 1.0) << dataset;
+
+    const la::DenseMatrix coef(model.num_features, model.coef_cols(), model.x);
+    la::DenseMatrix scores(pool.num_samples(), model.coef_cols());
+    pool.scores(coef, scores);
+    const auto stream =
+        make_request_stream(*make_arrival(config.arrival), config.requests,
+                            pool.num_samples(), config.seed);
+    std::uint64_t correct = 0;
+    for (const Request& q : stream) {
+      correct += model::predict_class(scores.row(q.row)) == pool.labels()[q.row]
+                     ? 1
+                     : 0;
+    }
+    EXPECT_GT(correct, 0u) << dataset;
+    EXPECT_LT(correct, config.requests) << dataset;
+    EXPECT_EQ(std::llround(r.accuracy * static_cast<double>(r.requests)),
+              static_cast<long long>(correct))
+        << dataset;
+  }
 }
 
 TEST(ServeSimulator, RejectsMismatchedPool) {
